@@ -15,9 +15,8 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 
-from .hopf import InputError, InternalInvariantError
+from .hopf import InputError, InternalInvariantError, coeff, exact_div
 from .cochains import nr_bracket, skew_check
 from .structures import ALIGNED, check_lie, check_mc_omega, check_pc
 from .deformation import (
@@ -319,7 +318,7 @@ def _ingredients_from_structure(kind, Q, weight):
     """Invert the builder map: recover kind ingredients from the components."""
     from .structures import LiePseudoalgebra
 
-    w = Fraction(weight) if weight is not None else None
+    w = coeff(weight) if weight is not None else None
     if kind == pzoo.MODIFIED_R:
         if w is None:
             raise pio.ParseError("--weight is required for modified_r")
@@ -339,7 +338,7 @@ def _ingredients_from_structure(kind, Q, weight):
         if w is None:
             raise pio.ParseError(f"--weight is required for {kind}")
         gP = LiePseudoalgebra(Q.g, Q.pi)
-        mu = Q.mu if w == 0 else Q.mu.scale(Fraction(1) / w)
+        mu = Q.mu if w == 0 else Q.mu.scale(exact_div(1, w))
         hP = LiePseudoalgebra(Q.h, mu)
         return {"algebra": gP, "coefficients": hP, "action": Q.rho, "weight": w}
     if kind in (pzoo.DERIVATION, pzoo.O_OPERATOR):

@@ -19,9 +19,8 @@ are rearranged so that slot i carries the coefficient of argument x_i.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .hopf import HElem, HTensor, InputError, ONE, ZERO, mi_splits
+from .hopf import HTensor, InputError, coeff, mi_splits
 from .ptensor import (
     FreeModule,
     MElem,
@@ -101,7 +100,7 @@ class Cochain:
         return self + other.scale(-1)
 
     def scale(self, c) -> "Cochain":
-        c = Fraction(c)
+        c = coeff(c)
         return Cochain(
             self.arity,
             self.source,
@@ -146,10 +145,10 @@ class Cochain:
             base = self.value(keys)
             if base.is_zero():
                 continue
-            coeff = HTensor.from_legs([h for _k, h in combo])
+            legs = HTensor.from_legs([h for _k, h in combo])
             from .ptensor import act
 
-            acc = acc + act(coeff, base)
+            acc = acc + act(legs, base)
         return acc
 
     def max_degree(self) -> int:
@@ -226,7 +225,7 @@ def insert_raw(value_at, outer_arity: int, target: FreeModule, pos: int, inner: 
             for X, cX in alg.mul_mono(K_in, p_exp[pos]).items():
                 for split in mi_splits(X, q):
                     # legs: inner coefficients times the coproduct spread
-                    partial = [((), ONE)]
+                    partial = [((), 1)]
                     for ci, ji in zip(c_exp, split):
                         nxt = []
                         for prefix, cp in partial:
@@ -558,11 +557,11 @@ def random_ptelem(rng, module: FreeModule, arity: int, max_deg=2, nterms=2) -> P
 
         slots = tuple(rand_mi(d) for d in degs[: arity - 1])
         K = rand_mi(degs[arity - 1])
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         key = (slots, K, rng.randrange(module.rank)) if module.rank else None
         if key is None:
             continue
-        terms[key] = terms.get(key, ZERO) + c
+        terms[key] = terms.get(key, 0) + c
     return PTElem(module, arity, terms)
 
 

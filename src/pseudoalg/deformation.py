@@ -124,7 +124,7 @@ class HModuleMap:
             terms = {}
             for k, h in m.coords.items():
                 for K, c in h.terms.items():
-                    terms[((), K, k)] = terms.get(((), K, k), Fraction(0)) + c
+                    terms[((), K, k)] = terms.get(((), K, k), 0) + c
             table[(i,)] = PTElem(self.dst, 1, terms)
         return Cochain(1, self.src, self.dst, table)
 
@@ -143,7 +143,7 @@ def map_value(v: PTElem, fn) -> PTElem:
         for k2, h in img.coords.items():
             for K2, c2 in (alg.mono(K) * h).terms.items():
                 key = (slots, K2, k2)
-                s = out_terms.get(key, Fraction(0)) + c * c2
+                s = out_terms.get(key, 0) + c * c2
                 if s:
                     out_terms[key] = s
                 else:
@@ -277,7 +277,7 @@ def _lift_map(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
         terms = {}
         for k, h in m.coords.items():
             for K, c in h.terms.items():
-                terms[((), K, k)] = terms.get(((), K, k), Fraction(0)) + c
+                terms[((), K, k)] = terms.get(((), K, k), 0) + c
         v = PTElem(Q.G, 1, terms)
         if not v.is_zero():
             table[(i,)] = v

@@ -3,8 +3,9 @@
 Elements are stored in the divided-power PBW basis a^(K) = prod_i a_i^{k_i}/k_i!
 indexed by multi-indices K.  In this basis the coproduct is literally
 Delta(a^(K)) = sum_{L <= K} a^(L) (x) a^(K-L), and products of divided powers
-stay integral for abelian b.  All scalars are exact rationals; there is no
-floating point anywhere in this package.
+stay integral for abelian b.  Every stored scalar is exact: an ``int`` when it
+is integral, a ``Fraction`` otherwise, never a ``float``.  `coeff` normalises
+a scalar to that form and `exact_div` divides without leaving it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-Rat = Fraction
+Scalar = int | Fraction
 MultiIndex = tuple  # tuple[int, ...] of length alg.dim
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class InputError(ValueError):
@@ -28,10 +26,25 @@ class InternalInvariantError(RuntimeError):
     """A structural invariant the kernel relies on was violated."""
 
 
-def _as_rat(x) -> Fraction:
-    if isinstance(x, Fraction):
+def coeff(x) -> Scalar:
+    """x as an exact scalar: an int when integral, else a Fraction; floats raise."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if type(x) is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"float scalar {x!r}: exact scalars are int or Fraction")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_div(a, b) -> Scalar:
+    """a / b exactly: an int when b divides a, else a Fraction."""
+    a, b = coeff(a), coeff(b)
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return coeff(Fraction(a) / b)
 
 
 class LieAlgebra:
@@ -52,10 +65,10 @@ class LieAlgebra:
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise InputError(f"bracket index ({i},{j}) out of range")
             if i == j:
-                if any(_as_rat(c) != 0 for c in row.values()):
+                if any(coeff(c) != 0 for c in row.values()):
                     raise InputError(f"[a_{i}, a_{i}] must vanish")
                 continue
-            clean = {k: _as_rat(c) for k, c in row.items() if _as_rat(c) != 0}
+            clean = {k: coeff(c) for k, c in row.items() if coeff(c) != 0}
             if not clean:
                 continue
             if i > j:
@@ -66,8 +79,11 @@ class LieAlgebra:
         self._brackets = table
         self._check_jacobi()
         self.zero_index: MultiIndex = (0,) * self.dim
-        self._straighten_cache = {}
-        self._antipode_cache = {}
+        self._word_cache = {}  # word -> {K: c}
+        self._mul_cache = {}  # (I, J) -> {K: c}
+        self._antipode_cache = {}  # K -> {L: c}
+        # (n, J) -> canonical pieces; filled only by ptensor._canonical_last_slot
+        self.canonical_last_slots = {}
 
     @classmethod
     def abelian(cls, names):
@@ -87,7 +103,7 @@ class LieAlgebra:
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, cm in self.bracket(a, b).items():
                     for l, cl in self.bracket(m, c).items():
-                        acc[l] = acc.get(l, ZERO) + cm * cl
+                        acc[l] = acc.get(l, 0) + cm * cl
             if any(v != 0 for v in acc.values()):
                 raise InputError(
                     f"structure constants violate the Jacobi identity at ({i},{j},{k})"
@@ -96,7 +112,7 @@ class LieAlgebra:
     # -- multi-index helpers -------------------------------------------------
 
     def mono(self, K: MultiIndex) -> "HElem":
-        return HElem(self, {tuple(K): ONE})
+        return HElem(self, {tuple(K): 1})
 
     def unit(self) -> "HElem":
         return self.mono(self.zero_index)
@@ -118,7 +134,7 @@ class LieAlgebra:
         descent either keeps the degree and lowers the inversion count, or
         contracts to a shorter word through the bracket.
         """
-        cached = self._straighten_cache.get(word)
+        cached = self._word_cache.get(word)
         if cached is not None:
             return cached
         descent = -1
@@ -128,11 +144,11 @@ class LieAlgebra:
                 break
         if descent < 0:
             K = [0] * self.dim
-            coeff = ONE
+            c = 1
             for g in word:
                 K[g] += 1
-                coeff *= K[g]  # sorted word a_i^k = k! a_i^(k), built up stepwise
-            result = {tuple(K): coeff}
+                c *= K[g]  # sorted word a_i^k = k! a_i^(k), built up stepwise
+            result = {tuple(K): c}
         else:
             i, j = word[descent], word[descent + 1]
             swapped = word[:descent] + (j, i) + word[descent + 2 :]
@@ -140,28 +156,28 @@ class LieAlgebra:
             head, tail = word[:descent], word[descent + 2 :]
             for k, c in self.bracket(i, j).items():
                 for K, c2 in self._straighten(head + (k,) + tail).items():
-                    v = result.get(K, ZERO) + c * c2
+                    v = result.get(K, 0) + c * c2
                     if v:
                         result[K] = v
                     else:
                         result.pop(K, None)
-        self._straighten_cache[word] = result
+        self._word_cache[word] = result
         return result
 
     def mul_mono(self, I: MultiIndex, J: MultiIndex) -> dict:
         """Product a^(I) a^(J) in the divided-power PBW basis, as {K: coeff}."""
-        key = ("mul", I, J)
-        cached = self._straighten_cache.get(key)
+        key = (I, J)
+        cached = self._mul_cache.get(key)
         if cached is not None:
             return cached
         word = []
-        scale = ONE
+        den = 1  # prod k!: a^(I) a^(J) is the word divided by it
         for K in (I, J):
             for g, k in enumerate(K):
                 word.extend([g] * k)
-                scale /= factorial(k)
-        result = {K: c * scale for K, c in self._straighten(tuple(word)).items()}
-        self._straighten_cache[key] = result
+                den *= factorial(k)
+        result = {K: exact_div(c, den) for K, c in self._straighten(tuple(word)).items()}
+        self._mul_cache[key] = result
         return result
 
     def antipode_mono(self, K: MultiIndex) -> dict:
@@ -169,7 +185,7 @@ class LieAlgebra:
         cached = self._antipode_cache.get(K)
         if cached is not None:
             return cached
-        sign = -ONE if sum(K) % 2 else ONE
+        sign = -1 if sum(K) % 2 else 1
         acc = {self.zero_index: sign}
         for g in range(self.dim - 1, -1, -1):
             if K[g] == 0:
@@ -179,7 +195,7 @@ class LieAlgebra:
             step = {}
             for L, c in acc.items():
                 for M, c2 in self.mul_mono(L, tuple(Kg)).items():
-                    v = step.get(M, ZERO) + c * c2
+                    v = step.get(M, 0) + c * c2
                     if v:
                         step[M] = v
                     else:
@@ -218,7 +234,7 @@ def mi_degree(K: MultiIndex) -> int:
 
 
 class HElem:
-    """Sparse exact-rational element of H = U(b) in divided-power coordinates.
+    """Sparse exact element of H = U(b) in divided-power coordinates.
 
     Treated as immutable after construction; all operations return new values.
     """
@@ -227,7 +243,7 @@ class HElem:
 
     def __init__(self, alg: LieAlgebra, terms: dict):
         self.alg = alg
-        self.terms = {K: c for K, c in terms.items() if c}
+        self.terms = {K: v for K, c in terms.items() if (v := coeff(c))}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,7 +260,7 @@ class HElem:
         self._check(other)
         out = dict(self.terms)
         for K, c in other.terms.items():
-            v = out.get(K, ZERO) + c
+            v = out.get(K, 0) + c
             if v:
                 out[K] = v
             else:
@@ -258,7 +274,7 @@ class HElem:
         return HElem(self.alg, {K: -c for K, c in self.terms.items()})
 
     def scale(self, c) -> "HElem":
-        c = _as_rat(c)
+        c = coeff(c)
         if c == 0:
             return HElem(self.alg, {})
         return HElem(self.alg, {K: c * v for K, v in self.terms.items()})
@@ -270,7 +286,7 @@ class HElem:
         for I, ci in self.terms.items():
             for J, cj in other.terms.items():
                 for K, c in self.alg.mul_mono(I, J).items():
-                    v = out.get(K, ZERO) + ci * cj * c
+                    v = out.get(K, 0) + ci * cj * c
                     if v:
                         out[K] = v
                     else:
@@ -301,16 +317,16 @@ class HElem:
         return " + ".join(bits)
 
 
-def counit(a: HElem) -> Fraction:
+def counit(a: HElem) -> Scalar:
     """epsilon(a): the coefficient of the empty multi-index."""
-    return a.terms.get(a.alg.zero_index, ZERO)
+    return a.terms.get(a.alg.zero_index, 0)
 
 
 def antipode(a: HElem) -> HElem:
     out = {}
     for K, c in a.terms.items():
         for L, c2 in a.alg.antipode_mono(K).items():
-            v = out.get(L, ZERO) + c * c2
+            v = out.get(L, 0) + c * c2
             if v:
                 out[L] = v
             else:
@@ -319,7 +335,7 @@ def antipode(a: HElem) -> HElem:
 
 
 class HTensor:
-    """Sparse element of H^{(x) n}: finite map from multi-index tuples to rationals."""
+    """Sparse element of H^{(x) n}: finite map from multi-index tuples to scalars."""
 
     __slots__ = ("alg", "arity", "terms")
 
@@ -328,18 +344,18 @@ class HTensor:
             raise InputError("tensor arity must be >= 1")
         self.alg = alg
         self.arity = arity
-        self.terms = {tuple(K): c for K, c in terms.items() if c}
+        self.terms = {tuple(K): v for K, c in terms.items() if (v := coeff(c))}
 
     @classmethod
     def unit(cls, alg: LieAlgebra, arity: int) -> "HTensor":
-        return cls(alg, arity, {(alg.zero_index,) * arity: ONE})
+        return cls(alg, arity, {(alg.zero_index,) * arity: 1})
 
     @classmethod
     def from_legs(cls, legs) -> "HTensor":
         """Tensor product of a list of HElems, expanded to monomial tuples."""
         legs = list(legs)
         alg = legs[0].alg
-        terms = {(): ONE}
+        terms = {(): 1}
         for leg in legs:
             nxt = {}
             for tup, c in terms.items():
@@ -365,7 +381,7 @@ class HTensor:
             raise InputError("tensor arity/base mismatch")
         out = dict(self.terms)
         for K, c in other.terms.items():
-            v = out.get(K, ZERO) + c
+            v = out.get(K, 0) + c
             if v:
                 out[K] = v
             else:
@@ -379,7 +395,7 @@ class HTensor:
         return self + (-other)
 
     def scale(self, c) -> "HTensor":
-        c = _as_rat(c)
+        c = coeff(c)
         return HTensor(self.alg, self.arity, {K: c * v for K, v in self.terms.items()})
 
     def __mul__(self, other: "HTensor") -> "HTensor":
@@ -391,19 +407,12 @@ class HTensor:
             for J, cj in other.terms.items():
                 legs = [HElem(self.alg, self.alg.mul_mono(a, b)) for a, b in zip(I, J)]
                 for tup, c in HTensor.from_legs(legs).terms.items():
-                    v = out.get(tup, ZERO) + ci * cj * c
+                    v = out.get(tup, 0) + ci * cj * c
                     if v:
                         out[tup] = v
                     else:
                         out.pop(tup, None)
         return HTensor(self.alg, self.arity, out)
-
-    def leg(self, j: int) -> "dict":
-        """Marginal view used by tests; terms grouped by the j-th slot."""
-        out = {}
-        for K, c in self.terms.items():
-            out.setdefault(K[j], []).append((K, c))
-        return out
 
     def __repr__(self):
         if not self.terms:
@@ -422,7 +431,7 @@ def coproduct_iter(a: HElem, p: int) -> HTensor:
     out = {}
     for K, c in a.terms.items():
         for split in mi_splits(K, p + 1):
-            v = out.get(split, ZERO) + c
+            v = out.get(split, 0) + c
             if v:
                 out[split] = v
             else:

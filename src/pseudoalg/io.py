@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .hopf import HElem, InputError, LieAlgebra
+from .hopf import HElem, InputError, LieAlgebra, Scalar
 from .ptensor import FreeModule, MElem, PTElem
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled
@@ -44,7 +44,8 @@ def parse_rat(s) -> Fraction:
         raise ParseError(f"bad rational {s!r}") from exc
 
 
-def fmt_rat(q: Fraction) -> str:
+def fmt_rat(q: Scalar) -> str:
+    """Render an exact scalar (an int when integral, else a Fraction; never a float)."""
     return f"{q.numerator}/{q.denominator}"
 
 

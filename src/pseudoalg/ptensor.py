@@ -13,16 +13,13 @@ is what the shuffle sums in the cochain calculus require.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .hopf import (
     HElem,
     HTensor,
     InputError,
     LieAlgebra,
     MultiIndex,
-    ONE,
-    ZERO,
+    coeff,
     mi_degree,
     mi_splits,
 )
@@ -62,9 +59,6 @@ class FreeModule:
         if self.parts is None:
             raise InputError(f"module {self.name!r} carries no recorded split")
         return self.parts[0].rank
-
-    def part_of(self, k: int) -> str:
-        return "g" if k < self.split else "h"
 
     def elem(self, k: int, coeff: HElem | None = None) -> "MElem":
         return MElem(self, {k: coeff if coeff is not None else self.alg.unit()})
@@ -150,7 +144,7 @@ class PTElem:
             raise InputError("pseudotensor arity must be >= 1")
         self.module = module
         self.arity = arity
-        self.terms = {t: c for t, c in terms.items() if c}
+        self.terms = {t: v for t, c in terms.items() if (v := coeff(c))}
 
     @classmethod
     def zero(cls, module: FreeModule, arity: int) -> "PTElem":
@@ -176,7 +170,7 @@ class PTElem:
             raise InputError("pseudotensor arity/module mismatch")
         out = dict(self.terms)
         for t, c in other.terms.items():
-            v = out.get(t, ZERO) + c
+            v = out.get(t, 0) + c
             if v:
                 out[t] = v
             else:
@@ -190,7 +184,7 @@ class PTElem:
         return self + (-other)
 
     def scale(self, c) -> "PTElem":
-        c = Fraction(c)
+        c = coeff(c)
         if c == 0:
             return PTElem.zero(self.module, self.arity)
         return PTElem(self.module, self.arity, {t: c * v for t, v in self.terms.items()})
@@ -219,7 +213,7 @@ class PTElem:
             for k2, h in img.coords.items():
                 for K2, c2 in (alg.mono(K) * h).terms.items():
                     key = (slots, K2, k2)
-                    v = out.get(key, ZERO) + c * c2
+                    v = out.get(key, 0) + c * c2
                     if v:
                         out[key] = v
                     else:
@@ -246,7 +240,7 @@ class PTElem:
             k2 = index_map(k) if index_map else k
             if not 0 <= k2 < module.rank:
                 raise InputError("coercion index out of range")
-            out[(slots, K, k2)] = out.get((slots, K, k2), ZERO) + c
+            out[(slots, K, k2)] = out.get((slots, K, k2), 0) + c
         return PTElem(module, self.arity, {t: c for t, c in out.items() if c})
 
     def __repr__(self):
@@ -269,15 +263,15 @@ def _canonical_last_slot(alg: LieAlgebra, n: int, J: MultiIndex):
     HElems (antipode factors) and right the H-multiple landing on the module:
     (h1 ... hn)(x)_H m = (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) m.
     """
-    key = ("canon", n, J)
-    cached = alg._straighten_cache.get(key)
+    cache = alg.canonical_last_slots
+    cached = cache.get((n, J))
     if cached is not None:
         return cached
     pieces = []
     for split in mi_splits(J, n):
         legs = tuple(HElem(alg, alg.antipode_mono(L)) for L in split[: n - 1])
         pieces.append((legs, split[n - 1]))
-    alg._straighten_cache[key] = pieces
+    cache[(n, J)] = pieces
     return pieces
 
 
@@ -292,7 +286,7 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
 
     def _emit(slots, K, k, c):
         key = (slots, K, k)
-        v = out.get(key, ZERO) + c
+        v = out.get(key, 0) + c
         if v:
             out[key] = v
         else:
@@ -315,7 +309,7 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
         for legs, right in _canonical_last_slot(alg, arity, last):
             for K2, cK in alg.mul_mono(right, K).items():
                 # expand the slot products h_i * S(J_(i)) termwise
-                partial = [((), ONE)]
+                partial = [((), 1)]
                 for h_i, s_leg in zip(slots[:-1], legs):
                     nxt = []
                     for prefix, cp in partial:
@@ -326,16 +320,6 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
                 for prefix, cp in partial:
                     _emit(prefix, K2, k, c * cK * cp)
     return PTElem(module, arity, out)
-
-
-def from_melem_tensor(coeffs: HTensor, m: MElem) -> PTElem:
-    """Build (c1 (x) ... (x) cn) (x)_H m from an explicit coefficient tensor."""
-    raw = []
-    for tup, c in coeffs.terms.items():
-        for k, h in m.coords.items():
-            for K, c2 in h.terms.items():
-                raw.append((tup, K, k, c * c2))
-    return canonicalize(m.module, coeffs.arity, raw)
 
 
 def _explicit_terms(e: PTElem):
@@ -355,7 +339,7 @@ def act(c: HTensor, e: PTElem) -> PTElem:
     raw = []
     for mult, cm in c.terms.items():
         for slots, K, k, ce in _explicit_terms(e):
-            partial = [((), ONE)]
+            partial = [((), 1)]
             for h, s in zip(mult, slots):
                 nxt = []
                 for prefix, cp in partial:
@@ -412,7 +396,7 @@ def perm_sign(perm) -> int:
 
 def linear_combine(pairs) -> PTElem:
     """Exact sparse sum of (rational, PTElem) pairs; zero terms dropped."""
-    pairs = [(Fraction(c), e) for c, e in pairs]
+    pairs = [(coeff(c), e) for c, e in pairs]
     if not pairs:
         raise InputError("linear_combine needs at least one pair")
     acc = PTElem.zero(pairs[0][1].module, pairs[0][1].arity)

@@ -25,8 +25,8 @@ from fractions import Fraction
 
 import sympy
 
-from .hopf import InputError, LieAlgebra
-from .ptensor import FreeModule, PTElem, permute
+from .hopf import InputError, coeff, exact_div
+from .ptensor import FreeModule, PTElem
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals
 from .zoo import polynomial_hopf
@@ -71,18 +71,13 @@ class Rank2Problem:
     def _tensor(self, name: str, coeffs: dict) -> PTElem:
         """Assemble a component value on the right module from (i,j)->coeff."""
         module = {"A": self.g, "B": self.h, "C": self.g, "D": self.h}[name]
-        terms = {}
-        for (i, j), c in coeffs.items():
-            if not c:
-                continue
-            raw = PTElem(module, 2, {}).terms  # placeholder, built below
         raw_list = []
         for (i, j), c in coeffs.items():
             if not c:
                 continue
-            raw_list.append((((i,), (j,)), (0,) * self.alg.dim, 0, Fraction(c)))
+            raw_list.append((((i,), (j,)), (0,) * self.alg.dim, 0, c))
             if name in ("A", "D"):
-                raw_list.append((((j,), (i,)), (0,) * self.alg.dim, 0, -Fraction(c)))
+                raw_list.append((((j,), (i,)), (0,) * self.alg.dim, 0, -c))
         from .ptensor import canonicalize
 
         return canonicalize(module, 2, raw_list)
@@ -91,7 +86,7 @@ class Rank2Problem:
         """Build the quasi-twilled candidate for a rational assignment vector."""
         blocks = {"A": {}, "B": {}, "C": {}, "D": {}}
         for (name, ij), val in zip(self.layout, assignment):
-            blocks[name][ij] = Fraction(val)
+            blocks[name][ij] = coeff(val)
         A = self._tensor("A", blocks["A"])
         Bv = self._tensor("B", blocks["B"])
         Cv = self._tensor("C", blocks["C"])
@@ -104,8 +99,8 @@ class Rank2Problem:
                 self.h,
                 2,
                 [
-                    (((1,), (0,)), (0,), 0, Fraction(1)),
-                    (((0,), (1,)), (0,), 0, Fraction(-1)),
+                    (((1,), (0,)), (0,), 0, 1),
+                    (((0,), (1,)), (0,), 0, -1),
                 ],
             )
         return QuasiTwilled(
@@ -130,6 +125,55 @@ class Rank2Problem:
         return out
 
 
+def _interpolate_quadratics(ev, n: int, symbols) -> list:
+    """Exact polynomials of degree <= 2 from their values at sample points.
+
+    ev(vec) maps an assignment of the n unknowns to {coordinate key: value}.
+    Each coordinate is a polynomial of total degree <= 2 in the unknowns, so
+    its values at 0, e_i, 2 e_i and e_i + e_j determine it.  Returns the
+    nonzero polynomials, ordered by the repr of their keys.
+    """
+    zero = [0] * n
+    f0 = ev(zero)
+    f1, f2 = [], []
+    for i in range(n):
+        v = list(zero)
+        v[i] = 1
+        f1.append(ev(v))
+        v[i] = 2
+        f2.append(ev(v))
+    fx = {}
+    for i, j in itertools.combinations(range(n), 2):
+        v = list(zero)
+        v[i] = v[j] = 1
+        fx[(i, j)] = ev(v)
+    keys = set(f0)
+    for d in f1 + f2 + list(fx.values()):
+        keys |= set(d)
+    polys = []
+    for key in sorted(keys, key=repr):
+        c0 = f0.get(key, 0)
+        expr = sympy.Rational(c0)
+        lin, quad = {}, {}
+        for i in range(n):
+            a1 = f1[i].get(key, 0) - c0
+            a2 = f2[i].get(key, 0) - c0
+            qii = exact_div(a2 - 2 * a1, 2)
+            li = a1 - qii
+            lin[i], quad[(i, i)] = li, qii
+            if li:
+                expr += sympy.Rational(li) * symbols[i]
+            if qii:
+                expr += sympy.Rational(qii) * symbols[i] ** 2
+        for (i, j), d in fx.items():
+            qij = d.get(key, 0) - c0 - lin[i] - lin[j] - quad[(i, i)] - quad[(j, j)]
+            if qij:
+                expr += sympy.Rational(qij) * symbols[i] * symbols[j]
+        if expr != 0:
+            polys.append(sympy.expand(expr))
+    return polys
+
+
 def reconstruct_polynomials(problem: Rank2Problem) -> list:
     """Exact quadratic polynomials of every PC residual coordinate.
 
@@ -137,59 +181,8 @@ def reconstruct_polynomials(problem: Rank2Problem) -> list:
     unknown coefficients (each PC term multiplies at most two components), so
     constant + axis + doubled-axis + pairwise evaluations determine it.
     """
-    n = problem.nvars()
-    zero = [Fraction(0)] * n
-
-    def ev(vec):
-        return problem.residual_vector(vec)
-
-    f0 = ev(zero)
-    f1, f2 = [], []
-    for i in range(n):
-        v = list(zero)
-        v[i] = Fraction(1)
-        f1.append(ev(v))
-        v[i] = Fraction(2)
-        f2.append(ev(v))
-    fx = {}
-    for i, j in itertools.combinations(range(n), 2):
-        v = list(zero)
-        v[i] = v[j] = Fraction(1)
-        fx[(i, j)] = ev(v)
-    keys = set(f0)
-    for d in f1 + f2 + list(fx.values()):
-        keys |= set(d)
-    polys = []
     x = problem.symbols
-    for key in sorted(keys, key=repr):
-        c0 = f0.get(key, Fraction(0))
-        expr = sympy.Rational(c0)
-        lin = {}
-        quad = {}
-        for i in range(n):
-            a1 = f1[i].get(key, Fraction(0)) - c0
-            a2 = f2[i].get(key, Fraction(0)) - c0
-            qii = (a2 - 2 * a1) / 2
-            li = a1 - qii
-            lin[i] = li
-            quad[(i, i)] = qii
-            if li:
-                expr += sympy.Rational(li) * x[i]
-            if qii:
-                expr += sympy.Rational(qii) * x[i] ** 2
-        for (i, j), d in fx.items():
-            qij = (
-                d.get(key, Fraction(0))
-                - c0
-                - lin[i]
-                - lin[j]
-                - quad[(i, i)]
-                - quad[(j, j)]
-            )
-            if qij:
-                expr += sympy.Rational(qij) * x[i] * x[j]
-        if expr != 0:
-            polys.append(sympy.expand(expr))
+    polys = _interpolate_quadratics(problem.residual_vector, problem.nvars(), x)
     # deduplicate up to rational scaling
     seen = {}
     for p in polys:
@@ -440,10 +433,7 @@ def classify_family(problem: Rank2Problem, family: Family) -> str:
 
 def classify_instance(problem: Rank2Problem, assignment) -> str:
     """Tag a single rational instance against the three patterns."""
-    blocks = {"A": {}, "B": {}, "C": {}, "D": {}}
-    for (name, ij), val in zip(problem.layout, assignment):
-        blocks[name][ij] = sympy.Rational(Fraction(val))
-    fam = Family({s: sympy.Rational(Fraction(v)) for s, v in zip(problem.symbols, assignment)}, [], set())
+    fam = Family({s: sympy.Rational(coeff(v)) for s, v in zip(problem.symbols, assignment)}, [], set())
     return classify_family(problem, fam)
 
 
@@ -527,11 +517,8 @@ def lemma_special_case(max_deg: int = 2) -> dict:
         vec = []
         c_map = dict(zip(c_symbols, assign_c))
         for (name, ij), sym in zip(problem.layout, problem.symbols):
-            vec.append(c_map.get(sym, Fraction(0)))
+            vec.append(c_map.get(sym, 0))
         return vec
-
-    n = len(c_symbols)
-    zero = [Fraction(0)] * n
 
     def ev(vec_c):
         Q = problem.structure(lift(vec_c))
@@ -543,43 +530,7 @@ def lemma_special_case(max_deg: int = 2) -> dict:
                     out[(label, args, key)] = c
         return out
 
-    f0 = ev(zero)
-    f1, f2 = [], []
-    for i in range(n):
-        v = list(zero)
-        v[i] = Fraction(1)
-        f1.append(ev(v))
-        v[i] = Fraction(2)
-        f2.append(ev(v))
-    fx = {}
-    for i, j in itertools.combinations(range(n), 2):
-        v = list(zero)
-        v[i] = v[j] = Fraction(1)
-        fx[(i, j)] = ev(v)
-    keys = set(f0)
-    for d in f1 + f2 + list(fx.values()):
-        keys |= set(d)
-    polys = []
-    for key in sorted(keys, key=repr):
-        c0 = f0.get(key, Fraction(0))
-        expr = sympy.Rational(c0)
-        lin, quad = {}, {}
-        for i in range(n):
-            a1 = f1[i].get(key, Fraction(0)) - c0
-            a2 = f2[i].get(key, Fraction(0)) - c0
-            qii = (a2 - 2 * a1) / 2
-            li = a1 - qii
-            lin[i], quad[(i, i)] = li, qii
-            if li:
-                expr += sympy.Rational(li) * c_symbols[i]
-            if qii:
-                expr += sympy.Rational(qii) * c_symbols[i] ** 2
-        for (i, j), d in fx.items():
-            qij = d.get(key, Fraction(0)) - c0 - lin[i] - lin[j] - quad[(i, i)] - quad[(j, j)]
-            if qij:
-                expr += sympy.Rational(qij) * c_symbols[i] * c_symbols[j]
-        if expr != 0:
-            polys.append(sympy.expand(expr))
+    polys = _interpolate_quadratics(ev, len(c_symbols), c_symbols)
     families, unresolved = solve_quadratic_system(polys, c_symbols)
     layout_c = [k for k, _s in keep]
     described = []

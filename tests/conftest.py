@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from pseudoalg.hopf import LieAlgebra
 from pseudoalg.ptensor import FreeModule, canonicalize
 from pseudoalg.cochains import Cochain, MixedMap
 from pseudoalg.structures import QuasiTwilled
 from pseudoalg import zoo
+
+# Property tests draw the same examples on every run (no example database), so
+# the suite's verdict does not depend on the run or on earlier runs.
+settings.register_profile("pinned", derandomize=True, database=None, deadline=None)
+settings.load_profile("pinned")
 
 
 @pytest.fixture

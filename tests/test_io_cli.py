@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,20 +254,25 @@ def test_cli_zoo_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
-def cli_child(*args, **env):
-    """Run `python -m pseudoalg.cli` in a fresh interpreter.
+def cli_child(*args, cwd=None, **env):
+    """Run `python -m pseudoalg.cli` in a fresh interpreter, in `cwd` if given.
 
-    The child inherits this process's environment, PYTHONPATH included, so it
-    imports the same `pseudoalg` as the suite; PA_THREADS is unset unless
+    The child inherits this process's environment, with the directory this
+    suite imported `pseudoalg` from put first on PYTHONPATH, so it imports the
+    same `pseudoalg` from any working directory; PA_THREADS is unset unless
     given, so a value left in the caller's shell cannot change the outcome.
     """
     child_env = {k: v for k, v in os.environ.items() if k != "PA_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(pio.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    )
     child_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "pseudoalg.cli", *args],
         capture_output=True,
         text=True,
         env=child_env,
+        cwd=cwd,
     )
 
 
@@ -306,3 +312,47 @@ def test_rank2_report_identical_across_hash_seeds():
     assert [o.returncode for o in outs] == [1, 1]
     assert outs[0].stdout == outs[1].stdout
     assert json.loads(outs[0].stdout)["checks"][1]["status"] == "pass"
+
+
+# Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each
+# demo map scaled by 1/2, which is not a deformation map and so gives residual
+# dumps with non-integral coefficients) and the exact stdout of each command,
+# run from that directory.  name -> (argv, exit code).
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _golden_commands():
+    commands = {"rank2_search_deg1": (["--json", "rank2-search", "--max-deg", "1"], 1)}
+    for kind, typ, weight in (("modified_r", "I", ["--weight", "4"]), ("reynolds", "II", [])):
+        q, m, half = f"{kind}.json", f"{kind}_map.json", f"{kind}_half_map.json"
+        commands.update({
+            f"check_{kind}": (["--json", "check", q], 0),
+            f"check_qt_{kind}": (["--json", "check-qt", q], 0),
+            f"dmap_{kind}": (["--json", "dmap", "--type", typ, q, m], 0),
+            f"dmap_{kind}_half": (["--json", "dmap", "--type", typ, q, half], 1),
+            f"twist_{kind}": (["--json", "twist", "--type", typ, q, m], 0),
+            f"twist_{kind}_half": (["--json", "twist", "--type", typ, q, half], 1),
+            f"linf_{kind}": (["--json", "linf", "--type", typ, q, "--max-arity", "3"], 0),
+            f"cohomology_{kind}": (
+                ["--json", "cohomology", "--type", typ, q, m, "--degree", "2", "--max-pbw", "2"],
+                0,
+            ),
+            f"dictionary_{kind}": (
+                ["--json", "dictionary", "--kind", kind, *weight, "--trials", "2", q, m],
+                0,
+            ),
+        })
+    return commands
+
+
+GOLDEN = _golden_commands()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_identical_across_hash_seeds(name):
+    # same bytes and exit code as the committed golden, under two hash seeds
+    argv, code = GOLDEN[name]
+    expect = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    for seed in ("1", "3"):
+        out = cli_child(*argv, cwd=GOLDEN_DIR, PYTHONHASHSEED=seed)
+        assert (out.returncode, out.stdout) == (code, expect), (seed, out.stderr)

@@ -11,6 +11,7 @@ from pseudoalg.rank2 import (
     TYPE_I_TAG,
     TYPE_II_TAG,
     TYPE_III_TAG,
+    _interpolate_quadratics,
     classify_instance,
     lemma_special_case,
     rank2_search,
@@ -49,6 +50,25 @@ def test_interpolation_reconstructs_quadratics():
     assert all(sympy.expand(q.subs(point)) == 0 for q in polys)
     bad = dict(zip(p.symbols, vec(p, C_10=1, B_01=1)))
     assert any(sympy.expand(q.subs(bad)) != 0 for q in polys)
+
+
+def test_interpolation_exact_beyond_float_precision():
+    # an integer quadratic coefficient above 2**53 and non-integral ones are
+    # recovered exactly; a float anywhere in the divide would round the first
+    x0, x1 = sympy.symbols("x0 x1")
+    big = 2**60 + 1
+
+    def ev(v):
+        return {
+            "a": big * v[0] ** 2 + 3 * v[1] + 5,
+            "b": Fraction(-2, 3) * v[0] * v[1] + Fraction(1, 2) * v[0],
+        }
+
+    polys = _interpolate_quadratics(ev, 2, [x0, x1])
+    assert polys == [
+        sympy.expand(big * x0**2 + 3 * x1 + 5),
+        sympy.expand(sympy.Rational(-2, 3) * x0 * x1 + sympy.Rational(1, 2) * x0),
+    ]
 
 
 def test_search_degree1_complete_and_verified():

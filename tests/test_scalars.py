@@ -1,0 +1,192 @@
+"""The exact-scalar invariant: int when integral, Fraction otherwise, never float.
+
+The kernel keeps integral scalars as Python ints and only builds a Fraction
+when a value is not integral, so most of the suite runs on integer data.  The
+property tests here draw non-integral rationals (such as 1/2 and -2/3) so the
+Fraction side of every mixed operation is exercised too.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from pseudoalg.hopf import (
+    HElem,
+    HTensor,
+    LieAlgebra,
+    antipode,
+    coeff,
+    coproduct_iter,
+    counit,
+    exact_div,
+)
+from pseudoalg.ptensor import FreeModule, PTElem, canonicalize
+from pseudoalg.cochains import MixedMap, nr_bracket, random_cochain, random_ptelem
+from pseudoalg.structures import QuasiTwilled, check_mc_omega, check_pc
+from pseudoalg.deformation import TYPE_I, TYPE_II, exp_twist
+from pseudoalg import zoo
+
+B2 = zoo.nonabelian_2dim()
+QD = LieAlgebra.abelian(["d"])
+
+# nonzero rationals with small denominators; integers are drawn as well
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+
+
+def multi_indices(alg, max_part):
+    return st.tuples(*[st.integers(0, max_part)] * alg.dim)
+
+
+def helems(alg, max_part=2):
+    return st.dictionaries(multi_indices(alg, max_part), scalars, min_size=1, max_size=3).map(
+        lambda terms: HElem(alg, terms)
+    )
+
+
+def raw_terms(alg, arity, rank, max_part=1):
+    term = st.tuples(
+        st.tuples(*[multi_indices(alg, max_part)] * arity),
+        multi_indices(alg, max_part),
+        st.integers(0, rank - 1),
+        scalars,
+    )
+    return st.lists(term, min_size=1, max_size=3)
+
+
+def assert_exact(values):
+    for c in values:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+# -- the helpers ----------------------------------------------------------------------
+
+
+def test_coeff_normalises_and_rejects_floats():
+    assert type(coeff(Fraction(6, 3))) is int and coeff(Fraction(6, 3)) == 2
+    assert coeff(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(coeff(True)) is int
+    with pytest.raises(TypeError):
+        coeff(0.5)
+    with pytest.raises(TypeError):
+        coeff(2.0)
+
+
+def test_exact_div_stays_exact():
+    assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
+    assert exact_div(-3, 2) == Fraction(-3, 2)
+    assert exact_div(Fraction(3, 2), Fraction(1, 2)) == 3
+    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+    with pytest.raises(TypeError):
+        exact_div(1.0, 2)
+
+
+def test_constructors_reject_floats():
+    g = FreeModule("g", ["u"], QD)
+    with pytest.raises(TypeError):
+        HElem(QD, {(1,): 0.5})
+    with pytest.raises(TypeError):
+        HTensor(QD, 2, {((0,), (1,)): 1.0})
+    with pytest.raises(TypeError):
+        PTElem(g, 1, {((), (0,), 0): 2.0})
+    with pytest.raises(TypeError):
+        PTElem(g, 1, {((), (0,), 0): 1}).scale(0.5)
+    with pytest.raises(TypeError):
+        QD.unit().scale(0.5)
+    with pytest.raises(TypeError):
+        HElem(QD, {(1,): 0.0})  # a float zero is rejected, not dropped
+
+
+def test_kernel_outputs_are_exact_on_zoo_inputs():
+    for alg in (QD, B2, zoo.builtin("cur_sl2").module.alg):
+        for I in ((0,) * alg.dim, (1,) * alg.dim, (2,) + (1,) * (alg.dim - 1)):
+            for J in ((3,) + (0,) * (alg.dim - 1), (1,) * alg.dim, (0,) * (alg.dim - 1) + (2,)):
+                assert_exact(alg.mul_mono(I, J).values())
+    half = Fraction(1, 2)
+    raw = [(((1, 1), (0, 2)), (1, 0), 0, half), (((0, 1), (2, 1)), (0, 1), 0, Fraction(-2, 3))]
+    assert_exact(canonicalize(FreeModule("m", ["e"], B2), 2, raw).terms.values())
+    for entry in zoo.zoo_structures():
+        Q = entry["Q"]
+        for om in (Q.omega(), Q.omega().scale(half)):
+            for v in nr_bracket(om, om).table.values():
+                assert_exact(v.terms.values())
+        for kind in (TYPE_I, TYPE_II):
+            M = entry["type1" if kind == TYPE_I else "type2"]
+            if M is None:
+                continue
+            for m in (M, M.scale(half)):
+                for v in exp_twist(Q, m, kind).table.values():
+                    assert_exact(v.terms.values())
+
+
+# -- properties over non-integral data ---------------------------------------------------
+
+
+@given(helems(B2), helems(B2), helems(B2))
+def test_hopf_associativity_nonabelian(x, y, z):
+    assert (x * y) * z == x * (y * z)
+    assert_exact((x * y).terms.values())
+
+
+@given(helems(B2))
+def test_antipode_law_nonabelian(x):
+    acc = B2.zero()
+    for (K1, K2), c in coproduct_iter(x, 1).terms.items():
+        acc = acc + (antipode(B2.mono(K1)) * B2.mono(K2)).scale(c)
+    assert acc == B2.unit().scale(counit(x))
+    assert_exact(antipode(x).terms.values())
+
+
+@given(st.sampled_from([2, 3]), st.data())
+def test_canonicalize_idempotent(arity, data):
+    module = FreeModule("m", ["e0", "e1"], B2)
+    e = canonicalize(module, arity, data.draw(raw_terms(B2, arity, module.rank)))
+    assert_exact(e.terms.values())
+    zero = B2.zero_index
+    again = canonicalize(
+        module, arity, [(slots + (zero,), K, k, c) for (slots, K, k), c in e.terms.items()]
+    )
+    assert again == e
+
+
+@given(st.integers(0, 2**16), st.lists(scalars, min_size=5, max_size=5))
+def test_pc_agrees_with_nr_on_scaled_random_rank_one_one(seed, scales):
+    rng = random.Random(seed)
+    g = FreeModule("g", ["u"], QD)
+    h = FreeModule("h", ["x"], QD)
+    s_pi, s_rho, s_mu, s_eta, s_theta = scales
+    Q = QuasiTwilled(
+        g,
+        h,
+        pi=random_cochain(rng, g, g, 2, max_deg=2).scale(s_pi),
+        rho=MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=2).scale(s_rho)}),
+        mu=random_cochain(rng, h, h, 2, max_deg=2).scale(s_mu),
+        eta=MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=2).scale(s_eta)}),
+        theta=random_cochain(rng, g, h, 2, max_deg=2).scale(s_theta),
+    )
+    r, m = check_pc(Q), check_mc_omega(Q)
+    assert m["agrees_with_pc"] and m["correspondence_ok"]
+    assert r["ok"] == m["bracket_zero"]
+
+
+@given(st.sampled_from(["rank2_type_i", "rank2_type_ii", "rank2_type_iii"]), scalars)
+def test_pc_and_nr_pass_on_uniformly_scaled_rank_one_one(name, s):
+    # [s Omega, s Omega]_NR = s^2 [Omega, Omega]_NR, so scaling every component
+    # of a structure by one rational gives a structure again
+    Q = zoo.builtin(name)
+    Qs = QuasiTwilled(
+        Q.g,
+        Q.h,
+        pi=Q.pi.scale(s),
+        rho=Q.rho.scale(s),
+        mu=Q.mu.scale(s),
+        eta=Q.eta.scale(s),
+        theta=Q.theta.scale(s),
+    )
+    r, m = check_pc(Qs), check_mc_omega(Qs)
+    assert r["ok"] and m["ok"] and m["agrees_with_pc"]
+    for v in Qs.omega().table.values():
+        assert_exact(v.terms.values())
