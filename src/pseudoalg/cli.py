@@ -314,11 +314,19 @@ def cmd_dictionary(args, report):
     )
 
 
+def _parse_weight(weight):
+    """The --weight option as an exact scalar, in the `num/den` form of io."""
+    try:
+        return coeff(pio.parse_rat(weight))
+    except pio.ParseError as exc:
+        raise pio.ParseError(f"--weight: {exc}") from exc
+
+
 def _ingredients_from_structure(kind, Q, weight):
     """Invert the builder map: recover kind ingredients from the components."""
     from .structures import LiePseudoalgebra
 
-    w = coeff(weight) if weight is not None else None
+    w = _parse_weight(weight) if weight is not None else None
     if kind == pzoo.MODIFIED_R:
         if w is None:
             raise pio.ParseError("--weight is required for modified_r")

@@ -39,7 +39,6 @@ from .deformation import (
     _apply_map_pt,
     dmap1_residual,
     dmap2_residual,
-    map_value,
     twist1_components,
     twist2_components,
 )
@@ -500,6 +499,7 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int):
     """
     coords = cochain_coords(source, target, arity, cap)
     index = {ck: i for i, ck in enumerate(coords)}
+    keys = ptelem_coords(target, arity, cap)
     rows = []
     for t in sorted_tuples(source.rank, arity):
         stab = [
@@ -508,7 +508,7 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int):
             if t[i] == t[i + 1]
         ]
         for i in stab:
-            for key in ptelem_coords(target, arity, cap):
+            for key in keys:
                 base = PTElem(target, arity, {key: Fraction(1)})
                 moved = permute(base, swap_dest(arity, i, i + 1))
                 row = [Fraction(0)] * len(coords)

@@ -19,14 +19,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .hopf import HElem, InputError, InternalInvariantError
-from .ptensor import FreeModule, MElem, PTElem, permute, swap_dest
+from .hopf import InputError, InternalInvariantError
+from .ptensor import FreeModule, MElem, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
     assert_block_shape,
-    extract_components,
-    extract_mixed,
     extract_pure,
     lift_block,
     lift_mixed,

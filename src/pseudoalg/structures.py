@@ -18,7 +18,6 @@ Normalization (frozen by the equivalence suite):
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .hopf import InputError

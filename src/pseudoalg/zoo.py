@@ -9,7 +9,6 @@ the corresponding deformation-map residual vanishes.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .hopf import HElem, InputError, LieAlgebra
@@ -19,20 +18,16 @@ from .structures import (
     LiePseudoalgebra,
     QuasiTwilled,
     Representation,
-    check_lie,
     check_pc,
-    eta_from_matched_action,
 )
 from .deformation import (
     HModuleMap,
     SWAP2,
-    TYPE_I,
-    TYPE_II,
     _apply_map_pt,
     dmap1_residual,
     dmap2_residual,
 )
-from .cohomology import CLASSICAL, ce_differential0, handle_for, PLAIN
+from .cohomology import CLASSICAL, handle_for, PLAIN
 
 MODIFIED_R = "modified_r"
 CROSSED_HOM = "crossed_hom"

@@ -345,3 +345,39 @@ def test_elimination_routes_agree_random(rng):
             assert all(
                 sum(r[j] * vec[j] for j in range(m)) == 0 for r in rows
             )
+
+
+def _sparse_matrix(rng, n, m):
+    """n x m rational rows, about 85% zeros, with zero and repeated rows."""
+    rows = []
+    for _ in range(n):
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append([Fraction(0)] * m)
+        elif pick < 0.2 and rows:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append([
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+                if rng.random() < 0.15
+                else Fraction(0)
+                for _ in range(m)
+            ])
+    return rows
+
+
+def test_sparse_elimination_matches_dense_oracle(rng):
+    # the sparse Bareiss path against dense Fraction Gauss: same rank, the
+    # same kernel basis (both normalise each free column to 1, the other
+    # free columns to 0), and image_dim_within against
+    # dim(U & W) = dim U + dim W - dim(U + W) with W spanned by unit vectors
+    for _ in range(60):
+        n, m = rng.randint(1, 30), rng.randint(1, 30)
+        rows = _sparse_matrix(rng, n, m)
+        assert linalg.rank(rows) == linalg.rank_dense(rows)
+        assert linalg.nullspace(rows, ncols=m) == linalg.nullspace_dense(rows, ncols=m)
+        cols = [[row[j] for row in rows] for j in range(m)]
+        inside = sorted(rng.sample(range(n), rng.randint(0, n)))
+        units = [[Fraction(int(i == k)) for i in range(n)] for k in inside]
+        expect = linalg.rank_dense(cols) + len(inside) - linalg.rank_dense(cols + units)
+        assert linalg.image_dim_within(cols, inside) == expect

@@ -231,6 +231,16 @@ def test_cli_dictionary(files, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("weight", ["1e-1", "0.1", "4.0", "1/0"])
+def test_cli_dictionary_weight_is_an_exact_rational(files, capsys, weight):
+    # --weight takes the num/den form of every other rational in pa; decimal
+    # and exponent notation are input errors, not silently read as 1/10
+    args = ["--json", "dictionary", "--kind", "modified_r", "--weight", weight, "--trials", "1"]
+    code, out, err = run_cli([*args, str(files["struct"]), str(files["good"])], capsys)
+    assert code == 2 and out == ""
+    assert "--weight" in err and repr(weight) in err
+
+
 def test_cli_report_determinism(files, capsys):
     args = ["--json", "check-qt", str(files["struct"])]
     code1, out1, _ = run_cli(args, capsys)
@@ -322,7 +332,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _golden_commands():
-    commands = {"rank2_search_deg1": (["--json", "rank2-search", "--max-deg", "1"], 1)}
+    commands = {
+        "rank2_search_deg1": (["--json", "rank2-search", "--max-deg", "1"], 1),
+        "cohomology_relative_rb_II": (
+            ["--json", "cohomology", "--type", "II", "relative_rb.json", "relative_rb_map.json",
+             "--degree", "3", "--max-pbw", "4"],
+            0,
+        ),
+    }
     for kind, typ, weight in (("modified_r", "I", ["--weight", "4"]), ("reynolds", "II", [])):
         q, m, half = f"{kind}.json", f"{kind}_map.json", f"{kind}_half_map.json"
         commands.update({
