@@ -16,17 +16,16 @@ import random
 import sys
 import time
 
-from .hopf import InputError, InternalInvariantError, coeff, exact_div
+from .hopf import InputError, InternalInvariantError, coeff
 from .cochains import nr_bracket, skew_check
 from .structures import ALIGNED, check_lie, check_mc_omega, check_pc
 from .deformation import (
     TYPE_I,
     TYPE_II,
-    curved_l_type1,
-    curved_l_type2,
-    dmap1_residual,
-    dmap2_residual,
+    LinfOps,
+    dmap_residual,
     linf_jacobi_check,
+    orientation,
     twist1,
     twist2,
 )
@@ -117,14 +116,6 @@ def _render_detail(detail) -> str:
     return json.dumps(detail, sort_keys=True, default=str)
 
 
-def _residual_dump(cochain) -> list:
-    out = []
-    for t, v in sorted(cochain.table.items()):
-        if not v.is_zero():
-            out.append({"args": list(t), "terms": pio.ptelem_to_json(v)})
-    return out
-
-
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -152,9 +143,9 @@ def _load_structure(path, validate=True, report=None):
 
 def _load_map(path, Q, kind):
     data = _load_json(path)
-    src, dst = (Q.g, Q.h) if kind == TYPE_I else (Q.h, Q.g)
+    src, dst = orientation(Q, kind)
     names = pio.map_orientation_of(data)
-    expect = ("g", "h") if kind == TYPE_I else ("h", "g")
+    expect = (src.name, dst.name)  # the parts of a loaded structure are named g and h
     if tuple(names) != expect:
         raise pio.ParseError(
             f"map orientation {names} does not match type {kind} (expect {expect})"
@@ -203,11 +194,11 @@ def cmd_check_qt(args, report):
 def cmd_dmap(args, report):
     Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
     m = _load_map(args.map, Q, args.type)
-    resid = dmap1_residual(Q, m) if args.type == TYPE_I else dmap2_residual(Q, m)
+    resid = dmap_residual(Q, m, args.type)
     report.add(
         f"type {args.type} deformation-map identity",
         resid.is_zero(),
-        None if resid.is_zero() else {"residual": _residual_dump(resid)},
+        None if resid.is_zero() else {"residual": pio.table_to_json(resid)},
     )
 
 
@@ -215,18 +206,17 @@ def cmd_twist(args, report):
     Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
     m = _load_map(args.map, Q, args.type)
     if args.type == TYPE_I:
-        out, info = twist1(Q, m)
-        quasi = True
-        result_struct = out
+        result_struct, info = twist1(Q, m)
     else:
         res, info = twist2(Q, m)
-        quasi = res.xi.is_zero()
-        result_struct = res.as_quasi_twilled() if quasi else None
-        if not quasi:
+        result_struct = None
+        if res.xi.is_zero():
+            result_struct = res.as_quasi_twilled()
+        else:
             report.add(
                 "twisted structure quasi-twilled (xi = 0)",
                 False,
-                {"xi": _residual_dump(res.xi)},
+                {"xi": pio.table_to_json(res.xi)},
             )
     report.add("closed form equals bracket series", info["closed_form_equals_series"])
     report.add("series equals conjugated bracket", info["series_equals_conjugation"])
@@ -250,7 +240,7 @@ def cmd_nr(args, report):
 
 def cmd_linf(args, report):
     Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
-    ops = curved_l_type1(Q) if args.type == TYPE_I else curved_l_type2(Q)
+    ops = LinfOps(Q, args.type)
     rng = random.Random(args.seed)
     res = linf_jacobi_check(ops, args.max_arity, rng)
     for n in sorted(res["identities"]):
@@ -263,8 +253,7 @@ def cmd_ce(args, report):
     handle = handle_for(args.type, Q, m, convention=CLASSICAL)
     modules = {"g": Q.g, "h": Q.h}
     f = pio.cochain_from_json(_load_json(args.cochain), modules)
-    expect = (Q.g, Q.h) if args.type == TYPE_I else (Q.h, Q.g)
-    if (f.source, f.target) != expect:
+    if (f.source, f.target) != orientation(Q, args.type):
         raise pio.ParseError("cochain block does not match the complex")
     out = handle.diff(f)
     report.add("chevalley-eilenberg differential computed", True, {"arity": out.arity})
@@ -289,9 +278,10 @@ def cmd_cohomology(args, report):
 def cmd_dictionary(args, report):
     Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
     kind = args.kind
-    ingredients = _ingredients_from_structure(kind, Q, args.weight)
+    weight = _parse_weight(args.weight) if args.weight is not None else None
+    ingredients = pzoo.ingredients_from_structure(kind, Q, weight)
     Qc = pzoo.build(kind, ingredients)
-    src, dst = pzoo.map_orientation(kind, Qc)
+    src, dst = orientation(Qc, pzoo.map_type(kind))
     data = _load_json(args.map)
     m = pio.map_from_json(data, src, dst)
     rng = random.Random(args.seed)
@@ -302,15 +292,15 @@ def cmd_dictionary(args, report):
         None
         if res["ok"]
         else {
-            "operator_residual": _residual_dump(res["operator_residual"]),
-            "deformation_residual": _residual_dump(res["deformation_residual"]),
+            "operator_residual": pio.table_to_json(res["operator_residual"]),
+            "deformation_residual": pio.table_to_json(res["deformation_residual"]),
         },
     )
     given_ok = res["operator_residual"].is_zero()
     report.add(
         "given map satisfies the operator identity",
         given_ok,
-        None if given_ok else {"residual": _residual_dump(res["operator_residual"])},
+        None if given_ok else {"residual": pio.table_to_json(res["operator_residual"])},
     )
 
 
@@ -320,59 +310,6 @@ def _parse_weight(weight):
         return coeff(pio.parse_rat(weight))
     except pio.ParseError as exc:
         raise pio.ParseError(f"--weight: {exc}") from exc
-
-
-def _ingredients_from_structure(kind, Q, weight):
-    """Invert the builder map: recover kind ingredients from the components."""
-    from .structures import LiePseudoalgebra
-
-    w = _parse_weight(weight) if weight is not None else None
-    if kind == pzoo.MODIFIED_R:
-        if w is None:
-            raise pio.ParseError("--weight is required for modified_r")
-        table = {
-            t: v
-            for t, v in (
-                ((i, j), Q.eta.value(i, j))
-                for i in range(Q.g.rank)
-                for j in range(Q.h.rank)
-                if i <= j
-            )
-            if not v.is_zero()
-        }
-        bracket = pzoo.Cochain(2, Q.g, Q.g, table)
-        return {"algebra": LiePseudoalgebra(Q.g, bracket), "weight": w}
-    if kind in (pzoo.CROSSED_HOM, pzoo.RELATIVE_RB):
-        if w is None:
-            raise pio.ParseError(f"--weight is required for {kind}")
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        mu = Q.mu if w == 0 else Q.mu.scale(exact_div(1, w))
-        hP = LiePseudoalgebra(Q.h, mu)
-        return {"algebra": gP, "coefficients": hP, "action": Q.rho, "weight": w}
-    if kind in (pzoo.DERIVATION, pzoo.O_OPERATOR):
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        return {"algebra": gP, "module": Q.h, "action": Q.rho}
-    if kind == pzoo.HOMOMORPHISM:
-        return {
-            "algebra": LiePseudoalgebra(Q.g, Q.pi),
-            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
-        }
-    if kind in (pzoo.TWISTED_RB, pzoo.REYNOLDS, pzoo.REYNOLDS_CLASSICAL):
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        return {
-            "algebra": gP,
-            "module": Q.h,
-            "action": Q.rho,
-            "cocycle": Q.theta,
-        }
-    if kind == pzoo.MATCHED_PAIR_DEF:
-        return {
-            "algebra": LiePseudoalgebra(Q.g, Q.pi),
-            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
-            "action": Q.rho,
-            "coaction": Q.eta,
-        }
-    raise pio.ParseError(f"unknown kind {kind!r}")
 
 
 def cmd_zoo(args, report):
@@ -442,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timing", action="store_true", help="include wall time (non-deterministic)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, validate_flag=True):
-        if validate_flag:
-            p.add_argument("--no-validate", action="store_true")
+    def common(p):
+        p.add_argument("--no-validate", action="store_true")
 
     p = sub.add_parser("check", help="skew + Jacobi of the assembled bracket")
     p.add_argument("structure")

@@ -25,6 +25,7 @@ from .ptensor import (
     FreeModule,
     MElem,
     PTElem,
+    act,
     canonicalize,
     perm_sign,
     permute,
@@ -145,10 +146,7 @@ class Cochain:
             base = self.value(keys)
             if base.is_zero():
                 continue
-            legs = HTensor.from_legs([h for _k, h in combo])
-            from .ptensor import act
-
-            acc = acc + act(legs, base)
+            acc = acc + act(HTensor.from_legs([h for _k, h in combo]), base)
         return acc
 
     def max_degree(self) -> int:
@@ -253,7 +251,7 @@ def insert_value(outer: Cochain, pre: tuple, inner: PTElem, post: tuple) -> PTEl
     )
 
 
-def _shuffles(q: int, r: int):
+def shuffles(q: int, r: int):
     """(q, r)-shuffles of {0..q+r-1} as placement images sigma(0..q+r-1)."""
     n = q + r
     for first in itertools.combinations(range(n), q):
@@ -271,7 +269,7 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
     table = {}
     for t in sorted_tuples(mod.rank, n):
         acc = PTElem.zero(mod, n)
-        for sigma in _shuffles(q, p - 1):
+        for sigma in shuffles(q, p - 1):
             inner_args = tuple(t[sigma[i]] for i in range(q))
             inner = g.value(inner_args)
             if inner.is_zero():
@@ -326,8 +324,6 @@ class MixedMap:
         return self.table.get((i, j), PTElem.zero(self.target, 2))
 
     def eval(self, x: MElem, u: MElem) -> PTElem:
-        from .ptensor import act
-
         acc = PTElem.zero(self.target, 2)
         for i, hx in sorted(x.coords.items()):
             for j, hu in sorted(u.coords.items()):
@@ -355,6 +351,17 @@ class MixedMap:
             {k: v.scale(c) for k, v in self.table.items()},
         )
 
+    def swapped(self) -> "MixedMap":
+        """The map with its arguments exchanged: m'(b (x) a) = -(12) m(a (x) b).
+
+        This is the reorientation between a matched-pair action h (x) g -> g
+        and the quasi-twilled component g (x) h -> g; it is an involution.
+        """
+        table = {
+            (j, i): permute(v, swap_dest(2, 0, 1)).scale(-1) for (i, j), v in self.table.items()
+        }
+        return MixedMap(self.hmod, self.gmod, self.target, table)
+
     def __eq__(self, other):
         if not isinstance(other, MixedMap):
             return NotImplemented
@@ -372,18 +379,25 @@ class MixedMap:
 # -- lifts to the direct sum ----------------------------------------------------
 
 
-def _coerce_to_sum(v: PTElem, G: FreeModule, part: str) -> PTElem:
-    offset = 0 if part == "g" else G.split
-    return v.coerce(G, lambda k: k + offset)
-
-
-def _part_of_target(G: FreeModule, target: FreeModule) -> str:
+def _part(G: FreeModule, name: str) -> tuple:
+    """The part `name` ("g" or "h") of a direct sum, and the index where it starts in G."""
     g, h = G.parts
-    if target == g:
+    return (g, 0) if name == "g" else (h, G.split)
+
+
+def _part_name(G: FreeModule, module: FreeModule) -> str:
+    g, h = G.parts
+    if module == g:
         return "g"
-    if target == h:
+    if module == h:
         return "h"
-    raise InputError(f"target {target.name} is not a part of {G.name}")
+    raise InputError(f"{module.name} is not a part of {G.name}")
+
+
+def coerce_to_sum(v: PTElem, G: FreeModule, part: str) -> PTElem:
+    """A value over the part `part` of G, reinterpreted over G."""
+    offset = _part(G, part)[1]
+    return v.coerce(G, lambda k: k + offset)
 
 
 def lift_block(f: Cochain, G: FreeModule) -> Cochain:
@@ -392,17 +406,11 @@ def lift_block(f: Cochain, G: FreeModule) -> Cochain:
     The shuffle sum of the general lift collapses to one term on sorted
     tuples; all other orderings are recovered by the slot action.
     """
-    g, h = G.parts
-    if f.source == g:
-        shift = 0
-    elif f.source == h:
-        shift = G.split
-    else:
-        raise InputError("lift_block: source is not a part of the sum")
-    tpart = _part_of_target(G, f.target)
+    shift = _part(G, _part_name(G, f.source))[1]
+    tpart = _part_name(G, f.target)
     table = {}
     for t, v in f.table.items():
-        table[tuple(i + shift for i in t)] = _coerce_to_sum(v, G, tpart)
+        table[tuple(i + shift for i in t)] = coerce_to_sum(v, G, tpart)
     return Cochain(f.arity, G, G, table)
 
 
@@ -410,15 +418,15 @@ def lift_mixed(m: MixedMap, G: FreeModule) -> Cochain:
     """Lift of a g (x) h component into C^2(g [+] h); Koszul-shuffle built in."""
     if (m.gmod, m.hmod) != G.parts:
         raise InputError("lift_mixed: parts mismatch")
-    tpart = _part_of_target(G, m.target)
+    tpart = _part_name(G, m.target)
     cut = G.split
     table = {}
     for (i, j), v in m.table.items():
-        table[(i, cut + j)] = _coerce_to_sum(v, G, tpart)
+        table[(i, cut + j)] = coerce_to_sum(v, G, tpart)
     return Cochain(2, G, G, table)
 
 
-def extract_components(F: Cochain, patterns=None) -> dict:
+def extract_components(F: Cochain) -> dict:
     """Split a C(g [+] h) cochain by (input pattern, target part).
 
     Returns {(pattern, tpart): {part-index tuple: PTElem over G}} where
@@ -433,32 +441,28 @@ def extract_components(F: Cochain, patterns=None) -> dict:
         local = tuple(i if i < cut else i - cut for i in t)
         vg, vh = v.split_by_part()
         for tpart, piece in (("g", vg), ("h", vh)):
-            if piece.is_zero():
-                continue
-            if patterns is not None and (pattern, tpart) not in patterns:
-                continue
-            out.setdefault((pattern, tpart), {})[local] = piece
+            if not piece.is_zero():
+                out.setdefault((pattern, tpart), {})[local] = piece
     return out
+
+
+def _extract_piece(v: PTElem, tpart: str) -> PTElem:
+    """The part `tpart` of a G-valued value, over that part's module."""
+    tgt, toffset = _part(v.module, tpart)
+    piece = v.split_by_part()[0 if tpart == "g" else 1]
+    return piece.coerce(tgt, lambda k: k - toffset)
 
 
 def extract_pure(F: Cochain, part: str, tpart: str) -> Cochain:
     """Extract the block with all inputs in one part as a block cochain."""
     G = F.source
-    g, h = G.parts
-    src = g if part == "g" else h
-    tgt = g if tpart == "g" else h
+    src, offset = _part(G, part)
     cut = G.split
-    offset = 0 if part == "g" else cut
-    toffset = 0 if tpart == "g" else cut
     table = {}
     for t, v in F.table.items():
-        if not all((i < cut) == (part == "g") for i in t):
-            continue
-        piece = v.split_by_part()[0 if tpart == "g" else 1]
-        if piece.is_zero():
-            continue
-        table[tuple(i - offset for i in t)] = piece.coerce(tgt, lambda k: k - toffset)
-    return Cochain(F.arity, src, tgt, table)
+        if all((i < cut) == (part == "g") for i in t):
+            table[tuple(i - offset for i in t)] = _extract_piece(v, tpart)
+    return Cochain(F.arity, src, _part(G, tpart)[0], table)
 
 
 def extract_mixed(F: Cochain, tpart: str) -> MixedMap:
@@ -466,17 +470,11 @@ def extract_mixed(F: Cochain, tpart: str) -> MixedMap:
     if F.arity != 2:
         raise InputError("extract_mixed expects an arity-2 cochain")
     G = F.source
-    g, h = G.parts
     cut = G.split
-    tgt = g if tpart == "g" else h
-    toffset = 0 if tpart == "g" else cut
-    table = {}
-    for (i, j), v in F.table.items():
-        if i < cut <= j:
-            piece = v.split_by_part()[0 if tpart == "g" else 1]
-            if not piece.is_zero():
-                table[(i, j - cut)] = piece.coerce(tgt, lambda k: k - toffset)
-    return MixedMap(g, h, tgt, table)
+    table = {
+        (i, j - cut): _extract_piece(v, tpart) for (i, j), v in F.table.items() if i < cut <= j
+    }
+    return MixedMap(*G.parts, _part(G, tpart)[0], table)
 
 
 def assert_block_shape(F: Cochain, pattern: tuple, tpart: str):

@@ -17,6 +17,7 @@ ranks, and image dimensions within the truncation window (caveat flagged).
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from .hopf import InputError, mi_degree
@@ -36,7 +37,6 @@ from .deformation import (
     TYPE_I,
     TYPE_II,
     TwistedLinfOps,
-    _apply_map_pt,
     dmap1_residual,
     dmap2_residual,
     twist1_components,
@@ -149,15 +149,13 @@ class CEComplexHandle:
     the active convention; a violation invalidates the handle immediately.
     """
 
-    def __init__(self, kind, bracket, action, convention=CLASSICAL, verify=True, rng=None):
+    def __init__(self, kind, bracket, action, convention=CLASSICAL, verify=True):
         self.kind = kind
         self.bracket = bracket
         self.action = action
         self.convention = convention
         if verify:
-            import random
-
-            rng = rng or random.Random(20240801)
+            rng = random.Random(20240801)
             for _ in range(2):
                 f = random_cochain(rng, bracket.source, action.hmod, 1, max_deg=2)
                 dd = self.diff(self.diff(f))
@@ -197,13 +195,7 @@ def induced_rep_type2(Q: QuasiTwilled, T: HModuleMap):
         raise InputError("induced structures need a valid type II map")
     res = twist2_components(Q, T)
     algebra = LiePseudoalgebra(Q.h, res.mu)
-    table = {}
-    for (i, j), v in res.eta.table.items():
-        w = permute(v, SWAP2).scale(-1)
-        if not w.is_zero():
-            table[(j, i)] = w
-    zeta = MixedMap(Q.h, Q.g, Q.g, table)
-    rep = Representation(algebra, Q.g, zeta)
+    rep = Representation(algebra, Q.g, res.eta.swapped())
     return algebra, rep
 
 
@@ -236,6 +228,18 @@ def consistency_l1_vs_d(kind, Q, M, f: Cochain) -> dict:
 # -- explicit low-degree cocycle conditions ---------------------------------------
 
 
+def _cocycle_report(direct: dict, differential: dict, convention: str) -> dict:
+    """Verdicts of the direct expansion and the differential route, with both residuals."""
+    dr = {t: v for t, v in differential.items() if not v.is_zero()}
+    return {
+        "ok": not direct and not dr,
+        "agree": (not direct) == (not dr),
+        "direct": direct,
+        "differential": dr,
+        "convention": convention,
+    }
+
+
 def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
     """Closed-form 1-/2-cocycle conditions vs the differential route.
 
@@ -254,19 +258,11 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
             r = (
                 Q.rho.eval(x, u)
                 + Q.mu.eval([D(x), u])
-                - _apply_map_pt(Q.eta.eval(x, u), D)
+                - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
             )
             if not r.is_zero():
                 direct[(i,)] = r
-        droute = handle.diff0(u)
-        dr = {t: v for t, v in droute.items() if not v.is_zero()}
-        return {
-            "ok": not direct and not dr,
-            "agree": (not direct) == (not dr),
-            "direct": direct,
-            "differential": dr,
-            "convention": convention,
-        }
+        differential = handle.diff0(u)
     elif n == 2:
         for i, j in sorted_tuples(Q.g.rank, 2):
             x, y = Q.gx(i), Q.gx(j)
@@ -276,7 +272,7 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
                 return (
                     Q.rho.eval(a, b_elem)
                     + Q.mu.eval([D(a), b_elem])
-                    - _apply_map_pt(Q.eta.eval(a, b_elem), D)
+                    - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
                 )
 
             fy = _melem_of_value(f, (j,), Q.h)
@@ -293,17 +289,10 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
             )
             if not r.is_zero():
                 direct[(i, j)] = r
-        droute = handle.diff(f)
+        differential = handle.diff(f).table
     else:
         raise InputError("cocycle certificates cover n in {1, 2}")
-    dr = {t: v for t, v in droute.table.items() if not v.is_zero()}
-    return {
-        "ok": not direct and not dr,
-        "agree": (not direct) == (not dr),
-        "direct": direct,
-        "differential": dr,
-        "convention": convention,
-    }
+    return _cocycle_report(direct, differential, convention)
 
 
 def _melem_of_value(f: Cochain, key, module: FreeModule) -> MElem:
@@ -328,15 +317,7 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
             r = zeta_value(Q, T, u, x)
             if not r.is_zero():
                 direct[(j,)] = r
-        droute = handle.diff0(x)
-        dr = {t: v for t, v in droute.items() if not v.is_zero()}
-        return {
-            "ok": not direct and not dr,
-            "agree": (not direct) == (not dr),
-            "direct": direct,
-            "differential": dr,
-            "convention": convention,
-        }
+        differential = handle.diff0(x)
     elif n == 2:
         for i, j in sorted_tuples(Q.h.rank, 2):
             u, v = Q.hu(i), Q.hu(j)
@@ -350,17 +331,10 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
             )
             if not r.is_zero():
                 direct[(i, j)] = r
-        droute = handle.diff(f)
+        differential = handle.diff(f).table
     else:
         raise InputError("cocycle certificates cover n in {1, 2}")
-    dr = {t: v for t, v in droute.table.items() if not v.is_zero()}
-    return {
-        "ok": not direct and not dr,
-        "agree": (not direct) == (not dr),
-        "direct": direct,
-        "differential": dr,
-        "convention": convention,
-    }
+    return _cocycle_report(direct, differential, convention)
 
 
 def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: MElem, x: MElem) -> PTElem:
@@ -368,8 +342,8 @@ def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: MElem, x: MElem) -> PTElem:
     nat = (
         Q.eta.eval(x, u)
         + Q.pi.eval([x, T(u)])
-        - _apply_map_pt(Q.rho.eval(x, u), T)
-        - _apply_map_pt(Q.theta.eval([x, T(u)]), T)
+        - Q.rho.eval(x, u).map_module(T.apply_basis, T.dst)
+        - Q.theta.eval([x, T(u)]).map_module(T.apply_basis, T.dst)
     )
     return permute(nat, SWAP2).scale(-1)
 
@@ -400,7 +374,7 @@ def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain
                 nat = (
                     Q.eta.eval(x, ui)
                     + Q.pi.eval([x, T(ui)])
-                    - _apply_map_pt(Q.rho.eval(x, ui), T)
+                    - Q.rho.eval(x, ui).map_module(T.apply_basis, T.dst)
                 )
                 return permute(nat, SWAP2).scale(-1)
 
@@ -546,6 +520,8 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int, dense_oracle
     the truncation (flagged) since a coboundary may have higher-degree
     preimages outside the window.
     """
+    if p < 1:
+        raise InputError("cochain arity must be >= 1")
     if cap < 0:
         raise InputError("degree cap must be >= 0")
     A = handle.bracket.source

@@ -1,8 +1,10 @@
 """Deformation maps of both types, twisting, and the controlling operators.
 
 Type I maps D: g -> h deform along the graph construction; type II maps
-T: h -> g solve a quadratic-cubic identity.  Each residual is computed three
-independent ways and the routes are asserted against each other:
+T: h -> g solve a quadratic-cubic identity.  `orientation` and
+`dmap_residual` are where a type's direction and defining residual are
+looked up.  Each residual is computed three independent ways and the routes
+are asserted against each other:
 
   * the defining identity, expanded componentwise;
   * the twisted bracket e^{[., M]_NR} Omega (series, with termination bound);
@@ -16,7 +18,6 @@ bookkeeping guarantees nothing is discarded.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .hopf import InputError, InternalInvariantError
@@ -29,6 +30,8 @@ from .cochains import (
     lift_block,
     lift_mixed,
     nr_bracket,
+    random_cochain,
+    shuffles,
     sorted_tuples,
 )
 from .structures import QuasiTwilled
@@ -38,13 +41,8 @@ SWAP2 = (1, 0)  # transposition of the two slots of an arity-2 value
 TYPE_I = "I"
 TYPE_II = "II"
 
-# Normalization dictionary, frozen by the equivalence suite.  The defining
-# residuals are oriented so that they coincide exactly with the Maurer-Cartan
-# residuals of the controlling operators: type I as (h-side) - D(g-side)
-# (which is also the twisted theta component), type II as (g-side) - T(h-side)
-# (the twisted xi component).
-MC1_VS_DEFINING = Fraction(1)
-MC2_VS_DEFINING = Fraction(1)
+# Normalization, frozen by the equivalence suite: the type II defining
+# residual, (g-side) - T(h-side), is the twisted xi component itself.
 XI_VS_DEFINING = Fraction(1)
 
 
@@ -130,31 +128,24 @@ class HModuleMap:
         return f"HModuleMap({self.src.name}->{self.dst.name})"
 
 
-def map_value(v: PTElem, fn) -> PTElem:
-    """map_module that tolerates an all-zero image."""
-    out_terms = {}
-    alg = v.module.alg
-    target = None
-    for (slots, K, k), c in v.terms.items():
-        img = fn(k)
-        target = img.module
-        for k2, h in img.coords.items():
-            for K2, c2 in (alg.mono(K) * h).terms.items():
-                key = (slots, K2, k2)
-                s = out_terms.get(key, 0) + c * c2
-                if s:
-                    out_terms[key] = s
-                else:
-                    out_terms.pop(key, None)
-    if target is None:
-        raise InputError("map_value: cannot infer target of the zero map")
-    return PTElem(target, v.arity, out_terms)
+def orientation(Q: QuasiTwilled, kind: str) -> tuple:
+    """(source, target) of a deformation map of the given type: I g -> h, II h -> g."""
+    if kind == TYPE_I:
+        return Q.g, Q.h
+    if kind == TYPE_II:
+        return Q.h, Q.g
+    raise InputError("kind must be 'I' or 'II'")
 
 
-def _apply_map_pt(v: PTElem, M: HModuleMap) -> PTElem:
-    return map_value(v, lambda k: M.apply_basis(k)) if not v.is_zero() else PTElem.zero(
-        M.dst, v.arity
-    )
+def _check_orientation(Q: QuasiTwilled, M: HModuleMap, kind: str):
+    src, dst = orientation(Q, kind)
+    if (M.src, M.dst) != (src, dst):
+        raise InputError(f"type {kind} maps go {src.name} -> {dst.name}")
+
+
+def dmap_residual(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
+    """The defining residual of a map of the given type (dmap1 or dmap2)."""
+    return dmap1_residual(Q, M) if kind == TYPE_I else dmap2_residual(Q, M)
 
 
 # -- defining residuals ---------------------------------------------------------
@@ -162,8 +153,7 @@ def _apply_map_pt(v: PTElem, M: HModuleMap) -> PTElem:
 
 def dmap1_residual(Q: QuasiTwilled, D: HModuleMap) -> Cochain:
     """Defining residual of a type I map: (h-side) - D(g-side), per basis pair."""
-    if (D.src, D.dst) != (Q.g, Q.h):
-        raise InputError("type I maps go g -> h")
+    _check_orientation(Q, D, TYPE_I)
     table = {}
     for i, j in sorted_tuples(Q.g.rank, 2):
         x, y = Q.gx(i), Q.gx(j)
@@ -179,14 +169,13 @@ def dmap1_residual(Q: QuasiTwilled, D: HModuleMap) -> Cochain:
             - permute(Q.rho.eval(y, Dx), SWAP2)
             + Q.theta.value((i, j))
         )
-        table[(i, j)] = hside - _apply_map_pt(gside, D)
+        table[(i, j)] = hside - gside.map_module(D.apply_basis, D.dst)
     return Cochain(2, Q.g, Q.h, table)
 
 
 def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
     """Defining residual of a type II map: (g-side) - T(h-side), per basis pair."""
-    if (T.src, T.dst) != (Q.h, Q.g):
-        raise InputError("type II maps go h -> g")
+    _check_orientation(Q, T, TYPE_II)
     table = {}
     for i, j in sorted_tuples(Q.h.rank, 2):
         u, v = Q.hu(i), Q.hu(j)
@@ -202,7 +191,7 @@ def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
             + Q.mu.value((i, j))
             + Q.theta.eval([Tu, Tv])
         )
-        table[(i, j)] = gside - _apply_map_pt(hside, T)
+        table[(i, j)] = gside - hside.map_module(T.apply_basis, T.dst)
     return Cochain(2, Q.h, Q.g, table)
 
 
@@ -221,8 +210,7 @@ def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
     elements and tests membership in H^2 (x)_H Gr(D) by exactness of
     tensoring the defining short exact sequence with the flat module H^2.
     """
-    if (D.src, D.dst) != (Q.g, Q.h):
-        raise InputError("type I maps go g -> h")
+    _check_orientation(Q, D, TYPE_I)
     om = Q.omega()
     G, cut = Q.G, Q.G.split
 
@@ -238,8 +226,7 @@ def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
         # graph elements (x_i, D x_i) in G
         gi = G.elem(i) + _embed_h(Q, D.apply_basis(i))
         gj = G.elem(j) + _embed_h(Q, D.apply_basis(j))
-        val = om.eval([gi, gj])
-        resid = map_value(val, phi) if not val.is_zero() else PTElem.zero(Q.h, 2)
+        resid = om.eval([gi, gj]).map_module(phi, Q.h)
         if not resid.is_zero():
             residuals[(i, j)] = resid
     return {"ok": not residuals, "residuals": residuals}
@@ -267,28 +254,14 @@ def _endo_of(Q: QuasiTwilled, M: HModuleMap, kind: str) -> dict:
     return out
 
 
-def _lift_map(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
-    """The map as an arity-1 cochain on G (bidegree 1|-1 or -1|1)."""
-    endo = _endo_of(Q, M, kind)
-    table = {}
-    for i, m in endo.items():
-        terms = {}
-        for k, h in m.coords.items():
-            for K, c in h.terms.items():
-                terms[((), K, k)] = terms.get(((), K, k), 0) + c
-        v = PTElem(Q.G, 1, terms)
-        if not v.is_zero():
-            table[(i,)] = v
-    return Cochain(1, Q.G, Q.G, table)
-
-
 def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     """e^{[., M]_NR} Omega, summed until the next term vanishes (bound 4 terms).
 
     The bidegree shift of ad_M makes the series nilpotent on arity-2 cochains;
     a nonzero fifth term would violate that invariant and aborts.
     """
-    mhat = _lift_map(Q, M, kind)
+    _check_orientation(Q, M, kind)
+    mhat = lift_block(M.as_cochain(), Q.G)  # bidegree 1|-1 or -1|1
     acc = Q.omega()
     term = acc
     k = 0
@@ -319,14 +292,10 @@ def conjugate_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
         img = endo.get(k)
         return G.elem(k) if img is None else G.elem(k) - img
 
-    table = {}
-    for t in sorted_tuples(G.rank, 2):
-        val = om.eval([exp_plus(t[0]), exp_plus(t[1])])
-        if val.is_zero():
-            continue
-        v = map_value(val, exp_minus)
-        if not v.is_zero():
-            table[t] = v
+    table = {
+        t: om.eval([exp_plus(t[0]), exp_plus(t[1])]).map_module(exp_minus, G)
+        for t in sorted_tuples(G.rank, 2)
+    }
     return Cochain(2, G, G, table)
 
 
@@ -336,8 +305,7 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     Always quasi-twilled: mu and eta are untouched; D is a deformation map
     iff the twisted theta vanishes.
     """
-    if (D.src, D.dst) != (Q.g, Q.h):
-        raise InputError("type I maps go g -> h")
+    _check_orientation(Q, D, TYPE_I)
     g, h = Q.g, Q.h
     pi_t, theta_t = {}, {}
     for i, j in sorted_tuples(g.rank, 2):
@@ -350,10 +318,10 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
             Q.theta.value((i, j))
             + Q.rho.eval(x, Dy)
             - permute(Q.rho.eval(y, Dx), SWAP2)
-            - _apply_map_pt(Q.pi.value((i, j)), D)
+            - Q.pi.value((i, j)).map_module(D.apply_basis, D.dst)
             + Q.mu.eval([Dx, Dy])
-            - _apply_map_pt(eta_xDy, D)
-            + permute(_apply_map_pt(eta_yDx, D), SWAP2)
+            - eta_xDy.map_module(D.apply_basis, D.dst)
+            + permute(eta_yDx.map_module(D.apply_basis, D.dst), SWAP2)
         )
     rho_t = {}
     for i in range(g.rank):
@@ -362,7 +330,7 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
             rho_t[(i, j)] = (
                 Q.rho.value(i, j)
                 + Q.mu.eval([D(x), v])
-                - _apply_map_pt(Q.eta.value(i, j), D)
+                - Q.eta.value(i, j).map_module(D.apply_basis, D.dst)
             )
     return QuasiTwilled(
         g,
@@ -376,18 +344,22 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     )
 
 
+def _twist_routes(Q: QuasiTwilled, M: HModuleMap, kind: str, closed, is_dmap: bool) -> dict:
+    """Cross-check a closed-form twist against the bracket series and the conjugation."""
+    series = exp_twist(Q, M, kind)
+    conj = conjugate_twist(Q, M, kind)
+    return {
+        "closed_form_equals_series": closed.omega() == series,
+        "series_equals_conjugation": series == conj,
+        "is_dmap": is_dmap,
+    }
+
+
 def twist1(Q: QuasiTwilled, D: HModuleMap) -> tuple:
     """Type I twist with the closed form cross-checked against both the
     bracket series and the conjugated bracket."""
     out = twist1_components(Q, D)
-    series = exp_twist(Q, D, TYPE_I)
-    conj = conjugate_twist(Q, D, TYPE_I)
-    report = {
-        "closed_form_equals_series": out.omega() == series,
-        "series_equals_conjugation": series == conj,
-        "is_dmap": out.theta.is_zero(),
-    }
-    return out, report
+    return out, _twist_routes(Q, D, TYPE_I, out, out.theta.is_zero())
 
 
 class Twist2Result:
@@ -404,20 +376,8 @@ class Twist2Result:
             xi,
         )
 
-    def omega(self) -> Cochain:
-        G = self.Q.G
-        return (
-            lift_block(self.pi, G)
-            + lift_mixed(self.rho, G)
-            + lift_block(self.mu, G)
-            + lift_mixed(self.eta, G)
-            + lift_block(self.theta, G)
-            + lift_block(self.xi, G)
-        )
-
-    def as_quasi_twilled(self) -> QuasiTwilled:
-        if not self.xi.is_zero():
-            raise InputError("twisted structure is not quasi-twilled: xi != 0")
+    def _without_xi(self) -> QuasiTwilled:
+        """The components other than xi, as a tuple that need not satisfy PC."""
         return QuasiTwilled(
             self.Q.g,
             self.Q.h,
@@ -429,15 +389,22 @@ class Twist2Result:
             G=self.Q.G,
         )
 
+    def omega(self) -> Cochain:
+        return self._without_xi().omega() + lift_block(self.xi, self.Q.G)
+
+    def as_quasi_twilled(self) -> QuasiTwilled:
+        if not self.xi.is_zero():
+            raise InputError("twisted structure is not quasi-twilled: xi != 0")
+        return self._without_xi()
+
 
 def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
     """Closed-form components of the type II twist (six substructures)."""
-    if (T.src, T.dst) != (Q.h, Q.g):
-        raise InputError("type II maps go h -> g")
+    _check_orientation(Q, T, TYPE_II)
     g, h = Q.g, Q.h
     pi_t, theta_t = {}, {}
     for i, j in sorted_tuples(g.rank, 2):
-        pi_t[(i, j)] = Q.pi.value((i, j)) - _apply_map_pt(Q.theta.value((i, j)), T)
+        pi_t[(i, j)] = Q.pi.value((i, j)) - Q.theta.value((i, j)).map_module(T.apply_basis, T.dst)
         theta_t[(i, j)] = Q.theta.value((i, j))
     rho_t, eta_t = {}, {}
     for i in range(g.rank):
@@ -448,8 +415,8 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
             eta_t[(i, j)] = (
                 Q.eta.value(i, j)
                 + Q.pi.eval([x, Tv])
-                - _apply_map_pt(Q.rho.value(i, j), T)
-                - _apply_map_pt(Q.theta.eval([x, Tv]), T)
+                - Q.rho.value(i, j).map_module(T.apply_basis, T.dst)
+                - Q.theta.eval([x, Tv]).map_module(T.apply_basis, T.dst)
             )
     mu_t = {}
     for i, j in sorted_tuples(h.rank, 2):
@@ -476,14 +443,7 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
 def twist2(Q: QuasiTwilled, T: HModuleMap) -> tuple:
     """Type II twist with the closed form cross-checked against both routes."""
     result = twist2_components(Q, T)
-    series = exp_twist(Q, T, TYPE_II)
-    conj = conjugate_twist(Q, T, TYPE_II)
-    report = {
-        "closed_form_equals_series": result.omega() == series,
-        "series_equals_conjugation": series == conj,
-        "is_dmap": result.xi.is_zero(),
-    }
-    return result, report
+    return result, _twist_routes(Q, T, TYPE_II, result, result.xi.is_zero())
 
 
 # -- derived controlling operators ----------------------------------------------
@@ -505,17 +465,7 @@ class LinfOps:
         self._pr = lift_block(Q.pi, G) + lift_mixed(Q.rho, G)
         self._me = lift_block(Q.mu, G) + lift_mixed(Q.eta, G)
         self._th = lift_block(Q.theta, G)
-        if kind == TYPE_I:
-            self.src, self.tgt = Q.g, Q.h
-        elif kind == TYPE_II:
-            self.src, self.tgt = Q.h, Q.g
-        else:
-            raise InputError("kind must be 'I' or 'II'")
-
-    def _pattern(self, arity):
-        part = "g" if self.kind == TYPE_I else "h"
-        tpart = "h" if self.kind == TYPE_I else "g"
-        return tuple([part] * arity), tpart
+        self.src, self.tgt = orientation(Q, kind)
 
     def _check_block(self, f: Cochain):
         if (f.source, f.target) != (self.src, self.tgt):
@@ -525,9 +475,8 @@ class LinfOps:
         return lift_block(f, self.Q.G)
 
     def _extract(self, F: Cochain, arity: int) -> Cochain:
-        pattern, tpart = self._pattern(arity)
-        assert_block_shape(F, pattern, tpart)
-        part = "g" if self.kind == TYPE_I else "h"
+        part, tpart = ("g", "h") if self.kind == TYPE_I else ("h", "g")
+        assert_block_shape(F, (part,) * arity, tpart)
         return extract_pure(F, part, tpart)
 
     def l0(self) -> Cochain:
@@ -617,8 +566,7 @@ class TwistedLinfOps:
     """Operators twisted by a valid deformation map (Theorems on D + D')."""
 
     def __init__(self, Q: QuasiTwilled, M: HModuleMap, kind: str):
-        resid = dmap1_residual(Q, M) if kind == TYPE_I else dmap2_residual(Q, M)
-        if not resid.is_zero():
+        if not dmap_residual(Q, M, kind).is_zero():
             raise InputError("twisting requires a valid deformation map")
         self.base = LinfOps(Q, kind)
         self.kind = kind
@@ -669,12 +617,6 @@ def _koszul_sign(order, degrees) -> int:
     return sign
 
 
-def _shuffle_indices(n, i):
-    for first in itertools.combinations(range(n), i):
-        rest = tuple(k for k in range(n) if k not in first)
-        yield first + rest
-
-
 def linf_identity_residual(ops, n: int, args) -> Cochain:
     """Residual of the n-th curved higher-Jacobi identity on given arguments.
 
@@ -687,7 +629,7 @@ def linf_identity_residual(ops, n: int, args) -> Cochain:
     degrees = [f.arity - 1 for f in args]
     acc = None
     for i in range(0, n + 1):
-        for order in _shuffle_indices(n, i):
+        for order in shuffles(i, n - i):
             head = [args[k] for k in order[:i]]
             tail = [args[k] for k in order[i:]]
             inner = ops.bracket(i, head)
@@ -704,8 +646,6 @@ def linf_jacobi_check(ops, max_arity: int, rng, samples: int = 2) -> dict:
     Curvature identities included: n=1 is l1(l1 x) + l2(l0, x) = 0 for curved
     type I.  Returns per-n verdicts with any nonzero residual kept.
     """
-    from .cochains import random_cochain
-
     if max_arity > 4:
         raise InputError("max_arity is capped at 4")
     out = {"ok": True, "identities": {}}

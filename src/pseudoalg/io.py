@@ -1,7 +1,8 @@
 """Structure/map/cochain file schema (version "1") and deterministic round trips.
 
 Rationals are "num/den" strings with den > 0 (plain integers allowed); no
-floats are accepted anywhere.  Serialization sorts every key and term so that
+floats are accepted anywhere.  A file or entry of the wrong JSON shape raises
+ParseError.  Serialization sorts every key and term so that
 serialize(parse(serialize(x))) is byte-identical.
 """
 
@@ -21,6 +22,21 @@ SCHEMA_VERSION = "1"
 
 class ParseError(ValueError):
     """Malformed file contents (exit code 2 territory)."""
+
+
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x
+
+
+def _objects(x, what: str) -> list:
+    """A JSON list of objects, such as a table of entries or of terms."""
+    if not isinstance(x, list):
+        raise ParseError(f"{what} must be a JSON list, got {type(x).__name__}")
+    for item in x:
+        _object(item, f"each entry of {what}")
+    return x
 
 
 def parse_rat(s) -> Fraction:
@@ -73,7 +89,7 @@ def hopf_from_json(data) -> LieAlgebra:
         raise ParseError("hopf section must define generators")
     gens = data["generators"]
     brackets = {}
-    for ent in data.get("brackets", []):
+    for ent in _objects(data.get("brackets", []), "hopf brackets"):
         i, j = ent.get("i"), ent.get("j")
         if not isinstance(i, int) or not isinstance(j, int):
             raise ParseError("bracket entries need integer i, j")
@@ -110,7 +126,7 @@ def ptelem_to_json(v: PTElem) -> list:
 def ptelem_from_json(terms, module: FreeModule, arity: int) -> PTElem:
     dim = module.alg.dim
     acc = {}
-    for t in terms:
+    for t in _objects(terms, "terms"):
         slots = t.get("slots", [])
         if len(slots) != arity - 1:
             raise ParseError(f"term needs {arity - 1} slots, got {len(slots)}")
@@ -133,7 +149,7 @@ def helem_to_json(h: HElem) -> list:
 
 def helem_from_json(terms, alg: LieAlgebra) -> HElem:
     acc = {}
-    for t in terms:
+    for t in _objects(terms, "terms"):
         K = _mi(t.get("exp"), alg.dim)
         acc[K] = acc.get(K, Fraction(0)) + parse_rat(t.get("q"))
     return HElem(alg, acc)
@@ -142,13 +158,10 @@ def helem_from_json(terms, alg: LieAlgebra) -> HElem:
 # -- structures ------------------------------------------------------------------
 
 
-def _component_entries(f) -> list:
-    if isinstance(f, Cochain):
-        items = sorted(f.table.items())
-    else:
-        items = sorted(f.table.items())
+def table_to_json(f) -> list:
+    """The {args, terms} entries of a Cochain or MixedMap table, sorted by args."""
     return [
-        {"args": list(args), "terms": ptelem_to_json(v)} for args, v in items
+        {"args": list(args), "terms": ptelem_to_json(v)} for args, v in sorted(f.table.items())
     ]
 
 
@@ -161,35 +174,43 @@ def structure_to_json(Q: QuasiTwilled, meta=None) -> dict:
             "h": {"basis": list(Q.h.basis)},
         },
         "maps": {
-            "pi": _component_entries(Q.pi),
-            "rho": _component_entries(Q.rho),
-            "mu": _component_entries(Q.mu),
-            "eta": _component_entries(Q.eta),
-            "theta": _component_entries(Q.theta),
+            "pi": table_to_json(Q.pi),
+            "rho": table_to_json(Q.rho),
+            "mu": table_to_json(Q.mu),
+            "eta": table_to_json(Q.eta),
+            "theta": table_to_json(Q.theta),
         },
         "meta": dict(meta or {}),
     }
 
 
-def structure_from_json(data) -> QuasiTwilled:
-    if not isinstance(data, dict):
-        raise ParseError("structure file must be a JSON object")
+def _check_file(data, what: str):
+    """A file's top level must be an object of the supported schema version."""
+    _object(data, f"{what} file")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {data.get('schema_version')!r}")
+
+
+def _module(name: str, spec, alg: LieAlgebra) -> FreeModule:
+    return FreeModule(name, _object(spec, f"module {name}").get("basis", []), alg)
+
+
+def structure_from_json(data) -> QuasiTwilled:
+    _check_file(data, "structure")
     alg = hopf_from_json(data.get("hopf"))
     modules = data.get("modules")
     if not isinstance(modules, dict) or "g" not in modules or "h" not in modules:
         raise ParseError("modules section must define g and h")
-    g = FreeModule("g", modules["g"].get("basis", []), alg)
-    h = FreeModule("h", modules["h"].get("basis", []), alg)
-    maps = data.get("maps", {})
+    g = _module("g", modules["g"], alg)
+    h = _module("h", modules["h"], alg)
+    maps = _object(data.get("maps", {}), "maps section")
     unknown = set(maps) - {"pi", "rho", "mu", "eta", "theta"}
     if unknown:
         raise ParseError(f"unknown map sections {sorted(unknown)}")
 
-    def load_pairs(name, src_ranks, module, arity=2):
+    def load_pairs(name, src_ranks, module):
         table = {}
-        for ent in maps.get(name, []):
+        for ent in _objects(maps.get(name, []), f"maps.{name}"):
             args = ent.get("args")
             if (
                 not isinstance(args, list)
@@ -201,7 +222,7 @@ def structure_from_json(data) -> QuasiTwilled:
                 if not 0 <= a < r:
                     raise ParseError(f"{name}: args {args} out of range")
             key = tuple(args)
-            v = ptelem_from_json(ent.get("terms", []), module, arity)
+            v = ptelem_from_json(ent.get("terms", []), module, 2)
             if key in table:
                 table[key] = table[key] + v
             else:
@@ -244,8 +265,7 @@ def map_to_json(m: HModuleMap, from_name="g", to_name="h") -> dict:
 
 
 def map_from_json(data, src: FreeModule, dst: FreeModule) -> HModuleMap:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {data.get('schema_version')!r}")
+    _check_file(data, "map")
     matrix = data.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != src.rank:
         raise ParseError(f"matrix must have {src.rank} rows")
@@ -264,6 +284,7 @@ def map_from_json(data, src: FreeModule, dst: FreeModule) -> HModuleMap:
 
 
 def map_orientation_of(data) -> tuple:
+    _check_file(data, "map")
     return data.get("from"), data.get("to")
 
 
@@ -278,21 +299,17 @@ def cochain_to_json(f: Cochain) -> dict:
         "source": f.source.name,
         "target": f.target.name,
         "arity": f.arity,
-        "table": [
-            {"args": list(t), "terms": ptelem_to_json(v)}
-            for t, v in sorted(f.table.items())
-        ],
+        "table": table_to_json(f),
     }
 
 
 def cochain_from_json(data, modules: dict | None = None) -> Cochain:
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {data.get('schema_version')!r}")
+    _check_file(data, "cochain")
     if modules is None:
         alg = hopf_from_json(data.get("hopf"))
         modules = {
-            name: FreeModule(name, spec.get("basis", []), alg)
-            for name, spec in (data.get("modules") or {}).items()
+            name: _module(name, spec, alg)
+            for name, spec in _object(data.get("modules") or {}, "modules section").items()
         }
     try:
         src = modules[data.get("source")]
@@ -303,7 +320,7 @@ def cochain_from_json(data, modules: dict | None = None) -> Cochain:
     if not isinstance(arity, int) or arity < 1:
         raise ParseError(f"bad arity {arity!r}")
     table = {}
-    for ent in data.get("table", []):
+    for ent in _objects(data.get("table", []), "cochain table"):
         args = tuple(ent.get("args", ()))
         if len(args) != arity or list(args) != sorted(args):
             raise ParseError(f"bad cochain args {args!r}")

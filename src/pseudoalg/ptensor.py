@@ -199,18 +199,15 @@ class PTElem:
             default=-1,
         )
 
-    def map_module(self, fn) -> "PTElem":
-        """Push an H-linear map through the module part; fn(k) -> MElem."""
-        out = None
+    def map_module(self, fn, target: FreeModule) -> "PTElem":
+        """Push an H-linear map into `target` through the module part; fn(k) -> MElem.
+
+        A zero value or an all-zero image gives the zero of `target`.
+        """
+        out = {}
         alg = self.module.alg
         for (slots, K, k), c in self.terms.items():
-            img = fn(k)
-            if img.is_zero():
-                continue
-            target = img.module
-            if out is None:
-                out = {}
-            for k2, h in img.coords.items():
+            for k2, h in fn(k).coords.items():
                 for K2, c2 in (alg.mono(K) * h).terms.items():
                     key = (slots, K2, k2)
                     v = out.get(key, 0) + c * c2
@@ -218,8 +215,6 @@ class PTElem:
                         out[key] = v
                     else:
                         out.pop(key, None)
-        if out is None:
-            raise InputError("map_module needs at least one nonzero image to infer the target")
         return PTElem(target, self.arity, out)
 
     def split_by_part(self) -> tuple["PTElem", "PTElem"]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import sympy
 
 from .hopf import InputError, coeff, exact_div
-from .ptensor import FreeModule, PTElem
+from .ptensor import FreeModule, PTElem, canonicalize
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals
 from .zoo import polynomial_hopf
@@ -78,8 +78,6 @@ class Rank2Problem:
             raw_list.append((((i,), (j,)), (0,) * self.alg.dim, 0, c))
             if name in ("A", "D"):
                 raw_list.append((((j,), (i,)), (0,) * self.alg.dim, 0, -c))
-        from .ptensor import canonicalize
-
         return canonicalize(module, 2, raw_list)
 
     def structure(self, assignment) -> QuasiTwilled:
@@ -93,8 +91,6 @@ class Rank2Problem:
         Dv = self._tensor("D", blocks["D"])
         mu_table = {}
         if self.mu_virasoro:
-            from .ptensor import canonicalize
-
             mu_table[(0, 0)] = canonicalize(
                 self.h,
                 2,

@@ -21,11 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hopf import InputError
-from .ptensor import FreeModule, MElem, PTElem, permute, swap_dest
+from .ptensor import FreeModule, MElem, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
     circle,
+    coerce_to_sum,
     extract_components,
     insert_raw,
     insert_value,
@@ -46,7 +47,6 @@ ALIGNED = "aligned"
 ALT = "literal-contents"
 PC_LABELS = ("PC1", "PC2", "PC3", "PC4", "PC5", "PC6", "PC7", "PC8")
 
-JACOBIATOR_VS_CIRCLE = Fraction(-1)  # jacobiator = -(Omega o Omega)
 MC_VS_JACOBIATOR = Fraction(-2)  # [Omega,Omega]_NR = -2 * jacobiator
 
 
@@ -221,10 +221,6 @@ class QuasiTwilled:
         return f"QuasiTwilled(g={self.g.name}, h={self.h.name})"
 
 
-def assemble_omega(Q: QuasiTwilled) -> Cochain:
-    return Q.omega()
-
-
 def _cycle(variant: str):
     return P_CYCLE_A if variant == ALIGNED else P_CYCLE_B
 
@@ -347,65 +343,49 @@ BLOCK_TO_PC = {
 }
 
 
-def _coerce_part_to_sum(v: PTElem, G: FreeModule, part: str) -> PTElem:
-    offset = 0 if part == "g" else G.split
-    return v.coerce(G, lambda k: k + offset)
-
-
 def check_mc_omega(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
     """[Omega, Omega]_NR split by bidegree block, cross-matched against PC labels.
 
     Requires, per block, [Omega,Omega] = -2 * (PC residual); the XI block
     (h^3 -> g) must vanish identically.  Also pass/fail must agree with
-    check_pc verdict-for-verdict on every label.
+    check_pc verdict-for-verdict on every label.  The correspondence
+    presumes a skew Omega, so it fails outright when SKEW-pi, SKEW-theta or
+    PC1 fails; the verdicts are still compared.
     """
     om = Q.omega()
     bracket = nr_bracket(om, om)
     comps = extract_components(bracket)
     pc = pc_residuals(Q, variant)
-    skew_ok = not pc["SKEW-pi"] and not pc["SKEW-theta"] and not pc["PC1"]
-    if not skew_ok:
-        # the Jacobiator correspondence presumes a skew Omega; both routes
-        # still agree on the fail verdict
-        return {
-            "ok": False,
-            "bracket_zero": bracket.is_zero(),
-            "pc_ok": False,
-            "labels": {"SKEW": {"zero": False}},
-            "variant": variant,
-        }
-    labels = {}
-    ok = True
-    for (pattern, tpart), label in BLOCK_TO_PC.items():
-        got = comps.get((pattern, tpart), {})
-        if label == "XI":
-            match = not got
-            labels["XI"] = {"zero": match}
-            ok = ok and match
-            continue
-        if label == "PC1":  # not a bracket component
-            continue
-        expected = pc[label]
-        keys = set(got) | set(expected)
-        match = True
-        for key in keys:
-            lhs = got.get(key)
-            rhs = expected.get(key)
-            if rhs is not None:
-                rhs = _coerce_part_to_sum(rhs, Q.G, tpart).scale(MC_VS_JACOBIATOR)
-            if lhs is None:
-                match = match and (rhs is None or rhs.is_zero())
-            elif rhs is None:
-                match = match and lhs.is_zero()
-            else:
-                match = match and lhs == rhs
-        zero = not got
-        labels[label] = {"zero": zero, "matches_pc": match}
-        ok = ok and match
+    if pc["SKEW-pi"] or pc["SKEW-theta"] or pc["PC1"]:
+        labels = {"SKEW": {"zero": False}}
+        correspondence = False
+    else:
+        labels = {}
+        correspondence = True
+        for (pattern, tpart), label in BLOCK_TO_PC.items():
+            got = comps.get((pattern, tpart), {})
+            if label == "XI":
+                labels["XI"] = {"zero": not got}
+                correspondence = correspondence and not got
+                continue
+            expected = pc[label]
+            match = True
+            for key in set(got) | set(expected):
+                lhs = got.get(key)
+                rhs = expected.get(key)
+                if rhs is not None:
+                    rhs = coerce_to_sum(rhs, Q.G, tpart).scale(MC_VS_JACOBIATOR)
+                if lhs is None:
+                    match = match and (rhs is None or rhs.is_zero())
+                elif rhs is None:
+                    match = match and lhs.is_zero()
+                else:
+                    match = match and lhs == rhs
+            labels[label] = {"zero": not got, "matches_pc": match}
+            correspondence = correspondence and match
     # PC1 has no bracket component; its verdict rides along for the summary
     pc_ok = all(not v for v in pc.values())
     bracket_zero = bracket.is_zero()
-    correspondence = all(info.get("matches_pc", True) for info in labels.values()) and ok
     return {
         "ok": bracket_zero and correspondence,
         "correspondence_ok": correspondence,
@@ -443,29 +423,18 @@ def mc_bullet_components(Q: QuasiTwilled) -> dict:
     }
 
 
+def require_pc(Q: QuasiTwilled, what: str, variant: str = ALIGNED) -> QuasiTwilled:
+    """Q if PC1..PC8 hold, else an InputError naming the failing labels and tuples."""
+    report = check_pc(Q, variant)
+    if not report["ok"]:
+        bad = {k: sorted(v) for k, v in report["residuals"].items() if v}
+        raise InputError(f"{what}: {bad}")
+    return Q
+
+
 def build_matched_pair(gP: LiePseudoalgebra, hP: LiePseudoalgebra, rho: MixedMap, eta: MixedMap, variant: str = ALIGNED) -> QuasiTwilled:
     """Quasi-twilled structure of a matched pair (theta = 0); rejected unless PC pass."""
     Q = QuasiTwilled(
         gP.module, hP.module, pi=gP.bracket, rho=rho, mu=hP.bracket, eta=eta
     )
-    report = check_pc(Q, variant)
-    if not report["ok"]:
-        bad = {k: sorted(v) for k, v in report["residuals"].items() if v}
-        raise InputError(f"matched-pair identities fail: {bad}")
-    return Q
-
-
-def eta_from_matched_action(eta_mp: MixedMap) -> MixedMap:
-    """Convert an h (x) g matched-pair action into the g (x) h orientation.
-
-    eta_mp is given in the (u, y) order with target g; the quasi-twilled
-    component is eta(y (x) u) = -(12) eta_mp(u (x) y).  The input is encoded
-    as a MixedMap with gmod = h-side and hmod = g-side.
-    """
-    hmod, gmod, target = eta_mp.gmod, eta_mp.hmod, eta_mp.target
-    table = {}
-    for (u, y), v in eta_mp.table.items():
-        w = permute(v, swap_dest(2, 0, 1)).scale(-1)
-        if not w.is_zero():
-            table[(y, u)] = w
-    return MixedMap(gmod, hmod, target, table)
+    return require_pc(Q, "matched-pair identities fail", variant)

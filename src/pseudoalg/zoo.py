@@ -1,33 +1,38 @@
 """Builders for the named example structures and operator-identity residuals.
 
 Each operator kind comes with (a) a quasi-twilled builder whose output passes
-check_pc, and (b) an operator residual computed by expanding the printed
-identity directly from brackets and actions, WITHOUT the quasi-twilled
-machinery.  dictionary_check crosses the two: the named identity holds iff
-the corresponding deformation-map residual vanishes.
+check_pc, with its inverse ingredients_from_structure, and (b) an operator
+residual computed by expanding the printed identity directly from brackets
+and actions, WITHOUT the quasi-twilled machinery.  dictionary_check crosses
+the two: the named identity holds iff the corresponding deformation-map
+residual vanishes.  map_type names a kind's map type; the direction and the
+residual of each type live in deformation (orientation, dmap_residual).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .hopf import HElem, InputError, LieAlgebra
+from .hopf import HElem, InputError, LieAlgebra, exact_div
 from .ptensor import FreeModule, MElem, PTElem, canonicalize, permute
 from .cochains import Cochain, MixedMap, sorted_tuples
 from .structures import (
     LiePseudoalgebra,
     QuasiTwilled,
     Representation,
-    check_pc,
+    require_pc,
 )
 from .deformation import (
     HModuleMap,
     SWAP2,
-    _apply_map_pt,
+    TYPE_I,
+    TYPE_II,
     dmap1_residual,
     dmap2_residual,
+    dmap_residual,
+    orientation,
 )
-from .cohomology import CLASSICAL, handle_for, PLAIN
+from .cohomology import CLASSICAL, PLAIN, ce_differential, handle_for
 
 MODIFIED_R = "modified_r"
 CROSSED_HOM = "crossed_hom"
@@ -50,6 +55,11 @@ TYPE_II_KINDS = (
     MATCHED_PAIR_DEF,
 )
 ALL_KINDS = TYPE_I_KINDS + TYPE_II_KINDS
+
+
+def map_type(kind: str) -> str:
+    """The deformation-map type (I or II) of the maps an operator kind is about."""
+    return TYPE_I if kind in TYPE_I_KINDS else TYPE_II
 
 
 # -- base ingredients -------------------------------------------------------------
@@ -231,11 +241,59 @@ def build(kind: str, ingredients: dict) -> QuasiTwilled:
         Q = QuasiTwilled(gP.module, hP.module, pi=gP.bracket, rho=rho, mu=hP.bracket, eta=eta)
     else:
         raise InputError(f"unknown operator kind {kind!r}")
-    report = check_pc(Q)
-    if not report["ok"]:
-        bad = {k: sorted(v) for k, v in report["residuals"].items() if v}
-        raise InputError(f"ingredients violate the structure axioms: {bad}")
-    return Q
+    return require_pc(Q, "ingredients violate the structure axioms")
+
+
+def ingredients_from_structure(kind: str, Q: QuasiTwilled, weight=None) -> dict:
+    """Invert `build`: recover the kind's ingredients from the components of Q.
+
+    `weight` is the exact scalar the weighted kinds (modified_r, crossed_hom,
+    relative_rb) need; the others ignore it.
+    """
+    if kind in (MODIFIED_R, CROSSED_HOM, RELATIVE_RB) and weight is None:
+        raise InputError(f"a weight is required for {kind}")
+    if kind == MODIFIED_R:
+        table = {
+            t: v
+            for t, v in (
+                ((i, j), Q.eta.value(i, j))
+                for i in range(Q.g.rank)
+                for j in range(Q.h.rank)
+                if i <= j
+            )
+            if not v.is_zero()
+        }
+        bracket = Cochain(2, Q.g, Q.g, table)
+        return {"algebra": LiePseudoalgebra(Q.g, bracket), "weight": weight}
+    if kind in (CROSSED_HOM, RELATIVE_RB):
+        gP = LiePseudoalgebra(Q.g, Q.pi)
+        mu = Q.mu if weight == 0 else Q.mu.scale(exact_div(1, weight))
+        hP = LiePseudoalgebra(Q.h, mu)
+        return {"algebra": gP, "coefficients": hP, "action": Q.rho, "weight": weight}
+    if kind in (DERIVATION, O_OPERATOR):
+        gP = LiePseudoalgebra(Q.g, Q.pi)
+        return {"algebra": gP, "module": Q.h, "action": Q.rho}
+    if kind == HOMOMORPHISM:
+        return {
+            "algebra": LiePseudoalgebra(Q.g, Q.pi),
+            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
+        }
+    if kind in (TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL):
+        gP = LiePseudoalgebra(Q.g, Q.pi)
+        return {
+            "algebra": gP,
+            "module": Q.h,
+            "action": Q.rho,
+            "cocycle": Q.theta,
+        }
+    if kind == MATCHED_PAIR_DEF:
+        return {
+            "algebra": LiePseudoalgebra(Q.g, Q.pi),
+            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
+            "action": Q.rho,
+            "coaction": Q.eta,
+        }
+    raise InputError(f"unknown operator kind {kind!r}")
 
 
 def _validate_cocycle(gP, M, rho, omega):
@@ -263,7 +321,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
             x, y = P.module.elem(t[0]), P.module.elem(t[1])
             r = (
                 br.eval([m(x), m(y)])
-                - _apply_map_pt(br.eval([m(x), y]) + br.eval([x, m(y)]), m)
+                - (br.eval([m(x), y]) + br.eval([x, m(y)])).map_module(m.apply_basis, m.dst)
                 + br.value(t).scale(p)
             )
             table[t] = r
@@ -278,7 +336,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         for t in sorted_tuples(gP.module.rank, 2):
             x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
             r = (
-                _apply_map_pt(gP.bracket.value(t), m)
+                gP.bracket.value(t).map_module(m.apply_basis, m.dst)
                 - rho.eval(x, m(y))
                 + permute(rho.eval(y, m(x)), SWAP2)
             )
@@ -291,8 +349,9 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         table = {}
         for t in sorted_tuples(gP.module.rank, 2):
             x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
-            table[t] = _apply_map_pt(gP.bracket.value(t), m) - hP.bracket.eval(
-                [m(x), m(y)]
+            table[t] = (
+                gP.bracket.value(t).map_module(m.apply_basis, m.dst)
+                - hP.bracket.eval([m(x), m(y)])
             )
         return Cochain(2, gP.module, hP.module, table)
     if kind in (RELATIVE_RB, O_OPERATOR):
@@ -307,7 +366,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
             inner = rho.eval(m(u), v) - permute(rho.eval(m(v), u), SWAP2)
             if mu is not None:
                 inner = inner + mu.value(t).scale(p)
-            table[t] = gP.bracket.eval([m(u), m(v)]) - _apply_map_pt(inner, m)
+            table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
         return Cochain(2, hmod, gP.module, table)
     if kind in (TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL):
         gP = ingredients["algebra"]
@@ -331,7 +390,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
                 - permute(rho.eval(m(v), u), SWAP2)
                 + omega.eval([m(u), m(v)])
             )
-            table[t] = gP.bracket.eval([m(u), m(v)]) - _apply_map_pt(inner, m)
+            table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
         return Cochain(2, hmod, gP.module, table)
     if kind == MATCHED_PAIR_DEF:
         gP, hP = ingredients["algebra"], ingredients["coefficients"]
@@ -350,7 +409,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
                 + rho.eval(m(u), v)
                 - permute(rho.eval(m(v), u), SWAP2)
             )
-            table[t] = lhs - _apply_map_pt(rhs, m)
+            table[t] = lhs - rhs.map_module(m.apply_basis, m.dst)
         return Cochain(2, hP.module, gP.module, table)
     raise InputError(f"unknown operator kind {kind!r}")
 
@@ -361,16 +420,6 @@ def _retarget(m: HModuleMap, src, dst) -> HModuleMap:
     for i, row in m.rows.items():
         rows[i] = MElem(dst, dict(row.coords))
     return HModuleMap(src, dst, rows)
-
-
-def deformation_residual(kind: str, Q: QuasiTwilled, m: HModuleMap) -> Cochain:
-    if kind in TYPE_I_KINDS:
-        return dmap1_residual(Q, m)
-    return dmap2_residual(Q, m)
-
-
-def map_orientation(kind: str, Q: QuasiTwilled):
-    return (Q.g, Q.h) if kind in TYPE_I_KINDS else (Q.h, Q.g)
 
 
 def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
@@ -407,11 +456,11 @@ def dictionary_check(kind: str, ingredients: dict, m: HModuleMap, rng=None, tria
     """
     if Q is None:
         Q = build(kind, ingredients)
-    src, dst = map_orientation(kind, Q)
+    src, dst = orientation(Q, map_type(kind))
 
     def one(mp):
         op = operator_residual(kind, ingredients, mp)
-        df = deformation_residual(kind, Q, mp)
+        df = dmap_residual(Q, mp, map_type(kind))
         same_verdict = op.is_zero() == df.is_zero()
         return same_verdict, op, df
 
@@ -577,8 +626,6 @@ def demo_bundle(kind: str):
 
 def _minus_d_of_map(alg: LiePseudoalgebra, rep: Representation, D: HModuleMap) -> Cochain:
     """-d_CE(D) for a plain representation (exact 2-cocycle for the builder)."""
-    from .cohomology import ce_differential
-
     return ce_differential(alg.bracket, rep.action, D.as_cochain(), CLASSICAL).scale(-1)
 
 

@@ -44,6 +44,7 @@ from pseudoalg.deformation import (
     linf_jacobi_check,
     mc_residual_type1,
     mc_residual_type2,
+    orientation,
     twist1,
     twist2,
     twisted_l_type1,
@@ -183,7 +184,7 @@ def test_criterion_05_mc_operator_dictionary():
     for kind in zoo.ALL_KINDS:
         bundle = zoo.demo_bundle(kind)
         Q = bundle["Q"]
-        src, dst = zoo.map_orientation(kind, Q)
+        src, dst = orientation(Q, zoo.map_type(kind))
 
         def mc(mp):
             if kind in zoo.TYPE_I_KINDS:

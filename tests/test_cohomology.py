@@ -55,11 +55,9 @@ def test_induced_type1_modified_r(modified_r_q):
     # pi^D(x,y) = [x*Dy] + [Dx*y]-type = 2c [x*y]
     assert alg.bracket.value((0, 0)) == vir_value(Q.g, scale=4)
     # rho^D(x (x) u) = [D(x)*u] - D([x*u]) with D = 2 id: 2[x*u] - 2[x*u]+...
-    from pseudoalg.deformation import _apply_map_pt
-
     D = cid(Q, 2)
     x, u = Q.gx(0), Q.hu(0)
-    expect = Q.mu.eval([D(x), u]) - _apply_map_pt(Q.eta.eval(x, u), D)
+    expect = Q.mu.eval([D(x), u]) - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
     assert rep.action.value(0, 0) == expect
     with pytest.raises(InputError):
         induced_rep_type1(Q, cid(Q, 1))
@@ -116,14 +114,13 @@ def test_matched_pair_zeta_at_zero_map(qd):
 
 def test_d0_matches_prop_condition(modified_r_q):
     # the 1-cocycle condition: rho(x,u) + mu(Dx,u) - D eta(x,u) = 0
-    from pseudoalg.deformation import _apply_map_pt
-
     Q = modified_r_q
     D = cid(Q, 2)
     handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL, verify=False)
     u = Q.hu(0)
     x = Q.gx(0)
-    expect = Q.rho.eval(x, u) + Q.mu.eval([D(x), u]) - _apply_map_pt(Q.eta.eval(x, u), D)
+    eta_D = Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
+    expect = Q.rho.eval(x, u) + Q.mu.eval([D(x), u]) - eta_D
     # for D = c id on the doubled structure rho^D vanishes identically
     assert expect.is_zero() and handle.diff0(u) == {}
     # a structure with a nonzero induced action: the action structure at D = 0

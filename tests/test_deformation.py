@@ -182,16 +182,14 @@ def test_curved_ops_type1_examples(modified_r_q):
     Dc = cid(Q, 1).as_cochain()
     assert ops.l1(Dc).is_zero()  # paper: l1 = 0 for the doubled structure
     # closed form of l2 on an arity-1 map: mu(Dx, Dy) - D eta(x, Dy) + ...
-    from pseudoalg.deformation import _apply_map_pt
-
     D = cid(Q, 1)
     expect = {}
     for (i, j) in ((0, 0),):
         x, y = Q.gx(i), Q.gx(j)
         expect[(i, j)] = (
             Q.mu.eval([D(x), D(y)])
-            - _apply_map_pt(Q.eta.eval(x, D(y)), D)
-            + permute(_apply_map_pt(Q.eta.eval(y, D(x)), D), SWAP2)
+            - Q.eta.eval(x, D(y)).map_module(D.apply_basis, D.dst)
+            + permute(Q.eta.eval(y, D(x)).map_module(D.apply_basis, D.dst), SWAP2)
         )
     half_l2 = ops.l2(Dc, Dc).scale(Fraction(1, 2))
     assert half_l2 == Cochain(2, Q.g, Q.h, expect)

@@ -1,0 +1,37 @@
+"""Source hygiene of the package, checked on its syntax trees (stdlib only)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from pseudoalg import io as pio
+
+PACKAGE_DIR = Path(pio.__file__).parent
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by an import statement that the module never references."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_guard_sees_an_unused_import():
+    assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == [(1, "os")]
+    assert unused_imports("from .a import b as c\nc()\n") == []
+    assert unused_imports("def f():\n    from .a import b\n    return 1\n") == [(2, "b")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -135,6 +136,80 @@ def test_cli_validation_failure_exit1(files, capsys, tmp_path):
     bad.write_text(json.dumps(data))
     code, out, _ = run_cli(["dmap", "--type", "I", str(bad), str(files["good"])], capsys)
     assert code == 1 and "[FAIL] load-validate" in out
+
+
+def test_cli_check_qt_non_skew_omega_reports_fail(files, capsys, tmp_path):
+    # pi(x, x) = (1 (x) 1) (x)_H x is not skew, so SKEW-pi fails; the NR
+    # cross-check presumes a skew Omega but must still give a whole report
+    data = json.loads(files["struct"].read_text())
+    data["maps"]["pi"] = [
+        {"args": [0, 0], "terms": [{"slots": [[0]], "coeff": [0], "basis": 0, "q": "1/1"}]}
+    ]
+    bad = tmp_path / "nonskew.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["--json", "check-qt", str(bad)], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert report["verdict"] == "fail"
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["SKEW-pi"] == "fail"
+    assert status["PC <-> NR component correspondence"] == "fail"
+    assert status["PC verdict agrees with NR verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "cmd, target, edit",
+    [
+        ("dmap", "good", None),
+        ("nr", "cochain", None),
+        ("ce", "cochain", None),
+        ("check", "struct", ["modules", "g", ["x"]]),
+        ("check", "struct", ["maps", ["pi"]]),
+        ("check", "struct", ["maps", "pi", [1]]),
+        ("check", "struct", ["maps", "mu", 0, "terms", ["q"]]),
+        ("check", "struct", ["hopf", "brackets", [2]]),
+        ("dmap", "good", ["matrix", 0, 0, [3]]),
+        ("nr", "cochain", ["table", [[0]]]),
+        ("nr", "cochain", ["modules", "g", "basis"]),
+    ],
+    ids=[
+        "map-list", "nr-list", "ce-list", "modules-g-list", "maps-list", "map-entry-int",
+        "term-str", "bracket-int", "map-term-int", "cochain-entry-list", "module-spec-str",
+    ],
+)
+def test_cli_wrong_json_shape_exit2(files, capsys, tmp_path, rng, cmd, target, edit):
+    # a file of the wrong shape is an input error (exit 2), not a traceback;
+    # edit None replaces the whole file by [], else it is (keys..., new value)
+    Q = pio.structure_from_json(pio.loads(files["struct"].read_text()))
+    paths = {"struct": files["struct"], "good": files["good"], "cochain": tmp_path / "c.json"}
+    paths["cochain"].write_text(pio.dumps(pio.cochain_to_json(random_cochain(rng, Q.g, Q.h, 1))))
+    data = []
+    if edit is not None:
+        data = json.loads(paths[target].read_text())
+        *keys, last, value = edit
+        node = data
+        for k in keys:
+            node = node[k]
+        node[last] = value
+    paths[target] = tmp_path / "malformed.json"
+    paths[target].write_text(json.dumps(data))
+    argv = {
+        "check": ["check", paths["struct"]],
+        "dmap": ["dmap", "--type", "I", paths["struct"], paths["good"]],
+        "nr": ["nr", paths["cochain"], paths["cochain"]],
+        "ce": ["ce", "--type", "I", paths["struct"], paths["good"], paths["cochain"]],
+    }[cmd]
+    code, out, err = run_cli([str(a) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cli_cohomology_rejects_arity_below_one(files, capsys, degree):
+    args = ["cohomology", "--type", "I", str(files["struct"]), str(files["good"])]
+    code, out, err = run_cli([*args, "--degree", degree, "--max-pbw", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_cli_orientation_mismatch_exit2(files, capsys):
@@ -326,37 +401,61 @@ def test_rank2_report_identical_across_hash_seeds():
 
 # Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each
 # demo map scaled by 1/2, which is not a deformation map and so gives residual
-# dumps with non-integral coefficients) and the exact stdout of each command,
-# run from that directory.  name -> (argv, exit code).
+# dumps with non-integral coefficients, and four cochain files) and the exact
+# stdout of each command, run from that directory.  A command that writes files
+# also has each written file there, under the name it writes.
+# name -> (argv, exit code, written files).
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _golden_commands():
     commands = {
-        "rank2_search_deg1": (["--json", "rank2-search", "--max-deg", "1"], 1),
+        "rank2_search_deg1": (["--json", "rank2-search", "--max-deg", "1"], 1, ()),
         "cohomology_relative_rb_II": (
             ["--json", "cohomology", "--type", "II", "relative_rb.json", "relative_rb_map.json",
              "--degree", "3", "--max-pbw", "4"],
             0,
+            (),
         ),
+        "nr": (["--json", "nr", "nr_f.json", "nr_g.json", "-o", "nr_out.json"], 0, ("nr_out.json",)),
     }
-    for kind, typ, weight in (("modified_r", "I", ["--weight", "4"]), ("reynolds", "II", [])):
-        q, m, half = f"{kind}.json", f"{kind}_map.json", f"{kind}_half_map.json"
+    for kind, typ in (("modified_r", "I"), ("reynolds", "II")):
+        q, m = f"{kind}.json", f"{kind}_map.json"
         commands.update({
-            f"check_{kind}": (["--json", "check", q], 0),
-            f"check_qt_{kind}": (["--json", "check-qt", q], 0),
-            f"dmap_{kind}": (["--json", "dmap", "--type", typ, q, m], 0),
-            f"dmap_{kind}_half": (["--json", "dmap", "--type", typ, q, half], 1),
-            f"twist_{kind}": (["--json", "twist", "--type", typ, q, m], 0),
-            f"twist_{kind}_half": (["--json", "twist", "--type", typ, q, half], 1),
-            f"linf_{kind}": (["--json", "linf", "--type", typ, q, "--max-arity", "3"], 0),
+            f"check_{kind}": (["--json", "check", q], 0, ()),
+            f"check_qt_{kind}": (["--json", "check-qt", q], 0, ()),
+            f"linf_{kind}": (["--json", "linf", "--type", typ, q, "--max-arity", "3"], 0, ()),
             f"cohomology_{kind}": (
                 ["--json", "cohomology", "--type", typ, q, m, "--degree", "2", "--max-pbw", "2"],
                 0,
+                (),
             ),
+            f"ce_{typ}": (
+                ["--json", "ce", "--type", typ, q, m, f"ce_{typ}.json", "-o", f"ce_{typ}_out.json"],
+                0,
+                (f"ce_{typ}_out.json",),
+            ),
+            f"twist_out_{kind}": (
+                ["--json", "twist", "--type", typ, q, m, "-o", f"twisted_{kind}.json"],
+                0,
+                (f"twisted_{kind}.json",),
+            ),
+        })
+    weights = {"modified_r": "4", "crossed_hom": "1", "relative_rb": "2"}
+    for kind in zoo.ALL_KINDS:
+        typ = "I" if kind in zoo.TYPE_I_KINDS else "II"
+        q, m, half = f"{kind}.json", f"{kind}_map.json", f"{kind}_half_map.json"
+        weight = ["--weight", weights[kind]] if kind in weights else []
+        commands.update({
+            f"zoo_{kind}": (["--json", "zoo", kind, "-o", q, "--map-out", m], 0, (q, m)),
+            f"dmap_{kind}": (["--json", "dmap", "--type", typ, q, m], 0, ()),
+            f"dmap_{kind}_half": (["--json", "dmap", "--type", typ, q, half], 1, ()),
+            f"twist_{kind}": (["--json", "twist", "--type", typ, q, m], 0, ()),
+            f"twist_{kind}_half": (["--json", "twist", "--type", typ, q, half], 1, ()),
             f"dictionary_{kind}": (
                 ["--json", "dictionary", "--kind", kind, *weight, "--trials", "2", q, m],
                 0,
+                (),
             ),
         })
     return commands
@@ -366,10 +465,20 @@ GOLDEN = _golden_commands()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_report_identical_across_hash_seeds(name):
-    # same bytes and exit code as the committed golden, under two hash seeds
-    argv, code = GOLDEN[name]
+def test_golden_report_identical_across_hash_seeds(name, tmp_path):
+    # same bytes and exit code as the committed golden, under two hash seeds;
+    # a command that writes files runs in a copy of the directory with those
+    # files removed first, and each file it writes must equal the golden one
+    argv, code, written = GOLDEN[name]
     expect = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    cwd = GOLDEN_DIR
+    if written:
+        cwd = tmp_path / "golden"
+        shutil.copytree(GOLDEN_DIR, cwd)
     for seed in ("1", "3"):
-        out = cli_child(*argv, cwd=GOLDEN_DIR, PYTHONHASHSEED=seed)
+        for f in written:
+            (cwd / f).unlink()
+        out = cli_child(*argv, cwd=cwd, PYTHONHASHSEED=seed)
         assert (out.returncode, out.stdout) == (code, expect), (seed, out.stderr)
+        for f in written:
+            assert (cwd / f).read_bytes() == (GOLDEN_DIR / f).read_bytes(), (seed, f)

@@ -27,7 +27,6 @@ from pseudoalg.structures import (
     check_lie,
     check_mc_omega,
     check_pc,
-    eta_from_matched_action,
     jacobiator,
     mc_bullet_components,
     pc_residuals,
@@ -225,7 +224,7 @@ def test_eta_orientation_conversion(qd, rng):
     g = FreeModule("g", ["x"], qd)
     h = FreeModule("h", ["u"], qd)
     eta_mp = MixedMap(h, g, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=2)})
-    eta_qt = eta_from_matched_action(eta_mp)
+    eta_qt = eta_mp.swapped()
     # round trip through the printed relation eta_mp(u,y) = -(12) eta(y,u)
     from pseudoalg.ptensor import permute
 

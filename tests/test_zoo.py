@@ -9,7 +9,7 @@ from pseudoalg.hopf import InputError
 from pseudoalg.ptensor import FreeModule
 from pseudoalg.cochains import Cochain, MixedMap
 from pseudoalg.structures import check_mc_omega, check_pc
-from pseudoalg.deformation import TYPE_II, HModuleMap, dmap1_residual, is_dmap1
+from pseudoalg.deformation import TYPE_II, HModuleMap, dmap1_residual, is_dmap1, orientation
 from pseudoalg import zoo
 
 from conftest import pt, vir_value
@@ -100,7 +100,7 @@ def test_zero_map_on_theta_free_structures():
     for kind in zoo.ALL_KINDS:
         b = zoo.demo_bundle(kind)
         Q = b["Q"]
-        src, dst = zoo.map_orientation(kind, Q)
+        src, dst = orientation(Q, zoo.map_type(kind))
         r = zoo.operator_residual(kind, b["ingredients"], HModuleMap.zero(src, dst))
         if Q.theta.is_zero() or kind not in zoo.TYPE_I_KINDS:
             assert r.is_zero(), kind
