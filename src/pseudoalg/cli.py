@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -372,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pa",
         description="Exact checks for quasi-twilled Lie pseudoalgebra structures.",
-        epilog="environment: PA_THREADS is reserved and has no effect yet; if set, "
-        "it must be a positive integer, otherwise pa exits 2.",
     )
     ap.add_argument("--json", action="store_true", help="structured report output")
     ap.add_argument("--timing", action="store_true", help="include wall time (non-deterministic)")
@@ -462,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("PA_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"error: PA_THREADS must be a positive integer, got {threads!r}", file=sys.stderr)
-            return EXIT_INPUT
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -12,13 +12,16 @@ Every report names the convention in force.
 
 Cohomology groups are computed on degree-truncated subcomplexes: exact kernel
 ranks, and image dimensions within the truncation window (caveat flagged).
+A cochain enters `linalg` as a sparse {position: coefficient} vector, read
+straight from its values' terms, over the window positions of
+`cochain_coords`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
+from math import comb
 
 from .hopf import InputError, mi_degree
 from .ptensor import FreeModule, MElem, PTElem, permute, swap_dest
@@ -439,23 +442,28 @@ def ptelem_coords(module: FreeModule, arity: int, cap: int):
     return out
 
 
-def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int):
-    """Index list [(tuple, key)] of the raw (unconstrained) truncated space."""
-    keys = ptelem_coords(target, arity, cap)
-    coords = []
-    for t in sorted_tuples(source.rank, arity):
-        for key in keys:
-            coords.append((t, key))
-    if len(coords) > COORD_BUDGET:
+def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int) -> dict:
+    """Positions {(tuple, key): n} of the raw (unconstrained) truncated space."""
+    # sorted tuples times keys: monomials of degree <= cap in arity * dim
+    # variables, one per basis element; counted before anything is built
+    dim = target.alg.dim
+    tuples = comb(source.rank + arity - 1, arity)
+    size = tuples * target.rank * comb(cap + arity * dim, arity * dim)
+    if size > COORD_BUDGET:
         raise ResourceError(
-            f"truncated space needs {len(coords)} coordinates (budget {COORD_BUDGET})"
+            f"truncated space needs {size} coordinates (budget {COORD_BUDGET})"
         )
-    return coords
+    return _positions(sorted_tuples(source.rank, arity), ptelem_coords(target, arity, cap))
 
 
-def _vec_of_cochain(f: Cochain, coords, index) -> list:
-    vec = [Fraction(0)] * len(coords)
-    for t, v in f.table.items():
+def _positions(tuples, keys) -> dict:
+    return {ck: n for n, ck in enumerate(itertools.product(tuples, keys))}
+
+
+def _vec_of_cochain(table: dict, index: dict) -> dict:
+    """The sparse vector {position: coefficient} of a cochain table {tuple: value}."""
+    vec = {}
+    for t, v in table.items():
         for key, c in v.terms.items():
             pos = index.get((t, key))
             if pos is None:
@@ -464,44 +472,37 @@ def _vec_of_cochain(f: Cochain, coords, index) -> list:
     return vec
 
 
-def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int):
+def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> list:
     """Basis cochains of the truncated skew subspace.
 
     Skewness only constrains tuples with repeated entries, through the
     stabilizer transpositions; permuting preserves the total degree so the
-    constraints close up within the window.
+    constraints close up within the window.  Each constraint is the row
+    (1 + sigma) e_c, so the kernel solved for is that of (1 + sigma)^T, not
+    of (1 + sigma): a known open fault (ROADMAP.md, first open item), kept
+    until its fix can regenerate the reference values that pin it.
     """
-    coords = cochain_coords(source, target, arity, cap)
-    index = {ck: i for i, ck in enumerate(coords)}
+    index = cochain_coords(source, target, arity, cap)
     keys = ptelem_coords(target, arity, cap)
     rows = []
     for t in sorted_tuples(source.rank, arity):
-        stab = [
-            i
-            for i in range(arity - 1)
-            if t[i] == t[i + 1]
-        ]
-        for i in stab:
+        for i in range(arity - 1):
+            if t[i] != t[i + 1]:
+                continue
             for key in keys:
-                base = PTElem(target, arity, {key: Fraction(1)})
-                moved = permute(base, swap_dest(arity, i, i + 1))
-                row = [Fraction(0)] * len(coords)
-                row[index[(t, key)]] += 1
+                moved = permute(PTElem(target, arity, {key: 1}), swap_dest(arity, i, i + 1))
+                row = {index[(t, key)]: 1}
                 for mkey, c in moved.terms.items():
-                    row[index[(t, mkey)]] += c
-                if any(row):
-                    rows.append(row)
-    if rows:
-        kernel = linalg.nullspace(rows, ncols=len(coords))
-    else:
-        kernel = [linalg._unit(len(coords), i) for i in range(len(coords))]
+                    pos = index[(t, mkey)]
+                    row[pos] = row.get(pos, 0) + c
+                rows.append(row)
+    coords = list(index)
     basis = []
-    for vec in kernel:
+    for vec in linalg.nullspace(rows, len(coords)):
         table = {}
-        for pos, c in enumerate(vec):
-            if c:
-                t, key = coords[pos]
-                table.setdefault(t, {})[key] = c
+        for pos, c in sorted(vec.items()):
+            t, key = coords[pos]
+            table.setdefault(t, {})[key] = c
         basis.append(
             Cochain(
                 arity,
@@ -510,10 +511,10 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int):
                 {t: PTElem(target, arity, d) for t, d in table.items()},
             )
         )
-    return basis, coords, index
+    return basis
 
 
-def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int, dense_oracle=False) -> dict:
+def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     """(dim Z, dim B, dim H) of the degree-truncated subcomplex at arity p.
 
     Kernels are exact on the truncated domain; the image is computed within
@@ -527,55 +528,35 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int, dense_oracle
     A = handle.bracket.source
     M = handle.action.hmod
     growth = handle.max_growth()
-    basis_p, _, _ = skew_basis(A, M, p, cap)
-    coords_up = cochain_coords(A, M, p + 1, cap + growth)
-    index_up = {ck: i for i, ck in enumerate(coords_up)}
-    rank_fn = linalg.rank_dense if dense_oracle else linalg.rank
-    cols = [_vec_of_cochain(handle.diff(f), coords_up, index_up) for f in basis_p]
-    rows = [[col[i] for col in cols] for i in range(len(coords_up))]
-    rows = [r for r in rows if any(r)]
-    r_p = rank_fn(rows) if rows else 0
-    dim_z = len(basis_p) - r_p
+    basis_p = skew_basis(A, M, p, cap)
+    index_up = cochain_coords(A, M, p + 1, cap + growth)
+    # rank of d on the basis = rank of its images taken as rows
+    images = [_vec_of_cochain(handle.diff(f).table, index_up) for f in basis_p]
+    dim_z = len(basis_p) - linalg.rank(images)
 
     # coboundaries: image of d from one arity below, within the window
     if p == 1:
         # the bottom differential has a free coefficient on the argument
         # slot; only its trivial-slot part meets C^1
-        ext_keys = ptelem_coords(M, 2, cap + growth)
-        ext_coords = [((i,), key) for i in range(A.rank) for key in ext_keys]
-        ext_index = {ck: n for n, ck in enumerate(ext_coords)}
-        zero_mi = M.alg.zero_index
-        prev_cols = []
-        for k in range(M.rank):
-            for K in _multiindices(M.alg.dim, cap):
-                u = M.elem(k, M.alg.mono(K))
-                vec = [Fraction(0)] * len(ext_coords)
-                for t, v in handle.diff0(u).items():
-                    for key, c in v.terms.items():
-                        pos = ext_index.get((t, key))
-                        if pos is None:
-                            raise InputError("bottom differential exceeds the window")
-                        vec[pos] = c
-                prev_cols.append(vec)
-        inside = [
-            n
-            for n, ((_i,), (slots, K, _k)) in enumerate(ext_coords)
-            if slots == (zero_mi,) and mi_degree(K) <= cap
+        index = _positions(sorted_tuples(A.rank, 1), ptelem_coords(M, 2, cap + growth))
+        prev_cols = [
+            _vec_of_cochain(handle.diff0(M.elem(k, M.alg.mono(K))), index)
+            for k in range(M.rank)
+            for K in _multiindices(M.alg.dim, cap)
         ]
     else:
-        coords_here = cochain_coords(A, M, p, cap + growth)
-        index_here = {ck: i for i, ck in enumerate(coords_here)}
-        inside = [
-            i
-            for i, (t, (slots, K, k)) in enumerate(coords_here)
-            if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
-        ]
-        basis_prev, _, _ = skew_basis(A, M, p - 1, cap)
+        index = cochain_coords(A, M, p, cap + growth)
         prev_cols = [
-            _vec_of_cochain(handle.diff(f), coords_here, index_here)
-            for f in basis_prev
+            _vec_of_cochain(handle.diff(f).table, index)
+            for f in skew_basis(A, M, p - 1, cap)
         ]
-    dim_b = linalg.image_dim_within(prev_cols, inside) if prev_cols else 0
+    inside = [
+        n
+        for (_t, (slots, K, _k)), n in index.items()
+        if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
+        and (p > 1 or slots == (M.alg.zero_index,))
+    ]
+    dim_b = linalg.image_dim_within(prev_cols, inside)
     return {
         "arity": p,
         "cap": cap,

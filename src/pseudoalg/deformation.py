@@ -41,10 +41,6 @@ SWAP2 = (1, 0)  # transposition of the two slots of an arity-2 value
 TYPE_I = "I"
 TYPE_II = "II"
 
-# Normalization, frozen by the equivalence suite: the type II defining
-# residual, (g-side) - T(h-side), is the twisted xi component itself.
-XI_VS_DEFINING = Fraction(1)
-
 
 class HModuleMap:
     """Left H-module map between free modules, stored as an H-valued matrix."""
@@ -428,7 +424,6 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
             - permute(Q.rho.eval(Tv, u), SWAP2)
             + Q.theta.eval([Tu, Tv])
         )
-    xi = dmap2_residual(Q, T).scale(XI_VS_DEFINING)
     return Twist2Result(
         Q,
         pi=Cochain(2, g, g, pi_t),
@@ -436,7 +431,8 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
         mu=Cochain(2, h, h, mu_t),
         eta=MixedMap(g, h, g, eta_t),
         theta=Cochain(2, g, h, theta_t),
-        xi=xi,
+        # the type II defining residual, (g-side) - T(h-side), is xi itself
+        xi=dmap2_residual(Q, T),
     )
 
 

@@ -30,11 +30,15 @@ def _object(x, what: str) -> dict:
     return x
 
 
-def _objects(x, what: str) -> list:
-    """A JSON list of objects, such as a table of entries or of terms."""
+def _list(x, what: str) -> list:
     if not isinstance(x, list):
         raise ParseError(f"{what} must be a JSON list, got {type(x).__name__}")
-    for item in x:
+    return x
+
+
+def _objects(x, what: str) -> list:
+    """A JSON list of objects, such as a table of entries or of terms."""
+    for item in _list(x, what):
         _object(item, f"each entry of {what}")
     return x
 
@@ -87,17 +91,21 @@ def hopf_to_json(alg: LieAlgebra) -> dict:
 def hopf_from_json(data) -> LieAlgebra:
     if not isinstance(data, dict) or "generators" not in data:
         raise ParseError("hopf section must define generators")
-    gens = data["generators"]
+    gens = _list(data["generators"], "hopf generators")
     brackets = {}
     for ent in _objects(data.get("brackets", []), "hopf brackets"):
         i, j = ent.get("i"), ent.get("j")
         if not isinstance(i, int) or not isinstance(j, int):
             raise ParseError("bracket entries need integer i, j")
         row = {}
-        for pair in ent.get("coeffs", []):
+        for pair in _list(ent.get("coeffs", []), "bracket coeffs"):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ParseError("bracket coeffs must be [index, rational] pairs")
-            k = int(pair[0])
+            k = pair[0]
+            if isinstance(k, str) and k.isdecimal():
+                k = int(k)
+            if not isinstance(k, int):
+                raise ParseError(f"bad bracket index {pair[0]!r}")
             row[k] = parse_rat(pair[1])
         brackets[(i, j)] = row
     try:
@@ -127,7 +135,7 @@ def ptelem_from_json(terms, module: FreeModule, arity: int) -> PTElem:
     dim = module.alg.dim
     acc = {}
     for t in _objects(terms, "terms"):
-        slots = t.get("slots", [])
+        slots = _list(t.get("slots", []), "term slots")
         if len(slots) != arity - 1:
             raise ParseError(f"term needs {arity - 1} slots, got {len(slots)}")
         key = (
@@ -192,7 +200,8 @@ def _check_file(data, what: str):
 
 
 def _module(name: str, spec, alg: LieAlgebra) -> FreeModule:
-    return FreeModule(name, _object(spec, f"module {name}").get("basis", []), alg)
+    basis = _list(_object(spec, f"module {name}").get("basis", []), f"module {name} basis")
+    return FreeModule(name, basis, alg)
 
 
 def structure_from_json(data) -> QuasiTwilled:

@@ -20,8 +20,10 @@ Two independent routes are kept deliberately, and share no elimination code:
   Keeping it separate from the production path is what makes the
   comparison a check rather than a tautology.
 
-Callers pass dense rational rows (int or Fraction entries) and get
-Fraction kernel vectors back.
+The production path takes sparse vectors, `{index: int | Fraction}` dicts
+that may hold zeros, and returns kernel vectors in the same form, holding
+Fraction nonzeros only.  The oracle takes dense lists and returns dense
+Fraction lists.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def _clear_row(row) -> dict:
-    """The nonzeros of a rational row, scaled to coprime integers."""
-    nz = {j: x for j, x in enumerate(row) if x}
+def _clear_row(row: dict) -> dict:
+    """The nonzeros of a sparse rational row, scaled to coprime integers."""
+    nz = {j: x for j, x in row.items() if x}
     den = lcm(*(x.denominator for x in nz.values()))
     ints = {j: x.numerator * (den // x.denominator) for j, x in nz.items()}
     g = gcd(*ints.values())
@@ -42,14 +44,14 @@ def _clear_row(row) -> dict:
 
 
 def bareiss_echelon(rows):
-    """Fraction-free row echelon form of a rational matrix.
+    """Fraction-free row echelon form of a sparse rational matrix.
 
     Returns (echelon rows as {column: int} dicts of their nonzeros, pivot
-    column list).  Division steps are exact by the Bareiss identity, so
-    intermediate entries stay integral.
+    column list).  Zero rows are dropped up front.  Division steps are exact
+    by the Bareiss identity, so intermediate entries stay integral.
     """
-    m = [_clear_row(row) for row in rows]
-    lead = [min(row, default=None) for row in m]
+    m = [ints for ints in map(_clear_row, rows) if ints]
+    lead = [min(row) for row in m]
     pivots = []
     prev = 1
     r = 0
@@ -81,22 +83,15 @@ def bareiss_echelon(rows):
 
 
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    _ech, pivots = bareiss_echelon(rows)
-    return len(pivots)
+    return len(bareiss_echelon(rows)[1])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel, as Fraction vectors (production path).
+def nullspace(rows, ncols):
+    """Basis of the right kernel, as sparse Fraction vectors (production path).
 
     The basis vector of free column fc has 1 there and 0 in every other
     free column; back-substitution runs over the echelon nonzeros only.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return [_unit(ncols, i) for i in range(ncols)]
     ech, pivots = bareiss_echelon(rows)
     pivot_set = set(pivots)
     back = list(zip(reversed(ech), reversed(pivots)))
@@ -109,10 +104,7 @@ def nullspace(rows, ncols=None):
             s = sum(w * sol[j] for j, w in row.items() if j in sol)
             if s:
                 sol[pc] = -s / row[pc]
-        vec = [Fraction(0)] * ncols
-        for j, x in sol.items():
-            vec[j] = x
-        basis.append(vec)
+        basis.append(sol)
     return basis
 
 
@@ -192,33 +184,28 @@ def nullspace_dense(rows, ncols=None):
 def image_dim_within(cols, inside_idx) -> int:
     """dim { v in column-span(cols) : v supported on inside_idx }.
 
-    cols are rational column vectors.  Solve for the kernel of the outside
-    block, then take the rank of the inside block on that kernel; each
-    inside product sums over the nonzeros of a kernel vector and a column.
+    cols are sparse rational column vectors.  Each column is split once into
+    its outside part, transposed into the rows of the outside block, and its
+    inside part.  Solve for the kernel of the outside block, then take the
+    rank of the inside block on that kernel.
     """
-    if not cols:
-        return 0
-    n = len(cols[0])
-    inside = sorted(inside_idx)
-    inside_set = set(inside)
-    outside = [i for i in range(n) if i not in inside_set]
-    out_rows = [[col[i] for col in cols] for i in outside]
-    out_rows = [row for row in out_rows if any(row)]
-    if out_rows:
-        ker = nullspace(out_rows, ncols=len(cols))
-    else:
-        ker = [_unit(len(cols), i) for i in range(len(cols))]
-    if not ker:
-        return 0
-    col_inside = [
-        [(pos, col[i]) for pos, i in enumerate(inside) if col[i]] for col in cols
-    ]
+    inside_set = set(inside_idx)
+    out_rows = {}
+    col_inside = []
+    for j, col in enumerate(cols):
+        here = {}
+        for i, x in col.items():
+            if i in inside_set:
+                here[i] = x
+            else:
+                out_rows.setdefault(i, {})[j] = x
+        col_inside.append(here)
+    ker = nullspace([out_rows[i] for i in sorted(out_rows)], len(cols))
     inside_rows = []
     for vec in ker:
-        img = [Fraction(0)] * len(inside)
-        for j, x in enumerate(vec):
-            if x:
-                for pos, y in col_inside[j]:
-                    img[pos] += x * y
+        img = {}
+        for j, x in vec.items():
+            for i, y in col_inside[j].items():
+                img[i] = img.get(i, 0) + x * y
         inside_rows.append(img)
     return rank(inside_rows)

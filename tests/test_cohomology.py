@@ -20,6 +20,7 @@ from pseudoalg.deformation import (
 from pseudoalg.cohomology import (
     CEComplexHandle,
     CLASSICAL,
+    COORD_BUDGET,
     PLAIN,
     ResourceError,
     SHIFTED,
@@ -33,6 +34,7 @@ from pseudoalg.cohomology import (
     handle_for,
     induced_rep_type1,
     induced_rep_type2,
+    ptelem_coords,
     skew_basis,
     truncated_cohomology,
 )
@@ -292,28 +294,79 @@ def test_truncated_zero_differential(qd):
     assert out["caveat"] == "image computed within truncation"
 
 
+def _dense_vec(table, index):
+    """A cochain table {tuple: value} as a dense Fraction list over index."""
+    vec = [Fraction(0)] * len(index)
+    for t, v in table.items():
+        for key, c in v.terms.items():
+            vec[index[(t, key)]] = Fraction(c)
+    return vec
+
+
 def test_truncated_virasoro_derivation_complex_vs_dense_oracle(qd):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
     D = HModuleMap.zero(Q.g, Q.h)
     handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL, verify=False)
     got = truncated_cohomology(handle, 1, 2)
-    oracle = truncated_cohomology(handle, 1, 2, dense_oracle=True)
-    assert (got["dim_Z"], got["dim_B"], got["dim_H"]) == (
-        oracle["dim_Z"],
-        oracle["dim_B"],
-        oracle["dim_H"],
-    )
     # independent dense kernel computation of dim Z
-    basis, _, _ = skew_basis(Q.g, Q.h, 1, 2)
-    coords_up = cochain_coords(Q.g, Q.h, 2, 2 + handle.max_growth())
-    index_up = {ck: i for i, ck in enumerate(coords_up)}
-    from pseudoalg.cohomology import _vec_of_cochain
-
-    cols = [_vec_of_cochain(handle.diff(f), coords_up, index_up) for f in basis]
-    rows = [[col[i] for col in cols] for i in range(len(coords_up))]
+    basis = skew_basis(Q.g, Q.h, 1, 2)
+    index_up = cochain_coords(Q.g, Q.h, 2, 2 + handle.max_growth())
+    cols = [_dense_vec(handle.diff(f).table, index_up) for f in basis]
+    rows = [[col[i] for col in cols] for i in range(len(index_up))]
     rows = [r for r in rows if any(r)]
     assert got["dim_Z"] == len(linalg.nullspace_dense(rows, ncols=len(basis)))
+
+
+def test_truncated_cohomology_matches_dense_oracle_on_zoo():
+    # dim Z and dim B of every zoo complex against dense Fraction Gauss on
+    # matrices built here: dim Z = |basis| - rank(d on the basis), and
+    # dim B = dim(U & W) = dim U + dim W - dim(U + W), with U spanned by the
+    # images of the arity below and W by the unit vectors inside the window
+    handles = [
+        handle_for(kind, e["Q"], m, convention=CLASSICAL, verify=False)
+        for e in zoo.zoo_structures()
+        for kind, m in ((TYPE_I, e["type1"]), (TYPE_II, e["type2"]))
+        if m is not None
+    ]
+    assert len(handles) == 23
+    for p, cap in ((1, 3), (2, 3), (3, 2)):
+        for handle in handles:
+            A, M = handle.bracket.source, handle.action.hmod
+            top = cap + handle.max_growth()
+            got = truncated_cohomology(handle, p, cap)
+            basis = skew_basis(A, M, p, cap)
+            index_up = cochain_coords(A, M, p + 1, top)
+            images = [_dense_vec(handle.diff(f).table, index_up) for f in basis]
+            where = (handle.kind, p, cap)
+            assert got["dim_Z"] == len(basis) - linalg.rank_dense(images), where
+            if p == 1:
+                keys = ptelem_coords(M, 2, top)
+                coords = [((i,), key) for i in range(A.rank) for key in keys]
+                index = {ck: n for n, ck in enumerate(coords)}
+                degrees = sorted({K for (_s, K, _k) in ptelem_coords(M, 1, cap)})
+                cols = [
+                    _dense_vec(handle.diff0(M.elem(k, M.alg.mono(K))), index)
+                    for k in range(M.rank)
+                    for K in degrees
+                ]
+                zero = M.alg.zero_index
+                inside = [
+                    n
+                    for (_t, (slots, K, _k)), n in index.items()
+                    if slots == (zero,) and sum(K) <= cap
+                ]
+            else:
+                index = cochain_coords(A, M, p, top)
+                cols = [_dense_vec(handle.diff(f).table, index) for f in skew_basis(A, M, p - 1, cap)]
+                inside = [
+                    n
+                    for (_t, (slots, K, _k)), n in index.items()
+                    if sum(map(sum, slots)) + sum(K) <= cap
+                ]
+            units = [[Fraction(int(i == n)) for i in range(len(index))] for n in inside]
+            dim_b = linalg.rank_dense(cols) + len(inside) - linalg.rank_dense(cols + units)
+            assert got["dim_B"] == dim_b, where
 
 
 def test_truncated_resource_guard(qd):
@@ -326,6 +379,26 @@ def test_truncated_resource_guard(qd):
         truncated_cohomology(handle, 1, -1)
 
 
+def test_coordinate_budget_is_exact(qd, b2):
+    # the budget is checked on a count taken before anything is built: the
+    # largest window within it is built in full, one degree more is refused
+    for H, arity, cap in ((qd, 4, 32), (b2, 3, 15)):
+        M = FreeModule("m", ["e"], H)
+        size = len(cochain_coords(M, M, arity, cap))
+        assert size == len(ptelem_coords(M, arity, cap)) > 0.9 * COORD_BUDGET
+        with pytest.raises(ResourceError):
+            cochain_coords(M, M, arity, cap + 1)
+
+
+def _sparse(rows):
+    """Dense rows as the {index: value} dicts the production path takes."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def _densify(vecs, n):
+    return [[vec.get(j, Fraction(0)) for j in range(n)] for vec in vecs]
+
+
 def test_elimination_routes_agree_random(rng):
     # fraction-free Bareiss vs dense Fraction elimination on random matrices
     for _ in range(25):
@@ -334,8 +407,8 @@ def test_elimination_routes_agree_random(rng):
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
             for _ in range(n)
         ]
-        assert linalg.rank(rows) == linalg.rank_dense(rows)
-        k1 = linalg.nullspace(rows, ncols=m)
+        assert linalg.rank(_sparse(rows)) == linalg.rank_dense(rows)
+        k1 = _densify(linalg.nullspace(_sparse(rows), ncols=m), m)
         k2 = linalg.nullspace_dense(rows, ncols=m)
         assert len(k1) == len(k2)
         for vec in k1:
@@ -371,10 +444,20 @@ def test_sparse_elimination_matches_dense_oracle(rng):
     for _ in range(60):
         n, m = rng.randint(1, 30), rng.randint(1, 30)
         rows = _sparse_matrix(rng, n, m)
-        assert linalg.rank(rows) == linalg.rank_dense(rows)
-        assert linalg.nullspace(rows, ncols=m) == linalg.nullspace_dense(rows, ncols=m)
+        assert linalg.rank(_sparse(rows)) == linalg.rank_dense(rows)
+        kernel = _densify(linalg.nullspace(_sparse(rows), ncols=m), m)
+        assert kernel == linalg.nullspace_dense(rows, ncols=m)
         cols = [[row[j] for row in rows] for j in range(m)]
         inside = sorted(rng.sample(range(n), rng.randint(0, n)))
         units = [[Fraction(int(i == k)) for i in range(n)] for k in inside]
         expect = linalg.rank_dense(cols) + len(inside) - linalg.rank_dense(cols + units)
-        assert linalg.image_dim_within(cols, inside) == expect
+        assert linalg.image_dim_within(_sparse(cols), inside) == expect
+
+
+def test_sparse_elimination_empty_and_zero_matrices():
+    for rows in ([], [{}, {}], [{0: 0, 2: Fraction(0)}]):
+        assert linalg.rank(rows) == 0
+        assert linalg.nullspace(rows, 3) == [{0: 1}, {1: 1}, {2: 1}]
+        assert linalg.image_dim_within(rows, [0, 1]) == 0
+    assert linalg.nullspace([], 0) == []
+    assert linalg.image_dim_within([], []) == 0

@@ -35,3 +35,37 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """Lines that read the process environment through `os`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ENVIRONMENT
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in ENVIRONMENT for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_an_environment_read():
+    assert environment_reads("import os\nx = os.environ.get('A')\n") == [2]
+    assert environment_reads("import os\n\nos.getenv('A')\n") == [3]
+    assert environment_reads("from os import environ as env\n") == [1]
+    assert environment_reads("import os\nos.path.join('a', 'b')\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # no setting is read from the environment, so none can be parsed and ignored
+    assert environment_reads(path.read_text(encoding="utf-8")) == []

@@ -204,6 +204,32 @@ def test_cli_wrong_json_shape_exit2(files, capsys, tmp_path, rng, cmd, target, e
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (["maps", "mu", 0, "terms", 0, "slots"], 5),
+        (["hopf", "generators"], 5),
+        (["hopf", "brackets"], [{"i": 0, "j": 0, "coeffs": [["x", "1"]]}]),
+        (["hopf", "brackets"], [{"i": 0, "j": 0, "coeffs": 5}]),
+        (["modules", "g", "basis"], 5),
+    ],
+    ids=["slots-int", "generators-int", "bracket-index-str", "coeffs-int", "basis-int"],
+)
+def test_cli_wrong_type_inside_entry_exit2(capsys, tmp_path, keys, value):
+    # a value of the wrong type inside an entry is an input error, not a traceback
+    data = json.loads((GOLDEN_DIR / "modified_r.json").read_text())
+    *path, last = keys
+    node = data
+    for k in path:
+        node = node[k]
+    node[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_cli_cohomology_rejects_arity_below_one(files, capsys, degree):
     args = ["cohomology", "--type", "I", str(files["struct"]), str(files["good"])]
@@ -344,19 +370,16 @@ def cli_child(*args, cwd=None, **env):
 
     The child inherits this process's environment, with the directory this
     suite imported `pseudoalg` from put first on PYTHONPATH, so it imports the
-    same `pseudoalg` from any working directory; PA_THREADS is unset unless
-    given, so a value left in the caller's shell cannot change the outcome.
+    same `pseudoalg` from any working directory.
     """
-    child_env = {k: v for k, v in os.environ.items() if k != "PA_THREADS"}
-    child_env["PYTHONPATH"] = os.pathsep.join(
+    path = os.pathsep.join(
         filter(None, [str(Path(pio.__file__).parents[1]), os.environ.get("PYTHONPATH")])
     )
-    child_env.update(env)
     return subprocess.run(
         [sys.executable, "-m", "pseudoalg.cli", *args],
         capture_output=True,
         text=True,
-        env=child_env,
+        env={**os.environ, "PYTHONPATH": path, **env},
         cwd=cwd,
     )
 
@@ -367,25 +390,6 @@ def test_cli_entry_point_subprocess():
     out = cli_child("zoo", "--list")
     assert out.returncode == 0
     assert "virasoro" in out.stdout
-
-
-def test_pa_threads_env_guard():
-    # an invalid PA_THREADS is an input error, raised by the guard before any
-    # command runs (argparse, ParseError and InputError also exit 2)
-    out = cli_child("zoo", "--list", PA_THREADS="bogus")
-    assert out.returncode == 2
-    assert "PA_THREADS" in out.stderr
-    assert out.stdout == ""
-    # a valid value passes the guard
-    out = cli_child("zoo", "--list", PA_THREADS="2")
-    assert out.returncode == 0
-    assert "virasoro" in out.stdout
-
-
-def test_help_documents_pa_threads(capsys):
-    code, out, _ = run_cli(["--help"], capsys)
-    assert code == 0
-    assert "PA_THREADS is reserved" in out
 
 
 def test_rank2_report_identical_across_hash_seeds():
