@@ -55,7 +55,7 @@ PLAIN = "plain"
 
 
 class ResourceError(RuntimeError):
-    """Truncation parameters exceed the configured budget."""
+    """A request exceeds a configured budget (coordinates, unknowns)."""
 
 
 COORD_BUDGET = 60000

@@ -26,10 +26,15 @@ from fractions import Fraction
 import sympy
 
 from .hopf import InputError, coeff, exact_div
+from .cohomology import ResourceError
 from .ptensor import FreeModule, PTElem, canonicalize
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals
 from .zoo import polynomial_hopf
+
+
+# Most unknowns a search may declare: degree 3 has 28, degree 4 has 42.
+MAX_UNKNOWNS = 28
 
 
 def _mono_pairs(max_deg: int):
@@ -61,6 +66,11 @@ class Rank2Problem:
             pairs = _skew_pairs(max_deg) if block == "skew" else _mono_pairs(max_deg)
             for ij in pairs:
                 self.layout.append((name, ij))
+        if len(self.layout) > MAX_UNKNOWNS:
+            raise ResourceError(
+                f"degree cap {max_deg} needs {len(self.layout)} unknowns "
+                f"(budget {MAX_UNKNOWNS})"
+            )
         self.symbols = [
             sympy.Symbol(f"{name}_{i}{j}", rational=True) for name, (i, j) in self.layout
         ]
@@ -149,7 +159,7 @@ def _interpolate_quadratics(ev, n: int, symbols) -> list:
     polys = []
     for key in sorted(keys, key=repr):
         c0 = f0.get(key, 0)
-        expr = sympy.Rational(c0)
+        terms = [sympy.Rational(c0)]
         lin, quad = {}, {}
         for i in range(n):
             a1 = f1[i].get(key, 0) - c0
@@ -158,13 +168,14 @@ def _interpolate_quadratics(ev, n: int, symbols) -> list:
             li = a1 - qii
             lin[i], quad[(i, i)] = li, qii
             if li:
-                expr += sympy.Rational(li) * symbols[i]
+                terms.append(sympy.Rational(li) * symbols[i])
             if qii:
-                expr += sympy.Rational(qii) * symbols[i] ** 2
+                terms.append(sympy.Rational(qii) * symbols[i] ** 2)
         for (i, j), d in fx.items():
             qij = d.get(key, 0) - c0 - lin[i] - lin[j] - quad[(i, i)] - quad[(j, j)]
             if qij:
-                expr += sympy.Rational(qij) * symbols[i] * symbols[j]
+                terms.append(sympy.Rational(qij) * symbols[i] * symbols[j])
+        expr = sympy.Add(*terms)
         if expr != 0:
             polys.append(sympy.expand(expr))
     return polys
@@ -179,15 +190,14 @@ def reconstruct_polynomials(problem: Rank2Problem) -> list:
     """
     x = problem.symbols
     polys = _interpolate_quadratics(problem.residual_vector, problem.nvars(), x)
-    # deduplicate up to rational scaling
+    # deduplicate up to rational scaling; -prim distributes over the sum, so
+    # it is the expanded negation and hashes like one
     seen = {}
     for p in polys:
         prim = sympy.primitive(sympy.Poly(p, *x))[1].as_expr()
-        key = sympy.srepr(prim)
-        nkey = sympy.srepr(sympy.expand(-prim))
-        if key not in seen and nkey not in seen:
-            seen[key] = prim
-    return list(seen.values())
+        if prim not in seen and -prim not in seen:
+            seen[prim] = None
+    return list(seen)
 
 
 class Family:
@@ -211,9 +221,29 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     stuck, split on a factor or on a variable (zero / nonzero).  Leaves with
     no equations left are families; a depth overflow is reported as an
     unresolved leaf rather than silently dropped.
+
+    Most equations pass unchanged from a node to its children, so each call
+    memoizes its cleanings and factorizations, keyed on the expression.  The
+    memos live for this call only and are shared by no other call.
     """
     results = []
     unresolved = []
+    cleaned_of = {}
+    factors_of = {}
+
+    def clean(e):
+        # drop denominators; on a branch they are products of known-nonzero
+        # symbols introduced by earlier divisions
+        out = cleaned_of.get(e)
+        if out is None:
+            out = cleaned_of[e] = sympy.expand(sympy.numer(sympy.together(e)))
+        return out
+
+    def factor_list(e):
+        out = factors_of.get(e)
+        if out is None:
+            out = factors_of[e] = sympy.factor_list(e)
+        return out
 
     def recurse(eqs, subs, nonzero, depth):
         if depth > max_depth:
@@ -221,9 +251,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
             return
         cleaned = []
         for e in eqs:
-            # drop denominators; on this branch they are products of
-            # known-nonzero symbols introduced by earlier divisions
-            e = sympy.expand(sympy.numer(sympy.together(e)))
+            e = clean(e)
             if e == 0:
                 continue
             if e.is_number:
@@ -232,7 +260,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         # reduce by known-nonzero factors
         reduced = []
         for e in cleaned:
-            content, factors = sympy.factor_list(e)
+            _c, factors = factor_list(e)
             live = []
             for base, mult in factors:
                 if base.is_number:
@@ -257,7 +285,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         def invertible(coeff):
             if coeff.is_number:
                 return coeff != 0
-            _c, factors = sympy.factor_list(coeff)
+            _c, factors = factor_list(coeff)
             return all(
                 b in nonzero or -b in nonzero for b, _m in factors if not b.is_number
             )
@@ -276,7 +304,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
                         new_eqs = [q.subs(s, sol) for q in eqs if q is not e]
                         new_nz = set()
                         for z in nonzero:
-                            zz = sympy.expand(sympy.numer(sympy.together(z.subs(s, sol))))
+                            zz = clean(z.subs(s, sol))
                             if zz.is_number:
                                 if zz == 0:
                                     return  # contradiction with a nonzero constraint
@@ -287,7 +315,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         # branch on a factorable equation
         best = None
         for e in eqs:
-            _c, factors = sympy.factor_list(e)
+            _c, factors = factor_list(e)
             bases = [b for b, _m in factors if not b.is_number]
             if len(bases) >= 2 or (len(bases) == 1 and bases[0] != e):
                 best = (e, bases)

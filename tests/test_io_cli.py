@@ -365,12 +365,13 @@ def test_cli_zoo_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
-def cli_child(*args, cwd=None, **env):
+def cli_child(*args, cwd=None, timeout=None, **env):
     """Run `python -m pseudoalg.cli` in a fresh interpreter, in `cwd` if given.
 
     The child inherits this process's environment, with the directory this
     suite imported `pseudoalg` from put first on PYTHONPATH, so it imports the
-    same `pseudoalg` from any working directory.
+    same `pseudoalg` from any working directory.  A child still running after
+    `timeout` seconds is killed and raises `subprocess.TimeoutExpired`.
     """
     path = os.pathsep.join(
         filter(None, [str(Path(pio.__file__).parents[1]), os.environ.get("PYTHONPATH")])
@@ -381,6 +382,7 @@ def cli_child(*args, cwd=None, **env):
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -401,6 +403,14 @@ def test_rank2_report_identical_across_hash_seeds():
     assert [o.returncode for o in outs] == [1, 1]
     assert outs[0].stdout == outs[1].stdout
     assert json.loads(outs[0].stdout)["checks"][1]["status"] == "pass"
+
+
+def test_rank2_search_over_unknowns_budget_exits_3():
+    # degree 4 declares 42 unknowns, over rank2.MAX_UNKNOWNS: the search is
+    # refused before any evaluation instead of running without limit
+    out = cli_child("rank2-search", "--max-deg", "4", timeout=20)
+    assert out.returncode == 3
+    assert "42 unknowns" in out.stderr
 
 
 # Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from pseudoalg.cohomology import ResourceError
 from pseudoalg.rank2 import (
+    MAX_UNKNOWNS,
     OTHER_TAG,
     Rank2Problem,
     TYPE_I_TAG,
@@ -138,6 +140,24 @@ def test_lemma_special_case_family():
     assert len(widest["free"]) == 2
 
 
+def _lemma_c(c00="0", c01="0", c10="0"):
+    return {"(0, 0)": c00, "(0, 1)": c01, "(0, 2)": "0", "(1, 0)": c10, "(1, 1)": "0", "(2, 0)": "0"}
+
+
+LEMMA_DEG2_TEXT = [
+    (_lemma_c(c10="1"), [], []),
+    (_lemma_c(), [], []),
+    (_lemma_c(c00="C_00", c10="1"), ["C_00"], ["C_00"]),
+    (_lemma_c(c00="C_00", c01="C_01", c10="1"), ["C_00", "C_01"], ["C_01"]),
+]
+
+
+def test_lemma_special_case_text_pinned():
+    # every family's C, free and nonzero, in the solver's order
+    out = lemma_special_case(2)
+    assert [(f["C"], f["free"], f["nonzero"]) for f in out["families"]] == LEMMA_DEG2_TEXT
+
+
 def test_lemma_family_members_satisfy_pc6():
     problem = Rank2Problem(2, mu_virasoro=True)
     # C = d(x)1 - 3 (1(x)d) + 5 (1(x)1): a member of the lemma family
@@ -168,6 +188,32 @@ def test_solver_handles_inconsistent_and_factored_systems():
     assert (("x", "0"), ("y", "1")) in sols or (("x", "1"), ("y", "0")) in sols
     fams2, _ = solve_quadratic_system([x**2 + 1], [x])
     assert fams2 == []
+
+
+def test_solver_factorizes_each_expression_once_per_call(monkeypatch):
+    # the solver memoizes factorizations within one call, and keeps nothing
+    # between calls: a second identical search factorizes the same again
+    calls = []
+    factor_list = sympy.factor_list
+
+    def counting(e, *args, **kw):
+        calls.append(e)
+        return factor_list(e, *args, **kw)
+
+    monkeypatch.setattr(sympy, "factor_list", counting)
+    rank2_search(1)
+    first = list(calls)
+    assert len(set(first)) == len(first) == 89
+    calls.clear()
+    rank2_search(1)
+    assert calls == first
+
+
+def test_search_over_unknowns_budget_refused():
+    assert Rank2Problem(3).nvars() == 28 <= MAX_UNKNOWNS
+    for make in (lambda: rank2_search(4), lambda: lemma_special_case(4)):
+        with pytest.raises(ResourceError):
+            make()
 
 
 def test_negative_degree_rejected():
