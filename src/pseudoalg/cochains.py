@@ -29,6 +29,7 @@ from .ptensor import (
     canonicalize,
     perm_sign,
     permute,
+    slot_products,
     swap_dest,
 )
 
@@ -198,6 +199,24 @@ def skew_symmetrize(arity, source, target, raw_value_fn) -> Cochain:
 # -- composition -------------------------------------------------------------
 
 
+def _coproduct_spread(alg, c_slots: tuple, X) -> tuple:
+    """Slotwise product (c_1 (x) ... (x) c_{q-1} (x) 1) Delta^{q-1}(a^(X)).
+
+    Returns ((legs, c), ...).  It depends on the inner slot monomials and X
+    only, so the algebra keeps it.
+    """
+    key = (c_slots, X)
+    spread = alg.coproduct_spreads.get(key)
+    if spread is None:
+        c_exp = c_slots + (alg.zero_index,)
+        spread = alg.coproduct_spreads[key] = tuple(
+            item
+            for split in mi_splits(X, len(c_exp))
+            for item in slot_products(alg, c_exp, [{j: 1} for j in split])
+        )
+    return spread
+
+
 def insert_raw(value_at, outer_arity: int, target: FreeModule, pos: int, inner: PTElem) -> PTElem:
     """Insert an inner value into argument `pos` (0-based) of an outer map.
 
@@ -213,26 +232,16 @@ def insert_raw(value_at, outer_arity: int, target: FreeModule, pos: int, inner: 
     zero_mi = alg.zero_index
     raw = []
     for (c_slots, K_in, k_in), c_inner in inner.terms.items():
-        c_exp = c_slots + (zero_mi,)
         base = value_at(k_in)
         if base.is_zero():
             continue
         for (p_slots, K_out, m), c_outer in base.terms.items():
             p_exp = p_slots + (zero_mi,)
+            head, tail = p_exp[:pos], p_exp[pos + 1 :]
             scale0 = c_inner * c_outer
             for X, cX in alg.mul_mono(K_in, p_exp[pos]).items():
-                for split in mi_splits(X, q):
-                    # legs: inner coefficients times the coproduct spread
-                    partial = [((), 1)]
-                    for ci, ji in zip(c_exp, split):
-                        nxt = []
-                        for prefix, cp in partial:
-                            for L, cl in alg.mul_mono(ci, ji).items():
-                                nxt.append((prefix + (L,), cp * cl))
-                        partial = nxt
-                    for legs, cl in partial:
-                        new_slots = p_exp[:pos] + legs + p_exp[pos + 1 :]
-                        raw.append((new_slots, K_out, m, scale0 * cX * cl))
+                for legs, cl in _coproduct_spread(alg, c_slots, X):
+                    raw.append((head + legs + tail, K_out, m, scale0 * cX * cl))
     return canonicalize(target, p + q - 1, raw)
 
 
@@ -267,9 +276,10 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
     n = p + q - 1
     mod = f.source
     table = {}
+    signed = [(sigma, perm_sign(sigma)) for sigma in shuffles(q, p - 1)]
     for t in sorted_tuples(mod.rank, n):
         acc = PTElem.zero(mod, n)
-        for sigma in shuffles(q, p - 1):
+        for sigma, sign in signed:
             inner_args = tuple(t[sigma[i]] for i in range(q))
             inner = g.value(inner_args)
             if inner.is_zero():
@@ -280,7 +290,7 @@ def circle(f: Cochain, g: Cochain) -> Cochain:
                 continue
             # align slots: composite slot i carries argument t[sigma[i]]
             term = permute(composite, sigma)
-            if perm_sign(sigma) < 0:
+            if sign < 0:
                 term = term.scale(-1)
             acc = acc + term
         if not acc.is_zero():

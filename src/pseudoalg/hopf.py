@@ -79,11 +79,15 @@ class LieAlgebra:
         self._brackets = table
         self._check_jacobi()
         self.zero_index: MultiIndex = (0,) * self.dim
-        self._word_cache = {}  # word -> {K: c}
-        self._mul_cache = {}  # (I, J) -> {K: c}
-        self._antipode_cache = {}  # K -> {L: c}
-        # (n, J) -> canonical pieces; filled only by ptensor._canonical_last_slot
-        self.canonical_last_slots = {}
+        # Kernel memos, one per algebra instance; nothing is cached at module level.
+        self._word_cache = {}  # word -> {K: c}; filled only by _straighten
+        self._mul_cache = {}  # (I, J) -> {K: c}; filled only by mul_mono
+        self._antipode_cache = {}  # K -> {L: c}; filled only by antipode_mono
+        # slot tuple -> ((right, ((prefix, c), ...)), ...);
+        # filled only by ptensor._slot_expansion
+        self.slot_expansions = {}
+        # (inner slots, X) -> ((legs, c), ...); filled only by cochains._coproduct_spread
+        self.coproduct_spreads = {}
 
     @classmethod
     def abelian(cls, names):

@@ -5,6 +5,11 @@ as  sum (a^(I_1) (x) ... (x) a^(I_{n-1}) (x) 1) (x)_H a^(K) e_k,  so a term is
 keyed by (slots, K, k).  Equality of canonical term maps is the decision
 procedure behind every residual check in this package.
 
+Straightening a term depends only on its slot monomials, so the expansion of
+each slot tuple is computed once and kept on the LieAlgebra.  A permutation
+that fixes the last slot maps canonical keys one-to-one and re-straightens
+nothing.
+
 Permutations are handled concretely as placement arrays: `dest[j]` is the
 position that receives the content currently in slot j (0-based).  This is the
 contents-move action; applied to group elements it composes covariantly, which
@@ -251,22 +256,48 @@ class PTElem:
 # -- canonicalization ---------------------------------------------------------
 
 
+def slot_products(alg: LieAlgebra, lefts, rights) -> list:
+    """Slotwise products lefts[i] * rights[i], expanded into monomial tuples.
+
+    lefts are monomials, rights are {L: c} maps; returns [(tuple, c)] with
+    repeats kept, in slot-major order.
+    """
+    partial = [((), 1)]
+    for h, right in zip(lefts, rights):
+        nxt = []
+        for prefix, cp in partial:
+            for L, cl in right.items():
+                for M, cm in alg.mul_mono(h, L).items():
+                    nxt.append((prefix + (M,), cp * cl * cm))
+        partial = nxt
+    return partial
+
+
 def _canonical_last_slot(alg: LieAlgebra, n: int, J: MultiIndex):
     """Expansion of (1 (x) ... (x) a^(J)) (x)_H  into canonical pieces.
 
-    Returns a cached list of (legs, right) with legs a tuple of n-1 monomial
-    HElems (antipode factors) and right the H-multiple landing on the module:
+    Yields (legs, right) with legs a tuple of n-1 antipode maps {L: c} and
+    right the H-multiple landing on the module:
     (h1 ... hn)(x)_H m = (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) m.
     """
-    cache = alg.canonical_last_slots
-    cached = cache.get((n, J))
-    if cached is not None:
-        return cached
-    pieces = []
     for split in mi_splits(J, n):
-        legs = tuple(HElem(alg, alg.antipode_mono(L)) for L in split[: n - 1])
-        pieces.append((legs, split[n - 1]))
-    cache[(n, J)] = pieces
+        yield tuple(alg.antipode_mono(L) for L in split[: n - 1]), split[n - 1]
+
+
+def _slot_expansion(alg: LieAlgebra, slots: tuple) -> tuple:
+    """Straighten (h1 (x) ... (x) hn) (x)_H m, memoized per slot tuple.
+
+    Returns ((right, ((prefix, c), ...)), ...): the term equals
+    sum c (prefix (x) 1) (x)_H right m.  It depends on the slot monomials
+    only, so the algebra keeps it for every later term.
+    """
+    cache = alg.slot_expansions
+    pieces = cache.get(slots)
+    if pieces is None:
+        pieces = cache[slots] = tuple(
+            (right, tuple(slot_products(alg, slots[:-1], legs)))
+            for legs, right in _canonical_last_slot(alg, len(slots), slots[-1])
+        )
     return pieces
 
 
@@ -278,42 +309,28 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
     """
     alg = module.alg
     out = {}
-
-    def _emit(slots, K, k, c):
-        key = (slots, K, k)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-
     zero_mi = alg.zero_index
     for slots, K, k, c in raw_terms:
         if len(slots) != arity:
             raise InputError("raw term has wrong number of slots")
         if not 0 <= k < module.rank:
             raise InputError("raw term has bad basis index")
-        last = slots[-1]
-        if last == zero_mi:
-            _emit(tuple(slots[:-1]), K, k, c)
-            continue
-        if arity == 1:
-            for K2, c2 in alg.mul_mono(last, K).items():
-                _emit((), K2, k, c * c2)
-            continue
-        for legs, right in _canonical_last_slot(alg, arity, last):
-            for K2, cK in alg.mul_mono(right, K).items():
-                # expand the slot products h_i * S(J_(i)) termwise
-                partial = [((), 1)]
-                for h_i, s_leg in zip(slots[:-1], legs):
-                    nxt = []
-                    for prefix, cp in partial:
-                        for L, cl in s_leg.terms.items():
-                            for Mi, cm in alg.mul_mono(h_i, L).items():
-                                nxt.append((prefix + (Mi,), cp * cl * cm))
-                    partial = nxt
-                for prefix, cp in partial:
-                    _emit(prefix, K2, k, c * cK * cp)
+        slots = tuple(slots)
+        if slots[-1] == zero_mi:
+            pieces = (((slots[:-1], K, k), c),)
+        else:
+            pieces = [
+                ((prefix, K2, k), c * cK * cp)
+                for right, prefixes in _slot_expansion(alg, slots)
+                for K2, cK in alg.mul_mono(right, K).items()
+                for prefix, cp in prefixes
+            ]
+        for key, v in pieces:
+            v = out.get(key, 0) + v
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
     return PTElem(module, arity, out)
 
 
@@ -334,20 +351,17 @@ def act(c: HTensor, e: PTElem) -> PTElem:
     raw = []
     for mult, cm in c.terms.items():
         for slots, K, k, ce in _explicit_terms(e):
-            partial = [((), 1)]
-            for h, s in zip(mult, slots):
-                nxt = []
-                for prefix, cp in partial:
-                    for Mi, cmm in alg.mul_mono(h, s).items():
-                        nxt.append((prefix + (Mi,), cp * cmm))
-                partial = nxt
-            for prefix, cp in partial:
+            for prefix, cp in slot_products(alg, mult, [{s: 1} for s in slots]):
                 raw.append((prefix, K, k, cm * ce * cp))
     return canonicalize(e.module, e.arity, raw)
 
 
 def permute(e: PTElem, dest) -> PTElem:
-    """Move slot contents: content of slot j lands at position dest[j] (0-based)."""
+    """Move slot contents: content of slot j lands at position dest[j] (0-based).
+
+    A placement that fixes the last slot keeps it 1, so it maps canonical
+    keys one-to-one and needs no straightening.
+    """
     dest = tuple(dest)
     n = e.arity
     if sorted(dest) != list(range(n)):
@@ -360,6 +374,8 @@ def permute(e: PTElem, dest) -> PTElem:
         for j, s in enumerate(slots):
             new_slots[dest[j]] = s
         raw.append((tuple(new_slots), K, k, c))
+    if dest[-1] == n - 1:
+        return PTElem(e.module, n, {(s[:-1], K, k): c for s, K, k, c in raw})
     return canonicalize(e.module, n, raw)
 
 

@@ -300,7 +300,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
                         new_subs = {
                             k: sympy.together(v.subs(s, sol)) for k, v in subs.items()
                         }
-                        new_subs[s] = sympy.together(sol)
+                        new_subs[s] = sol
                         new_eqs = [q.subs(s, sol) for q in eqs if q is not e]
                         new_nz = set()
                         for z in nonzero:

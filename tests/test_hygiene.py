@@ -69,3 +69,39 @@ def test_guard_sees_an_environment_read():
 def test_no_module_reads_the_environment(path):
     # no setting is read from the environment, so none can be parsed and ignored
     assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+MEMO_DECORATORS = {"lru_cache", "cache"}
+
+
+def module_memos(source: str) -> list:
+    """Lines that use functools' process-wide memo decorators."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in MEMO_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ) or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "functools"
+            and any(alias.name in MEMO_DECORATORS for alias in node.names)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_a_module_memo():
+    assert module_memos("import functools\n@functools.lru_cache(None)\ndef f(x):\n    return x\n") == [2]
+    assert module_memos("import functools\n\n@functools.cache\ndef f(x):\n    return x\n") == [3]
+    assert module_memos("from functools import lru_cache as memo\n") == [1]
+    assert module_memos("from functools import cache\n") == [1]
+    assert module_memos("import functools\nfunctools.reduce(max, [1])\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_memo(path):
+    # kernel memos live on the LieAlgebra instance and solver memos for one
+    # call, so no cache outlives the objects it was computed for
+    assert module_memos(path.read_text(encoding="utf-8")) == []

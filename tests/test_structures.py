@@ -239,3 +239,40 @@ def test_representation_axiom(qd):
     bad = MixedMap(g.module, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
     with pytest.raises(InputError):
         Representation(LiePseudoalgebra(g.module, g.bracket, validate=False), M, bad)
+
+
+def _random_structure(rng, alg, max_deg=2):
+    g = FreeModule("g", ["u"], alg)
+    h = FreeModule("h", ["x"], alg)
+    return QuasiTwilled(
+        g,
+        h,
+        pi=random_cochain(rng, g, g, 2, max_deg=max_deg),
+        rho=MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=max_deg)}),
+        mu=random_cochain(rng, h, h, 2, max_deg=max_deg),
+        eta=MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=max_deg)}),
+        theta=random_cochain(rng, g, h, 2, max_deg=max_deg),
+    )
+
+
+def _tables(table):
+    return [(key, list(v.terms.items())) for key, v in sorted(table.items())]
+
+
+def test_results_do_not_depend_on_kernel_memos():
+    # two equal algebras, one with memos warmed by unrelated work: every
+    # bracket and residual table is the same, term order included
+    warm, cold = zoo.nonabelian_2dim(), zoo.nonabelian_2dim()
+    check_pc(_random_structure(random.Random(1), warm))
+    assert warm.slot_expansions and warm.coproduct_spreads
+    assert not cold.slot_expansions and not cold.coproduct_spreads
+    Qw = _random_structure(random.Random(2), warm)
+    Qc = _random_structure(random.Random(2), cold)
+    bw = nr_bracket(Qw.omega(), Qw.omega())
+    bc = nr_bracket(Qc.omega(), Qc.omega())
+    assert _tables(bw.table) == _tables(bc.table)
+    rw, rc = pc_residuals(Qw), pc_residuals(Qc)
+    assert list(rw) == list(rc)
+    for label in rw:
+        assert _tables(rw[label]) == _tables(rc[label])
+    assert any(rw[label] for label in rw)
