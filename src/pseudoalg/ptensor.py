@@ -6,9 +6,7 @@ keyed by (slots, K, k).  Equality of canonical term maps is the decision
 procedure behind every residual check in this package.
 
 Straightening a term depends only on its slot monomials, so the expansion of
-each slot tuple is computed once and kept on the LieAlgebra.  A permutation
-that fixes the last slot maps canonical keys one-to-one and re-straightens
-nothing.
+each slot tuple is computed once and kept on the LieAlgebra.
 
 Permutations are handled concretely as placement arrays: `dest[j]` is the
 position that receives the content currently in slot j (0-based).  This is the
@@ -23,7 +21,6 @@ from .hopf import (
     HTensor,
     InputError,
     LieAlgebra,
-    MultiIndex,
     coeff,
     mi_degree,
     mi_splits,
@@ -273,30 +270,21 @@ def slot_products(alg: LieAlgebra, lefts, rights) -> list:
     return partial
 
 
-def _canonical_last_slot(alg: LieAlgebra, n: int, J: MultiIndex):
-    """Expansion of (1 (x) ... (x) a^(J)) (x)_H  into canonical pieces.
-
-    Yields (legs, right) with legs a tuple of n-1 antipode maps {L: c} and
-    right the H-multiple landing on the module:
-    (h1 ... hn)(x)_H m = (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) m.
-    """
-    for split in mi_splits(J, n):
-        yield tuple(alg.antipode_mono(L) for L in split[: n - 1]), split[n - 1]
-
-
 def _slot_expansion(alg: LieAlgebra, slots: tuple) -> tuple:
     """Straighten (h1 (x) ... (x) hn) (x)_H m, memoized per slot tuple.
 
-    Returns ((right, ((prefix, c), ...)), ...): the term equals
-    sum c (prefix (x) 1) (x)_H right m.  It depends on the slot monomials
-    only, so the algebra keeps it for every later term.
+    With J = hn,
+    (h1 ... hn)(x)_H m = sum (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) m.
+    Returns ((right, ((prefix, c), ...)), ...) with right = J_(n): the term
+    equals sum c (prefix (x) 1) (x)_H right m.  It depends on the slot
+    monomials only, so the algebra keeps it for every later term.
     """
     cache = alg.slot_expansions
     pieces = cache.get(slots)
     if pieces is None:
         pieces = cache[slots] = tuple(
-            (right, tuple(slot_products(alg, slots[:-1], legs)))
-            for legs, right in _canonical_last_slot(alg, len(slots), slots[-1])
+            (split[-1], tuple(slot_products(alg, slots[:-1], map(alg.antipode_mono, split[:-1]))))
+            for split in mi_splits(slots[-1], len(slots))
         )
     return pieces
 
@@ -357,11 +345,7 @@ def act(c: HTensor, e: PTElem) -> PTElem:
 
 
 def permute(e: PTElem, dest) -> PTElem:
-    """Move slot contents: content of slot j lands at position dest[j] (0-based).
-
-    A placement that fixes the last slot keeps it 1, so it maps canonical
-    keys one-to-one and needs no straightening.
-    """
+    """Move slot contents: content of slot j lands at position dest[j] (0-based)."""
     dest = tuple(dest)
     n = e.arity
     if sorted(dest) != list(range(n)):
@@ -374,8 +358,6 @@ def permute(e: PTElem, dest) -> PTElem:
         for j, s in enumerate(slots):
             new_slots[dest[j]] = s
         raw.append((tuple(new_slots), K, k, c))
-    if dest[-1] == n - 1:
-        return PTElem(e.module, n, {(s[:-1], K, k): c for s, K, k, c in raw})
     return canonicalize(e.module, n, raw)
 
 

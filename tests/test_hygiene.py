@@ -74,20 +74,45 @@ def test_no_module_reads_the_environment(path):
 MEMO_DECORATORS = {"lru_cache", "cache"}
 
 
+def _is_empty_dict(node) -> bool:
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "dict"
+        and not node.args
+        and not node.keywords
+    )
+
+
 def module_memos(source: str) -> list:
-    """Lines that use functools' process-wide memo decorators."""
+    """Lines that set up a memo living as long as the process.
+
+    That is functools' lru_cache or cache, however functools is imported, and
+    an empty dict bound at module level, which only a cache would fill.
+    """
+    tree = ast.parse(source)
+    functools_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "functools"
+    }
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr in MEMO_DECORATORS
             and isinstance(node.value, ast.Name)
-            and node.value.id == "functools"
+            and node.value.id in functools_names
         ) or (
             isinstance(node, ast.ImportFrom)
             and node.module == "functools"
             and any(alias.name in MEMO_DECORATORS for alias in node.names)
         ):
+            lines.append(node.lineno)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_dict(node.value):
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -95,9 +120,13 @@ def module_memos(source: str) -> list:
 def test_guard_sees_a_module_memo():
     assert module_memos("import functools\n@functools.lru_cache(None)\ndef f(x):\n    return x\n") == [2]
     assert module_memos("import functools\n\n@functools.cache\ndef f(x):\n    return x\n") == [3]
+    assert module_memos("import functools as ft\n@ft.cache\ndef f(x):\n    return x\n") == [2]
     assert module_memos("from functools import lru_cache as memo\n") == [1]
     assert module_memos("from functools import cache\n") == [1]
+    assert module_memos("_CACHE = {}\n") == [1]
+    assert module_memos("import x\n_CACHE: dict = dict()\n") == [2]
     assert module_memos("import functools\nfunctools.reduce(max, [1])\n") == []
+    assert module_memos("TABLE = {1: 2}\ndef f():\n    seen = {}\n    return seen\n") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -20,7 +20,6 @@ from pseudoalg.ptensor import (
     swap_dest,
 )
 from pseudoalg.cochains import random_ptelem
-from pseudoalg import zoo
 
 from conftest import pt, vir_value
 
@@ -178,27 +177,6 @@ def test_degree_preserved_by_permute(qd, M, rng):
         if e.is_zero():
             continue
         assert permute(e, (2, 0, 1)).degree() == e.degree()
-
-
-@pytest.mark.parametrize("make_alg", [lambda: LieAlgebra.abelian(["d"]), zoo.nonabelian_2dim])
-def test_permute_fixing_last_slot_matches_straightening(make_alg):
-    # the no-straightening route for placements that fix the last slot gives
-    # the same terms, in the same order, as canonicalizing the moved terms
-    rng = random.Random(811)
-    M = FreeModule("M", ["x", "y"], make_alg())
-    for n in (2, 3, 4):
-        for _ in range(6):
-            e = random_ptelem(rng, M, n, max_deg=3, nterms=4)
-            for head in itertools.permutations(range(n - 1)):
-                dest = head + (n - 1,)
-                moved = []
-                for slots, K, k, c in _explicit_terms(e):
-                    new_slots = [None] * n
-                    for j, s in enumerate(slots):
-                        new_slots[dest[j]] = s
-                    moved.append((tuple(new_slots), K, k, c))
-                expect = canonicalize(M, n, moved)
-                assert list(permute(e, dest).terms.items()) == list(expect.terms.items())
 
 
 def test_canonicalize_idempotent_nonabelian(b2, rng):
