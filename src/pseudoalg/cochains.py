@@ -14,6 +14,14 @@ Jacobiator and the Chevalley-Eilenberg sums.
 
 Throughout, composite values are slot-ALIGNED: after every insertion the slots
 are rearranged so that slot i carries the coefficient of argument x_i.
+
+The circle product and the NR bracket accumulate per output tuple: each
+composite is canonicalized once by its insertion, its terms are placed
+slot-aligned with the shuffle sign folded into the coefficient, and the raw
+terms of every shuffle (of both circle products, for the bracket) are
+canonicalized once.  The self-bracket uses the exact identity
+[f, f] = (1 - (-1)^{(p-1)^2}) f o f, so it computes at most one circle
+product.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .ptensor import (
     canonicalize,
     perm_sign,
     permute,
+    placed,
     slot_products,
     swap_dest,
 )
@@ -82,13 +91,16 @@ class Cochain:
             self.table.get(t, zero) == other.table.get(t, zero) for t in keys
         )
 
-    def __add__(self, other: "Cochain") -> "Cochain":
+    def _check_shape(self, other: "Cochain"):
         if (self.arity, self.source, self.target) != (
             other.arity,
             other.source,
             other.target,
         ):
             raise InputError("cochain shape mismatch")
+
+    def __add__(self, other: "Cochain") -> "Cochain":
+        self._check_shape(other)
         out = dict(self.table)
         for t, v in other.table.items():
             cur = out.get(t)
@@ -98,8 +110,13 @@ class Cochain:
     def __neg__(self):
         return self.scale(-1)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
+    def __sub__(self, other: "Cochain") -> "Cochain":
+        self._check_shape(other)
+        out = dict(self.table)
+        for t, v in other.table.items():
+            cur = out.get(t)
+            out[t] = -v if cur is None else cur - v
+        return Cochain(self.arity, self.source, self.target, out)
 
     def scale(self, c) -> "Cochain":
         c = coeff(c)
@@ -268,40 +285,64 @@ def shuffles(q: int, r: int):
         yield first + rest
 
 
-def circle(f: Cochain, g: Cochain) -> Cochain:
-    """Circle (insertion) product: sum over (q, p-1)-shuffles of f(g(...), ...)."""
-    if f.source != f.target or g.source != g.target or f.source != g.source:
+def _common_module(*cochains) -> FreeModule:
+    mod = cochains[0].source
+    if any(h.source != mod or h.target != mod for h in cochains):
         raise InputError("circle product needs cochains on one common module")
-    p, q = f.arity, g.arity
-    n = p + q - 1
-    mod = f.source
+    return mod
+
+
+def _circle_sum(products) -> Cochain:
+    """sum c * (f o g) over the (c, f, g) in products, one raw list per tuple.
+
+    Composite slot i carries argument t[sigma[i]] once placed by sigma.
+    """
+    mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
+    plans = [
+        (f, g, [(sigma, c * perm_sign(sigma)) for sigma in shuffles(g.arity, f.arity - 1)])
+        for c, f, g in products
+    ]
+    n = plans[0][0].arity + plans[0][1].arity - 1
     table = {}
-    signed = [(sigma, perm_sign(sigma)) for sigma in shuffles(q, p - 1)]
     for t in sorted_tuples(mod.rank, n):
-        acc = PTElem.zero(mod, n)
-        for sigma, sign in signed:
-            inner_args = tuple(t[sigma[i]] for i in range(q))
-            inner = g.value(inner_args)
-            if inner.is_zero():
-                continue
-            outer_args = tuple(t[sigma[i]] for i in range(q, n))
-            composite = insert_value(f, (), inner, outer_args)
-            if composite.is_zero():
-                continue
-            # align slots: composite slot i carries argument t[sigma[i]]
-            term = permute(composite, sigma)
-            if sign < 0:
-                term = term.scale(-1)
-            acc = acc + term
-        if not acc.is_zero():
-            table[t] = acc
+        raw = []
+        for f, g, signed in plans:
+            q = g.arity
+            for sigma, sc in signed:
+                inner = g.value(tuple(t[sigma[i]] for i in range(q)))
+                if inner.is_zero():
+                    continue
+                outer_args = tuple(t[sigma[i]] for i in range(q, n))
+                raw += placed(insert_value(f, (), inner, outer_args), sigma, sc)
+        if raw:
+            value = canonicalize(mod, n, raw)
+            if value:
+                table[t] = value
     return Cochain(n, mod, mod, table)
 
 
+def circle(f: Cochain, g: Cochain) -> Cochain:
+    """Circle (insertion) product: sum over (q, p-1)-shuffles of f(g(...), ...).
+
+    The placed composites of every shuffle are canonicalized once per
+    output tuple.
+    """
+    return _circle_sum([(1, f, g)])
+
+
 def nr_bracket(f: Cochain, g: Cochain) -> Cochain:
-    """Nijenhuis-Richardson bracket [f, g] = f o g - (-1)^{(p-1)(q-1)} g o f."""
+    """Nijenhuis-Richardson bracket [f, g] = f o g - (-1)^{(p-1)(q-1)} g o f.
+
+    Both circle products are summed in one raw list per output tuple.  For
+    g is f the bracket is (1 - (-1)^{(p-1)^2}) f o f exactly: zero for odd
+    arity p, and one circle product with coefficient 2 for even p.
+    """
+    if f is g:
+        if f.arity % 2:
+            return Cochain.zero(2 * f.arity - 1, _common_module(f), f.target)
+        return _circle_sum([(2, f, f)])
     sign = -1 if ((f.arity - 1) * (g.arity - 1)) % 2 else 1
-    return circle(f, g) - circle(g, f).scale(sign)
+    return _circle_sum([(1, f, g), (-sign, g, f)])
 
 
 # -- mixed binary components ---------------------------------------------------

@@ -24,7 +24,7 @@ import random
 from math import comb
 
 from .hopf import InputError, mi_degree
-from .ptensor import FreeModule, MElem, PTElem, permute, swap_dest
+from .ptensor import FreeModule, MElem, PTElem, canonicalize, permute, placed, swap_dest
 from .cochains import (
     Cochain,
     MixedMap,
@@ -55,7 +55,7 @@ PLAIN = "plain"
 
 
 class ResourceError(RuntimeError):
-    """A request exceeds a configured budget (coordinates, unknowns)."""
+    """A request exceeds a configured budget (coordinates, unknowns, solver nodes)."""
 
 
 COORD_BUDGET = 60000
@@ -77,7 +77,10 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
 
     bracket is the pseudobracket on A, action the A (x) M -> M map.  Each
     composite is slot-aligned: the action term puts the coefficient of x_i in
-    slot i, the bracket term puts the pair (x_i, x_j) in slots (i, j).
+    slot i, the bracket term puts the pair (x_i, x_j) in slots (i, j).  Every
+    composite is canonicalized by its insertion; its placed, signed terms
+    are appended to one raw list per output tuple, which is canonicalized
+    once.
     """
     A = bracket.source
     M = action.hmod
@@ -87,7 +90,7 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
     s1, s2 = _signs(convention, p)
     table = {}
     for t in sorted_tuples(A.rank, p + 1):
-        acc = PTElem.zero(M, p + 1)
+        raw = []
         for i in range(1, p + 2):
             rest = t[: i - 1] + t[i:]
             inner = f.value(rest)
@@ -105,7 +108,7 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
             dest[0] = i - 1
             for s in range(1, p + 1):
                 dest[s] = s - 1 if s - 1 < i - 1 else s
-            acc = acc + permute(comp, dest).scale(s1(i))
+            raw += placed(comp, dest, s1(i))
         for i in range(1, p + 1):
             for j in range(i + 1, p + 2):
                 rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
@@ -118,9 +121,11 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
                 spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
                 for s, spot in enumerate(spots):
                     dest[2 + s] = spot
-                acc = acc + permute(comp, dest).scale(s2(i, j))
-        if not acc.is_zero():
-            table[t] = acc
+                raw += placed(comp, dest, s2(i, j))
+        if raw:
+            value = canonicalize(M, p + 1, raw)
+            if value:
+                table[t] = value
     return Cochain(p + 1, A, M, table)
 
 

@@ -11,10 +11,16 @@ each slot tuple is computed once and kept on the LieAlgebra.
 Permutations are handled concretely as placement arrays: `dest[j]` is the
 position that receives the content currently in slot j (0-based).  This is the
 contents-move action; applied to group elements it composes covariantly, which
-is what the shuffle sums in the cochain calculus require.
+is what the shuffle sums in the cochain calculus require.  `placed` is the one
+slot-placement loop: it returns the raw terms of a placed, scaled element, and
+`permute` is `placed` followed by `canonicalize`.  Sums of many placed
+elements (the circle product, the CE differential) append their raw terms to
+one list and canonicalize it once.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from .hopf import (
     HElem,
@@ -182,8 +188,17 @@ class PTElem:
     def __neg__(self):
         return PTElem(self.module, self.arity, {t: -c for t, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __sub__(self, other: "PTElem") -> "PTElem":
+        if self.module != other.module or self.arity != other.arity:
+            raise InputError("pseudotensor arity/module mismatch")
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            v = out.get(t, 0) - c
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+        return PTElem(self.module, self.arity, out)
 
     def scale(self, c) -> "PTElem":
         c = coeff(c)
@@ -344,6 +359,21 @@ def act(c: HTensor, e: PTElem) -> PTElem:
     return canonicalize(e.module, e.arity, raw)
 
 
+def placed(e: PTElem, dest, c=1) -> list:
+    """Raw terms of c * e with the content of slot j moved to position dest[j].
+
+    The terms are not canonical: the slot that receives the implicit last 1
+    need not be the last one.  `canonicalize` takes them as they are.
+    """
+    src = [0] * len(dest)
+    for j, i in enumerate(dest):
+        src[i] = j
+    zero_mi = e.module.alg.zero_index
+    # itemgetter of a single index returns the item, not a 1-tuple
+    pick = itemgetter(*src) if len(src) > 1 else tuple
+    return [(pick(slots + (zero_mi,)), K, k, c * v) for (slots, K, k), v in e.terms.items()]
+
+
 def permute(e: PTElem, dest) -> PTElem:
     """Move slot contents: content of slot j lands at position dest[j] (0-based)."""
     dest = tuple(dest)
@@ -352,13 +382,7 @@ def permute(e: PTElem, dest) -> PTElem:
         raise InputError(f"not a placement array of size {n}: {dest}")
     if dest == tuple(range(n)):
         return e
-    raw = []
-    for slots, K, k, c in _explicit_terms(e):
-        new_slots = [None] * n
-        for j, s in enumerate(slots):
-            new_slots[dest[j]] = s
-        raw.append((tuple(new_slots), K, k, c))
-    return canonicalize(e.module, n, raw)
+    return canonicalize(e.module, n, placed(e, dest))
 
 
 def swap_dest(n: int, i: int, j: int) -> tuple:

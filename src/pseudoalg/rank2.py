@@ -35,6 +35,9 @@ from .zoo import polynomial_hopf
 
 # Most unknowns a search may declare: degree 3 has 28, degree 4 has 42.
 MAX_UNKNOWNS = 28
+# Most case-split nodes one solve_quadratic_system call may visit: degree 2
+# visits 192, degree 1 54, lemma_special_case(2) 28.
+MAX_SOLVER_NODES = 2000
 
 
 def _mono_pairs(max_deg: int):
@@ -225,11 +228,15 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     Most equations pass unchanged from a node to its children, so each call
     memoizes its cleanings and factorizations, keyed on the expression.  The
     memos live for this call only and are shared by no other call.
+
+    A call that visits more than MAX_SOLVER_NODES nodes raises ResourceError.
     """
     results = []
     unresolved = []
     cleaned_of = {}
     factors_of = {}
+    budget = MAX_SOLVER_NODES
+    nodes = 0
 
     def clean(e):
         # drop denominators; on a branch they are products of known-nonzero
@@ -246,6 +253,10 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         return out
 
     def recurse(eqs, subs, nonzero, depth):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise ResourceError(f"rank-2 solver visited more than {budget} nodes")
         if depth > max_depth:
             unresolved.append(Family(subs, None, nonzero))
             return

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoalg import cochains, zoo
 from pseudoalg.hopf import InputError, LieAlgebra
-from pseudoalg.ptensor import FreeModule, MElem, PTElem, permute
+from pseudoalg.ptensor import FreeModule, MElem, PTElem, perm_sign, permute
 from pseudoalg.cochains import (
     Cochain,
     INHOMOGENEOUS,
@@ -18,12 +19,15 @@ from pseudoalg.cochains import (
     extract_components,
     extract_mixed,
     extract_pure,
+    insert_value,
     lift_block,
     lift_mixed,
     nr_bracket,
     random_cochain,
     random_ptelem,
+    shuffles,
     skew_check,
+    sorted_tuples,
     transpose_last,
 )
 
@@ -94,11 +98,106 @@ def test_nr_self_bracket_virasoro(mu):
     assert nr_bracket(mu, mu).is_zero()
 
 
+def _copy(f: Cochain) -> Cochain:
+    """An equal cochain that is not f, so nr_bracket takes its general path."""
+    return Cochain(f.arity, f.source, f.target, dict(f.table))
+
+
 def test_nr_even_degree_self_bracket(gm, rng):
-    # arity p odd => degree p-1 even => [f, f] = 0 by graded antisymmetry
-    f = random_cochain(rng, gm, gm, 3, max_deg=1)
+    # arity p odd => degree p-1 even => [f, f] = 0 by graded antisymmetry;
+    # nr_bracket(f, f) returns zero by that identity, so the copy checks it
+    m2 = FreeModule("m", ["e0", "e1"], gm.alg)
+    f = random_cochain(rng, m2, m2, 3, max_deg=1)
+    assert not f.is_zero()
     assert nr_bracket(f, f).is_zero()
-    assert nr_bracket(f, Cochain.zero(3, gm, gm)).is_zero()
+    assert nr_bracket(f, _copy(f)).is_zero()
+    assert nr_bracket(f, Cochain.zero(3, m2, m2)).is_zero()
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+def test_nr_self_bracket_equals_bracket_with_copy(base, request, rng):
+    m2 = FreeModule("m", ["e0", "e1"], request.getfixturevalue(base))
+    f = random_cochain(rng, m2, m2, 2, max_deg=1)
+    got = nr_bracket(f, f)
+    assert not got.is_zero()
+    assert got == nr_bracket(f, _copy(f))
+    assert got == circle(f, f).scale(2)
+
+
+# The per-shuffle circle product and NR bracket the production code replaced:
+# each composite is placed with permute, signed and added to a running sum.
+
+
+def _circle_reference(f: Cochain, g: Cochain) -> Cochain:
+    p, q = f.arity, g.arity
+    n = p + q - 1
+    mod = f.source
+    table = {}
+    for t in sorted_tuples(mod.rank, n):
+        acc = PTElem.zero(mod, n)
+        for sigma in shuffles(q, p - 1):
+            inner = g.value(tuple(t[sigma[i]] for i in range(q)))
+            if inner.is_zero():
+                continue
+            composite = insert_value(f, (), inner, tuple(t[sigma[i]] for i in range(q, n)))
+            acc = acc + permute(composite, sigma).scale(perm_sign(sigma))
+        table[t] = acc
+    return Cochain(n, mod, mod, table)
+
+
+def _nr_reference(f: Cochain, g: Cochain) -> Cochain:
+    sign = (-1) ** ((f.arity - 1) * (g.arity - 1))
+    return _circle_reference(f, g) + _circle_reference(g, f).scale(-sign)
+
+
+def test_circle_and_nr_match_per_shuffle_reference_on_zoo():
+    # Cochain equality compares term dicts, so term order is not compared
+    for entry in zoo.zoo_structures():
+        om = entry["Q"].omega()
+        reference = _nr_reference(om, om)
+        assert nr_bracket(om, om) == reference, entry["name"]
+        assert nr_bracket(om, _copy(om)) == reference, entry["name"]
+        assert circle(om, om) == _circle_reference(om, om), entry["name"]
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+def test_circle_and_nr_match_per_shuffle_reference_random(base, request, rng):
+    m2 = FreeModule("m", ["e0", "e1"], request.getfixturevalue(base))
+    fs = [random_cochain(rng, m2, m2, a, max_deg=1) for a in (1, 2, 3)]
+    for f, g in itertools.product(fs, repeat=2):
+        where = (f.arity, g.arity)
+        assert circle(f, g) == _circle_reference(f, g), where
+        assert nr_bracket(f, g) == _nr_reference(f, g), where
+
+
+def test_self_bracket_insertion_and_permute_counts(reynolds_q, monkeypatch):
+    # counts catch what timings hide: the self-bracket makes one circle
+    # product, and no composite goes through permute on its own
+    om = reynolds_q.omega()
+    insertions = []
+    permuted_arities = []
+    real_insert, real_permute = cochains.insert_raw, cochains.permute
+
+    def counting_insert(*args):
+        insertions.append(1)
+        return real_insert(*args)
+
+    def recording_permute(e, dest):
+        permuted_arities.append(e.arity)
+        return real_permute(e, dest)
+
+    monkeypatch.setattr(cochains, "insert_raw", counting_insert)
+    monkeypatch.setattr(cochains, "permute", recording_permute)
+    self_bracket = nr_bracket(om, om)
+    n_self = len(insertions)
+    insertions.clear()
+    copy_bracket = nr_bracket(om, _copy(om))
+    assert n_self > 0
+    assert 2 * n_self == len(insertions)
+    assert self_bracket == copy_bracket
+    circle(om, om)
+    # Cochain.value permutes stored values of arity 2; a composite has arity 3
+    assert set(permuted_arities) <= {om.arity}
 
 
 def test_nr_graded_antisymmetry_and_jacobi(qd, rng):
@@ -230,6 +329,21 @@ def test_value_on_unsorted_args(qd, rng):
     v01 = f.value((0, 1))
     v10 = f.value((1, 0))
     assert v10 == permute(v01, (1, 0)).scale(-1)
+
+
+def test_cochain_sub_is_add_of_negative_scale(qd, rng):
+    # direct subtraction: the values and the term order of self + other.scale(-1)
+    m2 = FreeModule("m", ["e0", "e1"], qd)
+    f = random_cochain(rng, m2, m2, 2, max_deg=2)
+    g = random_cochain(rng, m2, m2, 2, max_deg=2)
+    h = Cochain(2, m2, m2, {t: v for t, v in g.table.items() if t != (0, 0)})
+    for a, b in ((f, g), (f, h), (h, f), (f, f)):
+        got, expected = a - b, a + b.scale(-1)
+        assert list(got.table) == list(expected.table)
+        for t, v in expected.table.items():
+            assert list(got.table[t].terms.items()) == list(v.terms.items())
+    with pytest.raises(InputError):
+        f - random_cochain(rng, m2, m2, 1)
 
 
 def test_cochain_table_must_be_sorted(gm, hm, rng):

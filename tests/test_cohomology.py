@@ -1,13 +1,22 @@
 """Induced structures, CE differentials, cocycle certificates, truncations."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from pseudoalg.hopf import InputError
-from pseudoalg.ptensor import FreeModule, MElem, PTElem
-from pseudoalg.cochains import Cochain, MixedMap, random_cochain, skew_check
+from pseudoalg.ptensor import FreeModule, MElem, PTElem, permute
+from pseudoalg.cochains import (
+    Cochain,
+    MixedMap,
+    insert_raw,
+    insert_value,
+    random_cochain,
+    skew_check,
+    sorted_tuples,
+)
 from pseudoalg.structures import LiePseudoalgebra, QuasiTwilled, Representation, check_lie
 from pseudoalg.deformation import (
     TYPE_I,
@@ -148,6 +157,51 @@ def test_dd_zero_every_zoo_structure(rng):
                 tgt = Q.h if kind == "I" else Q.g
                 f = random_cochain(rng, src, tgt, 1, max_deg=2)
                 assert handle.diff(handle.diff(f)).is_zero(), (entry["name"], kind, conv)
+
+
+def _ce_reference(bracket, action, f, convention):
+    """The per-term CE sum: each composite placed with permute, signed, added."""
+    A, M, p = bracket.source, action.hmod, f.arity
+    if convention == CLASSICAL:
+        s1, s2 = (lambda i: (-1) ** (i + 1)), (lambda i, j: (-1) ** (i + j))
+    else:
+        s1, s2 = (lambda i: (-1) ** (p + i)), (lambda i, j: (-1) ** (p + i + j - 1))
+    table = {}
+    for t in sorted_tuples(A.rank, p + 1):
+        acc = PTElem.zero(M, p + 1)
+        for i in range(1, p + 2):
+            inner = f.value(t[: i - 1] + t[i:])
+            if inner.is_zero():
+                continue
+            comp = insert_raw(
+                lambda k, _i=t[i - 1]: action.eval(A.elem(_i), M.elem(k)), 2, M, 1, inner
+            )
+            dest = [i - 1] + [s - 1 if s < i else s for s in range(1, p + 1)]
+            acc = acc + permute(comp, dest).scale(s1(i))
+        for i, j in itertools.combinations(range(1, p + 2), 2):
+            inner = bracket.value((t[i - 1], t[j - 1]))
+            if inner.is_zero():
+                continue
+            spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
+            comp = insert_value(f, (), inner, tuple(t[s] for s in spots))
+            acc = acc + permute(comp, [i - 1, j - 1] + spots).scale(s2(i, j))
+        table[t] = acc
+    return Cochain(p + 1, A, M, table)
+
+
+def test_ce_differential_matches_per_term_reference_on_zoo():
+    # Cochain equality compares term dicts, so term order is not compared
+    for entry in zoo.zoo_structures():
+        for kind, m in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"])):
+            if m is None:
+                continue
+            for conv in (CLASSICAL, SHIFTED):
+                handle = handle_for(kind, entry["Q"], m, convention=conv, verify=False)
+                A, M = handle.bracket.source, handle.action.hmod
+                for p in (1, 2):
+                    for f in skew_basis(A, M, p, 2):
+                        expected = _ce_reference(handle.bracket, handle.action, f, conv)
+                        assert handle.diff(f) == expected, (entry["name"], kind, conv, p)
 
 
 def test_differential_outputs_skew(modified_r_q, rng):

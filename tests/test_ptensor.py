@@ -17,6 +17,7 @@ from pseudoalg.ptensor import (
     linear_combine,
     perm_sign,
     permute,
+    placed,
     swap_dest,
 )
 from pseudoalg.cochains import random_ptelem
@@ -146,6 +147,29 @@ def test_linear_combine(qd, M, rng):
         ]
     )
     assert two_terms == vir_value(M)
+
+
+def test_sub_is_add_of_negative(b2, rng):
+    # direct subtraction: the values and the term order of self + (-other)
+    M2 = FreeModule("M2", ["x", "y"], b2)
+    for arity in (1, 2, 3):
+        e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
+        f = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
+        for a, b in ((e, f), (f, e), (e, e), (e, PTElem.zero(M2, arity))):
+            got, expected = a - b, a + (-b)
+            assert list(got.terms.items()) == list(expected.terms.items())
+    with pytest.raises(InputError):
+        e - random_ptelem(rng, M2, 2)
+
+
+def test_placed_then_canonicalize_is_permute(b2, rng):
+    M2 = FreeModule("M2", ["x", "y"], b2)
+    for arity in (1, 2, 3):
+        e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
+        for dest in itertools.permutations(range(arity)):
+            raw = placed(e, dest, -3)
+            assert len(raw) == len(e.terms)
+            assert canonicalize(M2, arity, raw) == permute(e, dest).scale(-3)
 
 
 def test_zero_rank_module(qd):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from pseudoalg import rank2
+from pseudoalg.cli import main as cli_main
 from pseudoalg.cohomology import ResourceError
 from pseudoalg.rank2 import (
     MAX_UNKNOWNS,
@@ -214,6 +216,24 @@ def test_search_over_unknowns_budget_refused():
     for make in (lambda: rank2_search(4), lambda: lemma_special_case(4)):
         with pytest.raises(ResourceError):
             make()
+
+
+def test_solver_node_budget_exits_3(monkeypatch, capsys):
+    # degree 1 visits 54 nodes; a cap below that ends the search with exit 3
+    monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", 10)
+    assert cli_main(["rank2-search", "--max-deg", "1"]) == 3
+    assert "visited more than 10 nodes" in capsys.readouterr().err
+
+
+def test_solver_node_budget_is_exact(monkeypatch):
+    # x*y = 0: the root, one node per factor, one per elimination below it
+    x, y = sympy.symbols("x y")
+    monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", 5)
+    fams, unres = solve_quadratic_system([x * y], [x, y])
+    assert len(fams) == 2 and not unres
+    monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", 4)
+    with pytest.raises(ResourceError):
+        solve_quadratic_system([x * y], [x, y])
 
 
 def test_negative_degree_rejected():
