@@ -4,8 +4,10 @@ Elements are stored in the divided-power PBW basis a^(K) = prod_i a_i^{k_i}/k_i!
 indexed by multi-indices K.  In this basis the coproduct is literally
 Delta(a^(K)) = sum_{L <= K} a^(L) (x) a^(K-L), and products of divided powers
 stay integral for abelian b.  Every stored scalar is exact: an ``int`` when it
-is integral, a ``Fraction`` otherwise, never a ``float``.  `coeff` normalises
-a scalar to that form and `exact_div` divides without leaving it.
+is integral, a ``Fraction`` otherwise, never a ``float``; the one exception is
+a polynomial over QQ or ZZ, which `rank2` passes in as a symbolic scalar.
+`coeff` normalises a scalar to that form and `exact_div` divides without
+leaving it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,23 @@ class InternalInvariantError(RuntimeError):
 
 
 def coeff(x) -> Scalar:
-    """x as an exact scalar: an int when integral, else a Fraction; floats raise."""
+    """x as an exact scalar: an int when integral, else a Fraction; floats raise.
+
+    A polynomial of ``sympy.polys.rings`` over QQ or ZZ passes through
+    unchanged, so one evaluation with ring generators as scalars yields every
+    coordinate as an exact polynomial (`rank2` does this).  A polynomial over
+    any other domain raises like a float.
+    """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
         if isinstance(x, float):
             raise TypeError(f"float scalar {x!r}: exact scalars are int or Fraction")
+        ring = getattr(x, "ring", None)
+        if ring is not None:
+            if ring.domain.is_QQ or ring.domain.is_ZZ:
+                return x
+            raise TypeError(f"polynomial over {ring.domain}: exact domains are QQ and ZZ")
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 

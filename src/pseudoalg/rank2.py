@@ -8,12 +8,14 @@ The unknown components are coefficient tensors with PBW degree capped:
     theta(u(x)u) = D (x)_H x   (D skew),
 
 with the rank-one subalgebra Hx carrying mu in {0, Virasoro}.  The PC
-residuals are quadratic in the unknowns; their exact polynomial form is
-reconstructed by rational interpolation (constant/linear/pure-quadratic/cross
-evaluations), then the system is solved by exact linear elimination with
-case splits on factored equations.  Solution families are tagged against the
-three classification patterns; anything else is reported as "other", never
-suppressed.
+residuals are quadratic in the unknowns.  One evaluation of `pc_residuals`,
+with each unknown set to a generator of the polynomial ring QQ[unknowns],
+gives every residual coordinate as an exact polynomial; the system is then
+solved by exact linear elimination with case splits on factored equations.
+`_interpolate_quadratics` rebuilds the same polynomials from rational point
+evaluations and is kept as an independent cross-check.  Solution families are
+tagged against the three classification patterns; anything else is reported
+as "other", never suppressed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import zlib
 from fractions import Fraction
 
 import sympy
+from sympy.polys.rings import ring
 
 from .hopf import InputError, coeff, exact_div
 from .cohomology import ResourceError
@@ -77,6 +80,8 @@ class Rank2Problem:
         self.symbols = [
             sympy.Symbol(f"{name}_{i}{j}", rational=True) for name, (i, j) in self.layout
         ]
+        # QQ[unknowns]; evaluating at the generators gives exact polynomials
+        self.ring, *self.gens = ring(self.symbols, sympy.QQ)
 
     def nvars(self) -> int:
         return len(self.layout)
@@ -94,7 +99,7 @@ class Rank2Problem:
         return canonicalize(module, 2, raw_list)
 
     def structure(self, assignment) -> QuasiTwilled:
-        """Build the quasi-twilled candidate for a rational assignment vector."""
+        """Build the quasi-twilled candidate for a rational or polynomial assignment."""
         blocks = {"A": {}, "B": {}, "C": {}, "D": {}}
         for (name, ij), val in zip(self.layout, assignment):
             blocks[name][ij] = coeff(val)
@@ -122,16 +127,28 @@ class Rank2Problem:
             theta=Cochain(2, self.g, self.h, {(0, 0): Dv} if not Dv.is_zero() else {}),
         )
 
-    def residual_vector(self, assignment) -> dict:
-        """All PC residual coefficients, keyed (label, argtuple, term key)."""
-        Q = self.structure(assignment)
-        resid = pc_residuals(Q)
+    def residual_vector(self, assignment, labels=None) -> dict:
+        """PC residual coefficients, keyed (label, argtuple, term key).
+
+        labels, when given, keeps the coordinates of those PC labels only.
+        """
         out = {}
-        for label, table in resid.items():
+        for label, table in pc_residuals(self.structure(assignment)).items():
+            if labels is not None and label not in labels:
+                continue
             for args, v in table.items():
                 for key, c in v.terms.items():
                     out[(label, args, key)] = c
         return out
+
+    def residual_polynomials(self, assignment, labels=None) -> list:
+        """The nonzero residual coordinates at a polynomial assignment.
+
+        assignment holds generators of self.ring (or zeros), so each coordinate
+        is an exact ring element.  Ordered by the repr of their keys.
+        """
+        coords = self.residual_vector(assignment, labels)
+        return [coords[k] for k in sorted(coords, key=repr)]
 
 
 def _interpolate_quadratics(ev, n: int, symbols) -> list:
@@ -141,6 +158,9 @@ def _interpolate_quadratics(ev, n: int, symbols) -> list:
     Each coordinate is a polynomial of total degree <= 2 in the unknowns, so
     its values at 0, e_i, 2 e_i and e_i + e_j determine it.  Returns the
     nonzero polynomials, ordered by the repr of their keys.
+
+    This is the independent route to `Rank2Problem.residual_polynomials`:
+    1 + 2n + n(n-1)/2 rational evaluations instead of one ring evaluation.
     """
     zero = [0] * n
     f0 = ev(zero)
@@ -187,20 +207,16 @@ def _interpolate_quadratics(ev, n: int, symbols) -> list:
 def reconstruct_polynomials(problem: Rank2Problem) -> list:
     """Exact quadratic polynomials of every PC residual coordinate.
 
-    Every residual coordinate is a polynomial of total degree <= 2 in the
-    unknown coefficients (each PC term multiplies at most two components), so
-    constant + axis + doubled-axis + pairwise evaluations determine it.
+    One `pc_residuals` evaluation at the generators of QQ[unknowns] gives
+    each coordinate as a polynomial.  They are deduplicated up to rational
+    scaling and returned as expressions, in the order of their keys' repr.
     """
-    x = problem.symbols
-    polys = _interpolate_quadratics(problem.residual_vector, problem.nvars(), x)
-    # deduplicate up to rational scaling; -prim distributes over the sum, so
-    # it is the expanded negation and hashes like one
     seen = {}
-    for p in polys:
-        prim = sympy.primitive(sympy.Poly(p, *x))[1].as_expr()
+    for p in problem.residual_polynomials(problem.gens):
+        prim = p.primitive()[1]
         if prim not in seen and -prim not in seen:
             seen[prim] = None
-    return list(seen)
+    return [p.as_expr() for p in seen]
 
 
 class Family:
@@ -548,24 +564,8 @@ def lemma_special_case(max_deg: int = 2) -> dict:
     ]
     c_symbols = [sym for _k, sym in keep]
 
-    def lift(assign_c):
-        vec = []
-        c_map = dict(zip(c_symbols, assign_c))
-        for (name, ij), sym in zip(problem.layout, problem.symbols):
-            vec.append(c_map.get(sym, 0))
-        return vec
-
-    def ev(vec_c):
-        Q = problem.structure(lift(vec_c))
-        resid = pc_residuals(Q)
-        out = {}
-        for label in ("PC6",):
-            for args, v in resid[label].items():
-                for key, c in v.terms.items():
-                    out[(label, args, key)] = c
-        return out
-
-    polys = _interpolate_quadratics(ev, len(c_symbols), c_symbols)
+    c_only = [g if name == "C" else 0 for (name, _ij), g in zip(problem.layout, problem.gens)]
+    polys = [p.as_expr() for p in problem.residual_polynomials(c_only, ("PC6",))]
     families, unresolved = solve_quadratic_system(polys, c_symbols)
     layout_c = [k for k, _s in keep]
     described = []

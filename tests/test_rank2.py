@@ -1,5 +1,6 @@
 """Bounded-degree rank-2 classification and the eta-versus-Virasoro lemma."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,77 @@ def test_interpolation_exact_beyond_float_precision():
         sympy.expand(big * x0**2 + 3 * x1 + 5),
         sympy.expand(sympy.Rational(-2, 3) * x0 * x1 + sympy.Rational(1, 2) * x0),
     ]
+
+
+def _distinct_up_to_scaling(polys, symbols):
+    # the sympy.Poly route to the deduplication in reconstruct_polynomials
+    seen = {}
+    for q in polys:
+        prim = sympy.primitive(sympy.Poly(q, *symbols))[1].as_expr()
+        if prim not in seen and -prim not in seen:
+            seen[prim] = None
+    return list(seen)
+
+
+@pytest.mark.parametrize("max_deg, virasoro", [(1, False), (2, False), (1, True)])
+def test_ring_evaluation_matches_interpolation(max_deg, virasoro):
+    p = Rank2Problem(max_deg, mu_virasoro=virasoro)
+    interpolated = _interpolate_quadratics(p.residual_vector, p.nvars(), p.symbols)
+    assert [q.as_expr() for q in p.residual_polynomials(p.gens)] == interpolated
+    assert reconstruct_polynomials(p) == _distinct_up_to_scaling(interpolated, p.symbols)
+
+
+def test_lemma_system_matches_interpolation(monkeypatch):
+    # the C-only PC6 system the lemma hands its solver, against interpolating
+    # PC6 over the C unknowns with every other unknown zero
+    seen = []
+    solve = rank2.solve_quadratic_system
+
+    def capture(eqs, symbols):
+        seen.append((list(eqs), list(symbols)))
+        return solve(eqs, symbols)
+
+    monkeypatch.setattr(rank2, "solve_quadratic_system", capture)
+    lemma_special_case(2)
+    [(eqs, c_symbols)] = seen
+    p = Rank2Problem(2, mu_virasoro=True)
+
+    def ev(vec_c):
+        values = dict(zip(c_symbols, vec_c))
+        return p.residual_vector([values.get(s, 0) for s in p.symbols], ("PC6",))
+
+    assert eqs == _interpolate_quadratics(ev, len(c_symbols), c_symbols)
+
+
+def test_residual_vector_label_filter():
+    p = Rank2Problem(1)
+    v = vec(p, C_10=1, B_01=1, D_01=1)
+    full = p.residual_vector(v)
+    labels = sorted({label for label, _args, _key in full})
+    assert len(labels) >= 2
+    kept = p.residual_vector(v, labels[:1])
+    assert kept and kept == {k: c for k, c in full.items() if k[0] == labels[0]}
+
+
+def test_one_pc_evaluation_per_problem(monkeypatch):
+    calls = []
+    pc_residuals = rank2.pc_residuals
+
+    def counting(Q):
+        calls.append(Q)
+        return pc_residuals(Q)
+
+    monkeypatch.setattr(rank2, "pc_residuals", counting)
+    reconstruct_polynomials(Rank2Problem(2))
+    assert len(calls) == 1
+    lemma_special_case(2)
+    assert len(calls) == 2
+
+
+def test_degree3_polynomials_pinned():
+    polys = reconstruct_polynomials(Rank2Problem(3))
+    assert len(polys) == 234
+    assert hashlib.sha256(str(polys).encode()).hexdigest()[:12] == "740b42c81283"
 
 
 def test_search_degree1_complete_and_verified():

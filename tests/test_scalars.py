@@ -3,15 +3,25 @@
 The kernel keeps integral scalars as Python ints and only builds a Fraction
 when a value is not integral, so most of the suite runs on integer data.  The
 property tests here draw non-integral rationals (such as 1/2 and -2/3) so the
-Fraction side of every mixed operation is exercised too.
+Fraction side of every mixed operation is exercised too.  The one other
+scalar the kernel admits is a polynomial over QQ or ZZ from
+``sympy.polys.rings``, which the rank-2 search evaluates with; the kernel
+itself never imports sympy.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import QQ, RR, ZZ
+from sympy.polys.rings import ring
 
+from pseudoalg import hopf
 from pseudoalg.hopf import (
     HElem,
     HTensor,
@@ -71,6 +81,43 @@ def test_coeff_normalises_and_rejects_floats():
         coeff(0.5)
     with pytest.raises(TypeError):
         coeff(2.0)
+
+
+def test_coeff_passes_exact_polynomials_and_rejects_inexact_ones():
+    for domain in (QQ, ZZ):
+        _R, x, y = ring("x y", domain)
+        p = 3 * x * y - 2 * x + 1
+        assert coeff(p) is p
+        assert coeff(x) is x
+    _R, x = ring("x", RR)
+    with pytest.raises(TypeError):
+        coeff(x + 1)
+    with pytest.raises(TypeError):
+        coeff(0.5)
+
+
+def test_ring_coefficients_survive_the_kernel():
+    _R, x, y = ring("x y", QQ)
+    g = FreeModule("g", ["u"], QD)
+    e = PTElem(g, 2, {(((1,),), (0,), 0): x, (((0,),), (1,), 0): 0 * y})
+    assert e.terms == {(((1,),), (0,), 0): x}
+    assert (e.scale(Fraction(1, 2)) + e.scale(y)).terms == {(((1,),), (0,), 0): x / 2 + x * y}
+    assert (e - e).is_zero()
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy costs start-up time; only the rank-2 command imports it, lazily
+    src = str(Path(hopf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pseudoalg.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_div_stays_exact():
