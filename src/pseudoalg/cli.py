@@ -339,9 +339,9 @@ def cmd_zoo(args, report):
     if args.out:
         _write(args.out, pio.structure_to_json(Q, meta=meta), report)
         if bundle is not None and args.map_out:
-            m = bundle["map"]
-            names = ("g", "h") if m.src == Q.g else ("h", "g")
-            _write(args.map_out, pio.map_to_json(m, *names), report)
+            src, dst = orientation(Q, pzoo.map_type(bundle["kind"]))
+            names = ("g" if part is Q.g else "h" for part in (src, dst))  # names on reload
+            _write(args.map_out, pio.map_to_json(bundle["map"], *names), report)
 
 
 def cmd_rank2(args, report):

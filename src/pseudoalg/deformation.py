@@ -10,21 +10,26 @@ are asserted against each other:
   * the twisted bracket e^{[., M]_NR} Omega (series, with termination bound);
   * the conjugated bracket e^{-M} o Omega o (e^M (x) e^M).
 
-The controlling operators come from the derived-bracket construction: lift,
-bracket against the relevant components of Omega, project back to the block.
-Projection here is exact extraction plus a purity assertion; the bidegree
-bookkeeping guarantees nothing is discarded.
+Both types are controlled by one curved L-infinity algebra of higher derived
+brackets (Voronov): l_k nests the NR bracket of a generator Gamma_k, built
+from Omega's components, with the lifted arguments and extracts the block
+(exactly: the bidegree bookkeeping discards nothing, and a purity assertion
+checks it).  Only the table of l0 and the generators depends on the type
+(`LinfOps`).  Twisting by a deformation map M gives
+l_k^M = sum_n l_{n+k}(M, ..., M, -)/n! (`TwistedLinfOps`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .hopf import InputError, InternalInvariantError
 from .ptensor import FreeModule, MElem, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
+    _part_name,
     assert_block_shape,
     extract_pure,
     lift_block,
@@ -189,14 +194,6 @@ def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
         )
         table[(i, j)] = gside - hside.map_module(T.apply_basis, T.dst)
     return Cochain(2, Q.h, Q.g, table)
-
-
-def is_dmap1(Q, D) -> bool:
-    return dmap1_residual(Q, D).is_zero()
-
-
-def is_dmap2(Q, T) -> bool:
-    return dmap2_residual(Q, T).is_zero()
 
 
 def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
@@ -446,74 +443,74 @@ def twist2(Q: QuasiTwilled, T: HModuleMap) -> tuple:
 
 
 class LinfOps:
-    """Curved operators controlling one deformation-map type.
+    """The curved L-infinity algebra controlling one deformation-map type.
 
-    Type I on C^*(g, h): l0 = theta, l1 = [pi+rho, .], l2 = [[mu+eta, .], .].
-    Type II on C^*(h, g): l1 = [mu+eta, .], l2 = [[pi+rho, .], .],
-    l3 = [[[theta, .], .], .].  Arguments and values are block cochains; the
-    lift/extract round trip asserts nothing leaks outside the block.
+    Both types take the higher derived brackets of Omega's components
+    (Voronov): l0 is a fixed block cochain and, for k >= 1,
+
+        l_k(f_1, ..., f_k) = P [...[[Gamma_k, f_1]_NR, f_2]_NR, ..., f_k]_NR,
+
+    where the f_i are lifted to G, Gamma_k is the lifted generator of the
+    type and P extracts the block, asserting that nothing leaks outside it.
+    Only the table differs between the types:
+
+        type I  on C^*(g, h): l0 = theta, Gamma_1 = pi + rho, Gamma_2 = mu + eta;
+        type II on C^*(h, g): l0 = 0, Gamma_1 = mu + eta, Gamma_2 = pi + rho,
+                              Gamma_3 = theta.
+
+    The table keeps l0 itself under 0.  A bracket with no entry is the zero
+    cochain.
     """
 
     def __init__(self, Q: QuasiTwilled, kind: str):
         self.Q = Q
-        self.kind = kind
         G = Q.G
-        self._pr = lift_block(Q.pi, G) + lift_mixed(Q.rho, G)
-        self._me = lift_block(Q.mu, G) + lift_mixed(Q.eta, G)
-        self._th = lift_block(Q.theta, G)
+        pr = lift_block(Q.pi, G) + lift_mixed(Q.rho, G)
+        me = lift_block(Q.mu, G) + lift_mixed(Q.eta, G)
         self.src, self.tgt = orientation(Q, kind)
-
-    def _check_block(self, f: Cochain):
-        if (f.source, f.target) != (self.src, self.tgt):
-            raise InputError("argument cochain has the wrong block signature")
-
-    def _lift(self, f: Cochain) -> Cochain:
-        return lift_block(f, self.Q.G)
-
-    def _extract(self, F: Cochain, arity: int) -> Cochain:
-        part, tpart = ("g", "h") if self.kind == TYPE_I else ("h", "g")
-        assert_block_shape(F, (part,) * arity, tpart)
-        return extract_pure(F, part, tpart)
-
-    def l0(self) -> Cochain:
-        if self.kind == TYPE_I:
-            return self.Q.theta
-        return Cochain.zero(2, self.src, self.tgt)
-
-    def l1(self, f: Cochain) -> Cochain:
-        self._check_block(f)
-        op = self._pr if self.kind == TYPE_I else self._me
-        return self._extract(nr_bracket(op, self._lift(f)), f.arity + 1)
-
-    def l2(self, f: Cochain, g: Cochain) -> Cochain:
-        self._check_block(f)
-        self._check_block(g)
-        op = self._me if self.kind == TYPE_I else self._pr
-        inner = nr_bracket(op, self._lift(f))
-        return self._extract(nr_bracket(inner, self._lift(g)), f.arity + g.arity)
-
-    def l3(self, f: Cochain, g: Cochain, h: Cochain) -> Cochain:
-        for c in (f, g, h):
-            self._check_block(c)
-        if self.kind == TYPE_I:
-            return Cochain.zero(f.arity + g.arity + h.arity - 1, self.src, self.tgt)
-        inner = nr_bracket(nr_bracket(self._th, self._lift(f)), self._lift(g))
-        return self._extract(
-            nr_bracket(inner, self._lift(h)), f.arity + g.arity + h.arity - 1
-        )
+        self.parts = (_part_name(G, self.src), _part_name(G, self.tgt))
+        if kind == TYPE_I:
+            self.gens = {0: Q.theta, 1: pr, 2: me}
+        else:
+            self.gens = {1: me, 2: pr, 3: lift_block(Q.theta, G)}
 
     def bracket(self, k: int, args) -> Cochain:
+        """l_k(args), of arity 2 + sum of the argument arities - k."""
+        for f in args:
+            if (f.source, f.target) != (self.src, self.tgt):
+                raise InputError("argument cochain has the wrong block signature")
+        arity = 2 + sum(f.arity for f in args) - k
+        out = self.gens.get(k)
+        if out is None:
+            return Cochain.zero(arity, self.src, self.tgt)
         if k == 0:
-            return self.l0()
-        if k == 1:
-            return self.l1(*args)
-        if k == 2:
-            return self.l2(*args)
-        if k == 3:
-            return self.l3(*args)
-        # l_{k >= 4} vanish for both types; derived arity is 2 + sum - k
-        n = 2 + sum(f.arity for f in args) - k
-        return Cochain.zero(n, self.src, self.tgt)
+            return out
+        for f in args:
+            out = nr_bracket(out, lift_block(f, self.Q.G))
+        assert_block_shape(out, (self.parts[0],) * arity, self.parts[1])
+        return extract_pure(out, *self.parts)
+
+    def l0(self) -> Cochain:
+        return self.bracket(0, ())
+
+    def l1(self, f: Cochain) -> Cochain:
+        return self.bracket(1, (f,))
+
+    def l2(self, f: Cochain, g: Cochain) -> Cochain:
+        return self.bracket(2, (f, g))
+
+    def l3(self, f: Cochain, g: Cochain, h: Cochain) -> Cochain:
+        return self.bracket(3, (f, g, h))
+
+    def mc_terms(self, M: HModuleMap) -> list:
+        """[l_k(M, ..., M) / k! for k = 0..3], the terms of the MC residual."""
+        Mc = M.as_cochain()
+        return [self.bracket(k, (Mc,) * k).scale(Fraction(1, factorial(k))) for k in range(4)]
+
+    def mc_residual(self, M: HModuleMap) -> Cochain:
+        """Sum of the MC terms; equals the defining residual of M (asserted in tests)."""
+        terms = self.mc_terms(M)
+        return sum(terms[1:], terms[0])
 
 
 def curved_l_type1(Q: QuasiTwilled) -> LinfOps:
@@ -524,80 +521,28 @@ def curved_l_type2(Q: QuasiTwilled) -> LinfOps:
     return LinfOps(Q, TYPE_II)
 
 
-def mc_residual_type1(Q: QuasiTwilled, D: HModuleMap) -> Cochain:
-    """l0 + l1(D) + 1/2 l2(D, D); equals -(defining residual), asserted in tests."""
-    ops = curved_l_type1(Q)
-    Dc = D.as_cochain()
-    return ops.l0() + ops.l1(Dc) + ops.l2(Dc, Dc).scale(Fraction(1, 2))
+class TwistedLinfOps(LinfOps):
+    """The operators twisted by a valid deformation map M (Theorems on M + M').
 
-
-def mc_residual_type2(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
-    """l1(T) + 1/2 l2(T,T) + 1/6 l3(T,T,T); equals -(defining residual)."""
-    ops = curved_l_type2(Q)
-    Tc = T.as_cochain()
-    return (
-        ops.l1(Tc)
-        + ops.l2(Tc, Tc).scale(Fraction(1, 2))
-        + ops.l3(Tc, Tc, Tc).scale(Fraction(1, 6))
-    )
-
-
-def mc_residual_strict(Q: QuasiTwilled, M: HModuleMap, kind: str) -> list:
-    """Per-arity residuals l_k(x,...,x); the definition-style MC variant.
-
-    The theorems use the summed residual; this strict mode reports each
-    l_k separately for k = 0..3.
+    l_k^M(f_1, ..., f_k) = sum_{n >= 0} l_{n+k}(M, ..., M, f_1, ..., f_k) / n!
+    with n copies of M, and l_0^M = 0 because M solves the MC equation; so
+    the twisted MC residual of M' is the MC residual of M + M'.
     """
-    ops = LinfOps(Q, kind)
-    Mc = M.as_cochain()
-    out = [ops.l0()] if kind == TYPE_I else []
-    out.append(ops.l1(Mc))
-    out.append(ops.l2(Mc, Mc))
-    if kind == TYPE_II:
-        out.append(ops.l3(Mc, Mc, Mc))
-    return out
-
-
-class TwistedLinfOps:
-    """Operators twisted by a valid deformation map (Theorems on D + D')."""
 
     def __init__(self, Q: QuasiTwilled, M: HModuleMap, kind: str):
         if not dmap_residual(Q, M, kind).is_zero():
             raise InputError("twisting requires a valid deformation map")
-        self.base = LinfOps(Q, kind)
-        self.kind = kind
+        super().__init__(Q, kind)
         self.Mc = M.as_cochain()
 
-    def l1(self, f: Cochain) -> Cochain:
-        out = self.base.l1(f) + self.base.l2(self.Mc, f)
-        if self.kind == TYPE_II:
-            out = out + self.base.l3(self.Mc, self.Mc, f).scale(Fraction(1, 2))
+    def bracket(self, k: int, args) -> Cochain:
+        if k == 0:
+            return Cochain.zero(2, self.src, self.tgt)
+        out = super().bracket(k, args)
+        for n in range(1, max(self.gens) - k + 1):
+            term = super().bracket(n + k, (self.Mc,) * n + tuple(args))
+            out = out + term.scale(Fraction(1, factorial(n)))
         return out
-
-    def l2(self, f: Cochain, g: Cochain) -> Cochain:
-        out = self.base.l2(f, g)
-        if self.kind == TYPE_II:
-            out = out + self.base.l3(self.Mc, f, g)
-        return out
-
-    def l3(self, f, g, h) -> Cochain:
-        return self.base.l3(f, g, h)
-
-    def mc_residual(self, M2: HModuleMap) -> Cochain:
-        """Twisted MC residual of a perturbation; zero iff M + M' deforms."""
-        c = M2.as_cochain()
-        out = self.l1(c) + self.l2(c, c).scale(Fraction(1, 2))
-        if self.kind == TYPE_II:
-            out = out + self.l3(c, c, c).scale(Fraction(1, 6))
-        return out
-
-
-def twisted_l_type1(Q, D) -> TwistedLinfOps:
-    return TwistedLinfOps(Q, D, TYPE_I)
-
-
-def twisted_l_type2(Q, T) -> TwistedLinfOps:
-    return TwistedLinfOps(Q, T, TYPE_II)
 
 
 # -- higher Jacobi identities ----------------------------------------------------

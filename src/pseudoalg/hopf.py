@@ -250,17 +250,20 @@ def mi_degree(K: MultiIndex) -> int:
     return sum(K)
 
 
-class HElem:
-    """Sparse exact element of H = U(b) in divided-power coordinates.
+class Sparse:
+    """A finite linear combination: `terms` maps a basis key to a nonzero scalar.
 
-    Treated as immutable after construction; all operations return new values.
+    The base of `HElem`, `HTensor` and `ptensor.PTElem`, which share this
+    arithmetic.  Values of one class add only when their `_shape()` (the
+    base algebra, arity or module they live over) agrees; `_new(terms)`
+    builds a value of the same shape, and its constructor normalises each
+    scalar with `coeff` and drops zeros.  Sums keep the keys of the left
+    operand first, then the new keys of the right one in their order, and
+    drop a key whose coefficients cancel.  Values are immutable after
+    construction.
     """
 
-    __slots__ = ("alg", "terms")
-
-    def __init__(self, alg: LieAlgebra, terms: dict):
-        self.alg = alg
-        self.terms = {K: v for K, c in terms.items() if (v := coeff(c))}
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -269,32 +272,60 @@ class HElem:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, HElem):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
+        return self._shape() == other._shape() and self.terms == other.terms
 
-    def __add__(self, other: "HElem") -> "HElem":
+    def _check(self, other):
+        if type(other) is not type(self) or self._shape() != other._shape():
+            raise InputError(f"{type(self).__name__} operands differ in base, arity or module")
+
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for K, c in other.terms.items():
-            v = out.get(K, 0) + c
+        for t, c in other.terms.items():
+            v = out.get(t, 0) + c
             if v:
-                out[K] = v
+                out[t] = v
             else:
-                out.pop(K, None)
-        return HElem(self.alg, out)
+                out.pop(t, None)
+        return self._new(out)
 
-    def __sub__(self, other: "HElem") -> "HElem":
-        return self + (-other)
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for t, c in other.terms.items():
+            v = out.get(t, 0) - c
+            if v:
+                out[t] = v
+            else:
+                out.pop(t, None)
+        return self._new(out)
 
-    def __neg__(self) -> "HElem":
-        return HElem(self.alg, {K: -c for K, c in self.terms.items()})
+    def __neg__(self):
+        return self._new({t: -c for t, c in self.terms.items()})
 
-    def scale(self, c) -> "HElem":
+    def scale(self, c):
         c = coeff(c)
         if c == 0:
-            return HElem(self.alg, {})
-        return HElem(self.alg, {K: c * v for K, v in self.terms.items()})
+            return self._new({})
+        return self._new({t: c * v for t, v in self.terms.items()})
+
+
+class HElem(Sparse):
+    """Sparse exact element of H = U(b) in divided-power coordinates."""
+
+    __slots__ = ("alg", "terms")
+
+    def __init__(self, alg: LieAlgebra, terms: dict):
+        self.alg = alg
+        self.terms = {K: v for K, c in terms.items() if (v := coeff(c))}
+
+    def _shape(self):
+        return self.alg
+
+    def _new(self, terms) -> "HElem":
+        return HElem(self.alg, terms)
 
     def __mul__(self, other: "HElem") -> "HElem":
         """PBW product via straightening; exact."""
@@ -309,10 +340,6 @@ class HElem:
                     else:
                         out.pop(K, None)
         return HElem(self.alg, out)
-
-    def _check(self, other: "HElem"):
-        if self.alg != other.alg:
-            raise InputError("elements live over different base Lie algebras")
 
     def degree(self) -> int:
         """Maximal PBW degree of a term (-1 for zero)."""
@@ -351,7 +378,7 @@ def antipode(a: HElem) -> HElem:
     return HElem(a.alg, out)
 
 
-class HTensor:
+class HTensor(Sparse):
     """Sparse element of H^{(x) n}: finite map from multi-index tuples to scalars."""
 
     __slots__ = ("alg", "arity", "terms")
@@ -381,44 +408,15 @@ class HTensor:
             terms = nxt
         return cls(alg, len(legs), terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _shape(self):
+        return self.alg, self.arity
 
-    def __eq__(self, other):
-        if not isinstance(other, HTensor):
-            return NotImplemented
-        return (
-            self.alg == other.alg
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "HTensor") -> "HTensor":
-        if self.arity != other.arity or self.alg != other.alg:
-            raise InputError("tensor arity/base mismatch")
-        out = dict(self.terms)
-        for K, c in other.terms.items():
-            v = out.get(K, 0) + c
-            if v:
-                out[K] = v
-            else:
-                out.pop(K, None)
-        return HTensor(self.alg, self.arity, out)
-
-    def __neg__(self) -> "HTensor":
-        return HTensor(self.alg, self.arity, {K: -c for K, c in self.terms.items()})
-
-    def __sub__(self, other: "HTensor") -> "HTensor":
-        return self + (-other)
-
-    def scale(self, c) -> "HTensor":
-        c = coeff(c)
-        return HTensor(self.alg, self.arity, {K: c * v for K, v in self.terms.items()})
+    def _new(self, terms) -> "HTensor":
+        return HTensor(self.alg, self.arity, terms)
 
     def __mul__(self, other: "HTensor") -> "HTensor":
         """Componentwise product in H^{(x) n}; exercises straightening."""
-        if self.arity != other.arity or self.alg != other.alg:
-            raise InputError("tensor arity/base mismatch")
+        self._check(other)
         out = {}
         for I, ci in self.terms.items():
             for J, cj in other.terms.items():

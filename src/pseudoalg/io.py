@@ -77,6 +77,23 @@ def _mi(v, dim) -> tuple:
     return tuple(v)
 
 
+def _args(args, sources, what: str) -> tuple:
+    """The `args` of a table entry: a list of basis indices, one per source module.
+
+    A map over one module in every slot (a cochain) is stored on
+    non-decreasing tuples only, so there the args must be non-decreasing.
+    """
+    if not (
+        isinstance(args, list)
+        and len(args) == len(sources)
+        and all(type(a) is int and 0 <= a < m.rank for a, m in zip(args, sources))
+    ):
+        raise ParseError(f"{what}: bad args {args!r}")
+    if len(set(sources)) == 1 and args != sorted(args):
+        raise ParseError(f"{what}: args must be non-decreasing, got {args}")
+    return tuple(args)
+
+
 # -- Hopf base -------------------------------------------------------------------
 
 
@@ -217,39 +234,22 @@ def structure_from_json(data) -> QuasiTwilled:
     if unknown:
         raise ParseError(f"unknown map sections {sorted(unknown)}")
 
-    def load_pairs(name, src_ranks, module):
+    def load_pairs(name, sources, module):
         table = {}
         for ent in _objects(maps.get(name, []), f"maps.{name}"):
-            args = ent.get("args")
-            if (
-                not isinstance(args, list)
-                or len(args) != 2
-                or not all(isinstance(a, int) for a in args)
-            ):
-                raise ParseError(f"{name}: bad args {args!r}")
-            for a, r in zip(args, src_ranks):
-                if not 0 <= a < r:
-                    raise ParseError(f"{name}: args {args} out of range")
-            key = tuple(args)
+            key = _args(ent.get("args"), sources, name)
             v = ptelem_from_json(ent.get("terms", []), module, 2)
-            if key in table:
-                table[key] = table[key] + v
-            else:
-                table[key] = v
+            table[key] = table[key] + v if key in table else v
         return table
 
     def as_cochain(name, src, tgt):
-        table = load_pairs(name, (src.rank, src.rank), tgt)
-        for args in table:
-            if list(args) != sorted(args):
-                raise ParseError(f"{name}: args must be non-decreasing, got {args}")
-        return Cochain(2, src, tgt, table)
+        return Cochain(2, src, tgt, load_pairs(name, (src, src), tgt))
 
     pi = as_cochain("pi", g, g)
     theta = as_cochain("theta", g, h)
     mu = as_cochain("mu", h, h)
-    rho = MixedMap(g, h, h, load_pairs("rho", (g.rank, h.rank), h))
-    eta = MixedMap(g, h, g, load_pairs("eta", (g.rank, h.rank), g))
+    rho = MixedMap(g, h, h, load_pairs("rho", (g, h), h))
+    eta = MixedMap(g, h, g, load_pairs("eta", (g, h), g))
     try:
         return QuasiTwilled(g, h, pi=pi, rho=rho, mu=mu, eta=eta, theta=theta)
     except InputError as exc:
@@ -320,19 +320,16 @@ def cochain_from_json(data, modules: dict | None = None) -> Cochain:
             name: _module(name, spec, alg)
             for name, spec in _object(data.get("modules") or {}, "modules section").items()
         }
-    try:
-        src = modules[data.get("source")]
-        tgt = modules[data.get("target")]
-    except KeyError as exc:
-        raise ParseError(f"unknown module name {exc}") from exc
+    names = (data.get("source"), data.get("target"))
+    if not all(isinstance(n, str) and n in modules for n in names):
+        raise ParseError(f"source and target must name modules, got {names}")
+    src, tgt = (modules[n] for n in names)
     arity = data.get("arity")
     if not isinstance(arity, int) or arity < 1:
         raise ParseError(f"bad arity {arity!r}")
     table = {}
     for ent in _objects(data.get("table", []), "cochain table"):
-        args = tuple(ent.get("args", ()))
-        if len(args) != arity or list(args) != sorted(args):
-            raise ParseError(f"bad cochain args {args!r}")
+        args = _args(ent.get("args"), (src,) * arity, "cochain table")
         table[args] = ptelem_from_json(ent.get("terms", []), tgt, arity)
     return Cochain(arity, src, tgt, table)
 

@@ -27,6 +27,7 @@ from .hopf import (
     HTensor,
     InputError,
     LieAlgebra,
+    Sparse,
     coeff,
     mi_degree,
     mi_splits,
@@ -138,7 +139,7 @@ class MElem:
         )
 
 
-class PTElem:
+class PTElem(Sparse):
     """Element of H^{(x)n} (x)_H M in last-slot-normalized canonical form.
 
     terms: {(slots, K, k): coeff} with slots a tuple of n-1 multi-indices,
@@ -158,53 +159,11 @@ class PTElem:
     def zero(cls, module: FreeModule, arity: int) -> "PTElem":
         return cls(module, arity, {})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _shape(self):
+        return self.module, self.arity
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, PTElem):
-            return NotImplemented
-        return (
-            self.module == other.module
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "PTElem") -> "PTElem":
-        if self.module != other.module or self.arity != other.arity:
-            raise InputError("pseudotensor arity/module mismatch")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = out.get(t, 0) + c
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return PTElem(self.module, self.arity, out)
-
-    def __neg__(self):
-        return PTElem(self.module, self.arity, {t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: "PTElem") -> "PTElem":
-        if self.module != other.module or self.arity != other.arity:
-            raise InputError("pseudotensor arity/module mismatch")
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = out.get(t, 0) - c
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return PTElem(self.module, self.arity, out)
-
-    def scale(self, c) -> "PTElem":
-        c = coeff(c)
-        if c == 0:
-            return PTElem.zero(self.module, self.arity)
-        return PTElem(self.module, self.arity, {t: c * v for t, v in self.terms.items()})
+    def _new(self, terms) -> "PTElem":
+        return PTElem(self.module, self.arity, terms)
 
     def degree(self) -> int:
         """Max total PBW degree (slots plus module coefficient); -1 for zero."""

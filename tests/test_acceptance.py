@@ -35,6 +35,7 @@ from pseudoalg.deformation import (
     TYPE_I,
     TYPE_II,
     HModuleMap,
+    TwistedLinfOps,
     curved_l_type1,
     curved_l_type2,
     dmap1_residual,
@@ -42,13 +43,9 @@ from pseudoalg.deformation import (
     exp_twist,
     graph_check,
     linf_jacobi_check,
-    mc_residual_type1,
-    mc_residual_type2,
     orientation,
     twist1,
     twist2,
-    twisted_l_type1,
-    twisted_l_type2,
 )
 from pseudoalg.cohomology import CLASSICAL, consistency_l1_vs_d, handle_for
 from pseudoalg import io as pio
@@ -188,8 +185,8 @@ def test_criterion_05_mc_operator_dictionary():
 
         def mc(mp):
             if kind in zoo.TYPE_I_KINDS:
-                return mc_residual_type1(Q, mp)
-            return mc_residual_type2(Q, mp)
+                return curved_l_type1(Q).mc_residual(mp)
+            return curved_l_type2(Q).mc_residual(mp)
 
         maps = [bundle["map"]] + [zoo.random_hmap(rng, src, dst) for _ in range(20)]
         for mp in maps:
@@ -199,12 +196,12 @@ def test_criterion_05_mc_operator_dictionary():
     mr = zoo.demo_bundle(zoo.MODIFIED_R)
     for c in range(-4, 5):
         D = HModuleMap.scalar(mr["Q"].g, mr["Q"].h, Fraction(c))
-        ok &= mc_residual_type1(mr["Q"], D).is_zero() == (c * c == 4)
+        ok &= curved_l_type1(mr["Q"]).mc_residual(D).is_zero() == (c * c == 4)
     # T = c id is a Reynolds operator (as printed) iff c in {0, -1}
     ry = zoo.demo_bundle(zoo.REYNOLDS)
     for c in range(-4, 5):
         T = HModuleMap.scalar(ry["Q"].h, ry["Q"].g, Fraction(c))
-        ok &= mc_residual_type2(ry["Q"], T).is_zero() == (c in (0, -1))
+        ok &= curved_l_type2(ry["Q"]).mc_residual(T).is_zero() == (c in (0, -1))
     b.done(ok)
 
 
@@ -258,14 +255,14 @@ def test_criterion_09_twisted_mc():
     rng = random.Random(901)
     ok = True
     mr = zoo.demo_bundle(zoo.MODIFIED_R)
-    tw1 = twisted_l_type1(mr["Q"], mr["map"])
+    tw1 = TwistedLinfOps(mr["Q"], mr["map"], TYPE_I)
     for _ in range(20):
         D2 = zoo.random_hmap(rng, mr["Q"].g, mr["Q"].h)
         lhs = tw1.mc_residual(D2)
         rhs = dmap1_residual(mr["Q"], mr["map"] + D2)
         ok &= lhs.is_zero() == rhs.is_zero() and lhs == rhs
     ry = zoo.demo_bundle(zoo.REYNOLDS)
-    tw2 = twisted_l_type2(ry["Q"], ry["map"])
+    tw2 = TwistedLinfOps(ry["Q"], ry["map"], TYPE_II)
     for _ in range(20):
         T2 = zoo.random_hmap(rng, ry["Q"].h, ry["Q"].g)
         lhs = tw2.mc_residual(T2)

@@ -22,9 +22,8 @@ from pseudoalg.deformation import (
     TYPE_I,
     TYPE_II,
     HModuleMap,
+    TwistedLinfOps,
     dmap1_residual,
-    twisted_l_type1,
-    twisted_l_type2,
 )
 from pseudoalg.cohomology import (
     CEComplexHandle,
@@ -231,7 +230,7 @@ def test_l1_vs_d_validated_convention(rng):
                 f = random_cochain(rng, src, tgt, p, max_deg=2)
                 out = consistency_l1_vs_d(kind, Q, m, f)
                 assert CLASSICAL in out["validated"], (entry["name"], kind, p, out)
-                tw = twisted_l_type1(Q, m) if kind == "I" else twisted_l_type2(Q, m)
+                tw = TwistedLinfOps(Q, m, kind)
                 if p == 2 and not tw.l1(f).is_zero():
                     seen_nonzero_p2 = True
                     assert out["validated"] == [CLASSICAL]
@@ -245,7 +244,7 @@ def test_l1_vs_d_discriminates_on_rank2(qd, rng):
     D0 = HModuleMap.zero(Q.g, Q.h)
     for _ in range(30):
         f = random_cochain(rng, Q.g, Q.h, 2, max_deg=1)
-        tw = twisted_l_type1(Q, D0)
+        tw = TwistedLinfOps(Q, D0, TYPE_I)
         if tw.l1(f).is_zero():
             continue
         out = consistency_l1_vs_d(TYPE_I, Q, D0, f)

@@ -14,6 +14,8 @@ from pseudoalg.deformation import (
     TYPE_I,
     TYPE_II,
     HModuleMap,
+    LinfOps,
+    TwistedLinfOps,
     conjugate_twist,
     curved_l_type1,
     curved_l_type2,
@@ -21,17 +23,10 @@ from pseudoalg.deformation import (
     dmap2_residual,
     exp_twist,
     graph_check,
-    is_dmap1,
-    is_dmap2,
     linf_identity_residual,
     linf_jacobi_check,
-    mc_residual_strict,
-    mc_residual_type1,
-    mc_residual_type2,
     twist1,
     twist2,
-    twisted_l_type1,
-    twisted_l_type2,
 )
 from pseudoalg import zoo
 
@@ -51,24 +46,24 @@ def test_modified_r_residual_closed_form(modified_r_q):
     for c in (-3, -2, 0, 1, 2, 5):
         r = dmap1_residual(Q, cid(Q, c))
         assert r.value((0, 0)) == vir_value(Q.h, scale=Fraction(4) - Fraction(c) ** 2)
-    assert is_dmap1(Q, cid(Q, 2)) and is_dmap1(Q, cid(Q, -2))
+    assert dmap1_residual(Q, cid(Q, 2)).is_zero() and dmap1_residual(Q, cid(Q, -2)).is_zero()
 
 
 def test_dmap_zero_map(qd):
     # D = 0 is a deformation map exactly when theta = 0
     b = zoo.demo_bundle(zoo.DERIVATION)
-    assert is_dmap1(b["Q"], HModuleMap.zero(b["Q"].g, b["Q"].h))
-    assert is_dmap2(b["Q"], HModuleMap.zero(b["Q"].h, b["Q"].g))
+    assert dmap1_residual(b["Q"], HModuleMap.zero(b["Q"].g, b["Q"].h)).is_zero()
+    assert dmap2_residual(b["Q"], HModuleMap.zero(b["Q"].h, b["Q"].g)).is_zero()
     r = zoo.demo_bundle(zoo.REYNOLDS)
-    assert not is_dmap1(r["Q"], HModuleMap.zero(r["Q"].g, r["Q"].h))
+    assert not dmap1_residual(r["Q"], HModuleMap.zero(r["Q"].g, r["Q"].h)).is_zero()
 
 
 def test_cocycle_structure_admits_dmap_iff_exact(qd):
     # twisted_rb demo has omega = -d_CE(id), so D = id is a deformation map
     b = zoo.demo_bundle(zoo.TWISTED_RB)
     Q = b["Q"]
-    assert is_dmap1(Q, cid(Q, 1))
-    assert not is_dmap1(Q, cid(Q, 2))
+    assert dmap1_residual(Q, cid(Q, 1)).is_zero()
+    assert not dmap1_residual(Q, cid(Q, 2)).is_zero()
 
 
 def test_reynolds_residual_closed_form(reynolds_q):
@@ -77,7 +72,8 @@ def test_reynolds_residual_closed_form(reynolds_q):
         r = dmap2_residual(Q, cid(Q, c, TYPE_II))
         cc = Fraction(c)
         assert r.value((0, 0)) == vir_value(Q.g, scale=-(cc**2) * (1 + cc))
-    assert is_dmap2(Q, cid(Q, -1, TYPE_II)) and is_dmap2(Q, cid(Q, 0, TYPE_II))
+    for c in (-1, 0):
+        assert dmap2_residual(Q, cid(Q, c, TYPE_II)).is_zero()
 
 
 def test_residuals_are_skew_cochains(modified_r_q, reynolds_q, rng):
@@ -200,18 +196,18 @@ def test_mc_equals_defining_residual_everywhere(rng):
         Q = entry["Q"]
         for _ in range(2):
             D = zoo.random_hmap(rng, Q.g, Q.h)
-            assert mc_residual_type1(Q, D) == dmap1_residual(Q, D)
+            assert curved_l_type1(Q).mc_residual(D) == dmap1_residual(Q, D)
             T = zoo.random_hmap(rng, Q.h, Q.g)
-            assert mc_residual_type2(Q, T) == dmap2_residual(Q, T)
+            assert curved_l_type2(Q).mc_residual(T) == dmap2_residual(Q, T)
 
 
 def test_mc_strict_mode(modified_r_q):
-    # strict mode reports l_k(x,...,x) separately; their weighted sum is the
+    # the MC terms l_k(x,...,x)/k! are reported separately; their sum is the
     # summed MC residual of the theorems
     Q = modified_r_q
-    parts = mc_residual_strict(Q, cid(Q, 2), TYPE_I)
-    total = parts[0] + parts[1] + parts[2].scale(Fraction(1, 2))
-    assert total == mc_residual_type1(Q, cid(Q, 2))
+    parts = LinfOps(Q, TYPE_I).mc_terms(cid(Q, 2))
+    total = parts[0] + parts[1] + parts[2] + parts[3]
+    assert total == curved_l_type1(Q).mc_residual(cid(Q, 2))
     # a valid strict MC element is in particular a summed MC element, but the
     # converse fails: here the summed residual vanishes while l0 alone does not
     assert total.is_zero() and not parts[0].is_zero()
@@ -219,21 +215,21 @@ def test_mc_strict_mode(modified_r_q):
 
 def test_twisted_theorem_type1(modified_r_q):
     Q = modified_r_q
-    tw = twisted_l_type1(Q, cid(Q, 2))
+    tw = TwistedLinfOps(Q, cid(Q, 2), TYPE_I)
     assert tw.mc_residual(cid(Q, -4)).is_zero()  # D + D' = -2 id passes
     r = tw.mc_residual(cid(Q, 1))
     assert r.value((0, 0)) == vir_value(Q.h, scale=-5)  # (4 - 9)
-    assert r == mc_residual_type1(Q, cid(Q, 3))
+    assert r == curved_l_type1(Q).mc_residual(cid(Q, 3))
     with pytest.raises(InputError):
-        twisted_l_type1(Q, cid(Q, 1))
+        TwistedLinfOps(Q, cid(Q, 1), TYPE_I)
 
 
 def test_twisted_theorem_type2(reynolds_q):
     Q = reynolds_q
-    tw = twisted_l_type2(Q, cid(Q, -1, TYPE_II))
+    tw = TwistedLinfOps(Q, cid(Q, -1, TYPE_II), TYPE_II)
     assert tw.mc_residual(cid(Q, 1, TYPE_II)).is_zero()  # T + T' = 0 passes
     r = tw.mc_residual(cid(Q, -1, TYPE_II))
-    assert r == mc_residual_type2(Q, cid(Q, -2, TYPE_II))
+    assert r == curved_l_type2(Q).mc_residual(cid(Q, -2, TYPE_II))
     # residual orientation is -c^2(1+c); at c = -2 that is +4 (spec quotes
     # the c^2(1+c) = -4 form; both are nonzero, the map fails)
     assert r.value((0, 0)) == vir_value(Q.g, scale=4)
@@ -245,15 +241,52 @@ def test_twisted_theorems_random(rng):
     for entry in zoo.zoo_structures():
         Q = entry["Q"]
         if entry["type1"] is not None:
-            tw = twisted_l_type1(Q, entry["type1"])
+            tw = TwistedLinfOps(Q, entry["type1"], TYPE_I)
             for _ in range(2):
                 D2 = zoo.random_hmap(rng, Q.g, Q.h)
                 assert tw.mc_residual(D2) == dmap1_residual(Q, entry["type1"] + D2)
         if entry["type2"] is not None:
-            tw = twisted_l_type2(Q, entry["type2"])
+            tw = TwistedLinfOps(Q, entry["type2"], TYPE_II)
             for _ in range(2):
                 T2 = zoo.random_hmap(rng, Q.h, Q.g)
                 assert tw.mc_residual(T2) == dmap2_residual(Q, entry["type2"] + T2)
+
+
+def _twisted_reference(Q, M, kind):
+    """The twisted l1, l2, l3 written out per type from the untwisted l_k."""
+    base, Mc = LinfOps(Q, kind), M.as_cochain()
+
+    def l1(f):
+        out = base.l1(f) + base.l2(Mc, f)
+        if kind == TYPE_II:
+            out = out + base.l3(Mc, Mc, f).scale(Fraction(1, 2))
+        return out
+
+    def l2(f, g):
+        out = base.l2(f, g)
+        if kind == TYPE_II:
+            out = out + base.l3(Mc, f, g)
+        return out
+
+    return l1, l2, base.l3
+
+
+def test_twisted_brackets_match_the_per_type_reference(rng):
+    # l_k^M = sum_n l_{n+k}(M^n, ...)/n! against the closed per-type sums, on
+    # every zoo structure with a valid map of the type
+    for entry in zoo.zoo_structures():
+        Q = entry["Q"]
+        for kind, M in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"])):
+            if M is None:
+                continue
+            tw = TwistedLinfOps(Q, M, kind)
+            l1, l2, l3 = _twisted_reference(Q, M, kind)
+            assert tw.l0().is_zero()
+            for ar in (1, 2):
+                f, g, h = (random_cochain(rng, M.src, M.dst, a, max_deg=1) for a in (ar, 1, 2))
+                assert tw.l1(f) == l1(f), (entry["name"], kind, ar)
+                assert tw.l2(f, g) == l2(f, g), (entry["name"], kind, ar)
+                assert tw.l3(f, g, h) == l3(f, g, h), (entry["name"], kind, ar)
 
 
 def test_invertible_duality(modified_r_q):
@@ -263,7 +296,7 @@ def test_invertible_duality(modified_r_q):
     for c in (1, 2, -2, 3):
         D = cid(Q, c)
         T = cid(Q, Fraction(1, c), TYPE_II)
-        assert is_dmap1(Q, D) == is_dmap2(Q, T)
+        assert dmap1_residual(Q, D).is_zero() == dmap2_residual(Q, T).is_zero()
 
 
 def test_linf_identities_zoo(rng):

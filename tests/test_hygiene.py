@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on its syntax trees (stdlib only)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from pseudoalg import io as pio
 
 PACKAGE_DIR = Path(pio.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list:
@@ -134,3 +136,66 @@ def test_no_module_level_memo(path):
     # kernel memos live on the LieAlgebra instance and solver memos for one
     # call, so no cache outlives the objects it was computed for
     assert module_memos(path.read_text(encoding="utf-8")) == []
+
+
+def _identifiers(tree) -> Counter:
+    """How often the tree refers to each name: as a name, attribute or imported name."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def unreferenced(source: str, elsewhere=Counter()) -> list:
+    """Functions, classes and public methods of `source` that nothing refers to.
+
+    `elsewhere` counts the references in other files.  A reference inside
+    the definition itself, such as a recursive call, does not count.
+    """
+    tree = ast.parse(source)
+    total = _identifiers(tree) + elsewhere
+    methods = {
+        id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body
+    }
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (id(node) in methods and node.name.startswith("_"))
+        and total[node.name] == _identifiers(node)[node.name]
+    )
+
+
+def test_guard_sees_an_unreferenced_definition():
+    src = (
+        "def f(n):\n    return f(n - 1)\n"
+        "class A:\n    def used(self):\n        return A\n"
+        "    def unused(self):\n        pass\n    def _private(self):\n        pass\n"
+        "def g():\n    def inner():\n        pass\n    return A().used()\n"
+    )
+    assert unreferenced(src) == [(1, "f"), (6, "unused"), (10, "g"), (11, "inner")]
+    other = _identifiers(ast.parse("from m import f, g\nx.unused\n"))
+    assert unreferenced(src, other) == [(11, "inner")]
+
+
+@pytest.fixture(scope="module")
+def references() -> dict:
+    """The reference counts of every Python file in src/, tests/ and perfbench/."""
+    return {
+        p: _identifiers(ast.parse(p.read_text(encoding="utf-8")))
+        for folder in ("src", "tests", "perfbench")
+        for p in sorted((REPO / folder).rglob("*.py"))
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_definition_is_referenced(path, references):
+    # a definition nothing refers to is dead code, such as a wrapper left behind
+    elsewhere = sum((c for p, c in references.items() if p != path.resolve()), Counter())
+    assert unreferenced(path.read_text(encoding="utf-8"), elsewhere) == []

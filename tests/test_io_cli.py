@@ -230,6 +230,29 @@ def test_cli_wrong_type_inside_entry_exit2(capsys, tmp_path, keys, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("args", ["a", 0]),
+        ("args", 5),
+        ("args", [0, 7]),
+        ("args", [-1, 0]),
+        ("args", [0.0, 0]),
+        ("source", ["g"]),
+    ],
+    ids=["args-str", "args-int", "args-above-rank", "args-negative", "args-float", "source-list"],
+)
+def test_cli_nr_bad_cochain_entry_exit2(capsys, tmp_path, key, value):
+    # args must be in-range ints and source/target module names, else exit 2
+    data = json.loads((GOLDEN_DIR / "nr_f.json").read_text())
+    (data["table"][0] if key == "args" else data)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["nr", str(bad), str(GOLDEN_DIR / "nr_g.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_cli_cohomology_rejects_arity_below_one(files, capsys, degree):
     args = ["cohomology", "--type", "I", str(files["struct"]), str(files["good"])]

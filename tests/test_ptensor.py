@@ -1,12 +1,13 @@
 """Canonical forms and slot operations on H^{(x)n} (x)_H M."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from pseudoalg.hopf import HTensor, InputError, LieAlgebra
+from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra
 from pseudoalg.ptensor import (
     FreeModule,
     MElem,
@@ -150,16 +151,46 @@ def test_linear_combine(qd, M, rng):
 
 
 def test_sub_is_add_of_negative(b2, rng):
-    # direct subtraction: the values and the term order of self + (-other)
+    # direct subtraction: the values and the term order of self + (-other),
+    # for every class of linear combinations built on hopf.Sparse
     M2 = FreeModule("M2", ["x", "y"], b2)
+
+    def helem():
+        terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-2, 2) for _ in range(4)}
+        return HElem(b2, terms)
+
+    cases = [(helem(), helem(), b2.zero())]
     for arity in (1, 2, 3):
         e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
         f = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
-        for a, b in ((e, f), (f, e), (e, e), (e, PTElem.zero(M2, arity))):
+        cases.append((e, f, PTElem.zero(M2, arity)))
+        s, t = (HTensor.from_legs([helem() for _ in range(arity)]) for _ in range(2))
+        cases.append((s, t, HTensor(b2, arity, {})))
+    for e, f, zero in cases:
+        for a, b in ((e, f), (f, e), (e, e), (e, zero)):
             got, expected = a - b, a + (-b)
             assert list(got.terms.items()) == list(expected.terms.items())
-    with pytest.raises(InputError):
-        e - random_ptelem(rng, M2, 2)
+
+
+def test_sparse_shapes_do_not_mix(qd, b2, rng):
+    M2 = FreeModule("M2", ["x", "y"], b2)
+    N2 = FreeModule("N2", ["x", "y"], b2)
+    mismatched = [
+        (b2.unit(), qd.unit()),
+        (HTensor.unit(b2, 2), HTensor.unit(qd, 2)),
+        (HTensor.unit(b2, 2), HTensor.unit(b2, 3)),
+        (random_ptelem(rng, M2, 2), random_ptelem(rng, M2, 3)),
+        (random_ptelem(rng, M2, 2), random_ptelem(rng, N2, 2)),
+        (b2.unit(), HTensor.unit(b2, 1)),
+    ]
+    for a, b in mismatched:
+        for op in (operator.add, operator.sub):
+            with pytest.raises(InputError):
+                op(a, b)
+    # values of different classes are never equal, even on the same terms
+    values = [b2.unit(), HTensor.unit(b2, 1), PTElem(M2, 1, {((), (0, 0), 0): 1})]
+    for a, b in itertools.permutations(values, 2):
+        assert (a == b) is False and a != b
 
 
 def test_placed_then_canonicalize_is_permute(b2, rng):
