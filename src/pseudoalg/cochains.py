@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import HTensor, InputError, coeff, mi_splits
+from .hopf import HTensor, InputError, Sparse, mi_splits
 from .ptensor import (
     FreeModule,
     MElem,
@@ -47,85 +47,41 @@ def sorted_tuples(rank: int, p: int):
     return itertools.combinations_with_replacement(range(rank), p)
 
 
-class Cochain:
-    """Skew-symmetric conformal p-linear map source^{(x)p} -> H^{(x)p} (x)_H target."""
+class Cochain(Sparse):
+    """Skew-symmetric conformal p-linear map source^{(x)p} -> H^{(x)p} (x)_H target.
 
-    __slots__ = ("arity", "source", "target", "table", "_value_cache")
+    `terms` maps each non-decreasing tuple of source basis indices to the
+    value on it, an arity-p PTElem over target; a missing tuple means zero.
+    """
 
-    def __init__(self, arity: int, source: FreeModule, target: FreeModule, table: dict):
+    __slots__ = ("arity", "source", "target", "terms", "_value_cache")
+
+    def __init__(self, arity: int, source: FreeModule, target: FreeModule, terms: dict):
         if arity < 1:
             raise InputError("cochain arity must be >= 1")
         self.arity = arity
         self.source = source
         self.target = target
-        self.table = {}
-        for t, v in table.items():
+        self.terms = {}
+        for t, v in terms.items():
             t = tuple(t)
             if list(t) != sorted(t):
                 raise InputError(f"table key {t} is not non-decreasing")
             if v.arity != arity or v.module != target:
                 raise InputError("table value has wrong arity or module")
             if not v.is_zero():
-                self.table[t] = v
+                self.terms[t] = v
         self._value_cache = {}
 
     @classmethod
     def zero(cls, arity, source, target) -> "Cochain":
         return cls(arity, source, target, {})
 
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.table.values())
+    def _shape(self):
+        return self.arity, self.source, self.target
 
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if (self.arity, self.source, self.target) != (
-            other.arity,
-            other.source,
-            other.target,
-        ):
-            return False
-        keys = set(self.table) | set(other.table)
-        zero = PTElem.zero(self.target, self.arity)
-        return all(
-            self.table.get(t, zero) == other.table.get(t, zero) for t in keys
-        )
-
-    def _check_shape(self, other: "Cochain"):
-        if (self.arity, self.source, self.target) != (
-            other.arity,
-            other.source,
-            other.target,
-        ):
-            raise InputError("cochain shape mismatch")
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        self._check_shape(other)
-        out = dict(self.table)
-        for t, v in other.table.items():
-            cur = out.get(t)
-            out[t] = v if cur is None else cur + v
-        return Cochain(self.arity, self.source, self.target, out)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        self._check_shape(other)
-        out = dict(self.table)
-        for t, v in other.table.items():
-            cur = out.get(t)
-            out[t] = -v if cur is None else cur - v
-        return Cochain(self.arity, self.source, self.target, out)
-
-    def scale(self, c) -> "Cochain":
-        c = coeff(c)
-        return Cochain(
-            self.arity,
-            self.source,
-            self.target,
-            {t: v.scale(c) for t, v in self.table.items()},
-        )
+    def _new(self, terms) -> "Cochain":
+        return Cochain(self.arity, self.source, self.target, terms)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -137,7 +93,7 @@ class Cochain:
             return cached
         order = tuple(sorted(range(self.arity), key=lambda i: args[i]))
         key = tuple(args[i] for i in order)
-        stored = self.table.get(key)
+        stored = self.terms.get(key)
         if stored is None:
             out = PTElem.zero(self.target, self.arity)
         elif order == tuple(range(self.arity)):
@@ -159,7 +115,7 @@ class Cochain:
             if a.module != self.source:
                 raise InputError("eval: argument in wrong module")
         acc = PTElem.zero(self.target, self.arity)
-        for combo in itertools.product(*(sorted(a.coords.items()) for a in args)):
+        for combo in itertools.product(*(sorted(a.terms.items()) for a in args)):
             keys = tuple(k for k, _h in combo)
             base = self.value(keys)
             if base.is_zero():
@@ -168,12 +124,12 @@ class Cochain:
         return acc
 
     def max_degree(self) -> int:
-        return max((v.degree() for v in self.table.values()), default=-1)
+        return max((v.degree() for v in self.terms.values()), default=-1)
 
     def __repr__(self):
         return (
             f"Cochain(arity={self.arity}, {self.source.name}->{self.target.name}, "
-            f"{len(self.table)} entries)"
+            f"{len(self.terms)} entries)"
         )
 
 
@@ -184,7 +140,7 @@ def skew_check(f: Cochain):
     """
     failures = []
     p = f.arity
-    for t in sorted(f.table):
+    for t in sorted(f.terms):
         for i in range(p - 1):
             swapped = list(t)
             swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
@@ -348,59 +304,48 @@ def nr_bracket(f: Cochain, g: Cochain) -> Cochain:
 # -- mixed binary components ---------------------------------------------------
 
 
-class MixedMap:
-    """H^{(x)2}-linear map g (x) h -> H^{(x)2} (x)_H target (no symmetry constraint)."""
+class MixedMap(Sparse):
+    """H^{(x)2}-linear map g (x) h -> H^{(x)2} (x)_H target (no symmetry constraint).
 
-    __slots__ = ("gmod", "hmod", "target", "table")
+    `terms` maps a pair (i, j) of a g and an h basis index to the value on
+    x_i (x) u_j, an arity-2 PTElem over target; a missing pair means zero.
+    """
 
-    def __init__(self, gmod, hmod, target, table):
+    __slots__ = ("gmod", "hmod", "target", "terms")
+
+    def __init__(self, gmod, hmod, target, terms):
         self.gmod = gmod
         self.hmod = hmod
         self.target = target
-        self.table = {}
-        for (i, j), v in table.items():
+        self.terms = {}
+        for (i, j), v in terms.items():
             if v.arity != 2 or v.module != target:
                 raise InputError("mixed map value has wrong arity or module")
             if not v.is_zero():
-                self.table[(i, j)] = v
+                self.terms[(i, j)] = v
 
     @classmethod
     def zero(cls, gmod, hmod, target):
         return cls(gmod, hmod, target, {})
 
-    def is_zero(self):
-        return not self.table
+    def _shape(self):
+        return self.gmod, self.hmod, self.target
+
+    def _new(self, terms) -> "MixedMap":
+        return MixedMap(self.gmod, self.hmod, self.target, terms)
 
     def value(self, i: int, j: int) -> PTElem:
-        return self.table.get((i, j), PTElem.zero(self.target, 2))
+        return self.terms.get((i, j), PTElem.zero(self.target, 2))
 
     def eval(self, x: MElem, u: MElem) -> PTElem:
         acc = PTElem.zero(self.target, 2)
-        for i, hx in sorted(x.coords.items()):
-            for j, hu in sorted(u.coords.items()):
+        for i, hx in sorted(x.terms.items()):
+            for j, hu in sorted(u.terms.items()):
                 base = self.value(i, j)
                 if base.is_zero():
                     continue
                 acc = acc + act(HTensor.from_legs([hx, hu]), base)
         return acc
-
-    def __add__(self, other: "MixedMap") -> "MixedMap":
-        out = dict(self.table)
-        for key, v in other.table.items():
-            cur = out.get(key)
-            out[key] = v if cur is None else cur + v
-        return MixedMap(self.gmod, self.hmod, self.target, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "MixedMap":
-        return MixedMap(
-            self.gmod,
-            self.hmod,
-            self.target,
-            {k: v.scale(c) for k, v in self.table.items()},
-        )
 
     def swapped(self) -> "MixedMap":
         """The map with its arguments exchanged: m'(b (x) a) = -(12) m(a (x) b).
@@ -408,20 +353,10 @@ class MixedMap:
         This is the reorientation between a matched-pair action h (x) g -> g
         and the quasi-twilled component g (x) h -> g; it is an involution.
         """
-        table = {
-            (j, i): permute(v, swap_dest(2, 0, 1)).scale(-1) for (i, j), v in self.table.items()
+        terms = {
+            (j, i): permute(v, swap_dest(2, 0, 1)).scale(-1) for (i, j), v in self.terms.items()
         }
-        return MixedMap(self.hmod, self.gmod, self.target, table)
-
-    def __eq__(self, other):
-        if not isinstance(other, MixedMap):
-            return NotImplemented
-        keys = set(self.table) | set(other.table)
-        return (self.gmod, self.hmod, self.target) == (
-            other.gmod,
-            other.hmod,
-            other.target,
-        ) and all(self.value(*k) == other.value(*k) for k in keys)
+        return MixedMap(self.hmod, self.gmod, self.target, terms)
 
     def __repr__(self):
         return f"MixedMap({self.gmod.name}(x){self.hmod.name}->{self.target.name})"
@@ -460,7 +395,7 @@ def lift_block(f: Cochain, G: FreeModule) -> Cochain:
     shift = _part(G, _part_name(G, f.source))[1]
     tpart = _part_name(G, f.target)
     table = {}
-    for t, v in f.table.items():
+    for t, v in f.terms.items():
         table[tuple(i + shift for i in t)] = coerce_to_sum(v, G, tpart)
     return Cochain(f.arity, G, G, table)
 
@@ -472,7 +407,7 @@ def lift_mixed(m: MixedMap, G: FreeModule) -> Cochain:
     tpart = _part_name(G, m.target)
     cut = G.split
     table = {}
-    for (i, j), v in m.table.items():
+    for (i, j), v in m.terms.items():
         table[(i, cut + j)] = coerce_to_sum(v, G, tpart)
     return Cochain(2, G, G, table)
 
@@ -487,7 +422,7 @@ def extract_components(F: Cochain) -> dict:
     G = F.source
     cut = G.split
     out = {}
-    for t, v in F.table.items():
+    for t, v in F.terms.items():
         pattern = tuple("g" if i < cut else "h" for i in t)
         local = tuple(i if i < cut else i - cut for i in t)
         vg, vh = v.split_by_part()
@@ -510,7 +445,7 @@ def extract_pure(F: Cochain, part: str, tpart: str) -> Cochain:
     src, offset = _part(G, part)
     cut = G.split
     table = {}
-    for t, v in F.table.items():
+    for t, v in F.terms.items():
         if all((i < cut) == (part == "g") for i in t):
             table[tuple(i - offset for i in t)] = _extract_piece(v, tpart)
     return Cochain(F.arity, src, _part(G, tpart)[0], table)
@@ -523,7 +458,7 @@ def extract_mixed(F: Cochain, tpart: str) -> MixedMap:
     G = F.source
     cut = G.split
     table = {
-        (i, j - cut): _extract_piece(v, tpart) for (i, j), v in F.table.items() if i < cut <= j
+        (i, j - cut): _extract_piece(v, tpart) for (i, j), v in F.terms.items() if i < cut <= j
     }
     return MixedMap(*G.parts, _part(G, tpart)[0], table)
 
@@ -576,7 +511,7 @@ def transpose_last(f: Cochain) -> Cochain:
     if n < 2:
         return f
     table = {}
-    for t in f.table:
+    for t in f.terms:
         swapped = list(t)
         swapped[-1], swapped[-2] = swapped[-2], swapped[-1]
         v = permute(f.value(tuple(swapped)), swap_dest(n, n - 2, n - 1))

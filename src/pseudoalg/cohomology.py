@@ -179,7 +179,7 @@ class CEComplexHandle:
         return ce_differential0(self.bracket, self.action, u, self.convention)
 
     def max_growth(self) -> int:
-        act_deg = max((v.degree() for v in self.action.table.values()), default=0)
+        act_deg = max((v.degree() for v in self.action.terms.values()), default=0)
         return max(self.bracket.max_degree(), act_deg, 0)
 
 
@@ -283,8 +283,8 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
                     - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
                 )
 
-            fy = _melem_of_value(f, (j,), Q.h)
-            fx = _melem_of_value(f, (i,), Q.h)
+            fy = MElem.from_ptelem(f.value((j,)))
+            fx = MElem.from_ptelem(f.value((i,)))
             pi_D = (
                 Q.pi.value((i, j))
                 + Q.eta.eval(x, D(y))
@@ -297,20 +297,10 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
             )
             if not r.is_zero():
                 direct[(i, j)] = r
-        differential = handle.diff(f).table
+        differential = handle.diff(f).terms
     else:
         raise InputError("cocycle certificates cover n in {1, 2}")
     return _cocycle_report(direct, differential, convention)
-
-
-def _melem_of_value(f: Cochain, key, module: FreeModule) -> MElem:
-    """Interpret an arity-1 cochain value as a module element."""
-    v = f.value(key)
-    coords = {}
-    for (slots, K, k), c in v.terms.items():
-        h = module.alg.mono(K).scale(c)
-        coords[k] = coords.get(k, module.alg.zero()) + h
-    return MElem(module, coords)
 
 
 def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
@@ -329,8 +319,8 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
     elif n == 2:
         for i, j in sorted_tuples(Q.h.rank, 2):
             u, v = Q.hu(i), Q.hu(j)
-            fv = _melem_of_value(f, (j,), Q.g)
-            fu = _melem_of_value(f, (i,), Q.g)
+            fv = MElem.from_ptelem(f.value((j,)))
+            fu = MElem.from_ptelem(f.value((i,)))
             mu_T = res.mu.value((i, j))
             r = (
                 zeta_value(Q, T, u, fv)
@@ -339,7 +329,7 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
             )
             if not r.is_zero():
                 direct[(i, j)] = r
-        differential = handle.diff(f).table
+        differential = handle.diff(f).terms
     else:
         raise InputError("cocycle certificates cover n in {1, 2}")
     return _cocycle_report(direct, differential, convention)
@@ -536,7 +526,7 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     basis_p = skew_basis(A, M, p, cap)
     index_up = cochain_coords(A, M, p + 1, cap + growth)
     # rank of d on the basis = rank of its images taken as rows
-    images = [_vec_of_cochain(handle.diff(f).table, index_up) for f in basis_p]
+    images = [_vec_of_cochain(handle.diff(f).terms, index_up) for f in basis_p]
     dim_z = len(basis_p) - linalg.rank(images)
 
     # coboundaries: image of d from one arity below, within the window
@@ -552,7 +542,7 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     else:
         index = cochain_coords(A, M, p, cap + growth)
         prev_cols = [
-            _vec_of_cochain(handle.diff(f).table, index)
+            _vec_of_cochain(handle.diff(f).terms, index)
             for f in skew_basis(A, M, p - 1, cap)
         ]
     inside = [

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .hopf import InputError, InternalInvariantError
-from .ptensor import FreeModule, MElem, PTElem, permute
+from .hopf import InputError, InternalInvariantError, Sparse
+from .ptensor import FreeModule, MElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
@@ -47,20 +47,26 @@ TYPE_I = "I"
 TYPE_II = "II"
 
 
-class HModuleMap:
-    """Left H-module map between free modules, stored as an H-valued matrix."""
+class HModuleMap(Sparse):
+    """Left H-module map between free modules.
 
-    def __init__(self, src: FreeModule, dst: FreeModule, rows: dict):
+    `terms` maps a source basis index i to the image of e_i, a nonzero MElem
+    of dst; a missing index maps to zero.
+    """
+
+    __slots__ = ("src", "dst", "terms")
+
+    def __init__(self, src: FreeModule, dst: FreeModule, terms: dict):
         self.src = src
         self.dst = dst
-        self.rows = {}
-        for i, m in rows.items():
+        self.terms = {}
+        for i, m in terms.items():
             if not 0 <= i < src.rank:
                 raise InputError("row index out of range")
             if m.module != dst:
                 raise InputError("row lives in the wrong module")
             if not m.is_zero():
-                self.rows[i] = m
+                self.terms[i] = m
 
     @classmethod
     def zero(cls, src, dst):
@@ -75,55 +81,29 @@ class HModuleMap:
             rows[i] = dst.elem(j).scale(c)
         return cls(src, dst, rows)
 
+    def _shape(self):
+        return self.src, self.dst
+
+    def _new(self, terms) -> "HModuleMap":
+        return HModuleMap(self.src, self.dst, terms)
+
     def __call__(self, m: MElem) -> MElem:
         if m.module != self.src:
             raise InputError("map applied to element of the wrong module")
         acc = self.dst.zero_elem()
-        for i, h in m.coords.items():
-            row = self.rows.get(i)
+        for i, h in m.terms.items():
+            row = self.terms.get(i)
             if row is not None:
                 acc = acc + row.act(h)
         return acc
 
     def apply_basis(self, i: int) -> MElem:
-        return self.rows.get(i, self.dst.zero_elem())
-
-    def __add__(self, other: "HModuleMap") -> "HModuleMap":
-        if (self.src, self.dst) != (other.src, other.dst):
-            raise InputError("map shape mismatch")
-        rows = dict(self.rows)
-        for i, m in other.rows.items():
-            cur = rows.get(i)
-            rows[i] = m if cur is None else cur + m
-        return HModuleMap(self.src, self.dst, rows)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "HModuleMap":
-        return HModuleMap(self.src, self.dst, {i: m.scale(c) for i, m in self.rows.items()})
-
-    def is_zero(self):
-        return not self.rows
-
-    def __eq__(self, other):
-        if not isinstance(other, HModuleMap):
-            return NotImplemented
-        if (self.src, self.dst) != (other.src, other.dst):
-            return False
-        keys = set(self.rows) | set(other.rows)
-        return all(self.apply_basis(i) == other.apply_basis(i) for i in keys)
+        return self.terms.get(i, self.dst.zero_elem())
 
     def as_cochain(self) -> Cochain:
         """The map as an arity-1 block cochain."""
-        table = {}
-        for i, m in self.rows.items():
-            terms = {}
-            for k, h in m.coords.items():
-                for K, c in h.terms.items():
-                    terms[((), K, k)] = terms.get(((), K, k), 0) + c
-            table[(i,)] = PTElem(self.dst, 1, terms)
-        return Cochain(1, self.src, self.dst, table)
+        terms = {(i,): m.as_ptelem() for i, m in self.terms.items()}
+        return Cochain(1, self.src, self.dst, terms)
 
     def __repr__(self):
         return f"HModuleMap({self.src.name}->{self.dst.name})"
@@ -227,11 +207,11 @@ def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
 
 def _embed_h(Q: QuasiTwilled, m: MElem) -> MElem:
     cut = Q.G.split
-    return MElem(Q.G, {k + cut: h for k, h in m.coords.items()})
+    return MElem(Q.G, {k + cut: h for k, h in m.terms.items()})
 
 
 def _embed_g(Q: QuasiTwilled, m: MElem) -> MElem:
-    return MElem(Q.G, dict(m.coords))
+    return MElem(Q.G, dict(m.terms))
 
 
 def _endo_of(Q: QuasiTwilled, M: HModuleMap, kind: str) -> dict:
@@ -295,26 +275,16 @@ def conjugate_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
 def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     """Closed-form components of the type I twist (five substructures).
 
-    Always quasi-twilled: mu and eta are untouched; D is a deformation map
-    iff the twisted theta vanishes.
+    Always quasi-twilled: mu and eta are untouched; the twisted theta is the
+    defining residual, so D is a deformation map iff it vanishes.
     """
     _check_orientation(Q, D, TYPE_I)
     g, h = Q.g, Q.h
-    pi_t, theta_t = {}, {}
+    pi_t = {}
     for i, j in sorted_tuples(g.rank, 2):
         x, y = Q.gx(i), Q.gx(j)
-        Dx, Dy = D(x), D(y)
-        eta_xDy = Q.eta.eval(x, Dy)
-        eta_yDx = Q.eta.eval(y, Dx)
-        pi_t[(i, j)] = Q.pi.value((i, j)) + eta_xDy - permute(eta_yDx, SWAP2)
-        theta_t[(i, j)] = (
-            Q.theta.value((i, j))
-            + Q.rho.eval(x, Dy)
-            - permute(Q.rho.eval(y, Dx), SWAP2)
-            - Q.pi.value((i, j)).map_module(D.apply_basis, D.dst)
-            + Q.mu.eval([Dx, Dy])
-            - eta_xDy.map_module(D.apply_basis, D.dst)
-            + permute(eta_yDx.map_module(D.apply_basis, D.dst), SWAP2)
+        pi_t[(i, j)] = (
+            Q.pi.value((i, j)) + Q.eta.eval(x, D(y)) - permute(Q.eta.eval(y, D(x)), SWAP2)
         )
     rho_t = {}
     for i in range(g.rank):
@@ -332,7 +302,7 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
         rho=MixedMap(g, h, h, rho_t),
         mu=Q.mu,
         eta=Q.eta,
-        theta=Cochain(2, g, h, theta_t),
+        theta=dmap1_residual(Q, D),
         G=Q.G,
     )
 

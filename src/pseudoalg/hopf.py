@@ -251,16 +251,18 @@ def mi_degree(K: MultiIndex) -> int:
 
 
 class Sparse:
-    """A finite linear combination: `terms` maps a basis key to a nonzero scalar.
+    """A finite linear combination: `terms` maps a basis key to a nonzero value.
 
-    The base of `HElem`, `HTensor` and `ptensor.PTElem`, which share this
-    arithmetic.  Values of one class add only when their `_shape()` (the
-    base algebra, arity or module they live over) agrees; `_new(terms)`
-    builds a value of the same shape, and its constructor normalises each
-    scalar with `coeff` and drops zeros.  Sums keep the keys of the left
-    operand first, then the new keys of the right one in their order, and
-    drop a key whose coefficients cancel.  Values are immutable after
-    construction.
+    The one base of every linear value: `HElem`, `HTensor` and
+    `ptensor.PTElem`, whose values are exact scalars, and
+    `ptensor.MElem`, `cochains.Cochain`, `cochains.MixedMap` and
+    `deformation.HModuleMap`, whose values are themselves `Sparse`.  Values of
+    one class add only when their `_shape()` (the base algebra, arity or
+    modules they live over) agrees; `_new(terms)` builds a value of the same
+    shape, and its constructor normalises each value and drops zeros.  Sums
+    keep the keys of the left operand first, then the new keys of the right
+    one in their order, and drop a key whose values cancel.  `c * v` is
+    `v.scale(c)`.  Values are immutable after construction.
     """
 
     __slots__ = ()
@@ -284,7 +286,8 @@ class Sparse:
         self._check(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            v = out.get(t, 0) + c
+            cur = out.get(t)
+            v = c if cur is None else cur + c
             if v:
                 out[t] = v
             else:
@@ -295,7 +298,8 @@ class Sparse:
         self._check(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            v = out.get(t, 0) - c
+            cur = out.get(t)
+            v = -c if cur is None else cur - c
             if v:
                 out[t] = v
             else:
@@ -310,6 +314,9 @@ class Sparse:
         if c == 0:
             return self._new({})
         return self._new({t: c * v for t, v in self.terms.items()})
+
+    def __rmul__(self, c):
+        return self.scale(c)
 
 
 class HElem(Sparse):

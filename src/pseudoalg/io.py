@@ -94,6 +94,21 @@ def _args(args, sources, what: str) -> tuple:
     return tuple(args)
 
 
+def _table(entries, sources, module: FreeModule, arity: int, what: str) -> dict:
+    """The {args, terms} entries of a Cochain or MixedMap table as {args: value}.
+
+    Each args may appear once: a repeated one is refused, not summed or
+    overwritten.
+    """
+    table = {}
+    for ent in _objects(entries, what):
+        key = _args(ent.get("args"), sources, what)
+        if key in table:
+            raise ParseError(f"{what}: args {list(key)} appear twice")
+        table[key] = ptelem_from_json(ent.get("terms", []), module, arity)
+    return table
+
+
 # -- Hopf base -------------------------------------------------------------------
 
 
@@ -186,7 +201,7 @@ def helem_from_json(terms, alg: LieAlgebra) -> HElem:
 def table_to_json(f) -> list:
     """The {args, terms} entries of a Cochain or MixedMap table, sorted by args."""
     return [
-        {"args": list(args), "terms": ptelem_to_json(v)} for args, v in sorted(f.table.items())
+        {"args": list(args), "terms": ptelem_to_json(v)} for args, v in sorted(f.terms.items())
     ]
 
 
@@ -235,12 +250,7 @@ def structure_from_json(data) -> QuasiTwilled:
         raise ParseError(f"unknown map sections {sorted(unknown)}")
 
     def load_pairs(name, sources, module):
-        table = {}
-        for ent in _objects(maps.get(name, []), f"maps.{name}"):
-            key = _args(ent.get("args"), sources, name)
-            v = ptelem_from_json(ent.get("terms", []), module, 2)
-            table[key] = table[key] + v if key in table else v
-        return table
+        return _table(maps.get(name, []), sources, module, 2, f"maps.{name}")
 
     def as_cochain(name, src, tgt):
         return Cochain(2, src, tgt, load_pairs(name, (src, src), tgt))
@@ -262,7 +272,7 @@ def map_to_json(m: HModuleMap, from_name="g", to_name="h") -> dict:
         row = []
         img = m.apply_basis(i)
         for j in range(m.dst.rank):
-            h = img.coords.get(j)
+            h = img.terms.get(j)
             row.append(helem_to_json(h) if h is not None else [])
         matrix.append(row)
     return {
@@ -327,10 +337,7 @@ def cochain_from_json(data, modules: dict | None = None) -> Cochain:
     arity = data.get("arity")
     if not isinstance(arity, int) or arity < 1:
         raise ParseError(f"bad arity {arity!r}")
-    table = {}
-    for ent in _objects(data.get("table", []), "cochain table"):
-        args = _args(ent.get("args"), (src,) * arity, "cochain table")
-        table[args] = ptelem_from_json(ent.get("terms", []), tgt, arity)
+    table = _table(data.get("table", []), (src,) * arity, tgt, arity, "cochain table")
     return Cochain(arity, src, tgt, table)
 
 

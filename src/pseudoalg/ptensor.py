@@ -90,52 +90,48 @@ class FreeModule:
         return f"FreeModule({self.name!r}, rank={self.rank})"
 
 
-class MElem:
-    """Element of a free module: sparse map basis index -> HElem."""
+class MElem(Sparse):
+    """Element of a free module: `terms` maps a basis index k to the HElem coefficient of e_k."""
 
-    __slots__ = ("module", "coords")
+    __slots__ = ("module", "terms")
 
-    def __init__(self, module: FreeModule, coords: dict):
+    def __init__(self, module: FreeModule, terms: dict):
         self.module = module
-        self.coords = {k: h for k, h in coords.items() if h}
-        for k in self.coords:
+        self.terms = {k: h for k, h in terms.items() if h}
+        for k in self.terms:
             if not 0 <= k < module.rank:
                 raise InputError(f"basis index {k} out of range for {module.name}")
 
-    def is_zero(self) -> bool:
-        return not self.coords
+    @classmethod
+    def from_ptelem(cls, v: "PTElem") -> "MElem":
+        """An arity-1 value, an element of H (x)_H M = M, as a module element."""
+        if v.arity != 1:
+            raise InputError("only an arity-1 value is a module element")
+        coords = {}
+        for (_slots, K, k), c in v.terms.items():
+            coords.setdefault(k, {})[K] = c
+        return cls(v.module, {k: HElem(v.module.alg, t) for k, t in coords.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, MElem):
-            return NotImplemented
-        return self.module == other.module and self.coords == other.coords
+    def as_ptelem(self) -> "PTElem":
+        """The module element as an arity-1 value; inverse of `from_ptelem`."""
+        return PTElem(
+            self.module, 1, {((), K, k): c for k, h in self.terms.items() for K, c in h.terms.items()}
+        )
 
-    def __add__(self, other: "MElem") -> "MElem":
-        if self.module != other.module:
-            raise InputError("module mismatch")
-        out = dict(self.coords)
-        for k, h in other.coords.items():
-            s = out.get(k)
-            out[k] = h if s is None else s + h
-        return MElem(self.module, out)
+    def _shape(self):
+        return self.module
 
-    def __neg__(self):
-        return MElem(self.module, {k: -h for k, h in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "MElem":
-        return MElem(self.module, {k: h.scale(c) for k, h in self.coords.items()})
+    def _new(self, terms) -> "MElem":
+        return MElem(self.module, terms)
 
     def act(self, h: HElem) -> "MElem":
-        return MElem(self.module, {k: h * v for k, v in self.coords.items()})
+        return MElem(self.module, {k: h * v for k, v in self.terms.items()})
 
     def __repr__(self):
-        if not self.coords:
+        if not self.terms:
             return "0"
         return " + ".join(
-            f"({h})*{self.module.basis[k]}" for k, h in sorted(self.coords.items())
+            f"({h})*{self.module.basis[k]}" for k, h in sorted(self.terms.items())
         )
 
 
@@ -183,7 +179,7 @@ class PTElem(Sparse):
         out = {}
         alg = self.module.alg
         for (slots, K, k), c in self.terms.items():
-            for k2, h in fn(k).coords.items():
+            for k2, h in fn(k).terms.items():
                 for K2, c2 in (alg.mono(K) * h).terms.items():
                     key = (slots, K2, k2)
                     v = out.get(key, 0) + c * c2

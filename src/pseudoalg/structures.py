@@ -213,8 +213,8 @@ class QuasiTwilled:
             self.pi.max_degree(),
             self.theta.max_degree(),
             self.mu.max_degree(),
-            max((v.degree() for v in self.rho.table.values()), default=-1),
-            max((v.degree() for v in self.eta.table.values()), default=-1),
+            max((v.degree() for v in self.rho.terms.values()), default=-1),
+            max((v.degree() for v in self.eta.terms.values()), default=-1),
         )
 
     def __repr__(self):

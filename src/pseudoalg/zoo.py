@@ -118,7 +118,7 @@ def abelian_algebra(name, basis_names, alg) -> LiePseudoalgebra:
 def clone_bracket(P: LiePseudoalgebra, name: str) -> LiePseudoalgebra:
     """A fresh module carrying the same bracket table."""
     m = FreeModule(name, [f"{b}'" for b in P.module.basis], P.module.alg)
-    table = {t: v.coerce(m) for t, v in P.bracket.table.items()}
+    table = {t: v.coerce(m) for t, v in P.bracket.terms.items()}
     return LiePseudoalgebra(m, Cochain(2, m, m, table), validate=False)
 
 
@@ -131,9 +131,9 @@ def direct_sum_algebras(P1: LiePseudoalgebra, P2: LiePseudoalgebra, name="gg") -
     )
     r1 = P1.module.rank
     table = {}
-    for t, v in P1.bracket.table.items():
+    for t, v in P1.bracket.terms.items():
         table[t] = v.coerce(m)
-    for t, v in P2.bracket.table.items():
+    for t, v in P2.bracket.terms.items():
         table[tuple(i + r1 for i in t)] = v.coerce(m, lambda k: k + r1)
     return LiePseudoalgebra(m, Cochain(2, m, m, table), validate=False)
 
@@ -197,7 +197,7 @@ def build(kind: str, ingredients: dict) -> QuasiTwilled:
             2,
             P.module,
             hP.module,
-            {t: v.coerce(hP.module).scale(p) for t, v in P.bracket.table.items()},
+            {t: v.coerce(hP.module).scale(p) for t, v in P.bracket.terms.items()},
         )
         Q = QuasiTwilled(P.module, hP.module, eta=eta, mu=hP.bracket, theta=theta)
     elif kind in (CROSSED_HOM, RELATIVE_RB):
@@ -221,14 +221,14 @@ def build(kind: str, ingredients: dict) -> QuasiTwilled:
         gP, M, rho = ingredients["algebra"], ingredients["module"], ingredients["action"]
         if kind == REYNOLDS:
             omega = Cochain(
-                2, gP.module, M, {t: v.coerce(M) for t, v in gP.bracket.table.items()}
+                2, gP.module, M, {t: v.coerce(M) for t, v in gP.bracket.terms.items()}
             )
         elif kind == REYNOLDS_CLASSICAL:
             omega = Cochain(
                 2,
                 gP.module,
                 M,
-                {t: v.coerce(M).scale(-1) for t, v in gP.bracket.table.items()},
+                {t: v.coerce(M).scale(-1) for t, v in gP.bracket.terms.items()},
             )
         else:
             omega = ingredients["cocycle"]
@@ -380,7 +380,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
                 2,
                 gP.module,
                 hmod,
-                {t: v.coerce(hmod).scale(sign) for t, v in gP.bracket.table.items()},
+                {t: v.coerce(hmod).scale(sign) for t, v in gP.bracket.terms.items()},
             )
         table = {}
         for t in sorted_tuples(hmod.rank, 2):
@@ -417,8 +417,8 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
 def _retarget(m: HModuleMap, src, dst) -> HModuleMap:
     """Reinterpret a map between same-rank modules (copy relabelling)."""
     rows = {}
-    for i, row in m.rows.items():
-        rows[i] = MElem(dst, dict(row.coords))
+    for i, row in m.terms.items():
+        rows[i] = MElem(dst, dict(row.terms))
     return HModuleMap(src, dst, rows)
 
 

@@ -100,7 +100,7 @@ def test_nr_self_bracket_virasoro(mu):
 
 def _copy(f: Cochain) -> Cochain:
     """An equal cochain that is not f, so nr_bracket takes its general path."""
-    return Cochain(f.arity, f.source, f.target, dict(f.table))
+    return Cochain(f.arity, f.source, f.target, dict(f.terms))
 
 
 def test_nr_even_degree_self_bracket(gm, rng):
@@ -336,12 +336,12 @@ def test_cochain_sub_is_add_of_negative_scale(qd, rng):
     m2 = FreeModule("m", ["e0", "e1"], qd)
     f = random_cochain(rng, m2, m2, 2, max_deg=2)
     g = random_cochain(rng, m2, m2, 2, max_deg=2)
-    h = Cochain(2, m2, m2, {t: v for t, v in g.table.items() if t != (0, 0)})
+    h = Cochain(2, m2, m2, {t: v for t, v in g.terms.items() if t != (0, 0)})
     for a, b in ((f, g), (f, h), (h, f), (f, f)):
         got, expected = a - b, a + b.scale(-1)
-        assert list(got.table) == list(expected.table)
-        for t, v in expected.table.items():
-            assert list(got.table[t].terms.items()) == list(v.terms.items())
+        assert list(got.terms) == list(expected.terms)
+        for t, v in expected.terms.items():
+            assert list(got.terms[t].terms.items()) == list(v.terms.items())
     with pytest.raises(InputError):
         f - random_cochain(rng, m2, m2, 1)
 

@@ -115,7 +115,7 @@ def test_matched_pair_zeta_at_zero_map(qd):
     assert alg.bracket == Q.mu
     from pseudoalg.ptensor import permute
 
-    for (j, i), v in rep.action.table.items():
+    for (j, i), v in rep.action.terms.items():
         assert v == permute(Q.eta.value(i, j), (1, 0)).scale(-1)
 
 
@@ -280,7 +280,7 @@ def test_cocycle_type1_trivial(qd):
 def test_cocycle_routes_agree_random(modified_r_q, reynolds_q, rng):
     Q1, D = modified_r_q, cid(modified_r_q, 2)
     for _ in range(8):
-        u = MElem(Q1.h, {0: zoo.random_hmap(rng, Q1.h, Q1.h).apply_basis(0).coords.get(0, Q1.h.alg.zero())})
+        u = MElem(Q1.h, {0: zoo.random_hmap(rng, Q1.h, Q1.h).apply_basis(0).terms.get(0, Q1.h.alg.zero())})
         res = cocycle_check_type1(Q1, D, u, 1)
         assert res["agree"]
         f = random_cochain(rng, Q1.g, Q1.h, 1, max_deg=2)
@@ -288,7 +288,7 @@ def test_cocycle_routes_agree_random(modified_r_q, reynolds_q, rng):
         assert res2["agree"]
     Q2, T = reynolds_q, cid(reynolds_q, -1, TYPE_II)
     for _ in range(8):
-        x = MElem(Q2.g, {0: zoo.random_hmap(rng, Q2.g, Q2.g).apply_basis(0).coords.get(0, Q2.g.alg.zero())})
+        x = MElem(Q2.g, {0: zoo.random_hmap(rng, Q2.g, Q2.g).apply_basis(0).terms.get(0, Q2.g.alg.zero())})
         res = cocycle_check_type2(Q2, T, x, 1)
         assert res["agree"]
         f = random_cochain(rng, Q2.h, Q2.g, 1, max_deg=2)
@@ -365,7 +365,7 @@ def test_truncated_virasoro_derivation_complex_vs_dense_oracle(qd):
     # independent dense kernel computation of dim Z
     basis = skew_basis(Q.g, Q.h, 1, 2)
     index_up = cochain_coords(Q.g, Q.h, 2, 2 + handle.max_growth())
-    cols = [_dense_vec(handle.diff(f).table, index_up) for f in basis]
+    cols = [_dense_vec(handle.diff(f).terms, index_up) for f in basis]
     rows = [[col[i] for col in cols] for i in range(len(index_up))]
     rows = [r for r in rows if any(r)]
     assert got["dim_Z"] == len(linalg.nullspace_dense(rows, ncols=len(basis)))
@@ -390,7 +390,7 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
             got = truncated_cohomology(handle, p, cap)
             basis = skew_basis(A, M, p, cap)
             index_up = cochain_coords(A, M, p + 1, top)
-            images = [_dense_vec(handle.diff(f).table, index_up) for f in basis]
+            images = [_dense_vec(handle.diff(f).terms, index_up) for f in basis]
             where = (handle.kind, p, cap)
             assert got["dim_Z"] == len(basis) - linalg.rank_dense(images), where
             if p == 1:
@@ -411,7 +411,7 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
                 ]
             else:
                 index = cochain_coords(A, M, p, top)
-                cols = [_dense_vec(handle.diff(f).table, index) for f in skew_basis(A, M, p - 1, cap)]
+                cols = [_dense_vec(handle.diff(f).terms, index) for f in skew_basis(A, M, p - 1, cap)]
                 inside = [
                     n
                     for (_t, (slots, K, _k)), n in index.items()

@@ -199,3 +199,38 @@ def test_every_definition_is_referenced(path, references):
     # a definition nothing refers to is dead code, such as a wrapper left behind
     elsewhere = sum((c for p, c in references.items() if p != path.resolve()), Counter())
     assert unreferenced(path.read_text(encoding="utf-8"), elsewhere) == []
+
+
+SPARSE_ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "is_zero"}
+
+
+def sparse_copies(source: str, module: str) -> list:
+    """(class, method) pairs that define arithmetic `hopf.Sparse` provides.
+
+    Only `Sparse` itself, in the module `hopf`, may define them.
+    """
+    return sorted(
+        (node.name, item.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and (module, node.name) != ("hopf", "Sparse")
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in SPARSE_ARITHMETIC
+    )
+
+
+def test_guard_sees_copied_sparse_arithmetic():
+    src = (
+        "class Sparse:\n    def __add__(self, o):\n        pass\n"
+        "class MElem(Sparse):\n    def scale(self, c):\n        pass\n"
+        "    def act(self, h):\n        pass\n"
+    )
+    assert sparse_copies(src, "ptensor") == [("MElem", "scale"), ("Sparse", "__add__")]
+    assert sparse_copies(src, "hopf") == [("MElem", "scale")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_linear_arithmetic_lives_only_in_sparse(path):
+    # every linear value adds, negates and scales through hopf.Sparse, so no
+    # class keeps a copy that can drift from it
+    assert sparse_copies(path.read_text(encoding="utf-8"), path.stem) == []

@@ -253,6 +253,27 @@ def test_cli_nr_bad_cochain_entry_exit2(capsys, tmp_path, key, value):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, name, table",
+    [("nr", "nr_f.json", ("table",)), ("check-qt", "modified_r.json", ("maps", "mu"))],
+    ids=["cochain-table", "structure-map"],
+)
+def test_cli_repeated_args_exit2(capsys, tmp_path, command, name, table):
+    # a table entry may not repeat the args of an earlier one: it is refused,
+    # neither summed (structure maps) nor overwriting (cochain tables)
+    data = json.loads((GOLDEN_DIR / name).read_text())
+    entries = data
+    for key in table:
+        entries = entries[key]
+    entries.append(entries[0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    extra = [str(GOLDEN_DIR / "nr_g.json")] if command == "nr" else []
+    code, out, err = run_cli([command, str(bad), *extra], capsys)
+    assert code == 2 and out == ""
+    assert "appear twice" in err
+
+
 @pytest.mark.parametrize("degree", ["0", "-1"])
 def test_cli_cohomology_rejects_arity_below_one(files, capsys, degree):
     args = ["cohomology", "--type", "I", str(files["struct"]), str(files["good"])]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra
+from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra, Sparse
 from pseudoalg.ptensor import (
     FreeModule,
     MElem,
@@ -21,7 +21,9 @@ from pseudoalg.ptensor import (
     placed,
     swap_dest,
 )
-from pseudoalg.cochains import random_ptelem
+from pseudoalg.cochains import Cochain, MixedMap, random_cochain, random_ptelem
+from pseudoalg.deformation import HModuleMap
+from pseudoalg.zoo import random_hmap
 
 from conftest import pt, vir_value
 
@@ -150,31 +152,67 @@ def test_linear_combine(qd, M, rng):
     assert two_terms == vir_value(M)
 
 
-def test_sub_is_add_of_negative(b2, rng):
-    # direct subtraction: the values and the term order of self + (-other),
-    # for every class of linear combinations built on hopf.Sparse
+def _ordered(v):
+    """The terms of a linear value in their order, nested values included."""
+    if isinstance(v, Sparse):
+        return [(k, _ordered(c)) for k, c in v.terms.items()]
+    return v
+
+
+def _sparse_cases(b2, rng):
+    """(e, f, zero) triples of one shape, for every class built on hopf.Sparse."""
     M2 = FreeModule("M2", ["x", "y"], b2)
 
     def helem():
         terms = {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-2, 2) for _ in range(4)}
         return HElem(b2, terms)
 
-    cases = [(helem(), helem(), b2.zero())]
+    def melem():
+        return MElem(M2, {k: helem() for k in range(2)})
+
+    def mixed():
+        return MixedMap(M2, M2, M2, {(i, j): random_ptelem(rng, M2, 2) for i in range(2) for j in range(2)})
+
+    cases = [(helem(), helem(), b2.zero()), (melem(), melem(), M2.zero_elem())]
     for arity in (1, 2, 3):
         e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
         f = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
         cases.append((e, f, PTElem.zero(M2, arity)))
         s, t = (HTensor.from_legs([helem() for _ in range(arity)]) for _ in range(2))
         cases.append((s, t, HTensor(b2, arity, {})))
-    for e, f, zero in cases:
+    for arity in (1, 2):
+        f, g = (random_cochain(rng, M2, M2, arity, max_deg=1) for _ in range(2))
+        cases.append((f, g, Cochain.zero(arity, M2, M2)))
+    cases.append((mixed(), mixed(), MixedMap.zero(M2, M2, M2)))
+    cases.append((random_hmap(rng, M2, M2), random_hmap(rng, M2, M2), HModuleMap.zero(M2, M2)))
+    return cases
+
+
+def test_sub_is_add_of_negative(b2, rng):
+    # direct subtraction: the values and the term order of self + (-other),
+    # nested values included, for every class of linear combinations built
+    # on hopf.Sparse
+    for e, f, zero in _sparse_cases(b2, rng):
         for a, b in ((e, f), (f, e), (e, e), (e, zero)):
             got, expected = a - b, a + (-b)
-            assert list(got.terms.items()) == list(expected.terms.items())
+            assert _ordered(got) == _ordered(expected)
+            assert not (a - a) and (a - a) == zero
+
+
+def test_scalar_times_value_is_scale(b2, rng):
+    for e, _f, zero in _sparse_cases(b2, rng):
+        for c in (3, -1, Fraction(-2, 3), 0):
+            assert _ordered(c * e) == _ordered(e.scale(c))
+        assert 0 * e == zero
 
 
 def test_sparse_shapes_do_not_mix(qd, b2, rng):
     M2 = FreeModule("M2", ["x", "y"], b2)
     N2 = FreeModule("N2", ["x", "y"], b2)
+    f2 = random_cochain(rng, M2, M2, 2, max_deg=1)
+    v2 = random_ptelem(rng, M2, 2)
+    w2 = random_ptelem(rng, N2, 2)
+    m = MElem(M2, {0: b2.unit()})
     mismatched = [
         (b2.unit(), qd.unit()),
         (HTensor.unit(b2, 2), HTensor.unit(qd, 2)),
@@ -182,13 +220,35 @@ def test_sparse_shapes_do_not_mix(qd, b2, rng):
         (random_ptelem(rng, M2, 2), random_ptelem(rng, M2, 3)),
         (random_ptelem(rng, M2, 2), random_ptelem(rng, N2, 2)),
         (b2.unit(), HTensor.unit(b2, 1)),
+        (m, MElem(N2, {0: b2.unit()})),
+        (m, PTElem(M2, 1, {((), (0, 0), 0): 1})),
+        (f2, random_cochain(rng, M2, M2, 1, max_deg=1)),
+        (f2, Cochain(2, N2, M2, {(0, 0): v2})),
+        (f2, Cochain(2, M2, N2, {(0, 0): w2})),
+        # the same tables over another first module: refused, not read over M2
+        (MixedMap(M2, M2, M2, {(0, 0): v2}), MixedMap(N2, M2, M2, {(0, 0): v2})),
+        (MixedMap(M2, M2, M2, {(0, 0): v2}), MixedMap(M2, N2, M2, {(0, 0): v2})),
+        (MixedMap(M2, M2, M2, {(0, 0): v2}), MixedMap(M2, M2, N2, {(0, 0): w2})),
+        (MixedMap(M2, M2, M2, {(0, 1): v2}), Cochain(2, M2, M2, {(0, 1): v2})),
+        (HModuleMap(M2, M2, {0: m}), HModuleMap(N2, M2, {0: m})),
+        (HModuleMap(M2, M2, {0: m}), HModuleMap(M2, N2, {0: N2.elem(0)})),
     ]
     for a, b in mismatched:
         for op in (operator.add, operator.sub):
             with pytest.raises(InputError):
                 op(a, b)
     # values of different classes are never equal, even on the same terms
-    values = [b2.unit(), HTensor.unit(b2, 1), PTElem(M2, 1, {((), (0, 0), 0): 1})]
+    v1 = PTElem(M2, 1, {((), (0, 0), 0): 1})
+    values = [
+        b2.unit(),
+        HTensor.unit(b2, 1),
+        v1,
+        m,
+        Cochain(1, M2, M2, {(0,): v1}),
+        HModuleMap(M2, M2, {0: m}),
+        MixedMap(M2, M2, M2, {(0, 0): v2}),
+        Cochain(2, M2, M2, {(0, 0): v2}),
+    ]
     for a, b in itertools.permutations(values, 2):
         assert (a == b) is False and a != b
 

@@ -158,14 +158,14 @@ def test_kernel_outputs_are_exact_on_zoo_inputs():
     for entry in zoo.zoo_structures():
         Q = entry["Q"]
         for om in (Q.omega(), Q.omega().scale(half)):
-            for v in nr_bracket(om, om).table.values():
+            for v in nr_bracket(om, om).terms.values():
                 assert_exact(v.terms.values())
         for kind in (TYPE_I, TYPE_II):
             M = entry["type1" if kind == TYPE_I else "type2"]
             if M is None:
                 continue
             for m in (M, M.scale(half)):
-                for v in exp_twist(Q, m, kind).table.values():
+                for v in exp_twist(Q, m, kind).terms.values():
                     assert_exact(v.terms.values())
 
 
@@ -235,5 +235,5 @@ def test_pc_and_nr_pass_on_uniformly_scaled_rank_one_one(name, s):
     )
     r, m = check_pc(Qs), check_mc_omega(Qs)
     assert r["ok"] and m["ok"] and m["agrees_with_pc"]
-    for v in Qs.omega().table.values():
+    for v in Qs.omega().terms.values():
         assert_exact(v.terms.values())

@@ -228,7 +228,7 @@ def test_eta_orientation_conversion(qd, rng):
     # round trip through the printed relation eta_mp(u,y) = -(12) eta(y,u)
     from pseudoalg.ptensor import permute
 
-    for (y, u), v in eta_qt.table.items():
+    for (y, u), v in eta_qt.terms.items():
         assert eta_mp.value(u, y) == permute(v, (1, 0)).scale(-1)
 
 
@@ -270,7 +270,7 @@ def test_results_do_not_depend_on_kernel_memos():
     Qc = _random_structure(random.Random(2), cold)
     bw = nr_bracket(Qw.omega(), Qw.omega())
     bc = nr_bracket(Qc.omega(), Qc.omega())
-    assert _tables(bw.table) == _tables(bc.table)
+    assert _tables(bw.terms) == _tables(bc.terms)
     rw, rc = pc_residuals(Qw), pc_residuals(Qc)
     assert list(rw) == list(rc)
     for label in rw:
