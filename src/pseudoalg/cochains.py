@@ -16,10 +16,11 @@ Throughout, composite values are slot-ALIGNED: after every insertion the slots
 are rearranged so that slot i carries the coefficient of argument x_i.
 
 The circle product and the NR bracket accumulate per output tuple: each
-composite is canonicalized once by its insertion, its terms are placed
-slot-aligned with the shuffle sign folded into the coefficient, and the raw
-terms of every shuffle (of both circle products, for the bracket) are
-canonicalized once.  The self-bracket uses the exact identity
+distinct composite of a tuple is built and canonicalized once by its
+insertion (shuffles that give the same arguments share it), its terms are
+placed slot-aligned with the shuffle sign folded into the coefficient, and
+the raw terms of every shuffle (of both circle products, for the bracket)
+are canonicalized once.  The self-bracket uses the exact identity
 [f, f] = (1 - (-1)^{(p-1)^2}) f o f, so it computes at most one circle
 product.
 """
@@ -251,7 +252,10 @@ def _common_module(*cochains) -> FreeModule:
 def _circle_sum(products) -> Cochain:
     """sum c * (f o g) over the (c, f, g) in products, one raw list per tuple.
 
-    Composite slot i carries argument t[sigma[i]] once placed by sigma.
+    Composite slot i carries argument t[sigma[i]] once placed by sigma.  The
+    composite depends on the product and on args = t o sigma only, so each
+    distinct composite of a tuple is built once and placed for every shuffle
+    that gives it (repeated basis indices in t make shuffles coincide).
     """
     mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
     plans = [
@@ -262,14 +266,20 @@ def _circle_sum(products) -> Cochain:
     table = {}
     for t in sorted_tuples(mod.rank, n):
         raw = []
-        for f, g, signed in plans:
+        composites = {}
+        for index, (f, g, signed) in enumerate(plans):
             q = g.arity
             for sigma, sc in signed:
-                inner = g.value(tuple(t[sigma[i]] for i in range(q)))
-                if inner.is_zero():
-                    continue
-                outer_args = tuple(t[sigma[i]] for i in range(q, n))
-                raw += placed(insert_value(f, (), inner, outer_args), sigma, sc)
+                args = tuple(t[i] for i in sigma)
+                key = (index, args)
+                comp = composites.get(key)
+                if comp is None:
+                    inner = g.value(args[:q])
+                    comp = composites[key] = (
+                        insert_value(f, (), inner, args[q:]) if inner else inner
+                    )
+                if comp:
+                    raw += placed(comp, sigma, sc)
         if raw:
             value = canonicalize(mod, n, raw)
             if value:
@@ -280,8 +290,8 @@ def _circle_sum(products) -> Cochain:
 def circle(f: Cochain, g: Cochain) -> Cochain:
     """Circle (insertion) product: sum over (q, p-1)-shuffles of f(g(...), ...).
 
-    The placed composites of every shuffle are canonicalized once per
-    output tuple.
+    Each distinct composite of an output tuple is built once, and the placed
+    composites of every shuffle are canonicalized once per output tuple.
     """
     return _circle_sum([(1, f, g)])
 

@@ -77,10 +77,12 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
 
     bracket is the pseudobracket on A, action the A (x) M -> M map.  Each
     composite is slot-aligned: the action term puts the coefficient of x_i in
-    slot i, the bracket term puts the pair (x_i, x_j) in slots (i, j).  Every
-    composite is canonicalized by its insertion; its placed, signed terms
-    are appended to one raw list per output tuple, which is canonicalized
-    once.
+    slot i, the bracket term puts the pair (x_i, x_j) in slots (i, j).  Each
+    distinct composite of an output tuple is built and canonicalized once by
+    its insertion: an action term depends on (x_i, rest) only and a bracket
+    term on (x_i, x_j, rest) only, so terms that repeat a basis index share
+    it.  Its placed, signed terms are appended to one raw list per output
+    tuple, which is canonicalized once.
     """
     A = bracket.source
     M = action.hmod
@@ -91,18 +93,17 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
     table = {}
     for t in sorted_tuples(A.rank, p + 1):
         raw = []
+        composites = {}
         for i in range(1, p + 2):
             rest = t[: i - 1] + t[i:]
-            inner = f.value(rest)
-            if inner.is_zero():
+            key = (t[i - 1], rest)
+            comp = composites.get(key)
+            if comp is None:
+                inner = f.value(rest)
+                act_on = lambda k, _i=t[i - 1]: action.eval(A.elem(_i), M.elem(k))
+                comp = composites[key] = insert_raw(act_on, 2, M, 1, inner) if inner else inner
+            if not comp:
                 continue
-            comp = insert_raw(
-                lambda k, _i=t[i - 1]: action.eval(A.elem(_i), M.elem(k)),
-                2,
-                M,
-                1,
-                inner,
-            )
             # slots: (x_i, rest...) -> align x_i into slot i
             dest = [0] * (p + 1)
             dest[0] = i - 1
@@ -112,10 +113,13 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
         for i in range(1, p + 1):
             for j in range(i + 1, p + 2):
                 rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
-                inner = bracket.value((t[i - 1], t[j - 1]))
-                if inner.is_zero():
+                key = (t[i - 1], t[j - 1], rest)
+                comp = composites.get(key)
+                if comp is None:
+                    inner = bracket.value((t[i - 1], t[j - 1]))
+                    comp = composites[key] = insert_value(f, (), inner, rest) if inner else inner
+                if not comp:
                     continue
-                comp = insert_value(f, (), inner, rest)
                 dest = [0] * (p + 1)
                 dest[0], dest[1] = i - 1, j - 1
                 spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]

@@ -374,12 +374,13 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
         for j in range(h.rank):
             x, v = Q.gx(i), Q.hu(j)
             Tv = T(v)
-            rho_t[(i, j)] = Q.rho.value(i, j) + Q.theta.eval([x, Tv])
+            theta_xTv = Q.theta.eval([x, Tv])
+            rho_t[(i, j)] = Q.rho.value(i, j) + theta_xTv
             eta_t[(i, j)] = (
                 Q.eta.value(i, j)
                 + Q.pi.eval([x, Tv])
                 - Q.rho.value(i, j).map_module(T.apply_basis, T.dst)
-                - Q.theta.eval([x, Tv]).map_module(T.apply_basis, T.dst)
+                - theta_xTv.map_module(T.apply_basis, T.dst)
             )
     mu_t = {}
     for i, j in sorted_tuples(h.rank, 2):

@@ -225,7 +225,7 @@ class LieAlgebra:
         return f"LieAlgebra({list(self.names)})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, LieAlgebra)
             and self.names == other.names
             and self._brackets == other._brackets

@@ -76,7 +76,7 @@ class FreeModule:
         return MElem(self, {})
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FreeModule)
             and self.name == other.name
             and self.basis == other.basis
@@ -300,12 +300,19 @@ def _explicit_terms(e: PTElem):
 
 
 def act(c: HTensor, e: PTElem) -> PTElem:
-    """Left multiplication of the n slots by a coefficient tensor."""
+    """Left multiplication of the n slots by a coefficient tensor.
+
+    The unit tensor 1 (x) ... (x) 1 returns e itself: its raw terms are e's
+    canonical terms in e's order, so straightening them again would rebuild
+    the same value.
+    """
     if c.arity != e.arity:
         raise InputError("act: tensor arity mismatch")
     if c.alg != e.module.alg:
         raise InputError("act: Hopf base mismatch")
     alg = c.alg
+    if c.terms == {(alg.zero_index,) * c.arity: 1}:
+        return e
     raw = []
     for mult, cm in c.terms.items():
         for slots, K, k, ce in _explicit_terms(e):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from pseudoalg.hopf import LieAlgebra
 from pseudoalg.ptensor import FreeModule, canonicalize
 from pseudoalg.cochains import Cochain, MixedMap
 from pseudoalg.structures import QuasiTwilled
-from pseudoalg import zoo
+from pseudoalg import cochains, zoo
 
 # Property tests draw the same examples on every run (no example database), so
 # the suite's verdict does not depend on the run or on earlier runs.
@@ -71,3 +72,29 @@ def reynolds_q():
 @pytest.fixture
 def rng():
     return random.Random(20250810)
+
+
+def term_order_digest(values) -> str:
+    """sha256 of the nested terms of cochain values, in dict order (not sorted).
+
+    Cochain equality compares term dicts and ignores order; this pins it.
+    """
+    nested = [
+        [(t, [(key, str(c)) for key, c in v.terms.items()]) for t, v in f.terms.items()]
+        for f in values
+    ]
+    return hashlib.sha256(repr(nested).encode()).hexdigest()
+
+
+def count_insertions(monkeypatch, *modules) -> list:
+    """Patch insert_raw in each module to record its calls; returns the record."""
+    calls = []
+    real = cochains.insert_raw
+
+    def counting_insert(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, "insert_raw", counting_insert)
+    return calls

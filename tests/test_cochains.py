@@ -31,7 +31,7 @@ from pseudoalg.cochains import (
     transpose_last,
 )
 
-from conftest import pt, vir_value
+from conftest import count_insertions, pt, term_order_digest, vir_value
 
 
 @pytest.fixture
@@ -198,6 +198,57 @@ def test_self_bracket_insertion_and_permute_counts(reynolds_q, monkeypatch):
     circle(om, om)
     # Cochain.value permutes stored values of arity 2; a composite has arity 3
     assert set(permuted_arities) <= {om.arity}
+
+
+def test_rank1_self_bracket_makes_one_insertion(mu, monkeypatch):
+    # the three shuffles of the one output tuple (0, 0, 0) give one composite
+    insertions = count_insertions(monkeypatch, cochains)
+    got = nr_bracket(mu, mu)
+    assert len(insertions) == 1
+    assert got == _nr_reference(mu, mu)
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+def test_rank2_insertions_are_distinct_nonzero_keys(base, request, rng, monkeypatch):
+    m2 = FreeModule("m", ["e0", "e1"], request.getfixturevalue(base))
+    fs = [random_cochain(rng, m2, m2, a, max_deg=1) for a in (1, 2, 3)]
+    insertions = count_insertions(monkeypatch, cochains)
+    for f, g in itertools.product(fs, repeat=2):
+        plans = [(f, g), (g, f)] if f is not g else [(f, f)]
+        n = f.arity + g.arity - 1
+        keys = {
+            (index, t, tuple(t[i] for i in sigma))
+            for t in sorted_tuples(2, n)
+            for index, (outer, inner) in enumerate(plans)
+            for sigma in shuffles(inner.arity, outer.arity - 1)
+            if inner.value(tuple(t[i] for i in sigma[: inner.arity]))
+        }
+        insertions.clear()
+        nr_bracket(f, g)
+        if f is g and f.arity % 2:
+            assert insertions == [], f.arity
+        else:
+            assert len(insertions) == len(keys), (f.arity, g.arity)
+
+
+# sha256 (see conftest.term_order_digest) of the nested term order of the
+# self-brackets of every zoo Omega, and of the brackets of random rank-2
+# cochains; a change to the order in which raw terms are emitted or
+# canonicalized changes them even where the values stay equal
+NR_TERM_ORDER_ZOO = "cff6369ac3b08a7046108c46a8fff1601233ca9aecb4cfeb935d31430a833243"
+NR_TERM_ORDER_RANK2 = "6eb7a903f1a2162a6c70d1f668541fa9c8d66947c0cde61e792f6f90914fc62b"
+
+
+def test_nr_bracket_term_order_is_pinned(qd, b2, rng):
+    oms = [entry["Q"].omega() for entry in zoo.zoo_structures()]
+    assert term_order_digest([nr_bracket(om, om) for om in oms]) == NR_TERM_ORDER_ZOO
+    values = []
+    for alg in (qd, b2):
+        m2 = FreeModule("m", ["e0", "e1"], alg)
+        fs = [random_cochain(rng, m2, m2, a, max_deg=1) for a in (1, 2, 3)]
+        values += [nr_bracket(f, g) for f, g in itertools.product(fs, repeat=2)]
+        values += [nr_bracket(f, f) for f in fs]
+    assert term_order_digest(values) == NR_TERM_ORDER_RANK2
 
 
 def test_nr_graded_antisymmetry_and_jacobi(qd, rng):

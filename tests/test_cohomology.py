@@ -46,9 +46,9 @@ from pseudoalg.cohomology import (
     skew_basis,
     truncated_cohomology,
 )
-from pseudoalg import linalg, zoo
+from pseudoalg import cochains, cohomology, linalg, zoo
 
-from conftest import pt, vir_value
+from conftest import count_insertions, pt, term_order_digest, vir_value
 
 
 def cid(Q, c, kind=TYPE_I):
@@ -201,6 +201,43 @@ def test_ce_differential_matches_per_term_reference_on_zoo():
                     for f in skew_basis(A, M, p, 2):
                         expected = _ce_reference(handle.bracket, handle.action, f, conv)
                         assert handle.diff(f) == expected, (entry["name"], kind, conv, p)
+
+
+# sha256 (see conftest.term_order_digest) of the nested term order of d(f)
+# over the loop above; Cochain equality does not see the order
+CE_TERM_ORDER = "c7a2014521858ca6da7e10251713f0eb963ccd529f45f9c6ed2635c83b360adf"
+
+
+def test_ce_differential_term_order_is_pinned():
+    values = []
+    for entry in zoo.zoo_structures():
+        for kind, m in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"])):
+            if m is None:
+                continue
+            for conv in (CLASSICAL, SHIFTED):
+                handle = handle_for(kind, entry["Q"], m, convention=conv, verify=False)
+                A, M = handle.bracket.source, handle.action.hmod
+                for p in (1, 2):
+                    values += [handle.diff(f) for f in skew_basis(A, M, p, 2)]
+    assert term_order_digest(values) == CE_TERM_ORDER
+
+
+def test_rank1_ce_differential_makes_two_insertions_per_tuple(vir, rng, monkeypatch):
+    # on rank 1 every action term of the one output tuple is the same
+    # composite, and so is every bracket term
+    M = FreeModule("m", ["v"], vir.module.alg)
+    action = zoo.adjoint_action(vir, M)
+    draws = (
+        random_cochain(rng, vir.module, M, p, max_deg=2 * p - 1) for p in (1, 2, 3) for _ in range(20)
+    )
+    fs = {f.arity: f for f in draws if f}
+    expected = {p: _ce_reference(vir.bracket, action, f, CLASSICAL) for p, f in fs.items()}
+    calls = count_insertions(monkeypatch, cochains, cohomology)
+    assert sorted(fs) == [1, 2, 3]
+    for p, f in fs.items():
+        calls.clear()
+        assert ce_differential(vir.bracket, action, f) == expected[p], p
+        assert len(calls) == 2, p
 
 
 def test_differential_outputs_skew(modified_r_q, rng):

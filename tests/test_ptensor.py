@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pseudoalg import ptensor
 from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra, Sparse
 from pseudoalg.ptensor import (
     FreeModule,
@@ -84,6 +85,52 @@ def test_act_examples(qd, M):
     assert first == pt(M, [(1, 0, 0, 0, 1)])
     second = act(HTensor(qd, 2, {((0,), (1,)): 1}), base)
     assert second == pt(M, [(1, 0, 0, 0, -1), (0, 0, 1, 0, 1)])
+
+
+def test_unit_act_returns_its_argument(qd, b2, rng):
+    # the unit tensor skips straightening: the value itself comes back
+    for alg in (qd, b2):
+        m2 = FreeModule("m", ["e0", "e1"], alg)
+        for n in (1, 2, 3):
+            e = random_ptelem(rng, m2, n, max_deg=2, nterms=3)
+            assert act(HTensor.unit(alg, n), e) is e
+            assert act(HTensor.unit(alg, n).scale(2), e) == e.scale(2)
+
+
+def test_basis_evaluation_makes_no_canonicalize_call(qd, rng, monkeypatch):
+    # eval on basis elements acts by the unit tensor on stored values only
+    g = FreeModule("g", ["x", "y"], qd)
+    h = FreeModule("h", ["u"], qd)
+    m = MixedMap(g, h, g, {(i, 0): random_ptelem(rng, g, 2, max_deg=2) for i in range(2)})
+    f = random_cochain(rng, g, g, 2, max_deg=2)
+    expected = [m.value(i, 0) for i in range(2)]
+    calls = []
+    real = ptensor.canonicalize
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ptensor, "canonicalize", counting)
+    assert [m.eval(g.elem(i), h.elem(0)) for i in range(2)] == expected
+    assert f.eval([g.elem(0), g.elem(1)]) == f.value((0, 1))
+    assert calls == []
+
+
+def test_module_and_algebra_equality(qd, b2):
+    # an object equals itself without a structural comparison; distinct
+    # objects still compare by name, basis and brackets
+    assert qd == qd and b2 == b2
+    assert LieAlgebra.abelian(["d"]) == qd
+    assert LieAlgebra(["a1", "a2"], {(0, 1): {1: 1}}) == b2
+    assert LieAlgebra.abelian(["a1", "a2"]) != b2
+    assert LieAlgebra.abelian(["e"]) != qd
+    m = FreeModule("m", ["e0", "e1"], b2)
+    assert m == m
+    assert FreeModule("m", ["e0", "e1"], LieAlgebra(["a1", "a2"], {(0, 1): {1: 1}})) == m
+    assert FreeModule("n", ["e0", "e1"], b2) != m
+    assert FreeModule("m", ["e0", "f1"], b2) != m
+    assert FreeModule("m", ["e0", "e1"], LieAlgebra.abelian(["a1", "a2"])) != m
 
 
 def test_act_is_module_action(qd, M, rng):
