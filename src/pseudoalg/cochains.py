@@ -32,10 +32,10 @@ import itertools
 from .hopf import HTensor, InputError, Sparse, mi_splits
 from .ptensor import (
     FreeModule,
-    MElem,
     PTElem,
     act,
     canonicalize,
+    coordinates,
     perm_sign,
     permute,
     placed,
@@ -109,20 +109,7 @@ class Cochain(Sparse):
 
     def eval(self, args) -> PTElem:
         """H-polylinear extension to module elements."""
-        args = list(args)
-        if len(args) != self.arity:
-            raise InputError("eval: wrong number of arguments")
-        for a in args:
-            if a.module != self.source:
-                raise InputError("eval: argument in wrong module")
-        acc = PTElem.zero(self.target, self.arity)
-        for combo in itertools.product(*(sorted(a.terms.items()) for a in args)):
-            keys = tuple(k for k, _h in combo)
-            base = self.value(keys)
-            if base.is_zero():
-                continue
-            acc = acc + act(HTensor.from_legs([h for _k, h in combo]), base)
-        return acc
+        return evaluate(self.value, (self.source,) * self.arity, self.target, tuple(args))
 
     def max_degree(self) -> int:
         return max((v.degree() for v in self.terms.values()), default=-1)
@@ -132,6 +119,33 @@ class Cochain(Sparse):
             f"Cochain(arity={self.arity}, {self.source.name}->{self.target.name}, "
             f"{len(self.terms)} entries)"
         )
+
+
+def evaluate(value, sources, target: FreeModule, args) -> PTElem:
+    """H-polylinear extension of a map given on basis tuples to module elements.
+
+    value(keys) is the map's arity-n value on the basis tuple keys; args[i]
+    is a module element of sources[i].  Each basis tuple of the arguments'
+    coordinates, taken in increasing order, makes one `act` on the value of
+    the tensor product of their H-coefficients (built as HTensor.from_legs
+    does).
+    """
+    n = len(sources)
+    if len(args) != n:
+        raise InputError("eval: wrong number of arguments")
+    for a, src in zip(args, sources):
+        if a.module != src:
+            raise InputError(f"eval: argument in {a.module.name}, expected {src.name}")
+    acc = None
+    for combo in itertools.product(*map(coordinates, args)):
+        base = value(tuple(k for k, _leg in combo))
+        if base:
+            legs = {(): 1}
+            for _k, leg in combo:
+                legs = {t + (K,): c * c2 for t, c in legs.items() for K, c2 in leg.items()}
+            term = act(HTensor(target.alg, n, legs), base)
+            acc = term if acc is None else acc + term
+    return PTElem.zero(target, n) if acc is None else acc
 
 
 def skew_check(f: Cochain):
@@ -347,15 +361,9 @@ class MixedMap(Sparse):
     def value(self, i: int, j: int) -> PTElem:
         return self.terms.get((i, j), PTElem.zero(self.target, 2))
 
-    def eval(self, x: MElem, u: MElem) -> PTElem:
-        acc = PTElem.zero(self.target, 2)
-        for i, hx in sorted(x.terms.items()):
-            for j, hu in sorted(u.terms.items()):
-                base = self.value(i, j)
-                if base.is_zero():
-                    continue
-                acc = acc + act(HTensor.from_legs([hx, hu]), base)
-        return acc
+    def eval(self, x: PTElem, u: PTElem) -> PTElem:
+        """H-bilinear extension to a module element of g and one of h."""
+        return evaluate(lambda keys: self.value(*keys), (self.gmod, self.hmod), self.target, (x, u))
 
     def swapped(self) -> "MixedMap":
         """The map with its arguments exchanged: m'(b (x) a) = -(12) m(a (x) b).

@@ -24,7 +24,7 @@ import random
 from math import comb
 
 from .hopf import InputError, mi_degree
-from .ptensor import FreeModule, MElem, PTElem, canonicalize, permute, placed, swap_dest
+from .ptensor import FreeModule, PTElem, canonicalize, permute, placed, swap_dest
 from .cochains import (
     Cochain,
     MixedMap,
@@ -55,7 +55,12 @@ PLAIN = "plain"
 
 
 class ResourceError(RuntimeError):
-    """A request exceeds a configured budget (coordinates, unknowns, solver nodes)."""
+    """A request exceeds a budget.
+
+    The budgets are COORD_BUDGET coordinates of a truncated space,
+    rank2.MAX_UNKNOWNS unknowns, rank2.MAX_SOLVER_NODES solver nodes and
+    io.MAX_INPUT_DEGREE, the PBW degree of a term read from a file.
+    """
 
 
 COORD_BUDGET = 60000
@@ -133,7 +138,7 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
     return Cochain(p + 1, A, M, table)
 
 
-def ce_differential0(bracket: Cochain, action: MixedMap, u: MElem, convention=CLASSICAL) -> dict:
+def ce_differential0(bracket: Cochain, action: MixedMap, u: PTElem, convention=CLASSICAL) -> dict:
     """The coboundary of a 0-cochain (a module element).
 
     d(u)(x) = +- action(x (x) u) has a free coefficient on the x-slot, so it
@@ -179,7 +184,7 @@ class CEComplexHandle:
     def diff(self, f: Cochain) -> Cochain:
         return ce_differential(self.bracket, self.action, f, self.convention)
 
-    def diff0(self, u: MElem) -> dict:
+    def diff0(self, u: PTElem) -> dict:
         return ce_differential0(self.bracket, self.action, u, self.convention)
 
     def max_growth(self) -> int:
@@ -266,7 +271,7 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
     if n == 1:
         u = f
         for i in range(Q.g.rank):
-            x = Q.gx(i)
+            x = Q.g.elem(i)
             r = (
                 Q.rho.eval(x, u)
                 + Q.mu.eval([D(x), u])
@@ -277,18 +282,18 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
         differential = handle.diff0(u)
     elif n == 2:
         for i, j in sorted_tuples(Q.g.rank, 2):
-            x, y = Q.gx(i), Q.gx(j)
+            x, y = Q.g.elem(i), Q.g.elem(j)
 
             def rho_D(a_idx, b_elem):
-                a = Q.gx(a_idx)
+                a = Q.g.elem(a_idx)
                 return (
                     Q.rho.eval(a, b_elem)
                     + Q.mu.eval([D(a), b_elem])
                     - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
                 )
 
-            fy = MElem.from_ptelem(f.value((j,)))
-            fx = MElem.from_ptelem(f.value((i,)))
+            fy = f.value((j,))
+            fx = f.value((i,))
             pi_D = (
                 Q.pi.value((i, j))
                 + Q.eta.eval(x, D(y))
@@ -315,16 +320,16 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
     if n == 1:
         x = f  # an element of g
         for j in range(Q.h.rank):
-            u = Q.hu(j)
+            u = Q.h.elem(j)
             r = zeta_value(Q, T, u, x)
             if not r.is_zero():
                 direct[(j,)] = r
         differential = handle.diff0(x)
     elif n == 2:
         for i, j in sorted_tuples(Q.h.rank, 2):
-            u, v = Q.hu(i), Q.hu(j)
-            fv = MElem.from_ptelem(f.value((j,)))
-            fu = MElem.from_ptelem(f.value((i,)))
+            u, v = Q.h.elem(i), Q.h.elem(j)
+            fv = f.value((j,))
+            fu = f.value((i,))
             mu_T = res.mu.value((i, j))
             r = (
                 zeta_value(Q, T, u, fv)
@@ -339,7 +344,7 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
     return _cocycle_report(direct, differential, convention)
 
 
-def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: MElem, x: MElem) -> PTElem:
+def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: PTElem, x: PTElem) -> PTElem:
     """zeta(u (x) x) by direct expansion of the matched-pair reorientation."""
     nat = (
         Q.eta.eval(x, u)
@@ -369,7 +374,7 @@ def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain
             inner = f.value(rest)
             if inner.is_zero():
                 continue
-            ui = Q.hu(t[i - 1])
+            ui = Q.h.elem(t[i - 1])
 
             def zeta_at(k):
                 x = g.elem(k)
@@ -388,7 +393,7 @@ def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain
             acc = acc + permute(comp, dest).scale((-1) ** (i + 1))
         for i in range(1, p + 1):
             for j in range(i + 1, p + 2):
-                ui, uj = Q.hu(t[i - 1]), Q.hu(t[j - 1])
+                ui, uj = Q.h.elem(t[i - 1]), Q.h.elem(t[j - 1])
                 rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
                 mu_T = (
                     Q.mu.value((t[i - 1], t[j - 1]))

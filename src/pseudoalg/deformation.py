@@ -25,12 +25,13 @@ from fractions import Fraction
 from math import factorial
 
 from .hopf import InputError, InternalInvariantError, Sparse
-from .ptensor import FreeModule, MElem, permute
+from .ptensor import FreeModule, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
     _part_name,
     assert_block_shape,
+    coerce_to_sum,
     extract_pure,
     lift_block,
     lift_mixed,
@@ -50,8 +51,8 @@ TYPE_II = "II"
 class HModuleMap(Sparse):
     """Left H-module map between free modules.
 
-    `terms` maps a source basis index i to the image of e_i, a nonzero MElem
-    of dst; a missing index maps to zero.
+    `terms` maps a source basis index i to the image of e_i, a nonzero
+    module element (arity-1 value) of dst; a missing index maps to zero.
     """
 
     __slots__ = ("src", "dst", "terms")
@@ -63,8 +64,8 @@ class HModuleMap(Sparse):
         for i, m in terms.items():
             if not 0 <= i < src.rank:
                 raise InputError("row index out of range")
-            if m.module != dst:
-                raise InputError("row lives in the wrong module")
+            if m.module != dst or m.arity != 1:
+                raise InputError("row is not a module element of the target")
             if not m.is_zero():
                 self.terms[i] = m
 
@@ -87,23 +88,17 @@ class HModuleMap(Sparse):
     def _new(self, terms) -> "HModuleMap":
         return HModuleMap(self.src, self.dst, terms)
 
-    def __call__(self, m: MElem) -> MElem:
-        if m.module != self.src:
+    def __call__(self, m: PTElem) -> PTElem:
+        if m.module != self.src or m.arity != 1:
             raise InputError("map applied to element of the wrong module")
-        acc = self.dst.zero_elem()
-        for i, h in m.terms.items():
-            row = self.terms.get(i)
-            if row is not None:
-                acc = acc + row.act(h)
-        return acc
+        return m.map_module(self.apply_basis, self.dst)
 
-    def apply_basis(self, i: int) -> MElem:
-        return self.terms.get(i, self.dst.zero_elem())
+    def apply_basis(self, i: int) -> PTElem:
+        return self.terms.get(i) or PTElem.zero(self.dst, 1)
 
     def as_cochain(self) -> Cochain:
         """The map as an arity-1 block cochain."""
-        terms = {(i,): m.as_ptelem() for i, m in self.terms.items()}
-        return Cochain(1, self.src, self.dst, terms)
+        return Cochain(1, self.src, self.dst, {(i,): m for i, m in self.terms.items()})
 
     def __repr__(self):
         return f"HModuleMap({self.src.name}->{self.dst.name})"
@@ -134,12 +129,21 @@ def dmap_residual(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
 
 def dmap1_residual(Q: QuasiTwilled, D: HModuleMap) -> Cochain:
     """Defining residual of a type I map: (h-side) - D(g-side), per basis pair."""
+    return _type1_tables(Q, D)[1]
+
+
+def _type1_tables(Q: QuasiTwilled, D: HModuleMap) -> tuple:
+    """(pi^D table, defining residual) of a type I map.
+
+    pi^D(x, y) = pi(x, y) + eta(x, Dy) - (12) eta(y, Dx) is the g-side of the
+    residual, so the twist takes both from one evaluation.
+    """
     _check_orientation(Q, D, TYPE_I)
-    table = {}
+    pi_d, table = {}, {}
     for i, j in sorted_tuples(Q.g.rank, 2):
-        x, y = Q.gx(i), Q.gx(j)
+        x, y = Q.g.elem(i), Q.g.elem(j)
         Dx, Dy = D(x), D(y)
-        gside = (
+        gside = pi_d[(i, j)] = (
             Q.pi.value((i, j))
             + Q.eta.eval(x, Dy)
             - permute(Q.eta.eval(y, Dx), SWAP2)
@@ -151,7 +155,7 @@ def dmap1_residual(Q: QuasiTwilled, D: HModuleMap) -> Cochain:
             + Q.theta.value((i, j))
         )
         table[(i, j)] = hside - gside.map_module(D.apply_basis, D.dst)
-    return Cochain(2, Q.g, Q.h, table)
+    return pi_d, Cochain(2, Q.g, Q.h, table)
 
 
 def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
@@ -159,7 +163,7 @@ def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
     _check_orientation(Q, T, TYPE_II)
     table = {}
     for i, j in sorted_tuples(Q.h.rank, 2):
-        u, v = Q.hu(i), Q.hu(j)
+        u, v = Q.h.elem(i), Q.h.elem(j)
         Tu, Tv = T(u), T(v)
         gside = (
             Q.pi.eval([Tu, Tv])
@@ -187,7 +191,7 @@ def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
     om = Q.omega()
     G, cut = Q.G, Q.G.split
 
-    def phi(k: int) -> MElem:
+    def phi(k: int) -> PTElem:
         # Phi(x, u) = u - D(x), valued in h; Gr(D) = ker Phi and H^2 is
         # flat, so membership is exactly the vanishing of the pushforward.
         if k < cut:
@@ -197,34 +201,12 @@ def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
     residuals = {}
     for i, j in sorted_tuples(Q.g.rank, 2):
         # graph elements (x_i, D x_i) in G
-        gi = G.elem(i) + _embed_h(Q, D.apply_basis(i))
-        gj = G.elem(j) + _embed_h(Q, D.apply_basis(j))
+        gi = G.elem(i) + coerce_to_sum(D.apply_basis(i), G, "h")
+        gj = G.elem(j) + coerce_to_sum(D.apply_basis(j), G, "h")
         resid = om.eval([gi, gj]).map_module(phi, Q.h)
         if not resid.is_zero():
             residuals[(i, j)] = resid
     return {"ok": not residuals, "residuals": residuals}
-
-
-def _embed_h(Q: QuasiTwilled, m: MElem) -> MElem:
-    cut = Q.G.split
-    return MElem(Q.G, {k + cut: h for k, h in m.terms.items()})
-
-
-def _embed_g(Q: QuasiTwilled, m: MElem) -> MElem:
-    return MElem(Q.G, dict(m.terms))
-
-
-def _endo_of(Q: QuasiTwilled, M: HModuleMap, kind: str) -> dict:
-    """The square-zero module endomorphism of G induced by M."""
-    cut = Q.G.split
-    out = {}
-    if kind == TYPE_I:
-        for i in range(Q.g.rank):
-            out[i] = _embed_h(Q, M.apply_basis(i))
-    else:
-        for j in range(Q.h.rank):
-            out[cut + j] = _embed_g(Q, M.apply_basis(j))
-    return out
 
 
 def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
@@ -255,15 +237,13 @@ def conjugate_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     """e^{-M} o Omega o (e^M (x) e^M), computed on basis pairs of G."""
     om = Q.omega()
     G = Q.G
-    endo = _endo_of(Q, M, kind)
+    endo = lift_block(M.as_cochain(), G)  # the square-zero endomorphism of G
 
-    def exp_plus(k: int) -> MElem:
-        img = endo.get(k)
-        return G.elem(k) if img is None else G.elem(k) + img
+    def exp_plus(k: int) -> PTElem:
+        return G.elem(k) + endo.value((k,))
 
-    def exp_minus(k: int) -> MElem:
-        img = endo.get(k)
-        return G.elem(k) if img is None else G.elem(k) - img
+    def exp_minus(k: int) -> PTElem:
+        return G.elem(k) - endo.value((k,))
 
     table = {
         t: om.eval([exp_plus(t[0]), exp_plus(t[1])]).map_module(exp_minus, G)
@@ -278,21 +258,14 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     Always quasi-twilled: mu and eta are untouched; the twisted theta is the
     defining residual, so D is a deformation map iff it vanishes.
     """
-    _check_orientation(Q, D, TYPE_I)
     g, h = Q.g, Q.h
-    pi_t = {}
-    for i, j in sorted_tuples(g.rank, 2):
-        x, y = Q.gx(i), Q.gx(j)
-        pi_t[(i, j)] = (
-            Q.pi.value((i, j)) + Q.eta.eval(x, D(y)) - permute(Q.eta.eval(y, D(x)), SWAP2)
-        )
+    pi_t, theta = _type1_tables(Q, D)
     rho_t = {}
     for i in range(g.rank):
         for j in range(h.rank):
-            x, v = Q.gx(i), Q.hu(j)
             rho_t[(i, j)] = (
                 Q.rho.value(i, j)
-                + Q.mu.eval([D(x), v])
+                + Q.mu.eval([D(g.elem(i)), h.elem(j)])
                 - Q.eta.value(i, j).map_module(D.apply_basis, D.dst)
             )
     return QuasiTwilled(
@@ -302,7 +275,7 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
         rho=MixedMap(g, h, h, rho_t),
         mu=Q.mu,
         eta=Q.eta,
-        theta=dmap1_residual(Q, D),
+        theta=theta,
         G=Q.G,
     )
 
@@ -372,8 +345,7 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
     rho_t, eta_t = {}, {}
     for i in range(g.rank):
         for j in range(h.rank):
-            x, v = Q.gx(i), Q.hu(j)
-            Tv = T(v)
+            x, Tv = g.elem(i), T(h.elem(j))
             theta_xTv = Q.theta.eval([x, Tv])
             rho_t[(i, j)] = Q.rho.value(i, j) + theta_xTv
             eta_t[(i, j)] = (
@@ -384,7 +356,7 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
             )
     mu_t = {}
     for i, j in sorted_tuples(h.rank, 2):
-        u, v = Q.hu(i), Q.hu(j)
+        u, v = h.elem(i), h.elem(j)
         Tu, Tv = T(u), T(v)
         mu_t[(i, j)] = (
             Q.mu.value((i, j))

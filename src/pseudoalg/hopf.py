@@ -254,8 +254,8 @@ class Sparse:
     """A finite linear combination: `terms` maps a basis key to a nonzero value.
 
     The one base of every linear value: `HElem`, `HTensor` and
-    `ptensor.PTElem`, whose values are exact scalars, and
-    `ptensor.MElem`, `cochains.Cochain`, `cochains.MixedMap` and
+    `ptensor.PTElem` (module elements included, as arity-1 values), whose
+    values are exact scalars, and `cochains.Cochain`, `cochains.MixedMap` and
     `deformation.HModuleMap`, whose values are themselves `Sparse`.  Values of
     one class add only when their `_shape()` (the base algebra, arity or
     modules they live over) agrees; `_new(terms)` builds a value of the same

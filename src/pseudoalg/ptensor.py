@@ -3,7 +3,8 @@
 The canonical form fixes the last tensor slot to 1: every element is written
 as  sum (a^(I_1) (x) ... (x) a^(I_{n-1}) (x) 1) (x)_H a^(K) e_k,  so a term is
 keyed by (slots, K, k).  Equality of canonical term maps is the decision
-procedure behind every residual check in this package.
+procedure behind every residual check in this package.  A module element is
+an arity-1 value, since H (x)_H M = M: its terms are keyed by ((), K, k).
 
 Straightening a term depends only on its slot monomials, so the expansion of
 each slot tuple is computed once and kept on the LieAlgebra.
@@ -69,11 +70,12 @@ class FreeModule:
             raise InputError(f"module {self.name!r} carries no recorded split")
         return self.parts[0].rank
 
-    def elem(self, k: int, coeff: HElem | None = None) -> "MElem":
-        return MElem(self, {k: coeff if coeff is not None else self.alg.unit()})
-
-    def zero_elem(self) -> "MElem":
-        return MElem(self, {})
+    def elem(self, k: int, coeff: HElem | None = None) -> "PTElem":
+        """The module element coeff * e_k (coeff defaults to 1), an arity-1 value."""
+        if not 0 <= k < self.rank:
+            raise InputError(f"basis index {k} out of range for {self.name}")
+        terms = {self.alg.zero_index: 1} if coeff is None else coeff.terms
+        return PTElem(self, 1, {((), K, k): c for K, c in terms.items()})
 
     def __eq__(self, other):
         return other is self or (
@@ -88,51 +90,6 @@ class FreeModule:
 
     def __repr__(self):
         return f"FreeModule({self.name!r}, rank={self.rank})"
-
-
-class MElem(Sparse):
-    """Element of a free module: `terms` maps a basis index k to the HElem coefficient of e_k."""
-
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module: FreeModule, terms: dict):
-        self.module = module
-        self.terms = {k: h for k, h in terms.items() if h}
-        for k in self.terms:
-            if not 0 <= k < module.rank:
-                raise InputError(f"basis index {k} out of range for {module.name}")
-
-    @classmethod
-    def from_ptelem(cls, v: "PTElem") -> "MElem":
-        """An arity-1 value, an element of H (x)_H M = M, as a module element."""
-        if v.arity != 1:
-            raise InputError("only an arity-1 value is a module element")
-        coords = {}
-        for (_slots, K, k), c in v.terms.items():
-            coords.setdefault(k, {})[K] = c
-        return cls(v.module, {k: HElem(v.module.alg, t) for k, t in coords.items()})
-
-    def as_ptelem(self) -> "PTElem":
-        """The module element as an arity-1 value; inverse of `from_ptelem`."""
-        return PTElem(
-            self.module, 1, {((), K, k): c for k, h in self.terms.items() for K, c in h.terms.items()}
-        )
-
-    def _shape(self):
-        return self.module
-
-    def _new(self, terms) -> "MElem":
-        return MElem(self.module, terms)
-
-    def act(self, h: HElem) -> "MElem":
-        return MElem(self.module, {k: h * v for k, v in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({h})*{self.module.basis[k]}" for k, h in sorted(self.terms.items())
-        )
 
 
 class PTElem(Sparse):
@@ -172,15 +129,27 @@ class PTElem(Sparse):
         )
 
     def map_module(self, fn, target: FreeModule) -> "PTElem":
-        """Push an H-linear map into `target` through the module part; fn(k) -> MElem.
+        """Push an H-linear map into `target` through the module part.
 
-        A zero value or an all-zero image gives the zero of `target`.
+        fn(k) is the image of e_k, a module element of `target`.  For each
+        term, the product a^(K) h with each image coordinate h is formed
+        whole, zeros dropped, before it is added.  A zero value or an
+        all-zero image gives the zero of `target`.
         """
+        mul = self.module.alg.mul_mono
         out = {}
-        alg = self.module.alg
         for (slots, K, k), c in self.terms.items():
-            for k2, h in fn(k).terms.items():
-                for K2, c2 in (alg.mono(K) * h).terms.items():
+            products = {}
+            for (_s, J, k2), cj in fn(k).terms.items():
+                prod = products.setdefault(k2, {})
+                for K2, c2 in mul(K, J).items():
+                    v = prod.get(K2, 0) + cj * c2
+                    if v:
+                        prod[K2] = v
+                    else:
+                        prod.pop(K2, None)
+            for k2, prod in products.items():
+                for K2, c2 in prod.items():
                     key = (slots, K2, k2)
                     v = out.get(key, 0) + c * c2
                     if v:
@@ -218,6 +187,16 @@ class PTElem(Sparse):
             slot_str = " (x) ".join(str(s) for s in slots + ((),))
             bits.append(f"{c}*[{slot_str}](x)_H {K}.{self.module.basis[k]}")
         return " + ".join(bits)
+
+
+def coordinates(m: PTElem) -> list:
+    """[(k, {K: c})] of a module element: the H-coefficient of each e_k, in increasing k."""
+    if m.arity != 1:
+        raise InputError("only an arity-1 value is a module element")
+    coords = {}
+    for (_s, K, k), c in m.terms.items():
+        coords.setdefault(k, {})[K] = c
+    return sorted(coords.items())
 
 
 # -- canonicalization ---------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hopf import InputError
-from .ptensor import FreeModule, MElem, PTElem, permute
+from .ptensor import FreeModule, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
@@ -62,9 +62,6 @@ class LiePseudoalgebra:
             report = check_lie(self)
             if not report["ok"]:
                 raise InputError(f"not a Lie pseudoalgebra: {report}")
-
-    def elem(self, k, coeff=None) -> MElem:
-        return self.module.elem(k, coeff)
 
     def __repr__(self):
         return f"LiePseudoalgebra({self.module.name})"
@@ -112,7 +109,7 @@ class Representation:
 def _ins_mixed(m: MixedMap, pos: int, inner: PTElem, other) -> PTElem:
     """Insert a value into argument `pos` (1 or 2) of a mixed map.
 
-    `other` is the remaining argument (an MElem of the complementary module).
+    `other` is the remaining argument, a module element of the complementary module.
     The inner block lands at positions pos-1 .. pos; slot order follows the
     map's own argument order, so pos=1 gives contents (inner, other), pos=2
     gives (other, inner).
@@ -131,7 +128,7 @@ def _ins_mixed(m: MixedMap, pos: int, inner: PTElem, other) -> PTElem:
 
 
 def _ins_pair(c: Cochain, pos: int, inner: PTElem, other) -> PTElem:
-    """Insert into argument `pos` of an arity-2 cochain, other argument an MElem."""
+    """Insert into argument `pos` of an arity-2 cochain; `other` is the other argument."""
     if inner.module != c.source:
         raise InputError("pair insert: inner value in the wrong module")
     if pos == 1:
@@ -201,12 +198,6 @@ class QuasiTwilled:
                 + lift_block(self.theta, self.G)
             )
         return self._omega
-
-    def gx(self, i) -> MElem:
-        return self.g.elem(i)
-
-    def hu(self, j) -> MElem:
-        return self.h.elem(j)
 
     def max_degree(self) -> int:
         return max(

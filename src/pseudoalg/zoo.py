@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .hopf import HElem, InputError, LieAlgebra, exact_div
-from .ptensor import FreeModule, MElem, PTElem, canonicalize, permute
+from .hopf import InputError, LieAlgebra, exact_div
+from .ptensor import FreeModule, PTElem, canonicalize, permute
 from .cochains import Cochain, MixedMap, sorted_tuples
 from .structures import (
     LiePseudoalgebra,
@@ -315,7 +315,9 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         p = Fraction(ingredients["weight"])
         br = P.bracket
         if (m.src, m.dst) != (P.module, P.module):
-            m = _retarget(m, P.module, P.module)
+            # a map between same-rank copies of the module, read on the module
+            rows = {i: row.coerce(P.module) for i, row in m.terms.items()}
+            m = HModuleMap(P.module, P.module, rows)
         table = {}
         for t in sorted_tuples(P.module.rank, 2):
             x, y = P.module.elem(t[0]), P.module.elem(t[1])
@@ -414,22 +416,13 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
     raise InputError(f"unknown operator kind {kind!r}")
 
 
-def _retarget(m: HModuleMap, src, dst) -> HModuleMap:
-    """Reinterpret a map between same-rank modules (copy relabelling)."""
-    rows = {}
-    for i, row in m.terms.items():
-        rows[i] = MElem(dst, dict(row.terms))
-    return HModuleMap(src, dst, rows)
-
-
 def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
     """Seeded random H-linear map with small integral coefficients."""
     alg = src.alg
     rows = {}
     for i in range(src.rank):
-        coords = {}
+        row = {}
         for j in range(dst.rank):
-            terms = {}
             for _ in range(2):
                 deg = rng.randint(0, max_deg)
                 mi = [0] * alg.dim
@@ -437,13 +430,9 @@ def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
                     mi[rng.randrange(alg.dim)] += 1
                 c = rng.choice([-2, -1, 0, 1, 2])
                 if c:
-                    key = tuple(mi)
-                    terms[key] = terms.get(key, Fraction(0)) + Fraction(c)
-            h = HElem(alg, terms)
-            if h:
-                coords[j] = h
-        if coords:
-            rows[i] = MElem(dst, coords)
+                    key = ((), tuple(mi), j)
+                    row[key] = row.get(key, 0) + c
+        rows[i] = PTElem(dst, 1, row)
     return HModuleMap(src, dst, rows)
 
 

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 from pseudoalg.hopf import LieAlgebra
 from pseudoalg.ptensor import FreeModule, canonicalize
-from pseudoalg.cochains import Cochain, MixedMap
+from pseudoalg.cochains import Cochain, MixedMap, random_cochain, random_ptelem
 from pseudoalg.structures import QuasiTwilled
 from pseudoalg import cochains, zoo
 
@@ -72,6 +72,21 @@ def reynolds_q():
 @pytest.fixture
 def rng():
     return random.Random(20250810)
+
+
+def random_structure(rng, alg, max_deg=2):
+    """A seeded random rank-(1,1) quasi-twilled tuple over alg (PC need not hold)."""
+    g = FreeModule("g", ["u"], alg)
+    h = FreeModule("h", ["x"], alg)
+    return QuasiTwilled(
+        g,
+        h,
+        pi=random_cochain(rng, g, g, 2, max_deg=max_deg),
+        rho=MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=max_deg)}),
+        mu=random_cochain(rng, h, h, 2, max_deg=max_deg),
+        eta=MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=max_deg)}),
+        theta=random_cochain(rng, g, h, 2, max_deg=max_deg),
+    )
 
 
 def term_order_digest(values) -> str:

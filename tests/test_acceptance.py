@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from pseudoalg.hopf import HElem, HTensor, LieAlgebra, antipode, coproduct_iter, counit
-from pseudoalg.ptensor import FreeModule, MElem, PTElem
+from pseudoalg.ptensor import FreeModule, PTElem
 from pseudoalg.cochains import (
     Cochain,
     MixedMap,

@@ -8,7 +8,7 @@ import pytest
 
 from pseudoalg import cochains, zoo
 from pseudoalg.hopf import InputError, LieAlgebra
-from pseudoalg.ptensor import FreeModule, MElem, PTElem, perm_sign, permute
+from pseudoalg.ptensor import FreeModule, PTElem, perm_sign, permute
 from pseudoalg.cochains import (
     Cochain,
     INHOMOGENEOUS,
@@ -284,13 +284,13 @@ def test_lift_mixed_matches_shuffle_formula(qd, rng):
     alpha = MixedMap(g, h, g, {(i, 0): random_ptelem(rng, g, 2, max_deg=2) for i in range(2)})
     al = lift_mixed(alpha, G)
     assert skew_check(al) == []
-    x1 = MElem(G, {0: qd.gen(0)})
-    u1 = MElem(G, {2: qd.unit()})
-    x2 = MElem(G, {1: qd.unit().scale(3)})
-    u2 = MElem(G, {2: qd.gen(0)})
+    x1 = G.elem(0, qd.gen(0))
+    u1 = G.elem(2, qd.unit())
+    x2 = G.elem(1, qd.unit().scale(3))
+    u2 = G.elem(2, qd.gen(0))
     lhs = al.eval([x1 + u1, x2 + u2])
-    t1 = alpha.eval(MElem(g, {0: qd.gen(0)}), MElem(h, {0: qd.gen(0)}))
-    t2 = alpha.eval(MElem(g, {1: qd.unit().scale(3)}), MElem(h, {0: qd.unit()}))
+    t1 = alpha.eval(g.elem(0, qd.gen(0)), h.elem(0, qd.gen(0)))
+    t2 = alpha.eval(g.elem(1, qd.unit().scale(3)), h.elem(0, qd.unit()))
     rhs = t1.coerce(G) - permute(t2.coerce(G), (1, 0))
     assert lhs == rhs
 
@@ -362,6 +362,22 @@ def test_transpose_last(gm, mu, rng):
     assert transpose_last(f) == f.scale(-1)
 
 
+def test_eval_checks_argument_modules():
+    # both kinds of map refuse an argument from a module other than the
+    # source of its slot (InputError, exit 2 through pa), and an argument
+    # that is not a module element
+    Q = zoo.demo_bundle(zoo.CROSSED_HOM)["Q"]
+    x, u = Q.g.elem(0), Q.h.elem(0)
+    assert Q.rho.eval(x, u) == Q.rho.value(0, 0) and Q.rho.eval(x, u)
+    other = FreeModule("f", ["z"], Q.g.alg).elem(0)
+    for args in ((u, x), (other, u), (x, other), (x, Q.rho.value(0, 0))):
+        with pytest.raises(InputError):
+            Q.rho.eval(*args)
+    for args in ([x, u], [other, x], [x]):
+        with pytest.raises(InputError):
+            Q.pi.eval(args)
+
+
 def test_eval_h_linearity(gm, mu, qd, rng):
     # eval on h-scaled arguments equals act of the coefficients
     from pseudoalg.hopf import HTensor
@@ -369,7 +385,7 @@ def test_eval_h_linearity(gm, mu, qd, rng):
 
     h1 = qd.mono((2,)).scale(3) + qd.unit()
     h2 = qd.gen(0)
-    lhs = mu.eval([MElem(gm, {0: h1}), MElem(gm, {0: h2})])
+    lhs = mu.eval([gm.elem(0, h1), gm.elem(0, h2)])
     rhs = act(HTensor.from_legs([h1, h2]), mu.value((0, 0)))
     assert lhs == rhs
 

@@ -26,11 +26,13 @@ from pseudoalg.deformation import (
     linf_identity_residual,
     linf_jacobi_check,
     twist1,
+    twist1_components,
     twist2,
+    twist2_components,
 )
 from pseudoalg import zoo
 
-from conftest import pt, vir_value
+from conftest import pt, random_structure, term_order_digest, vir_value
 
 
 def cid(Q, c, kind=TYPE_I):
@@ -113,6 +115,48 @@ def test_graph_check_agrees_on_randoms(rng):
                 assert v == resid.value(key)
 
 
+# sha256 (see conftest.term_order_digest) of the nested term order of every
+# deformation-route value: both defining residuals, the closed-form twist
+# tables, both conjugated brackets and the graph-check residuals, on each zoo
+# structure under its own maps and two seeded random maps per type, and on
+# seeded random structures over U(b2), where the order depends on how
+# map_module adds its products.  These routes push module elements
+# through HModuleMap, map_module and eval on non-basis arguments, which the
+# bracket and CE digests never reach.
+ROUTE_TERM_ORDER_ZOO = "7452dcf45a150056023742e66a31229d76b012ba8a1a02ac970b604276925134"
+ROUTE_TERM_ORDER_B2 = "3e587e7665f410722f87baf8d557996bfd7c30f455331a3afb9df1f1b470fcac"
+
+
+def _route_values(Q, seed, maps=()):
+    rng = random.Random(seed)
+    maps = list(maps) + [
+        (zoo.random_hmap(rng, Q.g, Q.h), zoo.random_hmap(rng, Q.h, Q.g)) for _ in range(2)
+    ]
+    out = []
+    for D, T in maps:
+        t1, t2 = twist1_components(Q, D), twist2_components(Q, T)
+        out += [dmap1_residual(Q, D), dmap2_residual(Q, T), t1.pi, t1.rho]
+        out += [t2.pi, t2.rho, t2.mu, t2.eta, t2.xi]
+        out += [conjugate_twist(Q, D, TYPE_I), conjugate_twist(Q, T, TYPE_II)]
+        out.append(Cochain(2, Q.g, Q.h, graph_check(Q, D)["residuals"]))
+    return out
+
+
+def test_deformation_route_term_order_is_pinned():
+    values = []
+    for entry in zoo.zoo_structures():
+        Q = entry["Q"]
+        D = entry["type1"] or HModuleMap.zero(Q.g, Q.h)
+        T = entry["type2"] or HModuleMap.zero(Q.h, Q.g)
+        values += _route_values(Q, 7, [(D, T)])
+    assert term_order_digest(values) == ROUTE_TERM_ORDER_ZOO
+    values = []
+    for seed in (1, 2, 3):
+        Q = random_structure(random.Random(seed), zoo.nonabelian_2dim(), max_deg=3)
+        values += _route_values(Q, seed)
+    assert term_order_digest(values) == ROUTE_TERM_ORDER_B2
+
+
 # -- twisting ---------------------------------------------------------------------------
 
 
@@ -181,7 +225,7 @@ def test_curved_ops_type1_examples(modified_r_q):
     D = cid(Q, 1)
     expect = {}
     for (i, j) in ((0, 0),):
-        x, y = Q.gx(i), Q.gx(j)
+        x, y = Q.g.elem(i), Q.g.elem(j)
         expect[(i, j)] = (
             Q.mu.eval([D(x), D(y)])
             - Q.eta.eval(x, D(y)).map_module(D.apply_basis, D.dst)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from pseudoalg import io as pio
 from pseudoalg import zoo
 from pseudoalg.cli import main
+from pseudoalg.cohomology import ResourceError
 from pseudoalg.cochains import random_cochain
 from pseudoalg.deformation import HModuleMap
 
@@ -455,6 +457,42 @@ def test_rank2_search_over_unknowns_budget_exits_3():
     out = cli_child("rank2-search", "--max-deg", "4", timeout=20)
     assert out.returncode == 3
     assert "42 unknowns" in out.stderr
+
+
+def _leading_exponent(e: int, slot: int = 0) -> dict:
+    """modified_r.json with the first term of theta, eta and mu at slot
+    exponent `slot` and coefficient exponent e, of PBW degree slot + e."""
+    data = json.loads((GOLDEN_DIR / "modified_r.json").read_text(encoding="utf-8"))
+    for name in ("theta", "eta", "mu"):
+        term = data["maps"][name][0]["terms"][0]
+        term["slots"], term["coeff"] = [[slot]], [e]
+    return data
+
+
+@pytest.mark.parametrize("e", [400, 10**30])
+def test_cli_input_degree_over_budget_exits_3(capsys, tmp_path, e):
+    # refused at load: at e = 400 `pa check` ran for minutes, and at 10**30
+    # it ended in an OverflowError traceback, which exits 1 and reads as FAIL
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(_leading_exponent(e)))
+    t0 = time.perf_counter()
+    code, _out, err = run_cli(["check", str(path)], capsys)
+    assert code == 3 and "budget" in err
+    assert time.perf_counter() - t0 < 1
+
+
+def test_input_degree_budget_is_exact(modified_r_q):
+    cap = pio.MAX_INPUT_DEGREE
+    for slot in (0, 1):
+        assert pio.structure_from_json(_leading_exponent(cap - slot, slot)).max_degree() == cap
+        with pytest.raises(ResourceError):
+            pio.structure_from_json(_leading_exponent(cap + 1 - slot, slot))
+    data = pio.map_to_json(HModuleMap.zero(modified_r_q.g, modified_r_q.h))
+    data["matrix"][0][0] = [{"exp": [cap], "q": "1"}]
+    assert pio.map_from_json(data, modified_r_q.g, modified_r_q.h).apply_basis(0).degree() == cap
+    data["matrix"][0][0] = [{"exp": [cap + 1], "q": "1"}]
+    with pytest.raises(ResourceError):
+        pio.map_from_json(data, modified_r_q.g, modified_r_q.h)
 
 
 # Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each

@@ -11,7 +11,6 @@ from pseudoalg import ptensor
 from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra, Sparse
 from pseudoalg.ptensor import (
     FreeModule,
-    MElem,
     PTElem,
     _explicit_terms,
     act,
@@ -215,12 +214,12 @@ def _sparse_cases(b2, rng):
         return HElem(b2, terms)
 
     def melem():
-        return MElem(M2, {k: helem() for k in range(2)})
+        return M2.elem(0, helem()) + M2.elem(1, helem())
 
     def mixed():
         return MixedMap(M2, M2, M2, {(i, j): random_ptelem(rng, M2, 2) for i in range(2) for j in range(2)})
 
-    cases = [(helem(), helem(), b2.zero()), (melem(), melem(), M2.zero_elem())]
+    cases = [(helem(), helem(), b2.zero()), (melem(), melem(), PTElem.zero(M2, 1))]
     for arity in (1, 2, 3):
         e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
         f = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
@@ -259,7 +258,7 @@ def test_sparse_shapes_do_not_mix(qd, b2, rng):
     f2 = random_cochain(rng, M2, M2, 2, max_deg=1)
     v2 = random_ptelem(rng, M2, 2)
     w2 = random_ptelem(rng, N2, 2)
-    m = MElem(M2, {0: b2.unit()})
+    m = M2.elem(0, b2.unit())
     mismatched = [
         (b2.unit(), qd.unit()),
         (HTensor.unit(b2, 2), HTensor.unit(qd, 2)),
@@ -267,8 +266,7 @@ def test_sparse_shapes_do_not_mix(qd, b2, rng):
         (random_ptelem(rng, M2, 2), random_ptelem(rng, M2, 3)),
         (random_ptelem(rng, M2, 2), random_ptelem(rng, N2, 2)),
         (b2.unit(), HTensor.unit(b2, 1)),
-        (m, MElem(N2, {0: b2.unit()})),
-        (m, PTElem(M2, 1, {((), (0, 0), 0): 1})),
+        (m, N2.elem(0, b2.unit())),
         (f2, random_cochain(rng, M2, M2, 1, max_deg=1)),
         (f2, Cochain(2, N2, M2, {(0, 0): v2})),
         (f2, Cochain(2, M2, N2, {(0, 0): w2})),
@@ -290,7 +288,6 @@ def test_sparse_shapes_do_not_mix(qd, b2, rng):
         b2.unit(),
         HTensor.unit(b2, 1),
         v1,
-        m,
         Cochain(1, M2, M2, {(0,): v1}),
         HModuleMap(M2, M2, {0: m}),
         MixedMap(M2, M2, M2, {(0, 0): v2}),
@@ -314,7 +311,7 @@ def test_zero_rank_module(qd):
     Z = FreeModule("Z", [], qd)
     assert PTElem.zero(Z, 2).is_zero()
     assert canonicalize(Z, 2, []).is_zero()
-    assert MElem(Z, {}).is_zero()
+    assert PTElem.zero(Z, 1).is_zero()
 
 
 def test_arity_mismatch_errors(qd, M, rng):

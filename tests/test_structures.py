@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pseudoalg.hopf import HTensor, InputError
-from pseudoalg.ptensor import FreeModule, MElem, PTElem, act
+from pseudoalg.ptensor import FreeModule, PTElem, act
 from pseudoalg.cochains import (
     Cochain,
     MixedMap,
@@ -33,7 +33,7 @@ from pseudoalg.structures import (
 )
 from pseudoalg import zoo
 
-from conftest import pt, vir_value
+from conftest import pt, random_structure, vir_value
 
 
 def test_check_lie_virasoro(vir):
@@ -65,8 +65,8 @@ def test_assemble_omega_examples(qd):
     # direct product: no interaction terms
     Q = QuasiTwilled(g.module, h.module, pi=g.bracket, mu=h.bracket)
     om = Q.omega()
-    x0 = MElem(Q.G, {0: qd.unit()})
-    v0 = MElem(Q.G, {1: qd.unit()})
+    x0 = Q.G.elem(0, qd.unit())
+    v0 = Q.G.elem(1, qd.unit())
     assert om.eval([x0, v0]).is_zero()
     # action structure: Omega((x,0),(0,v)) = (0, rho(x (x) v))
     rho = zoo.adjoint_action(g, h.module)
@@ -189,9 +189,9 @@ def test_jacobiator_h_polylinearity(modified_r_q, qd, rng):
     h1 = qd.mono((1,)).scale(2) + qd.unit()
     h2 = qd.mono((2,))
     h3 = qd.unit().scale(-3)
-    a, b, c = (MElem(Q.G, {0: h1}), MElem(Q.G, {1: h2}), MElem(Q.G, {0: h3}))
+    a, b, c = (Q.G.elem(0, h1), Q.G.elem(1, h2), Q.G.elem(0, h3))
     lhs = jac_melem(a, b, c)
-    base = jac_melem(*(MElem(Q.G, {k: qd.unit()}) for k in (0, 1, 0)))
+    base = jac_melem(*(Q.G.elem(k, qd.unit()) for k in (0, 1, 0)))
     rhs = act(HTensor.from_legs([h1, h2, h3]), base)
     assert lhs == rhs
 
@@ -241,20 +241,6 @@ def test_representation_axiom(qd):
         Representation(LiePseudoalgebra(g.module, g.bracket, validate=False), M, bad)
 
 
-def _random_structure(rng, alg, max_deg=2):
-    g = FreeModule("g", ["u"], alg)
-    h = FreeModule("h", ["x"], alg)
-    return QuasiTwilled(
-        g,
-        h,
-        pi=random_cochain(rng, g, g, 2, max_deg=max_deg),
-        rho=MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=max_deg)}),
-        mu=random_cochain(rng, h, h, 2, max_deg=max_deg),
-        eta=MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=max_deg)}),
-        theta=random_cochain(rng, g, h, 2, max_deg=max_deg),
-    )
-
-
 def _tables(table):
     return [(key, list(v.terms.items())) for key, v in sorted(table.items())]
 
@@ -263,11 +249,11 @@ def test_results_do_not_depend_on_kernel_memos():
     # two equal algebras, one with memos warmed by unrelated work: every
     # bracket and residual table is the same, term order included
     warm, cold = zoo.nonabelian_2dim(), zoo.nonabelian_2dim()
-    check_pc(_random_structure(random.Random(1), warm))
+    check_pc(random_structure(random.Random(1), warm))
     assert warm.slot_expansions and warm.coproduct_spreads
     assert not cold.slot_expansions and not cold.coproduct_spreads
-    Qw = _random_structure(random.Random(2), warm)
-    Qc = _random_structure(random.Random(2), cold)
+    Qw = random_structure(random.Random(2), warm)
+    Qc = random_structure(random.Random(2), cold)
     bw = nr_bracket(Qw.omega(), Qw.omega())
     bc = nr_bracket(Qc.omega(), Qc.omega())
     assert _tables(bw.terms) == _tables(bc.terms)
