@@ -5,6 +5,10 @@ usage error; 3 resource budget or internal invariant violation.  Reports are
 deterministic for identical inputs and seeds (timing is opt-in via --timing
 and excluded from the determinism contract); every report names the
 convention flags in force.
+
+A command imports only the modules its body runs: this module loads hopf,
+ptensor, cochains, structures and io, and a `cmd_*` body that needs
+deformation, cohomology, zoo or rank2 imports it in its first line.
 """
 
 from __future__ import annotations
@@ -15,27 +19,20 @@ import random
 import sys
 import time
 
-from .hopf import InputError, InternalInvariantError, coeff
+from .hopf import InputError, InternalInvariantError, ResourceError, coeff
 from .cochains import nr_bracket, skew_check
-from .structures import ALIGNED, check_lie, check_mc_omega, check_pc
-from .deformation import (
+from .structures import (
+    ALIGNED,
+    ALL_KINDS,
+    CLASSICAL,
     TYPE_I,
     TYPE_II,
-    LinfOps,
-    dmap_residual,
-    linf_jacobi_check,
+    check_lie,
+    check_mc_omega,
+    check_pc,
     orientation,
-    twist1,
-    twist2,
-)
-from .cohomology import (
-    CLASSICAL,
-    ResourceError,
-    handle_for,
-    truncated_cohomology,
 )
 from . import io as pio
-from . import zoo as pzoo
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,20 +120,17 @@ def _load_json(path):
         raise pio.ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_structure(path, validate=True, report=None):
-    Q = pio.structure_from_json(_load_json(path))
-    if validate:
+def _load_structure(args, report=None):
+    """The command's structure file; given a report and no --no-validate, its
+    PC1-PC8 are checked at load and added to the report as one check."""
+    Q = pio.structure_from_json(_load_json(args.structure))
+    if report is not None and not args.no_validate:
         pc = check_pc(Q)
-        if report is not None:
-            report.add(
-                "load-validate PC1-PC8",
-                pc["ok"],
-                None
-                if pc["ok"]
-                else {k: len(v) for k, v in pc["residuals"].items() if v},
-            )
-        if not pc["ok"] and report is None:
-            raise InputError("structure fails PC validation")
+        report.add(
+            "load-validate PC1-PC8",
+            pc["ok"],
+            None if pc["ok"] else {k: len(v) for k, v in pc["residuals"].items() if v},
+        )
     return Q
 
 
@@ -162,7 +156,7 @@ def _write(path, data, report):
 
 
 def cmd_check(args, report):
-    Q = _load_structure(args.structure, validate=False)
+    Q = _load_structure(args)
     om = Q.omega()
     skew = skew_check(om)
     report.add("omega skew-symmetry", not skew, None if not skew else f"{len(skew)} residuals")
@@ -175,7 +169,7 @@ def cmd_check(args, report):
 
 
 def cmd_check_qt(args, report):
-    Q = _load_structure(args.structure, validate=False)
+    Q = _load_structure(args)
     pc = check_pc(Q)
     for label in sorted(pc["residuals"]):
         fails = pc["residuals"][label]
@@ -191,7 +185,8 @@ def cmd_check_qt(args, report):
 
 
 def cmd_dmap(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from .deformation import dmap_residual
+    Q = _load_structure(args, report)
     m = _load_map(args.map, Q, args.type)
     resid = dmap_residual(Q, m, args.type)
     report.add(
@@ -202,7 +197,8 @@ def cmd_dmap(args, report):
 
 
 def cmd_twist(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from .deformation import twist1, twist2
+    Q = _load_structure(args, report)
     m = _load_map(args.map, Q, args.type)
     if args.type == TYPE_I:
         result_struct, info = twist1(Q, m)
@@ -238,7 +234,8 @@ def cmd_nr(args, report):
 
 
 def cmd_linf(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from .deformation import LinfOps, linf_jacobi_check
+    Q = _load_structure(args, report)
     ops = LinfOps(Q, args.type)
     rng = random.Random(args.seed)
     res = linf_jacobi_check(ops, args.max_arity, rng)
@@ -247,7 +244,8 @@ def cmd_linf(args, report):
 
 
 def cmd_ce(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from .cohomology import handle_for
+    Q = _load_structure(args, report)
     m = _load_map(args.map, Q, args.type)
     handle = handle_for(args.type, Q, m, convention=CLASSICAL)
     modules = {"g": Q.g, "h": Q.h}
@@ -263,7 +261,8 @@ def cmd_ce(args, report):
 
 
 def cmd_cohomology(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from .cohomology import handle_for, truncated_cohomology
+    Q = _load_structure(args, report)
     m = _load_map(args.map, Q, args.type)
     handle = handle_for(args.type, Q, m, convention=CLASSICAL)
     dims = truncated_cohomology(handle, args.degree, args.max_pbw)
@@ -275,7 +274,8 @@ def cmd_cohomology(args, report):
 
 
 def cmd_dictionary(args, report):
-    Q = _load_structure(args.structure, validate=not args.no_validate, report=report)
+    from . import zoo as pzoo
+    Q = _load_structure(args, report)
     kind = args.kind
     weight = _parse_weight(args.weight) if args.weight is not None else None
     ingredients = pzoo.ingredients_from_structure(kind, Q, weight)
@@ -312,6 +312,7 @@ def _parse_weight(weight):
 
 
 def cmd_zoo(args, report):
+    from . import zoo as pzoo
     if args.list:
         for name in ("virasoro", "cur_sl2", "cur_2dim_nonabelian") + pzoo.ZOO_NAMES:
             print(name)
@@ -319,7 +320,7 @@ def cmd_zoo(args, report):
     name = args.name
     if name is None:
         raise pio.ParseError("zoo needs a name or --list")
-    if name in pzoo.ALL_KINDS:
+    if name in ALL_KINDS:
         bundle = pzoo.demo_bundle(name)
         Q = bundle["Q"]
         meta = {"name": name, "kind": name}
@@ -346,7 +347,6 @@ def cmd_zoo(args, report):
 
 def cmd_rank2(args, report):
     from .rank2 import rank2_search
-
     res = rank2_search(args.max_deg)
     report.add(
         "elimination complete (no unresolved branches)",
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cohomology)
 
     p = sub.add_parser("dictionary", help="operator identity vs deformation map")
-    p.add_argument("--kind", choices=pzoo.ALL_KINDS, required=True)
+    p.add_argument("--kind", choices=ALL_KINDS, required=True)
     p.add_argument("--weight", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=0)
@@ -467,15 +467,12 @@ def main(argv=None) -> int:
     report = Report(argv, seed=getattr(args, "seed", None))
     try:
         args.fn(args, report)
-    except (pio.ParseError,) as exc:
+    except InputError as exc:  # io.ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceError, InternalInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     print(report.render(as_json=args.json, timing=args.timing))
     return EXIT_PASS if report.ok() else EXIT_FAIL
 

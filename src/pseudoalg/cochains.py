@@ -359,7 +359,8 @@ class MixedMap(Sparse):
         return MixedMap(self.gmod, self.hmod, self.target, terms)
 
     def value(self, i: int, j: int) -> PTElem:
-        return self.terms.get((i, j), PTElem.zero(self.target, 2))
+        v = self.terms.get((i, j))
+        return PTElem.zero(self.target, 2) if v is None else v
 
     def eval(self, x: PTElem, u: PTElem) -> PTElem:
         """H-bilinear extension to a module element of g and one of h."""
@@ -378,6 +379,62 @@ class MixedMap(Sparse):
 
     def __repr__(self):
         return f"MixedMap({self.gmod.name}(x){self.hmod.name}->{self.target.name})"
+
+
+class HModuleMap(Sparse):
+    """Left H-module map between free modules.
+
+    `terms` maps a source basis index i to the image of e_i, a nonzero
+    module element (arity-1 value) of dst; a missing index maps to zero.
+    """
+
+    __slots__ = ("src", "dst", "terms")
+
+    def __init__(self, src: FreeModule, dst: FreeModule, terms: dict):
+        self.src = src
+        self.dst = dst
+        self.terms = {}
+        for i, m in terms.items():
+            if not 0 <= i < src.rank:
+                raise InputError("row index out of range")
+            if m.module != dst or m.arity != 1:
+                raise InputError("row is not a module element of the target")
+            if not m.is_zero():
+                self.terms[i] = m
+
+    @classmethod
+    def zero(cls, src, dst):
+        return cls(src, dst, {})
+
+    @classmethod
+    def scalar(cls, src, dst, c, index_map=None):
+        """c * (basis relabelling); with index_map None, e_i -> c e_i."""
+        rows = {}
+        for i in range(src.rank):
+            j = index_map(i) if index_map else i
+            rows[i] = dst.elem(j).scale(c)
+        return cls(src, dst, rows)
+
+    def _shape(self):
+        return self.src, self.dst
+
+    def _new(self, terms) -> "HModuleMap":
+        return HModuleMap(self.src, self.dst, terms)
+
+    def __call__(self, m: PTElem) -> PTElem:
+        if m.module != self.src or m.arity != 1:
+            raise InputError("map applied to element of the wrong module")
+        return m.map_module(self.apply_basis, self.dst)
+
+    def apply_basis(self, i: int) -> PTElem:
+        return self.terms.get(i) or PTElem.zero(self.dst, 1)
+
+    def as_cochain(self) -> Cochain:
+        """The map as an arity-1 block cochain."""
+        return Cochain(1, self.src, self.dst, {(i,): m for i, m in self.terms.items()})
+
+    def __repr__(self):
+        return f"HModuleMap({self.src.name}->{self.dst.name})"
 
 
 # -- lifts to the direct sum ----------------------------------------------------

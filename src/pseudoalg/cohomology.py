@@ -23,22 +23,28 @@ import itertools
 import random
 from math import comb
 
-from .hopf import InputError, mi_degree
+from .hopf import InputError, ResourceError, mi_degree
 from .ptensor import FreeModule, PTElem, canonicalize, permute, placed, swap_dest
 from .cochains import (
     Cochain,
+    HModuleMap,
     MixedMap,
     insert_raw,
     insert_value,
     random_cochain,
     sorted_tuples,
 )
-from .structures import LiePseudoalgebra, QuasiTwilled, Representation
-from .deformation import (
-    HModuleMap,
-    SWAP2,
+from .structures import (
+    CLASSICAL,
+    SHIFTED,
     TYPE_I,
     TYPE_II,
+    LiePseudoalgebra,
+    QuasiTwilled,
+    Representation,
+)
+from .deformation import (
+    SWAP2,
     TwistedLinfOps,
     dmap1_residual,
     dmap2_residual,
@@ -47,20 +53,9 @@ from .deformation import (
 )
 from . import linalg
 
-CLASSICAL = "classical"
-SHIFTED = "shifted"  # the (-1)^{p+i} / (-1)^{p+i+j-1} printed variant
 CONVENTIONS = (CLASSICAL, SHIFTED)
 
 PLAIN = "plain"
-
-
-class ResourceError(RuntimeError):
-    """A request exceeds a budget.
-
-    The budgets are COORD_BUDGET coordinates of a truncated space,
-    rank2.MAX_UNKNOWNS unknowns, rank2.MAX_SOLVER_NODES solver nodes and
-    io.MAX_INPUT_DEGREE, the PBW degree of a term read from a file.
-    """
 
 
 COORD_BUDGET = 60000

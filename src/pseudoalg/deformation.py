@@ -1,7 +1,7 @@
 """Deformation maps of both types, twisting, and the controlling operators.
 
 Type I maps D: g -> h deform along the graph construction; type II maps
-T: h -> g solve a quadratic-cubic identity.  `orientation` and
+T: h -> g solve a quadratic-cubic identity.  `structures.orientation` and
 `dmap_residual` are where a type's direction and defining residual are
 looked up.  Each residual is computed three independent ways and the routes
 are asserted against each other:
@@ -24,10 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .hopf import InputError, InternalInvariantError, Sparse
-from .ptensor import FreeModule, PTElem, permute
+from .hopf import InputError, InternalInvariantError
+from .ptensor import PTElem, permute
 from .cochains import (
     Cochain,
+    HModuleMap,
     MixedMap,
     _part_name,
     assert_block_shape,
@@ -40,77 +41,9 @@ from .cochains import (
     shuffles,
     sorted_tuples,
 )
-from .structures import QuasiTwilled
+from .structures import TYPE_I, TYPE_II, QuasiTwilled, orientation
 
 SWAP2 = (1, 0)  # transposition of the two slots of an arity-2 value
-
-TYPE_I = "I"
-TYPE_II = "II"
-
-
-class HModuleMap(Sparse):
-    """Left H-module map between free modules.
-
-    `terms` maps a source basis index i to the image of e_i, a nonzero
-    module element (arity-1 value) of dst; a missing index maps to zero.
-    """
-
-    __slots__ = ("src", "dst", "terms")
-
-    def __init__(self, src: FreeModule, dst: FreeModule, terms: dict):
-        self.src = src
-        self.dst = dst
-        self.terms = {}
-        for i, m in terms.items():
-            if not 0 <= i < src.rank:
-                raise InputError("row index out of range")
-            if m.module != dst or m.arity != 1:
-                raise InputError("row is not a module element of the target")
-            if not m.is_zero():
-                self.terms[i] = m
-
-    @classmethod
-    def zero(cls, src, dst):
-        return cls(src, dst, {})
-
-    @classmethod
-    def scalar(cls, src, dst, c, index_map=None):
-        """c * (basis relabelling); with index_map None, e_i -> c e_i."""
-        rows = {}
-        for i in range(src.rank):
-            j = index_map(i) if index_map else i
-            rows[i] = dst.elem(j).scale(c)
-        return cls(src, dst, rows)
-
-    def _shape(self):
-        return self.src, self.dst
-
-    def _new(self, terms) -> "HModuleMap":
-        return HModuleMap(self.src, self.dst, terms)
-
-    def __call__(self, m: PTElem) -> PTElem:
-        if m.module != self.src or m.arity != 1:
-            raise InputError("map applied to element of the wrong module")
-        return m.map_module(self.apply_basis, self.dst)
-
-    def apply_basis(self, i: int) -> PTElem:
-        return self.terms.get(i) or PTElem.zero(self.dst, 1)
-
-    def as_cochain(self) -> Cochain:
-        """The map as an arity-1 block cochain."""
-        return Cochain(1, self.src, self.dst, {(i,): m for i, m in self.terms.items()})
-
-    def __repr__(self):
-        return f"HModuleMap({self.src.name}->{self.dst.name})"
-
-
-def orientation(Q: QuasiTwilled, kind: str) -> tuple:
-    """(source, target) of a deformation map of the given type: I g -> h, II h -> g."""
-    if kind == TYPE_I:
-        return Q.g, Q.h
-    if kind == TYPE_II:
-        return Q.h, Q.g
-    raise InputError("kind must be 'I' or 'II'")
 
 
 def _check_orientation(Q: QuasiTwilled, M: HModuleMap, kind: str):

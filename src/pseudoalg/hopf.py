@@ -28,6 +28,15 @@ class InternalInvariantError(RuntimeError):
     """A structural invariant the kernel relies on was violated."""
 
 
+class ResourceError(RuntimeError):
+    """A request exceeds a budget.
+
+    The budgets are cohomology.COORD_BUDGET coordinates of a truncated space,
+    rank2.MAX_UNKNOWNS unknowns, rank2.MAX_SOLVER_NODES solver nodes and
+    io.MAX_INPUT_DEGREE, the PBW degree of a term read from a file.
+    """
+
+
 def coeff(x) -> Scalar:
     """x as an exact scalar: an int when integral, else a Fraction; floats raise.
 
@@ -256,7 +265,7 @@ class Sparse:
     The one base of every linear value: `HElem`, `HTensor` and
     `ptensor.PTElem` (module elements included, as arity-1 values), whose
     values are exact scalars, and `cochains.Cochain`, `cochains.MixedMap` and
-    `deformation.HModuleMap`, whose values are themselves `Sparse`.  Values of
+    `cochains.HModuleMap`, whose values are themselves `Sparse`.  Values of
     one class add only when their `_shape()` (the base algebra, arity or
     modules they live over) agrees; `_new(terms)` builds a value of the same
     shape, and its constructor normalises each value and drops zeros.  Sums

@@ -12,12 +12,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .hopf import HElem, InputError, LieAlgebra, Scalar
+from .hopf import HElem, InputError, LieAlgebra, ResourceError, Scalar
 from .ptensor import FreeModule, PTElem, coordinates
-from .cochains import Cochain, MixedMap
+from .cochains import Cochain, HModuleMap, MixedMap
 from .structures import QuasiTwilled
-from .deformation import HModuleMap
-from .cohomology import ResourceError
 
 SCHEMA_VERSION = "1"
 
@@ -28,7 +26,7 @@ SCHEMA_VERSION = "1"
 MAX_INPUT_DEGREE = 64
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed file contents (exit code 2 territory)."""
 
 

@@ -28,8 +28,7 @@ from fractions import Fraction
 import sympy
 from sympy.polys.rings import ring
 
-from .hopf import InputError, coeff, exact_div
-from .cohomology import ResourceError
+from .hopf import InputError, ResourceError, coeff, exact_div
 from .ptensor import FreeModule, PTElem, canonicalize
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals

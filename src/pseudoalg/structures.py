@@ -47,6 +47,30 @@ ALIGNED = "aligned"
 ALT = "literal-contents"
 PC_LABELS = ("PC1", "PC2", "PC3", "PC4", "PC5", "PC6", "PC7", "PC8")
 
+# Chevalley-Eilenberg sign conventions (cohomology).
+CLASSICAL = "classical"
+SHIFTED = "shifted"  # the (-1)^{p+i} / (-1)^{p+i+j-1} printed variant
+
+# Deformation-map types and the operator kinds of each (deformation, zoo).
+TYPE_I = "I"
+TYPE_II = "II"
+MODIFIED_R = "modified_r"
+CROSSED_HOM = "crossed_hom"
+DERIVATION = "derivation"
+HOMOMORPHISM = "homomorphism"
+RELATIVE_RB = "relative_rb"
+O_OPERATOR = "o_operator"
+TWISTED_RB = "twisted_rb"
+REYNOLDS = "reynolds"
+REYNOLDS_CLASSICAL = "reynolds_classical"
+MATCHED_PAIR_DEF = "matched_pair_def"
+
+TYPE_I_KINDS = (MODIFIED_R, CROSSED_HOM, DERIVATION, HOMOMORPHISM)
+TYPE_II_KINDS = (
+    RELATIVE_RB, O_OPERATOR, TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL, MATCHED_PAIR_DEF
+)
+ALL_KINDS = TYPE_I_KINDS + TYPE_II_KINDS
+
 MC_VS_JACOBIATOR = Fraction(-2)  # [Omega,Omega]_NR = -2 * jacobiator
 
 
@@ -212,8 +236,13 @@ class QuasiTwilled:
         return f"QuasiTwilled(g={self.g.name}, h={self.h.name})"
 
 
-def _cycle(variant: str):
-    return P_CYCLE_A if variant == ALIGNED else P_CYCLE_B
+def orientation(Q: QuasiTwilled, kind: str) -> tuple:
+    """(source, target) of a deformation map of the given type: I g -> h, II h -> g."""
+    if kind == TYPE_I:
+        return Q.g, Q.h
+    if kind == TYPE_II:
+        return Q.h, Q.g
+    raise InputError("kind must be 'I' or 'II'")
 
 
 def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
@@ -224,7 +253,7 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
     """
     pi, th, mu, rho, eta = Q.pi, Q.theta, Q.mu, Q.rho, Q.eta
     g, h = Q.g, Q.h
-    cyc = _cycle(variant)
+    cyc = P_CYCLE_A if variant == ALIGNED else P_CYCLE_B
     cyc67 = P_SWAP12 if variant == ALIGNED else P_CYCLE_B
     out = {label: {} for label in PC_LABELS + ("SKEW-pi", "SKEW-theta")}
 

@@ -5,8 +5,8 @@ check_pc, with its inverse ingredients_from_structure, and (b) an operator
 residual computed by expanding the printed identity directly from brackets
 and actions, WITHOUT the quasi-twilled machinery.  dictionary_check crosses
 the two: the named identity holds iff the corresponding deformation-map
-residual vanishes.  map_type names a kind's map type; the direction and the
-residual of each type live in deformation (orientation, dmap_residual).
+residual vanishes.  map_type names a kind's map type; structures.orientation
+and deformation.dmap_residual give each type's direction and residual.
 """
 
 from __future__ import annotations
@@ -15,46 +15,31 @@ from fractions import Fraction
 
 from .hopf import InputError, LieAlgebra, exact_div
 from .ptensor import FreeModule, PTElem, canonicalize, permute
-from .cochains import Cochain, MixedMap, sorted_tuples
+from .cochains import Cochain, HModuleMap, MixedMap, sorted_tuples
 from .structures import (
+    ALL_KINDS,
+    CLASSICAL,
+    CROSSED_HOM,
+    DERIVATION,
+    HOMOMORPHISM,
+    MATCHED_PAIR_DEF,
+    MODIFIED_R,
+    O_OPERATOR,
+    RELATIVE_RB,
+    REYNOLDS,
+    REYNOLDS_CLASSICAL,
+    TWISTED_RB,
+    TYPE_I,
+    TYPE_I_KINDS,
+    TYPE_II,
     LiePseudoalgebra,
     QuasiTwilled,
     Representation,
+    orientation,
     require_pc,
 )
-from .deformation import (
-    HModuleMap,
-    SWAP2,
-    TYPE_I,
-    TYPE_II,
-    dmap1_residual,
-    dmap2_residual,
-    dmap_residual,
-    orientation,
-)
-from .cohomology import CLASSICAL, PLAIN, ce_differential, handle_for
-
-MODIFIED_R = "modified_r"
-CROSSED_HOM = "crossed_hom"
-DERIVATION = "derivation"
-HOMOMORPHISM = "homomorphism"
-RELATIVE_RB = "relative_rb"
-O_OPERATOR = "o_operator"
-TWISTED_RB = "twisted_rb"
-REYNOLDS = "reynolds"
-REYNOLDS_CLASSICAL = "reynolds_classical"
-MATCHED_PAIR_DEF = "matched_pair_def"
-
-TYPE_I_KINDS = (MODIFIED_R, CROSSED_HOM, DERIVATION, HOMOMORPHISM)
-TYPE_II_KINDS = (
-    RELATIVE_RB,
-    O_OPERATOR,
-    TWISTED_RB,
-    REYNOLDS,
-    REYNOLDS_CLASSICAL,
-    MATCHED_PAIR_DEF,
-)
-ALL_KINDS = TYPE_I_KINDS + TYPE_II_KINDS
+from .deformation import SWAP2, dmap1_residual, dmap2_residual, dmap_residual
+from .cohomology import PLAIN, ce_differential, handle_for
 
 
 def map_type(kind: str) -> str:
@@ -300,8 +285,7 @@ def _validate_cocycle(gP, M, rho, omega):
     alg = LiePseudoalgebra(gP.module, gP.bracket, validate=False)
     rep = Representation(alg, M, rho)
     handle = handle_for(PLAIN, algebra=alg, rep=rep, convention=CLASSICAL, verify=False)
-    d_omega = handle.diff(omega)
-    if not d_omega.is_zero():
+    if not handle.diff(omega).is_zero():
         raise InputError("the twisting term is not a 2-cocycle of the representation")
 
 
@@ -618,11 +602,7 @@ def _minus_d_of_map(alg: LiePseudoalgebra, rep: Representation, D: HModuleMap) -
     return ce_differential(alg.bracket, rep.action, D.as_cochain(), CLASSICAL).scale(-1)
 
 
-ZOO_NAMES = (
-    "rank2_type_i",
-    "rank2_type_ii",
-    "rank2_type_iii",
-) + ALL_KINDS
+ZOO_NAMES = ("rank2_type_i", "rank2_type_ii", "rank2_type_iii") + ALL_KINDS
 
 
 def zoo_structures():

@@ -378,6 +378,26 @@ def test_eval_checks_argument_modules():
             Q.pi.eval(args)
 
 
+def test_mixed_map_value_builds_a_zero_only_on_a_miss(monkeypatch):
+    # a stored value is returned as it is; the zero of a missing pair is the
+    # only PTElem a lookup constructs
+    g = FreeModule("g", ["x", "y"], LieAlgebra.abelian(["d"]))
+    stored = random_ptelem(random.Random(0), g, 2)
+    rho = MixedMap(g, g, g, {(0, 1): stored})
+    assert rho.terms[(0, 1)] is stored
+    built = []
+    init = PTElem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PTElem, "__init__", counting_init)
+    assert rho.value(0, 1) is stored
+    assert built == []
+    assert rho.value(1, 0).is_zero() and len(built) == 1
+
+
 def test_eval_h_linearity(gm, mu, qd, rng):
     # eval on h-scaled arguments equals act of the coefficients
     from pseudoalg.hopf import HTensor

@@ -234,3 +234,45 @@ def test_linear_arithmetic_lives_only_in_sparse(path):
     # every linear value adds, negates and scales through hopf.Sparse, so no
     # class keeps a copy that can drift from it
     assert sparse_copies(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def local_imports(source: str, module: str) -> list:
+    """Lines of imports below the top level of a module.
+
+    The one place allowed is the head of a `cmd_*` body in `cli`: a command
+    imports there the modules only it runs, so start-up stays light and the
+    kernel modules keep every import at their top.
+    """
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body if module == "cli" else ():
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_"):
+            for stmt in node.body:
+                if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    break
+                allowed.add(id(stmt))
+    top = {id(node) for node in tree.body}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top | allowed
+    )
+
+
+def test_guard_sees_a_local_import():
+    src = (
+        "import os\n"
+        "def cmd_a(args):\n    from .b import c\n    import d\n    x = c\n    from .e import f\n"
+        "def g():\n    import json\n"
+        "class K:\n    def cmd_h(self):\n        import re\n"
+        "if os:\n    import sys\n"
+    )
+    assert local_imports(src, "cli") == [6, 8, 11, 13]
+    assert local_imports(src, "zoo") == [3, 4, 6, 8, 11, 13]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_stay_at_module_top(path):
+    # a `pa` command loads only the modules its body runs; that lazy import
+    # lives in its `cmd_*` body in cli and nowhere else
+    assert local_imports(path.read_text(encoding="utf-8"), path.stem) == []

@@ -2,10 +2,12 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,6 +495,62 @@ def test_input_degree_budget_is_exact(modified_r_q):
     data["matrix"][0][0] = [{"exp": [cap + 1], "q": "1"}]
     with pytest.raises(ResourceError):
         pio.map_from_json(data, modified_r_q.g, modified_r_q.h)
+
+
+# No traceback on mutated inputs: each case deletes one key or list entry of one
+# input file, or swaps in a value of another type, and runs the command
+# in-process.  Every outcome must be an exit code of the contract.
+MUTATED = {
+    "check": ["check", "modified_r.json"],
+    "check-qt": ["check-qt", "modified_r.json"],
+    "dmap": ["dmap", "--type", "I", "modified_r.json", "modified_r_map.json"],
+    "nr": ["nr", "nr_f.json", "nr_g.json"],
+    "ce": ["ce", "--type", "II", "reynolds.json", "reynolds_map.json", "ce_II.json"],
+    "cohomology": ["cohomology", "--type", "I", "modified_r.json", "modified_r_map.json",
+                   "--degree", "2", "--max-pbw", "1"],
+}
+OTHER_TYPES = (None, True, -1, 0.5, "", "x", "1/0", [], [0], [[0]], {}, {"args": [0]})
+
+
+def _mutate(data, rng):
+    """data with one key or entry deleted, or one value replaced by another type's."""
+    places = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                places.append((node, key))
+                walk(node[key])
+
+    walk(data)
+    node, key = rng.choice(places)
+    if rng.random() < 0.3:
+        del node[key]
+    else:
+        node[key] = rng.choice([v for v in OTHER_TYPES if type(v) is not type(node[key])])
+    return data
+
+
+@pytest.mark.parametrize("command", MUTATED)
+def test_cli_mutated_inputs_never_escape(command, capsys, tmp_path):
+    rng = random.Random(f"mutated-{command}")
+    argv = MUTATED[command]
+    inputs = [i for i, a in enumerate(argv) if a.endswith(".json")]
+    escaped, codes = [], Counter()
+    for case in range(100):
+        target = rng.choice(inputs)
+        data = _mutate(json.loads((GOLDEN_DIR / argv[target]).read_text()), rng)
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(json.dumps(data))
+        args = [str(GOLDEN_DIR / a) if i in inputs else a for i, a in enumerate(argv)]
+        args[target] = str(bad)
+        try:
+            codes[main(args)] += 1
+        except Exception as exc:  # a traceback is what this test looks for
+            escaped.append((case, argv[target], repr(exc)))
+    capsys.readouterr()
+    assert escaped == []
+    assert set(codes) <= {0, 1, 2, 3} and codes[2] > 0, codes
 
 
 # Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each

@@ -9,6 +9,7 @@ scalar the kernel admits is a polynomial over QQ or ZZ from
 itself never imports sympy.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -105,19 +106,63 @@ def test_ring_coefficients_survive_the_kernel():
     assert (e - e).is_zero()
 
 
-def test_cli_import_leaves_sympy_out():
-    # sympy costs start-up time; only the rank-2 command imports it, lazily
+# What a fresh `pa` process loads: `import pseudoalg.cli` (argv None) and one
+# command of each kind, run from tests/golden.  The core is the light
+# modules every command needs; a command adds only what its body runs, and
+# only the rank-2 command imports sympy (its budget refuses degree 4 at once).
+CORE = {"cli", "hopf", "ptensor", "cochains", "structures", "io"}
+DEFORMATION = CORE | {"deformation"}
+COHOMOLOGY = DEFORMATION | {"cohomology", "linalg"}
+ZOO = COHOMOLOGY | {"zoo"}
+MODULE_SETS = {
+    "import": (None, CORE),
+    "check": (["check", "modified_r.json"], CORE),
+    "check-qt": (["check-qt", "modified_r.json"], CORE),
+    "nr": (["nr", "nr_f.json", "nr_g.json"], CORE),
+    "dmap": (["dmap", "--type", "I", "modified_r.json", "modified_r_map.json"], DEFORMATION),
+    "twist": (["twist", "--type", "I", "modified_r.json", "modified_r_map.json"], DEFORMATION),
+    "linf": (["linf", "--type", "I", "modified_r.json", "--max-arity", "2"], DEFORMATION),
+    "ce": (["ce", "--type", "I", "modified_r.json", "modified_r_map.json", "ce_I.json"],
+           COHOMOLOGY),
+    "cohomology": (["cohomology", "--type", "I", "modified_r.json", "modified_r_map.json",
+                    "--degree", "1", "--max-pbw", "1"], COHOMOLOGY),
+    "dictionary": (["dictionary", "--kind", "modified_r", "--weight", "4", "modified_r.json",
+                    "modified_r_map.json"], ZOO),
+    "zoo": (["zoo", "modified_r"], ZOO),
+    "rank2-search": (["rank2-search", "--max-deg", "4"], ZOO | {"rank2"}),
+}
+LOADED = (
+    "import contextlib, io, json, sys\n"
+    "code = None\n"
+    "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+    "    from pseudoalg.cli import main\n"
+    "    if len(sys.argv) > 1:\n"
+    "        code = main(sys.argv[1:])\n"
+    "names = sorted(m.split('.')[1] for m in sys.modules if m.startswith('pseudoalg.'))\n"
+    "print(json.dumps([code, names, 'sympy' in sys.modules]))\n"
+)
+
+
+@pytest.mark.parametrize("name", MODULE_SETS)
+def test_cli_command_module_sets(name):
+    # start-up compiles every module a process imports, so a command loads
+    # only the modules its body runs
+    argv, modules = MODULE_SETS[name]
     src = str(Path(hopf.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, pseudoalg.cli; print('sympy' in sys.modules)"],
+        [sys.executable, "-c", LOADED, *(argv or [])],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).parent / "golden",
         env={**os.environ, "PYTHONPATH": path},
-        timeout=60,
+        timeout=120,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    code, loaded, has_sympy = json.loads(out.stdout)
+    assert set(loaded) == modules
+    assert has_sympy == ("rank2" in modules)
+    assert code == (None if argv is None else 3 if has_sympy else 0)
 
 
 def test_exact_div_stays_exact():
