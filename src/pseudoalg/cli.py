@@ -1,10 +1,11 @@
 """Command-line surface: `pa <subcommand>`.
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed; 2 input or
-usage error; 3 resource budget or internal invariant violation.  Reports are
-deterministic for identical inputs and seeds (timing is opt-in via --timing
-and excluded from the determinism contract); every report names the
-convention flags in force.
+usage error; 3 resource budget or internal invariant violation; 4 an
+unexpected exception, a program fault whose traceback goes to stderr.
+Reports are deterministic for identical inputs and seeds (timing is opt-in
+via --timing and excluded from the determinism contract); every report names
+the convention flags in force.
 
 A command imports only the modules its body runs: this module loads hopf,
 ptensor, cochains, structures and io, and a `cmd_*` body that needs
@@ -38,6 +39,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 CONVENTIONS = {
     "permutation_variant": ALIGNED,
@@ -371,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pa",
         description="Exact checks for quasi-twilled Lie pseudoalgebra structures.",
+        epilog="exit codes: 0 pass; 1 a check failed; 2 input or usage error; "
+        "3 resource budget or internal invariant; 4 unexpected exception (traceback on stderr)",
     )
     ap.add_argument("--json", action="store_true", help="structured report output")
     ap.add_argument("--timing", action="store_true", help="include wall time (non-deterministic)")
@@ -473,6 +477,9 @@ def main(argv=None) -> int:
     except (ResourceError, InternalInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:  # a program fault: the builtin hook prints its traceback
+        sys.__excepthook__(type(exc), exc, exc.__traceback__)
+        return EXIT_INTERNAL
     print(report.render(as_json=args.json, timing=args.timing))
     return EXIT_PASS if report.ok() else EXIT_FAIL
 

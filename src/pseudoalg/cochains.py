@@ -15,12 +15,16 @@ Jacobiator and the Chevalley-Eilenberg sums.
 Throughout, composite values are slot-ALIGNED: after every insertion the slots
 are rearranged so that slot i carries the coefficient of argument x_i.
 
-The circle product and the NR bracket accumulate per output tuple: each
-distinct composite of a tuple is built and canonicalized once by its
-insertion (shuffles that give the same arguments share it), its terms are
-placed slot-aligned with the shuffle sign folded into the coefficient, and
-the raw terms of every shuffle (of both circle products, for the bracket)
-are canonicalized once.  The self-bracket uses the exact identity
+The circle product and the NR bracket visit only the output tuples t their
+operands' supports reach.  A shuffle of t adds to f o g only if its head (its
+first q arguments, non-decreasing) is a key s of g.terms and sorted((k,) +
+tail) is a key of f.terms for a module index k of g(s); so t is a sorted
+merge of such an s with a key of f less one k, and every other tuple has an
+empty raw list.  Within a tuple each distinct composite is built and
+canonicalized once (shuffles that give the same arguments share it), placed
+slot-aligned with the shuffle sign folded into the coefficient, and the raw
+terms of every shuffle (of both circle products, for the bracket) are
+canonicalized once.  The self-bracket uses the exact identity
 [f, f] = (1 - (-1)^{(p-1)^2}) f o f, so it computes at most one circle
 product.
 """
@@ -263,13 +267,25 @@ def _common_module(*cochains) -> FreeModule:
     return mod
 
 
+def _reach(f: Cochain, g: Cochain) -> set:
+    """The output tuples where f o g can be nonzero (see the module doc)."""
+    cuts = {}
+    for w in f.terms:
+        for i, k in enumerate(w):
+            cuts.setdefault(k, set()).add(w[:i] + w[i + 1 :])
+    heads = ((s, k) for s, v in g.terms.items() for k in {key[2] for key in v.terms})
+    return {tuple(sorted(s + w)) for s, k in heads for w in cuts.get(k, ())}
+
+
 def _circle_sum(products) -> Cochain:
     """sum c * (f o g) over the (c, f, g) in products, one raw list per tuple.
 
-    Composite slot i carries argument t[sigma[i]] once placed by sigma.  The
-    composite depends on the product and on args = t o sigma only, so each
-    distinct composite of a tuple is built once and placed for every shuffle
-    that gives it (repeated basis indices in t make shuffles coincide).
+    Visits the tuples some product reaches, in sorted_tuples order.  The head
+    args[:q] of a shuffle is sorted, so g.terms holds its inner value or the
+    shuffle adds nothing.  Composite slot i carries argument t[sigma[i]] once
+    placed by sigma; each distinct composite of a tuple is built once and
+    placed for every shuffle that gives it (repeated indices in t make
+    shuffles coincide).
     """
     mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
     plans = [
@@ -278,20 +294,20 @@ def _circle_sum(products) -> Cochain:
     ]
     n = plans[0][0].arity + plans[0][1].arity - 1
     table = {}
-    for t in sorted_tuples(mod.rank, n):
+    for t in sorted(set().union(*(_reach(f, g) for f, g, _signed in plans))):
         raw = []
         composites = {}
         for index, (f, g, signed) in enumerate(plans):
             q = g.arity
             for sigma, sc in signed:
                 args = tuple(t[i] for i in sigma)
+                inner = g.terms.get(args[:q])
+                if inner is None:
+                    continue
                 key = (index, args)
                 comp = composites.get(key)
                 if comp is None:
-                    inner = g.value(args[:q])
-                    comp = composites[key] = (
-                        insert_value(f, (), inner, args[q:]) if inner else inner
-                    )
+                    comp = composites[key] = insert_value(f, (), inner, args[q:])
                 if comp:
                     raw += placed(comp, sigma, sc)
         if raw:

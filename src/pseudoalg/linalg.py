@@ -16,14 +16,14 @@ Two independent routes are kept deliberately, and share no elimination code:
   those of the dense algorithm, and the matrices of the truncated
   cohomology (about 2% filled) cost work in proportion to their nonzeros.
 - The oracle (`rank_dense`, `nullspace_dense`) is plain Gaussian
-  elimination over dense Fraction rows, which the tests compare against.
+  elimination over dense Fraction rows.  It lives in `tests/oracles.py`,
+  which the tests compare against and which imports nothing from here.
   Keeping it separate from the production path is what makes the
   comparison a check rather than a tautology.
 
 The production path takes sparse vectors, `{index: int | Fraction}` dicts
 that may hold zeros, and returns kernel vectors in the same form, holding
-Fraction nonzeros only.  The oracle takes dense lists and returns dense
-Fraction lists.
+Fraction nonzeros only.
 """
 
 from __future__ import annotations
@@ -105,79 +105,6 @@ def nullspace(rows, ncols):
             if s:
                 sol[pc] = -s / row[pc]
         basis.append(sol)
-    return basis
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
-
-
-def rank_dense(rows) -> int:
-    """Plain Gaussian elimination over Fraction; the independent oracle."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c] / inv
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def nullspace_dense(rows, ncols=None):
-    """Kernel basis via reduced row echelon over Fraction (oracle)."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if not rows or ncols == 0:
-        return [_unit(ncols, i) for i in range(ncols)]
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -m[ri][fc]
-        basis.append(vec)
     return basis
 
 

@@ -9,7 +9,7 @@ from pseudoalg.hopf import LieAlgebra
 from pseudoalg.ptensor import FreeModule, canonicalize
 from pseudoalg.cochains import Cochain, MixedMap, random_cochain, random_ptelem
 from pseudoalg.structures import QuasiTwilled
-from pseudoalg import cochains, zoo
+from pseudoalg import zoo
 
 # Property tests draw the same examples on every run (no example database), so
 # the suite's verdict does not depend on the run or on earlier runs.
@@ -101,15 +101,20 @@ def term_order_digest(values) -> str:
     return hashlib.sha256(repr(nested).encode()).hexdigest()
 
 
-def count_insertions(monkeypatch, *modules) -> list:
-    """Patch insert_raw in each module to record its calls; returns the record."""
+def count_calls(monkeypatch, name, *modules) -> list:
+    """Patch the function `name` in each module to record its calls; returns the record."""
     calls = []
-    real = cochains.insert_raw
+    real = getattr(modules[0], name)
 
-    def counting_insert(*args):
+    def counting(*args):
         calls.append(1)
         return real(*args)
 
     for module in modules:
-        monkeypatch.setattr(module, "insert_raw", counting_insert)
+        monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_insertions(monkeypatch, *modules) -> list:
+    """Patch insert_raw in each module to record its calls; returns the record."""
+    return count_calls(monkeypatch, "insert_raw", *modules)

@@ -170,6 +170,46 @@ def test_circle_and_nr_match_per_shuffle_reference_random(base, request, rng):
         assert nr_bracket(f, g) == _nr_reference(f, g), where
 
 
+def _sparse_cochain(rng, mod, arity) -> Cochain:
+    """A skew cochain whose raw values sit on one to three sorted tuples only."""
+    chosen = rng.sample(list(sorted_tuples(mod.rank, arity)), rng.randint(1, 3))
+    raw = {t: random_ptelem(rng, mod, arity, max_deg=1) for t in chosen}
+    zero = PTElem.zero(mod, arity)
+    return cochains.skew_symmetrize(arity, mod, mod, lambda t: raw.get(t, zero))
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_circle_and_nr_match_reference_on_sparse_cochains(base, rank, request, rng):
+    # sparse supports on a wider module are where the support-driven visit
+    # skips most output tuples; the per-shuffle reference visits them all
+    mod = FreeModule("m", [f"e{i}" for i in range(rank)], request.getfixturevalue(base))
+    fs = [_sparse_cochain(rng, mod, a) for a in (1, 2, 3) for _ in range(2)]
+    nonzero = 0
+    for f, g in itertools.product(fs, repeat=2):
+        where = (f.arity, sorted(f.terms), g.arity, sorted(g.terms))
+        got = circle(f, g)
+        assert got == _circle_reference(f, g), where
+        assert nr_bracket(f, g) == _nr_reference(f, g), where
+        nonzero += not got.is_zero()
+    assert 2 * nonzero > len(fs) ** 2, nonzero  # most products are nonzero
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+def test_circle_of_supports_that_cannot_meet_makes_no_insertion(base, request, monkeypatch):
+    # g takes values in e2 and f in e0, but f is stored only on (0, 1) and g
+    # only on (2, 3): neither can take the other's value as an argument
+    mod = FreeModule("m", ["e0", "e1", "e2", "e3"], request.getfixturevalue(base))
+    one = mod.alg.zero_index
+    f = Cochain(2, mod, mod, {(0, 1): PTElem(mod, 2, {((one,), one, 0): 1})})
+    g = Cochain(2, mod, mod, {(2, 3): PTElem(mod, 2, {((one,), one, 2): 1})})
+    insertions = count_insertions(monkeypatch, cochains)
+    assert circle(f, g).is_zero() and circle(g, f).is_zero()
+    assert nr_bracket(f, g) == Cochain.zero(3, mod, mod)
+    assert insertions == []
+    assert _nr_reference(f, g).is_zero()
+
+
 def test_self_bracket_insertion_and_permute_counts(reynolds_q, monkeypatch):
     # counts catch what timings hide: the self-bracket makes one circle
     # product, and no composite goes through permute on its own
@@ -208,6 +248,19 @@ def test_rank1_self_bracket_makes_one_insertion(mu, monkeypatch):
     assert got == _nr_reference(mu, mu)
 
 
+def _reachable(t, plans) -> bool:
+    """Whether some shuffle of t has a nonzero inner value g(head) and a
+    module index k of it with outer(k, tail) stored, tested shuffle by shuffle."""
+    for outer, inner in plans:
+        q = inner.arity
+        for sigma in shuffles(q, outer.arity - 1):
+            head = inner.value(tuple(t[i] for i in sigma[:q]))
+            tail = tuple(t[i] for i in sigma[q:])
+            if any(tuple(sorted((k,) + tail)) in outer.terms for _s, _K, k in head.terms):
+                return True
+    return False
+
+
 @pytest.mark.parametrize("base", ["qd", "b2"])
 def test_rank2_insertions_are_distinct_nonzero_keys(base, request, rng, monkeypatch):
     m2 = FreeModule("m", ["e0", "e1"], request.getfixturevalue(base))
@@ -219,6 +272,7 @@ def test_rank2_insertions_are_distinct_nonzero_keys(base, request, rng, monkeypa
         keys = {
             (index, t, tuple(t[i] for i in sigma))
             for t in sorted_tuples(2, n)
+            if _reachable(t, plans)
             for index, (outer, inner) in enumerate(plans)
             for sigma in shuffles(inner.arity, outer.arity - 1)
             if inner.value(tuple(t[i] for i in sigma[: inner.arity]))

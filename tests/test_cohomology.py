@@ -49,6 +49,7 @@ from pseudoalg.cohomology import (
 from pseudoalg import cochains, cohomology, linalg, zoo
 
 from conftest import count_insertions, pt, term_order_digest, vir_value
+from oracles import nullspace_dense, rank_dense
 
 
 def cid(Q, c, kind=TYPE_I):
@@ -405,7 +406,7 @@ def test_truncated_virasoro_derivation_complex_vs_dense_oracle(qd):
     cols = [_dense_vec(handle.diff(f).terms, index_up) for f in basis]
     rows = [[col[i] for col in cols] for i in range(len(index_up))]
     rows = [r for r in rows if any(r)]
-    assert got["dim_Z"] == len(linalg.nullspace_dense(rows, ncols=len(basis)))
+    assert got["dim_Z"] == len(nullspace_dense(rows, ncols=len(basis)))
 
 
 def test_truncated_cohomology_matches_dense_oracle_on_zoo():
@@ -429,7 +430,7 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
             index_up = cochain_coords(A, M, p + 1, top)
             images = [_dense_vec(handle.diff(f).terms, index_up) for f in basis]
             where = (handle.kind, p, cap)
-            assert got["dim_Z"] == len(basis) - linalg.rank_dense(images), where
+            assert got["dim_Z"] == len(basis) - rank_dense(images), where
             if p == 1:
                 keys = ptelem_coords(M, 2, top)
                 coords = [((i,), key) for i in range(A.rank) for key in keys]
@@ -455,7 +456,7 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
                     if sum(map(sum, slots)) + sum(K) <= cap
                 ]
             units = [[Fraction(int(i == n)) for i in range(len(index))] for n in inside]
-            dim_b = linalg.rank_dense(cols) + len(inside) - linalg.rank_dense(cols + units)
+            dim_b = rank_dense(cols) + len(inside) - rank_dense(cols + units)
             assert got["dim_B"] == dim_b, where
 
 
@@ -497,9 +498,9 @@ def test_elimination_routes_agree_random(rng):
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
             for _ in range(n)
         ]
-        assert linalg.rank(_sparse(rows)) == linalg.rank_dense(rows)
+        assert linalg.rank(_sparse(rows)) == rank_dense(rows)
         k1 = _densify(linalg.nullspace(_sparse(rows), ncols=m), m)
-        k2 = linalg.nullspace_dense(rows, ncols=m)
+        k2 = nullspace_dense(rows, ncols=m)
         assert len(k1) == len(k2)
         for vec in k1:
             assert all(
@@ -534,13 +535,13 @@ def test_sparse_elimination_matches_dense_oracle(rng):
     for _ in range(60):
         n, m = rng.randint(1, 30), rng.randint(1, 30)
         rows = _sparse_matrix(rng, n, m)
-        assert linalg.rank(_sparse(rows)) == linalg.rank_dense(rows)
+        assert linalg.rank(_sparse(rows)) == rank_dense(rows)
         kernel = _densify(linalg.nullspace(_sparse(rows), ncols=m), m)
-        assert kernel == linalg.nullspace_dense(rows, ncols=m)
+        assert kernel == nullspace_dense(rows, ncols=m)
         cols = [[row[j] for row in rows] for j in range(m)]
         inside = sorted(rng.sample(range(n), rng.randint(0, n)))
         units = [[Fraction(int(i == k)) for i in range(n)] for k in inside]
-        expect = linalg.rank_dense(cols) + len(inside) - linalg.rank_dense(cols + units)
+        expect = rank_dense(cols) + len(inside) - rank_dense(cols + units)
         assert linalg.image_dim_within(_sparse(cols), inside) == expect
 
 

@@ -276,3 +276,33 @@ def test_imports_stay_at_module_top(path):
     # a `pa` command loads only the modules its body runs; that lazy import
     # lives in its `cmd_*` body in cli and nowhere else
     assert local_imports(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def linalg_imports(source: str) -> list:
+    """Lines that import `pseudoalg.linalg` or anything from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.startswith("pseudoalg.linalg") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = (node.module or "").startswith("pseudoalg.linalg") or (
+                node.module == "pseudoalg" and any(a.name == "linalg" for a in node.names)
+            )
+        else:
+            hit = False
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_a_linalg_import():
+    assert linalg_imports("import pseudoalg.linalg\n") == [1]
+    assert linalg_imports("import os\nfrom pseudoalg.linalg import rank as r\n") == [2]
+    assert linalg_imports("from pseudoalg import hopf, linalg\n") == [1]
+    assert linalg_imports("from pseudoalg import hopf\nfrom fractions import Fraction\n") == []
+
+
+def test_dense_oracle_is_independent_of_linalg():
+    # Bareiss vs dense Gauss is a cross-check only while the two share no code
+    source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert linalg_imports(source) == []

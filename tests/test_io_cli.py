@@ -508,6 +508,10 @@ MUTATED = {
     "ce": ["ce", "--type", "II", "reynolds.json", "reynolds_map.json", "ce_II.json"],
     "cohomology": ["cohomology", "--type", "I", "modified_r.json", "modified_r_map.json",
                    "--degree", "2", "--max-pbw", "1"],
+    "twist": ["twist", "--type", "I", "modified_r.json", "modified_r_map.json"],
+    "linf": ["linf", "--type", "I", "modified_r.json", "--max-arity", "3"],
+    "dictionary": ["dictionary", "--kind", "modified_r", "--weight", "4", "modified_r.json",
+                   "modified_r_map.json"],
 }
 OTHER_TYPES = (None, True, -1, 0.5, "", "x", "1/0", [], [0], [[0]], {}, {"args": [0]})
 
@@ -544,13 +548,25 @@ def test_cli_mutated_inputs_never_escape(command, capsys, tmp_path):
         bad.write_text(json.dumps(data))
         args = [str(GOLDEN_DIR / a) if i in inputs else a for i, a in enumerate(argv)]
         args[target] = str(bad)
-        try:
-            codes[main(args)] += 1
-        except Exception as exc:  # a traceback is what this test looks for
-            escaped.append((case, argv[target], repr(exc)))
+        code = main(args)
+        codes[code] += 1
+        if code == 4:  # an unexpected exception: its traceback ends stderr
+            escaped.append((case, argv[target], capsys.readouterr().err.splitlines()[-1]))
     capsys.readouterr()
     assert escaped == []
     assert set(codes) <= {0, 1, 2, 3} and codes[2] > 0, codes
+
+
+def test_cli_unexpected_exception_exits_4_with_traceback(capsys, monkeypatch):
+    # a fault in the program is not a FAIL (1): it exits 4, traceback on stderr
+    def broken(Q):
+        raise RuntimeError("kernel fault")
+
+    monkeypatch.setattr("pseudoalg.cli.check_pc", broken)
+    assert main(["check-qt", str(GOLDEN_DIR / "modified_r.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.splitlines()[-1] == "RuntimeError: kernel fault"
 
 
 # Golden reports: tests/golden holds the inputs (written by `pa zoo`, plus each

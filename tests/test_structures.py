@@ -31,9 +31,9 @@ from pseudoalg.structures import (
     mc_bullet_components,
     pc_residuals,
 )
-from pseudoalg import zoo
+from pseudoalg import cochains, ptensor, structures, zoo
 
-from conftest import pt, random_structure, vir_value
+from conftest import count_calls, pt, random_structure, vir_value
 
 
 def test_check_lie_virasoro(vir):
@@ -82,6 +82,21 @@ def test_check_pc_zoo_structures():
     for entry in zoo.zoo_structures():
         r = check_pc(entry["Q"])
         assert r["ok"], (entry["name"], {k: len(v) for k, v in r["residuals"].items() if v})
+
+
+# (insert_raw, canonicalize) calls of one check_mc_omega on a fresh zoo
+# structure.  Counts catch what timings hide; the NR bracket visits only the
+# output tuples the supports of Omega reach.
+MC_OMEGA_CALLS = {"modified_r": (40, 61), "reynolds": (37, 56)}
+
+
+@pytest.mark.parametrize("name", sorted(MC_OMEGA_CALLS))
+def test_check_mc_omega_kernel_counts_are_pinned(name, monkeypatch):
+    Q = next(e["Q"] for e in zoo.zoo_structures() if e["name"] == name)
+    insertions = count_calls(monkeypatch, "insert_raw", cochains, structures)
+    canonicalizations = count_calls(monkeypatch, "canonicalize", ptensor, cochains)
+    assert check_mc_omega(Q)["agrees_with_pc"]
+    assert (len(insertions), len(canonicalizations)) == MC_OMEGA_CALLS[name]
 
 
 def test_check_pc_fails_on_non_jacobi_mu(qd):
