@@ -28,6 +28,7 @@ from .structures import (
     CLASSICAL,
     TYPE_I,
     TYPE_II,
+    QuasiTwilled,
     check_lie,
     check_mc_omega,
     check_pc,
@@ -322,26 +323,16 @@ def cmd_zoo(args, report):
     name = args.name
     if name is None:
         raise pio.ParseError("zoo needs a name or --list")
-    if name in ALL_KINDS:
-        bundle = pzoo.demo_bundle(name)
-        Q = bundle["Q"]
-        meta = {"name": name, "kind": name}
-    elif name.startswith("rank2_"):
-        Q = pzoo.builtin(name)
-        bundle = None
-        meta = {"name": name}
-    else:
-        obj = pzoo.builtin(name)
-        if isinstance(obj, dict):
-            Q, bundle, meta = obj["Q"], obj, {"name": name, "kind": obj["kind"]}
-        else:
-            raise pio.ParseError(
-                f"{name!r} is a Lie pseudoalgebra, not a quasi-twilled structure"
-            )
+    obj = pzoo.builtin(name)
+    bundle = obj if isinstance(obj, dict) else {"Q": obj}
+    Q = bundle["Q"]
+    if not isinstance(Q, QuasiTwilled):
+        raise pio.ParseError(f"{name!r} is a Lie pseudoalgebra, not a quasi-twilled structure")
+    meta = {"name": name, "kind": bundle["kind"]} if "kind" in bundle else {"name": name}
     report.add("structure assembled and PC-validated", check_pc(Q)["ok"])
     if args.out:
         _write(args.out, pio.structure_to_json(Q, meta=meta), report)
-        if bundle is not None and args.map_out:
+        if "map" in bundle and args.map_out:
             src, dst = orientation(Q, pzoo.map_type(bundle["kind"]))
             names = ("g" if part is Q.g else "h" for part in (src, dst))  # names on reload
             _write(args.map_out, pio.map_to_json(bundle["map"], *names), report)

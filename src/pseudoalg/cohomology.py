@@ -8,6 +8,8 @@ printed sign conventions differ by a global (-1)^{p-1} per degree:
 
 Both square to zero whenever either does; the discriminating test is the
 operator identity l1(f) = (-1)^{p-1} d(f), which the suite runs at p = 1, 2.
+That check, the closed-form cocycle conditions and the matched-pair d^T are
+independent routes kept in `tests/oracles.py`.
 Every report names the convention in force.
 
 Cohomology groups are computed on degree-truncated subcomplexes: exact kernel
@@ -44,16 +46,12 @@ from .structures import (
     Representation,
 )
 from .deformation import (
-    SWAP2,
-    TwistedLinfOps,
     dmap1_residual,
     dmap2_residual,
     twist1_components,
     twist2_components,
 )
 from . import linalg
-
-CONVENTIONS = (CLASSICAL, SHIFTED)
 
 PLAIN = "plain"
 
@@ -222,191 +220,6 @@ def handle_for(kind, Q=None, M=None, algebra=None, rep=None, convention=CLASSICA
     else:
         raise InputError("kind must be 'I', 'II' or 'plain'")
     return CEComplexHandle(kind, alg.bracket, rp.action, convention, verify=verify)
-
-
-def consistency_l1_vs_d(kind, Q, M, f: Cochain) -> dict:
-    """Prop-check: l1^M(f) = (-1)^{p-1} d(f); reports per sign convention."""
-    tw = TwistedLinfOps(Q, M, kind)
-    l1f = tw.l1(f)
-    sign = (-1) ** (f.arity - 1)
-    out = {"arity": f.arity}
-    for conv in CONVENTIONS:
-        h = handle_for(kind, Q, M, convention=conv, verify=False)
-        out[conv] = l1f == h.diff(f).scale(sign)
-    out["validated"] = [c for c in CONVENTIONS if out[c]]
-    return out
-
-
-# -- explicit low-degree cocycle conditions ---------------------------------------
-
-
-def _cocycle_report(direct: dict, differential: dict, convention: str) -> dict:
-    """Verdicts of the direct expansion and the differential route, with both residuals."""
-    dr = {t: v for t, v in differential.items() if not v.is_zero()}
-    return {
-        "ok": not direct and not dr,
-        "agree": (not direct) == (not dr),
-        "direct": direct,
-        "differential": dr,
-        "convention": convention,
-    }
-
-
-def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
-    """Closed-form 1-/2-cocycle conditions vs the differential route.
-
-    n = 1: f is an element of h; closed iff
-        rho(x, u) + mu(D x, u) - D(eta(x, u)) = 0 for all basis x.
-    n = 2: f in C^1(g, h); the expanded rho^D/pi^D condition.
-    Both the direct expansion and the ce_diff route are computed; the report
-    carries their residuals and the agreement verdict.
-    """
-    handle = handle_for(TYPE_I, Q, D, convention=convention, verify=False)
-    direct = {}
-    if n == 1:
-        u = f
-        for i in range(Q.g.rank):
-            x = Q.g.elem(i)
-            r = (
-                Q.rho.eval(x, u)
-                + Q.mu.eval([D(x), u])
-                - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
-            )
-            if not r.is_zero():
-                direct[(i,)] = r
-        differential = handle.diff0(u)
-    elif n == 2:
-        for i, j in sorted_tuples(Q.g.rank, 2):
-            x, y = Q.g.elem(i), Q.g.elem(j)
-
-            def rho_D(a_idx, b_elem):
-                a = Q.g.elem(a_idx)
-                return (
-                    Q.rho.eval(a, b_elem)
-                    + Q.mu.eval([D(a), b_elem])
-                    - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
-                )
-
-            fy = f.value((j,))
-            fx = f.value((i,))
-            pi_D = (
-                Q.pi.value((i, j))
-                + Q.eta.eval(x, D(y))
-                - permute(Q.eta.eval(y, D(x)), SWAP2)
-            )
-            r = (
-                rho_D(i, fy)
-                - permute(rho_D(j, fx), SWAP2)
-                - insert_value(f, (), pi_D, ())
-            )
-            if not r.is_zero():
-                direct[(i, j)] = r
-        differential = handle.diff(f).terms
-    else:
-        raise InputError("cocycle certificates cover n in {1, 2}")
-    return _cocycle_report(direct, differential, convention)
-
-
-def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
-    """Type II cocycle certificates via zeta/mu^T, direct and differential routes."""
-    handle = handle_for(TYPE_II, Q, T, convention=convention, verify=False)
-    res = twist2_components(Q, T)
-    direct = {}
-    if n == 1:
-        x = f  # an element of g
-        for j in range(Q.h.rank):
-            u = Q.h.elem(j)
-            r = zeta_value(Q, T, u, x)
-            if not r.is_zero():
-                direct[(j,)] = r
-        differential = handle.diff0(x)
-    elif n == 2:
-        for i, j in sorted_tuples(Q.h.rank, 2):
-            u, v = Q.h.elem(i), Q.h.elem(j)
-            fv = f.value((j,))
-            fu = f.value((i,))
-            mu_T = res.mu.value((i, j))
-            r = (
-                zeta_value(Q, T, u, fv)
-                - permute(zeta_value(Q, T, v, fu), SWAP2)
-                - insert_value(f, (), mu_T, ())
-            )
-            if not r.is_zero():
-                direct[(i, j)] = r
-        differential = handle.diff(f).terms
-    else:
-        raise InputError("cocycle certificates cover n in {1, 2}")
-    return _cocycle_report(direct, differential, convention)
-
-
-def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: PTElem, x: PTElem) -> PTElem:
-    """zeta(u (x) x) by direct expansion of the matched-pair reorientation."""
-    nat = (
-        Q.eta.eval(x, u)
-        + Q.pi.eval([x, T(u)])
-        - Q.rho.eval(x, u).map_module(T.apply_basis, T.dst)
-        - Q.theta.eval([x, T(u)]).map_module(T.apply_basis, T.dst)
-    )
-    return permute(nat, SWAP2).scale(-1)
-
-
-def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain:
-    """The matched-pair d^T, expanded from the Def-4.23 closed forms directly.
-
-    Independent of the twist machinery: mu^T and zeta are rebuilt inline from
-    mu, rho, eta, pi and T (theta must vanish), then the classical CE sum is
-    expanded without going through the generic handle.
-    """
-    if not Q.theta.is_zero():
-        raise InputError("matched-pair specialization needs theta = 0")
-    h, g = Q.h, Q.g
-    p = f.arity
-    table = {}
-    for t in sorted_tuples(h.rank, p + 1):
-        acc = PTElem.zero(g, p + 1)
-        for i in range(1, p + 2):
-            rest = t[: i - 1] + t[i:]
-            inner = f.value(rest)
-            if inner.is_zero():
-                continue
-            ui = Q.h.elem(t[i - 1])
-
-            def zeta_at(k):
-                x = g.elem(k)
-                nat = (
-                    Q.eta.eval(x, ui)
-                    + Q.pi.eval([x, T(ui)])
-                    - Q.rho.eval(x, ui).map_module(T.apply_basis, T.dst)
-                )
-                return permute(nat, SWAP2).scale(-1)
-
-            comp = insert_raw(zeta_at, 2, g, 1, inner)
-            dest = [0] * (p + 1)
-            dest[0] = i - 1
-            for s in range(1, p + 1):
-                dest[s] = s - 1 if s - 1 < i - 1 else s
-            acc = acc + permute(comp, dest).scale((-1) ** (i + 1))
-        for i in range(1, p + 1):
-            for j in range(i + 1, p + 2):
-                ui, uj = Q.h.elem(t[i - 1]), Q.h.elem(t[j - 1])
-                rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
-                mu_T = (
-                    Q.mu.value((t[i - 1], t[j - 1]))
-                    + Q.rho.eval(T(ui), uj)
-                    - permute(Q.rho.eval(T(uj), ui), SWAP2)
-                )
-                if mu_T.is_zero():
-                    continue
-                comp = insert_value(f, (), mu_T, rest)
-                dest = [0] * (p + 1)
-                dest[0], dest[1] = i - 1, j - 1
-                spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
-                for s, spot in enumerate(spots):
-                    dest[2 + s] = spot
-                acc = acc + permute(comp, dest).scale((-1) ** (i + j))
-        if not acc.is_zero():
-            table[t] = acc
-    return Cochain(p + 1, h, g, table)
 
 
 # -- truncated cohomology ----------------------------------------------------------

@@ -350,14 +350,3 @@ def perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def linear_combine(pairs) -> PTElem:
-    """Exact sparse sum of (rational, PTElem) pairs; zero terms dropped."""
-    pairs = [(coeff(c), e) for c, e in pairs]
-    if not pairs:
-        raise InputError("linear_combine needs at least one pair")
-    acc = PTElem.zero(pairs[0][1].module, pairs[0][1].arity)
-    for c, e in pairs:
-        acc = acc + e.scale(c)
-    return acc

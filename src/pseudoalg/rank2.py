@@ -12,10 +12,10 @@ residuals are quadratic in the unknowns.  One evaluation of `pc_residuals`,
 with each unknown set to a generator of the polynomial ring QQ[unknowns],
 gives every residual coordinate as an exact polynomial; the system is then
 solved by exact linear elimination with case splits on factored equations.
-`_interpolate_quadratics` rebuilds the same polynomials from rational point
-evaluations and is kept as an independent cross-check.  Solution families are
-tagged against the three classification patterns; anything else is reported
-as "other", never suppressed.
+The independent cross-check, `_interpolate_quadratics` in `tests/oracles.py`,
+rebuilds the same polynomials from rational point evaluations.  Solution
+families are tagged against the three classification patterns; anything else
+is reported as "other", never suppressed.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from fractions import Fraction
 import sympy
 from sympy.polys.rings import ring
 
-from .hopf import InputError, ResourceError, coeff, exact_div
+from .hopf import InputError, LieAlgebra, ResourceError, coeff
 from .ptensor import FreeModule, PTElem, canonicalize
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals
-from .zoo import polynomial_hopf
 
 
 # Most unknowns a search may declare: degree 3 has 28, degree 4 has 42.
@@ -63,7 +62,7 @@ class Rank2Problem:
             raise InputError("degree cap must be >= 0")
         self.max_deg = max_deg
         self.mu_virasoro = mu_virasoro
-        self.alg = polynomial_hopf()
+        self.alg = LieAlgebra.abelian(["d"])  # H = Q[d]
         self.g = FreeModule("g", ["u"], self.alg)
         self.h = FreeModule("h", ["x"], self.alg)
         self.layout = []
@@ -148,59 +147,6 @@ class Rank2Problem:
         """
         coords = self.residual_vector(assignment, labels)
         return [coords[k] for k in sorted(coords, key=repr)]
-
-
-def _interpolate_quadratics(ev, n: int, symbols) -> list:
-    """Exact polynomials of degree <= 2 from their values at sample points.
-
-    ev(vec) maps an assignment of the n unknowns to {coordinate key: value}.
-    Each coordinate is a polynomial of total degree <= 2 in the unknowns, so
-    its values at 0, e_i, 2 e_i and e_i + e_j determine it.  Returns the
-    nonzero polynomials, ordered by the repr of their keys.
-
-    This is the independent route to `Rank2Problem.residual_polynomials`:
-    1 + 2n + n(n-1)/2 rational evaluations instead of one ring evaluation.
-    """
-    zero = [0] * n
-    f0 = ev(zero)
-    f1, f2 = [], []
-    for i in range(n):
-        v = list(zero)
-        v[i] = 1
-        f1.append(ev(v))
-        v[i] = 2
-        f2.append(ev(v))
-    fx = {}
-    for i, j in itertools.combinations(range(n), 2):
-        v = list(zero)
-        v[i] = v[j] = 1
-        fx[(i, j)] = ev(v)
-    keys = set(f0)
-    for d in f1 + f2 + list(fx.values()):
-        keys |= set(d)
-    polys = []
-    for key in sorted(keys, key=repr):
-        c0 = f0.get(key, 0)
-        terms = [sympy.Rational(c0)]
-        lin, quad = {}, {}
-        for i in range(n):
-            a1 = f1[i].get(key, 0) - c0
-            a2 = f2[i].get(key, 0) - c0
-            qii = exact_div(a2 - 2 * a1, 2)
-            li = a1 - qii
-            lin[i], quad[(i, i)] = li, qii
-            if li:
-                terms.append(sympy.Rational(li) * symbols[i])
-            if qii:
-                terms.append(sympy.Rational(qii) * symbols[i] ** 2)
-        for (i, j), d in fx.items():
-            qij = d.get(key, 0) - c0 - lin[i] - lin[j] - quad[(i, i)] - quad[(j, j)]
-            if qij:
-                terms.append(sympy.Rational(qij) * symbols[i] * symbols[j])
-        expr = sympy.Add(*terms)
-        if expr != 0:
-            polys.append(sympy.expand(expr))
-    return polys
 
 
 def reconstruct_polynomials(problem: Rank2Problem) -> list:

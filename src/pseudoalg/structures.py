@@ -450,11 +450,3 @@ def require_pc(Q: QuasiTwilled, what: str, variant: str = ALIGNED) -> QuasiTwill
         bad = {k: sorted(v) for k, v in report["residuals"].items() if v}
         raise InputError(f"{what}: {bad}")
     return Q
-
-
-def build_matched_pair(gP: LiePseudoalgebra, hP: LiePseudoalgebra, rho: MixedMap, eta: MixedMap, variant: str = ALIGNED) -> QuasiTwilled:
-    """Quasi-twilled structure of a matched pair (theta = 0); rejected unless PC pass."""
-    Q = QuasiTwilled(
-        gP.module, hP.module, pi=gP.bracket, rho=rho, mu=hP.bracket, eta=eta
-    )
-    return require_pc(Q, "matched-pair identities fail", variant)

@@ -7,6 +7,12 @@ and actions, WITHOUT the quasi-twilled machinery.  dictionary_check crosses
 the two: the named identity holds iff the corresponding deformation-map
 residual vanishes.  map_type names a kind's map type; structures.orientation
 and deformation.dmap_residual give each type's direction and residual.
+
+The curated structures run over one H = Q[d]: `builtin` and `demo_bundle`
+take it as `alg`, and `zoo_structures` makes one per call, so its structures
+share that algebra's kernel memos (`tests/test_zoo.py` checks that sharing
+them changes no value).  A kind's demo is data, not a branch: its weight,
+the scalar of its map c * id and the shape of its ingredients.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .structures import (
     orientation,
     require_pc,
 )
-from .deformation import SWAP2, dmap1_residual, dmap2_residual, dmap_residual
+from .deformation import SWAP2, dmap_residual
 from .cohomology import PLAIN, ce_differential, handle_for
 
 
@@ -448,190 +454,114 @@ def dictionary_check(kind: str, ingredients: dict, m: HModuleMap, rng=None, tria
 
 # -- curated instances --------------------------------------------------------------
 
+# The weight p of each weighted kind's demo.
+DEMO_WEIGHTS = {MODIFIED_R: 4, CROSSED_HOM: 1, RELATIVE_RB: 2}
+# The demo map c * id in orientation(Q, map_type(kind)), a root of the kind's
+# identity on Virasoro; relative_rb's diag(-p, 0) is the one map built apart.
+DEMO_SCALARS = {
+    MODIFIED_R: 2,  # c^2 = p
+    CROSSED_HOM: -1,  # c (1 + p c) = 0
+    DERIVATION: 0,
+    HOMOMORPHISM: 1,  # c^2 = c
+    O_OPERATOR: 0,
+    TWISTED_RB: 1,  # the cocycle is -d_CE(id)
+    REYNOLDS: -1,  # c^2 (1 + c) = 0
+    REYNOLDS_CLASSICAL: 1,  # c^2 (1 - c) = 0
+    MATCHED_PAIR_DEF: 1,  # c^2 = c
+}
+DEMO_ALIASES = {"modified_r_demo": MODIFIED_R, "reynolds_demo": REYNOLDS}
 
-def _vir_pair():
-    g = virasoro("g", "x")
-    h = clone_bracket(g, "h")
-    return g, h
 
+def builtin(name: str, alg=None):
+    """Deterministic named structures; every validity check passes at load.
 
-def builtin(name: str):
-    """Deterministic named bundles; every validity check passes at load."""
-    alg = polynomial_hopf()
+    Those over Q[d] are built over alg (a fresh Q[d] by default).  A kind
+    name, or an alias in DEMO_ALIASES, gives that kind's demo_bundle.
+    """
+    alg = alg or polynomial_hopf()
+    if name in ALL_KINDS or name in DEMO_ALIASES:
+        return demo_bundle(DEMO_ALIASES.get(name, name), alg)
     if name == "virasoro":
-        return virasoro()
+        return virasoro(alg=alg)
     if name == "cur_sl2":
         return current(LieAlgebra(["e", "f", "h"], sl2_constants()), alg, name="cur_sl2")
     if name == "cur_2dim_nonabelian":
         b2 = nonabelian_2dim()
         return current(b2, b2, name="cur_b2")
+    h = FreeModule("h", ["x"], alg)
     if name == "rank2_type_i":
-        g = virasoro("g", "u")
-        h = abelian_algebra("h", ["x"], alg)
-        return QuasiTwilled(g.module, h.module, pi=g.bracket)
-    if name == "rank2_type_ii":
-        g = abelian_algebra("g", ["u"], alg)
-        h = abelian_algebra("h", ["x"], alg)
-        eta = MixedMap(
-            g.module,
-            h.module,
-            g.module,
-            {(0, 0): PTElem(g.module, 2, {(((0,),), (0,), 0): Fraction(1)})},
-        )
-        return QuasiTwilled(g.module, h.module, eta=eta)
-    if name == "rank2_type_iii":
+        g = virasoro("g", "u", alg)
+        return QuasiTwilled(g.module, h, pi=g.bracket)
+    if name in ("rank2_type_ii", "rank2_type_iii"):
+        g = FreeModule("g", ["u"], alg)
+        C_u = PTElem(g, 2, {(((0,),), (0,), 0): Fraction(1)})
+        eta = MixedMap(g, h, g, {(0, 0): C_u})
+        if name == "rank2_type_ii":
+            return QuasiTwilled(g, h, eta=eta)
         # the derived instance b = 1, C = 1(x)1 (so pi = b(C - (12)C) = 0)
-        g = abelian_algebra("g", ["u"], alg)
-        h = abelian_algebra("h", ["x"], alg)
-        C_u = PTElem(g.module, 2, {(((0,),), (0,), 0): Fraction(1)})
-        C_x = C_u.coerce(h.module)
-        return QuasiTwilled(
-            g.module,
-            h.module,
-            rho=MixedMap(g.module, h.module, h.module, {(0, 0): C_x}),
-            eta=MixedMap(g.module, h.module, g.module, {(0, 0): C_u}),
-        )
-    if name == "modified_r_demo":
-        g = virasoro()
-        ingredients = {"algebra": g, "weight": Fraction(4)}
-        Q = build(MODIFIED_R, ingredients)
-        D = HModuleMap.scalar(Q.g, Q.h, Fraction(2))
-        return {"kind": MODIFIED_R, "ingredients": ingredients, "Q": Q, "map": D}
-    if name == "reynolds_demo":
-        g = virasoro()
-        M = FreeModule("m", ["xm"], alg)
-        ingredients = {
-            "algebra": g,
-            "module": M,
-            "action": adjoint_action(g, M),
-        }
-        Q = build(REYNOLDS, ingredients)
-        T = HModuleMap.scalar(Q.h, Q.g, Fraction(-1))
-        return {"kind": REYNOLDS, "ingredients": ingredients, "Q": Q, "map": T}
+        return QuasiTwilled(g, h, rho=MixedMap(g, h, h, {(0, 0): C_u.coerce(h)}), eta=eta)
     raise InputError(f"unknown builtin {name!r}")
 
 
-def demo_bundle(kind: str):
-    """Canonical (ingredients, Q, valid map) bundle for each operator kind."""
-    alg = polynomial_hopf()
+def _demo_ingredients(kind: str, alg: LieAlgebra) -> dict:
+    """A kind's ingredients before its weight: Virasoro g alone, with a clone of
+    itself, with a direct sum of two copies, or with a module (a module kind)."""
+    g = virasoro(alg=alg)
     if kind == MODIFIED_R:
-        return builtin("modified_r_demo")
-    if kind == CROSSED_HOM:
-        g, h = _vir_pair()
-        ing = {
-            "algebra": g,
-            "coefficients": h,
-            "action": adjoint_action(g, h.module),
-            "weight": Fraction(1),
-        }
-        Q = build(kind, ing)
-        D = HModuleMap.scalar(Q.g, Q.h, Fraction(-1))  # c(1 + p c) = 0 at c = -1
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": D}
-    if kind == DERIVATION:
-        g = virasoro()
-        M = FreeModule("m", ["xm"], alg)
-        ing = {"algebra": g, "module": M, "action": adjoint_action(g, M)}
-        Q = build(kind, ing)
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": HModuleMap.zero(Q.g, Q.h)}
-    if kind == HOMOMORPHISM:
-        g, h = _vir_pair()
-        ing = {"algebra": g, "coefficients": h}
-        Q = build(kind, ing)
-        return {
-            "kind": kind,
-            "ingredients": ing,
-            "Q": Q,
-            "map": HModuleMap.scalar(Q.g, Q.h, Fraction(1)),
-        }
+        return {"algebra": g}
     if kind == RELATIVE_RB:
-        g = virasoro()
-        hh = direct_sum_algebras(virasoro("v1", "x1"), virasoro("v2", "x2"), name="h2")
-        ing = {
-            "algebra": g,
-            "coefficients": hh,
-            "action": diagonal_action(g, hh),
-            "weight": Fraction(2),
-        }
-        Q = build(kind, ing)
-        # T = diag(-p, 0): c^2 + pc = 0 on the supported block, cross terms die
-        T = HModuleMap(Q.h, Q.g, {0: Q.g.elem(0).scale(Fraction(-2))})
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": T}
-    if kind == O_OPERATOR:
-        g = virasoro()
-        M = FreeModule("m", ["xm"], alg)
-        ing = {"algebra": g, "module": M, "action": adjoint_action(g, M)}
-        Q = build(kind, ing)
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": HModuleMap.zero(Q.h, Q.g)}
+        hh = direct_sum_algebras(virasoro("v1", "x1", alg), virasoro("v2", "x2", alg), name="h2")
+        return {"algebra": g, "coefficients": hh, "action": diagonal_action(g, hh)}
+    if kind in (CROSSED_HOM, HOMOMORPHISM, MATCHED_PAIR_DEF):
+        h = clone_bracket(g, "h")
+        ing = {"algebra": g, "coefficients": h}
+        if kind == CROSSED_HOM:
+            ing["action"] = adjoint_action(g, h.module)
+        return ing
+    M = FreeModule("m", ["xm"], alg)
+    ing = {"algebra": g, "module": M, "action": adjoint_action(g, M)}
     if kind == TWISTED_RB:
-        g = virasoro()
-        M = FreeModule("m", ["xm"], alg)
-        rho = adjoint_action(g, M)
         # omega = -d_CE(id): makes the identity map a type I deformation map
         # and T = id a twisted Rota-Baxter operator.
-        ident = HModuleMap.scalar(g.module, M, Fraction(1))
-        alg_plain = LiePseudoalgebra(g.module, g.bracket, validate=False)
-        rep = Representation(alg_plain, M, rho)
-        omega = _minus_d_of_map(alg_plain, rep, ident)
-        ing = {"algebra": g, "module": M, "action": rho, "cocycle": omega}
-        Q = build(kind, ing)
-        T = HModuleMap.scalar(Q.h, Q.g, Fraction(1))
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": T}
-    if kind in (REYNOLDS, REYNOLDS_CLASSICAL):
-        g = virasoro()
-        M = FreeModule("m", ["xm"], alg)
-        ing = {"algebra": g, "module": M, "action": adjoint_action(g, M)}
-        Q = build(kind, ing)
-        c = Fraction(-1) if kind == REYNOLDS else Fraction(1)
-        T = HModuleMap.scalar(Q.h, Q.g, c)
-        return {"kind": kind, "ingredients": ing, "Q": Q, "map": T}
-    if kind == MATCHED_PAIR_DEF:
-        g, h = _vir_pair()
-        ing = {"algebra": g, "coefficients": h, "action": None, "coaction": None}
-        Q = build(kind, ing)
-        return {
-            "kind": kind,
-            "ingredients": ing,
-            "Q": Q,
-            "map": HModuleMap.scalar(Q.h, Q.g, Fraction(1)),
-        }
-    raise InputError(f"unknown operator kind {kind!r}")
+        ident = HModuleMap.scalar(g.module, M, 1).as_cochain()
+        ing["cocycle"] = ce_differential(g.bracket, ing["action"], ident, CLASSICAL).scale(-1)
+    return ing
 
 
-def _minus_d_of_map(alg: LiePseudoalgebra, rep: Representation, D: HModuleMap) -> Cochain:
-    """-d_CE(D) for a plain representation (exact 2-cocycle for the builder)."""
-    return ce_differential(alg.bracket, rep.action, D.as_cochain(), CLASSICAL).scale(-1)
+def demo_bundle(kind: str, alg=None) -> dict:
+    """Canonical (ingredients, Q, valid map) bundle for each operator kind, over alg = Q[d]."""
+    ing = _demo_ingredients(kind, alg or polynomial_hopf())
+    if kind in DEMO_WEIGHTS:
+        ing["weight"] = DEMO_WEIGHTS[kind]
+    Q = build(kind, ing)
+    if kind == RELATIVE_RB:
+        # T = diag(-p, 0): c^2 + pc = 0 on the supported block, cross terms die
+        m = HModuleMap(Q.h, Q.g, {0: Q.g.elem(0).scale(-ing["weight"])})
+    else:
+        m = HModuleMap.scalar(*orientation(Q, map_type(kind)), DEMO_SCALARS[kind])
+    return {"kind": kind, "ingredients": ing, "Q": Q, "map": m}
 
 
 ZOO_NAMES = ("rank2_type_i", "rank2_type_ii", "rank2_type_iii") + ALL_KINDS
 
 
 def zoo_structures():
-    """Every curated quasi-twilled structure with its canonical maps.
+    """Every curated quasi-twilled structure with its canonical maps, over one Q[d].
 
     Returns a list of dicts {name, Q, type1 map or None, type2 map or None}.
+    A kind's own map fills its type; the zero map fills any type it solves.
     """
+    alg = polynomial_hopf()
     out = []
-    for name in ("rank2_type_i", "rank2_type_ii", "rank2_type_iii"):
-        Q = builtin(name)
+    for name in ZOO_NAMES:
+        obj = builtin(name, alg)
+        Q = obj["Q"] if name in ALL_KINDS else obj
         entry = {"name": name, "Q": Q}
-        D = HModuleMap.zero(Q.g, Q.h)
-        entry["type1"] = D if dmap1_residual(Q, D).is_zero() else None
-        T = HModuleMap.zero(Q.h, Q.g)
-        entry["type2"] = T if dmap2_residual(Q, T).is_zero() else None
-        out.append(entry)
-    for kind in ALL_KINDS:
-        bundle = demo_bundle(kind)
-        Q = bundle["Q"]
-        entry = {"name": kind, "Q": Q, "type1": None, "type2": None}
-        if kind in TYPE_I_KINDS:
-            entry["type1"] = bundle["map"]
-            T0 = HModuleMap.zero(Q.h, Q.g)
-            if dmap2_residual(Q, T0).is_zero():
-                entry["type2"] = T0
-        else:
-            entry["type2"] = bundle["map"]
-            D0 = HModuleMap.zero(Q.g, Q.h)
-            if dmap1_residual(Q, D0).is_zero():
-                entry["type1"] = D0
+        for key, mtype in (("type1", TYPE_I), ("type2", TYPE_II)):
+            if name in ALL_KINDS and map_type(name) == mtype:
+                entry[key] = obj["map"]
+            else:
+                zero = HModuleMap.zero(*orientation(Q, mtype))
+                entry[key] = zero if dmap_residual(Q, zero, mtype).is_zero() else None
         out.append(entry)
     return out

@@ -1,13 +1,43 @@
 """Independent oracles the tests compare the production code against.
 
-The dense linear algebra here is plain Gaussian elimination over dense
-Fraction rows.  It shares no code with the sparse Bareiss path in
-`pseudoalg.linalg` (a hygiene test checks that it imports nothing from
-there), so agreement between the two is a check rather than a tautology.
-It takes dense lists and returns dense Fraction lists.
+Each oracle reaches its answer by a route that shares no code with the
+production route it checks, so agreement between the two is a check rather
+than a tautology.  `tests/test_hygiene.py` keeps them apart.
+
+- `rank_dense`, `nullspace_dense`: plain Gaussian elimination over dense
+  Fraction rows, against the sparse Bareiss path of `pseudoalg.linalg`
+  (`rank`, `nullspace`).  They import nothing from `linalg`.
+- `consistency_l1_vs_d`: the twisted L-infinity l1 of
+  `deformation.TwistedLinfOps`, against the CE differential of the
+  `cohomology` handle, l1(f) = (-1)^{p-1} d(f) under each sign convention.
+- `cocycle_check_type1`, `cocycle_check_type2` (with `_cocycle_report`): the
+  closed-form 1- and 2-cocycle conditions, expanded from the structure maps,
+  against `CEComplexHandle.diff0` and `diff`.
+- `zeta_value`, `ce_diff_matched_type2`: the matched-pair d^T expanded from
+  the Def-4.23 closed forms, against the generic handle built from
+  `twist2_components`.  They call neither of them.
+- `_interpolate_quadratics`: the rank-2 PC residual polynomials rebuilt from
+  rational point evaluations, against the one ring evaluation of
+  `rank2.Rank2Problem.residual_polynomials`.
 """
 
+import itertools
 from fractions import Fraction
+
+import sympy
+
+from pseudoalg.hopf import InputError, exact_div
+from pseudoalg.ptensor import PTElem, permute
+from pseudoalg.cochains import Cochain, HModuleMap, insert_raw, insert_value, sorted_tuples
+from pseudoalg.structures import CLASSICAL, SHIFTED, TYPE_I, TYPE_II, QuasiTwilled
+from pseudoalg.deformation import SWAP2, TwistedLinfOps, twist2_components
+from pseudoalg.cohomology import handle_for
+
+CONVENTIONS = (CLASSICAL, SHIFTED)
+
+
+# -- dense linear algebra (against pseudoalg.linalg) --------------------------------
+
 
 
 def _unit(n, i):
@@ -81,3 +111,247 @@ def nullspace_dense(rows, ncols=None):
             vec[pc] = -m[ri][fc]
         basis.append(vec)
     return basis
+
+
+# -- twisted l1 against the CE differential ----------------------------------------
+
+
+def consistency_l1_vs_d(kind, Q, M, f: Cochain) -> dict:
+    """Prop-check: l1^M(f) = (-1)^{p-1} d(f); reports per sign convention."""
+    tw = TwistedLinfOps(Q, M, kind)
+    l1f = tw.l1(f)
+    sign = (-1) ** (f.arity - 1)
+    out = {"arity": f.arity}
+    for conv in CONVENTIONS:
+        h = handle_for(kind, Q, M, convention=conv, verify=False)
+        out[conv] = l1f == h.diff(f).scale(sign)
+    out["validated"] = [c for c in CONVENTIONS if out[c]]
+    return out
+
+
+# -- explicit low-degree cocycle conditions ---------------------------------------
+
+
+def _cocycle_report(direct: dict, differential: dict, convention: str) -> dict:
+    """Verdicts of the direct expansion and the differential route, with both residuals."""
+    dr = {t: v for t, v in differential.items() if not v.is_zero()}
+    return {
+        "ok": not direct and not dr,
+        "agree": (not direct) == (not dr),
+        "direct": direct,
+        "differential": dr,
+        "convention": convention,
+    }
+
+
+def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
+    """Closed-form 1-/2-cocycle conditions vs the differential route.
+
+    n = 1: f is an element of h; closed iff
+        rho(x, u) + mu(D x, u) - D(eta(x, u)) = 0 for all basis x.
+    n = 2: f in C^1(g, h); the expanded rho^D/pi^D condition.
+    Both the direct expansion and the ce_diff route are computed; the report
+    carries their residuals and the agreement verdict.
+    """
+    handle = handle_for(TYPE_I, Q, D, convention=convention, verify=False)
+    direct = {}
+    if n == 1:
+        u = f
+        for i in range(Q.g.rank):
+            x = Q.g.elem(i)
+            r = (
+                Q.rho.eval(x, u)
+                + Q.mu.eval([D(x), u])
+                - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
+            )
+            if not r.is_zero():
+                direct[(i,)] = r
+        differential = handle.diff0(u)
+    elif n == 2:
+        for i, j in sorted_tuples(Q.g.rank, 2):
+            x, y = Q.g.elem(i), Q.g.elem(j)
+
+            def rho_D(a_idx, b_elem):
+                a = Q.g.elem(a_idx)
+                return (
+                    Q.rho.eval(a, b_elem)
+                    + Q.mu.eval([D(a), b_elem])
+                    - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
+                )
+
+            fy = f.value((j,))
+            fx = f.value((i,))
+            pi_D = (
+                Q.pi.value((i, j))
+                + Q.eta.eval(x, D(y))
+                - permute(Q.eta.eval(y, D(x)), SWAP2)
+            )
+            r = (
+                rho_D(i, fy)
+                - permute(rho_D(j, fx), SWAP2)
+                - insert_value(f, (), pi_D, ())
+            )
+            if not r.is_zero():
+                direct[(i, j)] = r
+        differential = handle.diff(f).terms
+    else:
+        raise InputError("cocycle certificates cover n in {1, 2}")
+    return _cocycle_report(direct, differential, convention)
+
+
+def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
+    """Type II cocycle certificates via zeta/mu^T, direct and differential routes."""
+    handle = handle_for(TYPE_II, Q, T, convention=convention, verify=False)
+    res = twist2_components(Q, T)
+    direct = {}
+    if n == 1:
+        x = f  # an element of g
+        for j in range(Q.h.rank):
+            u = Q.h.elem(j)
+            r = zeta_value(Q, T, u, x)
+            if not r.is_zero():
+                direct[(j,)] = r
+        differential = handle.diff0(x)
+    elif n == 2:
+        for i, j in sorted_tuples(Q.h.rank, 2):
+            u, v = Q.h.elem(i), Q.h.elem(j)
+            fv = f.value((j,))
+            fu = f.value((i,))
+            mu_T = res.mu.value((i, j))
+            r = (
+                zeta_value(Q, T, u, fv)
+                - permute(zeta_value(Q, T, v, fu), SWAP2)
+                - insert_value(f, (), mu_T, ())
+            )
+            if not r.is_zero():
+                direct[(i, j)] = r
+        differential = handle.diff(f).terms
+    else:
+        raise InputError("cocycle certificates cover n in {1, 2}")
+    return _cocycle_report(direct, differential, convention)
+
+
+def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: PTElem, x: PTElem) -> PTElem:
+    """zeta(u (x) x) by direct expansion of the matched-pair reorientation."""
+    nat = (
+        Q.eta.eval(x, u)
+        + Q.pi.eval([x, T(u)])
+        - Q.rho.eval(x, u).map_module(T.apply_basis, T.dst)
+        - Q.theta.eval([x, T(u)]).map_module(T.apply_basis, T.dst)
+    )
+    return permute(nat, SWAP2).scale(-1)
+
+
+def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain:
+    """The matched-pair d^T, expanded from the Def-4.23 closed forms directly.
+
+    Independent of the twist machinery: mu^T and zeta are rebuilt inline from
+    mu, rho, eta, pi and T (theta must vanish), then the classical CE sum is
+    expanded without going through the generic handle.
+    """
+    if not Q.theta.is_zero():
+        raise InputError("matched-pair specialization needs theta = 0")
+    h, g = Q.h, Q.g
+    p = f.arity
+    table = {}
+    for t in sorted_tuples(h.rank, p + 1):
+        acc = PTElem.zero(g, p + 1)
+        for i in range(1, p + 2):
+            rest = t[: i - 1] + t[i:]
+            inner = f.value(rest)
+            if inner.is_zero():
+                continue
+            ui = Q.h.elem(t[i - 1])
+
+            def zeta_at(k):
+                x = g.elem(k)
+                nat = (
+                    Q.eta.eval(x, ui)
+                    + Q.pi.eval([x, T(ui)])
+                    - Q.rho.eval(x, ui).map_module(T.apply_basis, T.dst)
+                )
+                return permute(nat, SWAP2).scale(-1)
+
+            comp = insert_raw(zeta_at, 2, g, 1, inner)
+            dest = [0] * (p + 1)
+            dest[0] = i - 1
+            for s in range(1, p + 1):
+                dest[s] = s - 1 if s - 1 < i - 1 else s
+            acc = acc + permute(comp, dest).scale((-1) ** (i + 1))
+        for i in range(1, p + 1):
+            for j in range(i + 1, p + 2):
+                ui, uj = Q.h.elem(t[i - 1]), Q.h.elem(t[j - 1])
+                rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
+                mu_T = (
+                    Q.mu.value((t[i - 1], t[j - 1]))
+                    + Q.rho.eval(T(ui), uj)
+                    - permute(Q.rho.eval(T(uj), ui), SWAP2)
+                )
+                if mu_T.is_zero():
+                    continue
+                comp = insert_value(f, (), mu_T, rest)
+                dest = [0] * (p + 1)
+                dest[0], dest[1] = i - 1, j - 1
+                spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
+                for s, spot in enumerate(spots):
+                    dest[2 + s] = spot
+                acc = acc + permute(comp, dest).scale((-1) ** (i + j))
+        if not acc.is_zero():
+            table[t] = acc
+    return Cochain(p + 1, h, g, table)
+
+
+# -- rank-2 residual polynomials (against the ring evaluation) ---------------------
+
+
+def _interpolate_quadratics(ev, n: int, symbols) -> list:
+    """Exact polynomials of degree <= 2 from their values at sample points.
+
+    ev(vec) maps an assignment of the n unknowns to {coordinate key: value}.
+    Each coordinate is a polynomial of total degree <= 2 in the unknowns, so
+    its values at 0, e_i, 2 e_i and e_i + e_j determine it.  Returns the
+    nonzero polynomials, ordered by the repr of their keys.
+
+    This is the independent route to `Rank2Problem.residual_polynomials`:
+    1 + 2n + n(n-1)/2 rational evaluations instead of one ring evaluation.
+    """
+    zero = [0] * n
+    f0 = ev(zero)
+    f1, f2 = [], []
+    for i in range(n):
+        v = list(zero)
+        v[i] = 1
+        f1.append(ev(v))
+        v[i] = 2
+        f2.append(ev(v))
+    fx = {}
+    for i, j in itertools.combinations(range(n), 2):
+        v = list(zero)
+        v[i] = v[j] = 1
+        fx[(i, j)] = ev(v)
+    keys = set(f0)
+    for d in f1 + f2 + list(fx.values()):
+        keys |= set(d)
+    polys = []
+    for key in sorted(keys, key=repr):
+        c0 = f0.get(key, 0)
+        terms = [sympy.Rational(c0)]
+        lin, quad = {}, {}
+        for i in range(n):
+            a1 = f1[i].get(key, 0) - c0
+            a2 = f2[i].get(key, 0) - c0
+            qii = exact_div(a2 - 2 * a1, 2)
+            li = a1 - qii
+            lin[i], quad[(i, i)] = li, qii
+            if li:
+                terms.append(sympy.Rational(li) * symbols[i])
+            if qii:
+                terms.append(sympy.Rational(qii) * symbols[i] ** 2)
+        for (i, j), d in fx.items():
+            qij = d.get(key, 0) - c0 - lin[i] - lin[j] - quad[(i, i)] - quad[(j, j)]
+            if qij:
+                terms.append(sympy.Rational(qij) * symbols[i] * symbols[j])
+        expr = sympy.Add(*terms)
+        if expr != 0:
+            polys.append(sympy.expand(expr))
+    return polys

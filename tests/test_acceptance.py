@@ -47,10 +47,12 @@ from pseudoalg.deformation import (
     twist1,
     twist2,
 )
-from pseudoalg.cohomology import CLASSICAL, consistency_l1_vs_d, handle_for
+from pseudoalg.cohomology import CLASSICAL, handle_for
 from pseudoalg import io as pio
 from pseudoalg import zoo
 from pseudoalg.cli import main as cli_main
+
+from oracles import consistency_l1_vs_d
 
 
 class Budget:

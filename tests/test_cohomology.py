@@ -32,13 +32,9 @@ from pseudoalg.cohomology import (
     PLAIN,
     ResourceError,
     SHIFTED,
-    ce_diff_matched_type2,
     ce_differential,
     ce_differential0,
     cochain_coords,
-    cocycle_check_type1,
-    cocycle_check_type2,
-    consistency_l1_vs_d,
     handle_for,
     induced_rep_type1,
     induced_rep_type2,
@@ -49,7 +45,14 @@ from pseudoalg.cohomology import (
 from pseudoalg import cochains, cohomology, linalg, zoo
 
 from conftest import count_insertions, pt, term_order_digest, vir_value
-from oracles import nullspace_dense, rank_dense
+from oracles import (
+    ce_diff_matched_type2,
+    cocycle_check_type1,
+    cocycle_check_type2,
+    consistency_l1_vs_d,
+    nullspace_dense,
+    rank_dense,
+)
 
 
 def cid(Q, c, kind=TYPE_I):
@@ -360,9 +363,9 @@ def test_matched_pair_dT_routes(qd, rng):
     g = zoo.virasoro("g", "x")
     habel = zoo.abelian_algebra("h", ["u"], qd)
     rho = zoo.adjoint_action(g, habel.module)
-    from pseudoalg.structures import build_matched_pair
-
-    Q2 = build_matched_pair(g, habel, rho, MixedMap.zero(g.module, habel.module, g.module))
+    eta = MixedMap.zero(g.module, habel.module, g.module)
+    Q2 = zoo.build(zoo.MATCHED_PAIR_DEF,
+                   {"algebra": g, "coefficients": habel, "action": rho, "coaction": eta})
     T0 = HModuleMap.zero(Q2.h, Q2.g)
     handle2 = handle_for(TYPE_II, Q2, T0, convention=CLASSICAL, verify=False)
     for _ in range(4):

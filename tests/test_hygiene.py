@@ -306,3 +306,47 @@ def test_dense_oracle_is_independent_of_linalg():
     # Bareiss vs dense Gauss is a cross-check only while the two share no code
     source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert linalg_imports(source) == []
+
+
+def route_names(source: str, name: str) -> set:
+    """The names function `name` of `source` refers to, with those of the
+    module's functions it reaches through them."""
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    names, todo, done = set(), [name], set()
+    while todo:
+        fn = todo.pop()
+        if fn not in done:
+            done.add(fn)
+            refs = set(_identifiers(defs[fn]))
+            names |= refs
+            todo += sorted(refs & defs.keys())
+    return names
+
+
+def test_guard_sees_a_shared_route():
+    src = (
+        "def a(x):\n    return b(x) + 1\n"
+        "def b(x):\n    return handle_for(x).diff(x)\n"
+        "def c():\n    return ring\n"
+    )
+    assert {"b", "handle_for", "diff"} <= route_names(src, "a")
+    assert "ring" not in route_names(src, "a")
+    assert route_names(src, "c") == {"ring"}
+
+
+# Each oracle of tests/oracles.py that these tests compare a production route
+# against, with the names of that route, which the oracle must not reach.
+CE_HANDLE = {"handle_for", "ce_differential", "CEComplexHandle", "twist2_components"}
+PRODUCTION_ROUTES = {
+    "ce_diff_matched_type2": CE_HANDLE,
+    "zeta_value": CE_HANDLE,
+    "_interpolate_quadratics": {"residual_polynomials", "ring"},
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(PRODUCTION_ROUTES))
+def test_oracle_is_independent_of_its_production_route(oracle):
+    # the matched-pair d^T and the interpolated rank-2 residuals check the
+    # generic handle and the ring evaluation only while they share no code
+    source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
+    assert route_names(source, oracle) & PRODUCTION_ROUTES[oracle] == set()

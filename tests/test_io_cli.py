@@ -652,3 +652,17 @@ def test_golden_report_identical_across_hash_seeds(name, tmp_path):
         assert (out.returncode, out.stdout) == (code, expect), (seed, out.stderr)
         for f in written:
             assert (cwd / f).read_bytes() == (GOLDEN_DIR / f).read_bytes(), (seed, f)
+
+
+@pytest.mark.parametrize("kind", ["modified_r", "reynolds"])
+def test_demo_alias_writes_its_kinds_golden_files(kind, tmp_path, capsys):
+    # `<kind>_demo` names the kind's demo bundle: the golden structure file
+    # under the alias's name, and the golden map file byte for byte
+    alias = f"{kind}_demo"
+    q, m = tmp_path / "q.json", tmp_path / "m.json"
+    code, _, err = run_cli(["zoo", alias, "-o", str(q), "--map-out", str(m)], capsys)
+    assert code == 0, err
+    golden = (GOLDEN_DIR / f"{kind}.json").read_bytes()
+    assert golden.count(f'"name": "{kind}"'.encode()) == 1
+    assert q.read_bytes() == golden.replace(f'"name": "{kind}"'.encode(), f'"name": "{alias}"'.encode())
+    assert m.read_bytes() == (GOLDEN_DIR / f"{kind}_map.json").read_bytes()

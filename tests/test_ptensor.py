@@ -15,7 +15,6 @@ from pseudoalg.ptensor import (
     _explicit_terms,
     act,
     canonicalize,
-    linear_combine,
     perm_sign,
     permute,
     placed,
@@ -183,19 +182,6 @@ def test_act_permute_compatibility(qd, M, rng):
             lhs = permute(act(c, e), sigma)
             rhs = act(moved_c, permute(e, sigma))
             assert lhs == rhs
-
-
-def test_linear_combine(qd, M, rng):
-    e = random_ptelem(rng, M, 2, max_deg=2)
-    assert linear_combine([(1, e), (-1, e)]).is_zero()
-    assert linear_combine([(2, e), (-1, e)]) == e
-    two_terms = linear_combine(
-        [
-            (1, pt(M, [(1, 0, 0, 0, 2)])),
-            (1, pt(M, [(0, 0, 1, 0, -1)])),
-        ]
-    )
-    assert two_terms == vir_value(M)
 
 
 def _ordered(v):

@@ -16,7 +16,6 @@ from pseudoalg.rank2 import (
     TYPE_I_TAG,
     TYPE_II_TAG,
     TYPE_III_TAG,
-    _interpolate_quadratics,
     classify_instance,
     lemma_special_case,
     rank2_search,
@@ -24,6 +23,8 @@ from pseudoalg.rank2 import (
     solve_quadratic_system,
 )
 from pseudoalg.structures import check_lie, check_mc_omega, check_pc
+
+from oracles import _interpolate_quadratics
 
 
 def vec(problem, **kw):

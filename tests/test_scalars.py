@@ -129,7 +129,7 @@ MODULE_SETS = {
     "dictionary": (["dictionary", "--kind", "modified_r", "--weight", "4", "modified_r.json",
                     "modified_r_map.json"], ZOO),
     "zoo": (["zoo", "modified_r"], ZOO),
-    "rank2-search": (["rank2-search", "--max-deg", "4"], ZOO | {"rank2"}),
+    "rank2-search": (["rank2-search", "--max-deg", "4"], CORE | {"rank2"}),
 }
 LOADED = (
     "import contextlib, io, json, sys\n"

@@ -23,7 +23,6 @@ from pseudoalg.structures import (
     LiePseudoalgebra,
     QuasiTwilled,
     Representation,
-    build_matched_pair,
     check_lie,
     check_mc_omega,
     check_pc,
@@ -214,14 +213,17 @@ def test_jacobiator_h_polylinearity(modified_r_q, qd, rng):
 def test_matched_pair_builder(qd):
     g = zoo.virasoro("g", "x")
     h = zoo.clone_bracket(zoo.virasoro("h0", "u0"), "h")
-    Q = build_matched_pair(g, h, MixedMap.zero(g.module, h.module, h.module),
-                           MixedMap.zero(g.module, h.module, g.module))
+    rho = MixedMap.zero(g.module, h.module, h.module)
+    eta = MixedMap.zero(g.module, h.module, g.module)
+    Q = zoo.build(zoo.MATCHED_PAIR_DEF,
+                  {"algebra": g, "coefficients": h, "action": rho, "coaction": eta})
     assert check_pc(Q)["ok"]
     assert check_lie(Q.omega())["ok"]
     # failing matched-pair data is rejected with residuals
     bad_rho = MixedMap(g.module, h.module, h.module, {(0, 0): pt(h.module, [(0, 0, 0, 0, 1)])})
     with pytest.raises(InputError):
-        build_matched_pair(g, h, bad_rho, MixedMap.zero(g.module, h.module, g.module))
+        zoo.build(zoo.MATCHED_PAIR_DEF,
+                  {"algebra": g, "coefficients": h, "action": bad_rho, "coaction": eta})
 
 
 def test_matched_pair_action_reduces_to_action_structure(qd):
@@ -230,7 +232,9 @@ def test_matched_pair_action_reduces_to_action_structure(qd):
     g = zoo.virasoro("g", "x")
     habel = zoo.abelian_algebra("h", ["u"], qd)
     rho = zoo.adjoint_action(g, habel.module)
-    Q = build_matched_pair(g, habel, rho, MixedMap.zero(g.module, habel.module, g.module))
+    eta = MixedMap.zero(g.module, habel.module, g.module)
+    Q = zoo.build(zoo.MATCHED_PAIR_DEF,
+                  {"algebra": g, "coefficients": habel, "action": rho, "coaction": eta})
     Qact = zoo.build(zoo.DERIVATION, {"algebra": g, "module": habel.module, "action": rho})
     assert Q.omega() == Qact.omega()
 

@@ -1,14 +1,20 @@
 """Example builders, operator identities, and the residual dictionary."""
 
+import gc
+import os
 import random
+import subprocess
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pseudoalg.hopf import InputError
+from pseudoalg.hopf import InputError, LieAlgebra
 from pseudoalg.ptensor import FreeModule
-from pseudoalg.cochains import Cochain, MixedMap
-from pseudoalg.structures import check_mc_omega, check_pc
+from pseudoalg.cochains import Cochain, MixedMap, nr_bracket, random_cochain
+from pseudoalg.structures import QuasiTwilled, check_mc_omega, check_pc, pc_residuals
 from pseudoalg.deformation import TYPE_II, HModuleMap, dmap1_residual, orientation
 from pseudoalg import zoo
 
@@ -168,3 +174,85 @@ def test_unknown_names_rejected():
         zoo.builtin("nope")
     with pytest.raises(InputError):
         zoo.build("nope", {})
+
+
+# -- one Hopf base per zoo ---------------------------------------------------------------
+
+NOT_DATA = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType,
+            types.MethodType)
+
+
+def reachable_algebras(root) -> list:
+    """The distinct LieAlgebra objects reachable from root through its values."""
+    found, seen, todo = {}, set(), [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, NOT_DATA):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, LieAlgebra):
+            found[id(obj)] = obj  # its memos hold only keys and scalars
+            continue
+        todo.extend(gc.get_referents(obj))
+    return list(found.values())
+
+
+def test_guard_sees_every_algebra():
+    qd, other = zoo.polynomial_hopf(), zoo.polynomial_hopf()
+    assert reachable_algebras([qd, {"m": FreeModule("m", ["e"], qd)}]) == [qd]
+    found = reachable_algebras(zoo.virasoro("g", "x", other).bracket)
+    assert len(found) == 1 and found[0] is other
+
+
+ALIVE = (
+    "import gc\n"
+    "from pseudoalg import zoo\n"
+    "from pseudoalg.hopf import LieAlgebra\n"
+    "entries = zoo.zoo_structures()\n"
+    "gc.collect()\n"
+    "print(sum(isinstance(o, LieAlgebra) for o in gc.get_objects()))\n"
+)
+
+
+def test_zoo_runs_over_one_hopf_base():
+    # one Q[d] per zoo, so every structure reads and fills the same kernel memos
+    src = str(Path(zoo.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", ALIVE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert out.stdout.split() == ["1"]
+    entries = zoo.zoo_structures()
+    (alg,) = reachable_algebras(entries)
+    assert alg == zoo.polynomial_hopf()
+    bundles = [zoo.builtin(name, alg) for name in zoo.ZOO_NAMES]
+    assert reachable_algebras(bundles) == [alg]
+
+
+def _pc_and_nr(Q, seed) -> list:
+    """PC residuals and [Omega, Omega]_NR of Q and of a seeded bent copy, in term order.
+
+    The zoo's own residuals are all zero; the bent copy's are not.
+    """
+    rng = random.Random(seed)
+    bent = QuasiTwilled(Q.g, Q.h, pi=Q.pi + random_cochain(rng, Q.g, Q.g, 2, max_deg=2),
+                        rho=Q.rho, mu=Q.mu, eta=Q.eta,
+                        theta=Q.theta + random_cochain(rng, Q.g, Q.h, 2, max_deg=2))
+    out = []
+    for S in (Q, bent):
+        om = S.omega()
+        tables = list(pc_residuals(S).items()) + [("NR", nr_bracket(om, om).terms)]
+        out += [(label, [(t, list(v.terms.items())) for t, v in table.items()])
+                for label, table in tables]
+    return out
+
+
+def test_shared_memos_change_no_value():
+    # each structure is evaluated after the ones before it have warmed the
+    # shared memos, then again alone over a fresh Q[d] with cold memos
+    entries = zoo.zoo_structures()
+    shared = [_pc_and_nr(e["Q"], 5) for e in entries]
+    assert all(any(label == "NR" and table for label, table in v) for v in shared)
+    for entry, values in zip(entries, shared):
+        alone = zoo.builtin(entry["name"], zoo.polynomial_hopf())
+        Q = alone["Q"] if isinstance(alone, dict) else alone
+        assert _pc_and_nr(Q, 5) == values, entry["name"]
