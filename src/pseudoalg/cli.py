@@ -28,7 +28,7 @@ from .structures import (
     CLASSICAL,
     TYPE_I,
     TYPE_II,
-    QuasiTwilled,
+    LiePseudoalgebra,
     check_lie,
     check_mc_omega,
     check_pc,
@@ -317,17 +317,20 @@ def _parse_weight(weight):
 def cmd_zoo(args, report):
     from . import zoo as pzoo
     if args.list:
-        for name in ("virasoro", "cur_sl2", "cur_2dim_nonabelian") + pzoo.ZOO_NAMES:
-            print(name)
+        names = ("virasoro", "cur_sl2", "cur_2dim_nonabelian", *pzoo.ZOO_NAMES, *pzoo.DEMO_ALIASES)
+        print("\n".join(names))
         return
     name = args.name
     if name is None:
         raise pio.ParseError("zoo needs a name or --list")
     obj = pzoo.builtin(name)
+    if isinstance(obj, LiePseudoalgebra):  # -o writes its bracket as a cochain file
+        report.add("Lie pseudoalgebra assembled and validated", check_lie(obj)["ok"])
+        if args.out:
+            _write(args.out, pio.cochain_to_json(obj.bracket), report)
+        return
     bundle = obj if isinstance(obj, dict) else {"Q": obj}
     Q = bundle["Q"]
-    if not isinstance(Q, QuasiTwilled):
-        raise pio.ParseError(f"{name!r} is a Lie pseudoalgebra, not a quasi-twilled structure")
     meta = {"name": name, "kind": bundle["kind"]} if "kind" in bundle else {"name": name}
     report.add("structure assembled and PC-validated", check_pc(Q)["ok"])
     if args.out:

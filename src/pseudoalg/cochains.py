@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 
-from .hopf import HTensor, InputError, Sparse, mi_splits
+from .hopf import HTensor, InputError, Sparse, coeff, mi_splits
 from .ptensor import (
     FreeModule,
     PTElem,
@@ -191,20 +191,21 @@ def skew_symmetrize(arity, source, target, raw_value_fn) -> Cochain:
 # -- composition -------------------------------------------------------------
 
 
-def _coproduct_spread(alg, c_slots: tuple, X) -> tuple:
-    """Slotwise product (c_1 (x) ... (x) c_{q-1} (x) 1) Delta^{q-1}(a^(X)).
+def _coproduct_spread(alg, c_slots: tuple, K_in, P) -> tuple:
+    """Slotwise product (c_1 (x) ... (x) c_{q-1} (x) 1) Delta^{q-1}(a^(K_in) a^(P)).
 
-    Returns ((legs, c), ...).  It depends on the inner slot monomials and X
-    only, so the algebra keeps it.
+    Returns ((legs, c), ...), X-major over the terms a^(X) of a^(K_in) a^(P).  It
+    depends on the inner slot monomials, K_in and P only, so the algebra keeps it.
     """
-    key = (c_slots, X)
+    key = (c_slots, K_in, P)
     spread = alg.coproduct_spreads.get(key)
     if spread is None:
         c_exp = c_slots + (alg.zero_index,)
         spread = alg.coproduct_spreads[key] = tuple(
-            item
+            (legs, coeff(cX * cl))
+            for X, cX in alg.mul_mono(K_in, P).items()
             for split in mi_splits(X, len(c_exp))
-            for item in slot_products(alg, c_exp, [{j: 1} for j in split])
+            for legs, cl in slot_products(alg, c_exp, [{j: 1} for j in split])
         )
     return spread
 
@@ -231,9 +232,8 @@ def insert_raw(value_at, outer_arity: int, target: FreeModule, pos: int, inner: 
             p_exp = p_slots + (zero_mi,)
             head, tail = p_exp[:pos], p_exp[pos + 1 :]
             scale0 = c_inner * c_outer
-            for X, cX in alg.mul_mono(K_in, p_exp[pos]).items():
-                for legs, cl in _coproduct_spread(alg, c_slots, X):
-                    raw.append((head + legs + tail, K_out, m, scale0 * cX * cl))
+            for legs, cl in _coproduct_spread(alg, c_slots, K_in, p_exp[pos]):
+                raw.append((head + legs + tail, K_out, m, scale0 * cl))
     return canonicalize(target, p + q - 1, raw)
 
 
@@ -253,11 +253,12 @@ def insert_value(outer: Cochain, pre: tuple, inner: PTElem, post: tuple) -> PTEl
 
 
 def shuffles(q: int, r: int):
-    """(q, r)-shuffles of {0..q+r-1} as placement images sigma(0..q+r-1)."""
+    """(q, r)-shuffles of {0..q+r-1} as (placement image sigma(0..q+r-1), sign)."""
     n = q + r
     for first in itertools.combinations(range(n), q):
         rest = tuple(i for i in range(n) if i not in first)
-        yield first + rest
+        # first[i] passes first[i] - i of the rest: sum(first) - q(q-1)/2 inversions
+        yield first + rest, -1 if (sum(first) - q * (q - 1) // 2) % 2 else 1
 
 
 def _common_module(*cochains) -> FreeModule:
@@ -289,7 +290,7 @@ def _circle_sum(products) -> Cochain:
     """
     mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
     plans = [
-        (f, g, [(sigma, c * perm_sign(sigma)) for sigma in shuffles(g.arity, f.arity - 1)])
+        (f, g, [(sigma, c * sign) for sigma, sign in shuffles(g.arity, f.arity - 1)])
         for c, f, g in products
     ]
     n = plans[0][0].arity + plans[0][1].arity - 1

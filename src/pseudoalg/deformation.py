@@ -446,7 +446,7 @@ def linf_identity_residual(ops, n: int, args) -> Cochain:
     degrees = [f.arity - 1 for f in args]
     acc = None
     for i in range(0, n + 1):
-        for order in shuffles(i, n - i):
+        for order, _sign in shuffles(i, n - i):
             head = [args[k] for k in order[:i]]
             tail = [args[k] for k in order[i:]]
             inner = ops.bracket(i, head)

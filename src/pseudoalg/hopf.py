@@ -105,10 +105,9 @@ class LieAlgebra:
         self._word_cache = {}  # word -> {K: c}; filled only by _straighten
         self._mul_cache = {}  # (I, J) -> {K: c}; filled only by mul_mono
         self._antipode_cache = {}  # K -> {L: c}; filled only by antipode_mono
-        # slot tuple -> ((right, ((prefix, c), ...)), ...);
-        # filled only by ptensor._slot_expansion
-        self.slot_expansions = {}
-        # (inner slots, X) -> ((legs, c), ...); filled only by cochains._coproduct_spread
+        # (slots, K) -> ((prefix, K2, c), ...); filled only by ptensor._term_expansion
+        self.term_expansions = {}
+        # (inner slots, K_in, P) -> ((legs, c), ...); filled only by cochains._coproduct_spread
         self.coproduct_spreads = {}
 
     @classmethod
@@ -335,7 +334,7 @@ class HElem(Sparse):
 
     def __init__(self, alg: LieAlgebra, terms: dict):
         self.alg = alg
-        self.terms = {K: v for K, c in terms.items() if (v := coeff(c))}
+        self.terms = {K: v for K, c in terms.items() if (v := c if type(c) is int else coeff(c))}
 
     def _shape(self):
         return self.alg
@@ -404,7 +403,9 @@ class HTensor(Sparse):
             raise InputError("tensor arity must be >= 1")
         self.alg = alg
         self.arity = arity
-        self.terms = {tuple(K): v for K, c in terms.items() if (v := coeff(c))}
+        self.terms = {
+            tuple(K): v for K, c in terms.items() if (v := c if type(c) is int else coeff(c))
+        }
 
     @classmethod
     def unit(cls, alg: LieAlgebra, arity: int) -> "HTensor":

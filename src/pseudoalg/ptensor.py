@@ -6,8 +6,8 @@ keyed by (slots, K, k).  Equality of canonical term maps is the decision
 procedure behind every residual check in this package.  A module element is
 an arity-1 value, since H (x)_H M = M: its terms are keyed by ((), K, k).
 
-Straightening a term depends only on its slot monomials, so the expansion of
-each slot tuple is computed once and kept on the LieAlgebra.
+Straightening a term depends only on its slot monomials and K, so the
+expansion of each (slots, K) pair is computed once and kept on the LieAlgebra.
 
 Permutations are handled concretely as placement arrays: `dest[j]` is the
 position that receives the content currently in slot j (0-based).  This is the
@@ -106,7 +106,7 @@ class PTElem(Sparse):
             raise InputError("pseudotensor arity must be >= 1")
         self.module = module
         self.arity = arity
-        self.terms = {t: v for t, c in terms.items() if (v := coeff(c))}
+        self.terms = {t: v for t, c in terms.items() if (v := c if type(c) is int else coeff(c))}
 
     @classmethod
     def zero(cls, module: FreeModule, arity: int) -> "PTElem":
@@ -219,22 +219,28 @@ def slot_products(alg: LieAlgebra, lefts, rights) -> list:
     return partial
 
 
-def _slot_expansion(alg: LieAlgebra, slots: tuple) -> tuple:
-    """Straighten (h1 (x) ... (x) hn) (x)_H m, memoized per slot tuple.
+def _term_expansion(alg: LieAlgebra, slots: tuple, K) -> tuple:
+    """Straighten (h1 (x) ... (x) hn) (x)_H a^(K) m, memoized per (slots, K).
 
     With J = hn,
-    (h1 ... hn)(x)_H m = sum (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) m.
-    Returns ((right, ((prefix, c), ...)), ...) with right = J_(n): the term
-    equals sum c (prefix (x) 1) (x)_H right m.  It depends on the slot
-    monomials only, so the algebra keeps it for every later term.
+      (h1 ... hn)(x)_H a^(K) m
+        = sum (h1 S(J_(1)) (x) ... (x) h_{n-1} S(J_(n-1)) (x) 1)(x)_H J_(n) a^(K) m.
+    Returns ((prefix, K2, c), ...): the term is sum c (prefix (x) 1)(x)_H a^(K2) m,
+    listed by right = J_(n), then K2 in J_(n) a^(K), then prefix.  It depends
+    on the slot monomials and K only, so the algebra keeps it for every later term.
     """
-    cache = alg.slot_expansions
-    pieces = cache.get(slots)
+    key = (slots, K)
+    pieces = alg.term_expansions.get(key)
     if pieces is None:
-        pieces = cache[slots] = tuple(
-            (split[-1], tuple(slot_products(alg, slots[:-1], map(alg.antipode_mono, split[:-1]))))
-            for split in mi_splits(slots[-1], len(slots))
-        )
+        pieces = []
+        for split in mi_splits(slots[-1], len(slots)):
+            prefixes = slot_products(alg, slots[:-1], map(alg.antipode_mono, split[:-1]))
+            pieces += [
+                (prefix, K2, coeff(cK * cp))
+                for K2, cK in alg.mul_mono(split[-1], K).items()
+                for prefix, cp in prefixes
+            ]
+        pieces = alg.term_expansions[key] = tuple(pieces)
     return pieces
 
 
@@ -254,16 +260,12 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
             raise InputError("raw term has bad basis index")
         slots = tuple(slots)
         if slots[-1] == zero_mi:
-            pieces = (((slots[:-1], K, k), c),)
+            pieces = ((slots[:-1], K, 1),)
         else:
-            pieces = [
-                ((prefix, K2, k), c * cK * cp)
-                for right, prefixes in _slot_expansion(alg, slots)
-                for K2, cK in alg.mul_mono(right, K).items()
-                for prefix, cp in prefixes
-            ]
-        for key, v in pieces:
-            v = out.get(key, 0) + v
+            pieces = _term_expansion(alg, slots, K)
+        for prefix, K2, ce in pieces:
+            key = (prefix, K2, k)
+            v = out.get(key, 0) + c * ce
             if v:
                 out[key] = v
             else:

@@ -135,7 +135,7 @@ def _circle_reference(f: Cochain, g: Cochain) -> Cochain:
     table = {}
     for t in sorted_tuples(mod.rank, n):
         acc = PTElem.zero(mod, n)
-        for sigma in shuffles(q, p - 1):
+        for sigma, _sign in shuffles(q, p - 1):
             inner = g.value(tuple(t[sigma[i]] for i in range(q)))
             if inner.is_zero():
                 continue
@@ -143,6 +143,15 @@ def _circle_reference(f: Cochain, g: Cochain) -> Cochain:
             acc = acc + permute(composite, sigma).scale(perm_sign(sigma))
         table[t] = acc
     return Cochain(n, mod, mod, table)
+
+
+def test_shuffle_signs_are_perm_signs():
+    # the closed-form sign of each (q, r)-shuffle is the parity of its placement
+    for q in range(5):
+        for r in range(5):
+            signed = list(shuffles(q, r))
+            assert len(signed) == len({sigma for sigma, _sign in signed})
+            assert all(sign == perm_sign(sigma) for sigma, sign in signed), (q, r)
 
 
 def _nr_reference(f: Cochain, g: Cochain) -> Cochain:
@@ -253,7 +262,7 @@ def _reachable(t, plans) -> bool:
     module index k of it with outer(k, tail) stored, tested shuffle by shuffle."""
     for outer, inner in plans:
         q = inner.arity
-        for sigma in shuffles(q, outer.arity - 1):
+        for sigma, _sign in shuffles(q, outer.arity - 1):
             head = inner.value(tuple(t[i] for i in sigma[:q]))
             tail = tuple(t[i] for i in sigma[q:])
             if any(tuple(sorted((k,) + tail)) in outer.terms for _s, _K, k in head.terms):
@@ -274,7 +283,7 @@ def test_rank2_insertions_are_distinct_nonzero_keys(base, request, rng, monkeypa
             for t in sorted_tuples(2, n)
             if _reachable(t, plans)
             for index, (outer, inner) in enumerate(plans)
-            for sigma in shuffles(inner.arity, outer.arity - 1)
+            for sigma, _sign in shuffles(inner.arity, outer.arity - 1)
             if inner.value(tuple(t[i] for i in sigma[: inner.arity]))
         }
         insertions.clear()

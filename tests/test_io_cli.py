@@ -1,5 +1,8 @@
 """File schema round trips, CLI exit codes, and report determinism."""
 
+import ast
+import inspect
+import itertools
 import json
 import os
 import random
@@ -440,6 +443,34 @@ def test_cli_entry_point_subprocess():
     out = cli_child("zoo", "--list")
     assert out.returncode == 0
     assert "virasoro" in out.stdout
+
+
+def _builtin_names() -> set:
+    """The names zoo.builtin serves: the kinds, the demo aliases and every
+    string it compares `name` with."""
+    names = set(zoo.ALL_KINDS) | set(zoo.DEMO_ALIASES)
+    for node in ast.walk(ast.parse(inspect.getsource(zoo.builtin))):
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "name":
+            names |= {
+                c.value
+                for comp in node.comparators
+                for c in ast.walk(comp)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return names
+
+
+def test_zoo_list_names_what_zoo_accepts(capsys):
+    # every listed name is a `pa zoo` name, and every name zoo.builtin serves is listed
+    code, out, _ = run_cli(["zoo", "--list"], capsys)
+    assert code == 0
+    listed = list(itertools.takewhile(lambda line: not line.startswith("#"), out.splitlines()))
+    assert len(listed) == len(set(listed))
+    assert set(listed) == _builtin_names()
+    for name in listed:
+        assert run_cli(["zoo", name], capsys)[0] == 0, name
+    with pytest.raises(pio.InputError):
+        zoo.builtin("no_such_structure")
 
 
 def test_rank2_report_identical_across_hash_seeds():

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.rings import ring
 
 from pseudoalg import ptensor
 from pseudoalg.hopf import HElem, HTensor, InputError, LieAlgebra, Sparse
@@ -22,9 +24,9 @@ from pseudoalg.ptensor import (
 )
 from pseudoalg.cochains import Cochain, MixedMap, random_cochain, random_ptelem
 from pseudoalg.deformation import HModuleMap
-from pseudoalg.zoo import random_hmap
+from pseudoalg.zoo import nonabelian_2dim, random_hmap
 
-from conftest import pt, vir_value
+from conftest import count_calls, pt, vir_value
 
 
 @pytest.fixture
@@ -331,3 +333,50 @@ def test_canonicalize_idempotent_nonabelian(b2, rng):
             e = random_ptelem(rng, M, n, max_deg=3, nterms=3)
             again = canonicalize(M, n, _explicit_terms(e))
             assert list(again.terms.items()) == list(e.terms.items())
+
+
+def _placed_raw(alg, rng):
+    """Raw terms of placed random values of arities 1-3 over a rank-2 module:
+    [(arity, raw)], with some last slot that is not 1 to straighten."""
+    M = FreeModule("M", ["x", "y"], alg)
+    out = []
+    for n in (1, 2, 3):
+        for dest in itertools.permutations(range(n)):
+            e = random_ptelem(rng, M, n, max_deg=3, nterms=3)
+            out.append((n, placed(e, dest)))
+    assert any(slots[-1] != alg.zero_index for _n, raw in out for slots, *_rest in raw)
+    return M, out
+
+
+@pytest.mark.parametrize("base", ["qd", "b2"])
+def test_warm_canonicalize_makes_no_mul_mono_call(base, request, rng, monkeypatch):
+    # the straightening of each (slots, K) pair is kept on the algebra, so a
+    # second canonicalize of the same raw terms multiplies nothing in H
+    alg = request.getfixturevalue(base)
+    M, raws = _placed_raw(alg, rng)
+    first = [canonicalize(M, n, raw) for n, raw in raws]
+    assert alg.term_expansions
+    calls = count_calls(monkeypatch, "mul_mono", alg)
+    again = [canonicalize(M, n, raw) for n, raw in raws]
+    assert calls == []
+    assert [list(e.terms.items()) for e in again] == [list(e.terms.items()) for e in first]
+
+
+@pytest.mark.parametrize("make", [lambda: LieAlgebra.abelian(["d"]), nonabelian_2dim], ids=["qd", "b2"])
+def test_warm_and_cold_memos_agree_on_ring_scalars(make):
+    # rank-2 evaluates with ring generators as raw coefficients: an algebra
+    # whose memo was filled by integer work gives the same terms, in the same
+    # order, as a fresh one
+    _R, x, y = ring("x y", QQ)
+    warm, cold = make(), make()
+    Mw, raws = _placed_raw(warm, random.Random(7))
+    Mc = FreeModule("M", ["x", "y"], cold)
+    for n, raw in raws:
+        canonicalize(Mw, n, raw)
+    assert warm.term_expansions and not cold.term_expansions
+    for n, raw in raws:
+        ring_raw = [(slots, K, k, c * x + (1 - c) * y) for slots, K, k, c in raw]
+        got_w = canonicalize(Mw, n, ring_raw)
+        got_c = canonicalize(Mc, n, ring_raw)
+        assert list(got_w.terms.items()) == list(got_c.terms.items())
+

@@ -190,6 +190,18 @@ def test_constructors_reject_floats():
         QD.unit().scale(0.5)
     with pytest.raises(TypeError):
         HElem(QD, {(1,): 0.0})  # a float zero is rejected, not dropped
+    for last in ((1,), (0,)):  # a straightened and a trivial last slot
+        with pytest.raises(TypeError):
+            canonicalize(g, 2, [(((1,), last), (0,), 0, 0.5)])
+    # the int fast path still normalises a bool and an integral Fraction to int
+    for value in (True, Fraction(4, 2)):
+        built = (
+            HElem(QD, {(1,): value}),
+            HTensor(QD, 2, {((0,), (1,)): value}),
+            PTElem(g, 1, {((), (0,), 0): value}),
+        )
+        for e in built:
+            assert [type(v) for v in e.terms.values()] == [int], e
 
 
 def test_kernel_outputs_are_exact_on_zoo_inputs():

@@ -269,8 +269,8 @@ def test_results_do_not_depend_on_kernel_memos():
     # bracket and residual table is the same, term order included
     warm, cold = zoo.nonabelian_2dim(), zoo.nonabelian_2dim()
     check_pc(random_structure(random.Random(1), warm))
-    assert warm.slot_expansions and warm.coproduct_spreads
-    assert not cold.slot_expansions and not cold.coproduct_spreads
+    assert warm.term_expansions and warm.coproduct_spreads
+    assert not cold.term_expansions and not cold.coproduct_spreads
     Qw = random_structure(random.Random(2), warm)
     Qc = random_structure(random.Random(2), cold)
     bw = nr_bracket(Qw.omega(), Qw.omega())
