@@ -5,12 +5,14 @@ other argument orders are derived through the signed symmetric-group action
 
     f(x_1, ..., x_p) = sign(s) (s (x)_H id) f(x_{s(1)}, ..., x_{s(p)}),
 
-realized concretely by placement arrays (see ptensor.permute).  Composition
+realized concretely by placement arrays (see ptensor.permute).  A MixedMap
+g (x) h -> target stores every pair; both are a PolyMap.  Composition
 inserts an inner value into one argument slot of an outer map: the inner
 H-coefficients multiply the iterated-coproduct spread of the outer slot
 coefficient.  That insertion rule is forced by H-polylinearity and is the
 single composition primitive behind the circle product, the NR bracket, the
-Jacobiator and the Chevalley-Eilenberg sums.
+Jacobiator, PC1..PC8 and the Chevalley-Eilenberg sums.  One `insert_value`
+and one `lift` to C(g [+] h) serve cochains and mixed maps alike.
 
 Throughout, composite values are slot-ALIGNED: after every insertion the slots
 are rearranged so that slot i carries the coefficient of argument x_i.
@@ -52,7 +54,24 @@ def sorted_tuples(rank: int, p: int):
     return itertools.combinations_with_replacement(range(rank), p)
 
 
-class Cochain(Sparse):
+class PolyMap(Sparse):
+    """An H-polylinear map sources[0] (x) ... (x) sources[n-1] -> H^{(x)n} (x)_H target.
+
+    A subclass gives `sources`, `target`, `terms` and `value(args)`, the
+    value on a tuple of basis indices, one per source.
+    """
+
+    __slots__ = ()
+
+    def eval(self, args) -> PTElem:
+        """H-polylinear extension to module elements, one of each source."""
+        return evaluate(self.value, self.sources, self.target, tuple(args))
+
+    def max_degree(self) -> int:
+        return max((v.degree() for v in self.terms.values()), default=-1)
+
+
+class Cochain(PolyMap):
     """Skew-symmetric conformal p-linear map source^{(x)p} -> H^{(x)p} (x)_H target.
 
     `terms` maps each non-decreasing tuple of source basis indices to the
@@ -88,6 +107,10 @@ class Cochain(Sparse):
     def _new(self, terms) -> "Cochain":
         return Cochain(self.arity, self.source, self.target, terms)
 
+    @property
+    def sources(self) -> tuple:
+        return (self.source,) * self.arity
+
     # -- evaluation ------------------------------------------------------------
 
     def value(self, args: tuple) -> PTElem:
@@ -110,13 +133,6 @@ class Cochain(Sparse):
                 out = out.scale(-1)
         self._value_cache[args] = out
         return out
-
-    def eval(self, args) -> PTElem:
-        """H-polylinear extension to module elements."""
-        return evaluate(self.value, (self.source,) * self.arity, self.target, tuple(args))
-
-    def max_degree(self) -> int:
-        return max((v.degree() for v in self.terms.values()), default=-1)
 
     def __repr__(self):
         return (
@@ -237,15 +253,16 @@ def insert_raw(value_at, outer_arity: int, target: FreeModule, pos: int, inner: 
     return canonicalize(target, p + q - 1, raw)
 
 
-def insert_value(outer: Cochain, pre: tuple, inner: PTElem, post: tuple) -> PTElem:
-    """outer(pre..., inner, post...) for a cochain; see insert_raw."""
-    if len(pre) + 1 + len(post) != outer.arity:
+def insert_value(outer: PolyMap, pre: tuple, inner: PTElem, post: tuple) -> PTElem:
+    """outer(pre..., inner, post...) for basis-index tuples pre and post; see insert_raw."""
+    sources = outer.sources
+    if len(pre) + 1 + len(post) != len(sources):
         raise InputError("insert_value: argument count mismatch")
-    if inner.module != outer.source:
+    if inner.module != sources[len(pre)]:
         raise InputError("insert_value: inner value lives in the wrong module")
     return insert_raw(
         lambda k: outer.value(pre + (k,) + post),
-        outer.arity,
+        len(sources),
         outer.target,
         len(pre),
         inner,
@@ -345,7 +362,7 @@ def nr_bracket(f: Cochain, g: Cochain) -> Cochain:
 # -- mixed binary components ---------------------------------------------------
 
 
-class MixedMap(Sparse):
+class MixedMap(PolyMap):
     """H^{(x)2}-linear map g (x) h -> H^{(x)2} (x)_H target (no symmetry constraint).
 
     `terms` maps a pair (i, j) of a g and an h basis index to the value on
@@ -375,13 +392,14 @@ class MixedMap(Sparse):
     def _new(self, terms) -> "MixedMap":
         return MixedMap(self.gmod, self.hmod, self.target, terms)
 
-    def value(self, i: int, j: int) -> PTElem:
-        v = self.terms.get((i, j))
-        return PTElem.zero(self.target, 2) if v is None else v
+    @property
+    def sources(self) -> tuple:
+        return self.gmod, self.hmod
 
-    def eval(self, x: PTElem, u: PTElem) -> PTElem:
-        """H-bilinear extension to a module element of g and one of h."""
-        return evaluate(lambda keys: self.value(*keys), (self.gmod, self.hmod), self.target, (x, u))
+    def value(self, args: tuple) -> PTElem:
+        """Value on a pair (i, j) of a g and an h basis index."""
+        v = self.terms.get(args)
+        return PTElem.zero(self.target, 2) if v is None else v
 
     def swapped(self) -> "MixedMap":
         """The map with its arguments exchanged: m'(b (x) a) = -(12) m(a (x) b).
@@ -478,30 +496,23 @@ def coerce_to_sum(v: PTElem, G: FreeModule, part: str) -> PTElem:
     return v.coerce(G, lambda k: k + offset)
 
 
-def lift_block(f: Cochain, G: FreeModule) -> Cochain:
-    """Lift of a pure-block cochain (source g^k or h^l) into C(g [+] h).
+def lift(f: PolyMap, G: FreeModule) -> Cochain:
+    """Lift of a block map (a cochain on g or h, or a g (x) h mixed map) into C(g [+] h).
 
-    The shuffle sum of the general lift collapses to one term on sorted
-    tuples; all other orderings are recovered by the slot action.
+    Slot i shifts its basis indices by the offset of sources[i] in G.  The
+    sources must be parts of G in order (all g before all h), so each shifted
+    key is non-decreasing: the shuffle sum of the general lift collapses to
+    one term on sorted tuples, and the slot action recovers the other orders.
     """
-    shift = _part(G, _part_name(G, f.source))[1]
+    offsets = tuple(_part(G, _part_name(G, src))[1] for src in f.sources)
+    if list(offsets) != sorted(offsets):
+        raise InputError(f"lift: the sources are not parts of {G.name} in order")
     tpart = _part_name(G, f.target)
-    table = {}
-    for t, v in f.terms.items():
-        table[tuple(i + shift for i in t)] = coerce_to_sum(v, G, tpart)
-    return Cochain(f.arity, G, G, table)
-
-
-def lift_mixed(m: MixedMap, G: FreeModule) -> Cochain:
-    """Lift of a g (x) h component into C^2(g [+] h); Koszul-shuffle built in."""
-    if (m.gmod, m.hmod) != G.parts:
-        raise InputError("lift_mixed: parts mismatch")
-    tpart = _part_name(G, m.target)
-    cut = G.split
-    table = {}
-    for (i, j), v in m.terms.items():
-        table[(i, cut + j)] = coerce_to_sum(v, G, tpart)
-    return Cochain(2, G, G, table)
+    table = {
+        tuple(i + o for i, o in zip(t, offsets)): coerce_to_sum(v, G, tpart)
+        for t, v in f.terms.items()
+    }
+    return Cochain(len(offsets), G, G, table)
 
 
 def extract_components(F: Cochain) -> dict:
@@ -524,35 +535,18 @@ def extract_components(F: Cochain) -> dict:
     return out
 
 
-def _extract_piece(v: PTElem, tpart: str) -> PTElem:
-    """The part `tpart` of a G-valued value, over that part's module."""
-    tgt, toffset = _part(v.module, tpart)
-    piece = v.split_by_part()[0 if tpart == "g" else 1]
-    return piece.coerce(tgt, lambda k: k - toffset)
-
-
 def extract_pure(F: Cochain, part: str, tpart: str) -> Cochain:
     """Extract the block with all inputs in one part as a block cochain."""
     G = F.source
     src, offset = _part(G, part)
+    tgt, toffset = _part(G, tpart)
     cut = G.split
     table = {}
     for t, v in F.terms.items():
         if all((i < cut) == (part == "g") for i in t):
-            table[tuple(i - offset for i in t)] = _extract_piece(v, tpart)
-    return Cochain(F.arity, src, _part(G, tpart)[0], table)
-
-
-def extract_mixed(F: Cochain, tpart: str) -> MixedMap:
-    """Extract the g (x) h component of an arity-2 cochain on g [+] h."""
-    if F.arity != 2:
-        raise InputError("extract_mixed expects an arity-2 cochain")
-    G = F.source
-    cut = G.split
-    table = {
-        (i, j - cut): _extract_piece(v, tpart) for (i, j), v in F.terms.items() if i < cut <= j
-    }
-    return MixedMap(*G.parts, _part(G, tpart)[0], table)
+            piece = v.split_by_part()[0 if tpart == "g" else 1]
+            table[tuple(i - offset for i in t)] = piece.coerce(tgt, lambda k: k - toffset)
+    return Cochain(F.arity, src, tgt, table)
 
 
 def assert_block_shape(F: Cochain, pattern: tuple, tpart: str):

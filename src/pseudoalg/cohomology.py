@@ -31,7 +31,6 @@ from .cochains import (
     Cochain,
     HModuleMap,
     MixedMap,
-    insert_raw,
     insert_value,
     random_cochain,
     sorted_tuples,
@@ -98,8 +97,7 @@ def ce_differential(bracket: Cochain, action: MixedMap, f: Cochain, convention=C
             comp = composites.get(key)
             if comp is None:
                 inner = f.value(rest)
-                act_on = lambda k, _i=t[i - 1]: action.eval(A.elem(_i), M.elem(k))
-                comp = composites[key] = insert_raw(act_on, 2, M, 1, inner) if inner else inner
+                comp = composites[key] = insert_value(action, (t[i - 1],), inner, ()) if inner else inner
             if not comp:
                 continue
             # slots: (x_i, rest...) -> align x_i into slot i
@@ -146,7 +144,7 @@ def ce_differential0(bracket: Cochain, action: MixedMap, u: PTElem, convention=C
     s1, _ = _signs(convention, 0)
     table = {}
     for i in range(A.rank):
-        v = action.eval(A.elem(i), u).scale(s1(1))
+        v = action.eval([A.elem(i), u]).scale(s1(1))
         if not v.is_zero():
             table[(i,)] = v
     return table
@@ -181,8 +179,7 @@ class CEComplexHandle:
         return ce_differential0(self.bracket, self.action, u, self.convention)
 
     def max_growth(self) -> int:
-        act_deg = max((v.degree() for v in self.action.terms.values()), default=0)
-        return max(self.bracket.max_degree(), act_deg, 0)
+        return max(self.bracket.max_degree(), self.action.max_degree(), 0)
 
 
 def induced_rep_type1(Q: QuasiTwilled, D: HModuleMap):

@@ -34,8 +34,7 @@ from .cochains import (
     assert_block_shape,
     coerce_to_sum,
     extract_pure,
-    lift_block,
-    lift_mixed,
+    lift,
     nr_bracket,
     random_cochain,
     shuffles,
@@ -78,13 +77,13 @@ def _type1_tables(Q: QuasiTwilled, D: HModuleMap) -> tuple:
         Dx, Dy = D(x), D(y)
         gside = pi_d[(i, j)] = (
             Q.pi.value((i, j))
-            + Q.eta.eval(x, Dy)
-            - permute(Q.eta.eval(y, Dx), SWAP2)
+            + Q.eta.eval([x, Dy])
+            - permute(Q.eta.eval([y, Dx]), SWAP2)
         )
         hside = (
             Q.mu.eval([Dx, Dy])
-            + Q.rho.eval(x, Dy)
-            - permute(Q.rho.eval(y, Dx), SWAP2)
+            + Q.rho.eval([x, Dy])
+            - permute(Q.rho.eval([y, Dx]), SWAP2)
             + Q.theta.value((i, j))
         )
         table[(i, j)] = hside - gside.map_module(D.apply_basis, D.dst)
@@ -100,12 +99,12 @@ def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
         Tu, Tv = T(u), T(v)
         gside = (
             Q.pi.eval([Tu, Tv])
-            + Q.eta.eval(Tu, v)
-            - permute(Q.eta.eval(Tv, u), SWAP2)
+            + Q.eta.eval([Tu, v])
+            - permute(Q.eta.eval([Tv, u]), SWAP2)
         )
         hside = (
-            Q.rho.eval(Tu, v)
-            - permute(Q.rho.eval(Tv, u), SWAP2)
+            Q.rho.eval([Tu, v])
+            - permute(Q.rho.eval([Tv, u]), SWAP2)
             + Q.mu.value((i, j))
             + Q.theta.eval([Tu, Tv])
         )
@@ -149,7 +148,7 @@ def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     a nonzero fifth term would violate that invariant and aborts.
     """
     _check_orientation(Q, M, kind)
-    mhat = lift_block(M.as_cochain(), Q.G)  # bidegree 1|-1 or -1|1
+    mhat = lift(M.as_cochain(), Q.G)  # bidegree 1|-1 or -1|1
     acc = Q.omega()
     term = acc
     k = 0
@@ -170,7 +169,7 @@ def conjugate_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     """e^{-M} o Omega o (e^M (x) e^M), computed on basis pairs of G."""
     om = Q.omega()
     G = Q.G
-    endo = lift_block(M.as_cochain(), G)  # the square-zero endomorphism of G
+    endo = lift(M.as_cochain(), G)  # the square-zero endomorphism of G
 
     def exp_plus(k: int) -> PTElem:
         return G.elem(k) + endo.value((k,))
@@ -197,9 +196,9 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     for i in range(g.rank):
         for j in range(h.rank):
             rho_t[(i, j)] = (
-                Q.rho.value(i, j)
+                Q.rho.value((i, j))
                 + Q.mu.eval([D(g.elem(i)), h.elem(j)])
-                - Q.eta.value(i, j).map_module(D.apply_basis, D.dst)
+                - Q.eta.value((i, j)).map_module(D.apply_basis, D.dst)
             )
     return QuasiTwilled(
         g,
@@ -259,7 +258,7 @@ class Twist2Result:
         )
 
     def omega(self) -> Cochain:
-        return self._without_xi().omega() + lift_block(self.xi, self.Q.G)
+        return self._without_xi().omega() + lift(self.xi, self.Q.G)
 
     def as_quasi_twilled(self) -> QuasiTwilled:
         if not self.xi.is_zero():
@@ -280,11 +279,11 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
         for j in range(h.rank):
             x, Tv = g.elem(i), T(h.elem(j))
             theta_xTv = Q.theta.eval([x, Tv])
-            rho_t[(i, j)] = Q.rho.value(i, j) + theta_xTv
+            rho_t[(i, j)] = Q.rho.value((i, j)) + theta_xTv
             eta_t[(i, j)] = (
-                Q.eta.value(i, j)
+                Q.eta.value((i, j))
                 + Q.pi.eval([x, Tv])
-                - Q.rho.value(i, j).map_module(T.apply_basis, T.dst)
+                - Q.rho.value((i, j)).map_module(T.apply_basis, T.dst)
                 - theta_xTv.map_module(T.apply_basis, T.dst)
             )
     mu_t = {}
@@ -293,8 +292,8 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
         Tu, Tv = T(u), T(v)
         mu_t[(i, j)] = (
             Q.mu.value((i, j))
-            + Q.rho.eval(Tu, v)
-            - permute(Q.rho.eval(Tv, u), SWAP2)
+            + Q.rho.eval([Tu, v])
+            - permute(Q.rho.eval([Tv, u]), SWAP2)
             + Q.theta.eval([Tu, Tv])
         )
     return Twist2Result(
@@ -341,14 +340,14 @@ class LinfOps:
     def __init__(self, Q: QuasiTwilled, kind: str):
         self.Q = Q
         G = Q.G
-        pr = lift_block(Q.pi, G) + lift_mixed(Q.rho, G)
-        me = lift_block(Q.mu, G) + lift_mixed(Q.eta, G)
+        pr = lift(Q.pi, G) + lift(Q.rho, G)
+        me = lift(Q.mu, G) + lift(Q.eta, G)
         self.src, self.tgt = orientation(Q, kind)
         self.parts = (_part_name(G, self.src), _part_name(G, self.tgt))
         if kind == TYPE_I:
             self.gens = {0: Q.theta, 1: pr, 2: me}
         else:
-            self.gens = {1: me, 2: pr, 3: lift_block(Q.theta, G)}
+            self.gens = {1: me, 2: pr, 3: lift(Q.theta, G)}
 
     def bracket(self, k: int, args) -> Cochain:
         """l_k(args), of arity 2 + sum of the argument arities - k."""
@@ -362,7 +361,7 @@ class LinfOps:
         if k == 0:
             return out
         for f in args:
-            out = nr_bracket(out, lift_block(f, self.Q.G))
+            out = nr_bracket(out, lift(f, self.Q.G))
         assert_block_shape(out, (self.parts[0],) * arity, self.parts[1])
         return extract_pure(out, *self.parts)
 

@@ -1,10 +1,11 @@
 """Structure/map/cochain file schema (version "1") and deterministic round trips.
 
 Rationals are "num/den" strings with den > 0 (plain integers allowed); no
-floats are accepted anywhere.  A file or entry of the wrong JSON shape raises
-ParseError, and a term of PBW degree above MAX_INPUT_DEGREE raises
-ResourceError before any product is formed.  Serialization sorts every key
-and term so that serialize(parse(serialize(x))) is byte-identical.
+float, and no JSON boolean, is read as a number anywhere.  A file or entry
+of the wrong JSON shape raises ParseError, and a term of PBW degree above
+MAX_INPUT_DEGREE raises ResourceError before any product is formed.
+Serialization sorts every key and term so that serialize(parse(serialize(x)))
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _objects(x, what: str) -> list:
 
 
 def parse_rat(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:
         return Fraction(s)
     if not isinstance(s, str):
         raise ParseError(f"rational must be a string, got {type(s).__name__}")
@@ -77,7 +78,7 @@ def fmt_rat(q: Scalar) -> str:
 
 def _mi(v, dim) -> tuple:
     if not isinstance(v, list) or len(v) != dim or not all(
-        isinstance(x, int) and x >= 0 for x in v
+        type(x) is int and x >= 0 for x in v
     ):
         raise ParseError(f"bad multi-index {v!r} (dim {dim})")
     return tuple(v)
@@ -138,7 +139,7 @@ def hopf_from_json(data) -> LieAlgebra:
     brackets = {}
     for ent in _objects(data.get("brackets", []), "hopf brackets"):
         i, j = ent.get("i"), ent.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ParseError("bracket entries need integer i, j")
         row = {}
         for pair in _list(ent.get("coeffs", []), "bracket coeffs"):
@@ -147,7 +148,7 @@ def hopf_from_json(data) -> LieAlgebra:
             k = pair[0]
             if isinstance(k, str) and k.isdecimal():
                 k = int(k)
-            if not isinstance(k, int):
+            if type(k) is not int:
                 raise ParseError(f"bad bracket index {pair[0]!r}")
             row[k] = parse_rat(pair[1])
         brackets[(i, j)] = row
@@ -186,7 +187,7 @@ def ptelem_from_json(terms, module: FreeModule, arity: int) -> PTElem:
             _mi(t.get("coeff"), dim),
             t.get("basis"),
         )
-        if not isinstance(key[2], int) or not 0 <= key[2] < module.rank:
+        if type(key[2]) is not int or not 0 <= key[2] < module.rank:
             raise ParseError(f"bad basis index {key[2]!r}")
         _degree_budget(sum(map(sum, key[0])) + sum(key[1]))
         acc[key] = acc.get(key, Fraction(0)) + parse_rat(t.get("q"))
@@ -339,7 +340,7 @@ def cochain_from_json(data, modules: dict | None = None) -> Cochain:
         raise ParseError(f"source and target must name modules, got {names}")
     src, tgt = (modules[n] for n in names)
     arity = data.get("arity")
-    if not isinstance(arity, int) or arity < 1:
+    if type(arity) is not int or arity < 1:
         raise ParseError(f"bad arity {arity!r}")
     table = _table(data.get("table", []), (src,) * arity, tgt, arity, "cochain table")
     return Cochain(arity, src, tgt, table)

@@ -268,6 +268,8 @@ def canonicalize(module: FreeModule, arity: int, raw_terms) -> PTElem:
             v = out.get(key, 0) + c * ce
             if v:
                 out[key] = v
+            elif isinstance(v, float):  # the constructor never sees a value that cancels
+                raise TypeError(f"float raw coefficient {c!r}: exact scalars are int or Fraction")
             else:
                 out.pop(key, None)
     return PTElem(module, arity, out)

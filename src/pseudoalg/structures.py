@@ -8,9 +8,12 @@ assembled bracket on g [+] h is
 
 The eight compatibility conditions PC1..PC8 are implemented as the case
 decomposition of the Jacobiator of Omega, with every composite slot-aligned
-to the argument order.  The printed cycle symbols in PC2/PC3/PC6/PC7 admit a
-second reading; both are available behind `variant` and the NR cross-check
-(check_mc_omega) validates which one matches [Omega, Omega].
+to the argument order.  Each composite is one `cochains.insert_value` into a
+component at basis indices, alike for the skew components pi, theta, mu and
+the mixed ones rho, eta; one `cochains.lift` places each in Omega.  The
+printed cycle symbols in PC2/PC3/PC6/PC7 admit a second reading; both are
+available behind `variant` and the NR cross-check (check_mc_omega) validates
+which one matches [Omega, Omega].
 
 Normalization (frozen by the equivalence suite):
     jacobiator = -(Omega circle Omega),  [Omega, Omega]_NR = -2 * jacobiator.
@@ -28,10 +31,8 @@ from .cochains import (
     circle,
     coerce_to_sum,
     extract_components,
-    insert_raw,
     insert_value,
-    lift_block,
-    lift_mixed,
+    lift,
     nr_bracket,
     skew_check,
     sorted_tuples,
@@ -130,51 +131,16 @@ class Representation:
                 raise InputError(f"not a representation; residuals at {sorted(fails)}")
 
 
-def _ins_mixed(m: MixedMap, pos: int, inner: PTElem, other) -> PTElem:
-    """Insert a value into argument `pos` (1 or 2) of a mixed map.
-
-    `other` is the remaining argument, a module element of the complementary module.
-    The inner block lands at positions pos-1 .. pos; slot order follows the
-    map's own argument order, so pos=1 gives contents (inner, other), pos=2
-    gives (other, inner).
-    """
-    if pos == 1:
-        if inner.module != m.gmod:
-            raise InputError("mixed insert at position 1 needs a g-valued inner")
-        value_at = lambda k: m.eval(m.gmod.elem(k), other)
-    elif pos == 2:
-        if inner.module != m.hmod:
-            raise InputError("mixed insert at position 2 needs an h-valued inner")
-        value_at = lambda k: m.eval(other, m.hmod.elem(k))
-    else:
-        raise InputError("mixed maps have two arguments")
-    return insert_raw(value_at, 2, m.target, pos - 1, inner)
-
-
-def _ins_pair(c: Cochain, pos: int, inner: PTElem, other) -> PTElem:
-    """Insert into argument `pos` of an arity-2 cochain; `other` is the other argument."""
-    if inner.module != c.source:
-        raise InputError("pair insert: inner value in the wrong module")
-    if pos == 1:
-        value_at = lambda k: c.eval([c.source.elem(k), other])
-    else:
-        value_at = lambda k: c.eval([other, c.source.elem(k)])
-    return insert_raw(value_at, 2, c.target, pos - 1, inner)
-
-
 def representation_residuals(bracket: Cochain, rho: MixedMap) -> dict:
     """Module-axiom residuals rho(x, rho(y, w)) - rho([x*y], w) - (12) rho(y, rho(x, w))."""
-    g = bracket.source
-    M = rho.hmod
     out = {}
-    for i in range(g.rank):
-        for j in range(g.rank):
-            for w in range(M.rank):
-                xi, yj, wk = g.elem(i), g.elem(j), M.elem(w)
+    for i in range(bracket.source.rank):
+        for j in range(bracket.source.rank):
+            for w in range(rho.hmod.rank):
                 r = (
-                    _ins_mixed(rho, 2, rho.eval(yj, wk), xi)
-                    - _ins_mixed(rho, 1, bracket.value((i, j)), wk)
-                    - permute(_ins_mixed(rho, 2, rho.eval(xi, wk), yj), P_SWAP01)
+                    insert_value(rho, (i,), rho.value((j, w)), ())
+                    - insert_value(rho, (), bracket.value((i, j)), (w,))
+                    - permute(insert_value(rho, (j,), rho.value((i, w)), ()), P_SWAP01)
                 )
                 if not r.is_zero():
                     out[(i, j, w)] = r
@@ -198,39 +164,28 @@ class QuasiTwilled:
         self.mu = mu if mu is not None else Cochain.zero(2, h, h)
         self.rho = rho if rho is not None else MixedMap.zero(g, h, h)
         self.eta = eta if eta is not None else MixedMap.zero(g, h, g)
-        shapes = (
-            (self.pi, 2, g, g),
-            (self.theta, 2, g, h),
-            (self.mu, 2, h, h),
+        self.components = (self.pi, self.rho, self.mu, self.eta, self.theta)  # Omega's order
+        signatures = (
+            (Cochain, (g, g), g),
+            (MixedMap, (g, h), h),
+            (Cochain, (h, h), h),
+            (MixedMap, (g, h), g),
+            (Cochain, (g, g), h),
         )
-        for c, ar, src, tgt in shapes:
-            if (c.arity, c.source, c.target) != (ar, src, tgt):
-                raise InputError("component cochain has wrong signature")
-        for m, tgt in ((self.rho, h), (self.eta, g)):
-            if (m.gmod, m.hmod, m.target) != (g, h, tgt):
-                raise InputError("mixed component has wrong signature")
+        for c, (cls, sources, target) in zip(self.components, signatures):
+            if not isinstance(c, cls) or (c.sources, c.target) != (sources, target):
+                raise InputError("component has wrong signature")
         self._omega = None
 
     def omega(self) -> Cochain:
         """The assembled pseudobracket as a cochain on g [+] h."""
         if self._omega is None:
-            self._omega = (
-                lift_block(self.pi, self.G)
-                + lift_mixed(self.rho, self.G)
-                + lift_block(self.mu, self.G)
-                + lift_mixed(self.eta, self.G)
-                + lift_block(self.theta, self.G)
-            )
+            lifts = [lift(c, self.G) for c in self.components]
+            self._omega = sum(lifts[1:], lifts[0])
         return self._omega
 
     def max_degree(self) -> int:
-        return max(
-            self.pi.max_degree(),
-            self.theta.max_degree(),
-            self.mu.max_degree(),
-            max((v.degree() for v in self.rho.terms.values()), default=-1),
-            max((v.degree() for v in self.eta.terms.values()), default=-1),
-        )
+        return max(c.max_degree() for c in self.components)
 
     def __repr__(self):
         return f"QuasiTwilled(g={self.g.name}, h={self.h.name})"
@@ -271,64 +226,61 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
 
     # PC2 / PC3: all inputs in g
     for i, j, k in sorted_tuples(g.rank, 3):
-        x, y, z = g.elem(i), g.elem(j), g.elem(k)
         pc2 = (
-            _ins_pair(pi, 2, pi.value((j, k)), x)
-            - _ins_pair(pi, 1, pi.value((i, j)), z)
-            - permute(_ins_pair(pi, 2, pi.value((i, k)), y), P_SWAP01)
-            - permute(_ins_mixed(eta, 2, th.value((i, k)), y), P_SWAP01)
-            + _ins_mixed(eta, 2, th.value((j, k)), x)
-            + permute(_ins_mixed(eta, 2, th.value((i, j)), z), cyc)
+            insert_value(pi, (i,), pi.value((j, k)), ())
+            - insert_value(pi, (), pi.value((i, j)), (k,))
+            - permute(insert_value(pi, (j,), pi.value((i, k)), ()), P_SWAP01)
+            - permute(insert_value(eta, (j,), th.value((i, k)), ()), P_SWAP01)
+            + insert_value(eta, (i,), th.value((j, k)), ())
+            + permute(insert_value(eta, (k,), th.value((i, j)), ()), cyc)
         )
         put("PC2", (i, j, k), pc2)
         pc3 = (
-            _ins_mixed(rho, 2, th.value((j, k)), x)
-            + permute(_ins_mixed(rho, 2, th.value((i, j)), z), cyc)
-            - permute(_ins_mixed(rho, 2, th.value((i, k)), y), P_SWAP01)
-            - permute(_ins_pair(th, 2, pi.value((i, k)), y), P_SWAP01)
-            - _ins_pair(th, 1, pi.value((i, j)), z)
-            + _ins_pair(th, 2, pi.value((j, k)), x)
+            insert_value(rho, (i,), th.value((j, k)), ())
+            + permute(insert_value(rho, (k,), th.value((i, j)), ()), cyc)
+            - permute(insert_value(rho, (j,), th.value((i, k)), ()), P_SWAP01)
+            - permute(insert_value(th, (j,), pi.value((i, k)), ()), P_SWAP01)
+            - insert_value(th, (), pi.value((i, j)), (k,))
+            + insert_value(th, (i,), pi.value((j, k)), ())
         )
         put("PC3", (i, j, k), pc3)
 
     # PC4 / PC5: two inputs in g, one in h
     for i, j in sorted_tuples(g.rank, 2):
         for w in range(h.rank):
-            x, y, wu = g.elem(i), g.elem(j), h.elem(w)
             pc4 = (
-                _ins_pair(pi, 2, eta.eval(y, wu), x)
-                + _ins_mixed(eta, 2, rho.eval(y, wu), x)
-                - _ins_mixed(eta, 1, pi.value((i, j)), wu)
-                - permute(_ins_pair(pi, 2, eta.eval(x, wu), y), P_SWAP01)
-                - permute(_ins_mixed(eta, 2, rho.eval(x, wu), y), P_SWAP01)
+                insert_value(pi, (i,), eta.value((j, w)), ())
+                + insert_value(eta, (i,), rho.value((j, w)), ())
+                - insert_value(eta, (), pi.value((i, j)), (w,))
+                - permute(insert_value(pi, (j,), eta.value((i, w)), ()), P_SWAP01)
+                - permute(insert_value(eta, (j,), rho.value((i, w)), ()), P_SWAP01)
             )
             put("PC4", (i, j, w), pc4)
             pc5 = (
-                _ins_mixed(rho, 2, rho.eval(y, wu), x)
-                + _ins_pair(th, 2, eta.eval(y, wu), x)
-                - _ins_mixed(rho, 1, pi.value((i, j)), wu)
-                - _ins_pair(mu, 1, th.value((i, j)), wu)
-                - permute(_ins_mixed(rho, 2, rho.eval(x, wu), y), P_SWAP01)
-                - permute(_ins_pair(th, 2, eta.eval(x, wu), y), P_SWAP01)
+                insert_value(rho, (i,), rho.value((j, w)), ())
+                + insert_value(th, (i,), eta.value((j, w)), ())
+                - insert_value(rho, (), pi.value((i, j)), (w,))
+                - insert_value(mu, (), th.value((i, j)), (w,))
+                - permute(insert_value(rho, (j,), rho.value((i, w)), ()), P_SWAP01)
+                - permute(insert_value(th, (j,), eta.value((i, w)), ()), P_SWAP01)
             )
             put("PC5", (i, j, w), pc5)
 
     # PC6 / PC7: one input in g, two in h
     for i in range(g.rank):
         for v, w in sorted_tuples(h.rank, 2):
-            x, vu, wu = g.elem(i), h.elem(v), h.elem(w)
             pc6 = (
-                _ins_mixed(eta, 2, mu.value((v, w)), x)
-                - _ins_mixed(eta, 1, eta.eval(x, vu), wu)
-                + permute(_ins_mixed(eta, 1, eta.eval(x, wu), vu), cyc67)
+                insert_value(eta, (i,), mu.value((v, w)), ())
+                - insert_value(eta, (), eta.value((i, v)), (w,))
+                + permute(insert_value(eta, (), eta.value((i, w)), (v,)), cyc67)
             )
             put("PC6", (i, v, w), pc6)
             pc7 = (
-                _ins_mixed(rho, 2, mu.value((v, w)), x)
-                - _ins_mixed(rho, 1, eta.eval(x, vu), wu)
-                - _ins_pair(mu, 1, rho.eval(x, vu), wu)
-                + permute(_ins_mixed(rho, 1, eta.eval(x, wu), vu), cyc67)
-                - permute(_ins_pair(mu, 2, rho.eval(x, wu), vu), P_SWAP01)
+                insert_value(rho, (i,), mu.value((v, w)), ())
+                - insert_value(rho, (), eta.value((i, v)), (w,))
+                - insert_value(mu, (), rho.value((i, v)), (w,))
+                + permute(insert_value(rho, (), eta.value((i, w)), (v,)), cyc67)
+                - permute(insert_value(mu, (v,), rho.value((i, w)), ()), P_SWAP01)
             )
             put("PC7", (i, v, w), pc7)
 
@@ -423,12 +375,7 @@ def mc_bullet_components(Q: QuasiTwilled) -> dict:
     Returns {label: Cochain on G} for the seven bullet equations, e.g.
     PC2 -> [pi,pi] + 2 eta o theta, each supported on its predicted block.
     """
-    G = Q.G
-    pi = lift_block(Q.pi, G)
-    th = lift_block(Q.theta, G)
-    mu = lift_block(Q.mu, G)
-    rho = lift_mixed(Q.rho, G)
-    eta = lift_mixed(Q.eta, G)
+    pi, rho, mu, eta, th = (lift(c, Q.G) for c in Q.components)
     return {
         "PC2": nr_bracket(pi, pi) + circle(eta, th).scale(2),
         "PC3": nr_bracket(rho, th) + nr_bracket(pi, th),

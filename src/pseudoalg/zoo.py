@@ -247,7 +247,7 @@ def ingredients_from_structure(kind: str, Q: QuasiTwilled, weight=None) -> dict:
         table = {
             t: v
             for t, v in (
-                ((i, j), Q.eta.value(i, j))
+                ((i, j), Q.eta.value((i, j)))
                 for i in range(Q.g.rank)
                 for j in range(Q.h.rank)
                 if i <= j
@@ -329,8 +329,8 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
             x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
             r = (
                 gP.bracket.value(t).map_module(m.apply_basis, m.dst)
-                - rho.eval(x, m(y))
-                + permute(rho.eval(y, m(x)), SWAP2)
+                - rho.eval([x, m(y)])
+                + permute(rho.eval([y, m(x)]), SWAP2)
             )
             if kind == CROSSED_HOM:
                 r = r - br_h.bracket.eval([m(x), m(y)]).scale(p)
@@ -355,7 +355,7 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         table = {}
         for t in sorted_tuples(hmod.rank, 2):
             u, v = hmod.elem(t[0]), hmod.elem(t[1])
-            inner = rho.eval(m(u), v) - permute(rho.eval(m(v), u), SWAP2)
+            inner = rho.eval([m(u), v]) - permute(rho.eval([m(v), u]), SWAP2)
             if mu is not None:
                 inner = inner + mu.value(t).scale(p)
             table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
@@ -378,8 +378,8 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         for t in sorted_tuples(hmod.rank, 2):
             u, v = hmod.elem(t[0]), hmod.elem(t[1])
             inner = (
-                rho.eval(m(u), v)
-                - permute(rho.eval(m(v), u), SWAP2)
+                rho.eval([m(u), v])
+                - permute(rho.eval([m(v), u]), SWAP2)
                 + omega.eval([m(u), m(v)])
             )
             table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
@@ -393,13 +393,13 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
             u, v = hP.module.elem(t[0]), hP.module.elem(t[1])
             # the matched-pair coaction enters through its orientation
             # relation eta_mp(u (x) y) = -(12) eta(y (x) u)
-            eta_u_Tv = permute(eta.eval(m(v), u), SWAP2).scale(-1)
-            eta_v_Tu = permute(eta.eval(m(u), v), SWAP2).scale(-1)
+            eta_u_Tv = permute(eta.eval([m(v), u]), SWAP2).scale(-1)
+            eta_v_Tu = permute(eta.eval([m(u), v]), SWAP2).scale(-1)
             lhs = gP.bracket.eval([m(u), m(v)]) + eta_u_Tv - permute(eta_v_Tu, SWAP2)
             rhs = (
                 hP.bracket.value(t)
-                + rho.eval(m(u), v)
-                - permute(rho.eval(m(v), u), SWAP2)
+                + rho.eval([m(u), v])
+                - permute(rho.eval([m(v), u]), SWAP2)
             )
             table[t] = lhs - rhs.map_module(m.apply_basis, m.dst)
         return Cochain(2, hP.module, gP.module, table)

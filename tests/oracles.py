@@ -160,9 +160,9 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
         for i in range(Q.g.rank):
             x = Q.g.elem(i)
             r = (
-                Q.rho.eval(x, u)
+                Q.rho.eval([x, u])
                 + Q.mu.eval([D(x), u])
-                - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
+                - Q.eta.eval([x, u]).map_module(D.apply_basis, D.dst)
             )
             if not r.is_zero():
                 direct[(i,)] = r
@@ -174,17 +174,17 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
             def rho_D(a_idx, b_elem):
                 a = Q.g.elem(a_idx)
                 return (
-                    Q.rho.eval(a, b_elem)
+                    Q.rho.eval([a, b_elem])
                     + Q.mu.eval([D(a), b_elem])
-                    - Q.eta.eval(a, b_elem).map_module(D.apply_basis, D.dst)
+                    - Q.eta.eval([a, b_elem]).map_module(D.apply_basis, D.dst)
                 )
 
             fy = f.value((j,))
             fx = f.value((i,))
             pi_D = (
                 Q.pi.value((i, j))
-                + Q.eta.eval(x, D(y))
-                - permute(Q.eta.eval(y, D(x)), SWAP2)
+                + Q.eta.eval([x, D(y)])
+                - permute(Q.eta.eval([y, D(x)]), SWAP2)
             )
             r = (
                 rho_D(i, fy)
@@ -234,9 +234,9 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
 def zeta_value(Q: QuasiTwilled, T: HModuleMap, u: PTElem, x: PTElem) -> PTElem:
     """zeta(u (x) x) by direct expansion of the matched-pair reorientation."""
     nat = (
-        Q.eta.eval(x, u)
+        Q.eta.eval([x, u])
         + Q.pi.eval([x, T(u)])
-        - Q.rho.eval(x, u).map_module(T.apply_basis, T.dst)
+        - Q.rho.eval([x, u]).map_module(T.apply_basis, T.dst)
         - Q.theta.eval([x, T(u)]).map_module(T.apply_basis, T.dst)
     )
     return permute(nat, SWAP2).scale(-1)
@@ -266,9 +266,9 @@ def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain
             def zeta_at(k):
                 x = g.elem(k)
                 nat = (
-                    Q.eta.eval(x, ui)
+                    Q.eta.eval([x, ui])
                     + Q.pi.eval([x, T(ui)])
-                    - Q.rho.eval(x, ui).map_module(T.apply_basis, T.dst)
+                    - Q.rho.eval([x, ui]).map_module(T.apply_basis, T.dst)
                 )
                 return permute(nat, SWAP2).scale(-1)
 
@@ -284,8 +284,8 @@ def ce_diff_matched_type2(Q: QuasiTwilled, T: HModuleMap, f: Cochain) -> Cochain
                 rest = tuple(t[k] for k in range(p + 1) if k not in (i - 1, j - 1))
                 mu_T = (
                     Q.mu.value((t[i - 1], t[j - 1]))
-                    + Q.rho.eval(T(ui), uj)
-                    - permute(Q.rho.eval(T(uj), ui), SWAP2)
+                    + Q.rho.eval([T(ui), uj])
+                    - permute(Q.rho.eval([T(uj), ui]), SWAP2)
                 )
                 if mu_T.is_zero():
                     continue

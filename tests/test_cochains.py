@@ -17,11 +17,9 @@ from pseudoalg.cochains import (
     bidegree_of,
     circle,
     extract_components,
-    extract_mixed,
     extract_pure,
     insert_value,
-    lift_block,
-    lift_mixed,
+    lift,
     nr_bracket,
     random_cochain,
     random_ptelem,
@@ -345,15 +343,15 @@ def test_lift_mixed_matches_shuffle_formula(qd, rng):
     h = FreeModule("h", ["u"], qd)
     G = FreeModule.direct_sum(g, h)
     alpha = MixedMap(g, h, g, {(i, 0): random_ptelem(rng, g, 2, max_deg=2) for i in range(2)})
-    al = lift_mixed(alpha, G)
+    al = lift(alpha, G)
     assert skew_check(al) == []
     x1 = G.elem(0, qd.gen(0))
     u1 = G.elem(2, qd.unit())
     x2 = G.elem(1, qd.unit().scale(3))
     u2 = G.elem(2, qd.gen(0))
     lhs = al.eval([x1 + u1, x2 + u2])
-    t1 = alpha.eval(g.elem(0, qd.gen(0)), h.elem(0, qd.gen(0)))
-    t2 = alpha.eval(g.elem(1, qd.unit().scale(3)), h.elem(0, qd.unit()))
+    t1 = alpha.eval([g.elem(0, qd.gen(0)), h.elem(0, qd.gen(0))])
+    t2 = alpha.eval([g.elem(1, qd.unit().scale(3)), h.elem(0, qd.unit())])
     rhs = t1.coerce(G) - permute(t2.coerce(G), (1, 0))
     assert lhs == rhs
 
@@ -362,15 +360,31 @@ def test_lift_zero_and_extract_roundtrip(qd, rng):
     g = FreeModule("g", ["x"], qd)
     h = FreeModule("h", ["u"], qd)
     G = FreeModule.direct_sum(g, h)
-    assert lift_mixed(MixedMap.zero(g, h, g), G).is_zero()
+    assert lift(MixedMap.zero(g, h, g), G).is_zero()
     theta = random_cochain(rng, g, h, 2, max_deg=2)
-    th = lift_block(theta, G)
+    th = lift(theta, G)
     assert extract_pure(th, "g", "h") == theta
     rho = MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=2)})
-    assert extract_mixed(lift_mixed(rho, G), "h") == rho
+    ((key, entries),) = extract_components(lift(rho, G)).items()
+    back = {t: v.coerce(h, lambda k: k - G.split) for t, v in entries.items()}
+    assert key == (("g", "h"), "h") and MixedMap(g, h, h, back) == rho
     # lift of theta evaluated on pure-g arguments is theta; elsewhere zero
     comps = extract_components(th)
     assert set(comps) <= {(("g", "g"), "h")}
+
+
+def test_lift_refuses_sources_out_of_order(qd, rng):
+    # lift shifts slot i by the offset of sources[i] in G; the keys stay
+    # non-decreasing only when the sources are G's parts in order
+    g = FreeModule("g", ["x"], qd)
+    h = FreeModule("h", ["u"], qd)
+    G = FreeModule.direct_sum(g, h)
+    rho = MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2, max_deg=2)})
+    assert lift(rho, G)
+    with pytest.raises(InputError):
+        lift(rho.swapped(), G)
+    with pytest.raises(InputError):
+        lift(Cochain(1, FreeModule("f", ["z"], qd), g, {}), G)
 
 
 def test_bidegrees(qd, rng):
@@ -380,11 +394,11 @@ def test_bidegrees(qd, rng):
     # NOTE: the paper's prose asserts 1|0 for the g-valued mixed lift, but its
     # own bidegree definition gives 0|1 (and must, for the two vanishing
     # lemmas to hold).
-    alpha = lift_mixed(MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2)}), G)
-    beta = lift_mixed(MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2)}), G)
+    alpha = lift(MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2)}), G)
+    beta = lift(MixedMap(g, h, h, {(0, 0): random_ptelem(rng, h, 2)}), G)
     assert bidegree_of(alpha) == (0, 1)
     assert bidegree_of(beta) == (1, 0)
-    theta = lift_block(Cochain(2, g, h, {(0, 0): vir_value(h)}), G)
+    theta = lift(Cochain(2, g, h, {(0, 0): vir_value(h)}), G)
     assert bidegree_of(theta) == (2, -1)
     assert bidegree_of(Cochain.zero(2, G, G)) == ZERO_BIDEGREE
     assert bidegree_of(alpha + theta) == INHOMOGENEOUS
@@ -394,19 +408,19 @@ def test_bidegree_additivity_and_vanishing(qd, rng):
     g = FreeModule("g", ["x"], qd)
     h = FreeModule("h", ["u"], qd)
     G = FreeModule.direct_sum(g, h)
-    eta = lift_mixed(MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2)}), G)
-    theta = lift_block(random_cochain(rng, g, h, 2, max_deg=2), G)
+    eta = lift(MixedMap(g, h, g, {(0, 0): random_ptelem(rng, g, 2)}), G)
+    theta = lift(random_cochain(rng, g, h, 2, max_deg=2), G)
     br = nr_bracket(eta, theta)
     if not br.is_zero():
         assert bidegree_of(br) == (2, 0)  # (0|1) + (2|-1)
     # vanishing lemma: two maps with l = -1 bracket to zero
-    d1 = lift_block(random_cochain(rng, g, h, 1, max_deg=2), G)
-    d2 = lift_block(random_cochain(rng, g, h, 2, max_deg=2), G)
+    d1 = lift(random_cochain(rng, g, h, 1, max_deg=2), G)
+    d2 = lift(random_cochain(rng, g, h, 2, max_deg=2), G)
     assert bidegree_of(d1) == (1, -1)
     assert nr_bracket(d1, d2).is_zero()
     # and symmetrically with k = -1
-    t1 = lift_block(random_cochain(rng, h, g, 1, max_deg=2), G)
-    t2 = lift_block(random_cochain(rng, h, g, 2, max_deg=2), G)
+    t1 = lift(random_cochain(rng, h, g, 1, max_deg=2), G)
+    t2 = lift(random_cochain(rng, h, g, 2, max_deg=2), G)
     assert bidegree_of(t1) == (-1, 1)
     assert nr_bracket(t1, t2).is_zero()
 
@@ -431,11 +445,11 @@ def test_eval_checks_argument_modules():
     # that is not a module element
     Q = zoo.demo_bundle(zoo.CROSSED_HOM)["Q"]
     x, u = Q.g.elem(0), Q.h.elem(0)
-    assert Q.rho.eval(x, u) == Q.rho.value(0, 0) and Q.rho.eval(x, u)
+    assert Q.rho.eval([x, u]) == Q.rho.value((0, 0)) and Q.rho.eval([x, u])
     other = FreeModule("f", ["z"], Q.g.alg).elem(0)
-    for args in ((u, x), (other, u), (x, other), (x, Q.rho.value(0, 0))):
+    for args in ((u, x), (other, u), (x, other), (x, Q.rho.value((0, 0)))):
         with pytest.raises(InputError):
-            Q.rho.eval(*args)
+            Q.rho.eval(args)
     for args in ([x, u], [other, x], [x]):
         with pytest.raises(InputError):
             Q.pi.eval(args)
@@ -456,9 +470,9 @@ def test_mixed_map_value_builds_a_zero_only_on_a_miss(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PTElem, "__init__", counting_init)
-    assert rho.value(0, 1) is stored
+    assert rho.value((0, 1)) is stored
     assert built == []
-    assert rho.value(1, 0).is_zero() and len(built) == 1
+    assert rho.value((1, 0)).is_zero() and len(built) == 1
 
 
 def test_eval_h_linearity(gm, mu, qd, rng):

@@ -42,9 +42,9 @@ from pseudoalg.cohomology import (
     skew_basis,
     truncated_cohomology,
 )
-from pseudoalg import cochains, cohomology, linalg, zoo
+from pseudoalg import cochains, linalg, zoo
 
-from conftest import count_insertions, pt, term_order_digest, vir_value
+from conftest import count_calls, count_insertions, pt, term_order_digest, vir_value
 from oracles import (
     ce_diff_matched_type2,
     cocycle_check_type1,
@@ -71,8 +71,8 @@ def test_induced_type1_modified_r(modified_r_q):
     # rho^D(x (x) u) = [D(x)*u] - D([x*u]) with D = 2 id: 2[x*u] - 2[x*u]+...
     D = cid(Q, 2)
     x, u = Q.g.elem(0), Q.h.elem(0)
-    expect = Q.mu.eval([D(x), u]) - Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
-    assert rep.action.value(0, 0) == expect
+    expect = Q.mu.eval([D(x), u]) - Q.eta.eval([x, u]).map_module(D.apply_basis, D.dst)
+    assert rep.action.value((0, 0)) == expect
     with pytest.raises(InputError):
         induced_rep_type1(Q, cid(Q, 1))
 
@@ -104,8 +104,8 @@ def test_induced_type2_relative_rb_closed_form(qd):
         u, v = Q.h.elem(i), Q.h.elem(j)
         expect = (
             Q.mu.value((i, j))
-            + Q.rho.eval(T(u), v)
-            - permute(Q.rho.eval(T(v), u), (1, 0))
+            + Q.rho.eval([T(u), v])
+            - permute(Q.rho.eval([T(v), u]), (1, 0))
         )
         assert alg.bracket.value((i, j)) == expect
 
@@ -120,7 +120,7 @@ def test_matched_pair_zeta_at_zero_map(qd):
     from pseudoalg.ptensor import permute
 
     for (j, i), v in rep.action.terms.items():
-        assert v == permute(Q.eta.value(i, j), (1, 0)).scale(-1)
+        assert v == permute(Q.eta.value((i, j)), (1, 0)).scale(-1)
 
 
 # -- differentials ------------------------------------------------------------------
@@ -133,8 +133,8 @@ def test_d0_matches_prop_condition(modified_r_q):
     handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL, verify=False)
     u = Q.h.elem(0)
     x = Q.g.elem(0)
-    eta_D = Q.eta.eval(x, u).map_module(D.apply_basis, D.dst)
-    expect = Q.rho.eval(x, u) + Q.mu.eval([D(x), u]) - eta_D
+    eta_D = Q.eta.eval([x, u]).map_module(D.apply_basis, D.dst)
+    expect = Q.rho.eval([x, u]) + Q.mu.eval([D(x), u]) - eta_D
     # for D = c id on the doubled structure rho^D vanishes identically
     assert expect.is_zero() and handle.diff0(u) == {}
     # a structure with a nonzero induced action: the action structure at D = 0
@@ -144,7 +144,7 @@ def test_d0_matches_prop_condition(modified_r_q):
     handle2 = handle_for(TYPE_I, Q2, D0, convention=CLASSICAL, verify=False)
     u2 = Q2.h.elem(0)
     d0 = handle2.diff0(u2)
-    assert d0[(0,)] == Q2.rho.eval(Q2.g.elem(0), u2)
+    assert d0[(0,)] == Q2.rho.eval([Q2.g.elem(0), u2])
     assert not d0[(0,)].is_zero()
 
 
@@ -177,7 +177,7 @@ def _ce_reference(bracket, action, f, convention):
             if inner.is_zero():
                 continue
             comp = insert_raw(
-                lambda k, _i=t[i - 1]: action.eval(A.elem(_i), M.elem(k)), 2, M, 1, inner
+                lambda k, _i=t[i - 1]: action.eval([A.elem(_i), M.elem(k)]), 2, M, 1, inner
             )
             dest = [i - 1] + [s - 1 if s < i else s for s in range(1, p + 1)]
             acc = acc + permute(comp, dest).scale(s1(i))
@@ -226,6 +226,40 @@ def test_ce_differential_term_order_is_pinned():
     assert term_order_digest(values) == CE_TERM_ORDER
 
 
+def _zoo_handles() -> list:
+    return [
+        handle_for(kind, entry["Q"], m, verify=False)
+        for entry in zoo.zoo_structures()
+        for kind, m in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"]))
+        if m is not None
+    ]
+
+
+def test_representation_check_evaluates_no_module_element(monkeypatch):
+    # the module axiom inserts into the action at basis indices; it builds no
+    # module element only to evaluate a map on it
+    handles = _zoo_handles()
+    evaluations = count_calls(monkeypatch, "evaluate", cochains)
+    for handle in handles:
+        algebra = LiePseudoalgebra(handle.bracket.source, handle.bracket, validate=False)
+        Representation(algebra, handle.action.hmod, handle.action)
+    assert len(handles) == 23 and evaluations == []
+
+
+def test_ce_differential_evaluates_no_module_element(monkeypatch):
+    # the action term of d inserts into the action at basis indices, as the
+    # bracket term inserts into f
+    cases = [
+        (handle, f)
+        for handle in _zoo_handles()
+        for p in (1, 2)
+        for f in skew_basis(handle.bracket.source, handle.action.hmod, p, 1)
+    ]
+    evaluations = count_calls(monkeypatch, "evaluate", cochains)
+    images = [handle.diff(f) for handle, f in cases]
+    assert any(images) and evaluations == []
+
+
 def test_rank1_ce_differential_makes_two_insertions_per_tuple(vir, rng, monkeypatch):
     # on rank 1 every action term of the one output tuple is the same
     # composite, and so is every bracket term
@@ -236,7 +270,7 @@ def test_rank1_ce_differential_makes_two_insertions_per_tuple(vir, rng, monkeypa
     )
     fs = {f.arity: f for f in draws if f}
     expected = {p: _ce_reference(vir.bracket, action, f, CLASSICAL) for p, f in fs.items()}
-    calls = count_insertions(monkeypatch, cochains, cohomology)
+    calls = count_insertions(monkeypatch, cochains)
     assert sorted(fs) == [1, 2, 3]
     for p, f in fs.items():
         calls.clear()

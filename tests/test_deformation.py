@@ -228,8 +228,8 @@ def test_curved_ops_type1_examples(modified_r_q):
         x, y = Q.g.elem(i), Q.g.elem(j)
         expect[(i, j)] = (
             Q.mu.eval([D(x), D(y)])
-            - Q.eta.eval(x, D(y)).map_module(D.apply_basis, D.dst)
-            + permute(Q.eta.eval(y, D(x)).map_module(D.apply_basis, D.dst), SWAP2)
+            - Q.eta.eval([x, D(y)]).map_module(D.apply_basis, D.dst)
+            + permute(Q.eta.eval([y, D(x)]).map_module(D.apply_basis, D.dst), SWAP2)
         )
     half_l2 = ops.l2(Dc, Dc).scale(Fraction(1, 2))
     assert half_l2 == Cochain(2, Q.g, Q.h, expect)

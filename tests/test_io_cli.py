@@ -237,6 +237,43 @@ def test_cli_wrong_type_inside_entry_exit2(capsys, tmp_path, keys, value):
     assert err.startswith("error:")
 
 
+def _first_term(data):
+    return data["maps"]["eta"][0]["terms"][0]
+
+
+# One JSON boolean per place io reads an integer or a rational.  Python takes
+# true and false for 1 and 0, so each of these files loaded before and `pa`
+# exited 0 or 1 on it.
+BOOLEAN_EDITS = {
+    "term-q": ("modified_r.json", lambda d: _first_term(d).update(q=True)),
+    "term-basis": ("modified_r.json", lambda d: _first_term(d).update(basis=False)),
+    "term-exponent": ("modified_r.json", lambda d: _first_term(d).update(coeff=[True])),
+    "bracket-i": ("modified_r.json", lambda d: d["hopf"]["brackets"].append(
+        {"i": False, "j": 0, "coeffs": []})),
+    "bracket-j": ("modified_r.json", lambda d: d["hopf"]["brackets"].append(
+        {"i": 0, "j": False, "coeffs": []})),
+    "bracket-coeff-index": ("modified_r.json", lambda d: d["hopf"]["brackets"].append(
+        {"i": 0, "j": 0, "coeffs": [[False, "0"]]})),
+    "cochain-arity": ("nr_g.json", lambda d: d.update(arity=True)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BOOLEAN_EDITS))
+def test_cli_json_boolean_is_not_a_number_exit2(capsys, tmp_path, edit):
+    name, change = BOOLEAN_EDITS[edit]
+    data = json.loads((GOLDEN_DIR / name).read_text())
+    change(data)
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    if name == "nr_g.json":
+        argv = ["nr", str(GOLDEN_DIR / "nr_f.json"), str(bad)]
+    else:
+        argv = ["check", str(bad)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

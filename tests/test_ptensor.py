@@ -103,7 +103,7 @@ def test_basis_evaluation_makes_no_canonicalize_call(qd, rng, monkeypatch):
     h = FreeModule("h", ["u"], qd)
     m = MixedMap(g, h, g, {(i, 0): random_ptelem(rng, g, 2, max_deg=2) for i in range(2)})
     f = random_cochain(rng, g, g, 2, max_deg=2)
-    expected = [m.value(i, 0) for i in range(2)]
+    expected = [m.value((i, 0)) for i in range(2)]
     calls = []
     real = ptensor.canonicalize
 
@@ -112,7 +112,7 @@ def test_basis_evaluation_makes_no_canonicalize_call(qd, rng, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(ptensor, "canonicalize", counting)
-    assert [m.eval(g.elem(i), h.elem(0)) for i in range(2)] == expected
+    assert [m.eval([g.elem(i), h.elem(0)]) for i in range(2)] == expected
     assert f.eval([g.elem(0), g.elem(1)]) == f.value((0, 1))
     assert calls == []
 

@@ -193,6 +193,10 @@ def test_constructors_reject_floats():
     for last in ((1,), (0,)):  # a straightened and a trivial last slot
         with pytest.raises(TypeError):
             canonicalize(g, 2, [(((1,), last), (0,), 0, 0.5)])
+        with pytest.raises(TypeError):  # floats that cancel on one key
+            canonicalize(g, 2, [(((1,), last), (0,), 0, 0.5), (((1,), last), (0,), 0, -0.5)])
+        with pytest.raises(TypeError):  # a lone float zero
+            canonicalize(g, 2, [(((1,), last), (0,), 0, 0.0)])
     # the int fast path still normalises a bool and an integral Fraction to int
     for value in (True, Fraction(4, 2)):
         built = (

@@ -30,7 +30,7 @@ from pseudoalg.structures import (
     mc_bullet_components,
     pc_residuals,
 )
-from pseudoalg import cochains, ptensor, structures, zoo
+from pseudoalg import cochains, ptensor, zoo
 
 from conftest import count_calls, pt, random_structure, vir_value
 
@@ -71,7 +71,7 @@ def test_assemble_omega_examples(qd):
     rho = zoo.adjoint_action(g, h.module)
     Qa = QuasiTwilled(g.module, h.module, pi=g.bracket, rho=rho, mu=h.bracket)
     got = Qa.omega().eval([x0, v0])
-    expect = rho.value(0, 0).coerce(Qa.G, lambda k: k + 1)
+    expect = rho.value((0, 0)).coerce(Qa.G, lambda k: k + 1)
     assert got == expect
     # all components zero -> zero cochain
     assert QuasiTwilled(g.module, h.module).omega().is_zero()
@@ -92,10 +92,20 @@ MC_OMEGA_CALLS = {"modified_r": (40, 61), "reynolds": (37, 56)}
 @pytest.mark.parametrize("name", sorted(MC_OMEGA_CALLS))
 def test_check_mc_omega_kernel_counts_are_pinned(name, monkeypatch):
     Q = next(e["Q"] for e in zoo.zoo_structures() if e["name"] == name)
-    insertions = count_calls(monkeypatch, "insert_raw", cochains, structures)
+    insertions = count_calls(monkeypatch, "insert_raw", cochains)
     canonicalizations = count_calls(monkeypatch, "canonicalize", ptensor, cochains)
     assert check_mc_omega(Q)["agrees_with_pc"]
     assert (len(insertions), len(canonicalizations)) == MC_OMEGA_CALLS[name]
+
+
+def test_pc_residuals_evaluate_no_module_element(monkeypatch):
+    # PC2..PC7 insert into each component at basis indices; none builds a
+    # module element only to evaluate a map on it
+    Qs = [entry["Q"] for entry in zoo.zoo_structures()]
+    evaluations = count_calls(monkeypatch, "evaluate", cochains)
+    for Q in Qs:
+        assert all(not v for v in pc_residuals(Q).values())
+    assert evaluations == []
 
 
 def test_check_pc_fails_on_non_jacobi_mu(qd):
@@ -248,7 +258,7 @@ def test_eta_orientation_conversion(qd, rng):
     from pseudoalg.ptensor import permute
 
     for (y, u), v in eta_qt.terms.items():
-        assert eta_mp.value(u, y) == permute(v, (1, 0)).scale(-1)
+        assert eta_mp.value((u, y)) == permute(v, (1, 0)).scale(-1)
 
 
 def test_representation_axiom(qd):
