@@ -133,6 +133,11 @@ def hopf_to_json(alg: LieAlgebra) -> dict:
 
 
 def hopf_from_json(data) -> LieAlgebra:
+    """The Lie algebra of a hopf section.
+
+    A bracket (i, j) may appear once, and an index once in its coeffs: a
+    repeat is refused, not overwritten.
+    """
     if not isinstance(data, dict) or "generators" not in data:
         raise ParseError("hopf section must define generators")
     gens = _list(data["generators"], "hopf generators")
@@ -150,7 +155,11 @@ def hopf_from_json(data) -> LieAlgebra:
                 k = int(k)
             if type(k) is not int:
                 raise ParseError(f"bad bracket index {pair[0]!r}")
+            if k in row:
+                raise ParseError(f"bracket ({i}, {j}): index {k} appears twice")
             row[k] = parse_rat(pair[1])
+        if (i, j) in brackets:
+            raise ParseError(f"bracket ({i}, {j}) appears twice")
         brackets[(i, j)] = row
     try:
         return LieAlgebra(gens, brackets)

@@ -177,6 +177,41 @@ class Family:
         return f"Family(tag={self.tag}, subs={self.subs}, nonzero={self.nonzero})"
 
 
+def _clean(e):
+    """`expand(numer(together(e)))`: e with its denominators cleared."""
+    if not e.is_number and e.is_polynomial():
+        try:
+            return sympy.Poly(e).clear_denoms(convert=True)[1].as_expr()
+        except sympy.GeneratorsNeeded:  # e expands to a constant
+            pass
+    return sympy.expand(sympy.numer(sympy.together(e)))
+
+
+def _factor_key(pair):
+    # sympy 1.14's key in `polytools._sorted_factors` for method 'factor'
+    poly, exp = pair
+    rep = poly.rep.to_list()
+    return (len(rep), len(poly.gens), exp, str(poly.domain), rep)
+
+
+def _factor_list(e):
+    """`sympy.factor_list(e)`, without `together` on a polynomial sum."""
+    if not e.is_Add:
+        return sympy.factor_list(e)
+    p = sympy.Poly(e)
+    if not (p.domain.is_ZZ or p.domain.is_QQ) or not all(s.is_Symbol for s in p.gens):
+        return sympy.factor_list(e)
+    denom, p = p.clear_denoms(convert=True)
+    monomial, cofactor = p.terms_gcd()
+    c, factors = cofactor.exclude().factor_list()
+    # equal keys keep sympy's insertion order: the monomial's symbols first,
+    # as Mul orders its arguments, which within one exponent is by name
+    powers = sorted(((s, k) for s, k in zip(p.gens, monomial) if k), key=lambda sk: sk[0].name)
+    factors = [(sympy.Poly(s), k) for s, k in powers] + factors
+    factors.sort(key=_factor_key)
+    return c / denom, [(f.as_expr(), k) for f, k in factors]
+
+
 def solve_quadratic_system(eqs, symbols, max_depth=60):
     """All solution families of a quadratic system by elimination + case splits.
 
@@ -187,15 +222,37 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     unresolved leaf rather than silently dropped.
 
     Most equations pass unchanged from a node to its children, so each call
-    memoizes its cleanings and factorizations, keyed on the expression.  The
-    memos live for this call only and are shared by no other call.
+    memoizes three kernels, keyed on the expression; the memos live for this
+    call only and are shared by no other call.  Each kernel gives exactly
+    what sympy's generic route gave, so the branch order and the families
+    do not move (checked against sympy 1.14; tests/test_rank2.py compares
+    every kernel output of two searches with that route):
+
+    - `_clean(e)` is `expand(numer(together(e)))`.  For a polynomial e with
+      rational coefficients, `together` pulls out the rational content
+      g / L, so the numerator is L * e, L the lcm of the denominators: what
+      clearing the denominators of Poly(e) gives.
+    - `_factor_list(e)` is `sympy.factor_list(e)`.  On a sum, sympy's
+      `together` splits off the common monomial of the terms; sympy then
+      factors each symbol of it and the primitive cofactor on their own
+      generators, and sorts all factors by the key of `_sorted_factors`.
+      `_factor_list` takes the same steps on Poly(e), with that key copied
+      as `_factor_key` rather than imported from a private name.  Without
+      the monomial step the order moves: on A_01*C_01 + A_01*C_10 a plain
+      `Poly.factor_list` puts C_01 + C_10 first.
+    - `degrees(e)` is `[(s, deg)]` over the unknowns that occur in e, in
+      `default_sort_key` order: the degree scan of both the elimination and
+      the variable split, made once per expression on e's own generators
+      instead of once per visit over every unknown.
 
     A call that visits more than MAX_SOLVER_NODES nodes raises ResourceError.
     """
     results = []
     unresolved = []
+    unknowns = set(symbols)
     cleaned_of = {}
     factors_of = {}
+    degrees_of = {}
     budget = MAX_SOLVER_NODES
     nodes = 0
 
@@ -204,13 +261,21 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         # symbols introduced by earlier divisions
         out = cleaned_of.get(e)
         if out is None:
-            out = cleaned_of[e] = sympy.expand(sympy.numer(sympy.together(e)))
+            out = cleaned_of[e] = _clean(e)
         return out
 
     def factor_list(e):
         out = factors_of.get(e)
         if out is None:
-            out = factors_of[e] = sympy.factor_list(e)
+            out = factors_of[e] = _factor_list(e)
+        return out
+
+    def degrees(e):
+        out = degrees_of.get(e)
+        if out is None:
+            p = sympy.Poly(e)
+            occurring = [(s, d) for s, d in zip(p.gens, p.degree_list()) if d and s in unknowns]
+            out = degrees_of[e] = sorted(occurring, key=lambda sd: sympy.default_sort_key(sd[0]))
         return out
 
     def recurse(eqs, subs, nonzero, depth):
@@ -263,9 +328,8 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
             )
 
         for e in eqs:
-            p = sympy.Poly(e, *symbols)
-            for s in sorted(p.free_symbols & set(symbols), key=sympy.default_sort_key):
-                if p.degree(s) == 1:
+            for s, d in degrees(e):
+                if d == 1:
                     coeff = sympy.expand(e.coeff(s, 1))
                     if invertible(coeff):
                         sol = sympy.together(-e.coeff(s, 0) / coeff)
@@ -304,9 +368,8 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         # split on a variable appearing nonlinearly (not already split on)
         var = None
         for e in eqs:
-            p = sympy.Poly(e, *symbols)
-            for s in sorted(p.free_symbols & set(symbols), key=sympy.default_sort_key):
-                if p.degree(s) >= 1 and s not in nonzero:
+            for s, _d in degrees(e):
+                if s not in nonzero:
                     var = s
                     break
             if var is not None:

@@ -22,6 +22,8 @@ from pseudoalg.cli import main
 from pseudoalg.cohomology import ResourceError
 from pseudoalg.cochains import random_cochain
 from pseudoalg.deformation import HModuleMap
+from pseudoalg.ptensor import FreeModule
+from pseudoalg.structures import QuasiTwilled
 
 
 def run_cli(args, capsys):
@@ -316,6 +318,28 @@ def test_cli_repeated_args_exit2(capsys, tmp_path, command, name, table):
     code, out, err = run_cli([command, str(bad), *extra], capsys)
     assert code == 2 and out == ""
     assert "appear twice" in err
+
+
+@pytest.mark.parametrize("repeat", ["bracket", "coeffs"])
+def test_hopf_repeated_bracket_exit2(capsys, tmp_path, b2, repeat):
+    # a repeated bracket (i, j), or index in its coeffs, is refused: the last
+    # one is not kept over the first, whether or not the two agree
+    data = pio.structure_to_json(QuasiTwilled(FreeModule("g", ["u"], b2), FreeModule("h", ["x"], b2)))
+    good = tmp_path / "b2.json"
+    good.write_text(json.dumps(data))
+    assert run_cli(["check", str(good)], capsys)[0] == 0
+    brackets = data["hopf"]["brackets"]
+    if repeat == "bracket":
+        brackets.append({"i": 0, "j": 1, "coeffs": [["1", "2"]]})
+    else:
+        brackets[0]["coeffs"].append(["1", "1"])
+    with pytest.raises(pio.ParseError, match="twice"):
+        pio.hopf_from_json(data["hopf"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli(["check", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert "twice" in err
 
 
 @pytest.mark.parametrize("degree", ["0", "-1"])

@@ -266,22 +266,72 @@ def test_solver_handles_inconsistent_and_factored_systems():
 
 
 def test_solver_factorizes_each_expression_once_per_call(monkeypatch):
-    # the solver memoizes factorizations within one call, and keeps nothing
-    # between calls: a second identical search factorizes the same again
+    # the solver memoizes its factoring kernel within one call, and keeps
+    # nothing between calls: a second identical search factorizes the same again
     calls = []
-    factor_list = sympy.factor_list
+    factor_list = rank2._factor_list
 
-    def counting(e, *args, **kw):
+    def counting(e):
         calls.append(e)
-        return factor_list(e, *args, **kw)
+        return factor_list(e)
 
-    monkeypatch.setattr(sympy, "factor_list", counting)
+    monkeypatch.setattr(rank2, "_factor_list", counting)
     rank2_search(1)
     first = list(calls)
     assert len(set(first)) == len(first) == 89
     calls.clear()
     rank2_search(1)
     assert calls == first
+
+
+def test_solver_kernels_equal_sympy_route(monkeypatch):
+    # the kernels skip sympy's `together`; sympy's own route is the oracle,
+    # and every kernel output must equal it exactly, as objects and as text
+    seen = {"_clean": [], "_factor_list": []}
+    for name, log in seen.items():
+        kernel = getattr(rank2, name)
+
+        def logged(e, kernel=kernel, log=log):
+            log.append(e)
+            return kernel(e)
+
+        monkeypatch.setattr(rank2, name, logged)
+    rank2_search(1)
+    lemma_special_case(2)
+    monkeypatch.undo()
+    assert all(seen.values())
+    x, y, a, c1, c2 = sympy.symbols("x y A_01 C_01 C_10", rational=True)
+    # the common monomial goes first: a plain Poly factorization reverses these
+    assert rank2._factor_list(a * c1 + a * c2) == (1, [(a, 1), (c1 + c2, 1)])
+    seen["_factor_list"] += [a**2 * c1 * x + a**2 * c1 * y, -x / 2 - y / 3, 6 * x**2 * y - 6 * y,
+                             x * y + 1, (x + y) ** 2]
+    seen["_clean"] += [x / 2 + y / 3, (x + 1) * y / 2, -x / 2 - y / 2, x / y + 1,
+                       (x + 1) ** 2 - x**2 - 2 * x, sympy.Rational(3, 4)]
+    oracles = {
+        "_clean": lambda e: sympy.expand(sympy.numer(sympy.together(e))),
+        "_factor_list": sympy.factor_list,
+    }
+    for name, exprs in seen.items():
+        for e in exprs:
+            out, expect = getattr(rank2, name)(e), oracles[name](e)
+            assert out == expect and str(out) == str(expect), (name, e)
+    for factor_list in (rank2._factor_list, sympy.factor_list):
+        with pytest.raises(sympy.PolynomialError):
+            factor_list(x / y + 1)
+
+
+@pytest.mark.parametrize(
+    "search, nodes",
+    [(lambda: rank2_search(1), 54), (lambda: lemma_special_case(2), 28)],
+    ids=["rank2_search-1", "lemma-2"],
+)
+def test_search_tree_size_pinned(monkeypatch, search, nodes):
+    # the kernels change no branch: each search visits exactly this many nodes
+    monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", nodes)
+    search()
+    monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", nodes - 1)
+    with pytest.raises(ResourceError):
+        search()
 
 
 def test_search_over_unknowns_budget_refused():
