@@ -206,15 +206,13 @@ def cmd_twist(args, report):
     if args.type == TYPE_I:
         result_struct, info = twist1(Q, m)
     else:
-        res, info = twist2(Q, m)
-        result_struct = None
-        if res.xi.is_zero():
-            result_struct = res.as_quasi_twilled()
-        else:
+        (result_struct, xi), info = twist2(Q, m)
+        if not xi.is_zero():
+            result_struct = None
             report.add(
                 "twisted structure quasi-twilled (xi = 0)",
                 False,
-                {"xi": pio.table_to_json(res.xi)},
+                {"xi": pio.table_to_json(xi)},
             )
     report.add("closed form equals bracket series", info["closed_form_equals_series"])
     report.add("series equals conjugated bracket", info["series_equals_conjugation"])
@@ -324,6 +322,9 @@ def cmd_zoo(args, report):
     if name is None:
         raise pio.ParseError("zoo needs a name or --list")
     obj = pzoo.builtin(name)
+    if args.map_out and not (args.out and isinstance(obj, dict)):
+        # only a kind's bundle carries a map, and it is written next to -o's structure
+        raise pio.ParseError("--map-out needs -o and a name with a map (a kind or demo alias)")
     if isinstance(obj, LiePseudoalgebra):  # -o writes its bracket as a cochain file
         report.add("Lie pseudoalgebra assembled and validated", check_lie(obj)["ok"])
         if args.out:
@@ -335,7 +336,7 @@ def cmd_zoo(args, report):
     report.add("structure assembled and PC-validated", check_pc(Q)["ok"])
     if args.out:
         _write(args.out, pio.structure_to_json(Q, meta=meta), report)
-        if "map" in bundle and args.map_out:
+        if args.map_out:
             src, dst = orientation(Q, pzoo.map_type(bundle["kind"]))
             names = ("g" if part is Q.g else "h" for part in (src, dst))  # names on reload
             _write(args.map_out, pio.map_to_json(bundle["map"], *names), report)

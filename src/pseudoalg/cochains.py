@@ -442,13 +442,9 @@ class HModuleMap(Sparse):
         return cls(src, dst, {})
 
     @classmethod
-    def scalar(cls, src, dst, c, index_map=None):
-        """c * (basis relabelling); with index_map None, e_i -> c e_i."""
-        rows = {}
-        for i in range(src.rank):
-            j = index_map(i) if index_map else i
-            rows[i] = dst.elem(j).scale(c)
-        return cls(src, dst, rows)
+    def scalar(cls, src, dst, c):
+        """e_i -> c e_i for every basis index i of src."""
+        return cls(src, dst, {i: dst.elem(i).scale(c) for i in range(src.rank)})
 
     def _shape(self):
         return self.src, self.dst
@@ -536,74 +532,20 @@ def extract_components(F: Cochain) -> dict:
 
 
 def extract_pure(F: Cochain, part: str, tpart: str) -> Cochain:
-    """Extract the block with all inputs in one part as a block cochain."""
+    """The block of F with every input in `part` and values in `tpart`, as a
+    block cochain; a component of F outside that block raises InputError."""
     G = F.source
     src, offset = _part(G, part)
     tgt, toffset = _part(G, tpart)
     cut = G.split
+    keep = 0 if tpart == "g" else 1
     table = {}
     for t, v in F.terms.items():
-        if all((i < cut) == (part == "g") for i in t):
-            piece = v.split_by_part()[0 if tpart == "g" else 1]
-            table[tuple(i - offset for i in t)] = piece.coerce(tgt, lambda k: k - toffset)
+        pieces = v.split_by_part()
+        if pieces[1 - keep] or any((i < cut) != (part == "g") for i in t):
+            raise InputError(f"cochain has a component outside the {part} -> {tpart} block at {t}")
+        table[tuple(i - offset for i in t)] = pieces[keep].coerce(tgt, lambda k: k - toffset)
     return Cochain(F.arity, src, tgt, table)
-
-
-def assert_block_shape(F: Cochain, pattern: tuple, tpart: str):
-    """Check F is supported exactly on one (pattern, target) block."""
-    comps = extract_components(F)
-    stray = [key for key in comps if key != (pattern, tpart)]
-    if stray:
-        raise InputError(f"cochain has unexpected components at {stray}")
-
-
-# -- bidegree -------------------------------------------------------------------
-
-
-INHOMOGENEOUS = "inhomogeneous"
-ZERO_BIDEGREE = "inhomogeneous-zero"
-
-
-def bidegree_of(f: Cochain):
-    """Bidegree k|l of a cochain on g [+] h, or an inhomogeneity marker.
-
-    Case (i) blocks g^{k+1} h^l land in g; case (ii) blocks g^k h^{l+1} land
-    in h; a homogeneous cochain touches only blocks of one (k, l).
-    """
-    candidates = set()
-    for (pattern, tpart), entries in extract_components(f).items():
-        if not entries:
-            continue
-        a = sum(1 for p in pattern if p == "g")
-        b = len(pattern) - a
-        if tpart == "g":
-            candidates.add((a - 1, b))
-        else:
-            candidates.add((a, b - 1))
-    if not candidates:
-        return ZERO_BIDEGREE
-    if len(candidates) == 1:
-        return candidates.pop()
-    return INHOMOGENEOUS
-
-
-def transpose_last(f: Cochain) -> Cochain:
-    """The (n-1, n) slot transposition of the conformal-map presentation.
-
-    Realized through canonicalization: swapping the last two slots is where
-    the antipode-twisted action lives.  Involutive; equals -f on skew input.
-    """
-    n = f.arity
-    if n < 2:
-        return f
-    table = {}
-    for t in f.terms:
-        swapped = list(t)
-        swapped[-1], swapped[-2] = swapped[-2], swapped[-1]
-        v = permute(f.value(tuple(swapped)), swap_dest(n, n - 2, n - 1))
-        if not v.is_zero():
-            table[t] = v
-    return Cochain(n, f.source, f.target, table)
 
 
 # -- seeded random values ---------------------------------------------------------

@@ -200,9 +200,9 @@ def induced_rep_type2(Q: QuasiTwilled, T: HModuleMap):
     """
     if not dmap2_residual(Q, T).is_zero():
         raise InputError("induced structures need a valid type II map")
-    res = twist2_components(Q, T)
-    algebra = LiePseudoalgebra(Q.h, res.mu)
-    rep = Representation(algebra, Q.g, res.eta.swapped())
+    Qt, _xi = twist2_components(Q, T)
+    algebra = LiePseudoalgebra(Q.h, Qt.mu)
+    rep = Representation(algebra, Q.g, Qt.eta.swapped())
     return algebra, rep
 
 

@@ -10,12 +10,17 @@ are asserted against each other:
   * the twisted bracket e^{[., M]_NR} Omega (series, with termination bound);
   * the conjugated bracket e^{-M} o Omega o (e^M (x) e^M).
 
+The type I twist is again quasi-twilled.  The type II twist has a sixth
+component xi: h (x) h -> g, which is the defining residual of T, so
+`twist2_components` returns the pair (five components as a QuasiTwilled, xi)
+and the twisted bracket is that QuasiTwilled's Omega plus the lift of xi.
+
 Both types are controlled by one curved L-infinity algebra of higher derived
 brackets (Voronov): l_k nests the NR bracket of a generator Gamma_k, built
 from Omega's components, with the lifted arguments and extracts the block
-(exactly: the bidegree bookkeeping discards nothing, and a purity assertion
-checks it).  Only the table of l0 and the generators depends on the type
-(`LinfOps`).  Twisting by a deformation map M gives
+(exactly: the bidegree bookkeeping discards nothing, and `extract_pure`
+refuses a component outside the block).  Only the table of l0 and the
+generators depends on the type (`LinfOps`).  Twisting by a deformation map M gives
 l_k^M = sum_n l_{n+k}(M, ..., M, -)/n! (`TwistedLinfOps`).
 """
 
@@ -31,8 +36,6 @@ from .cochains import (
     HModuleMap,
     MixedMap,
     _part_name,
-    assert_block_shape,
-    coerce_to_sum,
     extract_pure,
     lift,
     nr_bracket,
@@ -112,35 +115,6 @@ def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
     return Cochain(2, Q.h, Q.g, table)
 
 
-def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
-    """Closure of Gr(D) under Omega, via the kernel map (x,u) -> D(x) - u.
-
-    Independent of dmap1_residual: evaluates the assembled bracket on graph
-    elements and tests membership in H^2 (x)_H Gr(D) by exactness of
-    tensoring the defining short exact sequence with the flat module H^2.
-    """
-    _check_orientation(Q, D, TYPE_I)
-    om = Q.omega()
-    G, cut = Q.G, Q.G.split
-
-    def phi(k: int) -> PTElem:
-        # Phi(x, u) = u - D(x), valued in h; Gr(D) = ker Phi and H^2 is
-        # flat, so membership is exactly the vanishing of the pushforward.
-        if k < cut:
-            return -D.apply_basis(k)
-        return Q.h.elem(k - cut)
-
-    residuals = {}
-    for i, j in sorted_tuples(Q.g.rank, 2):
-        # graph elements (x_i, D x_i) in G
-        gi = G.elem(i) + coerce_to_sum(D.apply_basis(i), G, "h")
-        gj = G.elem(j) + coerce_to_sum(D.apply_basis(j), G, "h")
-        resid = om.eval([gi, gj]).map_module(phi, Q.h)
-        if not resid.is_zero():
-            residuals[(i, j)] = resid
-    return {"ok": not residuals, "residuals": residuals}
-
-
 def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     """e^{[., M]_NR} Omega, summed until the next term vanishes (bound 4 terms).
 
@@ -165,7 +139,7 @@ def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     return acc
 
 
-def conjugate_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
+def conjugate_twist(Q: QuasiTwilled, M: HModuleMap) -> Cochain:
     """e^{-M} o Omega o (e^M (x) e^M), computed on basis pairs of G."""
     om = Q.omega()
     G = Q.G
@@ -212,12 +186,12 @@ def twist1_components(Q: QuasiTwilled, D: HModuleMap) -> QuasiTwilled:
     )
 
 
-def _twist_routes(Q: QuasiTwilled, M: HModuleMap, kind: str, closed, is_dmap: bool) -> dict:
-    """Cross-check a closed-form twist against the bracket series and the conjugation."""
+def _twist_routes(Q: QuasiTwilled, M: HModuleMap, kind: str, closed: Cochain, is_dmap: bool) -> dict:
+    """Cross-check a closed-form twisted Omega against the bracket series and the conjugation."""
     series = exp_twist(Q, M, kind)
-    conj = conjugate_twist(Q, M, kind)
+    conj = conjugate_twist(Q, M)
     return {
-        "closed_form_equals_series": closed.omega() == series,
+        "closed_form_equals_series": closed == series,
         "series_equals_conjugation": series == conj,
         "is_dmap": is_dmap,
     }
@@ -227,47 +201,11 @@ def twist1(Q: QuasiTwilled, D: HModuleMap) -> tuple:
     """Type I twist with the closed form cross-checked against both the
     bracket series and the conjugated bracket."""
     out = twist1_components(Q, D)
-    return out, _twist_routes(Q, D, TYPE_I, out, out.theta.is_zero())
+    return out, _twist_routes(Q, D, TYPE_I, out.omega(), out.theta.is_zero())
 
 
-class Twist2Result:
-    """Six components of the type II twist; xi obstructs quasi-twilledness."""
-
-    def __init__(self, Q, pi, rho, mu, eta, theta, xi):
-        self.Q = Q
-        self.pi, self.rho, self.mu, self.eta, self.theta, self.xi = (
-            pi,
-            rho,
-            mu,
-            eta,
-            theta,
-            xi,
-        )
-
-    def _without_xi(self) -> QuasiTwilled:
-        """The components other than xi, as a tuple that need not satisfy PC."""
-        return QuasiTwilled(
-            self.Q.g,
-            self.Q.h,
-            pi=self.pi,
-            rho=self.rho,
-            mu=self.mu,
-            eta=self.eta,
-            theta=self.theta,
-            G=self.Q.G,
-        )
-
-    def omega(self) -> Cochain:
-        return self._without_xi().omega() + lift(self.xi, self.Q.G)
-
-    def as_quasi_twilled(self) -> QuasiTwilled:
-        if not self.xi.is_zero():
-            raise InputError("twisted structure is not quasi-twilled: xi != 0")
-        return self._without_xi()
-
-
-def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
-    """Closed-form components of the type II twist (six substructures)."""
+def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> tuple:
+    """Closed-form type II twist as (Qt, xi): Qt holds the other five, PC iff xi = 0."""
     _check_orientation(Q, T, TYPE_II)
     g, h = Q.g, Q.h
     pi_t, theta_t = {}, {}
@@ -296,22 +234,25 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> Twist2Result:
             - permute(Q.rho.eval([Tv, u]), SWAP2)
             + Q.theta.eval([Tu, Tv])
         )
-    return Twist2Result(
-        Q,
+    Qt = QuasiTwilled(
+        g,
+        h,
         pi=Cochain(2, g, g, pi_t),
         rho=MixedMap(g, h, h, rho_t),
         mu=Cochain(2, h, h, mu_t),
         eta=MixedMap(g, h, g, eta_t),
         theta=Cochain(2, g, h, theta_t),
-        # the type II defining residual, (g-side) - T(h-side), is xi itself
-        xi=dmap2_residual(Q, T),
+        G=Q.G,
     )
+    # the type II defining residual, (g-side) - T(h-side), is xi itself
+    return Qt, dmap2_residual(Q, T)
 
 
 def twist2(Q: QuasiTwilled, T: HModuleMap) -> tuple:
-    """Type II twist with the closed form cross-checked against both routes."""
-    result = twist2_components(Q, T)
-    return result, _twist_routes(Q, T, TYPE_II, result, result.xi.is_zero())
+    """Type II twist as ((Qt, xi), routes): the closed form cross-checked against both routes."""
+    Qt, xi = twist2_components(Q, T)
+    closed = Qt.omega() + lift(xi, Q.G)
+    return (Qt, xi), _twist_routes(Q, T, TYPE_II, closed, xi.is_zero())
 
 
 # -- derived controlling operators ----------------------------------------------
@@ -362,7 +303,6 @@ class LinfOps:
             return out
         for f in args:
             out = nr_bracket(out, lift(f, self.Q.G))
-        assert_block_shape(out, (self.parts[0],) * arity, self.parts[1])
         return extract_pure(out, *self.parts)
 
     def l0(self) -> Cochain:
@@ -462,6 +402,8 @@ def linf_jacobi_check(ops, max_arity: int, rng, samples: int = 2) -> dict:
     Curvature identities included: n=1 is l1(l1 x) + l2(l0, x) = 0 for curved
     type I.  Returns per-n verdicts with any nonzero residual kept.
     """
+    if max_arity < 1:
+        raise InputError("max_arity must be at least 1")
     if max_arity > 4:
         raise InputError("max_arity is capped at 4")
     out = {"ok": True, "identities": {}}

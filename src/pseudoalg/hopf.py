@@ -376,23 +376,6 @@ class HElem(Sparse):
         return " + ".join(bits)
 
 
-def counit(a: HElem) -> Scalar:
-    """epsilon(a): the coefficient of the empty multi-index."""
-    return a.terms.get(a.alg.zero_index, 0)
-
-
-def antipode(a: HElem) -> HElem:
-    out = {}
-    for K, c in a.terms.items():
-        for L, c2 in a.alg.antipode_mono(K).items():
-            v = out.get(L, 0) + c * c2
-            if v:
-                out[L] = v
-            else:
-                out.pop(L, None)
-    return HElem(a.alg, out)
-
-
 class HTensor(Sparse):
     """Sparse element of H^{(x) n}: finite map from multi-index tuples to scalars."""
 
@@ -431,21 +414,6 @@ class HTensor(Sparse):
     def _new(self, terms) -> "HTensor":
         return HTensor(self.alg, self.arity, terms)
 
-    def __mul__(self, other: "HTensor") -> "HTensor":
-        """Componentwise product in H^{(x) n}; exercises straightening."""
-        self._check(other)
-        out = {}
-        for I, ci in self.terms.items():
-            for J, cj in other.terms.items():
-                legs = [HElem(self.alg, self.alg.mul_mono(a, b)) for a, b in zip(I, J)]
-                for tup, c in HTensor.from_legs(legs).terms.items():
-                    v = out.get(tup, 0) + ci * cj * c
-                    if v:
-                        out[tup] = v
-                    else:
-                        out.pop(tup, None)
-        return HTensor(self.alg, self.arity, out)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -454,36 +422,3 @@ class HTensor(Sparse):
             mono = " (x) ".join(str(k) for k in K)
             bits.append(f"{self.terms[K]}*[{mono}]")
         return " + ".join(bits)
-
-
-def coproduct_iter(a: HElem, p: int) -> HTensor:
-    """Delta^p(a) as an HTensor of arity p+1: sum over all splits of each K."""
-    if p < 1:
-        raise InputError("iterated coproduct needs p >= 1")
-    out = {}
-    for K, c in a.terms.items():
-        for split in mi_splits(K, p + 1):
-            v = out.get(split, 0) + c
-            if v:
-                out[split] = v
-            else:
-                out.pop(split, None)
-    return HTensor(a.alg, p + 1, out)
-
-
-def sweedler_legs(a: HElem, p: int, q: int) -> HTensor:
-    """(S^{(x)p} (x) 1^{(x)q}) Delta^{p+q-1}(a); the negative-leg notation."""
-    if p < 0 or q < 1:
-        raise InputError("need p >= 0 and q >= 1")
-    if p + q == 1:
-        return HTensor(a.alg, 1, {(K,): c for K, c in a.terms.items()})
-    full = coproduct_iter(a, p + q - 1)
-    if p == 0:
-        return full
-    alg = a.alg
-    out = HTensor(alg, p + q, {})
-    for tup, c in full.terms.items():
-        legs = [HElem(alg, alg.antipode_mono(K)) for K in tup[:p]]
-        legs += [alg.mono(K) for K in tup[p:]]
-        out = out + HTensor.from_legs(legs).scale(c)
-    return out

@@ -337,16 +337,19 @@ def cochain_to_json(f: Cochain) -> dict:
 
 
 def cochain_from_json(data, modules: dict | None = None) -> Cochain:
+    """A file's cochain over its own modules, or over `modules`; the file's
+    Hopf base and the bases of its source and target must then match them."""
     _check_file(data, "cochain")
-    if modules is None:
-        alg = hopf_from_json(data.get("hopf"))
-        modules = {
-            name: _module(name, spec, alg)
-            for name, spec in _object(data.get("modules") or {}, "modules section").items()
-        }
+    alg = hopf_from_json(data.get("hopf"))
+    specs = _object(data.get("modules") or {}, "modules section")
+    own = {name: _module(name, spec, alg) for name, spec in specs.items()}
+    modules = own if modules is None else modules
     names = (data.get("source"), data.get("target"))
     if not all(isinstance(n, str) and n in modules for n in names):
         raise ParseError(f"source and target must name modules, got {names}")
+    for n in names:
+        if own.get(n) != modules[n]:
+            raise ParseError(f"module {n} of the cochain file differs from the structure's")
     src, tgt = (modules[n] for n in names)
     arity = data.get("arity")
     if type(arity) is not int or arity < 1:

@@ -81,9 +81,6 @@ class Rank2Problem:
         # QQ[unknowns]; evaluating at the generators gives exact polynomials
         self.ring, *self.gens = ring(self.symbols, sympy.QQ)
 
-    def nvars(self) -> int:
-        return len(self.layout)
-
     def _tensor(self, name: str, coeffs: dict) -> PTElem:
         """Assemble a component value on the right module from (i,j)->coeff."""
         module = {"A": self.g, "B": self.h, "C": self.g, "D": self.h}[name]
@@ -488,12 +485,6 @@ def classify_family(problem: Rank2Problem, family: Family) -> str:
                 return OTHER_TAG
         return TYPE_III_TAG
     return OTHER_TAG
-
-
-def classify_instance(problem: Rank2Problem, assignment) -> str:
-    """Tag a single rational instance against the three patterns."""
-    fam = Family({s: sympy.Rational(coeff(v)) for s, v in zip(problem.symbols, assignment)}, [], set())
-    return classify_family(problem, fam)
 
 
 def rank2_search(max_deg: int) -> dict:

@@ -11,9 +11,9 @@ decomposition of the Jacobiator of Omega, with every composite slot-aligned
 to the argument order.  Each composite is one `cochains.insert_value` into a
 component at basis indices, alike for the skew components pi, theta, mu and
 the mixed ones rho, eta; one `cochains.lift` places each in Omega.  The
-printed cycle symbols in PC2/PC3/PC6/PC7 admit a second reading; both are
-available behind `variant` and the NR cross-check (check_mc_omega) validates
-which one matches [Omega, Omega].
+printed cycle symbols in PC2/PC3/PC6/PC7 admit a second reading, which
+`pc_residuals` computes under `variant=ALT`; the NR cross-check
+(check_mc_omega) validates that the aligned reading matches [Omega, Omega].
 
 Normalization (frozen by the equivalence suite):
     jacobiator = -(Omega circle Omega),  [Omega, Omega]_NR = -2 * jacobiator.
@@ -28,7 +28,6 @@ from .ptensor import FreeModule, PTElem, permute
 from .cochains import (
     Cochain,
     MixedMap,
-    circle,
     coerce_to_sum,
     extract_components,
     insert_value,
@@ -291,14 +290,10 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
     return out
 
 
-def check_pc(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
+def check_pc(Q: QuasiTwilled) -> dict:
     """Labeled PC residual report; ok iff every residual set is empty."""
-    resid = pc_residuals(Q, variant)
-    return {
-        "ok": all(not v for v in resid.values()),
-        "variant": variant,
-        "residuals": resid,
-    }
+    resid = pc_residuals(Q)
+    return {"ok": all(not v for v in resid.values()), "residuals": resid}
 
 
 # Mapping between the Jacobiator's case decomposition and the bidegree blocks
@@ -315,7 +310,7 @@ BLOCK_TO_PC = {
 }
 
 
-def check_mc_omega(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
+def check_mc_omega(Q: QuasiTwilled) -> dict:
     """[Omega, Omega]_NR split by bidegree block, cross-matched against PC labels.
 
     Requires, per block, [Omega,Omega] = -2 * (PC residual); the XI block
@@ -327,7 +322,7 @@ def check_mc_omega(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
     om = Q.omega()
     bracket = nr_bracket(om, om)
     comps = extract_components(bracket)
-    pc = pc_residuals(Q, variant)
+    pc = pc_residuals(Q)
     if pc["SKEW-pi"] or pc["SKEW-theta"] or pc["PC1"]:
         labels = {"SKEW": {"zero": False}}
         correspondence = False
@@ -365,34 +360,12 @@ def check_mc_omega(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
         "bracket_zero": bracket_zero,
         "pc_ok": pc_ok,
         "labels": labels,
-        "variant": variant,
     }
 
 
-def mc_bullet_components(Q: QuasiTwilled) -> dict:
-    """The paper's component decomposition of [Omega, Omega] by bidegree.
-
-    Returns {label: Cochain on G} for the seven bullet equations, e.g.
-    PC2 -> [pi,pi] + 2 eta o theta, each supported on its predicted block.
-    """
-    pi, rho, mu, eta, th = (lift(c, Q.G) for c in Q.components)
-    return {
-        "PC2": nr_bracket(pi, pi) + circle(eta, th).scale(2),
-        "PC3": nr_bracket(rho, th) + nr_bracket(pi, th),
-        "PC4": nr_bracket(pi, eta) + circle(eta, rho),
-        "PC5": nr_bracket(rho, rho).scale(Fraction(1, 2))
-        + circle(th, eta)
-        + nr_bracket(mu, th)
-        + nr_bracket(pi, rho),
-        "PC6": nr_bracket(mu, eta).scale(2) + nr_bracket(eta, eta),
-        "PC7": nr_bracket(rho, mu) + circle(rho, eta),
-        "PC8": nr_bracket(mu, mu),
-    }
-
-
-def require_pc(Q: QuasiTwilled, what: str, variant: str = ALIGNED) -> QuasiTwilled:
+def require_pc(Q: QuasiTwilled, what: str) -> QuasiTwilled:
     """Q if PC1..PC8 hold, else an InputError naming the failing labels and tuples."""
-    report = check_pc(Q, variant)
+    report = check_pc(Q)
     if not report["ok"]:
         bad = {k: sorted(v) for k, v in report["residuals"].items() if v}
         raise InputError(f"{what}: {bad}")

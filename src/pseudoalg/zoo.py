@@ -101,11 +101,6 @@ def current(base: LieAlgebra, alg: LieAlgebra, name="cur") -> LiePseudoalgebra:
     return LiePseudoalgebra(m, Cochain(2, m, m, table))
 
 
-def abelian_algebra(name, basis_names, alg) -> LiePseudoalgebra:
-    m = FreeModule(name, basis_names, alg)
-    return LiePseudoalgebra(m, Cochain.zero(2, m, m))
-
-
 def clone_bracket(P: LiePseudoalgebra, name: str) -> LiePseudoalgebra:
     """A fresh module carrying the same bracket table."""
     m = FreeModule(name, [f"{b}'" for b in P.module.basis], P.module.alg)
@@ -239,10 +234,13 @@ def ingredients_from_structure(kind: str, Q: QuasiTwilled, weight=None) -> dict:
     """Invert `build`: recover the kind's ingredients from the components of Q.
 
     `weight` is the exact scalar the weighted kinds (modified_r, crossed_hom,
-    relative_rb) need; the others ignore it.
+    relative_rb) need; the others refuse one.
     """
-    if kind in (MODIFIED_R, CROSSED_HOM, RELATIVE_RB) and weight is None:
+    weighted = kind in (MODIFIED_R, CROSSED_HOM, RELATIVE_RB)
+    if weighted and weight is None:
         raise InputError(f"a weight is required for {kind}")
+    if not weighted and weight is not None:
+        raise InputError(f"{kind} takes no weight")
     if kind == MODIFIED_R:
         table = {
             t: v

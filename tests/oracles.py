@@ -19,6 +19,15 @@ than a tautology.  `tests/test_hygiene.py` keeps them apart.
 - `_interpolate_quadratics`: the rank-2 PC residual polynomials rebuilt from
   rational point evaluations, against the one ring evaluation of
   `rank2.Rank2Problem.residual_polynomials`.
+- `graph_check`: closure of the graph of a type I map under Omega, against
+  the defining residual `deformation.dmap1_residual` (`_type1_tables`).
+- `mc_bullet_components`: the paper's bullet list, [Omega, Omega] as sums
+  of brackets of the lifted components, against the PC residuals that
+  `structures.check_mc_omega` matches to the blocks of [Omega, Omega].
+
+Beside them sit the Hopf-axiom helpers the tests alone use: the iterated
+coproduct `coproduct_iter`, the antipode of an element `antipode` and the
+componentwise product `tensor_mul` of H^{(x) n}.
 """
 
 import itertools
@@ -26,14 +35,70 @@ from fractions import Fraction
 
 import sympy
 
-from pseudoalg.hopf import InputError, exact_div
+from pseudoalg.hopf import HElem, HTensor, InputError, exact_div, mi_splits
 from pseudoalg.ptensor import PTElem, permute
-from pseudoalg.cochains import Cochain, HModuleMap, insert_raw, insert_value, sorted_tuples
+from pseudoalg.cochains import (
+    Cochain,
+    HModuleMap,
+    circle,
+    coerce_to_sum,
+    insert_raw,
+    insert_value,
+    lift,
+    nr_bracket,
+    sorted_tuples,
+)
 from pseudoalg.structures import CLASSICAL, SHIFTED, TYPE_I, TYPE_II, QuasiTwilled
-from pseudoalg.deformation import SWAP2, TwistedLinfOps, twist2_components
+from pseudoalg.deformation import SWAP2, TwistedLinfOps, _check_orientation, twist2_components
 from pseudoalg.cohomology import handle_for
 
 CONVENTIONS = (CLASSICAL, SHIFTED)
+
+
+# -- Hopf-axiom helpers --------------------------------------------------------------
+
+
+def coproduct_iter(a: HElem, p: int) -> HTensor:
+    """Delta^p(a) as an HTensor of arity p+1: sum over all splits of each K."""
+    if p < 1:
+        raise InputError("iterated coproduct needs p >= 1")
+    out = {}
+    for K, c in a.terms.items():
+        for split in mi_splits(K, p + 1):
+            v = out.get(split, 0) + c
+            if v:
+                out[split] = v
+            else:
+                out.pop(split, None)
+    return HTensor(a.alg, p + 1, out)
+
+
+def antipode(a: HElem) -> HElem:
+    out = {}
+    for K, c in a.terms.items():
+        for L, c2 in a.alg.antipode_mono(K).items():
+            v = out.get(L, 0) + c * c2
+            if v:
+                out[L] = v
+            else:
+                out.pop(L, None)
+    return HElem(a.alg, out)
+
+
+def tensor_mul(a: HTensor, b: HTensor) -> HTensor:
+    """Componentwise product in H^{(x) n}; exercises straightening."""
+    a._check(b)
+    out = {}
+    for I, ci in a.terms.items():
+        for J, cj in b.terms.items():
+            legs = [HElem(a.alg, a.alg.mul_mono(x, y)) for x, y in zip(I, J)]
+            for tup, c in HTensor.from_legs(legs).terms.items():
+                v = out.get(tup, 0) + ci * cj * c
+                if v:
+                    out[tup] = v
+                else:
+                    out.pop(tup, None)
+    return HTensor(a.alg, a.arity, out)
 
 
 # -- dense linear algebra (against pseudoalg.linalg) --------------------------------
@@ -111,6 +176,59 @@ def nullspace_dense(rows, ncols=None):
             vec[pc] = -m[ri][fc]
         basis.append(vec)
     return basis
+
+
+# -- graph closure and the bullet list (against deformation and structures) --------
+
+
+def graph_check(Q: QuasiTwilled, D: HModuleMap) -> dict:
+    """Closure of Gr(D) under Omega, via the kernel map (x,u) -> D(x) - u.
+
+    Independent of dmap1_residual: evaluates the assembled bracket on graph
+    elements and tests membership in H^2 (x)_H Gr(D) by exactness of
+    tensoring the defining short exact sequence with the flat module H^2.
+    """
+    _check_orientation(Q, D, TYPE_I)
+    om = Q.omega()
+    G, cut = Q.G, Q.G.split
+
+    def phi(k: int) -> PTElem:
+        # Phi(x, u) = u - D(x), valued in h; Gr(D) = ker Phi and H^2 is
+        # flat, so membership is exactly the vanishing of the pushforward.
+        if k < cut:
+            return -D.apply_basis(k)
+        return Q.h.elem(k - cut)
+
+    residuals = {}
+    for i, j in sorted_tuples(Q.g.rank, 2):
+        # graph elements (x_i, D x_i) in G
+        gi = G.elem(i) + coerce_to_sum(D.apply_basis(i), G, "h")
+        gj = G.elem(j) + coerce_to_sum(D.apply_basis(j), G, "h")
+        resid = om.eval([gi, gj]).map_module(phi, Q.h)
+        if not resid.is_zero():
+            residuals[(i, j)] = resid
+    return {"ok": not residuals, "residuals": residuals}
+
+
+def mc_bullet_components(Q: QuasiTwilled) -> dict:
+    """The paper's component decomposition of [Omega, Omega] by bidegree.
+
+    Returns {label: Cochain on G} for the seven bullet equations, e.g.
+    PC2 -> [pi,pi] + 2 eta o theta, each supported on its predicted block.
+    """
+    pi, rho, mu, eta, th = (lift(c, Q.G) for c in Q.components)
+    return {
+        "PC2": nr_bracket(pi, pi) + circle(eta, th).scale(2),
+        "PC3": nr_bracket(rho, th) + nr_bracket(pi, th),
+        "PC4": nr_bracket(pi, eta) + circle(eta, rho),
+        "PC5": nr_bracket(rho, rho).scale(Fraction(1, 2))
+        + circle(th, eta)
+        + nr_bracket(mu, th)
+        + nr_bracket(pi, rho),
+        "PC6": nr_bracket(mu, eta).scale(2) + nr_bracket(eta, eta),
+        "PC7": nr_bracket(rho, mu) + circle(rho, eta),
+        "PC8": nr_bracket(mu, mu),
+    }
 
 
 # -- twisted l1 against the CE differential ----------------------------------------
@@ -202,7 +320,7 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
 def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
     """Type II cocycle certificates via zeta/mu^T, direct and differential routes."""
     handle = handle_for(TYPE_II, Q, T, convention=convention, verify=False)
-    res = twist2_components(Q, T)
+    Qt, _xi = twist2_components(Q, T)
     direct = {}
     if n == 1:
         x = f  # an element of g
@@ -217,7 +335,7 @@ def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CL
             u, v = Q.h.elem(i), Q.h.elem(j)
             fv = f.value((j,))
             fu = f.value((i,))
-            mu_T = res.mu.value((i, j))
+            mu_T = Qt.mu.value((i, j))
             r = (
                 zeta_value(Q, T, u, fv)
                 - permute(zeta_value(Q, T, v, fu), SWAP2)

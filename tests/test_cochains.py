@@ -11,10 +11,7 @@ from pseudoalg.hopf import InputError, LieAlgebra
 from pseudoalg.ptensor import FreeModule, PTElem, perm_sign, permute
 from pseudoalg.cochains import (
     Cochain,
-    INHOMOGENEOUS,
     MixedMap,
-    ZERO_BIDEGREE,
-    bidegree_of,
     circle,
     extract_components,
     extract_pure,
@@ -26,7 +23,6 @@ from pseudoalg.cochains import (
     shuffles,
     skew_check,
     sorted_tuples,
-    transpose_last,
 )
 
 from conftest import count_insertions, pt, term_order_digest, vir_value
@@ -373,6 +369,21 @@ def test_lift_zero_and_extract_roundtrip(qd, rng):
     assert set(comps) <= {(("g", "g"), "h")}
 
 
+def test_extract_pure_refuses_a_stray_block(qd):
+    # a component outside the requested block is an error, never dropped
+    g = FreeModule("g", ["x"], qd)
+    h = FreeModule("h", ["u"], qd)
+    G = FreeModule.direct_sum(g, h)
+    theta = Cochain(2, g, h, {(0, 0): vir_value(h)})
+    pi = Cochain(2, g, g, {(0, 0): vir_value(g)})
+    eta = MixedMap(g, h, g, {(0, 0): pt(g, [(0, 1, 0, 0, 1)])})
+    with pytest.raises(InputError):
+        extract_pure(lift(theta, G) + lift(pi, G), "g", "h")  # stray target part
+    with pytest.raises(InputError):
+        extract_pure(lift(theta, G) + lift(eta, G), "g", "h")  # stray input pattern
+    assert extract_pure(lift(theta, G), "g", "h") == theta
+
+
 def test_lift_refuses_sources_out_of_order(qd, rng):
     # lift shifts slot i by the offset of sources[i] in G; the keys stay
     # non-decreasing only when the sources are G's parts in order
@@ -385,6 +396,33 @@ def test_lift_refuses_sources_out_of_order(qd, rng):
         lift(rho.swapped(), G)
     with pytest.raises(InputError):
         lift(Cochain(1, FreeModule("f", ["z"], qd), g, {}), G)
+
+
+INHOMOGENEOUS = "inhomogeneous"
+ZERO_BIDEGREE = "inhomogeneous-zero"
+
+
+def bidegree_of(f: Cochain):
+    """Bidegree k|l of a cochain on g [+] h, or an inhomogeneity marker.
+
+    Case (i) blocks g^{k+1} h^l land in g; case (ii) blocks g^k h^{l+1} land
+    in h; a homogeneous cochain touches only blocks of one (k, l).
+    """
+    candidates = set()
+    for (pattern, tpart), entries in extract_components(f).items():
+        if not entries:
+            continue
+        a = sum(1 for p in pattern if p == "g")
+        b = len(pattern) - a
+        if tpart == "g":
+            candidates.add((a - 1, b))
+        else:
+            candidates.add((a, b - 1))
+    if not candidates:
+        return ZERO_BIDEGREE
+    if len(candidates) == 1:
+        return candidates.pop()
+    return INHOMOGENEOUS
 
 
 def test_bidegrees(qd, rng):
@@ -423,20 +461,6 @@ def test_bidegree_additivity_and_vanishing(qd, rng):
     t2 = lift(random_cochain(rng, h, g, 2, max_deg=2), G)
     assert bidegree_of(t1) == (-1, 1)
     assert nr_bracket(t1, t2).is_zero()
-
-
-# -- transpose action ------------------------------------------------------------------
-
-
-def test_transpose_last(gm, mu, rng):
-    got = transpose_last(mu)
-    assert got.value((0, 0)) == vir_value(gm).scale(-1)
-    assert transpose_last(got) == mu
-    assert transpose_last(Cochain.zero(2, gm, gm)).is_zero()
-    f = random_cochain(rng, gm, gm, 3, max_deg=2)
-    assert transpose_last(transpose_last(f)) == f
-    # on skew cochains the unsigned action is -id
-    assert transpose_last(f) == f.scale(-1)
 
 
 def test_eval_checks_argument_modules():

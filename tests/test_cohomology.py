@@ -395,7 +395,8 @@ def test_matched_pair_dT_routes(qd, rng):
         assert ce_diff_matched_type2(Q, T, f) == handle.diff(f)
     # and on a matched pair with a nontrivial action
     g = zoo.virasoro("g", "x")
-    habel = zoo.abelian_algebra("h", ["u"], qd)
+    hm = FreeModule("h", ["u"], qd)
+    habel = LiePseudoalgebra(hm, Cochain.zero(2, hm, hm))
     rho = zoo.adjoint_action(g, habel.module)
     eta = MixedMap.zero(g.module, habel.module, g.module)
     Q2 = zoo.build(zoo.MATCHED_PAIR_DEF,

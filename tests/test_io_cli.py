@@ -180,15 +180,23 @@ def test_cli_check_qt_non_skew_omega_reports_fail(files, capsys, tmp_path):
         ("dmap", "good", ["matrix", 0, 0, [3]]),
         ("nr", "cochain", ["table", [[0]]]),
         ("nr", "cochain", ["modules", "g", "basis"]),
+        # a cochain file for another structure: ce checks its hopf and modules
+        ("ce", "cochain", ["hopf", "not even an object"]),
+        ("ce", "cochain", ["hopf", {"generators": ["t"], "brackets": []}]),
+        ("ce", "cochain", ["modules", "g", "basis", ["y"]]),
+        ("ce", "cochain", ["modules", "h", "basis", ["x'", "y'"]]),
+        ("ce", "cochain", ["modules", {"g": {"basis": ["x"]}}]),
     ],
     ids=[
         "map-list", "nr-list", "ce-list", "modules-g-list", "maps-list", "map-entry-int",
         "term-str", "bracket-int", "map-term-int", "cochain-entry-list", "module-spec-str",
+        "ce-hopf-str", "ce-other-hopf", "ce-other-g", "ce-other-h", "ce-no-h",
     ],
 )
 def test_cli_wrong_json_shape_exit2(files, capsys, tmp_path, rng, cmd, target, edit):
-    # a file of the wrong shape is an input error (exit 2), not a traceback;
-    # edit None replaces the whole file by [], else it is (keys..., new value)
+    # a file of the wrong shape, or a cochain file that does not match the
+    # structure, is an input error (exit 2), not a traceback; edit None
+    # replaces the whole file by [], else it is (keys..., new value)
     Q = pio.structure_from_json(pio.loads(files["struct"].read_text()))
     paths = {"struct": files["struct"], "good": files["good"], "cochain": tmp_path / "c.json"}
     paths["cochain"].write_text(pio.dumps(pio.cochain_to_json(random_cochain(rng, Q.g, Q.h, 1))))
@@ -374,6 +382,20 @@ def test_cli_twist_writes_structure(files, capsys, tmp_path):
     assert not Q2.theta.is_zero()
 
 
+def test_cli_twist_type2_writes_no_structure_with_xi(capsys, tmp_path):
+    # T = id is not a Reynolds operator, so xi != 0 and the twist is not
+    # quasi-twilled: the report names xi and -o writes nothing
+    Q = zoo.demo_bundle(zoo.REYNOLDS)["Q"]
+    q, m, out_path = tmp_path / "q.json", tmp_path / "m.json", tmp_path / "twisted.json"
+    q.write_text(pio.dumps(pio.structure_to_json(Q)))
+    m.write_text(pio.dumps(pio.map_to_json(HModuleMap.scalar(Q.h, Q.g, 1), "h", "g")))
+    code, out, _ = run_cli(["twist", "--type", "II", str(q), str(m), "-o", str(out_path)], capsys)
+    assert code == 1
+    assert "[FAIL] twisted structure quasi-twilled (xi = 0)" in out
+    assert "[PASS] closed form equals bracket series" in out
+    assert not out_path.exists()
+
+
 def test_cli_nr_and_ce(files, capsys, tmp_path, rng):
     Q = pio.structure_from_json(pio.loads(files["struct"].read_text()))
     f = random_cochain(rng, Q.g, Q.g, 1, max_deg=1)
@@ -452,6 +474,45 @@ def test_cli_dictionary_weight_is_an_exact_rational(files, capsys, weight):
     code, out, err = run_cli([*args, str(files["struct"]), str(files["good"])], capsys)
     assert code == 2 and out == ""
     assert "--weight" in err and repr(weight) in err
+
+
+def test_cli_dictionary_refuses_a_weight_the_kind_ignores(tmp_path, capsys):
+    # only modified_r, crossed_hom and relative_rb read --weight; any other
+    # kind refuses it rather than parse it and run without it
+    bundle = zoo.demo_bundle(zoo.DERIVATION)
+    q, m = tmp_path / "q.json", tmp_path / "m.json"
+    q.write_text(pio.dumps(pio.structure_to_json(bundle["Q"])))
+    m.write_text(pio.dumps(pio.map_to_json(bundle["map"], "g", "h")))
+    args = ["dictionary", "--kind", "derivation", str(q), str(m)]
+    assert run_cli(args, capsys)[0] == 0
+    code, out, err = run_cli([*args, "--weight", "7"], capsys)
+    assert code == 2 and out == ""
+    assert "derivation takes no weight" in err
+
+
+@pytest.mark.parametrize("arity", ["0", "-3"])
+def test_cli_linf_refuses_max_arity_below_one(files, capsys, arity):
+    # no identity would be checked, so a "pass" would claim nothing
+    args = ["linf", "--type", "I", str(files["struct"]), "--max-arity", arity]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "name, out",
+    [("modified_r", False), ("rank2_type_i", True), ("virasoro", True)],
+    ids=["map-without-out", "no-map", "algebra"],
+)
+def test_cli_zoo_refuses_a_map_out_it_cannot_write(tmp_path, capsys, name, out):
+    # --map-out is written only beside -o and only for a name with a map;
+    # otherwise it is refused before any file is written
+    q, m = tmp_path / "q.json", tmp_path / "m.json"
+    args = ["zoo", name, "--map-out", str(m)] + (["-o", str(q)] if out else [])
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 2 and stdout == ""
+    assert "--map-out" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_report_determinism(files, capsys):

@@ -9,14 +9,16 @@ import sympy
 from pseudoalg import rank2
 from pseudoalg.cli import main as cli_main
 from pseudoalg.cohomology import ResourceError
+from pseudoalg.hopf import coeff
 from pseudoalg.rank2 import (
     MAX_UNKNOWNS,
     OTHER_TAG,
+    Family,
     Rank2Problem,
     TYPE_I_TAG,
     TYPE_II_TAG,
     TYPE_III_TAG,
-    classify_instance,
+    classify_family,
     lemma_special_case,
     rank2_search,
     reconstruct_polynomials,
@@ -32,6 +34,12 @@ def vec(problem, **kw):
     for (name, ij) in problem.layout:
         out.append(Fraction(kw.get(f"{name}_{ij[0]}{ij[1]}", 0)))
     return out
+
+
+def classify_instance(problem: Rank2Problem, assignment) -> str:
+    """Tag a single rational instance against the three patterns."""
+    fam = Family({s: sympy.Rational(coeff(v)) for s, v in zip(problem.symbols, assignment)}, [], set())
+    return classify_family(problem, fam)
 
 
 def test_instance_classification():
@@ -90,7 +98,7 @@ def _distinct_up_to_scaling(polys, symbols):
 @pytest.mark.parametrize("max_deg, virasoro", [(1, False), (2, False), (1, True)])
 def test_ring_evaluation_matches_interpolation(max_deg, virasoro):
     p = Rank2Problem(max_deg, mu_virasoro=virasoro)
-    interpolated = _interpolate_quadratics(p.residual_vector, p.nvars(), p.symbols)
+    interpolated = _interpolate_quadratics(p.residual_vector, len(p.layout), p.symbols)
     assert [q.as_expr() for q in p.residual_polynomials(p.gens)] == interpolated
     assert reconstruct_polynomials(p) == _distinct_up_to_scaling(interpolated, p.symbols)
 
@@ -335,7 +343,7 @@ def test_search_tree_size_pinned(monkeypatch, search, nodes):
 
 
 def test_search_over_unknowns_budget_refused():
-    assert Rank2Problem(3).nvars() == 28 <= MAX_UNKNOWNS
+    assert len(Rank2Problem(3).layout) == 28 <= MAX_UNKNOWNS
     for make in (lambda: rank2_search(4), lambda: lemma_special_case(4)):
         with pytest.raises(ResourceError):
             make()

@@ -27,10 +27,7 @@ from pseudoalg.hopf import (
     HElem,
     HTensor,
     LieAlgebra,
-    antipode,
     coeff,
-    coproduct_iter,
-    counit,
     exact_div,
 )
 from pseudoalg.ptensor import FreeModule, PTElem, canonicalize
@@ -38,6 +35,8 @@ from pseudoalg.cochains import MixedMap, nr_bracket, random_cochain, random_ptel
 from pseudoalg.structures import QuasiTwilled, check_mc_omega, check_pc
 from pseudoalg.deformation import TYPE_I, TYPE_II, exp_twist
 from pseudoalg import zoo
+
+from oracles import antipode, coproduct_iter
 
 B2 = zoo.nonabelian_2dim()
 QD = LieAlgebra.abelian(["d"])
@@ -244,7 +243,7 @@ def test_antipode_law_nonabelian(x):
     acc = B2.zero()
     for (K1, K2), c in coproduct_iter(x, 1).terms.items():
         acc = acc + (antipode(B2.mono(K1)) * B2.mono(K2)).scale(c)
-    assert acc == B2.unit().scale(counit(x))
+    assert acc == B2.unit().scale(x.terms.get(B2.zero_index, 0))
     assert_exact(antipode(x).terms.values())
 
 
