@@ -276,16 +276,21 @@ def cmd_cohomology(args, report):
 
 def cmd_dictionary(args, report):
     from . import zoo as pzoo
+    if args.seed is not None and args.trials < 1:
+        raise pio.ParseError("--seed seeds the --trials random maps; it needs --trials 1 or more")
+    report.seed = 0 if args.seed is None else args.seed
     Q = _load_structure(args, report)
     kind = args.kind
     weight = _parse_weight(args.weight) if args.weight is not None else None
     ingredients = pzoo.ingredients_from_structure(kind, Q, weight)
-    Qc = pzoo.build(kind, ingredients)
-    src, dst = orientation(Qc, pzoo.map_type(kind))
-    data = _load_json(args.map)
-    m = pio.map_from_json(data, src, dst)
-    rng = random.Random(args.seed)
-    res = pzoo.dictionary_check(kind, ingredients, m, rng=rng, trials=args.trials, Q=Qc)
+    given = pio.structure_to_json(Q)["maps"]
+    rebuilt = pio.structure_to_json(pzoo.build(kind, ingredients))["maps"]
+    if rebuilt != given:
+        other = ", ".join(name for name in given if rebuilt[name] != given[name])
+        raise pio.ParseError(f"the {kind} ingredients of the structure rebuild other {other}")
+    m = _load_map(args.map, Q, pzoo.map_type(kind))
+    rng = random.Random(report.seed)
+    res = pzoo.dictionary_check(kind, ingredients, m, rng=rng, trials=args.trials, Q=Q)
     report.add(
         "operator identity <=> deformation-map residual",
         res["ok"],
@@ -315,6 +320,8 @@ def _parse_weight(weight):
 def cmd_zoo(args, report):
     from . import zoo as pzoo
     if args.list:
+        if (args.name, args.out, args.map_out) != (None, None, None):
+            raise pio.ParseError("--list takes no name, -o or --map-out")
         names = ("virasoro", "cur_sl2", "cur_2dim_nonabelian", *pzoo.ZOO_NAMES, *pzoo.DEMO_ALIASES)
         print("\n".join(names))
         return
@@ -436,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dictionary", help="operator identity vs deformation map")
     p.add_argument("--kind", choices=ALL_KINDS, required=True)
     p.add_argument("--weight", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=0)
     p.add_argument("structure")
     p.add_argument("map")

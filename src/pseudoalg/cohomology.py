@@ -52,9 +52,6 @@ from .deformation import (
 )
 from . import linalg
 
-PLAIN = "plain"
-
-
 COORD_BUDGET = 60000
 
 
@@ -151,7 +148,7 @@ def ce_differential0(bracket: Cochain, action: MixedMap, u: PTElem, convention=C
 
 
 class CEComplexHandle:
-    """A validated CE complex for one deformation map (or a plain rep).
+    """A validated CE complex for one deformation map.
 
     Construction verifies d o d = 0 at p = 1 on seeded random cochains under
     the active convention; a violation invalidates the handle immediately.
@@ -206,16 +203,14 @@ def induced_rep_type2(Q: QuasiTwilled, T: HModuleMap):
     return algebra, rep
 
 
-def handle_for(kind, Q=None, M=None, algebra=None, rep=None, convention=CLASSICAL, verify=True):
-    """Build the CE handle for a deformation map, or for a plain representation."""
+def handle_for(kind, Q, M, convention=CLASSICAL, verify=True):
+    """Build the CE handle of a type I or type II deformation map M of Q."""
     if kind == TYPE_I:
         alg, rp = induced_rep_type1(Q, M)
     elif kind == TYPE_II:
         alg, rp = induced_rep_type2(Q, M)
-    elif kind == PLAIN:
-        alg, rp = algebra, rep
     else:
-        raise InputError("kind must be 'I', 'II' or 'plain'")
+        raise InputError("kind must be 'I' or 'II'")
     return CEComplexHandle(kind, alg.bracket, rp.action, convention, verify=verify)
 
 

@@ -1,12 +1,28 @@
 """Builders for the named example structures and operator-identity residuals.
 
-Each operator kind comes with (a) a quasi-twilled builder whose output passes
-check_pc, with its inverse ingredients_from_structure, and (b) an operator
-residual computed by expanding the printed identity directly from brackets
-and actions, WITHOUT the quasi-twilled machinery.  dictionary_check crosses
-the two: the named identity holds iff the corresponding deformation-map
-residual vanishes.  map_type names a kind's map type; structures.orientation
-and deformation.dmap_residual give each type's direction and residual.
+The ten operator kinds share one recipe.  KIND_INGREDIENTS lists the
+classical ingredients each kind has besides its Lie pseudoalgebra g: a
+coefficient algebra h or a module, an action of g, a 2-cocycle, a coaction
+and a weight.  `build` places them in a quasi-twilled structure (pi = g's
+bracket, rho = the action, mu = weight * h's bracket, eta = the coaction,
+theta = the cocycle, or +-g's bracket for the two Reynolds kinds), checked
+by PC1-PC8; `ingredients_from_structure` reads the same keys back off Q.
+modified_r alone is placed apart: pi = 0, h is a copy of g with mu its
+bracket, eta is g's bracket read on g (x) h and theta = weight * g's bracket.
+
+`operator_residual` expands the printed identity of a kind directly from
+brackets and actions, WITHOUT the quasi-twilled machinery, in one of three
+shapes, skipping the terms of absent ingredients:
+
+    modified r-matrix   [Dx,Dy] - D([Dx,y] + [x,Dy]) + p[x,y]
+    crossed hom (I)     D[x,y] - rho(x)Dy + rho(y)Dx - p[Dx,Dy]_h
+    Rota-Baxter (II)    [Tu,Tv] + eta(Tu)v - eta(Tv)u
+                            - T(rho(Tu)v - rho(Tv)u + p[u,v]_h + omega(Tu,Tv))
+
+dictionary_check crosses the two sides: the operator residual equals the
+deformation-map residual of the same map, term by term up to a sign per
+shape.  map_type names a kind's map type; structures.orientation and
+deformation.dmap_residual give each type's direction and residual.
 
 The curated structures run over one H = Q[d]: `builtin` and `demo_bundle`
 take it as `alg`, and `zoo_structures` makes one per call, so its structures
@@ -40,12 +56,11 @@ from .structures import (
     TYPE_II,
     LiePseudoalgebra,
     QuasiTwilled,
-    Representation,
     orientation,
     require_pc,
 )
 from .deformation import SWAP2, dmap_residual
-from .cohomology import PLAIN, ce_differential, handle_for
+from .cohomology import ce_differential
 
 
 def map_type(kind: str) -> str:
@@ -157,251 +172,163 @@ def diagonal_action(P: LiePseudoalgebra, copies: LiePseudoalgebra) -> MixedMap:
 
 # -- structure builders -----------------------------------------------------------
 
+# The classical ingredients of each operator kind besides its "algebra", the
+# Lie pseudoalgebra g.  Its h is the module of a Lie pseudoalgebra
+# "coefficients" or a bare "module" (modified_r's h is a copy of g);
+# "action" is a map g (x) h -> h, "cocycle" a 2-cochain g (x) g -> h,
+# "coaction" a map g (x) h -> g and "weight" an exact scalar.
+KIND_INGREDIENTS = {
+    MODIFIED_R: ("weight",),
+    CROSSED_HOM: ("coefficients", "action", "weight"),
+    DERIVATION: ("module", "action"),
+    HOMOMORPHISM: ("coefficients",),
+    RELATIVE_RB: ("coefficients", "action", "weight"),
+    O_OPERATOR: ("module", "action"),
+    TWISTED_RB: ("module", "action", "cocycle"),
+    REYNOLDS: ("module", "action"),
+    REYNOLDS_CLASSICAL: ("module", "action"),
+    MATCHED_PAIR_DEF: ("coefficients", "action", "coaction"),
+}
+# A Reynolds kind's cocycle is g's bracket read in its module, with this sign.
+REYNOLDS_SIGNS = {REYNOLDS: 1, REYNOLDS_CLASSICAL: -1}
+
+
+def _kind_ingredients(kind: str) -> tuple:
+    if kind not in KIND_INGREDIENTS:
+        raise InputError(f"unknown operator kind {kind!r}")
+    return KIND_INGREDIENTS[kind]
+
+
+def _bracket_into(P: LiePseudoalgebra, M: FreeModule, c) -> Cochain:
+    """c times the bracket of P, read as a 2-cochain P (x) P -> M (same rank)."""
+    return Cochain(2, P.module, M, {t: v.coerce(M).scale(c) for t, v in P.bracket.terms.items()})
+
+
+def _h_side(ingredients: dict) -> FreeModule:
+    hP = ingredients.get("coefficients")
+    return ingredients["module"] if hP is None else hP.module
+
+
+def _cocycle(kind: str, ingredients: dict, h: FreeModule):
+    """The twisting 2-cocycle g (x) g -> h, or None when the kind has none."""
+    if kind in REYNOLDS_SIGNS:
+        return _bracket_into(ingredients["algebra"], h, REYNOLDS_SIGNS[kind])
+    return ingredients.get("cocycle")
+
 
 def build(kind: str, ingredients: dict) -> QuasiTwilled:
     """Assemble the quasi-twilled structure of the given kind; PC-validated.
 
     Ingredient axioms (Lie, action, cocycle) are what check_pc verifies on the
-    assembled tuple, so a bad ingredient surfaces as a labeled residual.
+    assembled tuple, so a bad ingredient surfaces as a labeled residual; a
+    twisting term that is not a 2-cocycle fails PC3.  An ingredient the kind
+    does not have is refused.
     """
+    extra = set(ingredients) - {"algebra", *_kind_ingredients(kind)}
+    if extra:
+        raise InputError(f"{kind} takes no {', '.join(sorted(extra))}")
+    gP = ingredients["algebra"]
+    p = ingredients.get("weight", 1)
     if kind == MODIFIED_R:
-        P = ingredients["algebra"]
-        p = Fraction(ingredients["weight"])
-        hP = clone_bracket(P, P.module.name + "_h")
-        eta = MixedMap(
-            P.module,
-            hP.module,
-            P.module,
-            {
-                (i, j): P.bracket.value((i, j))
-                for i in range(P.module.rank)
-                for j in range(P.module.rank)
-                if not P.bracket.value((i, j)).is_zero()
-            },
-        )
-        theta = Cochain(
-            2,
-            P.module,
-            hP.module,
-            {t: v.coerce(hP.module).scale(p) for t, v in P.bracket.terms.items()},
-        )
-        Q = QuasiTwilled(P.module, hP.module, eta=eta, mu=hP.bracket, theta=theta)
-    elif kind in (CROSSED_HOM, RELATIVE_RB):
-        gP, hP = ingredients["algebra"], ingredients["coefficients"]
-        rho = ingredients["action"]
-        p = Fraction(ingredients["weight"])
+        hP = clone_bracket(gP, gP.module.name + "_h")
+        r = gP.module.rank
+        eta = MixedMap(gP.module, hP.module, gP.module,
+                       {(i, j): gP.bracket.value((i, j)) for i in range(r) for j in range(r)})
+        Q = QuasiTwilled(gP.module, hP.module, eta=eta, mu=hP.bracket,
+                         theta=_bracket_into(gP, hP.module, p))
+    else:
+        hP, h = ingredients.get("coefficients"), _h_side(ingredients)
         Q = QuasiTwilled(
             gP.module,
-            hP.module,
+            h,
             pi=gP.bracket,
-            rho=rho,
-            mu=hP.bracket.scale(p),
+            rho=ingredients.get("action"),
+            mu=None if hP is None else hP.bracket.scale(p),
+            eta=ingredients.get("coaction"),
+            theta=_cocycle(kind, ingredients, h),
         )
-    elif kind in (DERIVATION, O_OPERATOR):
-        gP, M, rho = ingredients["algebra"], ingredients["module"], ingredients["action"]
-        Q = QuasiTwilled(gP.module, M, pi=gP.bracket, rho=rho)
-    elif kind == HOMOMORPHISM:
-        gP, hP = ingredients["algebra"], ingredients["coefficients"]
-        Q = QuasiTwilled(gP.module, hP.module, pi=gP.bracket, mu=hP.bracket)
-    elif kind in (TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL):
-        gP, M, rho = ingredients["algebra"], ingredients["module"], ingredients["action"]
-        if kind == REYNOLDS:
-            omega = Cochain(
-                2, gP.module, M, {t: v.coerce(M) for t, v in gP.bracket.terms.items()}
-            )
-        elif kind == REYNOLDS_CLASSICAL:
-            omega = Cochain(
-                2,
-                gP.module,
-                M,
-                {t: v.coerce(M).scale(-1) for t, v in gP.bracket.terms.items()},
-            )
-        else:
-            omega = ingredients["cocycle"]
-        _validate_cocycle(gP, M, rho, omega)
-        Q = QuasiTwilled(gP.module, M, pi=gP.bracket, rho=rho, theta=omega)
-    elif kind == MATCHED_PAIR_DEF:
-        gP, hP = ingredients["algebra"], ingredients["coefficients"]
-        rho = ingredients.get("action") or MixedMap.zero(gP.module, hP.module, hP.module)
-        eta = ingredients.get("coaction") or MixedMap.zero(gP.module, hP.module, gP.module)
-        Q = QuasiTwilled(gP.module, hP.module, pi=gP.bracket, rho=rho, mu=hP.bracket, eta=eta)
-    else:
-        raise InputError(f"unknown operator kind {kind!r}")
     return require_pc(Q, "ingredients violate the structure axioms")
 
 
 def ingredients_from_structure(kind: str, Q: QuasiTwilled, weight=None) -> dict:
-    """Invert `build`: recover the kind's ingredients from the components of Q.
+    """Invert `build`: read the kind's ingredients off the components of Q.
 
-    `weight` is the exact scalar the weighted kinds (modified_r, crossed_hom,
-    relative_rb) need; the others refuse one.
+    `weight` is the exact scalar of the kinds whose KIND_INGREDIENTS has one
+    (modified_r, crossed_hom, relative_rb); the others refuse one.
     """
-    weighted = kind in (MODIFIED_R, CROSSED_HOM, RELATIVE_RB)
-    if weighted and weight is None:
+    have = _kind_ingredients(kind)
+    if "weight" in have and weight is None:
         raise InputError(f"a weight is required for {kind}")
-    if not weighted and weight is not None:
+    if "weight" not in have and weight is not None:
         raise InputError(f"{kind} takes no weight")
     if kind == MODIFIED_R:
-        table = {
-            t: v
-            for t, v in (
-                ((i, j), Q.eta.value((i, j)))
-                for i in range(Q.g.rank)
-                for j in range(Q.h.rank)
-                if i <= j
-            )
-            if not v.is_zero()
-        }
+        table = {(i, j): Q.eta.value((i, j)) for i in range(Q.g.rank) for j in range(i, Q.h.rank)}
         bracket = Cochain(2, Q.g, Q.g, table)
         return {"algebra": LiePseudoalgebra(Q.g, bracket), "weight": weight}
-    if kind in (CROSSED_HOM, RELATIVE_RB):
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        mu = Q.mu if weight == 0 else Q.mu.scale(exact_div(1, weight))
-        hP = LiePseudoalgebra(Q.h, mu)
-        return {"algebra": gP, "coefficients": hP, "action": Q.rho, "weight": weight}
-    if kind in (DERIVATION, O_OPERATOR):
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        return {"algebra": gP, "module": Q.h, "action": Q.rho}
-    if kind == HOMOMORPHISM:
-        return {
-            "algebra": LiePseudoalgebra(Q.g, Q.pi),
-            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
-        }
-    if kind in (TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL):
-        gP = LiePseudoalgebra(Q.g, Q.pi)
-        return {
-            "algebra": gP,
-            "module": Q.h,
-            "action": Q.rho,
-            "cocycle": Q.theta,
-        }
-    if kind == MATCHED_PAIR_DEF:
-        return {
-            "algebra": LiePseudoalgebra(Q.g, Q.pi),
-            "coefficients": LiePseudoalgebra(Q.h, Q.mu),
-            "action": Q.rho,
-            "coaction": Q.eta,
-        }
-    raise InputError(f"unknown operator kind {kind!r}")
-
-
-def _validate_cocycle(gP, M, rho, omega):
-    alg = LiePseudoalgebra(gP.module, gP.bracket, validate=False)
-    rep = Representation(alg, M, rho)
-    handle = handle_for(PLAIN, algebra=alg, rep=rep, convention=CLASSICAL, verify=False)
-    if not handle.diff(omega).is_zero():
-        raise InputError("the twisting term is not a 2-cocycle of the representation")
+    ing = {"algebra": LiePseudoalgebra(Q.g, Q.pi), "module": Q.h, "action": Q.rho,
+           "cocycle": Q.theta, "coaction": Q.eta, "weight": weight}
+    if "coefficients" in have:
+        mu = Q.mu.scale(exact_div(1, weight)) if weight else Q.mu
+        ing["coefficients"] = LiePseudoalgebra(Q.h, mu)
+    return {key: ing[key] for key in ("algebra", *have)}
 
 
 # -- operator residuals (independent expansions) ------------------------------------
 
 
 def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
-    """The printed operator identity's residual, expanded without Q machinery."""
+    """The printed operator identity's residual, expanded without Q machinery.
+
+    One expansion per printed shape (module docstring); an absent
+    ingredient's terms are skipped, and a kind without a weight has p = 1.
+    """
+    gP = ingredients["algebra"]
+    br = gP.bracket
     if kind == MODIFIED_R:
-        P = ingredients["algebra"]
-        p = Fraction(ingredients["weight"])
-        br = P.bracket
-        if (m.src, m.dst) != (P.module, P.module):
+        p = ingredients["weight"]
+        if (m.src, m.dst) != (gP.module, gP.module):
             # a map between same-rank copies of the module, read on the module
-            rows = {i: row.coerce(P.module) for i, row in m.terms.items()}
-            m = HModuleMap(P.module, P.module, rows)
-        table = {}
-        for t in sorted_tuples(P.module.rank, 2):
-            x, y = P.module.elem(t[0]), P.module.elem(t[1])
-            r = (
-                br.eval([m(x), m(y)])
-                - (br.eval([m(x), y]) + br.eval([x, m(y)])).map_module(m.apply_basis, m.dst)
-                + br.value(t).scale(p)
-            )
-            table[t] = r
-        return Cochain(2, P.module, P.module, table)
-    if kind in (CROSSED_HOM, DERIVATION):
-        gP = ingredients["algebra"]
-        rho = ingredients["action"]
-        hmod = rho.hmod
-        br_h = ingredients.get("coefficients")
-        p = Fraction(ingredients.get("weight", 0))
-        table = {}
-        for t in sorted_tuples(gP.module.rank, 2):
-            x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
-            r = (
-                gP.bracket.value(t).map_module(m.apply_basis, m.dst)
-                - rho.eval([x, m(y)])
-                + permute(rho.eval([y, m(x)]), SWAP2)
-            )
-            if kind == CROSSED_HOM:
-                r = r - br_h.bracket.eval([m(x), m(y)]).scale(p)
-            table[t] = r
-        return Cochain(2, gP.module, hmod, table)
-    if kind == HOMOMORPHISM:
-        gP, hP = ingredients["algebra"], ingredients["coefficients"]
+            rows = {i: row.coerce(gP.module) for i, row in m.terms.items()}
+            m = HModuleMap(gP.module, gP.module, rows)
         table = {}
         for t in sorted_tuples(gP.module.rank, 2):
             x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
             table[t] = (
-                gP.bracket.value(t).map_module(m.apply_basis, m.dst)
-                - hP.bracket.eval([m(x), m(y)])
+                br.eval([m(x), m(y)])
+                - (br.eval([m(x), y]) + br.eval([x, m(y)])).map_module(m.apply_basis, m.dst)
+                + br.value(t).scale(p)
             )
-        return Cochain(2, gP.module, hP.module, table)
-    if kind in (RELATIVE_RB, O_OPERATOR):
-        gP = ingredients["algebra"]
-        rho = ingredients["action"]
-        hmod = rho.hmod
-        p = Fraction(ingredients.get("weight", 0))
-        mu = ingredients["coefficients"].bracket if kind == RELATIVE_RB else None
-        table = {}
-        for t in sorted_tuples(hmod.rank, 2):
-            u, v = hmod.elem(t[0]), hmod.elem(t[1])
-            inner = rho.eval([m(u), v]) - permute(rho.eval([m(v), u]), SWAP2)
-            if mu is not None:
-                inner = inner + mu.value(t).scale(p)
-            table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
-        return Cochain(2, hmod, gP.module, table)
-    if kind in (TWISTED_RB, REYNOLDS, REYNOLDS_CLASSICAL):
-        gP = ingredients["algebra"]
-        rho = ingredients["action"]
-        hmod = rho.hmod
-        if kind == TWISTED_RB:
-            omega = ingredients["cocycle"]
-        else:
-            sign = 1 if kind == REYNOLDS else -1
-            omega = Cochain(
-                2,
-                gP.module,
-                hmod,
-                {t: v.coerce(hmod).scale(sign) for t, v in gP.bracket.terms.items()},
-            )
-        table = {}
-        for t in sorted_tuples(hmod.rank, 2):
-            u, v = hmod.elem(t[0]), hmod.elem(t[1])
-            inner = (
-                rho.eval([m(u), v])
-                - permute(rho.eval([m(v), u]), SWAP2)
-                + omega.eval([m(u), m(v)])
-            )
-            table[t] = gP.bracket.eval([m(u), m(v)]) - inner.map_module(m.apply_basis, m.dst)
-        return Cochain(2, hmod, gP.module, table)
-    if kind == MATCHED_PAIR_DEF:
-        gP, hP = ingredients["algebra"], ingredients["coefficients"]
-        rho = ingredients.get("action") or MixedMap.zero(gP.module, hP.module, hP.module)
-        eta = ingredients.get("coaction") or MixedMap.zero(gP.module, hP.module, gP.module)
-        table = {}
-        for t in sorted_tuples(hP.module.rank, 2):
-            u, v = hP.module.elem(t[0]), hP.module.elem(t[1])
-            # the matched-pair coaction enters through its orientation
-            # relation eta_mp(u (x) y) = -(12) eta(y (x) u)
-            eta_u_Tv = permute(eta.eval([m(v), u]), SWAP2).scale(-1)
-            eta_v_Tu = permute(eta.eval([m(u), v]), SWAP2).scale(-1)
-            lhs = gP.bracket.eval([m(u), m(v)]) + eta_u_Tv - permute(eta_v_Tu, SWAP2)
-            rhs = (
-                hP.bracket.value(t)
-                + rho.eval([m(u), v])
-                - permute(rho.eval([m(v), u]), SWAP2)
-            )
-            table[t] = lhs - rhs.map_module(m.apply_basis, m.dst)
-        return Cochain(2, hP.module, gP.module, table)
-    raise InputError(f"unknown operator kind {kind!r}")
+        return Cochain(2, gP.module, gP.module, table)
+    rho, hP = ingredients.get("action"), ingredients.get("coefficients")
+    p = ingredients.get("weight", 1)
+    h = _h_side(ingredients)
+    table = {}
+    if map_type(kind) == TYPE_I:  # the crossed-homomorphism shape
+        for t in sorted_tuples(gP.module.rank, 2):
+            x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
+            r = br.value(t).map_module(m.apply_basis, m.dst)
+            if rho is not None:
+                r = r - rho.eval([x, m(y)]) + permute(rho.eval([y, m(x)]), SWAP2)
+            if hP is not None:
+                r = r - hP.bracket.eval([m(x), m(y)]).scale(p)
+            table[t] = r
+        return Cochain(2, gP.module, h, table)
+    eta, cocycle = ingredients.get("coaction"), _cocycle(kind, ingredients, h)
+    for t in sorted_tuples(h.rank, 2):  # the Rota-Baxter shape
+        u, v = h.elem(t[0]), h.elem(t[1])
+        Tu, Tv = m(u), m(v)
+        inner = PTElem.zero(h, 2)
+        if rho is not None:
+            inner = rho.eval([Tu, v]) - permute(rho.eval([Tv, u]), SWAP2)
+        if hP is not None:
+            inner = inner + hP.bracket.value(t).scale(p)
+        if cocycle is not None:
+            inner = inner + cocycle.eval([Tu, Tv])
+        r = br.eval([Tu, Tv]) - inner.map_module(m.apply_basis, m.dst)
+        if eta is not None:
+            r = r + eta.eval([Tu, v]) - permute(eta.eval([Tv, u]), SWAP2)
+        table[t] = r
+    return Cochain(2, h, gP.module, table)
 
 
 def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
@@ -425,29 +352,29 @@ def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
 
 
 def dictionary_check(kind: str, ingredients: dict, m: HModuleMap, rng=None, trials=0, Q=None) -> dict:
-    """operator identity residual = 0 <=> deformation-map residual = 0.
+    """operator identity residual = sign * deformation-map residual, term by term.
 
-    Checked on the given map; with an rng, also on `trials` seeded random
-    maps of the right orientation.  The residual VALUES are also compared
-    termwise (the dictionary is an equality, not just a verdict match).
+    sign is -1 for the crossed-homomorphism shape and +1 for the other two;
+    modified_r's residual, a cochain on g, is read on the deformation
+    residual's target, a copy of g.  Checked on the given map; with an rng,
+    also on `trials` seeded random maps of the right orientation.
     """
     if Q is None:
         Q = build(kind, ingredients)
-    src, dst = orientation(Q, map_type(kind))
+    mtype = map_type(kind)
+    sign = -1 if mtype == TYPE_I and kind != MODIFIED_R else 1
+    src, dst = orientation(Q, mtype)
 
     def one(mp):
         op = operator_residual(kind, ingredients, mp)
-        df = dmap_residual(Q, mp, map_type(kind))
-        same_verdict = op.is_zero() == df.is_zero()
-        return same_verdict, op, df
+        df = dmap_residual(Q, mp, mtype)
+        read = {t: v.coerce(df.target).scale(sign) for t, v in op.terms.items()}
+        return Cochain(2, op.source, df.target, read) == df, op, df
 
     ok, op, df = one(m)
-    agree_all = ok
     for _ in range(trials):
-        mp = random_hmap(rng, src, dst)
-        okk, _, _ = one(mp)
-        agree_all = agree_all and okk
-    return {"ok": agree_all, "operator_residual": op, "deformation_residual": df}
+        ok = one(random_hmap(rng, src, dst))[0] and ok
+    return {"ok": ok, "operator_residual": op, "deformation_residual": df}
 
 
 # -- curated instances --------------------------------------------------------------

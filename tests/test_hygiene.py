@@ -354,3 +354,16 @@ def test_oracle_is_independent_of_its_production_route(oracle):
     # they share no code
     source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert route_names(source, oracle) & PRODUCTION_ROUTES[oracle] == set()
+
+
+# The deformation side of the dictionary, which zoo.operator_residual must not
+# reach: the two residuals it compares are evidence only while they share no code.
+DEFORMATION_SIDE = {
+    "dmap_residual", "dmap1_residual", "dmap2_residual", "_type1_tables", "pc_residuals", "omega",
+}
+
+
+def test_operator_residual_is_independent_of_the_deformation_side():
+    source = (PACKAGE_DIR / "zoo.py").read_text(encoding="utf-8")
+    assert route_names(source, "operator_residual") & DEFORMATION_SIDE == set()
+    assert "dmap_residual" in route_names(source, "dictionary_check")

@@ -20,10 +20,12 @@ from pseudoalg import io as pio
 from pseudoalg import zoo
 from pseudoalg.cli import main
 from pseudoalg.cohomology import ResourceError
-from pseudoalg.cochains import random_cochain
+from pseudoalg.cochains import MixedMap, random_cochain
 from pseudoalg.deformation import HModuleMap
 from pseudoalg.ptensor import FreeModule
 from pseudoalg.structures import QuasiTwilled
+
+from conftest import pt
 
 
 def run_cli(args, capsys):
@@ -488,6 +490,84 @@ def test_cli_dictionary_refuses_a_weight_the_kind_ignores(tmp_path, capsys):
     code, out, err = run_cli([*args, "--weight", "7"], capsys)
     assert code == 2 and out == ""
     assert "derivation takes no weight" in err
+
+
+def test_cli_dictionary_refuses_a_structure_its_kind_does_not_rebuild(capsys):
+    # relative_rb's structure has a mu that the o_operator ingredients (no
+    # coefficient algebra) cannot rebuild; dmap passes on the same files
+    q, m = (str(GOLDEN_DIR / f) for f in ("relative_rb.json", "relative_rb_map.json"))
+    assert run_cli(["dmap", "--type", "II", q, m], capsys)[0] == 0
+    code, out, err = run_cli(["dictionary", "--kind", "o_operator", q, m], capsys)
+    assert code == 2 and out == ""
+    assert "rebuild other mu" in err
+
+
+def test_cli_dictionary_refuses_a_map_of_the_other_type(capsys):
+    # a crossed homomorphism is a map g -> h; reynolds_map.json is h -> g
+    q, m = (str(GOLDEN_DIR / f) for f in ("crossed_hom.json", "reynolds_map.json"))
+    assert run_cli(["dmap", "--type", "I", q, m], capsys)[0] == 2
+    code, out, err = run_cli(["dictionary", "--kind", "crossed_hom", "--weight", "1", q, m],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "orientation" in err
+
+
+def test_cli_dictionary_refuses_a_seed_without_trials(files, capsys):
+    # --seed only draws the --trials random maps, so with none it is refused;
+    # without --seed the report names the default seed 0
+    args = ["dictionary", "--kind", "modified_r", "--weight", "4",
+            str(files["struct"]), str(files["good"])]
+    for extra in (["--seed", "1"], ["--seed", "0", "--trials", "0"]):
+        code, out, err = run_cli([*args, *extra], capsys)
+        assert code == 2 and out == ""
+        assert "--seed" in err
+    for extra, seed in (([], 0), (["--trials", "1"], 0), (["--seed", "5", "--trials", "1"], 5)):
+        code, out, _ = run_cli([*args, *extra], capsys)
+        assert code == 0 and f"seed: {seed}\n" in out
+
+
+@pytest.mark.parametrize(
+    "extra", [["virasoro"], ["-o", "q.json"], ["--map-out", "m.json"]],
+    ids=["name", "out", "map-out"],
+)
+def test_cli_zoo_list_refuses_what_it_would_ignore(tmp_path, capsys, monkeypatch, extra):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["zoo", "--list", *extra], capsys)
+    assert code == 2 and out == ""
+    assert "--list" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_timing_adds_wall_ms_only_when_set(files, capsys):
+    args = ["check-qt", str(files["struct"])]
+    for timing in ([], ["--timing"]):
+        code, out, _ = run_cli([*timing, *args], capsys)
+        assert code == 0
+        assert ("\nwall_ms: " in out) == bool(timing)
+        code, out, _ = run_cli(["--json", *timing, *args], capsys)
+        assert code == 0
+        assert ("wall_ms" in json.loads(out)) == bool(timing)
+
+
+def test_cli_no_validate_drops_the_load_check(tmp_path, capsys):
+    # a rho that is no action fails PC5, while the zero map still solves the
+    # type II identity: the verdict follows the checks that run
+    bundle = zoo.demo_bundle(zoo.O_OPERATOR)
+    Q = bundle["Q"]
+    bad_rho = MixedMap(Q.g, Q.h, Q.h, {(0, 0): pt(Q.h, [(0, 0, 0, 0, 1)])})
+    q, m = tmp_path / "q.json", tmp_path / "m.json"
+    q.write_text(pio.dumps(pio.structure_to_json(QuasiTwilled(Q.g, Q.h, pi=Q.pi, rho=bad_rho))))
+    m.write_text(pio.dumps(pio.map_to_json(HModuleMap.zero(Q.h, Q.g), "h", "g")))
+    args = ["--json", "dmap", "--type", "II", str(q), str(m)]
+    reports = {}
+    for flag in ([], ["--no-validate"]):
+        code, out, _ = run_cli([*args, *flag], capsys)
+        data = json.loads(out)
+        reports[bool(flag)] = (code, data["verdict"],
+                               [(c["name"], c["status"]) for c in data["checks"]])
+    dmap_check = ("type II deformation-map identity", "pass")
+    assert reports[False] == (1, "fail", [("load-validate PC1-PC8", "fail"), dmap_check])
+    assert reports[True] == (0, "pass", [dmap_check])
 
 
 @pytest.mark.parametrize("arity", ["0", "-3"])

@@ -47,7 +47,7 @@ def test_every_builder_passes_pc_and_mc():
 def test_builders_reject_bad_ingredients(qd):
     g = zoo.virasoro()
     M = FreeModule("m", ["e"], qd)
-    # a non-cocycle twisting term is rejected by the cocycle validation
+    # a twisting term that is not a 2-cocycle fails PC3 of the assembled tuple
     bad_omega = Cochain(2, g.module, M, {(0, 0): pt(M, [(2, 0, 0, 0, 1), (0, 2, 0, 0, -1)])})
     with pytest.raises(InputError):
         zoo.build(
@@ -120,6 +120,44 @@ def test_dictionary_all_kinds(rng):
         res = zoo.dictionary_check(kind, b["ingredients"], b["map"], rng=rng, trials=4)
         assert res["ok"], kind
         assert res["operator_residual"].is_zero() and res["deformation_residual"].is_zero()
+
+
+def _non_root(rng, kind, bundle):
+    """A seeded random map of the kind's orientation that fails its identity."""
+    src, dst = orientation(bundle["Q"], zoo.map_type(kind))
+    while True:
+        m = zoo.random_hmap(rng, src, dst)
+        if not zoo.operator_residual(kind, bundle["ingredients"], m).is_zero():
+            return m
+
+
+def test_dictionary_compares_residual_values(rng, monkeypatch):
+    # a residual scaled by 2 keeps every verdict and still fails the dictionary
+    cases = [(kind, zoo.demo_bundle(kind)) for kind in zoo.ALL_KINDS]
+    maps = [_non_root(rng, kind, b) for kind, b in cases]
+    for (kind, b), m in zip(cases, maps):
+        assert zoo.dictionary_check(kind, b["ingredients"], m)["ok"], kind
+    residual = zoo.operator_residual
+    monkeypatch.setattr(zoo, "operator_residual", lambda *a: residual(*a).scale(2))
+    for (kind, b), m in zip(cases, maps):
+        assert zoo.dictionary_check(kind, b["ingredients"], b["map"])["ok"], kind
+        assert not zoo.dictionary_check(kind, b["ingredients"], m)["ok"], kind
+
+
+def test_ingredients_from_structure_inverts_build():
+    for kind in zoo.ALL_KINDS:
+        b = zoo.demo_bundle(kind)
+        Q, ing = b["Q"], b["ingredients"]
+        back = zoo.ingredients_from_structure(kind, Q, ing.get("weight"))
+        assert set(back) == {"algebra", *zoo.KIND_INGREDIENTS[kind]}, kind
+        assert zoo.build(kind, back).components == Q.components, kind
+
+
+def test_build_refuses_an_ingredient_its_kind_has_not():
+    b = zoo.demo_bundle(zoo.REYNOLDS)
+    ing = dict(b["ingredients"], cocycle=b["Q"].theta)
+    with pytest.raises(InputError, match="reynolds takes no cocycle"):
+        zoo.build(zoo.REYNOLDS, ing)
 
 
 def test_twisted_rb_reduces_to_o_operator():
