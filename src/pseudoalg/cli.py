@@ -276,6 +276,8 @@ def cmd_cohomology(args, report):
 
 def cmd_dictionary(args, report):
     from . import zoo as pzoo
+    if args.trials < 0:
+        raise pio.ParseError(f"--trials counts random maps; {args.trials} is below 0")
     if args.seed is not None and args.trials < 1:
         raise pio.ParseError("--seed seeds the --trials random maps; it needs --trials 1 or more")
     report.seed = 0 if args.seed is None else args.seed

@@ -174,11 +174,14 @@ class Family:
         return f"Family(tag={self.tag}, subs={self.subs}, nonzero={self.nonzero})"
 
 
-def _clean(e):
-    """`expand(numer(together(e)))`: e with its denominators cleared."""
+def _clean(e, poly=sympy.Poly):
+    """`expand(numer(together(e)))`: e with its denominators cleared.
+
+    poly converts an expression to its Poly; the solver passes its memo.
+    """
     if not e.is_number and e.is_polynomial():
         try:
-            return sympy.Poly(e).clear_denoms(convert=True)[1].as_expr()
+            return poly(e).clear_denoms(convert=True)[1].as_expr()
         except sympy.GeneratorsNeeded:  # e expands to a constant
             pass
     return sympy.expand(sympy.numer(sympy.together(e)))
@@ -191,16 +194,58 @@ def _factor_key(pair):
     return (len(rep), len(poly.gens), exp, str(poly.domain), rep)
 
 
-def _factor_list(e):
-    """`sympy.factor_list(e)`, without `together` on a polynomial sum."""
+def _irreducible(terms: dict, gens) -> bool:
+    """Whether a sum is certified irreducible up to its content, unfactored.
+
+    terms maps the sum q's monomials to its integer coefficients, and no
+    monomial divides them all.  Say q has degree 1 in an unknown x, so
+    q = m x + b with b != 0 over R = ZZ[the other unknowns].  Then q is
+    irreducible up to content if gcd(m, b) = 1 in R, by Gauss's lemma (Lang,
+    Algebra, IV.2).  A single-term m shares no factor with b: its unknowns
+    would divide every term of q.  Otherwise m is a monomial times m', and
+    gcd(m, b) = 1 if m' is certified by this same rule and does not divide
+    b.  That division is over QQ: over ZZ, 2y - 2 does not divide y**2 - y.
+    """
+    splits = []
+    for i in range(len(gens)):
+        if {mon[i] for mon in terms} == {0, 1}:
+            m = {mon[:i] + (0,) + mon[i + 1:]: c for mon, c in terms.items() if mon[i]}
+            if len(m) == 1:
+                return True
+            splits.append((i, m))
+    for i, m in splits:
+        low = [min(exps) for exps in zip(*m)]
+        m = {tuple(k - l for k, l in zip(mon, low)): c for mon, c in m.items()}
+        if _irreducible(m, gens):
+            b = {mon: c for mon, c in terms.items() if not mon[i]}
+            divisor, dividend = (sympy.Poly.from_dict(d, gens, domain=sympy.QQ) for d in (m, b))
+            if not dividend.rem(divisor).is_zero:
+                return True
+    return False
+
+
+def _factor_list(e, poly=sympy.Poly):
+    """`sympy.factor_list(e)`, without `together` on a polynomial sum.
+
+    poly converts an expression to its Poly; the solver passes its memo.
+    """
     if not e.is_Add:
         return sympy.factor_list(e)
-    p = sympy.Poly(e)
+    p = poly(e)
     if not (p.domain.is_ZZ or p.domain.is_QQ) or not all(s.is_Symbol for s in p.gens):
         return sympy.factor_list(e)
     denom, p = p.clear_denoms(convert=True)
     monomial, cofactor = p.terms_gcd()
-    c, factors = cofactor.exclude().factor_list()
+    cofactor = cofactor.exclude()
+    if _irreducible(cofactor.as_dict(native=True), cofactor.gens):
+        # sympy's answer for an irreducible cofactor: the content, signed
+        # so that the one factor has a positive leading coefficient
+        c, prim = cofactor.primitive()
+        if prim.LC() < 0:
+            c, prim = -c, -prim
+        factors = [(prim, 1)]
+    else:
+        c, factors = cofactor.factor_list()
     # equal keys keep sympy's insertion order: the monomial's symbols first,
     # as Mul orders its arguments, which within one exponent is by name
     powers = sorted(((s, k) for s, k in zip(p.gens, monomial) if k), key=lambda sk: sk[0].name)
@@ -219,11 +264,12 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     unresolved leaf rather than silently dropped.
 
     Most equations pass unchanged from a node to its children, so each call
-    memoizes three kernels, keyed on the expression; the memos live for this
-    call only and are shared by no other call.  Each kernel gives exactly
-    what sympy's generic route gave, so the branch order and the families
-    do not move (checked against sympy 1.14; tests/test_rank2.py compares
-    every kernel output of two searches with that route):
+    memoizes three kernels and the Poly that they share, keyed on the
+    expression; the memos live for this call only and are shared by no other
+    call.  Each kernel gives exactly what sympy's generic route gave, so the
+    branch order and the families do not move (checked against sympy 1.14;
+    tests/test_rank2.py compares every kernel output of two searches with
+    that route):
 
     - `_clean(e)` is `expand(numer(together(e)))`.  For a polynomial e with
       rational coefficients, `together` pulls out the rational content
@@ -236,7 +282,14 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
       `_factor_list` takes the same steps on Poly(e), with that key copied
       as `_factor_key` rather than imported from a private name.  Without
       the monomial step the order moves: on A_01*C_01 + A_01*C_10 a plain
-      `Poly.factor_list` puts C_01 + C_10 first.
+      `Poly.factor_list` puts C_01 + C_10 first.  Before factoring, the
+      cofactor is tested by `_irreducible`, a certificate from Gauss's lemma
+      for sums of degree 1 in some unknown; a certified cofactor is its own
+      one factor, and sympy's answer is written down without factoring.
+      This spares sympy's factoring 1,088 of the 1,201 sums of the
+      degree-2 search.
+    - `poly(e)` is `sympy.Poly(e)`, converted once per expression and
+      passed to `_clean`, `_factor_list` and `degrees`.
     - `degrees(e)` is `[(s, deg)]` over the unknowns that occur in e, in
       `default_sort_key` order: the degree scan of both the elimination and
       the variable split, made once per expression on e's own generators
@@ -247,30 +300,37 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     results = []
     unresolved = []
     unknowns = set(symbols)
+    polys_of = {}
     cleaned_of = {}
     factors_of = {}
     degrees_of = {}
     budget = MAX_SOLVER_NODES
     nodes = 0
 
+    def poly(e):
+        out = polys_of.get(e)
+        if out is None:
+            out = polys_of[e] = sympy.Poly(e)
+        return out
+
     def clean(e):
         # drop denominators; on a branch they are products of known-nonzero
         # symbols introduced by earlier divisions
         out = cleaned_of.get(e)
         if out is None:
-            out = cleaned_of[e] = _clean(e)
+            out = cleaned_of[e] = _clean(e, poly=poly)
         return out
 
     def factor_list(e):
         out = factors_of.get(e)
         if out is None:
-            out = factors_of[e] = _factor_list(e)
+            out = factors_of[e] = _factor_list(e, poly=poly)
         return out
 
     def degrees(e):
         out = degrees_of.get(e)
         if out is None:
-            p = sympy.Poly(e)
+            p = poly(e)
             occurring = [(s, d) for s, d in zip(p.gens, p.degree_list()) if d and s in unknowns]
             out = degrees_of[e] = sorted(occurring, key=lambda sd: sympy.default_sort_key(sd[0]))
         return out

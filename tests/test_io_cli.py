@@ -526,6 +526,16 @@ def test_cli_dictionary_refuses_a_seed_without_trials(files, capsys):
         assert code == 0 and f"seed: {seed}\n" in out
 
 
+@pytest.mark.parametrize("trials", ["-3", "-1"])
+def test_cli_dictionary_refuses_negative_trials(files, capsys, trials):
+    # a negative count ran no trial and still reported pass
+    args = ["dictionary", "--kind", "modified_r", "--weight", "4", "--trials", trials,
+            str(files["struct"]), str(files["good"])]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "--trials" in err and trials in err
+
+
 @pytest.mark.parametrize(
     "extra", [["virasoro"], ["-o", "q.json"], ["--map-out", "m.json"]],
     ids=["name", "out", "map-out"],

@@ -279,9 +279,9 @@ def test_solver_factorizes_each_expression_once_per_call(monkeypatch):
     calls = []
     factor_list = rank2._factor_list
 
-    def counting(e):
+    def counting(e, **kw):
         calls.append(e)
-        return factor_list(e)
+        return factor_list(e, **kw)
 
     monkeypatch.setattr(rank2, "_factor_list", counting)
     rank2_search(1)
@@ -292,6 +292,21 @@ def test_solver_factorizes_each_expression_once_per_call(monkeypatch):
     assert calls == first
 
 
+_x, _y, _z, _w = sympy.symbols("x y z w", rational=True)
+# Where the irreducibility certificate can go wrong: the sign of the one
+# factor; (y + 1)(x + z), whose coefficient y + 1 divides the rest;
+# (y - 1)(2x + y), where 2y - 2 divides the rest over QQ but not over ZZ; a
+# sum certified only through a coefficient certified by the same rule; and
+# (y + 1)(xz + x + w), whose coefficient (y + 1)(z + 1) that rule must refuse.
+CERTIFICATE_CASES = [
+    -_x - _y * _z,
+    _x * _y + _x + _y * _z + _z,
+    2 * _x * _y - 2 * _x + _y**2 - _y,
+    _x * _y + _x * _z + _y * _z + 1,
+    sympy.expand((_y + 1) * (_x * _z + _x + _w)),
+]
+
+
 def test_solver_kernels_equal_sympy_route(monkeypatch):
     # the kernels skip sympy's `together`; sympy's own route is the oracle,
     # and every kernel output must equal it exactly, as objects and as text
@@ -299,9 +314,9 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
     for name, log in seen.items():
         kernel = getattr(rank2, name)
 
-        def logged(e, kernel=kernel, log=log):
+        def logged(e, kernel=kernel, log=log, **kw):
             log.append(e)
-            return kernel(e)
+            return kernel(e, **kw)
 
         monkeypatch.setattr(rank2, name, logged)
     rank2_search(1)
@@ -313,6 +328,7 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
     assert rank2._factor_list(a * c1 + a * c2) == (1, [(a, 1), (c1 + c2, 1)])
     seen["_factor_list"] += [a**2 * c1 * x + a**2 * c1 * y, -x / 2 - y / 3, 6 * x**2 * y - 6 * y,
                              x * y + 1, (x + y) ** 2]
+    seen["_factor_list"] += CERTIFICATE_CASES
     seen["_clean"] += [x / 2 + y / 3, (x + 1) * y / 2, -x / 2 - y / 2, x / y + 1,
                        (x + 1) ** 2 - x**2 - 2 * x, sympy.Rational(3, 4)]
     oracles = {
@@ -326,6 +342,41 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
     for factor_list in (rank2._factor_list, sympy.factor_list):
         with pytest.raises(sympy.PolynomialError):
             factor_list(x / y + 1)
+
+
+def sums_factored(monkeypatch, run):
+    """How many sums `run()` hands to sympy's factoring."""
+    factored = []
+    factor_list = sympy.Poly.factor_list
+
+    def counting(p, *args, **kw):
+        if len(p.terms()) > 1:
+            factored.append(p)
+        return factor_list(p, *args, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(sympy.Poly, "factor_list", counting)
+        run()
+    return len(factored)
+
+
+@pytest.mark.parametrize(
+    "search, sums",
+    [(lambda: rank2_search(1), 1), (lambda: lemma_special_case(2), 11)],
+    ids=["rank2_search-1", "lemma-2"],
+)
+def test_certified_sums_skip_factoring(monkeypatch, search, sums):
+    # the irreducibility certificate spares sympy's factoring all but these
+    # sums: 49 and 121 without it
+    assert sums_factored(monkeypatch, search) == sums
+
+
+def test_certificate_fires_only_on_irreducible_sums(monkeypatch):
+    # each step of the certificate decides one of these: the reducible sums
+    # must reach sympy's factoring, the irreducible ones must not
+    factored = [sums_factored(monkeypatch, lambda e=e: rank2._factor_list(e))
+                for e in CERTIFICATE_CASES]
+    assert factored == [0, 1, 1, 0, 1]
 
 
 @pytest.mark.parametrize(

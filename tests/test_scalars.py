@@ -164,6 +164,28 @@ def test_cli_command_module_sets(name):
     assert code == (None if argv is None else 3 if has_sympy else 0)
 
 
+def test_light_workloads_never_load_sympy():
+    # every route but the rank-2 search runs on these modules; sympy
+    # alone takes about 0.4 s to import, so none of them may pull it in
+    probe = (
+        "import json, sys\n"
+        "import pseudoalg.cli, pseudoalg.zoo, pseudoalg.io, pseudoalg.cohomology\n"
+        "import pseudoalg.deformation\n"
+        "print(json.dumps([m in sys.modules for m in ('sympy', 'pseudoalg.rank2')]))\n"
+    )
+    src = str(Path(hopf.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+        check=True,
+    )
+    assert json.loads(out.stdout) == [False, False]
+
+
 def test_exact_div_stays_exact():
     assert exact_div(6, 3) == 2 and type(exact_div(6, 3)) is int
     assert exact_div(-3, 2) == Fraction(-3, 2)
