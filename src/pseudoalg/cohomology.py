@@ -17,6 +17,12 @@ ranks, and image dimensions within the truncation window (caveat flagged).
 A cochain enters `linalg` as a sparse {position: coefficient} vector, read
 straight from its values' terms, over the window positions of
 `cochain_coords`.
+
+A window depends on the handle only through its shape, so each is built once
+per H, in the memo `target.alg.cochain_windows` keyed on (source rank, target
+rank, tuple arity, key arity, cap).  An entry holds the positions, the skew
+basis vectors and the `inside` masks, the last two filled on first use.
+Callers must not mutate it; nothing over `COORD_BUDGET` enters it.
 """
 
 from __future__ import annotations
@@ -247,21 +253,29 @@ def ptelem_coords(module: FreeModule, arity: int, cap: int):
 
 
 def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int) -> dict:
-    """Positions {(tuple, key): n} of the raw (unconstrained) truncated space."""
+    """Positions {(tuple, key): n} of the raw truncated space, memoised: do not mutate."""
+    return _window(source, target, arity, cap)["index"]
+
+
+def _window(source: FreeModule, target: FreeModule, arity: int, cap: int, tuple_arity=None) -> dict:
+    """The memo entry of sorted `tuple_arity`-tuples (default arity) times arity-keys."""
+    tuple_arity = tuple_arity or arity
     # sorted tuples times keys: monomials of degree <= cap in arity * dim
     # variables, one per basis element; counted before anything is built
     dim = target.alg.dim
-    tuples = comb(source.rank + arity - 1, arity)
+    tuples = comb(source.rank + tuple_arity - 1, tuple_arity)
     size = tuples * target.rank * comb(cap + arity * dim, arity * dim)
     if size > COORD_BUDGET:
         raise ResourceError(
             f"truncated space needs {size} coordinates (budget {COORD_BUDGET})"
         )
-    return _positions(sorted_tuples(source.rank, arity), ptelem_coords(target, arity, cap))
-
-
-def _positions(tuples, keys) -> dict:
-    return {ck: n for n, ck in enumerate(itertools.product(tuples, keys))}
+    memo = target.alg.cochain_windows
+    key = (source.rank, target.rank, tuple_arity, arity, cap)
+    if key not in memo:
+        keys = ptelem_coords(target, arity, cap)
+        cks = itertools.product(sorted_tuples(source.rank, tuple_arity), keys)
+        memo[key] = {"index": {ck: n for n, ck in enumerate(cks)}, "inside": {}}
+    return memo[key]
 
 
 def _vec_of_cochain(table: dict, index: dict) -> dict:
@@ -285,8 +299,21 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> 
     (1 + sigma) e_c, so the kernel solved for is that of (1 + sigma)^T, not
     of (1 + sigma): a known open fault (ROADMAP.md, first open item), kept
     until its fix can regenerate the reference values that pin it.
+
+    The vectors are solved once per window shape and memoised as tables
+    {tuple: {key: c}} (module docstring); callers never see them, since each
+    call wraps them in fresh cochains on the caller's own modules.
     """
-    index = cochain_coords(source, target, arity, cap)
+    win = _window(source, target, arity, cap)
+    if "skew" not in win:
+        win["skew"] = _skew_tables(win["index"], source, target, arity, cap)
+    return [
+        Cochain(arity, source, target, {t: PTElem(target, arity, d) for t, d in table.items()})
+        for table in win["skew"]
+    ]
+
+
+def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int, cap: int) -> tuple:
     keys = ptelem_coords(target, arity, cap)
     rows = []
     for t in sorted_tuples(source.rank, arity):
@@ -301,21 +328,14 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> 
                     row[pos] = row.get(pos, 0) + c
                 rows.append(row)
     coords = list(index)
-    basis = []
+    tables = []
     for vec in linalg.nullspace(rows, len(coords)):
         table = {}
         for pos, c in sorted(vec.items()):
             t, key = coords[pos]
             table.setdefault(t, {})[key] = c
-        basis.append(
-            Cochain(
-                arity,
-                source,
-                target,
-                {t: PTElem(target, arity, d) for t, d in table.items()},
-            )
-        )
-    return basis
+        tables.append(table)
+    return tuple(tables)
 
 
 def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
@@ -338,28 +358,29 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     images = [_vec_of_cochain(handle.diff(f).terms, index_up) for f in basis_p]
     dim_z = len(basis_p) - linalg.rank(images)
 
-    # coboundaries: image of d from one arity below, within the window
+    # coboundaries: image of d from one arity below, within the window; at p = 1
+    # d has arity-2 values, and only their trivial-slot part meets C^1
+    win = _window(A, M, max(p, 2), cap + growth, tuple_arity=p)
+    index = win["index"]
     if p == 1:
-        # the bottom differential has a free coefficient on the argument
-        # slot; only its trivial-slot part meets C^1
-        index = _positions(sorted_tuples(A.rank, 1), ptelem_coords(M, 2, cap + growth))
         prev_cols = [
             _vec_of_cochain(handle.diff0(M.elem(k, M.alg.mono(K))), index)
             for k in range(M.rank)
             for K in _multiindices(M.alg.dim, cap)
         ]
     else:
-        index = cochain_coords(A, M, p, cap + growth)
         prev_cols = [
             _vec_of_cochain(handle.diff(f).terms, index)
             for f in skew_basis(A, M, p - 1, cap)
         ]
-    inside = [
-        n
-        for (_t, (slots, K, _k)), n in index.items()
-        if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
-        and (p > 1 or slots == (M.alg.zero_index,))
-    ]
+    inside = win["inside"].get(cap)
+    if inside is None:
+        inside = win["inside"][cap] = [
+            n
+            for (_t, (slots, K, _k)), n in index.items()
+            if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
+            and (p > 1 or slots == (M.alg.zero_index,))
+        ]
     dim_b = linalg.image_dim_within(prev_cols, inside)
     return {
         "arity": p,

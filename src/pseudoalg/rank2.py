@@ -177,8 +177,13 @@ class Family:
 def _clean(e, poly=sympy.Poly):
     """`expand(numer(together(e)))`: e with its denominators cleared.
 
-    poly converts an expression to its Poly; the solver passes its memo.
+    poly converts an expression to its Poly; the solver passes its memo.  A
+    sum of monomials with integer coefficients is returned as it is.
     """
+    factors = [f for t in sympy.Add.make_args(e) for f in sympy.Mul.make_args(t)]
+    if all(f.is_Integer or f.is_Symbol or f.is_Pow and f.base.is_Symbol and f.exp.is_Integer
+           and f.exp > 0 for f in factors):
+        return e
     if not e.is_number and e.is_polynomial():
         try:
             return poly(e).clear_denoms(convert=True)[1].as_expr()
@@ -274,7 +279,8 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     - `_clean(e)` is `expand(numer(together(e)))`.  For a polynomial e with
       rational coefficients, `together` pulls out the rational content
       g / L, so the numerator is L * e, L the lcm of the denominators: what
-      clearing the denominators of Poly(e) gives.
+      clearing the denominators of Poly(e) gives.  An expanded sum with
+      integer coefficients is its own numerator, returned with no Poly.
     - `_factor_list(e)` is `sympy.factor_list(e)`.  On a sum, sympy's
       `together` splits off the common monomial of the terms; sympy then
       factors each symbol of it and the primitive cofactor on their own

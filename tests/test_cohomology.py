@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoalg.hopf import InputError
+from pseudoalg.hopf import InputError, LieAlgebra
 from pseudoalg.ptensor import FreeModule, PTElem, permute
 from pseudoalg.cochains import (
     Cochain,
@@ -513,6 +513,88 @@ def test_coordinate_budget_is_exact(qd, b2):
         assert size == len(ptelem_coords(M, arity, cap)) > 0.9 * COORD_BUDGET
         with pytest.raises(ResourceError):
             cochain_coords(M, M, arity, cap + 1)
+
+
+def _moved(handle, alg, names):
+    """The handle's complex over `alg`, on modules named `names` (source, target)."""
+    A0, M0 = handle.bracket.source, handle.action.hmod
+    A, M = (FreeModule(n, [f"{n}{i}" for i in range(m.rank)], alg) for n, m in zip(names, (A0, M0)))
+    bracket = Cochain(2, A, A, {t: PTElem(A, 2, v.terms) for t, v in handle.bracket.terms.items()})
+    action = MixedMap(A, M, M, {ij: PTElem(M, 2, v.terms) for ij, v in handle.action.terms.items()})
+    return CEComplexHandle(handle.kind, bracket, action)
+
+
+def _plain(basis) -> list:
+    return [{t: dict(v.terms) for t, v in f.terms.items()} for f in basis]
+
+
+def test_windows_do_not_depend_on_the_memo():
+    # windows and skew bases are memoised per shape on H; a memo warmed on
+    # one module pair serves another pair of the same ranks exactly as a
+    # fresh, equal algebra does, on the caller's own modules
+    entry = next(e for e in zoo.zoo_structures() if e["name"] == "relative_rb")
+    handle = handle_for(TYPE_II, entry["Q"], entry["type2"], verify=False)
+    warm_alg, cold_alg = LieAlgebra.abelian(["d"]), LieAlgebra.abelian(["d"])
+    warm = _moved(handle, warm_alg, ("g", "h"))
+    cases = ((1, 3), (2, 3), (3, 2))
+    for p, cap in cases:
+        truncated_cohomology(warm, p, cap)
+    filled = len(warm_alg.cochain_windows)
+    other, fresh = _moved(handle, warm_alg, ("x", "v")), _moved(handle, cold_alg, ("x", "v"))
+    assert not cold_alg.cochain_windows
+    for p, cap in cases:
+        got, expect = (skew_basis(h.bracket.source, h.action.hmod, p, cap) for h in (other, fresh))
+        assert _plain(got) == _plain(expect) and got, (p, cap)
+        assert term_order_digest(got) == term_order_digest(expect)
+        assert all(f.source is other.bracket.source and f.target is other.action.hmod for f in got)
+        assert truncated_cohomology(other, p, cap) == truncated_cohomology(fresh, p, cap)
+    assert len(warm_alg.cochain_windows) == filled
+    # what a caller does to a returned basis does not reach the memo
+    A, M = other.bracket.source, other.action.hmod
+    basis = skew_basis(A, M, 2, 3)
+    before = _plain(basis)
+    for f in basis:
+        for v in f.terms.values():
+            v.terms.clear()
+        f.terms.clear()
+    basis.clear()
+    assert _plain(skew_basis(A, M, 2, 3)) == before
+
+
+def test_window_memo_separates_shapes(qd, b2):
+    # rank, arity, cap and H each select their own window
+    g1, g2 = FreeModule("g", ["u"], qd), FreeModule("h", ["x", "y"], qd)
+    memo = qd.cochain_windows
+    seen = []
+    for source, target, arity, cap in (
+        (g1, g1, 2, 2), (g1, g2, 2, 2), (g2, g1, 2, 2), (g1, g1, 3, 2), (g1, g1, 2, 3)
+    ):
+        size = len(memo)
+        basis = skew_basis(source, target, arity, cap)
+        assert len(memo) == size + 1
+        seen.append(_plain(basis))
+        assert _plain(skew_basis(source, target, arity, cap)) == seen[-1]
+        assert len(memo) == size + 1
+    assert len({repr(b) for b in seen}) == len(seen)
+    m = FreeModule("g", ["u"], b2)
+    assert _plain(skew_basis(m, m, 2, 2)) != seen[0]
+    assert len(b2.cochain_windows) == 1 and len(memo) == len(seen)
+
+
+def test_over_budget_windows_never_enter_the_memo():
+    b = zoo.demo_bundle(zoo.DERIVATION)
+    Q = b["Q"]
+    handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL, verify=False)
+    memo = Q.g.alg.cochain_windows
+    # (4, 40) is refused before any window is built; (1, 400) keeps its
+    # arity-1 window, within budget, and is refused at the arity-2 one
+    for p, cap, kept in ((4, 40, 0), (1, 400, 1)):
+        size = len(memo)
+        for _ in range(2):
+            with pytest.raises(ResourceError):
+                truncated_cohomology(handle, p, cap)
+            assert len(memo) == size + kept
+    assert all(len(w["index"]) <= COORD_BUDGET for w in memo.values())
 
 
 def _sparse(rows):

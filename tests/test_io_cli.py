@@ -704,6 +704,16 @@ def test_rank2_search_over_unknowns_budget_exits_3():
     assert "42 unknowns" in out.stderr
 
 
+def test_cli_cohomology_over_budget_exits_3_every_time(files, capsys):
+    # an over-budget window is refused before it is built, so it is never
+    # memoised: the same request in the same process is refused again
+    args = ["cohomology", "--type", "I", str(files["struct"]), str(files["good"]),
+            "--degree", "4", "--max-pbw", "40"]
+    for _ in range(2):
+        code, _out, err = run_cli(args, capsys)
+        assert code == 3 and "budget" in err
+
+
 def _leading_exponent(e: int, slot: int = 0) -> dict:
     """modified_r.json with the first term of theta, eta and mu at slot
     exponent `slot` and coefficient exponent e, of PBW degree slot + e."""

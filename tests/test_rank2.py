@@ -331,6 +331,12 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
     seen["_factor_list"] += CERTIFICATE_CASES
     seen["_clean"] += [x / 2 + y / 3, (x + 1) * y / 2, -x / 2 - y / 2, x / y + 1,
                        (x + 1) ** 2 - x**2 - 2 * x, sympy.Rational(3, 4)]
+    # the integer sums `_clean` returns as they are, and products, powers of
+    # sums, radicals and negative powers that it must not
+    integer_sums = [-3 * x**2 * y + 2 * y - 1, x * y, -x, sympy.Integer(5), sympy.Integer(0)]
+    assert all(rank2._clean(e) is e for e in integer_sums)
+    seen["_clean"] += integer_sums + [(x + 1) * y, 2 * (x - y) ** 2, sympy.sqrt(2) * x + 1,
+                                      x**-1 * y + 1, x**2 / 2]
     oracles = {
         "_clean": lambda e: sympy.expand(sympy.numer(sympy.together(e))),
         "_factor_list": sympy.factor_list,
