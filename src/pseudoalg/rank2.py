@@ -9,9 +9,13 @@ The unknown components are coefficient tensors with PBW degree capped:
 
 with the rank-one subalgebra Hx carrying mu in {0, Virasoro}.  The PC
 residuals are quadratic in the unknowns.  One evaluation of `pc_residuals`,
-with each unknown set to a generator of the polynomial ring QQ[unknowns],
+with each unknown set to a generator of the polynomial ring ZZ[unknowns],
 gives every residual coordinate as an exact polynomial; the system is then
 solved by exact linear elimination with case splits on factored equations.
+The ring is over ZZ because every structure constant over Q[d] is an integer
+(PBW products, coproduct binomials, antipode signs), and integer coefficients
+multiply faster than rational ones; a non-integral coefficient would raise
+`CoercionFailed`, never be rounded.
 The independent cross-check, `_interpolate_quadratics` in `tests/oracles.py`,
 rebuilds the same polynomials from rational point evaluations.  Solution
 families are tagged against the three classification patterns; anything else
@@ -78,8 +82,9 @@ class Rank2Problem:
         self.symbols = [
             sympy.Symbol(f"{name}_{i}{j}", rational=True) for name, (i, j) in self.layout
         ]
-        # QQ[unknowns]; evaluating at the generators gives exact polynomials
-        self.ring, *self.gens = ring(self.symbols, sympy.QQ)
+        # ZZ[unknowns]; evaluating at the generators gives exact polynomials,
+        # integral since every structure constant over Q[d] is an integer
+        self.ring, *self.gens = ring(self.symbols, sympy.ZZ)
 
     def _tensor(self, name: str, coeffs: dict) -> PTElem:
         """Assemble a component value on the right module from (i,j)->coeff."""
@@ -140,7 +145,8 @@ class Rank2Problem:
         """The nonzero residual coordinates at a polynomial assignment.
 
         assignment holds generators of self.ring (or zeros), so each coordinate
-        is an exact ring element.  Ordered by the repr of their keys.
+        is an exact element of ZZ[unknowns]: the structure constants it is
+        built from are integers.  Ordered by the repr of their keys.
         """
         coords = self.residual_vector(assignment, labels)
         return [coords[k] for k in sorted(coords, key=repr)]
@@ -149,9 +155,11 @@ class Rank2Problem:
 def reconstruct_polynomials(problem: Rank2Problem) -> list:
     """Exact quadratic polynomials of every PC residual coordinate.
 
-    One `pc_residuals` evaluation at the generators of QQ[unknowns] gives
-    each coordinate as a polynomial.  They are deduplicated up to rational
-    scaling and returned as expressions, in the order of their keys' repr.
+    One `pc_residuals` evaluation at the generators of ZZ[unknowns] gives
+    each coordinate as a polynomial with integer coefficients, the structure
+    constants over Q[d] being integers.  They are deduplicated up to rational
+    scaling (the positive content is divided out, as over QQ) and returned
+    as expressions, in the order of their keys' repr.
     """
     seen = {}
     for p in problem.residual_polynomials(problem.gens):
@@ -301,6 +309,16 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
       the variable split, made once per expression on e's own generators
       instead of once per visit over every unknown.
 
+    Every substitution is `e.xreplace(rule)`, which is `e.subs(rule)` here.
+    Each rule maps unknowns, which are Symbols, to values, and both routes
+    match a Symbol only as itself and rebuild each node above a match with
+    its class's constructor, so the results evaluate alike, `zoo` from a
+    zero denominator included.  A rule with several keys (`_resolve_subs`,
+    `_sample_instance`) holds no key in any of its values, so replacing all
+    at once, as `xreplace` does, equals `subs` replacing one after another.
+    `xreplace` skips the sympification, sorting and `_eval_subs` dispatch
+    of `subs`.
+
     A call that visits more than MAX_SOLVER_NODES nodes raises ResourceError.
     """
     results = []
@@ -396,14 +414,15 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
                     coeff = sympy.expand(e.coeff(s, 1))
                     if invertible(coeff):
                         sol = sympy.together(-e.coeff(s, 0) / coeff)
+                        rule = {s: sol}
                         new_subs = {
-                            k: sympy.together(v.subs(s, sol)) for k, v in subs.items()
+                            k: sympy.together(v.xreplace(rule)) for k, v in subs.items()
                         }
                         new_subs[s] = sol
-                        new_eqs = [q.subs(s, sol) for q in eqs if q is not e]
+                        new_eqs = [q.xreplace(rule) for q in eqs if q is not e]
                         new_nz = set()
                         for z in nonzero:
-                            zz = clean(z.subs(s, sol))
+                            zz = clean(z.xreplace(rule))
                             if zz.is_number:
                                 if zz == 0:
                                     return  # contradiction with a nonzero constraint
@@ -440,19 +459,20 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
         if var is None:
             unresolved.append(Family(subs, None, nonzero))
             return
-        zero_subs = {k: sympy.expand(v.subs(var, 0)) for k, v in subs.items()}
+        zero = {var: sympy.Integer(0)}
+        zero_subs = {k: sympy.expand(v.xreplace(zero)) for k, v in subs.items()}
         zero_subs[var] = sympy.Integer(0)
         zero_nz = set()
         dead = False
         for z in nonzero:
-            zz = sympy.expand(z.subs(var, 0))
+            zz = sympy.expand(z.xreplace(zero))
             if zz.is_number:
                 if zz == 0:
                     dead = True
                 continue
             zero_nz.add(zz)
         if not dead:
-            recurse([q.subs(var, 0) for q in eqs], zero_subs, zero_nz, depth + 1)
+            recurse([q.xreplace(zero) for q in eqs], zero_subs, zero_nz, depth + 1)
         recurse(eqs, subs, set(nonzero) | {var}, depth + 1)
 
     recurse(list(eqs), {}, set(), 0)
@@ -465,7 +485,7 @@ def _resolve_subs(subs: dict) -> dict:
     for _ in range(len(out) + 1):
         changed = False
         for k in list(out):
-            v2 = sympy.expand(out[k].subs(out))
+            v2 = sympy.expand(out[k].xreplace(out))
             if v2 != out[k]:
                 out[k] = v2
                 changed = True
@@ -595,13 +615,13 @@ def _sample_instance(problem: Rank2Problem, family: Family, tries=12) -> bool:
     frees = family.frees or []
     for _ in range(tries):
         values = {s: sympy.Rational(rng.randint(-3, 3)) for s in frees}
-        if any(sympy.expand(z.subs(values)) == 0 for z in family.nonzero):
+        if any(sympy.expand(z.xreplace(values)) == 0 for z in family.nonzero):
             continue
         vec = []
         bad = False
         for (name, ij), sym in zip(problem.layout, problem.symbols):
             e = family.subs.get(sym, sym)
-            val = sympy.together(e.subs(values))
+            val = sympy.together(e.xreplace(values))
             if not getattr(val, "is_rational", False):
                 bad = True
                 break

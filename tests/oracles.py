@@ -16,6 +16,10 @@ than a tautology.  `tests/test_hygiene.py` keeps them apart.
 - `zeta_value`, `ce_diff_matched_type2`: the matched-pair d^T expanded from
   the Def-4.23 closed forms, against the generic handle built from
   `twist2_components`.  They call neither of them.
+- `lie_ce_cohomology`: the Chevalley-Eilenberg cohomology of a
+  finite-dimensional Lie algebra with a module, from dense Fraction matrices
+  of the classical differential, against `cohomology.truncated_cohomology`
+  on the cap-0 window of Cur_H g, which is that complex for any H.
 - `_interpolate_quadratics`: the rank-2 PC residual polynomials rebuilt from
   rational point evaluations, against the one ring evaluation of
   `rank2.Rank2Problem.residual_polynomials`.
@@ -176,6 +180,58 @@ def nullspace_dense(rows, ncols=None):
             vec[pc] = -m[ri][fc]
         basis.append(vec)
     return basis
+
+
+def lie_ce_cohomology(bracket: dict, action: list, max_p: int) -> list:
+    """[dim H^p(g, V) for p = 1..max_p] of a finite-dimensional Lie algebra g.
+
+    bracket maps (i, j) to {k: c}: [e_i, e_j] = sum c e_k, one of (i, j) and
+    (j, i) given, or neither when the bracket is zero.  action[i]
+    is the matrix of e_i on V: e_i . v_b = sum_a action[i][a][b] v_a.  A
+    p-cochain is a skew map g^p -> V, with coordinates (I, a): the v_a
+    coefficient of its value on e_I, I strictly increasing.  The classical
+    differential, with 0-based positions,
+
+        df(x_0..x_p) = sum_i (-1)^i x_i . f(..^x_i..)
+                       + sum_{i<k} (-1)^(i+k) f([x_i, x_k], ..^x_i..^x_k..),
+
+    is built as a dense matrix per degree and ranked by `rank_dense`:
+    dim H^p = dim C^p - rank d_p - rank d_(p-1).
+    """
+    dim, nv = len(action), len(action[0])
+    full = {}
+    for (i, j), row in bracket.items():
+        full[(i, j)] = row
+        full[(j, i)] = {k: -c for k, c in row.items()}
+
+    def basis(p):
+        return [(I, a) for I in itertools.combinations(range(dim), p) for a in range(nv)]
+
+    def d_rank(p):
+        cols = {ia: n for n, ia in enumerate(basis(p))}
+        rows = []
+        for J in itertools.combinations(range(dim), p + 1):
+            block = [[Fraction(0)] * len(cols) for _ in range(nv)]
+            for i, x in enumerate(J):
+                I = J[:i] + J[i + 1:]
+                for a in range(nv):
+                    for b in range(nv):
+                        block[a][cols[(I, b)]] += (-1) ** i * action[x][a][b]
+            for i, k in itertools.combinations(range(p + 1), 2):
+                rest = [y for n, y in enumerate(J) if n not in (i, k)]
+                for m, c in full.get((J[i], J[k]), {}).items():
+                    if m in rest:
+                        continue
+                    # moving e_m from the front to its sorted place
+                    sign = (-1) ** (i + k + sum(y < m for y in rest))
+                    I = tuple(sorted(rest + [m]))
+                    for a in range(nv):
+                        block[a][cols[(I, a)]] += sign * c
+            rows += block
+        return rank_dense(rows)
+
+    ranks = [d_rank(p) for p in range(max_p + 1)]
+    return [len(basis(p)) - ranks[p] - ranks[p - 1] for p in range(1, max_p + 1)]
 
 
 # -- graph closure and the bullet list (against deformation and structures) --------

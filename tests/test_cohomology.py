@@ -49,6 +49,7 @@ from oracles import (
     cocycle_check_type1,
     cocycle_check_type2,
     consistency_l1_vs_d,
+    lie_ce_cohomology,
     nullspace_dense,
     rank_dense,
 )
@@ -492,6 +493,40 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
             units = [[Fraction(int(i == n)) for i in range(len(index))] for n in inside]
             dim_b = rank_dense(cols) + len(inside) - rank_dense(cols + units)
             assert got["dim_B"] == dim_b, where
+
+
+def _adjoint_matrices(constants: dict, dim: int) -> list:
+    """e_i . e_b = [e_i, e_b] as matrices, from a one-sided bracket table."""
+    mats = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), row in constants.items():
+        for k, c in row.items():
+            mats[i][k][j] += c
+            mats[j][k][i] -= c
+    return mats
+
+
+# Whitehead's lemmas (H^1 = H^2 = 0 for a semisimple g and a finite-dimensional
+# module) and H^3(sl2, C) = 1: Chevalley-Eilenberg, Trans. AMS 63 (1948)
+WHITEHEAD_SL2 = {"trivial": [0, 0, 1], "adjoint": [0, 0, 0]}
+
+
+@pytest.mark.parametrize("H", ["qd", "b2"])
+def test_cap0_cohomology_of_cur_sl2_is_whitehead(H, request):
+    # bracket and action of Cur_H sl2 on Cur_H V have PBW degree 0, so the
+    # cap-0 window is the CE complex of sl2 with V, for either H
+    alg = request.getfixturevalue(H)
+    constants = zoo.sl2_constants()
+    g = zoo.current(LieAlgebra(["e", "f", "h"], constants), alg)
+    trivial = FreeModule("v", ["v"], alg)
+    adjoint = FreeModule("ad", ["e'", "f'", "h'"], alg)
+    actions = {
+        "trivial": (MixedMap(g.module, trivial, trivial, {}), [[[0]]] * 3),
+        "adjoint": (zoo.adjoint_action(g, adjoint), _adjoint_matrices(constants, 3)),
+    }
+    for name, (action, matrices) in actions.items():
+        handle = CEComplexHandle(TYPE_I, g.bracket, action)
+        got = [truncated_cohomology(handle, p, 0)["dim_H"] for p in (1, 2, 3)]
+        assert got == lie_ce_cohomology(constants, matrices, 3) == WHITEHEAD_SL2[name], name
 
 
 def test_truncated_resource_guard(qd):

@@ -349,6 +349,17 @@ def test_linf_identities_zoo(rng):
             assert res["ok"], (entry["name"], res)
 
 
+@pytest.mark.parametrize("max_arity", [1, 2, 3])
+def test_linf_jacobi_check_reports_each_arity(reynolds_q, max_arity):
+    # one verdict per identity n = 1..max_arity, plus n = 0 (l1(l0) = 0)
+    # exactly when l0 != 0: type I of Reynolds is curved, type II is not
+    for ops, curved in ((curved_l_type1(reynolds_q), True), (curved_l_type2(reynolds_q), False)):
+        assert ops.l0().is_zero() != curved
+        res = linf_jacobi_check(ops, max_arity, random.Random(3), samples=1)
+        assert sorted(res["identities"]) == [0] * curved + list(range(1, max_arity + 1))
+        assert res["ok"]
+
+
 def test_linf_identity_n4_type2(reynolds_q):
     # the cubic bracket makes n = 4 a genuine identity for type II
     ops = curved_l_type2(reynolds_q)

@@ -341,6 +341,7 @@ PRODUCTION_ROUTES = {
     "ce_diff_matched_type2": CE_HANDLE,
     "zeta_value": CE_HANDLE,
     "_interpolate_quadratics": {"residual_polynomials", "ring"},
+    "lie_ce_cohomology": CE_HANDLE | {"truncated_cohomology", "skew_basis", "cochain_coords"},
     "graph_check": {"dmap1_residual", "dmap_residual", "_type1_tables"},
     "mc_bullet_components": {"check_mc_omega", "pc_residuals", "omega"},
 }
@@ -348,10 +349,10 @@ PRODUCTION_ROUTES = {
 
 @pytest.mark.parametrize("oracle", sorted(PRODUCTION_ROUTES))
 def test_oracle_is_independent_of_its_production_route(oracle):
-    # the matched-pair d^T, the interpolated rank-2 residuals, the graph
-    # closure and the bullet list check the generic handle, the ring
-    # evaluation, the type I residual and the PC cross-check only while
-    # they share no code
+    # the matched-pair d^T, the interpolated rank-2 residuals, the dense Lie
+    # algebra CE complex, the graph closure and the bullet list check the
+    # generic handle, the ring evaluation, the truncated cohomology, the type
+    # I residual and the PC cross-check only while they share no code
     source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert route_names(source, oracle) & PRODUCTION_ROUTES[oracle] == set()
 

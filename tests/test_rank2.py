@@ -1,6 +1,7 @@
 """Bounded-degree rank-2 classification and the eta-versus-Virasoro lemma."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,74 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
     for factor_list in (rank2._factor_list, sympy.factor_list):
         with pytest.raises(sympy.PolynomialError):
             factor_list(x / y + 1)
+
+
+def _resolve_subs_route(subs: dict) -> dict:
+    """`rank2._resolve_subs` as it was written with `Expr.subs`."""
+    out = dict(subs)
+    for _ in range(len(out) + 1):
+        changed = False
+        for k in list(out):
+            v2 = sympy.expand(out[k].subs(out))
+            if v2 != out[k]:
+                out[k] = v2
+                changed = True
+        if not changed:
+            break
+    return out
+
+
+def test_xreplace_equals_subs_route(monkeypatch):
+    # every substitution in rank2 is structural; sympy's `subs` is the oracle,
+    # and every result must equal it exactly, as an object and as text
+    replaced, resolved = [], []
+    resolve = rank2._resolve_subs
+
+    def logged_xreplace(xreplace):
+        # only rank2's own calls: sympy's internals replace non-symbols too
+        def logged(self, rule, **kw):
+            out = xreplace(self, rule, **kw)
+            if sys._getframe(1).f_globals["__name__"] == rank2.__name__:
+                replaced.append((self, dict(rule), out))
+            return out
+        return logged
+
+    def logged_resolve(subs):
+        out = resolve(subs)
+        resolved.append((dict(subs), out))
+        return out
+
+    with monkeypatch.context() as m:
+        for cls in (sympy.Basic, sympy.Atom):  # Atom has its own xreplace
+            m.setattr(cls, "xreplace", logged_xreplace(cls.xreplace))
+        m.setattr(rank2, "_resolve_subs", logged_resolve)
+        rank2_search(1)
+        lemma_special_case(2)
+    assert replaced and resolved
+    # what makes one simultaneous replacement equal to subs' one after
+    # another: no rule's value holds a symbol that the rule replaces
+    assert all(not v.free_symbols & rule.keys() for _e, rule, _out in replaced
+               for v in rule.values())
+    x, y = sympy.symbols("x y", rational=True)
+    replaced += [
+        (e, rule, e.xreplace(rule))
+        for e, rule in [
+            (x**3 * y + (x + y) ** 2, {x: y / 2 - 1}),  # inside a Pow
+            (sympy.sqrt(x) + x ** sympy.Rational(-3, 2), {x: y**2}),
+            (y / (x + 1) + 1 / (x * y), {x: y - 1}),  # a rational function's denominator
+            (sympy.together(y / (x**2 - y)), {x: 3}),
+            (1 / x, {x: sympy.Integer(0)}),  # 0 put into a denominator
+            (y / x + x, {x: sympy.Integer(0)}),
+            (y / (x + y), {x: -y}),
+            (x * y + 1, {x: 2, y: sympy.Rational(-1, 3)}),
+        ]
+    ]
+    for e, rule, out in replaced:
+        expect = e.subs(rule)
+        assert out == expect and str(out) == str(expect), (e, rule)
+    for subs, out in resolved:
+        expect = _resolve_subs_route(subs)
+        assert out == expect and str(out) == str(expect), subs
 
 
 def sums_factored(monkeypatch, run):

@@ -207,6 +207,22 @@ def test_relative_rb_demo_and_blocks():
     assert not zoo.operator_residual(zoo.RELATIVE_RB, b["ingredients"], bad).is_zero()
 
 
+def test_diagonal_action_at_rank_2():
+    # Cur(b2) acting on Cur(b2) (+) Cur(b2): e_i acts on e_j of copy b as
+    # e_i of copy b brackets it in the direct sum; the rank-1 demo cannot
+    # see a wrong index within a block
+    g = zoo.current(zoo.nonabelian_2dim(), zoo.polynomial_hopf())
+    copies = zoo.direct_sum_algebras(g, g)
+    act = zoo.diagonal_action(g, copies)
+    for i in range(2):
+        for t in range(4):
+            expect = copies.bracket.value((2 * (t // 2) + i, t))
+            assert act.value((i, t)).terms == expect.terms, (i, t)
+    assert not act.value((0, 3)).is_zero()
+    # build refuses ingredients that fail PC, so act is an action on the sum
+    zoo.build(zoo.RELATIVE_RB, {"algebra": g, "coefficients": copies, "action": act})
+
+
 def test_unknown_names_rejected():
     with pytest.raises(InputError):
         zoo.builtin("nope")
