@@ -57,6 +57,7 @@ class Report:
         self.seed = seed
         self.checks = []
         self.outputs = []
+        self.names = []  # what `pa zoo --list` lists, ahead of the report text
         self.t0 = time.monotonic()
 
     def add(self, name: str, passed: bool, detail=None):
@@ -80,6 +81,8 @@ class Report:
             out["seed"] = self.seed
         if self.outputs:
             out["outputs"] = self.outputs
+        if self.names:
+            out["names"] = self.names
         if timing:
             out["wall_ms"] = round(1000 * (time.monotonic() - self.t0), 3)
         return out
@@ -88,7 +91,7 @@ class Report:
         data = self.as_dict(timing=timing)
         if as_json:
             return json.dumps(data, indent=1, sort_keys=True)
-        lines = [f"# {' '.join(self.command)}"]
+        lines = [*self.names, f"# {' '.join(self.command)}"]
         lines.append(
             "conventions: "
             + ", ".join(f"{k}={v}" for k, v in sorted(CONVENTIONS.items()))
@@ -324,8 +327,7 @@ def cmd_zoo(args, report):
     if args.list:
         if (args.name, args.out, args.map_out) != (None, None, None):
             raise pio.ParseError("--list takes no name, -o or --map-out")
-        names = ("virasoro", "cur_sl2", "cur_2dim_nonabelian", *pzoo.ZOO_NAMES, *pzoo.DEMO_ALIASES)
-        print("\n".join(names))
+        report.names = ["virasoro", "cur_sl2", "cur_2dim_nonabelian", *pzoo.ZOO_NAMES, *pzoo.DEMO_ALIASES]
         return
     name = args.name
     if name is None:

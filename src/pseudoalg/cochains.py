@@ -551,11 +551,11 @@ def extract_pure(F: Cochain, part: str, tpart: str) -> Cochain:
 # -- seeded random values ---------------------------------------------------------
 
 
-def random_ptelem(rng, module: FreeModule, arity: int, max_deg=2, nterms=2) -> PTElem:
-    """Small random canonical value; coefficients in {-2..2}."""
+def random_ptelem(rng, module: FreeModule, arity: int, max_deg=2) -> PTElem:
+    """Small random canonical value of up to two terms; coefficients in {-2..2}."""
     alg = module.alg
     terms = {}
-    for _ in range(nterms):
+    for _ in range(2):
         total = rng.randint(0, max_deg)
         weights = [rng.randint(0, total) for _ in range(arity)]
         cuts = sorted(rng.randint(0, total) for _ in range(arity - 1)) + [total]

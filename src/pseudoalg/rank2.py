@@ -43,6 +43,10 @@ MAX_UNKNOWNS = 28
 # Most case-split nodes one solve_quadratic_system call may visit: degree 2
 # visits 192, degree 1 54, lemma_special_case(2) 28.
 MAX_SOLVER_NODES = 2000
+# Depth below which a branch is reported unresolved instead of split further.
+MAX_SOLVER_DEPTH = 60
+# Rational samples _sample_instance draws before it gives a family up.
+SAMPLE_TRIES = 12
 
 
 def _mono_pairs(max_deg: int):
@@ -127,28 +131,23 @@ class Rank2Problem:
             theta=Cochain(2, self.g, self.h, {(0, 0): Dv} if not Dv.is_zero() else {}),
         )
 
-    def residual_vector(self, assignment, labels=None) -> dict:
-        """PC residual coefficients, keyed (label, argtuple, term key).
-
-        labels, when given, keeps the coordinates of those PC labels only.
-        """
+    def residual_vector(self, assignment) -> dict:
+        """PC residual coefficients, keyed (label, argtuple, term key)."""
         out = {}
         for label, table in pc_residuals(self.structure(assignment)).items():
-            if labels is not None and label not in labels:
-                continue
             for args, v in table.items():
                 for key, c in v.terms.items():
                     out[(label, args, key)] = c
         return out
 
-    def residual_polynomials(self, assignment, labels=None) -> list:
+    def residual_polynomials(self, assignment) -> list:
         """The nonzero residual coordinates at a polynomial assignment.
 
         assignment holds generators of self.ring (or zeros), so each coordinate
         is an exact element of ZZ[unknowns]: the structure constants it is
         built from are integers.  Ordered by the repr of their keys.
         """
-        coords = self.residual_vector(assignment, labels)
+        coords = self.residual_vector(assignment)
         return [coords[k] for k in sorted(coords, key=repr)]
 
 
@@ -182,21 +181,15 @@ class Family:
         return f"Family(tag={self.tag}, subs={self.subs}, nonzero={self.nonzero})"
 
 
-def _clean(e, poly=sympy.Poly):
+def _clean(e):
     """`expand(numer(together(e)))`: e with its denominators cleared.
 
-    poly converts an expression to its Poly; the solver passes its memo.  A
-    sum of monomials with integer coefficients is returned as it is.
+    A sum of monomials with integer coefficients is returned as it is.
     """
     factors = [f for t in sympy.Add.make_args(e) for f in sympy.Mul.make_args(t)]
     if all(f.is_Integer or f.is_Symbol or f.is_Pow and f.base.is_Symbol and f.exp.is_Integer
            and f.exp > 0 for f in factors):
         return e
-    if not e.is_number and e.is_polynomial():
-        try:
-            return poly(e).clear_denoms(convert=True)[1].as_expr()
-        except sympy.GeneratorsNeeded:  # e expands to a constant
-            pass
     return sympy.expand(sympy.numer(sympy.together(e)))
 
 
@@ -245,9 +238,8 @@ def _factor_list(e, poly=sympy.Poly):
     if not e.is_Add:
         return sympy.factor_list(e)
     p = poly(e)
-    if not (p.domain.is_ZZ or p.domain.is_QQ) or not all(s.is_Symbol for s in p.gens):
+    if not p.domain.is_ZZ or not all(s.is_Symbol for s in p.gens):
         return sympy.factor_list(e)
-    denom, p = p.clear_denoms(convert=True)
     monomial, cofactor = p.terms_gcd()
     cofactor = cofactor.exclude()
     if _irreducible(cofactor.as_dict(native=True), cofactor.gens):
@@ -264,17 +256,17 @@ def _factor_list(e, poly=sympy.Poly):
     powers = sorted(((s, k) for s, k in zip(p.gens, monomial) if k), key=lambda sk: sk[0].name)
     factors = [(sympy.Poly(s), k) for s, k in powers] + factors
     factors.sort(key=_factor_key)
-    return c / denom, [(f.as_expr(), k) for f, k in factors]
+    return c, [(f.as_expr(), k) for f, k in factors]
 
 
-def solve_quadratic_system(eqs, symbols, max_depth=60):
+def solve_quadratic_system(eqs, symbols):
     """All solution families of a quadratic system by elimination + case splits.
 
     Strategy: substitute variables with constant-coefficient linear
     occurrences; reduce factored equations by the branch's nonzero set; when
     stuck, split on a factor or on a variable (zero / nonzero).  Leaves with
-    no equations left are families; a depth overflow is reported as an
-    unresolved leaf rather than silently dropped.
+    no equations left are families; a branch deeper than MAX_SOLVER_DEPTH is
+    reported as an unresolved leaf rather than silently dropped.
 
     Most equations pass unchanged from a node to its children, so each call
     memoizes three kernels and the Poly that they share, keyed on the
@@ -284,17 +276,15 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     tests/test_rank2.py compares every kernel output of two searches with
     that route):
 
-    - `_clean(e)` is `expand(numer(together(e)))`.  For a polynomial e with
-      rational coefficients, `together` pulls out the rational content
-      g / L, so the numerator is L * e, L the lcm of the denominators: what
-      clearing the denominators of Poly(e) gives.  An expanded sum with
-      integer coefficients is its own numerator, returned with no Poly.
+    - `_clean(e)` is `expand(numer(together(e)))`.  An expanded sum with
+      integer coefficients is its own numerator, returned as it is.
     - `_factor_list(e)` is `sympy.factor_list(e)`.  On a sum, sympy's
       `together` splits off the common monomial of the terms; sympy then
       factors each symbol of it and the primitive cofactor on their own
       generators, and sorts all factors by the key of `_sorted_factors`.
-      `_factor_list` takes the same steps on Poly(e), with that key copied
-      as `_factor_key` rather than imported from a private name.  Without
+      On a sum over ZZ in Symbols, `_factor_list` takes the same steps on
+      Poly(e), with that key copied as `_factor_key` rather than imported
+      from a private name; any other e goes to sympy itself.  Without
       the monomial step the order moves: on A_01*C_01 + A_01*C_10 a plain
       `Poly.factor_list` puts C_01 + C_10 first.  Before factoring, the
       cofactor is tested by `_irreducible`, a certificate from Gauss's lemma
@@ -303,7 +293,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
       This spares sympy's factoring 1,088 of the 1,201 sums of the
       degree-2 search.
     - `poly(e)` is `sympy.Poly(e)`, converted once per expression and
-      passed to `_clean`, `_factor_list` and `degrees`.
+      passed to `_factor_list` and `degrees`.
     - `degrees(e)` is `[(s, deg)]` over the unknowns that occur in e, in
       `default_sort_key` order: the degree scan of both the elimination and
       the variable split, made once per expression on e's own generators
@@ -313,58 +303,49 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
     Each rule maps unknowns, which are Symbols, to values, and both routes
     match a Symbol only as itself and rebuild each node above a match with
     its class's constructor, so the results evaluate alike, `zoo` from a
-    zero denominator included.  A rule with several keys (`_resolve_subs`,
-    `_sample_instance`) holds no key in any of its values, so replacing all
-    at once, as `xreplace` does, equals `subs` replacing one after another.
-    `xreplace` skips the sympification, sorting and `_eval_subs` dispatch
-    of `subs`.
+    zero denominator included.  A rule with several keys (`_sample_instance`)
+    holds no key in any of its values, so replacing all at once, as
+    `xreplace` does, equals `subs` replacing one after another.  `xreplace`
+    skips the sympification, sorting and `_eval_subs` dispatch of `subs`.
+    A family's rule holds no key in its values either: an eliminated
+    unknown is replaced in every value and equation at once, and a split
+    unknown is set to 0 everywhere.  So a leaf only expands each value.
 
     A call that visits more than MAX_SOLVER_NODES nodes raises ResourceError.
     """
     results = []
     unresolved = []
     unknowns = set(symbols)
-    polys_of = {}
-    cleaned_of = {}
-    factors_of = {}
-    degrees_of = {}
     budget = MAX_SOLVER_NODES
     nodes = 0
 
-    def poly(e):
-        out = polys_of.get(e)
-        if out is None:
-            out = polys_of[e] = sympy.Poly(e)
-        return out
+    def memo(fn):
+        seen = {}
+        def call(e):
+            out = seen.get(e)
+            if out is None:
+                out = seen[e] = fn(e)
+            return out
+        return call
 
-    def clean(e):
-        # drop denominators; on a branch they are products of known-nonzero
-        # symbols introduced by earlier divisions
-        out = cleaned_of.get(e)
-        if out is None:
-            out = cleaned_of[e] = _clean(e, poly=poly)
-        return out
+    poly = memo(sympy.Poly)
+    # drop denominators; on a branch they are products of known-nonzero
+    # symbols introduced by earlier divisions
+    clean = memo(_clean)
+    factor_list = memo(lambda e: _factor_list(e, poly=poly))
 
-    def factor_list(e):
-        out = factors_of.get(e)
-        if out is None:
-            out = factors_of[e] = _factor_list(e, poly=poly)
-        return out
-
+    @memo
     def degrees(e):
-        out = degrees_of.get(e)
-        if out is None:
-            p = poly(e)
-            occurring = [(s, d) for s, d in zip(p.gens, p.degree_list()) if d and s in unknowns]
-            out = degrees_of[e] = sorted(occurring, key=lambda sd: sympy.default_sort_key(sd[0]))
-        return out
+        p = poly(e)
+        occurring = [(s, d) for s, d in zip(p.gens, p.degree_list()) if d and s in unknowns]
+        return sorted(occurring, key=lambda sd: sympy.default_sort_key(sd[0]))
 
     def recurse(eqs, subs, nonzero, depth):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise ResourceError(f"rank-2 solver visited more than {budget} nodes")
-        if depth > max_depth:
+        if depth > MAX_SOLVER_DEPTH:
             unresolved.append(Family(subs, None, nonzero))
             return
         cleaned = []
@@ -394,7 +375,7 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
                 reduced.append(e)
         eqs = sorted(set(reduced), key=sympy.default_sort_key)
         if not eqs:
-            resolved = _resolve_subs(subs)
+            resolved = {k: sympy.expand(v) for k, v in subs.items()}
             frees = [s for s in symbols if s not in resolved]
             results.append(Family(resolved, frees, set(nonzero)))
             return
@@ -477,21 +458,6 @@ def solve_quadratic_system(eqs, symbols, max_depth=60):
 
     recurse(list(eqs), {}, set(), 0)
     return results, unresolved
-
-
-def _resolve_subs(subs: dict) -> dict:
-    """Iterate substitutions until every value references frees only."""
-    out = dict(subs)
-    for _ in range(len(out) + 1):
-        changed = False
-        for k in list(out):
-            v2 = sympy.expand(out[k].xreplace(out))
-            if v2 != out[k]:
-                out[k] = v2
-                changed = True
-        if not changed:
-            break
-    return out
 
 
 def _sorted_strs(exprs) -> list:
@@ -605,7 +571,7 @@ def rank2_search(max_deg: int) -> dict:
     }
 
 
-def _sample_instance(problem: Rank2Problem, family: Family, tries=12) -> bool:
+def _sample_instance(problem: Rank2Problem, family: Family) -> bool:
     """Substitute small rationals for the frees and verify check_pc passes.
 
     The sample stream is seeded from a CRC of the substituted names, so the
@@ -613,7 +579,7 @@ def _sample_instance(problem: Rank2Problem, family: Family, tries=12) -> bool:
     """
     rng = random.Random(zlib.crc32(",".join(sorted(str(s) for s in family.subs)).encode()))
     frees = family.frees or []
-    for _ in range(tries):
+    for _ in range(SAMPLE_TRIES):
         values = {s: sympy.Rational(rng.randint(-3, 3)) for s in frees}
         if any(sympy.expand(z.xreplace(values)) == 0 for z in family.nonzero):
             continue
@@ -640,32 +606,20 @@ def lemma_special_case(max_deg: int = 2) -> dict:
     With mu the Virasoro bracket (s = d) and A = B = D = 0, the only PC6
     constraint is the displayed quadratic equation for C; the classified
     solution set should be {0} plus the family C = s(x)1 - lambda(x)s + c0(x)1.
+    PC6 is the only label left: every term of PC2-PC5 and PC7 holds pi, rho
+    or theta, which are zero, and PC1 and PC8 hold mu alone, which is skew
+    and satisfies Jacobi.
     """
     problem = Rank2Problem(max_deg, mu_virasoro=True)
-    keep = [
-        (k, sym)
-        for k, sym in zip(problem.layout, problem.symbols)
-        if k[0] == "C"
-    ]
-    c_symbols = [sym for _k, sym in keep]
-
     c_only = [g if name == "C" else 0 for (name, _ij), g in zip(problem.layout, problem.gens)]
-    polys = [p.as_expr() for p in problem.residual_polynomials(c_only, ("PC6",))]
+    polys = [p.as_expr() for p in problem.residual_polynomials(c_only)]
+    c_symbols = [sym for (name, _ij), sym in zip(problem.layout, problem.symbols) if name == "C"]
     families, unresolved = solve_quadratic_system(polys, c_symbols)
-    layout_c = [k for k, _s in keep]
     described = []
     for fam in families:
-        desc = {}
-        for (name, ij), sym in zip(layout_c, c_symbols):
-            desc[ij] = sympy.expand(fam.subs.get(sym, sym))
+        desc = _block_exprs(problem, fam, "C")
         described.append({"C": {str(k): str(v) for k, v in desc.items()},
                           "free": [str(s) for s in (fam.frees or [])],
                           "nonzero": _sorted_strs(fam.nonzero),
-                          "_exprs": desc,
-                          "_family": fam})
-    return {
-        "families": described,
-        "unresolved": len(unresolved),
-        "symbols": [str(s) for s in c_symbols],
-        "layout": layout_c,
-    }
+                          "_exprs": desc})
+    return {"families": described, "unresolved": len(unresolved)}

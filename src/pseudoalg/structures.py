@@ -11,9 +11,9 @@ decomposition of the Jacobiator of Omega, with every composite slot-aligned
 to the argument order.  Each composite is one `cochains.insert_value` into a
 component at basis indices, alike for the skew components pi, theta, mu and
 the mixed ones rho, eta; one `cochains.lift` places each in Omega.  The
-printed cycle symbols in PC2/PC3/PC6/PC7 admit a second reading, which
-`pc_residuals` computes under `variant=ALT`; the NR cross-check
-(check_mc_omega) validates that the aligned reading matches [Omega, Omega].
+printed cycle symbols in PC2/PC3/PC6/PC7 admit a second, literal-contents
+reading (placement array (1, 2, 0)); the NR cross-check (check_mc_omega)
+validates that the aligned reading matches [Omega, Omega].
 
 Normalization (frozen by the equivalence suite):
     jacobiator = -(Omega circle Omega),  [Omega, Omega]_NR = -2 * jacobiator.
@@ -41,10 +41,8 @@ from .cochains import (
 P_SWAP01 = (1, 0, 2)
 P_SWAP12 = (0, 2, 1)
 P_CYCLE_A = (2, 0, 1)  # printed (123), position reading: (s1,s2,s3) -> (s2,s3,s1)
-P_CYCLE_B = (1, 2, 0)  # printed (123), contents reading
 
 ALIGNED = "aligned"
-ALT = "literal-contents"
 PC_LABELS = ("PC1", "PC2", "PC3", "PC4", "PC5", "PC6", "PC7", "PC8")
 
 # Chevalley-Eilenberg sign conventions (cohomology).
@@ -199,7 +197,7 @@ def orientation(Q: QuasiTwilled, kind: str) -> tuple:
     raise InputError("kind must be 'I' or 'II'")
 
 
-def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
+def pc_residuals(Q: QuasiTwilled) -> dict:
     """All PC1..PC8 residual tables, keyed by block-local basis tuples.
 
     Residuals are the left-minus-right sides of the printed conditions with
@@ -207,8 +205,6 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
     """
     pi, th, mu, rho, eta = Q.pi, Q.theta, Q.mu, Q.rho, Q.eta
     g, h = Q.g, Q.h
-    cyc = P_CYCLE_A if variant == ALIGNED else P_CYCLE_B
-    cyc67 = P_SWAP12 if variant == ALIGNED else P_CYCLE_B
     out = {label: {} for label in PC_LABELS + ("SKEW-pi", "SKEW-theta")}
 
     def put(label, key, val):
@@ -231,12 +227,12 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
             - permute(insert_value(pi, (j,), pi.value((i, k)), ()), P_SWAP01)
             - permute(insert_value(eta, (j,), th.value((i, k)), ()), P_SWAP01)
             + insert_value(eta, (i,), th.value((j, k)), ())
-            + permute(insert_value(eta, (k,), th.value((i, j)), ()), cyc)
+            + permute(insert_value(eta, (k,), th.value((i, j)), ()), P_CYCLE_A)
         )
         put("PC2", (i, j, k), pc2)
         pc3 = (
             insert_value(rho, (i,), th.value((j, k)), ())
-            + permute(insert_value(rho, (k,), th.value((i, j)), ()), cyc)
+            + permute(insert_value(rho, (k,), th.value((i, j)), ()), P_CYCLE_A)
             - permute(insert_value(rho, (j,), th.value((i, k)), ()), P_SWAP01)
             - permute(insert_value(th, (j,), pi.value((i, k)), ()), P_SWAP01)
             - insert_value(th, (), pi.value((i, j)), (k,))
@@ -271,14 +267,14 @@ def pc_residuals(Q: QuasiTwilled, variant: str = ALIGNED) -> dict:
             pc6 = (
                 insert_value(eta, (i,), mu.value((v, w)), ())
                 - insert_value(eta, (), eta.value((i, v)), (w,))
-                + permute(insert_value(eta, (), eta.value((i, w)), (v,)), cyc67)
+                + permute(insert_value(eta, (), eta.value((i, w)), (v,)), P_SWAP12)
             )
             put("PC6", (i, v, w), pc6)
             pc7 = (
                 insert_value(rho, (i,), mu.value((v, w)), ())
                 - insert_value(rho, (), eta.value((i, v)), (w,))
                 - insert_value(mu, (), rho.value((i, v)), (w,))
-                + permute(insert_value(rho, (), eta.value((i, w)), (v,)), cyc67)
+                + permute(insert_value(rho, (), eta.value((i, w)), (v,)), P_SWAP12)
                 - permute(insert_value(mu, (v,), rho.value((i, w)), ()), P_SWAP01)
             )
             put("PC7", (i, v, w), pc7)

@@ -368,3 +368,26 @@ def test_operator_residual_is_independent_of_the_deformation_side():
     source = (PACKAGE_DIR / "zoo.py").read_text(encoding="utf-8")
     assert route_names(source, "operator_residual") & DEFORMATION_SIDE == set()
     assert "dmap_residual" in route_names(source, "dictionary_check")
+
+
+def subs_calls(source: str) -> list:
+    """Lines that call a `.subs` method."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "subs"
+    )
+
+
+def test_guard_sees_a_subs_call():
+    assert subs_calls("e = x.subs({y: 1})\nf = x.xreplace({y: 1})\n") == [1]
+    assert subs_calls("import sympy\n\nq = sympy.expand(p).subs(y, 0)\n") == [3]
+    assert subs_calls("family.subs.get(y, y)\nsubs = {}\nsubs(1)\n") == []
+
+
+def test_rank2_substitutes_by_xreplace_only():
+    # the solver's docstring argues that each `xreplace` equals `subs`; that
+    # argument covers every substitution only while rank2 calls no `subs`
+    assert subs_calls((PACKAGE_DIR / "rank2.py").read_text(encoding="utf-8")) == []

@@ -685,6 +685,16 @@ def test_zoo_list_names_what_zoo_accepts(capsys):
         zoo.builtin("no_such_structure")
 
 
+def test_zoo_list_json_is_one_document(capsys):
+    # with --json the names go into the report, so stdout parses as JSON
+    code, out, _ = run_cli(["--json", "zoo", "--list"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["names"]) == len(set(data["names"]))
+    assert set(data["names"]) == _builtin_names()
+    assert data["verdict"] == "pass"
+
+
 def test_rank2_report_identical_across_hash_seeds():
     # str hashing is salted per process; the report must not depend on it
     outs = [

@@ -30,6 +30,11 @@ from conftest import count_calls, pt, vir_value
 from oracles import antipode, coproduct_iter, tensor_mul
 
 
+def _four_terms(rng, module, arity, max_deg):
+    """A random value of up to four terms: the sum of two random_ptelem draws."""
+    return random_ptelem(rng, module, arity, max_deg) + random_ptelem(rng, module, arity, max_deg)
+
+
 @pytest.fixture
 def M(qd):
     return FreeModule("M", ["x"], qd)
@@ -91,7 +96,7 @@ def test_unit_act_returns_its_argument(qd, b2, rng):
     for alg in (qd, b2):
         m2 = FreeModule("m", ["e0", "e1"], alg)
         for n in (1, 2, 3):
-            e = random_ptelem(rng, m2, n, max_deg=2, nterms=3)
+            e = _four_terms(rng, m2, n, 2)
             assert act(HTensor.unit(alg, n), e) is e
             assert act(HTensor.unit(alg, n).scale(2), e) == e.scale(2)
 
@@ -208,8 +213,8 @@ def _sparse_cases(b2, rng):
 
     cases = [(helem(), helem(), b2.zero()), (melem(), melem(), PTElem.zero(M2, 1))]
     for arity in (1, 2, 3):
-        e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
-        f = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
+        e = _four_terms(rng, M2, arity, 2)
+        f = _four_terms(rng, M2, arity, 2)
         cases.append((e, f, PTElem.zero(M2, arity)))
         s, t = (HTensor.from_legs([helem() for _ in range(arity)]) for _ in range(2))
         cases.append((s, t, HTensor(b2, arity, {})))
@@ -287,7 +292,7 @@ def test_sparse_shapes_do_not_mix(qd, b2, rng):
 def test_placed_then_canonicalize_is_permute(b2, rng):
     M2 = FreeModule("M2", ["x", "y"], b2)
     for arity in (1, 2, 3):
-        e = random_ptelem(rng, M2, arity, max_deg=2, nterms=4)
+        e = _four_terms(rng, M2, arity, 2)
         for dest in itertools.permutations(range(arity)):
             raw = placed(e, dest, -3)
             assert len(raw) == len(e.terms)
@@ -329,7 +334,7 @@ def test_canonicalize_idempotent_nonabelian(b2, rng):
     M = FreeModule("M", ["x", "y"], b2)
     for n in (1, 2, 3):
         for _ in range(10):
-            e = random_ptelem(rng, M, n, max_deg=3, nterms=3)
+            e = _four_terms(rng, M, n, 3)
             again = canonicalize(M, n, _explicit_terms(e))
             assert list(again.terms.items()) == list(e.terms.items())
 
@@ -341,7 +346,7 @@ def _placed_raw(alg, rng):
     out = []
     for n in (1, 2, 3):
         for dest in itertools.permutations(range(n)):
-            e = random_ptelem(rng, M, n, max_deg=3, nterms=3)
+            e = _four_terms(rng, M, n, 3)
             out.append((n, placed(e, dest)))
     assert any(slots[-1] != alg.zero_index for _n, raw in out for slots, *_rest in raw)
     return M, out

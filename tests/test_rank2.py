@@ -121,19 +121,19 @@ def test_lemma_system_matches_interpolation(monkeypatch):
 
     def ev(vec_c):
         values = dict(zip(c_symbols, vec_c))
-        return p.residual_vector([values.get(s, 0) for s in p.symbols], ("PC6",))
+        return p.residual_vector([values.get(s, 0) for s in p.symbols])
 
     assert eqs == _interpolate_quadratics(ev, len(c_symbols), c_symbols)
 
 
-def test_residual_vector_label_filter():
-    p = Rank2Problem(1)
-    v = vec(p, C_10=1, B_01=1, D_01=1)
-    full = p.residual_vector(v)
-    labels = sorted({label for label, _args, _key in full})
-    assert len(labels) >= 2
-    kept = p.residual_vector(v, labels[:1])
-    assert kept and kept == {k: c for k, c in full.items() if k[0] == labels[0]}
+@pytest.mark.parametrize("max_deg, coords", [(1, 8), (2, 32), (3, 80)])
+def test_lemma_system_is_pc6_alone(max_deg, coords):
+    # with Virasoro mu and only C unknown, every residual coordinate is PC6:
+    # the lemma hands its solver the whole residual vector
+    p = Rank2Problem(max_deg, mu_virasoro=True)
+    c_only = [g if name == "C" else 0 for (name, _ij), g in zip(p.layout, p.gens)]
+    labels = [label for label, _args, _key in p.residual_vector(c_only)]
+    assert len(labels) == coords and set(labels) == {"PC6"}
 
 
 def test_one_pc_evaluation_per_problem(monkeypatch):
@@ -352,7 +352,7 @@ def test_solver_kernels_equal_sympy_route(monkeypatch):
 
 
 def _resolve_subs_route(subs: dict) -> dict:
-    """`rank2._resolve_subs` as it was written with `Expr.subs`."""
+    """Substitute a rule into its own values with `Expr.subs` to a fixpoint."""
     out = dict(subs)
     for _ in range(len(out) + 1):
         changed = False
@@ -369,8 +369,8 @@ def _resolve_subs_route(subs: dict) -> dict:
 def test_xreplace_equals_subs_route(monkeypatch):
     # every substitution in rank2 is structural; sympy's `subs` is the oracle,
     # and every result must equal it exactly, as an object and as text
-    replaced, resolved = [], []
-    resolve = rank2._resolve_subs
+    replaced, families = [], []
+    solve = rank2.solve_quadratic_system
 
     def logged_xreplace(xreplace):
         # only rank2's own calls: sympy's internals replace non-symbols too
@@ -381,18 +381,18 @@ def test_xreplace_equals_subs_route(monkeypatch):
             return out
         return logged
 
-    def logged_resolve(subs):
-        out = resolve(subs)
-        resolved.append((dict(subs), out))
-        return out
+    def logged_solve(eqs, symbols):
+        found, unresolved = solve(eqs, symbols)
+        families.extend(found)
+        return found, unresolved
 
     with monkeypatch.context() as m:
         for cls in (sympy.Basic, sympy.Atom):  # Atom has its own xreplace
             m.setattr(cls, "xreplace", logged_xreplace(cls.xreplace))
-        m.setattr(rank2, "_resolve_subs", logged_resolve)
+        m.setattr(rank2, "solve_quadratic_system", logged_solve)
         rank2_search(1)
         lemma_special_case(2)
-    assert replaced and resolved
+    assert replaced and families
     # what makes one simultaneous replacement equal to subs' one after
     # another: no rule's value holds a symbol that the rule replaces
     assert all(not v.free_symbols & rule.keys() for _e, rule, _out in replaced
@@ -414,9 +414,11 @@ def test_xreplace_equals_subs_route(monkeypatch):
     for e, rule, out in replaced:
         expect = e.subs(rule)
         assert out == expect and str(out) == str(expect), (e, rule)
-    for subs, out in resolved:
-        expect = _resolve_subs_route(subs)
-        assert out == expect and str(out) == str(expect), subs
+    # a family's rule is already resolved: substituting it into its own
+    # values to a fixpoint changes nothing
+    for fam in families:
+        again = _resolve_subs_route(fam.subs)
+        assert again == fam.subs and str(again) == str(fam.subs), fam.subs
 
 
 def sums_factored(monkeypatch, run):

@@ -6,18 +6,18 @@ from fractions import Fraction
 import pytest
 
 from pseudoalg.hopf import HTensor, InputError
-from pseudoalg.ptensor import FreeModule, PTElem, act
+from pseudoalg.ptensor import FreeModule, PTElem, act, permute
 from pseudoalg.cochains import (
     Cochain,
     MixedMap,
     extract_components,
     insert_raw,
+    insert_value,
     nr_bracket,
     random_cochain,
     random_ptelem,
 )
 from pseudoalg.structures import (
-    ALT,
     BLOCK_TO_PC,
     LiePseudoalgebra,
     QuasiTwilled,
@@ -190,8 +190,12 @@ def test_variant_flag_discriminates(qd):
     Q = QuasiTwilled(g, h, eta=MixedMap(g, h, g, {(0, 0): C}))
     assert check_pc(Q)["ok"]
     assert check_mc_omega(Q)["ok"]
-    resid_alt = pc_residuals(Q, variant=ALT)
-    assert resid_alt["PC6"]  # the alternative reading fails here
+    # PC6 at (0, 0, 0) with mu = 0 is permute(a, cycle) - a; the aligned
+    # cycle is the transposition of the last two slots, the literal contents
+    # reading the 3-cycle (1, 2, 0), which fails here
+    a = insert_value(Q.eta, (), Q.eta.value((0, 0)), (0,))
+    assert (permute(a, (0, 2, 1)) - a).is_zero()
+    assert not (permute(a, (1, 2, 0)) - a).is_zero()
 
 
 def test_jacobiator_h_polylinearity(modified_r_q, qd, rng):
@@ -201,9 +205,6 @@ def test_jacobiator_h_polylinearity(modified_r_q, qd, rng):
     om = Q.omega()
 
     def jac_melem(a, b, c):
-        from pseudoalg.cochains import insert_value
-        from pseudoalg.ptensor import permute
-
         t1 = insert_raw(lambda k: om.eval([a, Q.G.elem(k)]), 2, Q.G, 1, om.eval([b, c]))
         t2 = insert_raw(lambda k: om.eval([Q.G.elem(k), c]), 2, Q.G, 0, om.eval([a, b]))
         t3 = insert_raw(lambda k: om.eval([b, Q.G.elem(k)]), 2, Q.G, 1, om.eval([a, c]))
@@ -255,8 +256,6 @@ def test_eta_orientation_conversion(qd, rng):
     eta_mp = MixedMap(h, g, g, {(0, 0): random_ptelem(rng, g, 2, max_deg=2)})
     eta_qt = eta_mp.swapped()
     # round trip through the printed relation eta_mp(u,y) = -(12) eta(y,u)
-    from pseudoalg.ptensor import permute
-
     for (y, u), v in eta_qt.terms.items():
         assert eta_mp.value((u, y)) == permute(v, (1, 0)).scale(-1)
 
