@@ -17,16 +17,21 @@ and one `lift` to C(g [+] h) serve cochains and mixed maps alike.
 Throughout, composite values are slot-ALIGNED: after every insertion the slots
 are rearranged so that slot i carries the coefficient of argument x_i.
 
+One loop, `shuffle_sum`, runs every signed sum of composites over shuffles:
+the circle product, the NR bracket (its two circle products in one sum) and
+the Chevalley-Eilenberg differential of `cohomology` (its action and bracket
+terms; d f = [mu, f]_NR, as Nijenhuis and Richardson have it).  Within a
+tuple each distinct composite is built and canonicalized once (shuffles that
+give the same arguments share it), placed slot-aligned with the shuffle sign
+folded into the coefficient, and the raw terms of every shuffle are
+canonicalized once.
+
 The circle product and the NR bracket visit only the output tuples t their
 operands' supports reach.  A shuffle of t adds to f o g only if its head (its
 first q arguments, non-decreasing) is a key s of g.terms and sorted((k,) +
 tail) is a key of f.terms for a module index k of g(s); so t is a sorted
 merge of such an s with a key of f less one k, and every other tuple has an
-empty raw list.  Within a tuple each distinct composite is built and
-canonicalized once (shuffles that give the same arguments share it), placed
-slot-aligned with the shuffle sign folded into the coefficient, and the raw
-terms of every shuffle (of both circle products, for the bracket) are
-canonicalized once.  The self-bracket uses the exact identity
+empty raw list.  The self-bracket uses the exact identity
 [f, f] = (1 - (-1)^{(p-1)^2}) f o f, so it computes at most one circle
 product.
 """
@@ -34,6 +39,7 @@ product.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .hopf import HTensor, InputError, Sparse, coeff, mi_splits
 from .ptensor import (
@@ -295,61 +301,77 @@ def _reach(f: Cochain, g: Cochain) -> set:
     return {tuple(sorted(s + w)) for s, k in heads for w in cuts.get(k, ())}
 
 
-def _circle_sum(products) -> Cochain:
-    """sum c * (f o g) over the (c, f, g) in products, one raw list per tuple.
+def shuffle_sum(target: FreeModule, n: int, tuples, plans) -> dict:
+    """The table {t: value} of a signed sum of composites over shuffles of each tuple t.
 
-    Visits the tuples some product reaches, in sorted_tuples order.  The head
-    args[:q] of a shuffle is sorted, so g.terms holds its inner value or the
-    shuffle adds nothing.  Composite slot i carries argument t[sigma[i]] once
-    placed by sigma; each distinct composite of a tuple is built once and
-    placed for every shuffle that gives it (repeated indices in t make
-    shuffles coincide).
+    A plan (q, c, build) adds c * sign(sigma) * build(args) for every (q, n-q)-
+    shuffle sigma of t, where args[i] = t[sigma[i]] and composite slot i, once
+    placed by sigma, carries argument args[i].  build returns a value of
+    arity n over target, or None or zero where the shuffle adds nothing.  Each
+    distinct composite of a tuple is built once (repeated indices in t make
+    shuffles coincide), and the placed terms of every plan are canonicalized
+    once per tuple.
     """
-    mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
-    plans = [
-        (f, g, [(sigma, c * sign) for sigma, sign in shuffles(g.arity, f.arity - 1)])
-        for c, f, g in products
+    # itemgetter of a single index returns the item, not a 1-tuple
+    signed = [
+        (build, [(itemgetter(*sigma) if n > 1 else tuple, sigma, c * sign)
+                 for sigma, sign in shuffles(q, n - q)])
+        for q, c, build in plans
     ]
-    n = plans[0][0].arity + plans[0][1].arity - 1
     table = {}
-    for t in sorted(set().union(*(_reach(f, g) for f, g, _signed in plans))):
+    for t in tuples:
         raw = []
-        composites = {}
-        for index, (f, g, signed) in enumerate(plans):
-            q = g.arity
-            for sigma, sc in signed:
-                args = tuple(t[i] for i in sigma)
-                inner = g.terms.get(args[:q])
-                if inner is None:
-                    continue
-                key = (index, args)
-                comp = composites.get(key)
+        for build, shuffled in signed:
+            composites = {}
+            for pick, sigma, sc in shuffled:
+                args = pick(t)
+                comp = composites.get(args)
                 if comp is None:
-                    comp = composites[key] = insert_value(f, (), inner, args[q:])
+                    comp = composites[args] = build(args)
                 if comp:
                     raw += placed(comp, sigma, sc)
         if raw:
-            value = canonicalize(mod, n, raw)
+            value = canonicalize(target, n, raw)
             if value:
                 table[t] = value
-    return Cochain(n, mod, mod, table)
+    return table
+
+
+def head_insertion(outer: PolyMap, inner: Cochain):
+    """The build args -> outer(inner(args[:q]), args[q:]) of a shuffle_sum plan.
+
+    The head args[:q] of a shuffle of a sorted tuple is sorted, so inner.terms
+    holds its value or the shuffle adds nothing.
+    """
+    q = inner.arity
+
+    def build(args):
+        value = inner.terms.get(args[:q])
+        return value and insert_value(outer, (), value, args[q:])
+
+    return build
+
+
+def _circle_sum(products) -> Cochain:
+    """sum c * (f o g) over the (c, f, g) in products, on the tuples some product reaches."""
+    mod = _common_module(*(h for _c, f, g in products for h in (f, g)))
+    n = products[0][1].arity + products[0][2].arity - 1
+    plans = [(g.arity, c, head_insertion(f, g)) for c, f, g in products]
+    tuples = sorted(set().union(*(_reach(f, g) for _c, f, g in products)))
+    return Cochain(n, mod, mod, shuffle_sum(mod, n, tuples, plans))
 
 
 def circle(f: Cochain, g: Cochain) -> Cochain:
-    """Circle (insertion) product: sum over (q, p-1)-shuffles of f(g(...), ...).
-
-    Each distinct composite of an output tuple is built once, and the placed
-    composites of every shuffle are canonicalized once per output tuple.
-    """
+    """Circle (insertion) product: sum over (q, p-1)-shuffles of f(g(...), ...)."""
     return _circle_sum([(1, f, g)])
 
 
 def nr_bracket(f: Cochain, g: Cochain) -> Cochain:
     """Nijenhuis-Richardson bracket [f, g] = f o g - (-1)^{(p-1)(q-1)} g o f.
 
-    Both circle products are summed in one raw list per output tuple.  For
-    g is f the bracket is (1 - (-1)^{(p-1)^2}) f o f exactly: zero for odd
-    arity p, and one circle product with coefficient 2 for even p.
+    Both circle products are one shuffle sum.  For g is f the bracket is
+    (1 - (-1)^{(p-1)^2}) f o f exactly: zero for odd arity p, and one circle
+    product with coefficient 2 for even p.
     """
     if f is g:
         if f.arity % 2:

@@ -331,19 +331,11 @@ def check_mc_omega(Q: QuasiTwilled) -> dict:
                 labels["XI"] = {"zero": not got}
                 correspondence = correspondence and not got
                 continue
-            expected = pc[label]
-            match = True
-            for key in set(got) | set(expected):
-                lhs = got.get(key)
-                rhs = expected.get(key)
-                if rhs is not None:
-                    rhs = coerce_to_sum(rhs, Q.G, tpart).scale(MC_VS_JACOBIATOR)
-                if lhs is None:
-                    match = match and (rhs is None or rhs.is_zero())
-                elif rhs is None:
-                    match = match and lhs.is_zero()
-                else:
-                    match = match and lhs == rhs
+            # both sides keep only nonzero values, so one dict equality decides
+            match = got == {
+                key: coerce_to_sum(v, Q.G, tpart).scale(MC_VS_JACOBIATOR)
+                for key, v in pc[label].items()
+            }
             labels[label] = {"zero": not got, "matches_pc": match}
             correspondence = correspondence and match
     # PC1 has no bracket component; its verdict rides along for the summary

@@ -140,21 +140,11 @@ def direct_sum_algebras(P1: LiePseudoalgebra, P2: LiePseudoalgebra, name="gg") -
 
 
 def adjoint_action(P: LiePseudoalgebra, hmod: FreeModule) -> MixedMap:
-    """The bracket of P reinterpreted as an action on a same-rank module."""
-    if hmod.rank != P.module.rank:
-        raise InputError("adjoint action needs a same-rank module")
-    table = {}
-    for i in range(P.module.rank):
-        for j in range(P.module.rank):
-            v = P.bracket.value((i, j))
-            if not v.is_zero():
-                table[(i, j)] = v.coerce(hmod)
-    return MixedMap(P.module, hmod, hmod, table)
+    """ad (+) ... (+) ad: P acting by its bracket on each copy of itself in hmod.
 
-
-def diagonal_action(P: LiePseudoalgebra, copies: LiePseudoalgebra) -> MixedMap:
-    """ad (+) ad: P acting componentwise on a direct sum of copies of itself."""
-    hmod = copies.module
+    hmod is a direct sum of copies of P's module, in blocks of P's rank; one
+    copy is the adjoint action on a same-rank module.
+    """
     r = P.module.rank
     if hmod.rank % r:
         raise InputError("module rank must be a multiple of the algebra rank")
@@ -164,9 +154,7 @@ def diagonal_action(P: LiePseudoalgebra, copies: LiePseudoalgebra) -> MixedMap:
             for j in range(r):
                 v = P.bracket.value((i, j))
                 if not v.is_zero():
-                    table[(i, block * r + j)] = v.coerce(
-                        hmod, lambda k, b=block: b * r + k
-                    )
+                    table[(i, block * r + j)] = v.coerce(hmod, lambda k, b=block: b * r + k)
     return MixedMap(P.module, hmod, hmod, table)
 
 
@@ -436,7 +424,7 @@ def _demo_ingredients(kind: str, alg: LieAlgebra) -> dict:
         return {"algebra": g}
     if kind == RELATIVE_RB:
         hh = direct_sum_algebras(virasoro("v1", "x1", alg), virasoro("v2", "x2", alg), name="h2")
-        return {"algebra": g, "coefficients": hh, "action": diagonal_action(g, hh)}
+        return {"algebra": g, "coefficients": hh, "action": adjoint_action(g, hh.module)}
     if kind in (CROSSED_HOM, HOMOMORPHISM, MATCHED_PAIR_DEF):
         h = clone_bracket(g, "h")
         ing = {"algebra": g, "coefficients": h}

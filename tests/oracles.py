@@ -10,6 +10,9 @@ than a tautology.  `tests/test_hygiene.py` keeps them apart.
 - `consistency_l1_vs_d`: the twisted L-infinity l1 of
   `deformation.TwistedLinfOps`, against the CE differential of the
   `cohomology` handle, l1(f) = (-1)^{p-1} d(f) under each sign convention.
+- `_ce_reference`: the CE coboundary as the printed per-term sum, each
+  composite placed by its own placement array and signed by its printed
+  sign, against `cochains.shuffle_sum`, which `ce_differential` runs.
 - `cocycle_check_type1`, `cocycle_check_type2` (with `_cocycle_report`): the
   closed-form 1- and 2-cocycle conditions, expanded from the structure maps,
   against `CEComplexHandle.diff0` and `diff`.
@@ -297,10 +300,47 @@ def consistency_l1_vs_d(kind, Q, M, f: Cochain) -> dict:
     sign = (-1) ** (f.arity - 1)
     out = {"arity": f.arity}
     for conv in CONVENTIONS:
-        h = handle_for(kind, Q, M, convention=conv, verify=False)
+        h = handle_for(kind, Q, M, convention=conv)
         out[conv] = l1f == h.diff(f).scale(sign)
     out["validated"] = [c for c in CONVENTIONS if out[c]]
     return out
+
+
+# -- the printed CE sum (against the shuffle sum of the handle) ----------------------
+
+
+def _ce_reference(bracket, action, f, convention):
+    """The CE coboundary of f as the printed per-term sum.
+
+    Each composite is placed by its own placement array through `permute`,
+    scaled by its printed sign, and added as a value.
+    """
+    A, M, p = bracket.source, action.hmod, f.arity
+    if convention == CLASSICAL:
+        s1, s2 = (lambda i: (-1) ** (i + 1)), (lambda i, j: (-1) ** (i + j))
+    else:
+        s1, s2 = (lambda i: (-1) ** (p + i)), (lambda i, j: (-1) ** (p + i + j - 1))
+    table = {}
+    for t in sorted_tuples(A.rank, p + 1):
+        acc = PTElem.zero(M, p + 1)
+        for i in range(1, p + 2):
+            inner = f.value(t[: i - 1] + t[i:])
+            if inner.is_zero():
+                continue
+            comp = insert_raw(
+                lambda k, _i=t[i - 1]: action.eval([A.elem(_i), M.elem(k)]), 2, M, 1, inner
+            )
+            dest = [i - 1] + [s - 1 if s < i else s for s in range(1, p + 1)]
+            acc = acc + permute(comp, dest).scale(s1(i))
+        for i, j in itertools.combinations(range(1, p + 2), 2):
+            inner = bracket.value((t[i - 1], t[j - 1]))
+            if inner.is_zero():
+                continue
+            spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
+            comp = insert_value(f, (), inner, tuple(t[s] for s in spots))
+            acc = acc + permute(comp, [i - 1, j - 1] + spots).scale(s2(i, j))
+        table[t] = acc
+    return Cochain(p + 1, A, M, table)
 
 
 # -- explicit low-degree cocycle conditions ---------------------------------------
@@ -327,7 +367,7 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
     Both the direct expansion and the ce_diff route are computed; the report
     carries their residuals and the agreement verdict.
     """
-    handle = handle_for(TYPE_I, Q, D, convention=convention, verify=False)
+    handle = handle_for(TYPE_I, Q, D, convention=convention)
     direct = {}
     if n == 1:
         u = f
@@ -375,7 +415,7 @@ def cocycle_check_type1(Q: QuasiTwilled, D: HModuleMap, f, n: int, convention=CL
 
 def cocycle_check_type2(Q: QuasiTwilled, T: HModuleMap, f, n: int, convention=CLASSICAL) -> dict:
     """Type II cocycle certificates via zeta/mu^T, direct and differential routes."""
-    handle = handle_for(TYPE_II, Q, T, convention=convention, verify=False)
+    handle = handle_for(TYPE_II, Q, T, convention=convention)
     Qt, _xi = twist2_components(Q, T)
     direct = {}
     if n == 1:

@@ -242,7 +242,7 @@ def test_criterion_08_cohomology_consistency():
                 continue
             src = Q.g if kind == "I" else Q.h
             tgt = Q.h if kind == "I" else Q.g
-            handle = handle_for(kind, Q, m, convention=CLASSICAL, verify=False)
+            handle = handle_for(kind, Q, m, convention=CLASSICAL)
             f1 = random_cochain(rng, src, tgt, 1, max_deg=2)
             ok &= handle.diff(handle.diff(f1)).is_zero()
             for p in (1, 2):

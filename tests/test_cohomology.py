@@ -1,7 +1,5 @@
 """Induced structures, CE differentials, cocycle certificates, truncations."""
 
-import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,11 +9,8 @@ from pseudoalg.ptensor import FreeModule, PTElem, permute
 from pseudoalg.cochains import (
     Cochain,
     MixedMap,
-    insert_raw,
-    insert_value,
     random_cochain,
     skew_check,
-    sorted_tuples,
 )
 from pseudoalg.structures import LiePseudoalgebra, QuasiTwilled, Representation, check_lie
 from pseudoalg.deformation import (
@@ -32,7 +27,6 @@ from pseudoalg.cohomology import (
     ResourceError,
     SHIFTED,
     ce_differential,
-    ce_differential0,
     cochain_coords,
     handle_for,
     induced_rep_type1,
@@ -43,8 +37,9 @@ from pseudoalg.cohomology import (
 )
 from pseudoalg import cochains, linalg, zoo
 
-from conftest import count_calls, count_insertions, pt, term_order_digest, vir_value
+from conftest import count_calls, count_insertions, term_order_digest, vir_value
 from oracles import (
+    _ce_reference,
     ce_diff_matched_type2,
     cocycle_check_type1,
     cocycle_check_type2,
@@ -130,7 +125,7 @@ def test_d0_matches_prop_condition(modified_r_q):
     # the 1-cocycle condition: rho(x,u) + mu(Dx,u) - D eta(x,u) = 0
     Q = modified_r_q
     D = cid(Q, 2)
-    handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL)
     u = Q.h.elem(0)
     x = Q.g.elem(0)
     eta_D = Q.eta.eval([x, u]).map_module(D.apply_basis, D.dst)
@@ -141,7 +136,7 @@ def test_d0_matches_prop_condition(modified_r_q):
     b = zoo.demo_bundle(zoo.CROSSED_HOM)
     Q2 = b["Q"]
     D0 = HModuleMap.zero(Q2.g, Q2.h)
-    handle2 = handle_for(TYPE_I, Q2, D0, convention=CLASSICAL, verify=False)
+    handle2 = handle_for(TYPE_I, Q2, D0, convention=CLASSICAL)
     u2 = Q2.h.elem(0)
     d0 = handle2.diff0(u2)
     assert d0[(0,)] == Q2.rho.eval([Q2.g.elem(0), u2])
@@ -155,41 +150,11 @@ def test_dd_zero_every_zoo_structure(rng):
             if m is None:
                 continue
             for conv in (CLASSICAL, SHIFTED):
-                handle = handle_for(kind, Q, m, convention=conv, verify=False)
+                handle = handle_for(kind, Q, m, convention=conv)
                 src = Q.g if kind == "I" else Q.h
                 tgt = Q.h if kind == "I" else Q.g
                 f = random_cochain(rng, src, tgt, 1, max_deg=2)
                 assert handle.diff(handle.diff(f)).is_zero(), (entry["name"], kind, conv)
-
-
-def _ce_reference(bracket, action, f, convention):
-    """The per-term CE sum: each composite placed with permute, signed, added."""
-    A, M, p = bracket.source, action.hmod, f.arity
-    if convention == CLASSICAL:
-        s1, s2 = (lambda i: (-1) ** (i + 1)), (lambda i, j: (-1) ** (i + j))
-    else:
-        s1, s2 = (lambda i: (-1) ** (p + i)), (lambda i, j: (-1) ** (p + i + j - 1))
-    table = {}
-    for t in sorted_tuples(A.rank, p + 1):
-        acc = PTElem.zero(M, p + 1)
-        for i in range(1, p + 2):
-            inner = f.value(t[: i - 1] + t[i:])
-            if inner.is_zero():
-                continue
-            comp = insert_raw(
-                lambda k, _i=t[i - 1]: action.eval([A.elem(_i), M.elem(k)]), 2, M, 1, inner
-            )
-            dest = [i - 1] + [s - 1 if s < i else s for s in range(1, p + 1)]
-            acc = acc + permute(comp, dest).scale(s1(i))
-        for i, j in itertools.combinations(range(1, p + 2), 2):
-            inner = bracket.value((t[i - 1], t[j - 1]))
-            if inner.is_zero():
-                continue
-            spots = [s for s in range(p + 1) if s not in (i - 1, j - 1)]
-            comp = insert_value(f, (), inner, tuple(t[s] for s in spots))
-            acc = acc + permute(comp, [i - 1, j - 1] + spots).scale(s2(i, j))
-        table[t] = acc
-    return Cochain(p + 1, A, M, table)
 
 
 def test_ce_differential_matches_per_term_reference_on_zoo():
@@ -199,7 +164,7 @@ def test_ce_differential_matches_per_term_reference_on_zoo():
             if m is None:
                 continue
             for conv in (CLASSICAL, SHIFTED):
-                handle = handle_for(kind, entry["Q"], m, convention=conv, verify=False)
+                handle = handle_for(kind, entry["Q"], m, convention=conv)
                 A, M = handle.bracket.source, handle.action.hmod
                 for p in (1, 2):
                     for f in skew_basis(A, M, p, 2):
@@ -219,7 +184,7 @@ def test_ce_differential_term_order_is_pinned():
             if m is None:
                 continue
             for conv in (CLASSICAL, SHIFTED):
-                handle = handle_for(kind, entry["Q"], m, convention=conv, verify=False)
+                handle = handle_for(kind, entry["Q"], m, convention=conv)
                 A, M = handle.bracket.source, handle.action.hmod
                 for p in (1, 2):
                     values += [handle.diff(f) for f in skew_basis(A, M, p, 2)]
@@ -228,7 +193,7 @@ def test_ce_differential_term_order_is_pinned():
 
 def _zoo_handles() -> list:
     return [
-        handle_for(kind, entry["Q"], m, verify=False)
+        handle_for(kind, entry["Q"], m)
         for entry in zoo.zoo_structures()
         for kind, m in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"]))
         if m is not None
@@ -280,7 +245,7 @@ def test_rank1_ce_differential_makes_two_insertions_per_tuple(vir, rng, monkeypa
 
 def test_differential_outputs_skew(modified_r_q, rng):
     Q = modified_r_q
-    handle = handle_for(TYPE_I, Q, cid(Q, 2), convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, cid(Q, 2), convention=CLASSICAL)
     f = random_cochain(rng, Q.g, Q.h, 2, max_deg=2)
     assert skew_check(handle.diff(f)) == []
 
@@ -386,7 +351,7 @@ def test_matched_pair_dT_routes(qd, rng):
     # Cor-4.18-style expansion vs the generic handle, termwise at p = 1
     b = zoo.demo_bundle(zoo.MATCHED_PAIR_DEF)
     Q, T = b["Q"], b["map"]
-    handle = handle_for(TYPE_II, Q, T, convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_II, Q, T, convention=CLASSICAL)
     for _ in range(4):
         f = random_cochain(rng, Q.h, Q.g, 1, max_deg=2)
         assert ce_diff_matched_type2(Q, T, f) == handle.diff(f)
@@ -399,7 +364,7 @@ def test_matched_pair_dT_routes(qd, rng):
     Q2 = zoo.build(zoo.MATCHED_PAIR_DEF,
                    {"algebra": g, "coefficients": habel, "action": rho, "coaction": eta})
     T0 = HModuleMap.zero(Q2.h, Q2.g)
-    handle2 = handle_for(TYPE_II, Q2, T0, convention=CLASSICAL, verify=False)
+    handle2 = handle_for(TYPE_II, Q2, T0, convention=CLASSICAL)
     for _ in range(4):
         f = random_cochain(rng, Q2.h, Q2.g, 1, max_deg=2)
         assert ce_diff_matched_type2(Q2, T0, f) == handle2.diff(f)
@@ -413,7 +378,7 @@ def test_truncated_zero_differential(qd):
     g = FreeModule("g", ["x"], qd)
     h = FreeModule("h", ["u"], qd)
     Q = QuasiTwilled(g, h)
-    handle = handle_for(TYPE_I, Q, HModuleMap.zero(g, h), convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, HModuleMap.zero(g, h), convention=CLASSICAL)
     out = truncated_cohomology(handle, 1, 2)
     assert out["dim_Z"] == out["dim_cochains"] == out["dim_H"] + out["dim_B"]
     assert out["dim_B"] == 0
@@ -433,7 +398,7 @@ def test_truncated_virasoro_derivation_complex_vs_dense_oracle(qd):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
     D = HModuleMap.zero(Q.g, Q.h)
-    handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, D, convention=CLASSICAL)
     got = truncated_cohomology(handle, 1, 2)
     # independent dense kernel computation of dim Z
     basis = skew_basis(Q.g, Q.h, 1, 2)
@@ -450,7 +415,7 @@ def test_truncated_cohomology_matches_dense_oracle_on_zoo():
     # dim B = dim(U & W) = dim U + dim W - dim(U + W), with U spanned by the
     # images of the arity below and W by the unit vectors inside the window
     handles = [
-        handle_for(kind, e["Q"], m, convention=CLASSICAL, verify=False)
+        handle_for(kind, e["Q"], m, convention=CLASSICAL)
         for e in zoo.zoo_structures()
         for kind, m in ((TYPE_I, e["type1"]), (TYPE_II, e["type2"]))
         if m is not None
@@ -532,7 +497,7 @@ def test_cap0_cohomology_of_cur_sl2_is_whitehead(H, request):
 def test_truncated_resource_guard(qd):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
-    handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL)
     with pytest.raises(ResourceError):
         truncated_cohomology(handle, 4, 40)
     with pytest.raises(InputError):
@@ -568,7 +533,7 @@ def test_windows_do_not_depend_on_the_memo():
     # one module pair serves another pair of the same ranks exactly as a
     # fresh, equal algebra does, on the caller's own modules
     entry = next(e for e in zoo.zoo_structures() if e["name"] == "relative_rb")
-    handle = handle_for(TYPE_II, entry["Q"], entry["type2"], verify=False)
+    handle = handle_for(TYPE_II, entry["Q"], entry["type2"])
     warm_alg, cold_alg = LieAlgebra.abelian(["d"]), LieAlgebra.abelian(["d"])
     warm = _moved(handle, warm_alg, ("g", "h"))
     cases = ((1, 3), (2, 3), (3, 2))
@@ -619,7 +584,7 @@ def test_window_memo_separates_shapes(qd, b2):
 def test_over_budget_windows_never_enter_the_memo():
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
-    handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL, verify=False)
+    handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL)
     memo = Q.g.alg.cochain_windows
     # (4, 40) is refused before any window is built; (1, 400) keeps its
     # arity-1 window, within budget, and is refused at the arity-2 one

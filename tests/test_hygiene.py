@@ -344,17 +344,33 @@ PRODUCTION_ROUTES = {
     "lie_ce_cohomology": CE_HANDLE | {"truncated_cohomology", "skew_basis", "cochain_coords"},
     "graph_check": {"dmap1_residual", "dmap_residual", "_type1_tables"},
     "mc_bullet_components": {"check_mc_omega", "pc_residuals", "omega"},
+    "_ce_reference": {
+        "shuffle_sum", "shuffles", "_circle_sum", "ce_differential", "CEComplexHandle", "handle_for",
+    },
 }
 
 
 @pytest.mark.parametrize("oracle", sorted(PRODUCTION_ROUTES))
 def test_oracle_is_independent_of_its_production_route(oracle):
     # the matched-pair d^T, the interpolated rank-2 residuals, the dense Lie
-    # algebra CE complex, the graph closure and the bullet list check the
-    # generic handle, the ring evaluation, the truncated cohomology, the type
-    # I residual and the PC cross-check only while they share no code
+    # algebra CE complex, the graph closure, the bullet list and the printed
+    # CE sum check the generic handle, the ring evaluation, the truncated
+    # cohomology, the type I residual, the PC cross-check and the shuffle sum
+    # only while they share no code
     source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert route_names(source, oracle) & PRODUCTION_ROUTES[oracle] == set()
+
+
+def test_only_cochains_places_composites():
+    # the shuffle sum of cochains places the composites of the circle product,
+    # the NR bracket and the CE differential; a module that places its own
+    # would run a second copy of that loop
+    users = {
+        path.stem
+        for path in MODULES
+        if path.stem != "ptensor" and _identifiers(ast.parse(path.read_text(encoding="utf-8")))["placed"]
+    }
+    assert users == {"cochains"}
 
 
 # The deformation side of the dictionary, which zoo.operator_residual must not

@@ -213,7 +213,7 @@ def test_diagonal_action_at_rank_2():
     # see a wrong index within a block
     g = zoo.current(zoo.nonabelian_2dim(), zoo.polynomial_hopf())
     copies = zoo.direct_sum_algebras(g, g)
-    act = zoo.diagonal_action(g, copies)
+    act = zoo.adjoint_action(g, copies.module)
     for i in range(2):
         for t in range(4):
             expect = copies.bracket.value((2 * (t // 2) + i, t))
