@@ -16,14 +16,15 @@ matched-pair d^T and the printed per-term sum are independent routes kept in
 
 Cohomology groups are computed on degree-truncated subcomplexes: exact kernel
 ranks, and image dimensions within the truncation window (caveat flagged).
-A cochain enters `linalg` as a sparse {position: coefficient} vector, read
-straight from its values' terms, over the window positions of
-`cochain_coords`.
+No target window is built: each d image enters `linalg` as a sparse
+{position: coefficient} vector, each (tuple, key) numbered when first seen.
+dim B is rank(C) - rank(C_out), C the images of C^{p-1} and C_out their parts
+outside the window.  The budget is counted once, before any work, on the
+largest space touched: the one d maps C^p into, (p + 1, cap + growth).
 
-A window depends on the handle only through its shape, so each is built once
-per H, in the memo `target.alg.cochain_windows` keyed on (source rank, target
-rank, tuple arity, key arity, cap).  An entry holds the positions, the skew
-basis vectors and the `inside` masks, the last two filled on first use.
+A skew basis depends on the handle only through its shape, so each is solved
+once per H, in the memo `target.alg.cochain_windows` keyed on (source rank,
+target rank, arity, cap); an entry holds the positions and the basis.
 Callers must not mutate it; nothing over `COORD_BUDGET` enters it.
 """
 
@@ -209,42 +210,22 @@ def ptelem_coords(module: FreeModule, arity: int, cap: int):
     return out
 
 
-def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int) -> dict:
-    """Positions {(tuple, key): n} of the raw truncated space, memoised: do not mutate."""
-    return _window(source, target, arity, cap)["index"]
-
-
-def _window(source: FreeModule, target: FreeModule, arity: int, cap: int, tuple_arity=None) -> dict:
-    """The memo entry of sorted `tuple_arity`-tuples (default arity) times arity-keys."""
-    tuple_arity = tuple_arity or arity
+def _check_budget(source: FreeModule, target: FreeModule, arity: int, cap: int):
+    """Refuse a raw truncated space over `COORD_BUDGET`, counted before anything is built."""
     # sorted tuples times keys: monomials of degree <= cap in arity * dim
-    # variables, one per basis element; counted before anything is built
+    # variables, one per basis element
     dim = target.alg.dim
-    tuples = comb(source.rank + tuple_arity - 1, tuple_arity)
-    size = tuples * target.rank * comb(cap + arity * dim, arity * dim)
+    size = comb(source.rank + arity - 1, arity) * target.rank * comb(cap + arity * dim, arity * dim)
     if size > COORD_BUDGET:
-        raise ResourceError(
-            f"truncated space needs {size} coordinates (budget {COORD_BUDGET})"
-        )
-    memo = target.alg.cochain_windows
-    key = (source.rank, target.rank, tuple_arity, arity, cap)
-    if key not in memo:
-        keys = ptelem_coords(target, arity, cap)
-        cks = itertools.product(sorted_tuples(source.rank, tuple_arity), keys)
-        memo[key] = {"index": {ck: n for n, ck in enumerate(cks)}, "inside": {}}
-    return memo[key]
+        raise ResourceError(f"truncated space needs {size} coordinates (budget {COORD_BUDGET})")
 
 
-def _vec_of_cochain(table: dict, index: dict) -> dict:
-    """The sparse vector {position: coefficient} of a cochain table {tuple: value}."""
-    vec = {}
-    for t, v in table.items():
-        for key, c in v.terms.items():
-            pos = index.get((t, key))
-            if pos is None:
-                raise InputError("cochain exceeds the truncation window")
-            vec[pos] = c
-    return vec
+def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int) -> dict:
+    """Positions {(tuple, key): n} of the raw truncated space, in a fresh dict."""
+    _check_budget(source, target, arity, cap)
+    keys = ptelem_coords(target, arity, cap)
+    cks = itertools.product(sorted_tuples(source.rank, arity), keys)
+    return {ck: n for n, ck in enumerate(cks)}
 
 
 def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> list:
@@ -261,12 +242,14 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> 
     {tuple: {key: c}} (module docstring); callers never see them, since each
     call wraps them in fresh cochains on the caller's own modules.
     """
-    win = _window(source, target, arity, cap)
-    if "skew" not in win:
-        win["skew"] = _skew_tables(win["index"], source, target, arity, cap)
+    memo = target.alg.cochain_windows
+    shape = (source.rank, target.rank, arity, cap)
+    if shape not in memo:
+        index = cochain_coords(source, target, arity, cap)
+        memo[shape] = {"index": index, "skew": _skew_tables(index, source, target, arity, cap)}
     return [
         Cochain(arity, source, target, {t: PTElem(target, arity, d) for t, d in table.items()})
-        for table in win["skew"]
+        for table in memo[shape]["skew"]
     ]
 
 
@@ -295,6 +278,20 @@ def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int
     return tuple(tables)
 
 
+def _sparse_vectors(tables) -> tuple:
+    """(sparse vectors, positions) of cochain tables, each (tuple, key) numbered when first seen."""
+    positions = {}
+    vecs = [
+        {
+            positions.setdefault((t, key), len(positions)): c
+            for t, v in table.items()
+            for key, c in v.terms.items()
+        }
+        for table in tables
+    ]
+    return vecs, positions
+
+
 def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     """(dim Z, dim B, dim H) of the degree-truncated subcomplex at arity p.
 
@@ -308,37 +305,32 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
         raise InputError("degree cap must be >= 0")
     A = handle.bracket.source
     M = handle.action.hmod
-    growth = handle.max_growth()
+    # d maps C^p into arity p + 1 and degree cap + growth, the largest space
+    # touched below, so counting it refuses an over-budget call before any work
+    _check_budget(A, M, p + 1, cap + handle.max_growth())
     basis_p = skew_basis(A, M, p, cap)
-    index_up = cochain_coords(A, M, p + 1, cap + growth)
     # rank of d on the basis = rank of its images taken as rows
-    images = [_vec_of_cochain(handle.diff(f).terms, index_up) for f in basis_p]
+    images, _ = _sparse_vectors(handle.diff(f).terms for f in basis_p)
     dim_z = len(basis_p) - linalg.rank(images)
 
     # coboundaries: image of d from one arity below, within the window; at p = 1
     # d has arity-2 values, and only their trivial-slot part meets C^1
-    win = _window(A, M, max(p, 2), cap + growth, tuple_arity=p)
-    index = win["index"]
     if p == 1:
-        prev_cols = [
-            _vec_of_cochain(handle.diff0(M.elem(k, M.alg.mono(K))), index)
+        tables = [
+            handle.diff0(M.elem(k, M.alg.mono(K)))
             for k in range(M.rank)
             for K in _multiindices(M.alg.dim, cap)
         ]
     else:
-        prev_cols = [
-            _vec_of_cochain(handle.diff(f).terms, index)
-            for f in skew_basis(A, M, p - 1, cap)
-        ]
-    inside = win["inside"].get(cap)
-    if inside is None:
-        inside = win["inside"][cap] = [
-            n
-            for (_t, (slots, K, _k)), n in index.items()
-            if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
-            and (p > 1 or slots == (M.alg.zero_index,))
-        ]
-    dim_b = linalg.image_dim_within(prev_cols, inside)
+        tables = [handle.diff(f).terms for f in skew_basis(A, M, p - 1, cap)]
+    cols, positions = _sparse_vectors(tables)
+    inside = [
+        n
+        for (_t, (slots, K, _k)), n in positions.items()
+        if sum(mi_degree(s) for s in slots) + mi_degree(K) <= cap
+        and (p > 1 or slots == (M.alg.zero_index,))
+    ]
+    dim_b = linalg.image_dim_within(cols, inside)
     return {
         "arity": p,
         "cap": cap,

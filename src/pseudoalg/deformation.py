@@ -95,24 +95,31 @@ def _type1_tables(Q: QuasiTwilled, D: HModuleMap) -> tuple:
 
 def dmap2_residual(Q: QuasiTwilled, T: HModuleMap) -> Cochain:
     """Defining residual of a type II map: (g-side) - T(h-side), per basis pair."""
+    return _type2_tables(Q, T)[1]
+
+
+def _type2_tables(Q: QuasiTwilled, T: HModuleMap) -> tuple:
+    """(mu^T table, defining residual) of a type II map.
+
+    mu^T(u, v) = mu(u, v) + rho(Tu, v) - (12) rho(Tv, u) + theta(Tu, Tv) is
+    the h-side of the residual, so the twist takes both from one evaluation.
+    """
     _check_orientation(Q, T, TYPE_II)
-    table = {}
+    mu_t, table = {}, {}
     for i, j in sorted_tuples(Q.h.rank, 2):
         u, v = Q.h.elem(i), Q.h.elem(j)
         Tu, Tv = T(u), T(v)
+        rho_uv, rho_vu = Q.rho.eval([Tu, v]), permute(Q.rho.eval([Tv, u]), SWAP2)
+        mu, theta = Q.mu.value((i, j)), Q.theta.eval([Tu, Tv])
+        mu_t[(i, j)] = mu + rho_uv - rho_vu + theta
         gside = (
             Q.pi.eval([Tu, Tv])
             + Q.eta.eval([Tu, v])
             - permute(Q.eta.eval([Tv, u]), SWAP2)
         )
-        hside = (
-            Q.rho.eval([Tu, v])
-            - permute(Q.rho.eval([Tv, u]), SWAP2)
-            + Q.mu.value((i, j))
-            + Q.theta.eval([Tu, Tv])
-        )
+        hside = rho_uv - rho_vu + mu + theta
         table[(i, j)] = gside - hside.map_module(T.apply_basis, T.dst)
-    return Cochain(2, Q.h, Q.g, table)
+    return mu_t, Cochain(2, Q.h, Q.g, table)
 
 
 def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
@@ -126,16 +133,14 @@ def exp_twist(Q: QuasiTwilled, M: HModuleMap, kind: str) -> Cochain:
     acc = Q.omega()
     term = acc
     k = 0
-    factorial = 1
     while True:
         term = nr_bracket(term, mhat)
         k += 1
-        factorial *= k
         if term.is_zero():
             break
         if k >= 4:
             raise InternalInvariantError("twist series failed to terminate in 4 terms")
-        acc = acc + term.scale(Fraction(1, factorial))
+        acc = acc + term.scale(Fraction(1, factorial(k)))
     return acc
 
 
@@ -205,8 +210,12 @@ def twist1(Q: QuasiTwilled, D: HModuleMap) -> tuple:
 
 
 def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> tuple:
-    """Closed-form type II twist as (Qt, xi): Qt holds the other five, PC iff xi = 0."""
-    _check_orientation(Q, T, TYPE_II)
+    """Closed-form type II twist as (Qt, xi): Qt holds the other five, PC iff xi = 0.
+
+    xi, the type II defining residual (g-side) - T(h-side), comes from the
+    same pass over h pairs as mu^T.
+    """
+    mu_t, xi = _type2_tables(Q, T)
     g, h = Q.g, Q.h
     pi_t, theta_t = {}, {}
     for i, j in sorted_tuples(g.rank, 2):
@@ -224,16 +233,6 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> tuple:
                 - Q.rho.value((i, j)).map_module(T.apply_basis, T.dst)
                 - theta_xTv.map_module(T.apply_basis, T.dst)
             )
-    mu_t = {}
-    for i, j in sorted_tuples(h.rank, 2):
-        u, v = h.elem(i), h.elem(j)
-        Tu, Tv = T(u), T(v)
-        mu_t[(i, j)] = (
-            Q.mu.value((i, j))
-            + Q.rho.eval([Tu, v])
-            - permute(Q.rho.eval([Tv, u]), SWAP2)
-            + Q.theta.eval([Tu, Tv])
-        )
     Qt = QuasiTwilled(
         g,
         h,
@@ -244,8 +243,7 @@ def twist2_components(Q: QuasiTwilled, T: HModuleMap) -> tuple:
         theta=Cochain(2, g, h, theta_t),
         G=Q.G,
     )
-    # the type II defining residual, (g-side) - T(h-side), is xi itself
-    return Qt, dmap2_residual(Q, T)
+    return Qt, xi
 
 
 def twist2(Q: QuasiTwilled, T: HModuleMap) -> tuple:

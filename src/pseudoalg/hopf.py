@@ -109,7 +109,7 @@ class LieAlgebra:
         self.term_expansions = {}
         # (inner slots, K_in, P) -> ((legs, c), ...); filled only by cochains._coproduct_spread
         self.coproduct_spreads = {}
-        # window shape -> {"index", "inside", "skew"}; see cohomology's docstring
+        # window shape -> {"index", "skew"}; see cohomology's docstring
         self.cochain_windows = {}
 
     @classmethod

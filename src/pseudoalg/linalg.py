@@ -15,6 +15,9 @@ Two independent routes are kept deliberately, and share no elimination code:
   nonzeros.  The echelon, the pivots and the kernel vectors are exactly
   those of the dense algorithm, and the matrices of the truncated
   cohomology (about 2% filled) cost work in proportion to their nonzeros.
+  Only `nullspace` back-substitutes, over Fractions; `image_dim_within` is
+  the difference of two ranks, so the coboundary dimensions of the
+  truncated cohomology never leave the integers.
 - The oracle (`rank_dense`, `nullspace_dense`) is plain Gaussian
   elimination over dense Fraction rows.  It lives in `tests/oracles.py`,
   which the tests compare against and which imports nothing from here.
@@ -111,28 +114,10 @@ def nullspace(rows, ncols):
 def image_dim_within(cols, inside_idx) -> int:
     """dim { v in column-span(cols) : v supported on inside_idx }.
 
-    cols are sparse rational column vectors.  Each column is split once into
-    its outside part, transposed into the rows of the outside block, and its
-    inside part.  Solve for the kernel of the outside block, then take the
-    rank of the inside block on that kernel.
+    That subspace is the kernel of the projection of the span onto the
+    outside coordinates, so by rank-nullity it has dimension
+    rank(cols) - rank(outside parts of cols).
     """
-    inside_set = set(inside_idx)
-    out_rows = {}
-    col_inside = []
-    for j, col in enumerate(cols):
-        here = {}
-        for i, x in col.items():
-            if i in inside_set:
-                here[i] = x
-            else:
-                out_rows.setdefault(i, {})[j] = x
-        col_inside.append(here)
-    ker = nullspace([out_rows[i] for i in sorted(out_rows)], len(cols))
-    inside_rows = []
-    for vec in ker:
-        img = {}
-        for j, x in vec.items():
-            for i, y in col_inside[j].items():
-                img[i] = img.get(i, 0) + x * y
-        inside_rows.append(img)
-    return rank(inside_rows)
+    inside = set(inside_idx)
+    outside = [{i: x for i, x in col.items() if i not in inside} for col in cols]
+    return rank(cols) - rank(outside)

@@ -112,7 +112,7 @@ def check_lie(P) -> dict:
 class Representation:
     """A module with an action map satisfying the pseudo-module axiom."""
 
-    def __init__(self, algebra: LiePseudoalgebra, module: FreeModule, action: MixedMap, validate=True):
+    def __init__(self, algebra: LiePseudoalgebra, module: FreeModule, action: MixedMap):
         if (action.gmod, action.hmod, action.target) != (
             algebra.module,
             module,
@@ -122,10 +122,9 @@ class Representation:
         self.algebra = algebra
         self.module = module
         self.action = action
-        if validate:
-            fails = representation_residuals(algebra.bracket, action)
-            if fails:
-                raise InputError(f"not a representation; residuals at {sorted(fails)}")
+        fails = representation_residuals(algebra.bracket, action)
+        if fails:
+            raise InputError(f"not a representation; residuals at {sorted(fails)}")
 
 
 def representation_residuals(bracket: Cochain, rho: MixedMap) -> dict:

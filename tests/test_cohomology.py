@@ -494,6 +494,37 @@ def test_cap0_cohomology_of_cur_sl2_is_whitehead(H, request):
         assert got == lie_ce_cohomology(constants, matrices, 3) == WHITEHEAD_SL2[name], name
 
 
+CAP0_ALGEBRAS = {
+    "abelian": (2, {}, (1, 1)),
+    "b2": (2, {(0, 1): {1: Fraction(1)}}, (1, 0)),
+    "heisenberg": (3, {(0, 1): {2: Fraction(1)}}, (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("H", ["qd", "b2"])
+@pytest.mark.parametrize("name", sorted(CAP0_ALGEBRAS))
+def test_cap0_cohomology_equals_the_dense_route(H, name, request):
+    # Cur_H g with the trivial, adjoint and a character module (zero on
+    # [g, g]): the cap-0 window is the Lie-algebra complex, for either H,
+    # and its coboundaries come from d0 at p = 1 and from d at p >= 2
+    alg = request.getfixturevalue(H)
+    dim, constants, chi = CAP0_ALGEBRAS[name]
+    g = zoo.current(LieAlgebra([f"a{i}" for i in range(dim)], constants), alg)
+    line = FreeModule("v", ["v"], alg)
+    zero = ((alg.zero_index,), alg.zero_index, 0)
+    character = {(i, 0): PTElem(line, 2, {zero: Fraction(c)}) for i, c in enumerate(chi) if c}
+    adjoint = FreeModule("ad", [f"b{i}" for i in range(dim)], alg)
+    modules = {
+        "trivial": (MixedMap(g.module, line, line, {}), [[[0]]] * dim),
+        "adjoint": (zoo.adjoint_action(g, adjoint), _adjoint_matrices(constants, dim)),
+        "character": (MixedMap(g.module, line, line, character), [[[c]] for c in chi]),
+    }
+    for module, (action, matrices) in modules.items():
+        handle = CEComplexHandle(TYPE_I, g.bracket, action)
+        got = [truncated_cohomology(handle, p, 0)["dim_H"] for p in range(1, dim + 1)]
+        assert got == lie_ce_cohomology(constants, matrices, dim), (module, got)
+
+
 def test_truncated_resource_guard(qd):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
@@ -586,15 +617,27 @@ def test_over_budget_windows_never_enter_the_memo():
     Q = b["Q"]
     handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL)
     memo = Q.g.alg.cochain_windows
-    # (4, 40) is refused before any window is built; (1, 400) keeps its
-    # arity-1 window, within budget, and is refused at the arity-2 one
-    for p, cap, kept in ((4, 40, 0), (1, 400, 1)):
+    # both are refused on the count of the space d maps into, before any
+    # window is built, though (1, 400) has an arity-1 window within budget
+    for p, cap in ((4, 40), (1, 400)):
         size = len(memo)
         for _ in range(2):
             with pytest.raises(ResourceError):
                 truncated_cohomology(handle, p, cap)
-            assert len(memo) == size + kept
+            assert len(memo) == size
     assert all(len(w["index"]) <= COORD_BUDGET for w in memo.values())
+
+
+def test_cohomology_memoises_skew_bases_only():
+    # truncated_cohomology numbers its d images itself: the memo holds the
+    # skew bases at arities p and p - 1, and no window without its basis
+    handles = _zoo_handles()
+    for handle in handles:
+        truncated_cohomology(handle, 3, 4)
+    [alg] = {h.action.hmod.alg for h in handles}
+    shapes = {(h.bracket.source.rank, h.action.hmod.rank, p, 4) for h in handles for p in (2, 3)}
+    assert set(alg.cochain_windows) == shapes
+    assert all("skew" in w for w in alg.cochain_windows.values())
 
 
 def _sparse(rows):

@@ -136,6 +136,17 @@ def test_lemma_system_is_pc6_alone(max_deg, coords):
     assert len(labels) == coords and set(labels) == {"PC6"}
 
 
+@pytest.mark.parametrize("max_deg", [1, 2])
+@pytest.mark.parametrize("virasoro", [False, True])
+def test_pc_equals_nr_over_the_unknowns(max_deg, virasoro):
+    # the structure at the generators of ZZ[unknowns] is every point at once:
+    # its PC residuals are nonzero polynomials, and [Omega, Omega]_NR
+    # matches them identically, not only at sampled points
+    p = Rank2Problem(max_deg, mu_virasoro=virasoro)
+    m = check_mc_omega(p.structure(p.gens))
+    assert not m["bracket_zero"] and m["correspondence_ok"] and m["agrees_with_pc"]
+
+
 def test_one_pc_evaluation_per_problem(monkeypatch):
     calls = []
     pc_residuals = rank2.pc_residuals
