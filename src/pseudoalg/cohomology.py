@@ -1,7 +1,8 @@
 """Chevalley-Eilenberg differentials for both deformation-map types.
 
-A handle fixes (kind, induced bracket + action, sign convention).  On
-C^p the shifted differential is (-1)^{p-1} times the classical one:
+A handle fixes the kind, the induced semidirect structure (its bracket pi
+and action rho, `induced_structure`) and the sign convention.  On C^p the
+shifted differential is (-1)^{p-1} times the classical one:
 
     classical:  sum_i (-1)^{i+1} action-term + sum_{i<j} (-1)^{i+j} bracket-term
     shifted:    (-1)^{p-1} * classical
@@ -51,9 +52,8 @@ from .structures import (
     SHIFTED,
     TYPE_I,
     TYPE_II,
-    LiePseudoalgebra,
     QuasiTwilled,
-    Representation,
+    require_pc,
 )
 from .deformation import twist1_components, twist2_components
 from . import linalg
@@ -143,39 +143,32 @@ class CEComplexHandle:
         return max(self.bracket.max_degree(), self.action.max_degree(), 0)
 
 
-def induced_rep_type1(Q: QuasiTwilled, D: HModuleMap):
-    """(g, pi^D) as a Lie pseudoalgebra and rho^D as its representation on h."""
-    Qt = twist1_components(Q, D)  # its theta is the defining residual of D
-    if not Qt.theta.is_zero():
-        raise InputError("induced structures need a valid type I map")
-    algebra = LiePseudoalgebra(Q.g, Qt.pi)  # validates skew + Jacobi
-    rep = Representation(algebra, Q.h, Qt.rho)  # validates the module axiom
-    return algebra, rep
+def induced_structure(Q: QuasiTwilled, M: HModuleMap, kind: str) -> QuasiTwilled:
+    """The Lie pseudoalgebra and representation a deformation map M induces,
+    as the semidirect quasi-twilled structure (A, V, pi = bracket, rho = action).
 
-
-def induced_rep_type2(Q: QuasiTwilled, T: HModuleMap):
-    """(h, mu^T) as a Lie pseudoalgebra and zeta as its representation on g.
-
-    zeta is the matched-pair reorientation of the twisted eta component:
-    zeta(v (x) x) = -(12) eta^T(x (x) v).
+    Type I gives (g, h, pi^D, rho^D); type II gives (h, g, mu^T, zeta), zeta
+    the matched-pair reorientation zeta(v (x) x) = -(12) eta^T(x (x) v).
+    With the other components zero, SKEW-pi and PC2 are skew-symmetry and
+    Jacobi, and PC5 is the module axiom, so `require_pc` checks them all.
     """
-    Qt, xi = twist2_components(Q, T)  # xi is the defining residual of T
-    if not xi.is_zero():
-        raise InputError("induced structures need a valid type II map")
-    algebra = LiePseudoalgebra(Q.h, Qt.mu)
-    rep = Representation(algebra, Q.g, Qt.eta.swapped())
-    return algebra, rep
+    if kind == TYPE_I:
+        Qt = twist1_components(Q, M)  # its theta is the defining residual of M
+        resid, S = Qt.theta, QuasiTwilled(Q.g, Q.h, pi=Qt.pi, rho=Qt.rho)
+    elif kind == TYPE_II:
+        Qt, resid = twist2_components(Q, M)  # xi is the defining residual of M
+        S = QuasiTwilled(Q.h, Q.g, pi=Qt.mu, rho=Qt.eta.swapped())
+    else:
+        raise InputError("kind must be 'I' or 'II'")
+    if not resid.is_zero():
+        raise InputError(f"induced structures need a valid type {kind} map")
+    return require_pc(S, f"the structure induced by a type {kind} map violates the axioms")
 
 
 def handle_for(kind, Q, M, convention=CLASSICAL):
     """Build the CE handle of a type I or type II deformation map M of Q."""
-    if kind == TYPE_I:
-        alg, rp = induced_rep_type1(Q, M)
-    elif kind == TYPE_II:
-        alg, rp = induced_rep_type2(Q, M)
-    else:
-        raise InputError("kind must be 'I' or 'II'")
-    return CEComplexHandle(kind, alg.bracket, rp.action, convention)
+    S = induced_structure(Q, M, kind)
+    return CEComplexHandle(kind, S.pi, S.rho, convention)
 
 
 # -- truncated cohomology ----------------------------------------------------------
@@ -246,15 +239,15 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> 
     shape = (source.rank, target.rank, arity, cap)
     if shape not in memo:
         index = cochain_coords(source, target, arity, cap)
-        memo[shape] = {"index": index, "skew": _skew_tables(index, source, target, arity, cap)}
+        memo[shape] = {"index": index, "skew": _skew_tables(index, source, target, arity)}
     return [
         Cochain(arity, source, target, {t: PTElem(target, arity, d) for t, d in table.items()})
         for table in memo[shape]["skew"]
     ]
 
 
-def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int, cap: int) -> tuple:
-    keys = ptelem_coords(target, arity, cap)
+def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int) -> tuple:
+    keys = dict.fromkeys(key for _t, key in index)  # the window's keys, in their order
     rows = []
     for t in sorted_tuples(source.rank, arity):
         for i in range(arity - 1):

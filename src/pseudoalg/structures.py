@@ -109,40 +109,6 @@ def check_lie(P) -> dict:
     return {"ok": not skew and not jac, "skew": skew, "jacobi": jac}
 
 
-class Representation:
-    """A module with an action map satisfying the pseudo-module axiom."""
-
-    def __init__(self, algebra: LiePseudoalgebra, module: FreeModule, action: MixedMap):
-        if (action.gmod, action.hmod, action.target) != (
-            algebra.module,
-            module,
-            module,
-        ):
-            raise InputError("action must map algebra (x) module -> module")
-        self.algebra = algebra
-        self.module = module
-        self.action = action
-        fails = representation_residuals(algebra.bracket, action)
-        if fails:
-            raise InputError(f"not a representation; residuals at {sorted(fails)}")
-
-
-def representation_residuals(bracket: Cochain, rho: MixedMap) -> dict:
-    """Module-axiom residuals rho(x, rho(y, w)) - rho([x*y], w) - (12) rho(y, rho(x, w))."""
-    out = {}
-    for i in range(bracket.source.rank):
-        for j in range(bracket.source.rank):
-            for w in range(rho.hmod.rank):
-                r = (
-                    insert_value(rho, (i,), rho.value((j, w)), ())
-                    - insert_value(rho, (), bracket.value((i, j)), (w,))
-                    - permute(insert_value(rho, (j,), rho.value((i, w)), ()), P_SWAP01)
-                )
-                if not r.is_zero():
-                    out[(i, j, w)] = r
-    return out
-
-
 class QuasiTwilled:
     """The tuple (g, h, pi, rho, mu, eta, theta) with free-module data.
 

@@ -12,7 +12,7 @@ from pseudoalg.cochains import (
     random_cochain,
     skew_check,
 )
-from pseudoalg.structures import LiePseudoalgebra, QuasiTwilled, Representation, check_lie
+from pseudoalg.structures import LiePseudoalgebra, QuasiTwilled, check_lie, orientation, require_pc
 from pseudoalg.deformation import (
     TYPE_I,
     TYPE_II,
@@ -29,15 +29,14 @@ from pseudoalg.cohomology import (
     ce_differential,
     cochain_coords,
     handle_for,
-    induced_rep_type1,
-    induced_rep_type2,
+    induced_structure,
     ptelem_coords,
     skew_basis,
     truncated_cohomology,
 )
-from pseudoalg import cochains, linalg, zoo
+from pseudoalg import cochains, cohomology, linalg, zoo
 
-from conftest import count_calls, count_insertions, term_order_digest, vir_value
+from conftest import count_calls, count_insertions, pt, term_order_digest, vir_value
 from oracles import (
     _ce_reference,
     ce_diff_matched_type2,
@@ -60,40 +59,39 @@ def cid(Q, c, kind=TYPE_I):
 
 def test_induced_type1_modified_r(modified_r_q):
     Q = modified_r_q
-    alg, rep = induced_rep_type1(Q, cid(Q, 2))
+    S = induced_structure(Q, cid(Q, 2), TYPE_I)
     # pi^D(x,y) = [x*Dy] + [Dx*y]-type = 2c [x*y]
-    assert alg.bracket.value((0, 0)) == vir_value(Q.g, scale=4)
+    assert S.pi.value((0, 0)) == vir_value(Q.g, scale=4)
     # rho^D(x (x) u) = [D(x)*u] - D([x*u]) with D = 2 id: 2[x*u] - 2[x*u]+...
     D = cid(Q, 2)
     x, u = Q.g.elem(0), Q.h.elem(0)
     expect = Q.mu.eval([D(x), u]) - Q.eta.eval([x, u]).map_module(D.apply_basis, D.dst)
-    assert rep.action.value((0, 0)) == expect
+    assert S.rho.value((0, 0)) == expect
     with pytest.raises(InputError):
-        induced_rep_type1(Q, cid(Q, 1))
+        induced_structure(Q, cid(Q, 1), TYPE_I)
 
 
 def test_induced_type1_trivial(qd):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
-    alg, rep = induced_rep_type1(Q, HModuleMap.zero(Q.g, Q.h))
-    assert alg.bracket == Q.pi
-    assert rep.action == Q.rho
+    S = induced_structure(Q, HModuleMap.zero(Q.g, Q.h), TYPE_I)
+    assert S.pi == Q.pi
+    assert S.rho == Q.rho
 
 
 def test_induced_type2_reynolds(reynolds_q):
     Q = reynolds_q
-    alg, rep = induced_rep_type2(Q, cid(Q, -1, TYPE_II))
-    assert check_lie(alg)["ok"]
+    S = induced_structure(Q, cid(Q, -1, TYPE_II), TYPE_II)
+    assert check_lie(S.pi)["ok"]
     with pytest.raises(InputError):
-        induced_rep_type2(Q, cid(Q, 1, TYPE_II))
+        induced_structure(Q, cid(Q, 1, TYPE_II), TYPE_II)
 
 
 def test_induced_type2_relative_rb_closed_form(qd):
     # mu^T(u,v) = p mu(u,v) + rho(Tu, v) - (12) rho(Tv, u)
     b = zoo.demo_bundle(zoo.RELATIVE_RB)
     Q, T = b["Q"], b["map"]
-    alg, rep = induced_rep_type2(Q, T)
-    from pseudoalg.ptensor import permute
+    S = induced_structure(Q, T, TYPE_II)
 
     for (i, j) in ((0, 0), (0, 1), (1, 1)):
         u, v = Q.h.elem(i), Q.h.elem(j)
@@ -102,7 +100,7 @@ def test_induced_type2_relative_rb_closed_form(qd):
             + Q.rho.eval([T(u), v])
             - permute(Q.rho.eval([T(v), u]), (1, 0))
         )
-        assert alg.bracket.value((i, j)) == expect
+        assert S.pi.value((i, j)) == expect
 
 
 def test_matched_pair_zeta_at_zero_map(qd):
@@ -110,11 +108,9 @@ def test_matched_pair_zeta_at_zero_map(qd):
     b = zoo.demo_bundle(zoo.MATCHED_PAIR_DEF)
     Q = b["Q"]
     T0 = HModuleMap.zero(Q.h, Q.g)
-    alg, rep = induced_rep_type2(Q, T0)
-    assert alg.bracket == Q.mu
-    from pseudoalg.ptensor import permute
-
-    for (j, i), v in rep.action.terms.items():
+    S = induced_structure(Q, T0, TYPE_II)
+    assert S.pi == Q.mu
+    for (j, i), v in S.rho.terms.items():
         assert v == permute(Q.eta.value((i, j)), (1, 0)).scale(-1)
 
 
@@ -206,8 +202,8 @@ def test_representation_check_evaluates_no_module_element(monkeypatch):
     handles = _zoo_handles()
     evaluations = count_calls(monkeypatch, "evaluate", cochains)
     for handle in handles:
-        algebra = LiePseudoalgebra(handle.bracket.source, handle.bracket, validate=False)
-        Representation(algebra, handle.action.hmod, handle.action)
+        A, M = handle.bracket.source, handle.action.hmod
+        require_pc(QuasiTwilled(A, M, pi=handle.bracket, rho=handle.action), "semidirect sum")
     assert len(handles) == 23 and evaluations == []
 
 
@@ -254,6 +250,19 @@ def test_handle_verification_rejects_invalid(qd, reynolds_q):
     # a non-deformation map cannot produce a complex
     with pytest.raises(InputError):
         handle_for(TYPE_II, reynolds_q, cid(reynolds_q, 1, TYPE_II))
+
+
+def test_handle_refuses_an_induced_structure_that_fails_the_axioms(qd):
+    # the zero map is a deformation map of either type; what it induces here
+    # breaks the module axiom, which is PC5 of the semidirect sum
+    vir = zoo.virasoro("g", "x")
+    M = FreeModule("m", ["e"], qd)
+    bad = {(0, 0): pt(M, [(0, 0, 0, 0, 1)])}
+    type1 = QuasiTwilled(vir.module, M, pi=vir.bracket, rho=MixedMap(vir.module, M, M, bad))
+    type2 = QuasiTwilled(M, vir.module, mu=vir.bracket, eta=MixedMap(M, vir.module, M, bad))
+    for kind, Q in ((TYPE_I, type1), (TYPE_II, type2)):
+        with pytest.raises(InputError, match="'PC5'"):
+            handle_for(kind, Q, HModuleMap.zero(*orientation(Q, kind)))
 
 
 def test_l1_vs_d_validated_convention(rng):
@@ -590,6 +599,15 @@ def test_windows_do_not_depend_on_the_memo():
         f.terms.clear()
     basis.clear()
     assert _plain(skew_basis(A, M, 2, 3)) == before
+
+
+def test_a_skew_basis_miss_lists_its_window_keys_once(monkeypatch):
+    # the skew constraint rows take the window's keys from its positions
+    H = LieAlgebra.abelian(["d"])
+    A, M = FreeModule("a", ["x", "y"], H), FreeModule("m", ["e"], H)
+    calls = count_calls(monkeypatch, "ptelem_coords", cohomology)
+    assert len(skew_basis(A, M, 3, 2)) == 6 and calls == [1]
+    assert len(skew_basis(A, M, 3, 2)) == 6 and calls == [1]
 
 
 def test_window_memo_separates_shapes(qd, b2):

@@ -309,9 +309,11 @@ def test_dense_oracle_is_independent_of_linalg():
 
 
 def route_names(source: str, name: str) -> set:
-    """The names function `name` of `source` refers to, with those of the
-    module's functions it reaches through them."""
-    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    """The names function or class `name` of `source` refers to, with those of
+    the module's functions and classes it reaches through them (a class
+    through its bases and the bodies of its methods)."""
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    defs = {n.name: n for n in ast.parse(source).body if isinstance(n, kinds)}
     names, todo, done = set(), [name], set()
     while todo:
         fn = todo.pop()
@@ -332,6 +334,24 @@ def test_guard_sees_a_shared_route():
     assert {"b", "handle_for", "diff"} <= route_names(src, "a")
     assert "ring" not in route_names(src, "a")
     assert route_names(src, "c") == {"ring"}
+    classes = (
+        "def closed():\n    return 1\n"
+        "class Base:\n    def m(self):\n        return closed()\n"
+        "class Sub(Base):\n    def n(self):\n        return super().m()\n"
+        "class Other:\n    pass\n"
+    )
+    assert {"Base", "closed"} <= route_names(classes, "Sub")
+    assert "closed" not in route_names(classes, "Other")
+
+
+def test_linf_operators_do_not_reach_the_closed_form_twist():
+    # the l1-vs-d oracle checks the CE handle, whose induced structure comes
+    # from the closed-form twist, against the twisted L-infinity operators;
+    # TwistedLinfOps(Q, M, kind) equals LinfOps of the twisted structure, but
+    # built that way it would share the closed form it checks
+    source = (PACKAGE_DIR / "deformation.py").read_text(encoding="utf-8")
+    for cls in ("TwistedLinfOps", "LinfOps"):
+        assert route_names(source, cls) & {"twist1_components", "twist2_components"} == set()
 
 
 # Each oracle of tests/oracles.py that these tests compare a production route

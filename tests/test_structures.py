@@ -21,12 +21,12 @@ from pseudoalg.structures import (
     BLOCK_TO_PC,
     LiePseudoalgebra,
     QuasiTwilled,
-    Representation,
     check_lie,
     check_mc_omega,
     check_pc,
     jacobiator,
     pc_residuals,
+    require_pc,
 )
 from pseudoalg import cochains, ptensor, zoo
 
@@ -261,12 +261,16 @@ def test_eta_orientation_conversion(qd, rng):
 
 
 def test_representation_axiom(qd):
+    # a representation of g on M is the semidirect sum (g, M, pi = bracket,
+    # rho = action); the module axiom is its PC5
     g = zoo.virasoro("g", "x")
     M = FreeModule("m", ["e"], qd)
-    Representation(LiePseudoalgebra(g.module, g.bracket, validate=False), M, zoo.adjoint_action(g, M))
+    require_pc(QuasiTwilled(g.module, M, pi=g.bracket, rho=zoo.adjoint_action(g, M)), "adjoint")
     bad = MixedMap(g.module, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
-    with pytest.raises(InputError):
-        Representation(LiePseudoalgebra(g.module, g.bracket, validate=False), M, bad)
+    S = QuasiTwilled(g.module, M, pi=g.bracket, rho=bad)
+    assert [label for label, r in check_pc(S)["residuals"].items() if r] == ["PC5"]
+    with pytest.raises(InputError, match="'PC5'"):
+        require_pc(S, "bad")
 
 
 def _tables(table):
