@@ -21,14 +21,13 @@ import sys
 import time
 
 from .hopf import InputError, InternalInvariantError, ResourceError, coeff
-from .cochains import nr_bracket, skew_check
+from .cochains import Cochain, nr_bracket, skew_check
 from .structures import (
     ALIGNED,
     ALL_KINDS,
     CLASSICAL,
     TYPE_I,
     TYPE_II,
-    LiePseudoalgebra,
     check_lie,
     check_mc_omega,
     check_pc,
@@ -287,8 +286,13 @@ def cmd_dictionary(args, report):
     kind = args.kind
     weight = _parse_weight(args.weight) if args.weight is not None else None
     ingredients = pzoo.ingredients_from_structure(kind, Q, weight)
+    R = pzoo.build(kind, ingredients)
+    for name, part, again in (("g", Q.g, R.g), ("h", Q.h, R.h)):
+        if part.rank != again.rank:
+            raise pio.ParseError(f"the {kind} ingredients of the structure rebuild module "
+                                 f"{name} with rank {again.rank}, not {part.rank}")
     given = pio.structure_to_json(Q)["maps"]
-    rebuilt = pio.structure_to_json(pzoo.build(kind, ingredients))["maps"]
+    rebuilt = pio.structure_to_json(R)["maps"]
     if rebuilt != given:
         other = ", ".join(name for name in given if rebuilt[name] != given[name])
         raise pio.ParseError(f"the {kind} ingredients of the structure rebuild other {other}")
@@ -335,10 +339,10 @@ def cmd_zoo(args, report):
     if args.map_out and not (args.out and isinstance(obj, dict)):
         # only a kind's bundle carries a map, and it is written next to -o's structure
         raise pio.ParseError("--map-out needs -o and a name with a map (a kind or demo alias)")
-    if isinstance(obj, LiePseudoalgebra):  # -o writes its bracket as a cochain file
+    if isinstance(obj, Cochain):  # a Lie pseudoalgebra's bracket; -o writes it
         report.add("Lie pseudoalgebra assembled and validated", check_lie(obj)["ok"])
         if args.out:
-            _write(args.out, pio.cochain_to_json(obj.bracket), report)
+            _write(args.out, pio.cochain_to_json(obj), report)
         return
     bundle = obj if isinstance(obj, dict) else {"Q": obj}
     Q = bundle["Q"]

@@ -45,6 +45,9 @@ MAX_UNKNOWNS = 28
 MAX_SOLVER_NODES = 2000
 # Depth below which a branch is reported unresolved instead of split further.
 MAX_SOLVER_DEPTH = 60
+# Most terms of a sum the solver may clean or factor: the largest such sums
+# have 5 terms at degree 1, 8 in lemma_special_case(2) and 22 at degree 2.
+MAX_FACTOR_TERMS = 24
 # Rational samples _sample_instance draws before it gives a family up.
 SAMPLE_TRIES = 12
 
@@ -311,19 +314,24 @@ def solve_quadratic_system(eqs, symbols):
     unknown is replaced in every value and equation at once, and a split
     unknown is set to 0 everywhere.  So a leaf only expands each value.
 
-    A call that visits more than MAX_SOLVER_NODES nodes raises ResourceError.
+    A call that visits more than MAX_SOLVER_NODES nodes, or that would clean
+    or factor a sum of more than MAX_FACTOR_TERMS terms, raises
+    ResourceError: one node's cost grows with its sums, which the node count
+    does not bound.
     """
     results = []
     unresolved = []
     unknowns = set(symbols)
-    budget = MAX_SOLVER_NODES
     nodes = 0
 
-    def memo(fn):
+    def memo(fn, bounded=False):
         seen = {}
         def call(e):
             out = seen.get(e)
             if out is None:
+                if bounded and len(sympy.Add.make_args(e)) > MAX_FACTOR_TERMS:
+                    raise ResourceError(f"rank-2 solver met a sum of {len(e.args)} terms "
+                                        f"(budget {MAX_FACTOR_TERMS})")
                 out = seen[e] = fn(e)
             return out
         return call
@@ -331,8 +339,8 @@ def solve_quadratic_system(eqs, symbols):
     poly = memo(sympy.Poly)
     # drop denominators; on a branch they are products of known-nonzero
     # symbols introduced by earlier divisions
-    clean = memo(_clean)
-    factor_list = memo(lambda e: _factor_list(e, poly=poly))
+    clean = memo(_clean, bounded=True)
+    factor_list = memo(lambda e: _factor_list(e, poly=poly), bounded=True)
 
     @memo
     def degrees(e):
@@ -343,8 +351,8 @@ def solve_quadratic_system(eqs, symbols):
     def recurse(eqs, subs, nonzero, depth):
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise ResourceError(f"rank-2 solver visited more than {budget} nodes")
+        if nodes > MAX_SOLVER_NODES:
+            raise ResourceError(f"rank-2 solver visited more than {MAX_SOLVER_NODES} nodes")
         if depth > MAX_SOLVER_DEPTH:
             unresolved.append(Family(subs, None, nonzero))
             return
@@ -543,7 +551,9 @@ def rank2_search(max_deg: int) -> dict:
     """Classify all bounded-degree rank-(1,1) structures with abelian Hx.
 
     Returns families with tags plus sample verified instances; "other" hits
-    are reported, never suppressed.
+    are reported, never suppressed.  Degrees 1 and 2 finish; degree 3 is
+    refused with ResourceError (exit 3 in `pa`) early in its solve, when the
+    solver meets a 29-term sum, over MAX_FACTOR_TERMS.
     """
     problem = Rank2Problem(max_deg, mu_virasoro=False)
     polys = reconstruct_polynomials(problem)

@@ -1,5 +1,8 @@
 """Lie pseudoalgebras, quasi-twilled structures, and their compatibility checks.
 
+A Lie pseudoalgebra is its bracket, a 2-cochain on one module that `check_lie`
+passes: the quasi-twilled structure whose only nonzero component is pi.
+
 A quasi-twilled structure is the tuple (g, h, pi, rho, mu, eta, theta); the
 assembled bracket on g [+] h is
 
@@ -72,23 +75,6 @@ ALL_KINDS = TYPE_I_KINDS + TYPE_II_KINDS
 MC_VS_JACOBIATOR = Fraction(-2)  # [Omega,Omega]_NR = -2 * jacobiator
 
 
-class LiePseudoalgebra:
-    """A free H-module with a skew pseudobracket satisfying the Jacobi identity."""
-
-    def __init__(self, module: FreeModule, bracket: Cochain, validate=True):
-        if bracket.arity != 2 or bracket.source != module or bracket.target != module:
-            raise InputError("bracket must be an arity-2 cochain on the module")
-        self.module = module
-        self.bracket = bracket
-        if validate:
-            report = check_lie(self)
-            if not report["ok"]:
-                raise InputError(f"not a Lie pseudoalgebra: {report}")
-
-    def __repr__(self):
-        return f"LiePseudoalgebra({self.module.name})"
-
-
 def jacobiator(om: Cochain, a: int, b: int, c: int) -> PTElem:
     """J(a,b,c) = om(a, om(b,c)) - om(om(a,b), c) - (12) om(b, om(a,c))."""
     t1 = insert_value(om, (a,), om.value((b, c)), ())
@@ -97,9 +83,8 @@ def jacobiator(om: Cochain, a: int, b: int, c: int) -> PTElem:
     return t1 - t2 - t3
 
 
-def check_lie(P) -> dict:
-    """Skew-symmetry plus per-triple Jacobiator residuals; pass iff all zero."""
-    om = P.bracket if isinstance(P, LiePseudoalgebra) else P
+def check_lie(om: Cochain) -> dict:
+    """Skew-symmetry plus per-triple Jacobiator residuals of a bracket; pass iff all zero."""
     skew = skew_check(om)
     jac = {}
     for t in sorted_tuples(om.source.rank, 3):

@@ -3,10 +3,11 @@
 The ten operator kinds share one recipe.  KIND_INGREDIENTS lists the
 classical ingredients each kind has besides its Lie pseudoalgebra g: a
 coefficient algebra h or a module, an action of g, a 2-cocycle, a coaction
-and a weight.  `build` places them in a quasi-twilled structure (pi = g's
-bracket, rho = the action, mu = weight * h's bracket, eta = the coaction,
-theta = the cocycle, or +-g's bracket for the two Reynolds kinds), checked
-by PC1-PC8; `ingredients_from_structure` reads the same keys back off Q.
+and a weight; an algebra is its bracket `Cochain`.  `build` places them in
+a quasi-twilled structure (pi = g's bracket, rho = the action, mu = weight *
+h's bracket, eta = the coaction, theta = the cocycle, or +-g's bracket for
+the two Reynolds kinds), checked by PC1-PC8, which check the algebras too;
+`ingredients_from_structure` reads the same keys back off Q.
 modified_r alone is placed apart: pi = 0, h is a copy of g with mu its
 bracket, eta is g's bracket read on g (x) h and theta = weight * g's bracket.
 
@@ -54,7 +55,6 @@ from .structures import (
     TYPE_I,
     TYPE_I_KINDS,
     TYPE_II,
-    LiePseudoalgebra,
     QuasiTwilled,
     orientation,
     require_pc,
@@ -90,7 +90,7 @@ def sl2_constants() -> dict:
     }
 
 
-def virasoro(name="g", basis="x", alg=None) -> LiePseudoalgebra:
+def virasoro(name="g", basis="x", alg=None) -> Cochain:
     """Rank-1 pseudoalgebra over Q[d] with [x*x] = (d(x)1 - 1(x)d) (x)_H x."""
     alg = alg or polynomial_hopf()
     m = FreeModule(name, [basis], alg)
@@ -99,10 +99,10 @@ def virasoro(name="g", basis="x", alg=None) -> LiePseudoalgebra:
         2,
         [(((1,), (0,)), (0,), 0, Fraction(1)), (((0,), (1,)), (0,), 0, Fraction(-1))],
     )
-    return LiePseudoalgebra(m, Cochain(2, m, m, {(0, 0): val}))
+    return Cochain(2, m, m, {(0, 0): val})
 
 
-def current(base: LieAlgebra, alg: LieAlgebra, name="cur") -> LiePseudoalgebra:
+def current(base: LieAlgebra, alg: LieAlgebra, name="cur") -> Cochain:
     """Cur(b) = H (x) b with [e_i * e_j] = (1 (x) 1) (x)_H [b-bracket]."""
     m = FreeModule(name, [f"e_{n}" for n in base.names], alg)
     zero2 = (alg.zero_index, alg.zero_index)
@@ -113,55 +113,54 @@ def current(base: LieAlgebra, alg: LieAlgebra, name="cur") -> LiePseudoalgebra:
             continue
         terms = {((alg.zero_index,), alg.zero_index, k): c for k, c in row.items()}
         table[(i, j)] = PTElem(m, 2, terms)
-    return LiePseudoalgebra(m, Cochain(2, m, m, table))
+    return Cochain(2, m, m, table)
 
 
-def clone_bracket(P: LiePseudoalgebra, name: str) -> LiePseudoalgebra:
+def clone_bracket(P: Cochain, name: str) -> Cochain:
     """A fresh module carrying the same bracket table."""
-    m = FreeModule(name, [f"{b}'" for b in P.module.basis], P.module.alg)
-    table = {t: v.coerce(m) for t, v in P.bracket.terms.items()}
-    return LiePseudoalgebra(m, Cochain(2, m, m, table), validate=False)
+    m = FreeModule(name, [f"{b}'" for b in P.source.basis], P.source.alg)
+    return Cochain(2, m, m, {t: v.coerce(m) for t, v in P.terms.items()})
 
 
-def direct_sum_algebras(P1: LiePseudoalgebra, P2: LiePseudoalgebra, name="gg") -> LiePseudoalgebra:
+def direct_sum_algebras(P1: Cochain, P2: Cochain, name="gg") -> Cochain:
     """Commuting sum of two pseudoalgebras as one rank-(r1+r2) algebra."""
     m = FreeModule(
         name,
-        [f"{b}.1" for b in P1.module.basis] + [f"{b}.2" for b in P2.module.basis],
-        P1.module.alg,
+        [f"{b}.1" for b in P1.source.basis] + [f"{b}.2" for b in P2.source.basis],
+        P1.source.alg,
     )
-    r1 = P1.module.rank
+    r1 = P1.source.rank
     table = {}
-    for t, v in P1.bracket.terms.items():
+    for t, v in P1.terms.items():
         table[t] = v.coerce(m)
-    for t, v in P2.bracket.terms.items():
+    for t, v in P2.terms.items():
         table[tuple(i + r1 for i in t)] = v.coerce(m, lambda k: k + r1)
-    return LiePseudoalgebra(m, Cochain(2, m, m, table), validate=False)
+    return Cochain(2, m, m, table)
 
 
-def adjoint_action(P: LiePseudoalgebra, hmod: FreeModule) -> MixedMap:
+def adjoint_action(P: Cochain, hmod: FreeModule) -> MixedMap:
     """ad (+) ... (+) ad: P acting by its bracket on each copy of itself in hmod.
 
     hmod is a direct sum of copies of P's module, in blocks of P's rank; one
     copy is the adjoint action on a same-rank module.
     """
-    r = P.module.rank
+    r = P.source.rank
     if hmod.rank % r:
         raise InputError("module rank must be a multiple of the algebra rank")
     table = {}
     for i in range(r):
         for block in range(hmod.rank // r):
             for j in range(r):
-                v = P.bracket.value((i, j))
+                v = P.value((i, j))
                 if not v.is_zero():
                     table[(i, block * r + j)] = v.coerce(hmod, lambda k, b=block: b * r + k)
-    return MixedMap(P.module, hmod, hmod, table)
+    return MixedMap(P.source, hmod, hmod, table)
 
 
 # -- structure builders -----------------------------------------------------------
 
 # The classical ingredients of each operator kind besides its "algebra", the
-# Lie pseudoalgebra g.  Its h is the module of a Lie pseudoalgebra
+# bracket of the Lie pseudoalgebra g.  Its h is the source of the bracket
 # "coefficients" or a bare "module" (modified_r's h is a copy of g);
 # "action" is a map g (x) h -> h, "cocycle" a 2-cochain g (x) g -> h,
 # "coaction" a map g (x) h -> g and "weight" an exact scalar.
@@ -187,14 +186,14 @@ def _kind_ingredients(kind: str) -> tuple:
     return KIND_INGREDIENTS[kind]
 
 
-def _bracket_into(P: LiePseudoalgebra, M: FreeModule, c) -> Cochain:
-    """c times the bracket of P, read as a 2-cochain P (x) P -> M (same rank)."""
-    return Cochain(2, P.module, M, {t: v.coerce(M).scale(c) for t, v in P.bracket.terms.items()})
+def _bracket_into(P: Cochain, M: FreeModule, c) -> Cochain:
+    """c times the bracket P, read as a 2-cochain on P's module into M (same rank)."""
+    return Cochain(2, P.source, M, {t: v.coerce(M).scale(c) for t, v in P.terms.items()})
 
 
 def _h_side(ingredients: dict) -> FreeModule:
     hP = ingredients.get("coefficients")
-    return ingredients["module"] if hP is None else hP.module
+    return ingredients["module"] if hP is None else hP.source
 
 
 def _cocycle(kind: str, ingredients: dict, h: FreeModule):
@@ -218,20 +217,19 @@ def build(kind: str, ingredients: dict) -> QuasiTwilled:
     gP = ingredients["algebra"]
     p = ingredients.get("weight", 1)
     if kind == MODIFIED_R:
-        hP = clone_bracket(gP, gP.module.name + "_h")
-        r = gP.module.rank
-        eta = MixedMap(gP.module, hP.module, gP.module,
-                       {(i, j): gP.bracket.value((i, j)) for i in range(r) for j in range(r)})
-        Q = QuasiTwilled(gP.module, hP.module, eta=eta, mu=hP.bracket,
-                         theta=_bracket_into(gP, hP.module, p))
+        g = gP.source
+        hP = clone_bracket(gP, g.name + "_h")
+        eta = MixedMap(g, hP.source, g,
+                       {(i, j): gP.value((i, j)) for i in range(g.rank) for j in range(g.rank)})
+        Q = QuasiTwilled(g, hP.source, eta=eta, mu=hP, theta=_bracket_into(gP, hP.source, p))
     else:
         hP, h = ingredients.get("coefficients"), _h_side(ingredients)
         Q = QuasiTwilled(
-            gP.module,
+            gP.source,
             h,
-            pi=gP.bracket,
+            pi=gP,
             rho=ingredients.get("action"),
-            mu=None if hP is None else hP.bracket.scale(p),
+            mu=None if hP is None else hP.scale(p),
             eta=ingredients.get("coaction"),
             theta=_cocycle(kind, ingredients, h),
         )
@@ -250,14 +248,12 @@ def ingredients_from_structure(kind: str, Q: QuasiTwilled, weight=None) -> dict:
     if "weight" not in have and weight is not None:
         raise InputError(f"{kind} takes no weight")
     if kind == MODIFIED_R:
-        table = {(i, j): Q.eta.value((i, j)) for i in range(Q.g.rank) for j in range(i, Q.h.rank)}
-        bracket = Cochain(2, Q.g, Q.g, table)
-        return {"algebra": LiePseudoalgebra(Q.g, bracket), "weight": weight}
-    ing = {"algebra": LiePseudoalgebra(Q.g, Q.pi), "module": Q.h, "action": Q.rho,
+        table = {(i, j): Q.eta.value((i, j)) for i in range(Q.g.rank) for j in range(i, Q.g.rank)}
+        return {"algebra": Cochain(2, Q.g, Q.g, table), "weight": weight}
+    ing = {"algebra": Q.pi, "module": Q.h, "action": Q.rho,
            "cocycle": Q.theta, "coaction": Q.eta, "weight": weight}
     if "coefficients" in have:
-        mu = Q.mu.scale(exact_div(1, weight)) if weight else Q.mu
-        ing["coefficients"] = LiePseudoalgebra(Q.h, mu)
+        ing["coefficients"] = Q.mu.scale(exact_div(1, weight)) if weight else Q.mu
     return {key: ing[key] for key in ("algebra", *have)}
 
 
@@ -270,37 +266,36 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
     One expansion per printed shape (module docstring); an absent
     ingredient's terms are skipped, and a kind without a weight has p = 1.
     """
-    gP = ingredients["algebra"]
-    br = gP.bracket
+    br = ingredients["algebra"]
+    g = br.source
     if kind == MODIFIED_R:
         p = ingredients["weight"]
-        if (m.src, m.dst) != (gP.module, gP.module):
+        if (m.src, m.dst) != (g, g):
             # a map between same-rank copies of the module, read on the module
-            rows = {i: row.coerce(gP.module) for i, row in m.terms.items()}
-            m = HModuleMap(gP.module, gP.module, rows)
+            m = HModuleMap(g, g, {i: row.coerce(g) for i, row in m.terms.items()})
         table = {}
-        for t in sorted_tuples(gP.module.rank, 2):
-            x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
+        for t in sorted_tuples(g.rank, 2):
+            x, y = g.elem(t[0]), g.elem(t[1])
             table[t] = (
                 br.eval([m(x), m(y)])
                 - (br.eval([m(x), y]) + br.eval([x, m(y)])).map_module(m.apply_basis, m.dst)
                 + br.value(t).scale(p)
             )
-        return Cochain(2, gP.module, gP.module, table)
+        return Cochain(2, g, g, table)
     rho, hP = ingredients.get("action"), ingredients.get("coefficients")
     p = ingredients.get("weight", 1)
     h = _h_side(ingredients)
     table = {}
     if map_type(kind) == TYPE_I:  # the crossed-homomorphism shape
-        for t in sorted_tuples(gP.module.rank, 2):
-            x, y = gP.module.elem(t[0]), gP.module.elem(t[1])
+        for t in sorted_tuples(g.rank, 2):
+            x, y = g.elem(t[0]), g.elem(t[1])
             r = br.value(t).map_module(m.apply_basis, m.dst)
             if rho is not None:
                 r = r - rho.eval([x, m(y)]) + permute(rho.eval([y, m(x)]), SWAP2)
             if hP is not None:
-                r = r - hP.bracket.eval([m(x), m(y)]).scale(p)
+                r = r - hP.eval([m(x), m(y)]).scale(p)
             table[t] = r
-        return Cochain(2, gP.module, h, table)
+        return Cochain(2, g, h, table)
     eta, cocycle = ingredients.get("coaction"), _cocycle(kind, ingredients, h)
     for t in sorted_tuples(h.rank, 2):  # the Rota-Baxter shape
         u, v = h.elem(t[0]), h.elem(t[1])
@@ -309,14 +304,14 @@ def operator_residual(kind: str, ingredients: dict, m: HModuleMap) -> Cochain:
         if rho is not None:
             inner = rho.eval([Tu, v]) - permute(rho.eval([Tv, u]), SWAP2)
         if hP is not None:
-            inner = inner + hP.bracket.value(t).scale(p)
+            inner = inner + hP.value(t).scale(p)
         if cocycle is not None:
             inner = inner + cocycle.eval([Tu, Tv])
         r = br.eval([Tu, Tv]) - inner.map_module(m.apply_basis, m.dst)
         if eta is not None:
             r = r + eta.eval([Tu, v]) - permute(eta.eval([Tv, u]), SWAP2)
         table[t] = r
-    return Cochain(2, h, gP.module, table)
+    return Cochain(2, h, g, table)
 
 
 def random_hmap(rng, src: FreeModule, dst: FreeModule, max_deg=2) -> HModuleMap:
@@ -386,7 +381,8 @@ DEMO_ALIASES = {"modified_r_demo": MODIFIED_R, "reynolds_demo": REYNOLDS}
 
 
 def builtin(name: str, alg=None):
-    """Deterministic named structures; every validity check passes at load.
+    """Deterministic named structures: an algebra's bracket, which check_lie
+    passes, a quasi-twilled structure, or a kind's PC-checked demo_bundle.
 
     Those over Q[d] are built over alg (a fresh Q[d] by default).  A kind
     name, or an alias in DEMO_ALIASES, gives that kind's demo_bundle.
@@ -404,7 +400,7 @@ def builtin(name: str, alg=None):
     h = FreeModule("h", ["x"], alg)
     if name == "rank2_type_i":
         g = virasoro("g", "u", alg)
-        return QuasiTwilled(g.module, h, pi=g.bracket)
+        return QuasiTwilled(g.source, h, pi=g)
     if name in ("rank2_type_ii", "rank2_type_iii"):
         g = FreeModule("g", ["u"], alg)
         C_u = PTElem(g, 2, {(((0,),), (0,), 0): Fraction(1)})
@@ -424,20 +420,20 @@ def _demo_ingredients(kind: str, alg: LieAlgebra) -> dict:
         return {"algebra": g}
     if kind == RELATIVE_RB:
         hh = direct_sum_algebras(virasoro("v1", "x1", alg), virasoro("v2", "x2", alg), name="h2")
-        return {"algebra": g, "coefficients": hh, "action": adjoint_action(g, hh.module)}
+        return {"algebra": g, "coefficients": hh, "action": adjoint_action(g, hh.source)}
     if kind in (CROSSED_HOM, HOMOMORPHISM, MATCHED_PAIR_DEF):
         h = clone_bracket(g, "h")
         ing = {"algebra": g, "coefficients": h}
         if kind == CROSSED_HOM:
-            ing["action"] = adjoint_action(g, h.module)
+            ing["action"] = adjoint_action(g, h.source)
         return ing
     M = FreeModule("m", ["xm"], alg)
     ing = {"algebra": g, "module": M, "action": adjoint_action(g, M)}
     if kind == TWISTED_RB:
         # omega = -d_CE(id): makes the identity map a type I deformation map
         # and T = id a twisted Rota-Baxter operator.
-        ident = HModuleMap.scalar(g.module, M, 1).as_cochain()
-        ing["cocycle"] = ce_differential(g.bracket, ing["action"], ident, CLASSICAL).scale(-1)
+        ident = HModuleMap.scalar(g.source, M, 1).as_cochain()
+        ing["cocycle"] = ce_differential(g, ing["action"], ident, CLASSICAL).scale(-1)
     return ing
 
 

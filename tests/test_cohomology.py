@@ -12,13 +12,14 @@ from pseudoalg.cochains import (
     random_cochain,
     skew_check,
 )
-from pseudoalg.structures import LiePseudoalgebra, QuasiTwilled, check_lie, orientation, require_pc
+from pseudoalg.structures import QuasiTwilled, check_lie, orientation, require_pc
 from pseudoalg.deformation import (
     TYPE_I,
     TYPE_II,
     HModuleMap,
     TwistedLinfOps,
     dmap1_residual,
+    dmap_residual,
 )
 from pseudoalg.cohomology import (
     CEComplexHandle,
@@ -224,18 +225,18 @@ def test_ce_differential_evaluates_no_module_element(monkeypatch):
 def test_rank1_ce_differential_makes_two_insertions_per_tuple(vir, rng, monkeypatch):
     # on rank 1 every action term of the one output tuple is the same
     # composite, and so is every bracket term
-    M = FreeModule("m", ["v"], vir.module.alg)
+    M = FreeModule("m", ["v"], vir.source.alg)
     action = zoo.adjoint_action(vir, M)
     draws = (
-        random_cochain(rng, vir.module, M, p, max_deg=2 * p - 1) for p in (1, 2, 3) for _ in range(20)
+        random_cochain(rng, vir.source, M, p, max_deg=2 * p - 1) for p in (1, 2, 3) for _ in range(20)
     )
     fs = {f.arity: f for f in draws if f}
-    expected = {p: _ce_reference(vir.bracket, action, f, CLASSICAL) for p, f in fs.items()}
+    expected = {p: _ce_reference(vir, action, f, CLASSICAL) for p, f in fs.items()}
     calls = count_insertions(monkeypatch, cochains)
     assert sorted(fs) == [1, 2, 3]
     for p, f in fs.items():
         calls.clear()
-        assert ce_differential(vir.bracket, action, f) == expected[p], p
+        assert ce_differential(vir, action, f) == expected[p], p
         assert len(calls) == 2, p
 
 
@@ -258,8 +259,8 @@ def test_handle_refuses_an_induced_structure_that_fails_the_axioms(qd):
     vir = zoo.virasoro("g", "x")
     M = FreeModule("m", ["e"], qd)
     bad = {(0, 0): pt(M, [(0, 0, 0, 0, 1)])}
-    type1 = QuasiTwilled(vir.module, M, pi=vir.bracket, rho=MixedMap(vir.module, M, M, bad))
-    type2 = QuasiTwilled(M, vir.module, mu=vir.bracket, eta=MixedMap(M, vir.module, M, bad))
+    type1 = QuasiTwilled(vir.source, M, pi=vir, rho=MixedMap(vir.source, M, M, bad))
+    type2 = QuasiTwilled(M, vir.source, mu=vir, eta=MixedMap(M, vir.source, M, bad))
     for kind, Q in ((TYPE_I, type1), (TYPE_II, type2)):
         with pytest.raises(InputError, match="'PC5'"):
             handle_for(kind, Q, HModuleMap.zero(*orientation(Q, kind)))
@@ -289,7 +290,7 @@ def test_l1_vs_d_validated_convention(rng):
 def test_l1_vs_d_discriminates_on_rank2(qd, rng):
     g2 = zoo.direct_sum_algebras(zoo.virasoro("v1", "x1"), zoo.virasoro("v2", "x2"), name="g2")
     h = FreeModule("h", ["u"], qd)
-    Q = QuasiTwilled(g2.module, h, pi=g2.bracket)
+    Q = QuasiTwilled(g2.source, h, pi=g2)
     D0 = HModuleMap.zero(Q.g, Q.h)
     for _ in range(30):
         f = random_cochain(rng, Q.g, Q.h, 2, max_deg=1)
@@ -367,9 +368,9 @@ def test_matched_pair_dT_routes(qd, rng):
     # and on a matched pair with a nontrivial action
     g = zoo.virasoro("g", "x")
     hm = FreeModule("h", ["u"], qd)
-    habel = LiePseudoalgebra(hm, Cochain.zero(2, hm, hm))
-    rho = zoo.adjoint_action(g, habel.module)
-    eta = MixedMap.zero(g.module, habel.module, g.module)
+    habel = Cochain.zero(2, hm, hm)
+    rho = zoo.adjoint_action(g, hm)
+    eta = MixedMap.zero(g.source, hm, g.source)
     Q2 = zoo.build(zoo.MATCHED_PAIR_DEF,
                    {"algebra": g, "coefficients": habel, "action": rho, "coaction": eta})
     T0 = HModuleMap.zero(Q2.h, Q2.g)
@@ -494,11 +495,11 @@ def test_cap0_cohomology_of_cur_sl2_is_whitehead(H, request):
     trivial = FreeModule("v", ["v"], alg)
     adjoint = FreeModule("ad", ["e'", "f'", "h'"], alg)
     actions = {
-        "trivial": (MixedMap(g.module, trivial, trivial, {}), [[[0]]] * 3),
+        "trivial": (MixedMap(g.source, trivial, trivial, {}), [[[0]]] * 3),
         "adjoint": (zoo.adjoint_action(g, adjoint), _adjoint_matrices(constants, 3)),
     }
     for name, (action, matrices) in actions.items():
-        handle = CEComplexHandle(TYPE_I, g.bracket, action)
+        handle = CEComplexHandle(TYPE_I, g, action)
         got = [truncated_cohomology(handle, p, 0)["dim_H"] for p in (1, 2, 3)]
         assert got == lie_ce_cohomology(constants, matrices, 3) == WHITEHEAD_SL2[name], name
 
@@ -524,12 +525,12 @@ def test_cap0_cohomology_equals_the_dense_route(H, name, request):
     character = {(i, 0): PTElem(line, 2, {zero: Fraction(c)}) for i, c in enumerate(chi) if c}
     adjoint = FreeModule("ad", [f"b{i}" for i in range(dim)], alg)
     modules = {
-        "trivial": (MixedMap(g.module, line, line, {}), [[[0]]] * dim),
+        "trivial": (MixedMap(g.source, line, line, {}), [[[0]]] * dim),
         "adjoint": (zoo.adjoint_action(g, adjoint), _adjoint_matrices(constants, dim)),
-        "character": (MixedMap(g.module, line, line, character), [[[c]] for c in chi]),
+        "character": (MixedMap(g.source, line, line, character), [[[c]] for c in chi]),
     }
     for module, (action, matrices) in modules.items():
-        handle = CEComplexHandle(TYPE_I, g.bracket, action)
+        handle = CEComplexHandle(TYPE_I, g, action)
         got = [truncated_cohomology(handle, p, 0)["dim_H"] for p in range(1, dim + 1)]
         assert got == lie_ce_cohomology(constants, matrices, dim), (module, got)
 
@@ -729,3 +730,59 @@ def test_sparse_elimination_empty_and_zero_matrices():
         assert linalg.image_dim_within(rows, [0, 1]) == 0
     assert linalg.nullspace([], 0) == []
     assert linalg.image_dim_within([], []) == 0
+
+
+# -- d from the definition: the linearized defining identity ----------------------
+
+# R(eps) = dmap_residual(Q, M + eps delta) is a polynomial in eps of degree at
+# most 3.  Through its values at LINEARIZATION_POINTS, its coefficient of
+# eps^k is sum_j LAGRANGE[k][j] R(points[j]) (the inverse of the Vandermonde
+# matrix of the points).
+LINEARIZATION_POINTS = (-1, 0, 1, 2)
+LAGRANGE = (
+    (0, 1, 0, 0),
+    (Fraction(-1, 3), Fraction(-1, 2), 1, Fraction(-1, 6)),
+    (Fraction(1, 2), -1, Fraction(1, 2), 0),
+    (Fraction(-1, 6), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 6)),
+)
+
+
+def residual_coefficients(Q, M, delta, kind) -> list:
+    """The coefficients of eps^0..eps^3 in dmap_residual(Q, M + eps delta)."""
+    values = [dmap_residual(Q, M + delta.scale(e), kind) for e in LINEARIZATION_POINTS]
+    coefficients = []
+    for weights in LAGRANGE:
+        c = values[0].scale(weights[0])
+        for w, v in zip(weights[1:], values[1:]):
+            c = c + v.scale(w)
+        coefficients.append(c)
+    return coefficients
+
+
+def test_d_is_the_linearized_defining_identity(rng):
+    # for every zoo handle and 3 seeded delta: the cubic through eps = -1..2
+    # predicts eps = 3 and -2, its eps-linear part is d_M(delta) with sign +1,
+    # and its degree is at most 2 for type I and 3 for type II, reached
+    # exactly where theta != 0 (the one term cubic in the map is T theta(Tu, Tv))
+    cases, cubic, theta = 0, set(), set()
+    for entry in zoo.zoo_structures():
+        Q = entry["Q"]
+        for kind, M in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"])):
+            if M is None:
+                continue
+            handle = handle_for(kind, Q, M)
+            if kind == TYPE_II and not Q.theta.is_zero():
+                theta.add(entry["name"])
+            for _ in range(3):
+                delta = zoo.random_hmap(rng, *orientation(Q, kind), max_deg=2)
+                c = residual_coefficients(Q, M, delta, kind)
+                for e in (3, -2):
+                    predicted = c[0] + c[1].scale(e) + c[2].scale(e ** 2) + c[3].scale(e ** 3)
+                    assert predicted == dmap_residual(Q, M + delta.scale(e), kind), entry["name"]
+                assert c[1] == handle.diff(delta.as_cochain()), (entry["name"], kind)
+                if not c[3].is_zero():
+                    assert kind == TYPE_II, entry["name"]
+                    cubic.add(entry["name"])
+                cases += 1
+    assert cases == 69
+    assert cubic == theta == {"modified_r", "reynolds", "reynolds_classical", "twisted_rb"}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from pseudoalg import io as pio
+from pseudoalg.hopf import ResourceError
 
 PACKAGE_DIR = Path(pio.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
@@ -354,6 +355,23 @@ def test_linf_operators_do_not_reach_the_closed_form_twist():
         assert route_names(source, cls) & {"twist1_components", "twist2_components"} == set()
 
 
+# What the linearization route of tests/test_cohomology.py must not reach: the
+# twists other than through handle_for, and the oracles' hand-expanded d.
+LINEARIZATION_AVOIDS = {
+    "twist1_components", "twist2_components", "TwistedLinfOps", "exp_twist", "conjugate_twist",
+    "cocycle_check_type1", "cocycle_check_type2", "consistency_l1_vs_d", "_ce_reference",
+}
+
+
+def test_linearization_reaches_the_twists_only_through_the_handle():
+    # d_M(delta) = the eps-linear part of dmap_residual(Q, M + eps delta) is
+    # evidence only while the test takes d from handle_for alone
+    source = (REPO / "tests" / "test_cohomology.py").read_text(encoding="utf-8")
+    names = route_names(source, "test_d_is_the_linearized_defining_identity")
+    assert {"handle_for", "dmap_residual", "residual_coefficients"} <= names
+    assert names & LINEARIZATION_AVOIDS == set()
+
+
 # Each oracle of tests/oracles.py that these tests compare a production route
 # against, with the names of that route, which the oracle must not reach.
 CE_HANDLE = {"handle_for", "ce_differential", "CEComplexHandle", "twist2_components"}
@@ -427,3 +445,47 @@ def test_rank2_substitutes_by_xreplace_only():
     # the solver's docstring argues that each `xreplace` equals `subs`; that
     # argument covers every substitution only while rank2 calls no `subs`
     assert subs_calls((PACKAGE_DIR / "rank2.py").read_text(encoding="utf-8")) == []
+
+
+def resource_budgets(source: str) -> list:
+    """(line, names) of each `raise ResourceError`: the module-level constants
+    named in it or in the test of the `if` whose body raises it."""
+    tree = ast.parse(source)
+    constants = {
+        t.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id.isupper()
+    }
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and _identifiers(node)["ResourceError"]:
+            scope = [node]
+            if isinstance(parents[node], ast.If):
+                scope.append(parents[node].test)
+            names = {n.id for part in scope for n in ast.walk(part) if isinstance(n, ast.Name)}
+            out.append((node.lineno, sorted(names & constants)))
+    return sorted(out)
+
+
+def test_guard_sees_a_budget():
+    src = (
+        "CAP = 3\nLIMIT = 9\n"
+        "def f(n, cap=CAP):\n    if n > LIMIT:\n        raise ResourceError(f'{n}')\n"
+        "    if n > cap:\n        raise ResourceError(f'{n} of {CAP}')\n"
+        "    if n < 0:\n        raise ResourceError('negative')\n"
+        "    raise InputError(LIMIT)\n"
+    )
+    assert resource_budgets(src) == [(5, ["LIMIT"]), (7, ["CAP"]), (9, [])]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_budget_is_listed_on_resource_error(path):
+    # each refusal names the constant it enforces, and ResourceError's
+    # docstring, the one list of budgets, names that constant
+    for line, names in resource_budgets(path.read_text(encoding="utf-8")):
+        assert names, (path.name, line)
+        for name in names:
+            assert f"{path.stem}.{name}" in ResourceError.__doc__, (path.name, line, name)

@@ -20,7 +20,7 @@ from pseudoalg import io as pio
 from pseudoalg import zoo
 from pseudoalg.cli import main
 from pseudoalg.cohomology import ResourceError
-from pseudoalg.cochains import MixedMap, random_cochain
+from pseudoalg.cochains import Cochain, MixedMap, random_cochain
 from pseudoalg.deformation import HModuleMap
 from pseudoalg.ptensor import FreeModule
 from pseudoalg.structures import QuasiTwilled
@@ -502,6 +502,38 @@ def test_cli_dictionary_refuses_a_structure_its_kind_does_not_rebuild(capsys):
     assert "rebuild other mu" in err
 
 
+def test_cli_dictionary_refuses_a_module_its_kind_does_not_rebuild(files, capsys):
+    # modified_r's h is a copy of g: an idle extra basis element of h, with an
+    # empty extra map column, rebuilds every map but not the module h
+    data = pio.loads(files["struct"].read_text())
+    data["modules"]["h"]["basis"].append("y")
+    q = files["dir"] / "wide.json"
+    q.write_text(pio.dumps(data))
+    matrix = pio.loads(files["good"].read_text())
+    matrix["matrix"][0].append([])
+    m = files["dir"] / "wide_map.json"
+    m.write_text(pio.dumps(matrix))
+    assert run_cli(["dmap", "--type", "I", str(q), str(m)], capsys)[0] == 0
+    code, out, err = run_cli(["dictionary", "--kind", "modified_r", "--weight", "4", str(q), str(m)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "module h with rank 1, not 2" in err
+
+
+def test_cli_dictionary_refuses_a_symmetric_bracket_unvalidated(tmp_path, capsys):
+    # with --no-validate nothing is checked at load; rebuilding the structure
+    # from its derivation ingredients checks the algebra as SKEW-pi and PC2
+    Q = zoo.demo_bundle(zoo.DERIVATION)["Q"]
+    symmetric = Cochain(2, Q.g, Q.g, {(0, 0): pt(Q.g, [(0, 0, 0, 0, 1)])})
+    q, m = tmp_path / "q.json", tmp_path / "m.json"
+    q.write_text(pio.dumps(pio.structure_to_json(QuasiTwilled(Q.g, Q.h, pi=symmetric, rho=Q.rho))))
+    m.write_text(pio.dumps(pio.map_to_json(HModuleMap.zero(Q.g, Q.h), "g", "h")))
+    code, out, err = run_cli(["dictionary", "--no-validate", "--kind", "derivation", str(q), str(m)],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "'SKEW-pi'" in err
+
+
 def test_cli_dictionary_refuses_a_map_of_the_other_type(capsys):
     # a crossed homomorphism is a map g -> h; reynolds_map.json is h -> g
     q, m = (str(GOLDEN_DIR / f) for f in ("crossed_hom.json", "reynolds_map.json"))
@@ -712,6 +744,14 @@ def test_rank2_search_over_unknowns_budget_exits_3():
     out = cli_child("rank2-search", "--max-deg", "4", timeout=20)
     assert out.returncode == 3
     assert "42 unknowns" in out.stderr
+
+
+def test_rank2_search_over_sum_budget_exits_3():
+    # degree 3 passes MAX_UNKNOWNS, but early in its solve it meets a 29-term
+    # sum, over rank2.MAX_FACTOR_TERMS, instead of running without limit
+    out = cli_child("rank2-search", "--max-deg", "3", timeout=20)
+    assert out.returncode == 3
+    assert "sum of 29 terms (budget 24)" in out.stderr
 
 
 def test_cli_cohomology_over_budget_exits_3_every_time(files, capsys):

@@ -506,6 +506,22 @@ def test_solver_node_budget_is_exact(monkeypatch):
         solve_quadratic_system([x * y], [x, y])
 
 
+@pytest.mark.parametrize(
+    "search, terms",
+    [(lambda: rank2_search(1), 5), (lambda: lemma_special_case(2), 8)],
+    ids=["rank2_search-1", "lemma-2"],
+)
+def test_largest_sum_pinned(monkeypatch, search, terms):
+    # the largest sum each search cleans or factors; MAX_FACTOR_TERMS (24)
+    # is above these and degree 2's 22, so it refuses none of them
+    assert terms < rank2.MAX_FACTOR_TERMS
+    monkeypatch.setattr(rank2, "MAX_FACTOR_TERMS", terms)
+    search()
+    monkeypatch.setattr(rank2, "MAX_FACTOR_TERMS", terms - 1)
+    with pytest.raises(ResourceError, match=f"sum of {terms} terms"):
+        search()
+
+
 def test_negative_degree_rejected():
     with pytest.raises(Exception):
         rank2_search(-1)

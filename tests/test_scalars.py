@@ -230,7 +230,7 @@ def test_constructors_reject_floats():
 
 
 def test_kernel_outputs_are_exact_on_zoo_inputs():
-    for alg in (QD, B2, zoo.builtin("cur_sl2").module.alg):
+    for alg in (QD, B2, zoo.builtin("cur_sl2").source.alg):
         for I in ((0,) * alg.dim, (1,) * alg.dim, (2,) + (1,) * (alg.dim - 1)):
             for J in ((3,) + (0,) * (alg.dim - 1), (1,) * alg.dim, (0,) * (alg.dim - 1) + (2,)):
                 assert_exact(alg.mul_mono(I, J).values())

@@ -19,7 +19,6 @@ from pseudoalg.cochains import (
 )
 from pseudoalg.structures import (
     BLOCK_TO_PC,
-    LiePseudoalgebra,
     QuasiTwilled,
     check_lie,
     check_mc_omega,
@@ -48,8 +47,9 @@ def test_check_lie_rejects_symmetric(qd):
     bad = Cochain(2, m, m, {(0, 0): pt(m, [(0, 0, 0, 0, 1)])})
     report = check_lie(bad)
     assert not report["ok"] and report["skew"]
-    with pytest.raises(InputError):
-        LiePseudoalgebra(m, bad)
+    M = FreeModule("M", ["e"], qd)
+    with pytest.raises(InputError, match="'SKEW-pi'"):
+        zoo.build(zoo.DERIVATION, {"algebra": bad, "module": M, "action": MixedMap.zero(m, M, M)})
 
 
 def test_current_algebras_satisfy_jacobi():
@@ -61,19 +61,19 @@ def test_current_algebras_satisfy_jacobi():
 def test_assemble_omega_examples(qd):
     g, h = zoo.virasoro("g", "x"), zoo.clone_bracket(zoo.virasoro("h0", "u0"), "h")
     # direct product: no interaction terms
-    Q = QuasiTwilled(g.module, h.module, pi=g.bracket, mu=h.bracket)
+    Q = QuasiTwilled(g.source, h.source, pi=g, mu=h)
     om = Q.omega()
     x0 = Q.G.elem(0, qd.unit())
     v0 = Q.G.elem(1, qd.unit())
     assert om.eval([x0, v0]).is_zero()
     # action structure: Omega((x,0),(0,v)) = (0, rho(x (x) v))
-    rho = zoo.adjoint_action(g, h.module)
-    Qa = QuasiTwilled(g.module, h.module, pi=g.bracket, rho=rho, mu=h.bracket)
+    rho = zoo.adjoint_action(g, h.source)
+    Qa = QuasiTwilled(g.source, h.source, pi=g, rho=rho, mu=h)
     got = Qa.omega().eval([x0, v0])
     expect = rho.value((0, 0)).coerce(Qa.G, lambda k: k + 1)
     assert got == expect
     # all components zero -> zero cochain
-    assert QuasiTwilled(g.module, h.module).omega().is_zero()
+    assert QuasiTwilled(g.source, h.source).omega().is_zero()
 
 
 def test_check_pc_zoo_structures():
@@ -223,14 +223,14 @@ def test_jacobiator_h_polylinearity(modified_r_q, qd, rng):
 def test_matched_pair_builder(qd):
     g = zoo.virasoro("g", "x")
     h = zoo.clone_bracket(zoo.virasoro("h0", "u0"), "h")
-    rho = MixedMap.zero(g.module, h.module, h.module)
-    eta = MixedMap.zero(g.module, h.module, g.module)
+    rho = MixedMap.zero(g.source, h.source, h.source)
+    eta = MixedMap.zero(g.source, h.source, g.source)
     Q = zoo.build(zoo.MATCHED_PAIR_DEF,
                   {"algebra": g, "coefficients": h, "action": rho, "coaction": eta})
     assert check_pc(Q)["ok"]
     assert check_lie(Q.omega())["ok"]
     # failing matched-pair data is rejected with residuals
-    bad_rho = MixedMap(g.module, h.module, h.module, {(0, 0): pt(h.module, [(0, 0, 0, 0, 1)])})
+    bad_rho = MixedMap(g.source, h.source, h.source, {(0, 0): pt(h.source, [(0, 0, 0, 0, 1)])})
     with pytest.raises(InputError):
         zoo.build(zoo.MATCHED_PAIR_DEF,
                   {"algebra": g, "coefficients": h, "action": bad_rho, "coaction": eta})
@@ -241,12 +241,12 @@ def test_matched_pair_action_reduces_to_action_structure(qd):
     # weight-1 action structure's bracket restricted accordingly
     g = zoo.virasoro("g", "x")
     hm = FreeModule("h", ["u"], qd)
-    habel = LiePseudoalgebra(hm, Cochain.zero(2, hm, hm))
-    rho = zoo.adjoint_action(g, habel.module)
-    eta = MixedMap.zero(g.module, habel.module, g.module)
+    habel = Cochain.zero(2, hm, hm)
+    rho = zoo.adjoint_action(g, hm)
+    eta = MixedMap.zero(g.source, hm, g.source)
     Q = zoo.build(zoo.MATCHED_PAIR_DEF,
                   {"algebra": g, "coefficients": habel, "action": rho, "coaction": eta})
-    Qact = zoo.build(zoo.DERIVATION, {"algebra": g, "module": habel.module, "action": rho})
+    Qact = zoo.build(zoo.DERIVATION, {"algebra": g, "module": hm, "action": rho})
     assert Q.omega() == Qact.omega()
 
 
@@ -265,9 +265,9 @@ def test_representation_axiom(qd):
     # rho = action); the module axiom is its PC5
     g = zoo.virasoro("g", "x")
     M = FreeModule("m", ["e"], qd)
-    require_pc(QuasiTwilled(g.module, M, pi=g.bracket, rho=zoo.adjoint_action(g, M)), "adjoint")
-    bad = MixedMap(g.module, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
-    S = QuasiTwilled(g.module, M, pi=g.bracket, rho=bad)
+    require_pc(QuasiTwilled(g.source, M, pi=g, rho=zoo.adjoint_action(g, M)), "adjoint")
+    bad = MixedMap(g.source, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
+    S = QuasiTwilled(g.source, M, pi=g, rho=bad)
     assert [label for label, r in check_pc(S)["residuals"].items() if r] == ["PC5"]
     with pytest.raises(InputError, match="'PC5'"):
         require_pc(S, "bad")

@@ -23,11 +23,11 @@ from conftest import pt, vir_value
 
 def test_builtin_algebras():
     vir = zoo.builtin("virasoro")
-    assert vir.bracket.value((0, 0)) == vir_value(vir.module)
+    assert vir.value((0, 0)) == vir_value(vir.source)
     sl2 = zoo.builtin("cur_sl2")
-    assert sl2.module.rank == 3
+    assert sl2.source.rank == 3
     b2 = zoo.builtin("cur_2dim_nonabelian")
-    assert b2.module.rank == 2 and b2.module.alg.dim == 2
+    assert b2.source.rank == 2 and b2.source.alg.dim == 2
 
 
 def test_builtin_rank2_instances():
@@ -48,14 +48,14 @@ def test_builders_reject_bad_ingredients(qd):
     g = zoo.virasoro()
     M = FreeModule("m", ["e"], qd)
     # a twisting term that is not a 2-cocycle fails PC3 of the assembled tuple
-    bad_omega = Cochain(2, g.module, M, {(0, 0): pt(M, [(2, 0, 0, 0, 1), (0, 2, 0, 0, -1)])})
+    bad_omega = Cochain(2, g.source, M, {(0, 0): pt(M, [(2, 0, 0, 0, 1), (0, 2, 0, 0, -1)])})
     with pytest.raises(InputError):
         zoo.build(
             zoo.TWISTED_RB,
             {"algebra": g, "module": M, "action": zoo.adjoint_action(g, M), "cocycle": bad_omega},
         )
     # a non-action rho fails the assembled PC check
-    bad_rho = MixedMap(g.module, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
+    bad_rho = MixedMap(g.source, M, M, {(0, 0): pt(M, [(0, 0, 0, 0, 1)])})
     with pytest.raises(InputError):
         zoo.build(zoo.DERIVATION, {"algebra": g, "module": M, "action": bad_rho})
 
@@ -163,11 +163,11 @@ def test_build_refuses_an_ingredient_its_kind_has_not():
 def test_twisted_rb_reduces_to_o_operator():
     # with omega = 0 the twisted-RB structure is the semidirect one
     g = zoo.virasoro()
-    M = FreeModule("m", ["e"], g.module.alg)
+    M = FreeModule("m", ["e"], g.source.alg)
     rho = zoo.adjoint_action(g, M)
     Q1 = zoo.build(
         zoo.TWISTED_RB,
-        {"algebra": g, "module": M, "action": rho, "cocycle": Cochain.zero(2, g.module, M)},
+        {"algebra": g, "module": M, "action": rho, "cocycle": Cochain.zero(2, g.source, M)},
     )
     Q2 = zoo.build(zoo.O_OPERATOR, {"algebra": g, "module": M, "action": rho})
     assert Q1.omega() == Q2.omega()
@@ -213,10 +213,10 @@ def test_diagonal_action_at_rank_2():
     # see a wrong index within a block
     g = zoo.current(zoo.nonabelian_2dim(), zoo.polynomial_hopf())
     copies = zoo.direct_sum_algebras(g, g)
-    act = zoo.adjoint_action(g, copies.module)
+    act = zoo.adjoint_action(g, copies.source)
     for i in range(2):
         for t in range(4):
-            expect = copies.bracket.value((2 * (t // 2) + i, t))
+            expect = copies.value((2 * (t // 2) + i, t))
             assert act.value((i, t)).terms == expect.terms, (i, t)
     assert not act.value((0, 3)).is_zero()
     # build refuses ingredients that fail PC, so act is an action on the sum
@@ -254,7 +254,7 @@ def reachable_algebras(root) -> list:
 def test_guard_sees_every_algebra():
     qd, other = zoo.polynomial_hopf(), zoo.polynomial_hopf()
     assert reachable_algebras([qd, {"m": FreeModule("m", ["e"], qd)}]) == [qd]
-    found = reachable_algebras(zoo.virasoro("g", "x", other).bracket)
+    found = reachable_algebras(zoo.virasoro("g", "x", other))
     assert len(found) == 1 and found[0] is other
 
 
