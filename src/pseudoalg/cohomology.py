@@ -23,10 +23,15 @@ dim B is rank(C) - rank(C_out), C the images of C^{p-1} and C_out their parts
 outside the window.  The budget is counted once, before any work, on the
 largest space touched: the one d maps C^p into, (p + 1, cap + growth).
 
-A skew basis depends on the handle only through its shape, so each is solved
-once per H, in the memo `target.alg.cochain_windows` keyed on (source rank,
-target rank, arity, cap); an entry holds the positions and the basis.
-Callers must not mutate it; nothing over `COORD_BUDGET` enters it.
+Two memos, neither over `COORD_BUDGET`, and callers must not mutate either:
+
+- A skew basis depends on the handle only through its shape, so each is
+  solved once per H, in `target.alg.cochain_windows` keyed on (source rank,
+  target rank, arity, cap); an entry holds the positions and the basis.
+- d on a skew basis depends on the handle, so its images are built once per
+  handle, in `handle.d_blocks` keyed on (arity, cap) (`CEComplexHandle.d_block`),
+  and shared by Z at that arity and B one arity above.  Only the construction
+  of d is kept: the ranks that answer a query are taken on every call.
 """
 
 from __future__ import annotations
@@ -120,6 +125,8 @@ class CEComplexHandle:
 
     Construction verifies d o d = 0 at p = 1 on seeded random cochains under
     the active convention; a violation invalidates the handle immediately.
+    `d_blocks` memoises d on the truncated skew bases (`d_block`); it lives
+    and dies with the handle.
     """
 
     def __init__(self, kind, bracket, action, convention=CLASSICAL):
@@ -127,6 +134,7 @@ class CEComplexHandle:
         self.bracket = bracket
         self.action = action
         self.convention = convention
+        self.d_blocks = {}
         rng = random.Random(20240801)
         for _ in range(2):
             f = random_cochain(rng, bracket.source, action.hmod, 1, max_deg=2)
@@ -141,6 +149,27 @@ class CEComplexHandle:
 
     def max_growth(self) -> int:
         return max(self.bracket.max_degree(), self.action.max_degree(), 0)
+
+    def d_block(self, arity: int, cap: int) -> tuple:
+        """(sparse images, positions) of d on the degree <= cap cochains of `arity`.
+
+        Arity p >= 1 takes d of `skew_basis(A, M, p, cap)`; arity 0 takes the
+        `diff0` tables of the module elements of degree <= cap.  Built once per
+        (arity, cap) and kept in `d_blocks`; callers check the budget first
+        and must not mutate what is returned.
+        """
+        if (arity, cap) not in self.d_blocks:
+            A, M = self.bracket.source, self.action.hmod
+            if arity == 0:
+                tables = [
+                    self.diff0(M.elem(k, M.alg.mono(K)))
+                    for k in range(M.rank)
+                    for K in _multiindices(M.alg.dim, cap)
+                ]
+            else:
+                tables = [self.diff(f).terms for f in skew_basis(A, M, arity, cap)]
+            self.d_blocks[arity, cap] = _sparse_vectors(tables)
+        return self.d_blocks[arity, cap]
 
 
 def induced_structure(Q: QuasiTwilled, M: HModuleMap, kind: str) -> QuasiTwilled:
@@ -290,33 +319,25 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
 
     Kernels are exact on the truncated domain; the image is computed within
     the truncation (flagged) since a coboundary may have higher-degree
-    preimages outside the window.
+    preimages outside the window.  d comes from the handle's blocks p
+    (for Z) and p - 1 (for B), built on first use; the ranks are taken on
+    every call.
     """
     if p < 1:
         raise InputError("cochain arity must be >= 1")
     if cap < 0:
         raise InputError("degree cap must be >= 0")
-    A = handle.bracket.source
     M = handle.action.hmod
     # d maps C^p into arity p + 1 and degree cap + growth, the largest space
     # touched below, so counting it refuses an over-budget call before any work
-    _check_budget(A, M, p + 1, cap + handle.max_growth())
-    basis_p = skew_basis(A, M, p, cap)
+    _check_budget(handle.bracket.source, M, p + 1, cap + handle.max_growth())
     # rank of d on the basis = rank of its images taken as rows
-    images, _ = _sparse_vectors(handle.diff(f).terms for f in basis_p)
-    dim_z = len(basis_p) - linalg.rank(images)
+    images, _ = handle.d_block(p, cap)
+    dim_z = len(images) - linalg.rank(images)
 
     # coboundaries: image of d from one arity below, within the window; at p = 1
     # d has arity-2 values, and only their trivial-slot part meets C^1
-    if p == 1:
-        tables = [
-            handle.diff0(M.elem(k, M.alg.mono(K)))
-            for k in range(M.rank)
-            for K in _multiindices(M.alg.dim, cap)
-        ]
-    else:
-        tables = [handle.diff(f).terms for f in skew_basis(A, M, p - 1, cap)]
-    cols, positions = _sparse_vectors(tables)
+    cols, positions = handle.d_block(p - 1, cap)
     inside = [
         n
         for (_t, (slots, K, _k)), n in positions.items()
@@ -327,7 +348,7 @@ def truncated_cohomology(handle: CEComplexHandle, p: int, cap: int) -> dict:
     return {
         "arity": p,
         "cap": cap,
-        "dim_cochains": len(basis_p),
+        "dim_cochains": len(images),
         "dim_Z": dim_z,
         "dim_B": dim_b,
         "dim_H": dim_z - dim_b,

@@ -1,5 +1,6 @@
 """Induced structures, CE differentials, cocycle certificates, truncations."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -637,14 +638,58 @@ def test_over_budget_windows_never_enter_the_memo():
     handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL)
     memo = Q.g.alg.cochain_windows
     # both are refused on the count of the space d maps into, before any
-    # window is built, though (1, 400) has an arity-1 window within budget
+    # window or d block is built, though (1, 400) has an arity-1 window
+    # within budget
+    truncated_cohomology(handle, 1, 2)
+    blocks = copy.deepcopy(handle.d_blocks)
+    assert set(blocks) == {(0, 2), (1, 2)}
     for p, cap in ((4, 40), (1, 400)):
         size = len(memo)
         for _ in range(2):
             with pytest.raises(ResourceError):
                 truncated_cohomology(handle, p, cap)
             assert len(memo) == size
+            assert handle.d_blocks == blocks
     assert all(len(w["index"]) <= COORD_BUDGET for w in memo.values())
+
+
+def test_d_is_applied_once_per_basis_cochain(monkeypatch):
+    # the handle keeps d on each skew basis, so a sweep p = 1..3 applies d once
+    # to each basis cochain (block p serves Z at p and B at p + 1; B at p = 1
+    # comes from d0), and the same sweep again applies it to none
+    entry = next(e for e in zoo.zoo_structures() if e["name"] == "modified_r")
+    handle = handle_for(TYPE_I, entry["Q"], entry["type1"])
+    A, M = handle.bracket.source, handle.action.hmod
+    calls = count_calls(monkeypatch, "ce_differential", cohomology)
+    sweep = [truncated_cohomology(handle, p, 3) for p in (1, 2, 3)]
+    assert len(calls) == sum(len(skew_basis(A, M, p, 3)) for p in (1, 2, 3)) > 0
+    calls.clear()
+    assert [truncated_cohomology(handle, p, 3) for p in (1, 2, 3)] == sweep
+    assert calls == []
+
+
+def test_the_d_memo_never_changes_a_result():
+    # every zoo result at p 1-3 and caps 0-4 is the same from a warm handle
+    # swept up, from one swept down and from a fresh handle per call, and the
+    # linear algebra that answers a query never changes a cached block
+    entries = [
+        (kind, e["Q"], m)
+        for e in zoo.zoo_structures()
+        for kind, m in ((TYPE_I, e["type1"]), (TYPE_II, e["type2"]))
+        if m is not None
+    ]
+    windows = [(p, cap) for cap in range(5) for p in (1, 2, 3)]
+
+    def sweep(handles, order):
+        return [{w: truncated_cohomology(h, *w) for w in order} for h in handles]
+
+    up, down = ([handle_for(*entry) for entry in entries] for _ in range(2))
+    fresh = [{w: truncated_cohomology(handle_for(*entry), *w) for w in windows} for entry in entries]
+    assert sum(map(len, fresh)) == 345
+    assert sweep(up, windows) == sweep(down, windows[::-1]) == fresh
+    blocks = [copy.deepcopy(h.d_blocks) for h in up]
+    assert sweep(up, windows) == fresh
+    assert [h.d_blocks for h in up] == blocks
 
 
 def test_cohomology_memoises_skew_bases_only():
@@ -786,3 +831,42 @@ def test_d_is_the_linearized_defining_identity(rng):
                 cases += 1
     assert cases == 69
     assert cubic == theta == {"modified_r", "reynolds", "reynolds_classical", "twisted_rb"}
+
+
+def cocycle_basis(handle, cap) -> list:
+    """A basis of Z^1 in the cap window: the kernel of d on the arity-1 cochains,
+    solved by dense Fraction Gauss."""
+    A, M = handle.bracket.source, handle.action.hmod
+    basis = skew_basis(A, M, 1, cap)
+    index = cochain_coords(A, M, 2, cap + handle.max_growth())
+    cols = [_dense_vec(handle.diff(f).terms, index) for f in basis]
+    rows = [r for r in ([col[i] for col in cols] for i in range(len(index))) if any(r)]
+    cocycles = []
+    for vec in nullspace_dense(rows, ncols=len(basis)):
+        delta = Cochain(1, A, M, {})
+        for c, f in zip(vec, basis):
+            delta = delta + f.scale(c)
+        cocycles.append(HModuleMap(A, M, {i: v for (i,), v in delta.terms.items()}))
+    return cocycles
+
+
+def test_obstructions_are_cocycles():
+    # for a 1-cocycle delta of every zoo handle, the eps^2 part of
+    # dmap_residual(Q, M + eps delta), the primary obstruction to extending
+    # M + eps delta, is a 2-cocycle
+    counts = {}
+    for entry in zoo.zoo_structures():
+        Q = entry["Q"]
+        for kind, M in ((TYPE_I, entry["type1"]), (TYPE_II, entry["type2"])):
+            if M is None:
+                continue
+            handle = handle_for(kind, Q, M)
+            for cap in (1, 2):
+                for delta in cocycle_basis(handle, cap):
+                    c = residual_coefficients(Q, M, delta, kind)
+                    assert c[1].is_zero(), (entry["name"], kind, cap)
+                    assert handle.diff(c[2]).is_zero(), (entry["name"], kind, cap)
+                    cocycles, obstructed = counts.get(cap, (0, 0))
+                    counts[cap] = (cocycles + 1, obstructed + (not c[2].is_zero()))
+    # (cocycles, nonzero obstructions) per cap, over the 23 handles
+    assert counts == {1: (21, 14), 2: (25, 18)}

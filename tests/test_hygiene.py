@@ -134,8 +134,9 @@ def test_guard_sees_a_module_memo():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_memo(path):
-    # kernel memos live on the LieAlgebra instance and solver memos for one
-    # call, so no cache outlives the objects it was computed for
+    # memos live on the LieAlgebra instance (kernels, skew bases), on the CE
+    # handle (d blocks) or within one call (solvers), so no cache outlives
+    # the objects it was computed for
     assert module_memos(path.read_text(encoding="utf-8")) == []
 
 
@@ -355,8 +356,9 @@ def test_linf_operators_do_not_reach_the_closed_form_twist():
         assert route_names(source, cls) & {"twist1_components", "twist2_components"} == set()
 
 
-# What the linearization route of tests/test_cohomology.py must not reach: the
-# twists other than through handle_for, and the oracles' hand-expanded d.
+# What the linearization and obstruction routes of tests/test_cohomology.py
+# must not reach: the twists other than through handle_for, and the oracles'
+# hand-expanded d.
 LINEARIZATION_AVOIDS = {
     "twist1_components", "twist2_components", "TwistedLinfOps", "exp_twist", "conjugate_twist",
     "cocycle_check_type1", "cocycle_check_type2", "consistency_l1_vs_d", "_ce_reference",
@@ -372,6 +374,15 @@ def test_linearization_reaches_the_twists_only_through_the_handle():
     assert names & LINEARIZATION_AVOIDS == set()
 
 
+def test_obstructions_reach_the_twists_only_through_the_handle():
+    # d of the eps^2 part of dmap_residual(Q, M + eps delta) vanishing for a
+    # cocycle delta is evidence only while the test takes d from handle_for alone
+    source = (REPO / "tests" / "test_cohomology.py").read_text(encoding="utf-8")
+    names = route_names(source, "test_obstructions_are_cocycles")
+    assert {"handle_for", "dmap_residual", "residual_coefficients", "cocycle_basis"} <= names
+    assert names & LINEARIZATION_AVOIDS == set()
+
+
 # Each oracle of tests/oracles.py that these tests compare a production route
 # against, with the names of that route, which the oracle must not reach.
 CE_HANDLE = {"handle_for", "ce_differential", "CEComplexHandle", "twist2_components"}
@@ -379,7 +390,7 @@ PRODUCTION_ROUTES = {
     "ce_diff_matched_type2": CE_HANDLE,
     "zeta_value": CE_HANDLE,
     "_interpolate_quadratics": {"residual_polynomials", "ring"},
-    "lie_ce_cohomology": CE_HANDLE | {"truncated_cohomology", "skew_basis", "cochain_coords"},
+    "lie_ce_cohomology": CE_HANDLE | {"truncated_cohomology", "skew_basis", "cochain_coords", "d_block"},
     "graph_check": {"dmap1_residual", "dmap_residual", "_type1_tables"},
     "mc_bullet_components": {"check_mc_omega", "pc_residuals", "omega"},
     "_ce_reference": {
