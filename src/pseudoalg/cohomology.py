@@ -23,15 +23,11 @@ dim B is rank(C) - rank(C_out), C the images of C^{p-1} and C_out their parts
 outside the window.  The budget is counted once, before any work, on the
 largest space touched: the one d maps C^p into, (p + 1, cap + growth).
 
-Two memos, neither over `COORD_BUDGET`, and callers must not mutate either:
-
-- A skew basis depends on the handle only through its shape, so each is
-  solved once per H, in `target.alg.cochain_windows` keyed on (source rank,
-  target rank, arity, cap); an entry holds the positions and the basis.
-- d on a skew basis depends on the handle, so its images are built once per
-  handle, in `handle.d_blocks` keyed on (arity, cap) (`CEComplexHandle.d_block`),
-  and shared by Z at that arity and B one arity above.  Only the construction
-  of d is kept: the ranks that answer a query are taken on every call.
+The one cache is `handle.d_blocks` (`CEComplexHandle.d_block`): d on the
+skew basis of each (arity, cap), built on first use and shared by Z at that
+arity and B one arity above, within `COORD_BUDGET`; callers must not mutate
+it.  Skew bases are solved afresh on each call, and the ranks that answer a
+query are taken on every call.
 """
 
 from __future__ import annotations
@@ -250,8 +246,9 @@ def cochain_coords(source: FreeModule, target: FreeModule, arity: int, cap: int)
     return {ck: n for n, ck in enumerate(cks)}
 
 
+# The name is kept: perfbench/run.py traces `cohomology.skew_basis` by name.
 def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> list:
-    """Basis cochains of the truncated skew subspace.
+    """Basis cochains of the truncated skew subspace, fresh on every call.
 
     Skewness only constrains tuples with repeated entries, through the
     stabilizer transpositions; permuting preserves the total degree so the
@@ -259,23 +256,8 @@ def skew_basis(source: FreeModule, target: FreeModule, arity: int, cap: int) -> 
     (1 + sigma) e_c, so the kernel solved for is that of (1 + sigma)^T, not
     of (1 + sigma): a known open fault (ROADMAP.md, first open item), kept
     until its fix can regenerate the reference values that pin it.
-
-    The vectors are solved once per window shape and memoised as tables
-    {tuple: {key: c}} (module docstring); callers never see them, since each
-    call wraps them in fresh cochains on the caller's own modules.
     """
-    memo = target.alg.cochain_windows
-    shape = (source.rank, target.rank, arity, cap)
-    if shape not in memo:
-        index = cochain_coords(source, target, arity, cap)
-        memo[shape] = {"index": index, "skew": _skew_tables(index, source, target, arity)}
-    return [
-        Cochain(arity, source, target, {t: PTElem(target, arity, d) for t, d in table.items()})
-        for table in memo[shape]["skew"]
-    ]
-
-
-def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int) -> tuple:
+    index = cochain_coords(source, target, arity, cap)
     keys = dict.fromkeys(key for _t, key in index)  # the window's keys, in their order
     rows = []
     for t in sorted_tuples(source.rank, arity):
@@ -290,14 +272,15 @@ def _skew_tables(index: dict, source: FreeModule, target: FreeModule, arity: int
                     row[pos] = row.get(pos, 0) + c
                 rows.append(row)
     coords = list(index)
-    tables = []
+    basis = []
     for vec in linalg.nullspace(rows, len(coords)):
         table = {}
         for pos, c in sorted(vec.items()):
             t, key = coords[pos]
             table.setdefault(t, {})[key] = c
-        tables.append(table)
-    return tuple(tables)
+        terms = {t: PTElem(target, arity, d) for t, d in table.items()}
+        basis.append(Cochain(arity, source, target, terms))
+    return basis
 
 
 def _sparse_vectors(tables) -> tuple:

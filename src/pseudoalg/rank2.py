@@ -127,11 +127,11 @@ class Rank2Problem:
         return QuasiTwilled(
             self.g,
             self.h,
-            pi=Cochain(2, self.g, self.g, {(0, 0): A} if not A.is_zero() else {}),
-            rho=MixedMap(self.g, self.h, self.h, {(0, 0): Bv} if not Bv.is_zero() else {}),
+            pi=Cochain(2, self.g, self.g, {(0, 0): A}),
+            rho=MixedMap(self.g, self.h, self.h, {(0, 0): Bv}),
             mu=Cochain(2, self.h, self.h, mu_table),
-            eta=MixedMap(self.g, self.h, self.g, {(0, 0): Cv} if not Cv.is_zero() else {}),
-            theta=Cochain(2, self.g, self.h, {(0, 0): Dv} if not Dv.is_zero() else {}),
+            eta=MixedMap(self.g, self.h, self.g, {(0, 0): Cv}),
+            theta=Cochain(2, self.g, self.h, {(0, 0): Dv}),
         )
 
     def residual_vector(self, assignment) -> dict:

@@ -263,7 +263,8 @@ def check_mc_omega(Q: QuasiTwilled) -> dict:
     (h^3 -> g) must vanish identically.  Also pass/fail must agree with
     check_pc verdict-for-verdict on every label.  The correspondence
     presumes a skew Omega, so it fails outright when SKEW-pi, SKEW-theta or
-    PC1 fails; the verdicts are still compared.
+    PC1 fails; the verdicts are still compared.  The PC residual tables it
+    compares against are returned under "residuals", as in `check_pc`.
     """
     om = Q.omega()
     bracket = nr_bracket(om, om)
@@ -298,6 +299,7 @@ def check_mc_omega(Q: QuasiTwilled) -> dict:
         "bracket_zero": bracket_zero,
         "pc_ok": pc_ok,
         "labels": labels,
+        "residuals": pc,
     }
 
 

@@ -5,7 +5,7 @@ production route it checks, so agreement between the two is a check rather
 than a tautology.  `tests/test_hygiene.py` keeps them apart.
 
 - `rank_dense`, `nullspace_dense`: plain Gaussian elimination over dense
-  Fraction rows, against the sparse Bareiss path of `pseudoalg.linalg`
+  Fraction rows, against the sparse fraction-free path of `pseudoalg.linalg`
   (`rank`, `nullspace`).  They import nothing from `linalg`.
 - `consistency_l1_vs_d`: the twisted L-infinity l1 of
   `deformation.TwistedLinfOps`, against the CE differential of the

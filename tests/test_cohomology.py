@@ -570,10 +570,10 @@ def _plain(basis) -> list:
     return [{t: dict(v.terms) for t, v in f.terms.items()} for f in basis]
 
 
-def test_windows_do_not_depend_on_the_memo():
-    # windows and skew bases are memoised per shape on H; a memo warmed on
-    # one module pair serves another pair of the same ranks exactly as a
-    # fresh, equal algebra does, on the caller's own modules
+def test_equal_shapes_give_equal_bases_on_the_callers_modules():
+    # a skew basis depends only on its window's shape: other modules of the
+    # same ranks over the same H, swept before, give the basis an equal fresh
+    # algebra gives, built on the caller's own modules
     entry = next(e for e in zoo.zoo_structures() if e["name"] == "relative_rb")
     handle = handle_for(TYPE_II, entry["Q"], entry["type2"])
     warm_alg, cold_alg = LieAlgebra.abelian(["d"]), LieAlgebra.abelian(["d"])
@@ -581,17 +581,14 @@ def test_windows_do_not_depend_on_the_memo():
     cases = ((1, 3), (2, 3), (3, 2))
     for p, cap in cases:
         truncated_cohomology(warm, p, cap)
-    filled = len(warm_alg.cochain_windows)
     other, fresh = _moved(handle, warm_alg, ("x", "v")), _moved(handle, cold_alg, ("x", "v"))
-    assert not cold_alg.cochain_windows
     for p, cap in cases:
         got, expect = (skew_basis(h.bracket.source, h.action.hmod, p, cap) for h in (other, fresh))
         assert _plain(got) == _plain(expect) and got, (p, cap)
         assert term_order_digest(got) == term_order_digest(expect)
         assert all(f.source is other.bracket.source and f.target is other.action.hmod for f in got)
         assert truncated_cohomology(other, p, cap) == truncated_cohomology(fresh, p, cap)
-    assert len(warm_alg.cochain_windows) == filled
-    # what a caller does to a returned basis does not reach the memo
+    # what a caller does to a returned basis does not reach the next call
     A, M = other.bracket.source, other.action.hmod
     basis = skew_basis(A, M, 2, 3)
     before = _plain(basis)
@@ -603,54 +600,49 @@ def test_windows_do_not_depend_on_the_memo():
     assert _plain(skew_basis(A, M, 2, 3)) == before
 
 
-def test_a_skew_basis_miss_lists_its_window_keys_once(monkeypatch):
-    # the skew constraint rows take the window's keys from its positions
+def test_a_skew_basis_lists_its_window_keys_once(monkeypatch):
+    # the skew constraint rows take the window's keys from its positions, so
+    # each call lists them once
     H = LieAlgebra.abelian(["d"])
     A, M = FreeModule("a", ["x", "y"], H), FreeModule("m", ["e"], H)
     calls = count_calls(monkeypatch, "ptelem_coords", cohomology)
     assert len(skew_basis(A, M, 3, 2)) == 6 and calls == [1]
-    assert len(skew_basis(A, M, 3, 2)) == 6 and calls == [1]
+    assert len(skew_basis(A, M, 3, 2)) == 6 and calls == [1, 1]
 
 
-def test_window_memo_separates_shapes(qd, b2):
-    # rank, arity, cap and H each select their own window
+def test_skew_bases_separate_shapes(qd, b2):
+    # rank, arity, cap and H each select their own basis; a shape asked again
+    # gives the same one
     g1, g2 = FreeModule("g", ["u"], qd), FreeModule("h", ["x", "y"], qd)
-    memo = qd.cochain_windows
     seen = []
     for source, target, arity, cap in (
         (g1, g1, 2, 2), (g1, g2, 2, 2), (g2, g1, 2, 2), (g1, g1, 3, 2), (g1, g1, 2, 3)
     ):
-        size = len(memo)
-        basis = skew_basis(source, target, arity, cap)
-        assert len(memo) == size + 1
-        seen.append(_plain(basis))
+        seen.append(_plain(skew_basis(source, target, arity, cap)))
         assert _plain(skew_basis(source, target, arity, cap)) == seen[-1]
-        assert len(memo) == size + 1
     assert len({repr(b) for b in seen}) == len(seen)
     m = FreeModule("g", ["u"], b2)
     assert _plain(skew_basis(m, m, 2, 2)) != seen[0]
-    assert len(b2.cochain_windows) == 1 and len(memo) == len(seen)
 
 
-def test_over_budget_windows_never_enter_the_memo():
+def test_over_budget_windows_never_enter_the_memo(monkeypatch):
     b = zoo.demo_bundle(zoo.DERIVATION)
     Q = b["Q"]
     handle = handle_for(TYPE_I, Q, HModuleMap.zero(Q.g, Q.h), convention=CLASSICAL)
-    memo = Q.g.alg.cochain_windows
-    # both are refused on the count of the space d maps into, before any
-    # window or d block is built, though (1, 400) has an arity-1 window
-    # within budget
+    # both are refused on the count of the space d maps into, before any skew
+    # basis or d block is built, though (1, 400) has an arity-1 window within
+    # budget; the handle's d blocks are left as they were
     truncated_cohomology(handle, 1, 2)
     blocks = copy.deepcopy(handle.d_blocks)
     assert set(blocks) == {(0, 2), (1, 2)}
+    calls = count_calls(monkeypatch, "skew_basis", cohomology)
     for p, cap in ((4, 40), (1, 400)):
-        size = len(memo)
         for _ in range(2):
             with pytest.raises(ResourceError):
                 truncated_cohomology(handle, p, cap)
-            assert len(memo) == size
             assert handle.d_blocks == blocks
-    assert all(len(w["index"]) <= COORD_BUDGET for w in memo.values())
+    assert calls == []
+    assert all(len(positions) <= COORD_BUDGET for _, positions in handle.d_blocks.values())
 
 
 def test_d_is_applied_once_per_basis_cochain(monkeypatch):
@@ -692,18 +684,6 @@ def test_the_d_memo_never_changes_a_result():
     assert [h.d_blocks for h in up] == blocks
 
 
-def test_cohomology_memoises_skew_bases_only():
-    # truncated_cohomology numbers its d images itself: the memo holds the
-    # skew bases at arities p and p - 1, and no window without its basis
-    handles = _zoo_handles()
-    for handle in handles:
-        truncated_cohomology(handle, 3, 4)
-    [alg] = {h.action.hmod.alg for h in handles}
-    shapes = {(h.bracket.source.rank, h.action.hmod.rank, p, 4) for h in handles for p in (2, 3)}
-    assert set(alg.cochain_windows) == shapes
-    assert all("skew" in w for w in alg.cochain_windows.values())
-
-
 def _sparse(rows):
     """Dense rows as the {index: value} dicts the production path takes."""
     return [dict(enumerate(row)) for row in rows]
@@ -714,17 +694,20 @@ def _densify(vecs, n):
 
 
 def test_elimination_routes_agree_random(rng):
-    # fraction-free Bareiss vs dense Fraction elimination on random matrices
-    for _ in range(25):
-        n, m = rng.randint(1, 6), rng.randint(1, 6)
+    # incremental fraction-free elimination vs dense Fraction Gauss: small
+    # dense matrices, then wide ones at 5% fill like the cohomology's
+    shapes = [(rng.randint(1, 6), rng.randint(1, 6), 1) for _ in range(25)] + [(40, 60, 0.05)] * 5
+    for n, m, fill in shapes:
         rows = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+            [
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < fill else Fraction(0)
+                for _ in range(m)
+            ]
             for _ in range(n)
         ]
         assert linalg.rank(_sparse(rows)) == rank_dense(rows)
         k1 = _densify(linalg.nullspace(_sparse(rows), ncols=m), m)
-        k2 = nullspace_dense(rows, ncols=m)
-        assert len(k1) == len(k2)
+        assert k1 == nullspace_dense(rows, ncols=m)
         for vec in k1:
             assert all(
                 sum(r[j] * vec[j] for j in range(m)) == 0 for r in rows
@@ -751,7 +734,7 @@ def _sparse_matrix(rng, n, m):
 
 
 def test_sparse_elimination_matches_dense_oracle(rng):
-    # the sparse Bareiss path against dense Fraction Gauss: same rank, the
+    # the sparse fraction-free path against dense Fraction Gauss: same rank, the
     # same kernel basis (both normalise each free column to 1, the other
     # free columns to 0), and image_dim_within against
     # dim(U & W) = dim U + dim W - dim(U + W) with W spanned by unit vectors

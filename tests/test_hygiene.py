@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on its syntax trees (stdlib only)."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -134,9 +135,9 @@ def test_guard_sees_a_module_memo():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_level_memo(path):
-    # memos live on the LieAlgebra instance (kernels, skew bases), on the CE
-    # handle (d blocks) or within one call (solvers), so no cache outlives
-    # the objects it was computed for
+    # memos live on the LieAlgebra instance (kernels), on the CE handle (d
+    # blocks) or within one call (solvers), so no cache outlives the objects
+    # it was computed for
     assert module_memos(path.read_text(encoding="utf-8")) == []
 
 
@@ -305,9 +306,22 @@ def test_guard_sees_a_linalg_import():
 
 
 def test_dense_oracle_is_independent_of_linalg():
-    # Bareiss vs dense Gauss is a cross-check only while the two share no code
+    # fraction-free vs dense Gauss elimination is a cross-check only while the
+    # two share no code
     source = (REPO / "tests" / "oracles.py").read_text(encoding="utf-8")
     assert linalg_imports(source) == []
+
+
+def test_perfbench_trace_names_resolve():
+    # the benchmark's --trace run finds each function it counts or times by its
+    # dotted name, so a rename or deletion in the package fails here first
+    spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for name in run.CALLS + run.CUMULATIVE:
+        filename, _line, fn = run.function_key(name)
+        assert fn == name.rsplit(".", 1)[1], name
+        assert name.startswith("sympy.") or Path(filename).parent == PACKAGE_DIR, name
 
 
 def route_names(source: str, name: str) -> set:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from pseudoalg import io as pio
-from pseudoalg import zoo
+from pseudoalg import structures, zoo
 from pseudoalg.cli import main
 from pseudoalg.cohomology import ResourceError
 from pseudoalg.cochains import Cochain, MixedMap, random_cochain
@@ -25,7 +25,7 @@ from pseudoalg.deformation import HModuleMap
 from pseudoalg.ptensor import FreeModule
 from pseudoalg.structures import QuasiTwilled
 
-from conftest import pt
+from conftest import count_calls, pt
 
 
 def run_cli(args, capsys):
@@ -468,6 +468,28 @@ def test_cli_dictionary(files, capsys):
     assert code == 0
 
 
+def test_cli_check_qt_evaluates_pc_once(capsys, monkeypatch):
+    # the PC lines are read off check_mc_omega's own residual tables
+    calls = count_calls(monkeypatch, "pc_residuals", structures)
+    code, out, _ = run_cli(["--json", "check-qt", str(GOLDEN_DIR / "modified_r.json")], capsys)
+    assert code == 0 and calls == [1]
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["pass"] * 13
+
+
+def test_cli_dictionary_evaluates_pc_once(files, capsys, monkeypatch):
+    # PC1-PC8 are checked once, by build on the rebuilt structure, which equals
+    # the loaded one whenever the command goes on; the load-validate line comes
+    # first, and only without --no-validate
+    calls = count_calls(monkeypatch, "pc_residuals", structures)
+    args = ["--json", "dictionary", "--kind", "modified_r", "--weight", "4", "--trials", "1"]
+    for flag, lines in (([], ["load-validate PC1-PC8"]), (["--no-validate"], [])):
+        calls.clear()
+        code, out, _ = run_cli([*args, *flag, str(files["struct"]), str(files["good"])], capsys)
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert code == 0 and calls == [1]
+        assert names[: len(lines)] == lines and names.count("load-validate PC1-PC8") == len(lines)
+
+
 @pytest.mark.parametrize("weight", ["1e-1", "0.1", "4.0", "1/0"])
 def test_cli_dictionary_weight_is_an_exact_rational(files, capsys, weight):
     # --weight takes the num/den form of every other rational in pa; decimal
@@ -865,7 +887,7 @@ def test_cli_unexpected_exception_exits_4_with_traceback(capsys, monkeypatch):
     def broken(Q):
         raise RuntimeError("kernel fault")
 
-    monkeypatch.setattr("pseudoalg.cli.check_pc", broken)
+    monkeypatch.setattr("pseudoalg.cli.check_mc_omega", broken)
     assert main(["check-qt", str(GOLDEN_DIR / "modified_r.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last):")
