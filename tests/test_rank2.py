@@ -1,6 +1,7 @@
 """Bounded-degree rank-2 classification and the eta-versus-Virasoro lemma."""
 
 import hashlib
+import json
 import sys
 from fractions import Fraction
 
@@ -166,6 +167,47 @@ def test_degree3_polynomials_pinned():
     polys = reconstruct_polynomials(Rank2Problem(3))
     assert len(polys) == 234
     assert hashlib.sha256(str(polys).encode()).hexdigest()[:12] == "740b42c81283"
+
+
+def _search_with_families(max_deg):
+    """rank2_search(max_deg) and the solver's Family objects, in its order."""
+    families = []
+    solve = rank2.solve_quadratic_system
+
+    def logged(eqs, symbols):
+        found, unresolved = solve(eqs, symbols)
+        families.extend(found)
+        return found, unresolved
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rank2, "solve_quadratic_system", logged)
+        # degree 2 visits exactly 192 nodes
+        m.setattr(rank2, "MAX_SOLVER_NODES", 192)
+        return rank2_search(max_deg), families
+
+
+@pytest.fixture(scope="module")
+def search_deg2():
+    # the one degree-2 search of this module, shared by the tests that read it
+    return _search_with_families(2)
+
+
+def _family_text_digest(res) -> str:
+    text = json.dumps([[f["tag"], f["subs"], f["free"], f["nonzero"]] for f in res["families"]])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_search_family_text_pinned(search_deg2):
+    # every family's tag, substitution, frees and nonzero set, in the
+    # solver's order; the text is the same under every hash seed
+    res1, _ = _search_with_families(1)
+    assert len(res1["families"]) == 10
+    assert _family_text_digest(res1) == (
+        "8317282f6eb298a033dca4153badb88dd284a33c0d7b9f56456274e67e52d86e")
+    res2, _ = search_deg2
+    assert len(res2["families"]) == 24
+    assert _family_text_digest(res2) == (
+        "182ba5fe9926a505ca7bc8a75eb993892f590c1aafd277fb977eef407b88269d")
 
 
 def test_search_degree1_complete_and_verified():
