@@ -10,16 +10,17 @@ The unknown components are coefficient tensors with PBW degree capped:
 with the rank-one subalgebra Hx carrying mu in {0, Virasoro}.  The PC
 residuals are quadratic in the unknowns.  One evaluation of `pc_residuals`,
 with each unknown set to a generator of the polynomial ring ZZ[unknowns],
-gives every residual coordinate as an exact polynomial; the system is then
-solved by exact linear elimination with case splits on factored equations.
-The ring is over ZZ because every structure constant over Q[d] is an integer
-(PBW products, coproduct binomials, antipode signs), and integer coefficients
-multiply faster than rational ones; a non-integral coefficient would raise
-`CoercionFailed`, never be rounded.
-The independent cross-check, `_interpolate_quadratics` in `tests/oracles.py`,
-rebuilds the same polynomials from rational point evaluations.  Solution
-families are tagged against the three classification patterns; anything else
-is reported as "other", never suppressed.
+gives every residual coordinate as an exact polynomial.  The ring is over ZZ
+because every structure constant over Q[d] is an integer (PBW products,
+coproduct binomials, antipode signs), and integer coefficients multiply
+faster than rational ones; a non-integral coefficient would raise
+`CoercionFailed`, never be rounded.  The solver takes these ring elements as
+they are and runs its case splits on sparse polynomials over ZZ and their
+fraction field; only each family's values and nonzero factors become sympy
+expressions.  The independent cross-check, `_interpolate_quadratics` in
+`tests/oracles.py`, rebuilds the same polynomials from rational point
+evaluations.  Solution families are tagged against the three classification
+patterns; anything else is reported as "other", never suppressed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import zlib
 from fractions import Fraction
 
 import sympy
-from sympy.polys.rings import ring
+from sympy.polys.densebasic import dmp_from_dict
+from sympy.polys.polyutils import _sort_gens
+from sympy.polys.rings import PolyElement, ring
 
 from .hopf import InputError, LieAlgebra, ResourceError, coeff
 from .ptensor import FreeModule, PTElem, canonicalize
@@ -45,7 +48,7 @@ MAX_UNKNOWNS = 28
 MAX_SOLVER_NODES = 2000
 # Depth below which a branch is reported unresolved instead of split further.
 MAX_SOLVER_DEPTH = 60
-# Most terms of a sum the solver may clean or factor: the largest such sums
+# Most terms of a sum the solver may factor: the largest such sums
 # have 5 terms at degree 1, 8 in lemma_special_case(2) and 22 at degree 2.
 MAX_FACTOR_TERMS = 24
 # Rational samples _sample_instance draws before it gives a family up.
@@ -154,21 +157,27 @@ class Rank2Problem:
         return [coords[k] for k in sorted(coords, key=repr)]
 
 
-def reconstruct_polynomials(problem: Rank2Problem) -> list:
-    """Exact quadratic polynomials of every PC residual coordinate.
-
-    One `pc_residuals` evaluation at the generators of ZZ[unknowns] gives
-    each coordinate as a polynomial with integer coefficients, the structure
-    constants over Q[d] being integers.  They are deduplicated up to rational
-    scaling (the positive content is divided out, as over QQ) and returned
-    as expressions, in the order of their keys' repr.
-    """
+def _distinct_residuals(problem: Rank2Problem) -> list:
+    """The residual polynomials at the generators, deduplicated up to rational
+    scaling (the positive content is divided out, as over QQ), in the order of
+    their keys' repr."""
     seen = {}
     for p in problem.residual_polynomials(problem.gens):
         prim = p.primitive()[1]
         if prim not in seen and -prim not in seen:
             seen[prim] = None
-    return [p.as_expr() for p in seen]
+    return list(seen)
+
+
+def reconstruct_polynomials(problem: Rank2Problem) -> list:
+    """Exact quadratic polynomials of every PC residual coordinate.
+
+    One `pc_residuals` evaluation at the generators of ZZ[unknowns] gives
+    each coordinate as a polynomial with integer coefficients, the structure
+    constants over Q[d] being integers.  Returned as expressions, deduplicated
+    as `_distinct_residuals` does.
+    """
+    return [p.as_expr() for p in _distinct_residuals(problem)]
 
 
 class Family:
@@ -184,169 +193,190 @@ class Family:
         return f"Family(tag={self.tag}, subs={self.subs}, nonzero={self.nonzero})"
 
 
-def _clean(e):
-    """`expand(numer(together(e)))`: e with its denominators cleared.
-
-    A sum of monomials with integer coefficients is returned as it is.
-    """
-    factors = [f for t in sympy.Add.make_args(e) for f in sympy.Mul.make_args(t)]
-    if all(f.is_Integer or f.is_Symbol or f.is_Pow and f.base.is_Symbol and f.exp.is_Integer
-           and f.exp > 0 for f in factors):
-        return e
-    return sympy.expand(sympy.numer(sympy.together(e)))
+def _split_monomial(p):
+    """(exponents, cofactor): p's common monomial and p divided by it."""
+    low = tuple(map(min, zip(*p)))
+    return low, p.new({tuple(k - l for k, l in zip(mon, low)): c for mon, c in p.items()})
 
 
-def _factor_key(pair):
-    # sympy 1.14's key in `polytools._sorted_factors` for method 'factor'
-    poly, exp = pair
-    rep = poly.rep.to_list()
-    return (len(rep), len(poly.gens), exp, str(poly.domain), rep)
-
-
-def _irreducible(terms: dict, gens) -> bool:
+def _irreducible(p) -> bool:
     """Whether a sum is certified irreducible up to its content, unfactored.
 
-    terms maps the sum q's monomials to its integer coefficients, and no
-    monomial divides them all.  Say q has degree 1 in an unknown x, so
-    q = m x + b with b != 0 over R = ZZ[the other unknowns].  Then q is
-    irreducible up to content if gcd(m, b) = 1 in R, by Gauss's lemma (Lang,
-    Algebra, IV.2).  A single-term m shares no factor with b: its unknowns
-    would divide every term of q.  Otherwise m is a monomial times m', and
-    gcd(m, b) = 1 if m' is certified by this same rule and does not divide
-    b.  That division is over QQ: over ZZ, 2y - 2 does not divide y**2 - y.
+    No monomial divides every term of the sum p.  Say p has degree 1 in an
+    unknown x, so p = m x + b with b != 0 over R = ZZ[the other unknowns].
+    Then p is irreducible up to content if gcd(m, b) = 1 in R, by Gauss's
+    lemma (Lang, Algebra, IV.2).  A single-term m shares no factor with b:
+    its unknowns would divide every term of p.  Otherwise m is a monomial
+    times m', and gcd(m, b) = 1 if m' is certified by this same rule and
+    does not divide b over QQ, that is, if the primitive part of m' does not
+    divide b over ZZ (2y - 2 does not divide y**2 - y over ZZ, y - 1 does).
     """
     splits = []
-    for i in range(len(gens)):
-        if {mon[i] for mon in terms} == {0, 1}:
-            m = {mon[:i] + (0,) + mon[i + 1:]: c for mon, c in terms.items() if mon[i]}
+    for i in range(p.ring.ngens):
+        if {mon[i] for mon in p} == {0, 1}:
+            m = p.new({mon[:i] + (0,) + mon[i + 1:]: c for mon, c in p.items() if mon[i]})
             if len(m) == 1:
                 return True
             splits.append((i, m))
     for i, m in splits:
-        low = [min(exps) for exps in zip(*m)]
-        m = {tuple(k - l for k, l in zip(mon, low)): c for mon, c in m.items()}
-        if _irreducible(m, gens):
-            b = {mon: c for mon, c in terms.items() if not mon[i]}
-            divisor, dividend = (sympy.Poly.from_dict(d, gens, domain=sympy.QQ) for d in (m, b))
-            if not dividend.rem(divisor).is_zero:
+        m = _split_monomial(m)[1]
+        if _irreducible(m):
+            b = p.new({mon: c for mon, c in p.items() if not mon[i]})
+            if b.rem(m.primitive()[1]):
                 return True
     return False
 
 
-def _factor_list(e, poly=sympy.Poly):
-    """`sympy.factor_list(e)`, without `together` on a polynomial sum.
+def _factor_list(p):
+    """`sympy.factor_list(p.as_expr())` on a nonzero element of ZZ[gens].
 
-    poly converts an expression to its Poly; the solver passes its memo.
+    Returns (c, [(factor, exp)]), each factor in p's ring, in sympy's order:
+    on a sum, sympy's `together` splits off the common monomial of the
+    terms; sympy then factors each symbol of it and the primitive cofactor
+    on their own generators, and sorts all factors by the key of
+    `_sorted_factors`, copied below rather than imported from a private
+    name.  Without the monomial step the order moves: on
+    A_01*C_01 + A_01*C_10 a plain factorization puts C_01 + C_10 first.  The
+    ring's generators must be in sympy's order, so that each factor's
+    leading coefficient, and so its sign, is sympy's.  A cofactor that
+    `_irreducible` certifies is its own one factor, and sympy's answer is
+    written down without factoring; this spares 1,088 of the 1,201 sums of
+    the degree-2 search.
     """
-    if not e.is_Add:
-        return sympy.factor_list(e)
-    p = poly(e)
-    if not p.domain.is_ZZ or not all(s.is_Symbol for s in p.gens):
-        return sympy.factor_list(e)
-    monomial, cofactor = p.terms_gcd()
-    cofactor = cofactor.exclude()
-    if _irreducible(cofactor.as_dict(native=True), cofactor.gens):
-        # sympy's answer for an irreducible cofactor: the content, signed
-        # so that the one factor has a positive leading coefficient
+    ring = p.ring
+    monomial, cofactor = _split_monomial(p)
+    if cofactor.is_ground:
+        c, factors = cofactor.LC, []
+    elif _irreducible(cofactor):
+        # the content, signed so that the one factor has a positive leading
+        # coefficient
         c, prim = cofactor.primitive()
-        if prim.LC() < 0:
+        if prim.LC < 0:
             c, prim = -c, -prim
         factors = [(prim, 1)]
     else:
         c, factors = cofactor.factor_list()
-    # equal keys keep sympy's insertion order: the monomial's symbols first,
-    # as Mul orders its arguments, which within one exponent is by name
-    powers = sorted(((s, k) for s, k in zip(p.gens, monomial) if k), key=lambda sk: sk[0].name)
-    factors = [(sympy.Poly(s), k) for s, k in powers] + factors
-    factors.sort(key=_factor_key)
-    return c, [(f.as_expr(), k) for f, k in factors]
+    # sympy 1.14's key for method 'factor': (len(rep), number of generators,
+    # exponent, domain, rep) with rep a factor's dense rep over its
+    # generators; the domain, always ZZ here, is left out.  The monomial's
+    # symbols go first, as Mul orders its arguments, which within one
+    # exponent is by name; equal keys keep that order
+    powers = sorted((i for i, k in enumerate(monomial) if k), key=lambda i: ring.symbols[i].name)
+    keyed = [((2, 1, monomial[i], [1, 0]), ring.gens[i], monomial[i]) for i in powers]
+    if keyed or len(factors) > 1:
+        occurring = [i for i, d in enumerate(cofactor.degrees()) if d]
+        for f, k in factors:
+            rep = dmp_from_dict({tuple(mon[i] for i in occurring): a for mon, a in f.items()},
+                                len(occurring) - 1, sympy.ZZ)
+            keyed.append(((len(rep), len(occurring), k, rep), f, k))
+        keyed.sort(key=lambda t: t[0])
+        factors = [(f, k) for _key, f, k in keyed]
+    return c, factors
+
+
+def _substitute(q, i, value):
+    """q(x_i = value) in the fraction field of value, an element of it."""
+    parts = {}
+    for mon, c in q.items():
+        parts.setdefault(mon[i], {})[mon[:i] + (0,) + mon[i + 1:]] = c
+    n = max(parts, default=0)
+    if not n:
+        return value.field.raw_new(q)
+    numer, denom = value.numer, value.denom
+    return value.field.new(sum((q.new(part) * (numer**k if k else 1) * denom ** (n - k)
+                                for k, part in parts.items()), q.ring.zero), denom**n)
+
+
+def _drop(q, i):
+    """q at x_i = 0: the terms of q without x_i."""
+    return q.new({mon: c for mon, c in q.items() if not mon[i]})
+
+
+def _solver_ring(eqs, symbols):
+    """ZZ[gens] in sympy's generator order, and eqs as its elements.
+
+    The gens are the symbols and every generator that occurs in eqs.  An
+    element of another ring is reordered; an expression is converted once,
+    as the numerator of its `together`.
+    """
+    gens = set(symbols)
+    for e in eqs:
+        gens |= ({s for s, d in zip(e.ring.symbols, e.degrees()) if d > 0}
+                 if isinstance(e, PolyElement) else e.free_symbols)
+    R = ring(_sort_gens(gens), sympy.ZZ)[0]
+    return R, [e.set_ring(R) if isinstance(e, PolyElement)
+               else R.from_expr(sympy.numer(sympy.together(e))) for e in eqs]
 
 
 def solve_quadratic_system(eqs, symbols):
     """All solution families of a quadratic system by elimination + case splits.
 
-    Strategy: substitute variables with constant-coefficient linear
-    occurrences; reduce factored equations by the branch's nonzero set; when
-    stuck, split on a factor or on a variable (zero / nonzero).  Leaves with
-    no equations left are families; a branch deeper than MAX_SOLVER_DEPTH is
-    reported as an unresolved leaf rather than silently dropped.
+    eqs are elements of a ring over ZZ, or expressions, which are converted
+    once; symbols are the unknowns.  Strategy: substitute variables with
+    constant-coefficient linear occurrences; reduce factored equations by the
+    branch's nonzero set; when stuck, split on a factor or on a variable
+    (zero / nonzero).  Leaves with no equations left are families; a branch
+    deeper than MAX_SOLVER_DEPTH is reported as an unresolved leaf rather
+    than silently dropped.  This is the elimination and factor splitting of
+    triangular decomposition (Lazard, J. Symb. Comput. 13 (1992); Aubry,
+    Lazard and Moreno Maza, J. Symb. Comput. 28 (1999)).
+
+    The recursion runs on sparse elements of `_solver_ring`.  An elimination
+    x = -e0/c keeps its value in the fraction field; each value of the rule
+    is substituted there, and each equation and nonzero becomes the
+    numerator of its substitution.  A zero split keeps the terms free of the
+    variable.  Expressions are made only at the leaves: `sympy.expand` of
+    each value's expression and the expression of each nonzero.  The branch
+    order and the families are those of the sympy expression route that
+    this replaced (sympy 1.14).  Equations, and the unknowns of the degree
+    scan of the elimination and the variable split, are ordered by
+    `default_sort_key` of their expressions, and `_factor_list(p)` is
+    `sympy.factor_list(p.as_expr())`.  tests/test_rank2.py compares each
+    factor list and substitution numerator of three searches with sympy's
+    expression route, and pins the family text.
 
     Most equations pass unchanged from a node to its children, so each call
-    memoizes three kernels and the Poly that they share, keyed on the
-    expression; the memos live for this call only and are shared by no other
-    call.  Each kernel gives exactly what sympy's generic route gave, so the
-    branch order and the families do not move (checked against sympy 1.14;
-    tests/test_rank2.py compares every kernel output of two searches with
-    that route):
-
-    - `_clean(e)` is `expand(numer(together(e)))`.  An expanded sum with
-      integer coefficients is its own numerator, returned as it is.
-    - `_factor_list(e)` is `sympy.factor_list(e)`.  On a sum, sympy's
-      `together` splits off the common monomial of the terms; sympy then
-      factors each symbol of it and the primitive cofactor on their own
-      generators, and sorts all factors by the key of `_sorted_factors`.
-      On a sum over ZZ in Symbols, `_factor_list` takes the same steps on
-      Poly(e), with that key copied as `_factor_key` rather than imported
-      from a private name; any other e goes to sympy itself.  Without
-      the monomial step the order moves: on A_01*C_01 + A_01*C_10 a plain
-      `Poly.factor_list` puts C_01 + C_10 first.  Before factoring, the
-      cofactor is tested by `_irreducible`, a certificate from Gauss's lemma
-      for sums of degree 1 in some unknown; a certified cofactor is its own
-      one factor, and sympy's answer is written down without factoring.
-      This spares sympy's factoring 1,088 of the 1,201 sums of the
-      degree-2 search.
-    - `poly(e)` is `sympy.Poly(e)`, converted once per expression and
-      passed to `_factor_list` and `degrees`.
-    - `degrees(e)` is `[(s, deg)]` over the unknowns that occur in e, in
-      `default_sort_key` order: the degree scan of both the elimination and
-      the variable split, made once per expression on e's own generators
-      instead of once per visit over every unknown.
-
-    Every substitution is `e.xreplace(rule)`, which is `e.subs(rule)` here.
-    Each rule maps unknowns, which are Symbols, to values, and both routes
-    match a Symbol only as itself and rebuild each node above a match with
-    its class's constructor, so the results evaluate alike, `zoo` from a
-    zero denominator included.  A rule with several keys (`_sample_instance`)
-    holds no key in any of its values, so replacing all at once, as
-    `xreplace` does, equals `subs` replacing one after another.  `xreplace`
-    skips the sympification, sorting and `_eval_subs` dispatch of `subs`.
-    A family's rule holds no key in its values either: an eliminated
-    unknown is replaced in every value and equation at once, and a split
-    unknown is set to 0 everywhere.  So a leaf only expands each value.
-
-    A call that visits more than MAX_SOLVER_NODES nodes, or that would clean
-    or factor a sum of more than MAX_FACTOR_TERMS terms, raises
-    ResourceError: one node's cost grows with its sums, which the node count
-    does not bound.
+    memoizes the factor list, degree scan and sort key of each equation; the
+    memos live for this call only.  A call that visits more than
+    MAX_SOLVER_NODES nodes, or that would factor a sum of more than
+    MAX_FACTOR_TERMS terms, raises ResourceError: one node's cost grows with
+    its sums, which the node count does not bound.
     """
+    R, eqs = _solver_ring(eqs, symbols)
+    field = R.to_field()
+    unknowns = set(symbols)
+    scan_order = sorted((i for i, s in enumerate(R.symbols) if s in unknowns),
+                        key=lambda i: sympy.default_sort_key(R.symbols[i]))
     results = []
     unresolved = []
-    unknowns = set(symbols)
     nodes = 0
 
-    def memo(fn, bounded=False):
+    def memo(fn):
         seen = {}
-        def call(e):
-            out = seen.get(e)
+        def call(p):
+            out = seen.get(p)
             if out is None:
-                if bounded and len(sympy.Add.make_args(e)) > MAX_FACTOR_TERMS:
-                    raise ResourceError(f"rank-2 solver met a sum of {len(e.args)} terms "
-                                        f"(budget {MAX_FACTOR_TERMS})")
-                out = seen[e] = fn(e)
+                out = seen[p] = fn(p)
             return out
         return call
 
-    poly = memo(sympy.Poly)
-    # drop denominators; on a branch they are products of known-nonzero
-    # symbols introduced by earlier divisions
-    clean = memo(_clean, bounded=True)
-    factor_list = memo(lambda e: _factor_list(e, poly=poly), bounded=True)
+    @memo
+    def factor_list(p):
+        if len(p) > MAX_FACTOR_TERMS:
+            raise ResourceError(f"rank-2 solver met a sum of {len(p)} terms "
+                                f"(budget {MAX_FACTOR_TERMS})")
+        return _factor_list(p)
 
     @memo
-    def degrees(e):
-        p = poly(e)
-        occurring = [(s, d) for s, d in zip(p.gens, p.degree_list()) if d and s in unknowns]
-        return sorted(occurring, key=lambda sd: sympy.default_sort_key(sd[0]))
+    def degrees(p):
+        exps = p.degrees()
+        return [(i, exps[i]) for i in scan_order if exps[i]]
+
+    sort_key = memo(lambda p: sympy.default_sort_key(p.as_expr()))
+
+    def family(subs, frees, nonzero):
+        return Family({k: sympy.expand(v.as_expr()) for k, v in subs.items()}, frees,
+                      {z.as_expr() for z in nonzero})
 
     def recurse(eqs, subs, nonzero, depth):
         nonlocal nodes
@@ -354,117 +384,74 @@ def solve_quadratic_system(eqs, symbols):
         if nodes > MAX_SOLVER_NODES:
             raise ResourceError(f"rank-2 solver visited more than {MAX_SOLVER_NODES} nodes")
         if depth > MAX_SOLVER_DEPTH:
-            unresolved.append(Family(subs, None, nonzero))
+            unresolved.append(family(subs, None, nonzero))
             return
-        cleaned = []
-        for e in eqs:
-            e = clean(e)
-            if e == 0:
-                continue
-            if e.is_number:
-                return  # inconsistent branch
-            cleaned.append(e)
+        eqs = [e for e in eqs if e]
+        if any(e.is_ground for e in eqs):
+            return  # inconsistent branch
         # reduce by known-nonzero factors
         reduced = []
-        for e in cleaned:
+        for e in eqs:
             _c, factors = factor_list(e)
-            live = []
-            for base, mult in factors:
-                if base.is_number:
-                    continue
-                if base in nonzero or -base in nonzero:
-                    continue
-                live.append(base)
+            live = [b for b, _m in factors if b not in nonzero and -b not in nonzero]
             if not live:
                 return  # nonzero constant times nonzero factors = 0: dead
-            if len(live) == 1:
-                reduced.append(sympy.expand(live[0]))
-            else:
-                reduced.append(e)
-        eqs = sorted(set(reduced), key=sympy.default_sort_key)
+            reduced.append(live[0] if len(live) == 1 else e)
+        eqs = sorted(set(reduced), key=sort_key)
         if not eqs:
-            resolved = {k: sympy.expand(v) for k, v in subs.items()}
-            frees = [s for s in symbols if s not in resolved]
-            results.append(Family(resolved, frees, set(nonzero)))
+            frees = [s for s in symbols if s not in subs]
+            results.append(family(subs, frees, nonzero))
             return
         # linear elimination; the coefficient must be certified nonzero
-        # (a rational constant, or a monomial in branch-nonzero symbols)
+        # (a constant, or a product of branch-nonzero factors)
         def invertible(coeff):
-            if coeff.is_number:
-                return coeff != 0
+            if coeff.is_ground:
+                return True
             _c, factors = factor_list(coeff)
-            return all(
-                b in nonzero or -b in nonzero for b, _m in factors if not b.is_number
-            )
+            return all(b in nonzero or -b in nonzero for b, _m in factors)
 
         for e in eqs:
-            for s, d in degrees(e):
-                if d == 1:
-                    coeff = sympy.expand(e.coeff(s, 1))
-                    if invertible(coeff):
-                        sol = sympy.together(-e.coeff(s, 0) / coeff)
-                        rule = {s: sol}
-                        new_subs = {
-                            k: sympy.together(v.xreplace(rule)) for k, v in subs.items()
-                        }
-                        new_subs[s] = sol
-                        new_eqs = [q.xreplace(rule) for q in eqs if q is not e]
-                        new_nz = set()
-                        for z in nonzero:
-                            zz = clean(z.xreplace(rule))
-                            if zz.is_number:
-                                if zz == 0:
-                                    return  # contradiction with a nonzero constraint
-                                continue
-                            new_nz.add(zz)
-                        recurse(new_eqs, new_subs, new_nz, depth + 1)
-                        return
+            for i, d in degrees(e):
+                if d != 1:
+                    continue
+                coeff = e.coeff_wrt(i, 1)
+                if invertible(coeff):
+                    sol = field.new(-_drop(e, i), coeff)
+                    new_nz = {_substitute(z, i, sol).numer for z in nonzero}
+                    if R.zero in new_nz:
+                        return  # contradiction with a nonzero constraint
+                    new_subs = {k: _substitute(v.numer, i, sol) / _substitute(v.denom, i, sol)
+                                for k, v in subs.items()}
+                    new_subs[R.symbols[i]] = sol
+                    new_eqs = [_substitute(q, i, sol).numer for q in eqs if q is not e]
+                    recurse(new_eqs, new_subs, {z for z in new_nz if not z.is_ground}, depth + 1)
+                    return
         # branch on a factorable equation
-        best = None
         for e in eqs:
             _c, factors = factor_list(e)
-            bases = [b for b, _m in factors if not b.is_number]
+            bases = [b for b, _m in factors]
             if len(bases) >= 2 or (len(bases) == 1 and bases[0] != e):
-                best = (e, bases)
-                break
-        if best is not None:
-            e, bases = best
-            rest = [q for q in eqs if q is not e]
-            for k, b in enumerate(bases):
-                # V(e) = union of V(b); earlier factors forced nonzero to
-                # avoid re-exploring overlapping components
-                nz = set(nonzero) | {sympy.expand(bb) for bb in bases[:k]}
-                recurse(rest + [b], subs, nz, depth + 1)
-            return
+                rest = [q for q in eqs if q is not e]
+                for k, b in enumerate(bases):
+                    # V(e) = union of V(b); earlier factors forced nonzero to
+                    # avoid re-exploring overlapping components
+                    recurse(rest + [b], subs, nonzero | set(bases[:k]), depth + 1)
+                return
         # split on a variable appearing nonlinearly (not already split on)
-        var = None
-        for e in eqs:
-            for s, _d in degrees(e):
-                if s not in nonzero:
-                    var = s
-                    break
-            if var is not None:
-                break
+        var = next((i for e in eqs for i, _d in degrees(e) if R.gens[i] not in nonzero), None)
         if var is None:
-            unresolved.append(Family(subs, None, nonzero))
+            unresolved.append(family(subs, None, nonzero))
             return
-        zero = {var: sympy.Integer(0)}
-        zero_subs = {k: sympy.expand(v.xreplace(zero)) for k, v in subs.items()}
-        zero_subs[var] = sympy.Integer(0)
-        zero_nz = set()
-        dead = False
-        for z in nonzero:
-            zz = sympy.expand(z.xreplace(zero))
-            if zz.is_number:
-                if zz == 0:
-                    dead = True
-                continue
-            zero_nz.add(zz)
-        if not dead:
-            recurse([q.xreplace(zero) for q in eqs], zero_subs, zero_nz, depth + 1)
-        recurse(eqs, subs, set(nonzero) | {var}, depth + 1)
+        zero_nz = {_drop(z, var) for z in nonzero}
+        if R.zero not in zero_nz:
+            zero_subs = {k: field.new(_drop(v.numer, var), _drop(v.denom, var))
+                         for k, v in subs.items()}
+            zero_subs[R.symbols[var]] = field.zero
+            recurse([_drop(q, var) for q in eqs], zero_subs,
+                    {z for z in zero_nz if not z.is_ground}, depth + 1)
+        recurse(eqs, subs, nonzero | {R.gens[var]}, depth + 1)
 
-    recurse(list(eqs), {}, set(), 0)
+    recurse(eqs, {}, set(), 0)
     return results, unresolved
 
 
@@ -556,8 +543,7 @@ def rank2_search(max_deg: int) -> dict:
     solver meets a 29-term sum, over MAX_FACTOR_TERMS.
     """
     problem = Rank2Problem(max_deg, mu_virasoro=False)
-    polys = reconstruct_polynomials(problem)
-    families, unresolved = solve_quadratic_system(polys, problem.symbols)
+    families, unresolved = solve_quadratic_system(_distinct_residuals(problem), problem.symbols)
     out = []
     for fam in families:
         fam.tag = classify_family(problem, fam)
@@ -586,6 +572,13 @@ def _sample_instance(problem: Rank2Problem, family: Family) -> bool:
 
     The sample stream is seeded from a CRC of the substituted names, so the
     verdict is the same in every process (``hash`` of a str is salted).
+    Each substitution is `xreplace`, which equals `subs` here.  The rule maps
+    the frees, Symbols, to rationals; both routes match a Symbol only as
+    itself and rebuild each node above a match with its class's constructor,
+    so the results evaluate alike, `zoo` from a zero denominator included.
+    No value holds a key of the rule, and a family's values hold no unknown
+    that the family substitutes, so replacing all keys at once, as
+    `xreplace` does, equals `subs` replacing them one after another.
     """
     rng = random.Random(zlib.crc32(",".join(sorted(str(s) for s in family.subs)).encode()))
     frees = family.frees or []
@@ -622,7 +615,7 @@ def lemma_special_case(max_deg: int = 2) -> dict:
     """
     problem = Rank2Problem(max_deg, mu_virasoro=True)
     c_only = [g if name == "C" else 0 for (name, _ij), g in zip(problem.layout, problem.gens)]
-    polys = [p.as_expr() for p in problem.residual_polynomials(c_only)]
+    polys = problem.residual_polynomials(c_only)
     c_symbols = [sym for (name, _ij), sym in zip(problem.layout, problem.symbols) if name == "C"]
     families, unresolved = solve_quadratic_system(polys, c_symbols)
     described = []

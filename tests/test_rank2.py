@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys import polytools
+from sympy.polys.rings import PolyElement, PolyRing
 
 from pseudoalg import rank2
 from pseudoalg.cli import main as cli_main
@@ -106,8 +108,8 @@ def test_ring_evaluation_matches_interpolation(max_deg, virasoro):
 
 
 def test_lemma_system_matches_interpolation(monkeypatch):
-    # the C-only PC6 system the lemma hands its solver, against interpolating
-    # PC6 over the C unknowns with every other unknown zero
+    # the C-only PC6 system the lemma hands its solver, as ring elements,
+    # against interpolating PC6 over the C unknowns with every other unknown zero
     seen = []
     solve = rank2.solve_quadratic_system
 
@@ -124,7 +126,7 @@ def test_lemma_system_matches_interpolation(monkeypatch):
         values = dict(zip(c_symbols, vec_c))
         return p.residual_vector([values.get(s, 0) for s in p.symbols])
 
-    assert eqs == _interpolate_quadratics(ev, len(c_symbols), c_symbols)
+    assert [e.as_expr() for e in eqs] == _interpolate_quadratics(ev, len(c_symbols), c_symbols)
 
 
 @pytest.mark.parametrize("max_deg, coords", [(1, 8), (2, 32), (3, 80)])
@@ -170,20 +172,27 @@ def test_degree3_polynomials_pinned():
 
 
 def _search_with_families(max_deg):
-    """rank2_search(max_deg) and the solver's Family objects, in its order."""
-    families = []
-    solve = rank2.solve_quadratic_system
+    """rank2_search(max_deg), the solver's Family objects in its order, and
+    each (arguments, result) of its substitution kernel `_substitute`."""
+    families, substitutions = [], []
+    solve, substitute = rank2.solve_quadratic_system, rank2._substitute
 
-    def logged(eqs, symbols):
+    def logged_solve(eqs, symbols):
         found, unresolved = solve(eqs, symbols)
         families.extend(found)
         return found, unresolved
 
+    def logged_substitute(*args):
+        out = substitute(*args)
+        substitutions.append((args, out))
+        return out
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rank2, "solve_quadratic_system", logged)
+        m.setattr(rank2, "solve_quadratic_system", logged_solve)
+        m.setattr(rank2, "_substitute", logged_substitute)
         # degree 2 visits exactly 192 nodes
         m.setattr(rank2, "MAX_SOLVER_NODES", 192)
-        return rank2_search(max_deg), families
+        return rank2_search(max_deg), families, substitutions
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +209,45 @@ def _family_text_digest(res) -> str:
 def test_search_family_text_pinned(search_deg2):
     # every family's tag, substitution, frees and nonzero set, in the
     # solver's order; the text is the same under every hash seed
-    res1, _ = _search_with_families(1)
+    res1 = _search_with_families(1)[0]
     assert len(res1["families"]) == 10
     assert _family_text_digest(res1) == (
         "8317282f6eb298a033dca4153badb88dd284a33c0d7b9f56456274e67e52d86e")
-    res2, _ = search_deg2
+    res2 = search_deg2[0]
     assert len(res2["families"]) == 24
     assert _family_text_digest(res2) == (
         "182ba5fe9926a505ca7bc8a75eb993892f590c1aafd277fb977eef407b88269d")
+
+
+def _residuals_at(polys, rule) -> list:
+    """The polynomials with the rule put in, as cancelled expressions."""
+    return [sympy.cancel(q.xreplace(rule)) for q in polys]
+
+
+def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
+    # each family solves the system on its whole open set, not only at its
+    # sample point: its substitution, with the frees left free, makes every
+    # residual polynomial vanish identically
+    for res, families, _subs in (_search_with_families(1), search_deg2):
+        polys = reconstruct_polynomials(Rank2Problem(res["max_deg"]))
+        assert len(families) == len(res["families"])
+        for fam in families:
+            assert not any(_residuals_at(polys, fam.subs)), fam
+    # negative control: C_00 moved off the theta-only family leaves a residual
+    [theta] = [f for f in families if [str(s) for s in f.frees] == ["D_01", "D_02"]]
+    c00 = sympy.Symbol("C_00", rational=True)
+    assert theta.subs[c00] == 0 and any(_residuals_at(polys, {**theta.subs, c00: 1}))
+    # the lemma's C-only families, with every other unknown 0
+    problem = Rank2Problem(2, mu_virasoro=True)
+    polys = reconstruct_polynomials(problem)
+    rules = [{sym: fam["_exprs"][ij] if name == "C" else 0
+              for (name, ij), sym in zip(problem.layout, problem.symbols)}
+             for fam in lemma_special_case(2)["families"]]
+    for rule in rules:
+        assert not any(_residuals_at(polys, rule)), rule
+    # negative control: the widest family's leading coefficient C_10 = 1 moved to 2
+    c10 = sympy.Symbol("C_10", rational=True)
+    assert rules[-1][c10] == 1 and any(_residuals_at(polys, {**rules[-1], c10: 2}))
 
 
 def test_search_degree1_complete_and_verified():
@@ -361,47 +401,117 @@ CERTIFICATE_CASES = [
 ]
 
 
-def test_solver_kernels_equal_sympy_route(monkeypatch):
-    # the kernels skip sympy's `together`; sympy's own route is the oracle,
-    # and every kernel output must equal it exactly, as objects and as text
-    seen = {"_clean": [], "_factor_list": []}
+def _ring_elements(exprs):
+    """exprs as elements of one ZZ[gens], in sympy's generator order."""
+    return rank2._solver_ring(exprs, [])[1]
+
+
+def _factor_list_route(p):
+    """sympy's expression route to `rank2._factor_list(p)`."""
+    return sympy.factor_list(p.as_expr())
+
+
+def _numerator_route(q, i, value):
+    """sympy's expression route to the numerator of `rank2._substitute(q, i, value)`."""
+    rule = {q.ring.symbols[i]: value.as_expr()}
+    return sympy.expand(sympy.numer(sympy.together(q.as_expr().xreplace(rule))))
+
+
+def _assert_factor_lists_equal_sympy_route(polys):
+    for p in polys:
+        c, factors = rank2._factor_list(p)
+        out = (sympy.Integer(c), [(f.as_expr(), k) for f, k in factors])
+        expect = _factor_list_route(p)
+        assert all(f.ring is p.ring for f, _k in factors), p
+        assert out == expect and str(out) == str(expect), p
+
+
+def test_solver_kernels_equal_sympy_route(monkeypatch, search_deg2):
+    # the ring kernels skip sympy's expressions; sympy's expression route is
+    # the oracle, and every kernel output must equal it exactly, as objects
+    # and as text.  The substitution numerators agree by observation, not by
+    # proof: the field cancels every common factor of a numerator and its
+    # denominator, `together` only those it can see
+    seen = {"_factor_list": [], "_substitute": []}
     for name, log in seen.items():
         kernel = getattr(rank2, name)
 
-        def logged(e, kernel=kernel, log=log, **kw):
-            log.append(e)
-            return kernel(e, **kw)
+        def logged(*args, kernel=kernel, log=log):
+            log.append(args)
+            return kernel(*args)
 
         monkeypatch.setattr(rank2, name, logged)
     rank2_search(1)
     lemma_special_case(2)
     monkeypatch.undo()
     assert all(seen.values())
-    x, y, a, c1, c2 = sympy.symbols("x y A_01 C_01 C_10", rational=True)
-    # the common monomial goes first: a plain Poly factorization reverses these
-    assert rank2._factor_list(a * c1 + a * c2) == (1, [(a, 1), (c1 + c2, 1)])
-    seen["_factor_list"] += [a**2 * c1 * x + a**2 * c1 * y, -x / 2 - y / 3, 6 * x**2 * y - 6 * y,
-                             x * y + 1, (x + y) ** 2]
-    seen["_factor_list"] += CERTIFICATE_CASES
-    seen["_clean"] += [x / 2 + y / 3, (x + 1) * y / 2, -x / 2 - y / 2, x / y + 1,
-                       (x + 1) ** 2 - x**2 - 2 * x, sympy.Rational(3, 4)]
-    # the integer sums `_clean` returns as they are, and products, powers of
-    # sums, radicals and negative powers that it must not
-    integer_sums = [-3 * x**2 * y + 2 * y - 1, x * y, -x, sympy.Integer(5), sympy.Integer(0)]
-    assert all(rank2._clean(e) is e for e in integer_sums)
-    seen["_clean"] += integer_sums + [(x + 1) * y, 2 * (x - y) ** 2, sympy.sqrt(2) * x + 1,
-                                      x**-1 * y + 1, x**2 / 2]
-    oracles = {
-        "_clean": lambda e: sympy.expand(sympy.numer(sympy.together(e))),
-        "_factor_list": sympy.factor_list,
-    }
-    for name, exprs in seen.items():
-        for e in exprs:
-            out, expect = getattr(rank2, name)(e), oracles[name](e)
-            assert out == expect and str(out) == str(expect), (name, e)
-    for factor_list in (rank2._factor_list, sympy.factor_list):
-        with pytest.raises(sympy.PolynomialError):
-            factor_list(x / y + 1)
+    a, c1, c2 = sympy.symbols("A_01 C_01 C_10", rational=True)
+    x, y = sympy.symbols("x y", rational=True)
+    # the common monomial goes first: a plain factorization reverses these
+    [p] = _ring_elements([a * c1 + a * c2])
+    A, C1, C2 = p.ring.gens
+    assert rank2._factor_list(p) == (1, [(A, 1), (C1 + C2, 1)])
+    hand = [a**2 * c1 * x + a**2 * c1 * y, 6 * x**2 * y - 6 * y, x * y + 1,
+            sympy.expand((x + y) ** 2), -3 * x**2 * y]
+    _assert_factor_lists_equal_sympy_route(
+        [q for e in hand + CERTIFICATE_CASES for q in _ring_elements([e])]
+        + [args[0] for args in seen["_factor_list"]])
+    substitutions = seen["_substitute"] + [args for args, _out in search_deg2[2]]
+    # substitutions of a fraction into a polynomial that holds its unknown (an
+    # equation, a nonzero, or a value's numerator or denominator): 8 at
+    # degree 1 and 271 at degree 2, none in the lemma
+    fractions = [(q, i, v) for q, i, v in substitutions if v.denom != 1 and q.degrees()[i] > 0]
+    assert len(fractions) == 279
+    for args in substitutions:
+        out, expect = rank2._substitute(*args).numer.as_expr(), _numerator_route(*args)
+        assert out == expect and str(out) == str(expect), args
+
+
+def _conversions(monkeypatch, run) -> list:
+    """The expressions `run()` converts to polynomials, by any of sympy's
+    three entry points for it."""
+    seen = []
+    from_expr = sympy.Poly.__dict__["_from_expr"].__func__
+    poly_from_expr, ring_from_expr = polytools._poly_from_expr, PolyRing.from_expr
+
+    def logged(convert):
+        def call(owner, expr, *args):
+            seen.append(expr)
+            return convert(owner, expr, *args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(sympy.Poly, "_from_expr", classmethod(logged(from_expr)))
+        m.setattr(polytools, "_poly_from_expr", lambda expr, opt: (seen.append(expr),
+                                                                   poly_from_expr(expr, opt))[1])
+        m.setattr(PolyRing, "from_expr", logged(ring_from_expr))
+        run()
+    return seen
+
+
+def test_solver_converts_no_expression_given_ring_input(monkeypatch):
+    # the searches hand the solver ring elements, and its recursion stays on
+    # them: converting expressions to polynomials is where the expression
+    # route spent its time, so it must not creep back unseen
+    solve = rank2.solve_quadratic_system
+    inputs, conversions = [], []
+
+    def guarded(eqs, symbols):
+        inputs.extend(eqs)
+        out = []
+        conversions.extend(_conversions(monkeypatch, lambda: out.append(solve(eqs, symbols))))
+        return out[0]
+
+    monkeypatch.setattr(rank2, "solve_quadratic_system", guarded)
+    rank2_search(1)
+    lemma_special_case(2)
+    assert inputs and all(isinstance(e, PolyElement) for e in inputs)
+    assert conversions == []
+    # the guard sees a conversion: expression input is converted once, and
+    # sympy's own factoring converts its argument
+    x, y = sympy.symbols("x y")
+    assert _conversions(monkeypatch, lambda: solve([x * y], [x, y])) == [x * y]
+    assert _conversions(monkeypatch, lambda: sympy.factor_list(x * y + x))
 
 
 def _resolve_subs_route(subs: dict) -> dict:
@@ -475,17 +585,17 @@ def test_xreplace_equals_subs_route(monkeypatch):
 
 
 def sums_factored(monkeypatch, run):
-    """How many sums `run()` hands to sympy's factoring."""
+    """How many sums `run()` hands to the ring's factoring."""
     factored = []
-    factor_list = sympy.Poly.factor_list
+    factor_list = PolyElement.factor_list
 
-    def counting(p, *args, **kw):
-        if len(p.terms()) > 1:
+    def counting(p):
+        if len(p) > 1:
             factored.append(p)
-        return factor_list(p, *args, **kw)
+        return factor_list(p)
 
     with monkeypatch.context() as m:
-        m.setattr(sympy.Poly, "factor_list", counting)
+        m.setattr(PolyElement, "factor_list", counting)
         run()
     return len(factored)
 
@@ -496,7 +606,7 @@ def sums_factored(monkeypatch, run):
     ids=["rank2_search-1", "lemma-2"],
 )
 def test_certified_sums_skip_factoring(monkeypatch, search, sums):
-    # the irreducibility certificate spares sympy's factoring all but these
+    # the irreducibility certificate spares the ring's factoring all but these
     # sums: 49 and 121 without it
     assert sums_factored(monkeypatch, search) == sums
 
@@ -504,8 +614,8 @@ def test_certified_sums_skip_factoring(monkeypatch, search, sums):
 def test_certificate_fires_only_on_irreducible_sums(monkeypatch):
     # each step of the certificate decides one of these: the reducible sums
     # must reach sympy's factoring, the irreducible ones must not
-    factored = [sums_factored(monkeypatch, lambda e=e: rank2._factor_list(e))
-                for e in CERTIFICATE_CASES]
+    factored = [sums_factored(monkeypatch, lambda p=p: rank2._factor_list(p))
+                for e in CERTIFICATE_CASES for p in _ring_elements([e])]
     assert factored == [0, 1, 1, 0, 1]
 
 
