@@ -33,7 +33,7 @@ class ResourceError(RuntimeError):
 
     The budgets are cohomology.COORD_BUDGET coordinates of a truncated space,
     rank2.MAX_UNKNOWNS unknowns, rank2.MAX_SOLVER_NODES solver nodes,
-    rank2.MAX_FACTOR_TERMS terms of a sum the solver cleans or factors and
+    rank2.MAX_FACTOR_TERMS terms of a sum the solver factors and
     io.MAX_INPUT_DEGREE, the PBW degree of a term read from a file.
     """
 

@@ -275,7 +275,7 @@ def _factor_list(p):
 
 
 def _substitute(q, i, value):
-    """q(x_i = value) in the fraction field of value, an element of it."""
+    """q(x_i = value), in lowest terms, for value in the fraction field of q's ring."""
     parts = {}
     for mon, c in q.items():
         parts.setdefault(mon[i], {})[mon[:i] + (0,) + mon[i + 1:]] = c

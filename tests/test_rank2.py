@@ -406,24 +406,10 @@ def _ring_elements(exprs):
     return rank2._solver_ring(exprs, [])[1]
 
 
-def _factor_list_route(p):
-    """sympy's expression route to `rank2._factor_list(p)`."""
-    return sympy.factor_list(p.as_expr())
-
-
 def _numerator_route(q, i, value):
     """sympy's expression route to the numerator of `rank2._substitute(q, i, value)`."""
     rule = {q.ring.symbols[i]: value.as_expr()}
     return sympy.expand(sympy.numer(sympy.together(q.as_expr().xreplace(rule))))
-
-
-def _assert_factor_lists_equal_sympy_route(polys):
-    for p in polys:
-        c, factors = rank2._factor_list(p)
-        out = (sympy.Integer(c), [(f.as_expr(), k) for f, k in factors])
-        expect = _factor_list_route(p)
-        assert all(f.ring is p.ring for f, _k in factors), p
-        assert out == expect and str(out) == str(expect), p
 
 
 def test_solver_kernels_equal_sympy_route(monkeypatch, search_deg2):
@@ -453,9 +439,13 @@ def test_solver_kernels_equal_sympy_route(monkeypatch, search_deg2):
     assert rank2._factor_list(p) == (1, [(A, 1), (C1 + C2, 1)])
     hand = [a**2 * c1 * x + a**2 * c1 * y, 6 * x**2 * y - 6 * y, x * y + 1,
             sympy.expand((x + y) ** 2), -3 * x**2 * y]
-    _assert_factor_lists_equal_sympy_route(
-        [q for e in hand + CERTIFICATE_CASES for q in _ring_elements([e])]
-        + [args[0] for args in seen["_factor_list"]])
+    for p in _ring_elements(hand) + _ring_elements(CERTIFICATE_CASES) + [
+            args[0] for args in seen["_factor_list"]]:
+        c, factors = rank2._factor_list(p)
+        out = (sympy.Integer(c), [(f.as_expr(), k) for f, k in factors])
+        expect = sympy.factor_list(p.as_expr())
+        assert all(f.ring is p.ring for f, _k in factors), p
+        assert out == expect and str(out) == str(expect), p
     substitutions = seen["_substitute"] + [args for args, _out in search_deg2[2]]
     # substitutions of a fraction into a polynomial that holds its unknown (an
     # equation, a nonzero, or a value's numerator or denominator): 8 at
@@ -613,9 +603,9 @@ def test_certified_sums_skip_factoring(monkeypatch, search, sums):
 
 def test_certificate_fires_only_on_irreducible_sums(monkeypatch):
     # each step of the certificate decides one of these: the reducible sums
-    # must reach sympy's factoring, the irreducible ones must not
+    # must reach the ring's factoring, the irreducible ones must not
     factored = [sums_factored(monkeypatch, lambda p=p: rank2._factor_list(p))
-                for e in CERTIFICATE_CASES for p in _ring_elements([e])]
+                for p in _ring_elements(CERTIFICATE_CASES)]
     assert factored == [0, 1, 1, 0, 1]
 
 
@@ -664,7 +654,7 @@ def test_solver_node_budget_is_exact(monkeypatch):
     ids=["rank2_search-1", "lemma-2"],
 )
 def test_largest_sum_pinned(monkeypatch, search, terms):
-    # the largest sum each search cleans or factors; MAX_FACTOR_TERMS (24)
+    # the largest sum each search factors; MAX_FACTOR_TERMS (24)
     # is above these and degree 2's 22, so it refuses none of them
     assert terms < rank2.MAX_FACTOR_TERMS
     monkeypatch.setattr(rank2, "MAX_FACTOR_TERMS", terms)
