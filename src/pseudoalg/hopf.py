@@ -41,10 +41,12 @@ class ResourceError(RuntimeError):
 def coeff(x) -> Scalar:
     """x as an exact scalar: an int when integral, else a Fraction; floats raise.
 
-    A polynomial of ``sympy.polys.rings`` over QQ or ZZ passes through
-    unchanged, so one evaluation with ring generators as scalars yields every
-    coordinate as an exact polynomial (`rank2` does this).  A polynomial over
-    any other domain raises like a float.
+    A polynomial passes through unchanged: any value with a ``ring``
+    attribute whose ``domain`` is QQ or ZZ, that is a ``PolyElement`` of
+    ``sympy.polys.rings`` or a `rank2.SparseZZ`, which carries the
+    ``PolyRing`` it lives over.  So one evaluation with polynomial generators
+    as scalars yields every coordinate as an exact polynomial (`rank2` does
+    this).  A polynomial over any other domain raises like a float.
     """
     if type(x) is int:
         return x

@@ -13,11 +13,12 @@ with each unknown set to a generator of the polynomial ring ZZ[unknowns],
 gives every residual coordinate as an exact polynomial.  The ring is over ZZ
 because every structure constant over Q[d] is an integer (PBW products,
 coproduct binomials, antipode signs), and integer coefficients multiply
-faster than rational ones; a non-integral coefficient would raise
-`CoercionFailed`, never be rounded.  The solver takes these ring elements as
-they are and runs its case splits on sparse polynomials over ZZ and their
-fraction field; only each family's values and nonzero factors become sympy
-expressions.  The independent cross-check, `_interpolate_quadratics` in
+faster than rational ones.  The evaluation itself runs on `SparseZZ`, a light
+polynomial scalar over ZZ, and each nonzero coordinate becomes a ring element
+once at the end; a non-integral coefficient would raise `TypeError`, never be
+rounded.  The solver takes these ring elements as they are and runs its case
+splits on sparse polynomials over ZZ and their fraction field; only each
+family's values and nonzero factors become sympy expressions.  The independent cross-check, `_interpolate_quadratics` in
 `tests/oracles.py`, rebuilds the same polynomials from rational point
 evaluations.  Solution families are tagged against the three classification
 patterns; anything else is reported as "other", never suppressed.
@@ -53,6 +54,115 @@ MAX_SOLVER_DEPTH = 60
 MAX_FACTOR_TERMS = 24
 # Rational samples _sample_instance draws before it gives a family up.
 SAMPLE_TRIES = 12
+
+
+class SparseZZ(dict):
+    """A polynomial over ZZ in the generators of `ring`, as a light scalar.
+
+    Maps a monomial, the sorted tuple of its generators' indices (x0**2 * x3
+    is (0, 0, 3)), to a nonzero int.  It adds, subtracts, multiplies and
+    compares with an int and with a SparseZZ over the same ring; any other
+    operand, a Fraction, a float or a PolyElement among them, gives
+    NotImplemented, so the operation raises TypeError and a coefficient is
+    never rounded.  `hopf.coeff` passes it through as a polynomial by its
+    `ring`.  This is the scalar of `Rank2Problem.residual_polynomials` only:
+    a `PolyElement` op pays for ring and domain conversions and a full
+    exponent tuple, which here cost more than the kernel's own work.
+    """
+
+    __slots__ = ("ring",)
+
+    @classmethod
+    def from_ring(cls, p):
+        """The element p of a ring over ZZ, or 0 if p is zero."""
+        if not p:
+            return 0
+        out = cls({sum(((i,) * k for i, k in enumerate(mon)), ()): c for mon, c in p.items()})
+        out.ring = p.ring
+        return out
+
+    def to_ring(self):
+        """The same polynomial as an element of `ring`."""
+        exps = {}
+        for mon, c in self.items():
+            exp = [0] * self.ring.ngens
+            for i in mon:
+                exp[i] += 1
+            exps[tuple(exp)] = c
+        return self.ring.from_dict(exps)
+
+    def _terms(self, other):
+        """other's terms, or None if other is not an int or a SparseZZ over ring."""
+        if type(other) is SparseZZ:
+            return other if other.ring is self.ring else None
+        if isinstance(other, int):
+            return {(): other} if other else {}
+        return None
+
+    def _sum(self, terms, sign):
+        out = SparseZZ(self)
+        out.ring = self.ring
+        for mon, c in terms.items():
+            v = out.get(mon, 0) + sign * c
+            if v:
+                out[mon] = v
+            else:
+                del out[mon]
+        return out
+
+    def __add__(self, other):
+        if type(other) is int and not other:  # the kernel's sums start from 0
+            return self
+        terms = self._terms(other)
+        return NotImplemented if terms is None else self._sum(terms, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else self._sum(terms, -1)
+
+    def __rsub__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else (-self)._sum(terms, 1)
+
+    def __neg__(self):
+        out = SparseZZ({mon: -c for mon, c in self.items()})
+        out.ring = self.ring
+        return out
+
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:  # most structure constants
+                return self
+            out = SparseZZ({mon: c * other for mon, c in self.items()} if other else ())
+        else:
+            terms = self._terms(other)
+            if terms is None:
+                return NotImplemented
+            out = SparseZZ()
+            for m1, c1 in self.items():
+                for m2, c2 in terms.items():
+                    mon = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                    v = out.get(mon, 0) + c1 * c2
+                    if v:
+                        out[mon] = v
+                    else:
+                        del out[mon]
+        out.ring = self.ring
+        return out
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else dict.__eq__(self, terms)
+
+    def __ne__(self, other):
+        terms = self._terms(other)
+        return NotImplemented if terms is None else dict.__ne__(self, terms)
+
+    __hash__ = None
 
 
 def _mono_pairs(max_deg: int):
@@ -92,8 +202,9 @@ class Rank2Problem:
         self.symbols = [
             sympy.Symbol(f"{name}_{i}{j}", rational=True) for name, (i, j) in self.layout
         ]
-        # ZZ[unknowns]; evaluating at the generators gives exact polynomials,
-        # integral since every structure constant over Q[d] is an integer
+        # ZZ[unknowns]: the polynomials residual_polynomials returns, integral
+        # since every structure constant over Q[d] is an integer; the
+        # evaluation itself runs on SparseZZ scalars over this ring
         self.ring, *self.gens = ring(self.symbols, sympy.ZZ)
 
     def _tensor(self, name: str, coeffs: dict) -> PTElem:
@@ -151,10 +262,13 @@ class Rank2Problem:
 
         assignment holds generators of self.ring (or zeros), so each coordinate
         is an exact element of ZZ[unknowns]: the structure constants it is
-        built from are integers.  Ordered by the repr of their keys.
+        built from are integers.  `pc_residuals` runs once with each
+        assignment value as a `SparseZZ`, and each nonzero coordinate becomes
+        an element of self.ring once, by `SparseZZ.to_ring`.  Ordered by the
+        repr of their keys.
         """
-        coords = self.residual_vector(assignment)
-        return [coords[k] for k in sorted(coords, key=repr)]
+        coords = self.residual_vector([SparseZZ.from_ring(g) for g in assignment])
+        return [coords[k].to_ring() for k in sorted(coords, key=repr)]
 
 
 def _distinct_residuals(problem: Rank2Problem) -> list:
@@ -172,10 +286,10 @@ def _distinct_residuals(problem: Rank2Problem) -> list:
 def reconstruct_polynomials(problem: Rank2Problem) -> list:
     """Exact quadratic polynomials of every PC residual coordinate.
 
-    One `pc_residuals` evaluation at the generators of ZZ[unknowns] gives
-    each coordinate as a polynomial with integer coefficients, the structure
-    constants over Q[d] being integers.  Returned as expressions, deduplicated
-    as `_distinct_residuals` does.
+    One `pc_residuals` evaluation at the generators of ZZ[unknowns], as
+    `SparseZZ` scalars, gives each coordinate as a polynomial with integer
+    coefficients, the structure constants over Q[d] being integers.  Returned
+    as expressions, deduplicated as `_distinct_residuals` does.
     """
     return [p.as_expr() for p in _distinct_residuals(problem)]
 

@@ -205,17 +205,21 @@ def test_every_definition_is_referenced(path, references):
 
 
 SPARSE_ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "is_zero"}
+# (module, class) pairs that may define that arithmetic: `Sparse` itself and
+# `rank2.SparseZZ`, a polynomial scalar, which adds as a ring element rather
+# than as a linear value over a basis of the kernel
+OWN_ARITHMETIC = {("hopf", "Sparse"), ("rank2", "SparseZZ")}
 
 
 def sparse_copies(source: str, module: str) -> list:
     """(class, method) pairs that define arithmetic `hopf.Sparse` provides.
 
-    Only `Sparse` itself, in the module `hopf`, may define them.
+    Only the classes of OWN_ARITHMETIC, each in its own module, may define them.
     """
     return sorted(
         (node.name, item.name)
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ClassDef) and (module, node.name) != ("hopf", "Sparse")
+        if isinstance(node, ast.ClassDef) and (module, node.name) not in OWN_ARITHMETIC
         for item in node.body
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         and item.name in SPARSE_ARITHMETIC
@@ -230,6 +234,9 @@ def test_guard_sees_copied_sparse_arithmetic():
     )
     assert sparse_copies(src, "ptensor") == [("MElem", "scale"), ("Sparse", "__add__")]
     assert sparse_copies(src, "hopf") == [("MElem", "scale")]
+    scalar = "class SparseZZ(dict):\n    def __add__(self, o):\n        pass\n"
+    assert sparse_copies(scalar, "rank2") == []
+    assert sparse_copies(scalar, "ptensor") == [("SparseZZ", "__add__")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -403,7 +410,7 @@ CE_HANDLE = {"handle_for", "ce_differential", "CEComplexHandle", "twist2_compone
 PRODUCTION_ROUTES = {
     "ce_diff_matched_type2": CE_HANDLE,
     "zeta_value": CE_HANDLE,
-    "_interpolate_quadratics": {"residual_polynomials", "ring"},
+    "_interpolate_quadratics": {"residual_polynomials", "ring", "SparseZZ"},
     "lie_ce_cohomology": CE_HANDLE | {"truncated_cohomology", "skew_basis", "cochain_coords", "d_block"},
     "graph_check": {"dmap1_residual", "dmap_residual", "_type1_tables"},
     "mc_bullet_components": {"check_mc_omega", "pc_residuals", "omega"},

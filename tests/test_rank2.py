@@ -171,6 +171,36 @@ def test_degree3_polynomials_pinned():
     assert hashlib.sha256(str(polys).encode()).hexdigest()[:12] == "740b42c81283"
 
 
+@pytest.mark.parametrize("max_deg, c_only", [(1, False), (2, False), (3, False), (2, True)])
+def test_sparse_route_equals_ring_route(max_deg, c_only):
+    # the SparseZZ evaluation against the same evaluation with the ring's
+    # generators themselves as scalars, term for term in the order of the keys
+    p = Rank2Problem(max_deg, mu_virasoro=c_only)
+    assignment = [g if name == "C" or not c_only else 0
+                  for (name, _ij), g in zip(p.layout, p.gens)]
+    coords = p.residual_vector(assignment)
+    ring_route = [coords[k] for k in sorted(coords, key=repr)]
+    polys = p.residual_polynomials(assignment)
+    assert all(isinstance(q, PolyElement) and q.ring is p.ring for q in polys)
+    assert [dict(q) for q in polys] == [dict(q) for q in ring_route]
+
+
+def test_residual_evaluation_runs_no_ring_arithmetic(monkeypatch):
+    # the residual evaluation multiplies and adds SparseZZ scalars; the
+    # structure at the ring's generators is the control that does run ring
+    # arithmetic
+    calls = []
+    for name in ("__mul__", "__add__"):
+        op = getattr(PolyElement, name)
+        monkeypatch.setattr(PolyElement, name,
+                            lambda a, b, op=op, name=name: calls.append(name) or op(a, b))
+    reconstruct_polynomials(Rank2Problem(2))
+    assert calls == []
+    p = Rank2Problem(1)
+    check_mc_omega(p.structure(p.gens))
+    assert {"__mul__", "__add__"} <= set(calls)
+
+
 def _search_with_families(max_deg):
     """rank2_search(max_deg), the solver's Family objects in its order, and
     each (arguments, result) of its substitution kernel `_substitute`."""

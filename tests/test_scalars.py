@@ -4,9 +4,10 @@ The kernel keeps integral scalars as Python ints and only builds a Fraction
 when a value is not integral, so most of the suite runs on integer data.  The
 property tests here draw non-integral rationals (such as 1/2 and -2/3) so the
 Fraction side of every mixed operation is exercised too.  The one other
-scalar the kernel admits is a polynomial over QQ or ZZ from
-``sympy.polys.rings``, which the rank-2 search evaluates with; the kernel
-itself never imports sympy.
+scalar the kernel admits is a polynomial over QQ or ZZ: an element of a ring
+of ``sympy.polys.rings``, or `rank2.SparseZZ`, the light polynomial over ZZ
+the rank-2 residual evaluation runs on, which is checked against the ring
+here; the kernel itself never imports sympy.
 """
 
 import json
@@ -34,6 +35,7 @@ from pseudoalg.ptensor import FreeModule, PTElem, canonicalize
 from pseudoalg.cochains import MixedMap, nr_bracket, random_cochain, random_ptelem
 from pseudoalg.structures import QuasiTwilled, check_mc_omega, check_pc
 from pseudoalg.deformation import TYPE_I, TYPE_II, exp_twist
+from pseudoalg.rank2 import SparseZZ
 from pseudoalg import zoo
 
 from oracles import antipode, coproduct_iter
@@ -103,6 +105,49 @@ def test_ring_coefficients_survive_the_kernel():
     assert e.terms == {(((1,),), (0,), 0): x}
     assert (e.scale(Fraction(1, 2)) + e.scale(y)).terms == {(((1,),), (0,), 0): x / 2 + x * y}
     assert (e - e).is_zero()
+
+
+# -- the rank-2 evaluation's polynomial scalar against the ring ----------------------
+
+R4 = ring("x0 x1 x2 x3", ZZ)[0]
+zz_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
+                           st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(R4.from_dict)
+
+
+def light(p):
+    """p as a SparseZZ, checked to be one: sorted monomials, nonzero ints."""
+    s = SparseZZ.from_ring(p)
+    assert type(s) is SparseZZ and s.ring is R4
+    assert all(type(c) is int and c and list(mon) == sorted(mon) for mon, c in s.items())
+    return s
+
+
+@given(zz_polys, zz_polys, st.integers(-3, 3))
+def test_sparse_zz_matches_the_ring(p, q, k):
+    a, b = light(p), light(q)
+    assert coeff(a) is a and a.to_ring() == p
+    for got, want in (
+        (a + b, p + q), (a - b, p - q), (-a, -p), (a * b, p * q),
+        (k * a, k * p), (a * k, p * k), (a + k, p + k), (k + a, k + p), (k - a, k - p),
+        (a - k, p - k), (0 + a, p), (a - a, R4.zero), (a * 0, R4.zero),
+    ):
+        assert type(got) is SparseZZ and got.to_ring() == want
+    assert not (a - a) and (a - a) == 0 and not (a - a) != 0
+    assert (a == b) == (p == q) and (a != b) == (p != q)
+    assert (a + k == k) == (p + k == k)
+
+
+@given(zz_polys, st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(0), 0.5, 0.0]))
+def test_sparse_zz_refuses_inexact_operands(p, x):
+    # never rounded: a Fraction, even an integral one, or a float raises on
+    # either side, as does an element of the ring itself
+    a = light(p)
+    for other in (x, p):
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
 
 # What a fresh `pa` process loads: `import pseudoalg.cli` (argv None) and one
