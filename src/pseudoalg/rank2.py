@@ -18,10 +18,11 @@ polynomial scalar over ZZ, and each nonzero coordinate becomes a ring element
 once at the end; a non-integral coefficient would raise `TypeError`, never be
 rounded.  The solver takes these ring elements as they are and runs its case
 splits on sparse polynomials over ZZ and their fraction field; only each
-family's values and nonzero factors become sympy expressions.  The independent cross-check, `_interpolate_quadratics` in
-`tests/oracles.py`, rebuilds the same polynomials from rational point
-evaluations.  Solution families are tagged against the three classification
-patterns; anything else is reported as "other", never suppressed.
+family's values and nonzero factors become sympy expressions.  The
+independent cross-check, `_interpolate_quadratics` in `tests/oracles.py`,
+rebuilds the same polynomials from rational point evaluations.  Solution
+families are tagged against the three classification patterns; anything
+else is reported as "other", never suppressed.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ class SparseZZ(dict):
     operand, a Fraction, a float or a PolyElement among them, gives
     NotImplemented, so the operation raises TypeError and a coefficient is
     never rounded.  `hopf.coeff` passes it through as a polynomial by its
-    `ring`.  This is the scalar of `Rank2Problem.residual_polynomials` only:
-    a `PolyElement` op pays for ring and domain conversions and a full
+    `ring`.  A value is never changed after it is built, so `0 + p` and
+    `p * 1`, most of the kernel's operations on it, return p itself.  This
+    is the scalar of `Rank2Problem.residual_polynomials` only: a
+    `PolyElement` op pays for ring and domain conversions and a full
     exponent tuple, which here cost more than the kernel's own work.
     """
 
@@ -111,7 +114,7 @@ class SparseZZ(dict):
         return out
 
     def __add__(self, other):
-        if type(other) is int and not other:  # the kernel's sums start from 0
+        if type(other) is int and not other:
             return self
         terms = self._terms(other)
         return NotImplemented if terms is None else self._sum(terms, 1)
@@ -133,7 +136,7 @@ class SparseZZ(dict):
 
     def __mul__(self, other):
         if type(other) is int:
-            if other == 1:  # most structure constants
+            if other == 1:
                 return self
             out = SparseZZ({mon: c * other for mon, c in self.items()} if other else ())
         else:
@@ -161,8 +164,6 @@ class SparseZZ(dict):
     def __ne__(self, other):
         terms = self._terms(other)
         return NotImplemented if terms is None else dict.__ne__(self, terms)
-
-    __hash__ = None
 
 
 def _mono_pairs(max_deg: int):
