@@ -267,7 +267,8 @@ class Sparse:
     The one base of every linear value: `HElem`, `HTensor` and
     `ptensor.PTElem` (module elements included, as arity-1 values), whose
     values are exact scalars, and `cochains.Cochain`, `cochains.MixedMap` and
-    `cochains.HModuleMap`, whose values are themselves `Sparse`.  Values of
+    `cochains.HModuleMap`, whose values are themselves `Sparse`, and
+    `rank2.SparseZZ`, a polynomial keyed by its monomials.  Values of
     one class add only when their `_shape()` (the base algebra, arity or
     modules they live over) agrees; `_new(terms)` builds a value of the same
     shape, and its constructor normalises each value and drops zeros.  Sums

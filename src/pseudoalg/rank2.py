@@ -37,7 +37,7 @@ from sympy.polys.densebasic import dmp_from_dict
 from sympy.polys.polyutils import _sort_gens
 from sympy.polys.rings import PolyElement, ring
 
-from .hopf import InputError, LieAlgebra, ResourceError, coeff
+from .hopf import InputError, LieAlgebra, ResourceError, Sparse, coeff
 from .ptensor import FreeModule, PTElem, canonicalize
 from .cochains import Cochain, MixedMap
 from .structures import QuasiTwilled, pc_residuals
@@ -57,113 +57,79 @@ MAX_FACTOR_TERMS = 24
 SAMPLE_TRIES = 12
 
 
-class SparseZZ(dict):
+class SparseZZ(Sparse):
     """A polynomial over ZZ in the generators of `ring`, as a light scalar.
 
-    Maps a monomial, the sorted tuple of its generators' indices (x0**2 * x3
-    is (0, 0, 3)), to a nonzero int.  It adds, subtracts, multiplies and
-    compares with an int and with a SparseZZ over the same ring; any other
-    operand, a Fraction, a float or a PolyElement among them, gives
-    NotImplemented, so the operation raises TypeError and a coefficient is
-    never rounded.  `hopf.coeff` passes it through as a polynomial by its
-    `ring`.  A value is never changed after it is built, so `0 + p` and
-    `p * 1`, most of the kernel's operations on it, return p itself.  This
-    is the scalar of `Rank2Problem.residual_polynomials` only: a
-    `PolyElement` op pays for ring and domain conversions and a full
+    A `hopf.Sparse` whose `terms` map a monomial, the sorted tuple of its
+    generators' indices (x0**2 * x3 is (0, 0, 3)), to a nonzero int, so it
+    adds, subtracts, negates and compares with a SparseZZ over the same ring
+    as every linear value does; its constructor keeps `terms` as given, since
+    every operation here builds them of nonzero ints.  It also multiplies,
+    with an int or such a SparseZZ, and `0 + p` is p: that is all
+    `pc_residuals` runs on it.  Any other operand, a nonzero int added, a
+    Fraction, a float or a PolyElement among them, raises TypeError, so a
+    coefficient is never rounded.  `hopf.coeff` passes it through as a
+    polynomial by its `ring`.  Values are immutable, so `0 + p` and `p * 1`
+    return p itself.  This is the scalar of `Rank2Problem.residual_polynomials`
+    only: a `PolyElement` op pays for ring and domain conversions and a full
     exponent tuple, which here cost more than the kernel's own work.
     """
 
-    __slots__ = ("ring",)
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms: dict):
+        self.ring = ring
+        self.terms = terms
 
     @classmethod
     def from_ring(cls, p):
         """The element p of a ring over ZZ, or 0 if p is zero."""
         if not p:
             return 0
-        out = cls({sum(((i,) * k for i, k in enumerate(mon)), ()): c for mon, c in p.items()})
-        out.ring = p.ring
-        return out
+        return cls(p.ring, {sum(((i,) * k for i, k in enumerate(mon)), ()): c for mon, c in p.items()})
 
     def to_ring(self):
         """The same polynomial as an element of `ring`."""
         exps = {}
-        for mon, c in self.items():
+        for mon, c in self.terms.items():
             exp = [0] * self.ring.ngens
             for i in mon:
                 exp[i] += 1
             exps[tuple(exp)] = c
         return self.ring.from_dict(exps)
 
-    def _terms(self, other):
-        """other's terms, or None if other is not an int or a SparseZZ over ring."""
-        if type(other) is SparseZZ:
-            return other if other.ring is self.ring else None
-        if isinstance(other, int):
-            return {(): other} if other else {}
-        return None
+    def _shape(self):
+        return self.ring
 
-    def _sum(self, terms, sign):
-        out = SparseZZ(self)
-        out.ring = self.ring
-        for mon, c in terms.items():
-            v = out.get(mon, 0) + sign * c
-            if v:
-                out[mon] = v
-            else:
-                del out[mon]
-        return out
+    def _new(self, terms) -> "SparseZZ":
+        return SparseZZ(self.ring, terms)
 
-    def __add__(self, other):
-        if type(other) is int and not other:
-            return self
-        terms = self._terms(other)
-        return NotImplemented if terms is None else self._sum(terms, 1)
+    def _check(self, other):
+        if type(other) is not SparseZZ or other.ring is not self.ring:
+            raise TypeError(f"{type(other).__name__} operand: a SparseZZ adds only a SparseZZ over its ring")
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        terms = self._terms(other)
-        return NotImplemented if terms is None else self._sum(terms, -1)
-
-    def __rsub__(self, other):
-        terms = self._terms(other)
-        return NotImplemented if terms is None else (-self)._sum(terms, 1)
-
-    def __neg__(self):
-        out = SparseZZ({mon: -c for mon, c in self.items()})
-        out.ring = self.ring
-        return out
+    def __radd__(self, other):
+        return self if type(other) is int and not other else NotImplemented
 
     def __mul__(self, other):
         if type(other) is int:
             if other == 1:
                 return self
-            out = SparseZZ({mon: c * other for mon, c in self.items()} if other else ())
-        else:
-            terms = self._terms(other)
-            if terms is None:
-                return NotImplemented
-            out = SparseZZ()
-            for m1, c1 in self.items():
-                for m2, c2 in terms.items():
-                    mon = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
-                    v = out.get(mon, 0) + c1 * c2
-                    if v:
-                        out[mon] = v
-                    else:
-                        del out[mon]
-        out.ring = self.ring
-        return out
+            return SparseZZ(self.ring, {mon: c * other for mon, c in self.terms.items()} if other else {})
+        if type(other) is not SparseZZ or other.ring is not self.ring:
+            return NotImplemented
+        out = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mon = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                v = out.get(mon, 0) + c1 * c2
+                if v:
+                    out[mon] = v
+                else:
+                    del out[mon]
+        return SparseZZ(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        terms = self._terms(other)
-        return NotImplemented if terms is None else dict.__eq__(self, terms)
-
-    def __ne__(self, other):
-        terms = self._terms(other)
-        return NotImplemented if terms is None else dict.__ne__(self, terms)
 
 
 def _mono_pairs(max_deg: int):

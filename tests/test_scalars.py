@@ -118,7 +118,7 @@ def light(p):
     """p as a SparseZZ, checked to be one: sorted monomials, nonzero ints."""
     s = SparseZZ.from_ring(p)
     assert type(s) is SparseZZ and s.ring is R4
-    assert all(type(c) is int and c and list(mon) == sorted(mon) for mon, c in s.items())
+    assert all(type(c) is int and c and list(mon) == sorted(mon) for mon, c in s.terms.items())
     return s
 
 
@@ -128,26 +128,27 @@ def test_sparse_zz_matches_the_ring(p, q, k):
     assert coeff(a) is a and a.to_ring() == p
     for got, want in (
         (a + b, p + q), (a - b, p - q), (-a, -p), (a * b, p * q),
-        (k * a, k * p), (a * k, p * k), (a + k, p + k), (k + a, k + p), (k - a, k - p),
-        (a - k, p - k), (0 + a, p), (a - a, R4.zero), (a * 0, R4.zero),
+        (k * a, k * p), (a * k, p * k), (0 + a, p), (a - a, R4.zero), (a * 0, R4.zero),
     ):
         assert type(got) is SparseZZ and got.to_ring() == want
-    assert not (a - a) and (a - a) == 0 and not (a - a) != 0
+    assert not (a - a) and (a + (b - a) == b) and ((a + b) - b == a)
     assert (a == b) == (p == q) and (a != b) == (p != q)
-    assert (a + k == k) == (p + k == k)
 
 
-@given(zz_polys, st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(0), 0.5, 0.0]))
+@given(zz_polys, st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(0), 0.5, 0.0, 1]))
 def test_sparse_zz_refuses_inexact_operands(p, x):
     # never rounded: a Fraction, even an integral one, or a float raises on
-    # either side, as does an element of the ring itself
+    # either side, as does an element of the ring itself; an int scales but
+    # is never added (the residual evaluation adds only 0 + p)
     a = light(p)
+    ops = [lambda u, v: u + v, lambda u, v: u - v]
     for other in (x, p):
-        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        for op in ops if type(other) is int else ops + [lambda u, v: u * v]:
             with pytest.raises(TypeError):
                 op(a, other)
             with pytest.raises(TypeError):
                 op(other, a)
+    assert a != 1 and a != x and a != p
 
 
 # What a fresh `pa` process loads: `import pseudoalg.cli` (argv None) and one
