@@ -16,13 +16,13 @@ coproduct binomials, antipode signs), and integer coefficients multiply
 faster than rational ones.  The evaluation itself runs on `SparseZZ`, a light
 polynomial scalar over ZZ, and each nonzero coordinate becomes a ring element
 once at the end; a non-integral coefficient would raise `TypeError`, never be
-rounded.  The solver takes these ring elements as they are and runs its case
-splits on sparse polynomials over ZZ and their fraction field; only each
-family's values and nonzero factors become sympy expressions.  The
-independent cross-check, `_interpolate_quadratics` in `tests/oracles.py`,
-rebuilds the same polynomials from rational point evaluations.  Solution
-families are tagged against the three classification patterns; anything
-else is reported as "other", never suppressed.
+rounded.  `reconstruct_polynomials` returns these ring elements as they are,
+and the solver runs its case splits on them, sparse polynomials over ZZ, and
+on their fraction field; only each family's values and nonzero factors become
+sympy expressions.  The independent cross-check, `_interpolate_quadratics`
+in `tests/oracles.py`, rebuilds the same polynomials from rational point
+evaluations.  Solution families are tagged against the three classification
+patterns; anything else is reported as "other", never suppressed.
 """
 
 from __future__ import annotations
@@ -256,9 +256,10 @@ def reconstruct_polynomials(problem: Rank2Problem) -> list:
     One `pc_residuals` evaluation at the generators of ZZ[unknowns], as
     `SparseZZ` scalars, gives each coordinate as a polynomial with integer
     coefficients, the structure constants over Q[d] being integers.  Returned
-    as expressions, deduplicated as `_distinct_residuals` does.
+    as elements of `problem.ring`, deduplicated as `_distinct_residuals`
+    does; the search itself reads `_distinct_residuals`.
     """
-    return [p.as_expr() for p in _distinct_residuals(problem)]
+    return _distinct_residuals(problem)
 
 
 class Family:

@@ -11,9 +11,11 @@ assembled bracket on g [+] h is
 
 The eight compatibility conditions PC1..PC8 are implemented as the case
 decomposition of the Jacobiator of Omega, with every composite slot-aligned
-to the argument order.  Each composite is one `cochains.insert_value` into a
-component at basis indices, alike for the skew components pi, theta, mu and
-the mixed ones rho, eta; one `cochains.lift` places each in Omega.  The
+to the argument order.  Each distinct composite is one `cochains.insert_value`
+into a component at basis indices, alike for the skew components pi, theta,
+mu and the mixed ones rho, eta, built once per `pc_residuals` call (at rank 1
+every index is 0, so pi(i, pi(j,k)) and pi(j, pi(i,k)) are one composite);
+one `cochains.lift` places each component in Omega.  The
 printed cycle symbols in PC2/PC3/PC6/PC7 admit a second, literal-contents
 reading (placement array (1, 2, 0)); the NR cross-check (check_mc_omega)
 validates that the aligned reading matches [Omega, Omega].
@@ -151,11 +153,22 @@ def pc_residuals(Q: QuasiTwilled) -> dict:
     """All PC1..PC8 residual tables, keyed by block-local basis tuples.
 
     Residuals are the left-minus-right sides of the printed conditions with
-    composites slot-aligned to the argument order.
+    composites slot-aligned to the argument order.  Each distinct PC2..PC7
+    composite outer(pre..., inner(args), post...) is built once per call and
+    reused wherever its key recurs; nothing is kept between calls.
     """
     pi, th, mu, rho, eta = Q.pi, Q.theta, Q.mu, Q.rho, Q.eta
     g, h = Q.g, Q.h
     out = {label: {} for label in PC_LABELS + ("SKEW-pi", "SKEW-theta")}
+    built = {}
+
+    def composite(outer, pre, inner, args, post):
+        # the maps are unhashable values; Q keeps them alive, so ids are stable
+        key = (id(outer), pre, id(inner), args, post)
+        val = built.get(key)
+        if val is None:
+            val = built[key] = insert_value(outer, pre, inner.value(args), post)
+        return val
 
     def put(label, key, val):
         if not val.is_zero():
@@ -172,21 +185,21 @@ def pc_residuals(Q: QuasiTwilled) -> dict:
     # PC2 / PC3: all inputs in g
     for i, j, k in sorted_tuples(g.rank, 3):
         pc2 = (
-            insert_value(pi, (i,), pi.value((j, k)), ())
-            - insert_value(pi, (), pi.value((i, j)), (k,))
-            - permute(insert_value(pi, (j,), pi.value((i, k)), ()), P_SWAP01)
-            - permute(insert_value(eta, (j,), th.value((i, k)), ()), P_SWAP01)
-            + insert_value(eta, (i,), th.value((j, k)), ())
-            + permute(insert_value(eta, (k,), th.value((i, j)), ()), P_CYCLE_A)
+            composite(pi, (i,), pi, (j, k), ())
+            - composite(pi, (), pi, (i, j), (k,))
+            - permute(composite(pi, (j,), pi, (i, k), ()), P_SWAP01)
+            - permute(composite(eta, (j,), th, (i, k), ()), P_SWAP01)
+            + composite(eta, (i,), th, (j, k), ())
+            + permute(composite(eta, (k,), th, (i, j), ()), P_CYCLE_A)
         )
         put("PC2", (i, j, k), pc2)
         pc3 = (
-            insert_value(rho, (i,), th.value((j, k)), ())
-            + permute(insert_value(rho, (k,), th.value((i, j)), ()), P_CYCLE_A)
-            - permute(insert_value(rho, (j,), th.value((i, k)), ()), P_SWAP01)
-            - permute(insert_value(th, (j,), pi.value((i, k)), ()), P_SWAP01)
-            - insert_value(th, (), pi.value((i, j)), (k,))
-            + insert_value(th, (i,), pi.value((j, k)), ())
+            composite(rho, (i,), th, (j, k), ())
+            + permute(composite(rho, (k,), th, (i, j), ()), P_CYCLE_A)
+            - permute(composite(rho, (j,), th, (i, k), ()), P_SWAP01)
+            - permute(composite(th, (j,), pi, (i, k), ()), P_SWAP01)
+            - composite(th, (), pi, (i, j), (k,))
+            + composite(th, (i,), pi, (j, k), ())
         )
         put("PC3", (i, j, k), pc3)
 
@@ -194,20 +207,20 @@ def pc_residuals(Q: QuasiTwilled) -> dict:
     for i, j in sorted_tuples(g.rank, 2):
         for w in range(h.rank):
             pc4 = (
-                insert_value(pi, (i,), eta.value((j, w)), ())
-                + insert_value(eta, (i,), rho.value((j, w)), ())
-                - insert_value(eta, (), pi.value((i, j)), (w,))
-                - permute(insert_value(pi, (j,), eta.value((i, w)), ()), P_SWAP01)
-                - permute(insert_value(eta, (j,), rho.value((i, w)), ()), P_SWAP01)
+                composite(pi, (i,), eta, (j, w), ())
+                + composite(eta, (i,), rho, (j, w), ())
+                - composite(eta, (), pi, (i, j), (w,))
+                - permute(composite(pi, (j,), eta, (i, w), ()), P_SWAP01)
+                - permute(composite(eta, (j,), rho, (i, w), ()), P_SWAP01)
             )
             put("PC4", (i, j, w), pc4)
             pc5 = (
-                insert_value(rho, (i,), rho.value((j, w)), ())
-                + insert_value(th, (i,), eta.value((j, w)), ())
-                - insert_value(rho, (), pi.value((i, j)), (w,))
-                - insert_value(mu, (), th.value((i, j)), (w,))
-                - permute(insert_value(rho, (j,), rho.value((i, w)), ()), P_SWAP01)
-                - permute(insert_value(th, (j,), eta.value((i, w)), ()), P_SWAP01)
+                composite(rho, (i,), rho, (j, w), ())
+                + composite(th, (i,), eta, (j, w), ())
+                - composite(rho, (), pi, (i, j), (w,))
+                - composite(mu, (), th, (i, j), (w,))
+                - permute(composite(rho, (j,), rho, (i, w), ()), P_SWAP01)
+                - permute(composite(th, (j,), eta, (i, w), ()), P_SWAP01)
             )
             put("PC5", (i, j, w), pc5)
 
@@ -215,17 +228,17 @@ def pc_residuals(Q: QuasiTwilled) -> dict:
     for i in range(g.rank):
         for v, w in sorted_tuples(h.rank, 2):
             pc6 = (
-                insert_value(eta, (i,), mu.value((v, w)), ())
-                - insert_value(eta, (), eta.value((i, v)), (w,))
-                + permute(insert_value(eta, (), eta.value((i, w)), (v,)), P_SWAP12)
+                composite(eta, (i,), mu, (v, w), ())
+                - composite(eta, (), eta, (i, v), (w,))
+                + permute(composite(eta, (), eta, (i, w), (v,)), P_SWAP12)
             )
             put("PC6", (i, v, w), pc6)
             pc7 = (
-                insert_value(rho, (i,), mu.value((v, w)), ())
-                - insert_value(rho, (), eta.value((i, v)), (w,))
-                - insert_value(mu, (), rho.value((i, v)), (w,))
-                + permute(insert_value(rho, (), eta.value((i, w)), (v,)), P_SWAP12)
-                - permute(insert_value(mu, (v,), rho.value((i, w)), ()), P_SWAP01)
+                composite(rho, (i,), mu, (v, w), ())
+                - composite(rho, (), eta, (i, v), (w,))
+                - composite(mu, (), rho, (i, v), (w,))
+                + permute(composite(rho, (), eta, (i, w), (v,)), P_SWAP12)
+                - permute(composite(mu, (v,), rho, (i, w), ()), P_SWAP01)
             )
             put("PC7", (i, v, w), pc7)
 

@@ -62,7 +62,7 @@ def test_interpolation_reconstructs_quadratics():
     # the reconstructed polynomials vanish exactly on a known solution and
     # not on a known non-solution
     p = Rank2Problem(1)
-    polys = reconstruct_polynomials(p)
+    polys = [q.as_expr() for q in reconstruct_polynomials(p)]
     assert polys
     point = dict(zip(p.symbols, vec(p, C_00=1, B_00=2)))
     assert all(sympy.expand(q.subs(point)) == 0 for q in polys)
@@ -104,7 +104,8 @@ def test_ring_evaluation_matches_interpolation(max_deg, virasoro):
     p = Rank2Problem(max_deg, mu_virasoro=virasoro)
     interpolated = _interpolate_quadratics(p.residual_vector, len(p.layout), p.symbols)
     assert [q.as_expr() for q in p.residual_polynomials(p.gens)] == interpolated
-    assert reconstruct_polynomials(p) == _distinct_up_to_scaling(interpolated, p.symbols)
+    assert [q.as_expr() for q in reconstruct_polynomials(p)] == _distinct_up_to_scaling(
+        interpolated, p.symbols)
 
 
 def test_lemma_system_matches_interpolation(monkeypatch):
@@ -166,9 +167,50 @@ def test_one_pc_evaluation_per_problem(monkeypatch):
 
 
 def test_degree3_polynomials_pinned():
-    polys = reconstruct_polynomials(Rank2Problem(3))
+    polys = [q.as_expr() for q in reconstruct_polynomials(Rank2Problem(3))]
     assert len(polys) == 234
     assert hashlib.sha256(str(polys).encode()).hexdigest()[:12] == "740b42c81283"
+
+
+# (a, b) of each block in the torus weight (i + j, a, b) of the unknown X_ij:
+# the automorphism d -> t d of Q[d] and the new bases s u, r x rescale X_ij
+# by t^(i+j) s^a r^b, and an isomorphism keeps the PC conditions
+TORUS_AB = {"A": (1, 0), "B": (1, 0), "C": (0, 1), "D": (2, -1)}
+
+
+def _torus_weights(problem, ab=TORUS_AB) -> list:
+    return [(i + j,) + ab[name] for name, (i, j) in problem.layout]
+
+
+def _inhomogeneous(polys, weights) -> int:
+    """How many of the ring elements mix monomials of different weight."""
+    columns = list(zip(*weights))
+    return sum(
+        len({tuple(sum(e * w for e, w in zip(mon, col)) for col in columns) for mon in q.monoms()}) > 1
+        for q in polys
+    )
+
+
+def test_residuals_are_torus_homogeneous():
+    # every residual polynomial is homogeneous in the three torus weights: a
+    # slip of degree or basis bookkeeping in canonicalize, the coproduct or
+    # the antipode would mix weights; a sign slip keeps them
+    for max_deg, count, d_plus in ((1, 14, 3), (2, 77, 13), (3, 234, 50)):
+        p = Rank2Problem(max_deg)
+        polys = reconstruct_polynomials(p)
+        assert _inhomogeneous(polys, _torus_weights(p)) == 0
+        assert len(polys) == count
+        # negative control: D given the b-weight +1
+        assert _inhomogeneous(polys, _torus_weights(p, {**TORUS_AB, "D": (2, 1)})) == d_plus
+    # Virasoro mu, of weight (1, 0, 1), keeps the 2-torus of the a-weight and
+    # (i + j) - b; the lemma's C-only system is homogeneous there, and mixes
+    # weights under the full 3-torus
+    p = Rank2Problem(2, mu_virasoro=True)
+    c_only = [g if name == "C" else 0 for (name, _ij), g in zip(p.layout, p.gens)]
+    polys = p.residual_polynomials(c_only)
+    assert _inhomogeneous(polys, [(t - b, a) for t, a, b in _torus_weights(p)]) == 0
+    assert len(polys) == 32
+    assert _inhomogeneous(polys, _torus_weights(p)) == 15
 
 
 @pytest.mark.parametrize("max_deg, c_only", [(1, False), (2, False), (3, False), (2, True)])
@@ -259,7 +301,7 @@ def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
     # sample point: its substitution, with the frees left free, makes every
     # residual polynomial vanish identically
     for res, families, _subs in (_search_with_families(1), search_deg2):
-        polys = reconstruct_polynomials(Rank2Problem(res["max_deg"]))
+        polys = [q.as_expr() for q in reconstruct_polynomials(Rank2Problem(res["max_deg"]))]
         assert len(families) == len(res["families"])
         for fam in families:
             assert not any(_residuals_at(polys, fam.subs)), fam
@@ -269,7 +311,7 @@ def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
     assert theta.subs[c00] == 0 and any(_residuals_at(polys, {**theta.subs, c00: 1}))
     # the lemma's C-only families, with every other unknown 0
     problem = Rank2Problem(2, mu_virasoro=True)
-    polys = reconstruct_polynomials(problem)
+    polys = [q.as_expr() for q in reconstruct_polynomials(problem)]
     rules = [{sym: fam["_exprs"][ij] if name == "C" else 0
               for (name, ij), sym in zip(problem.layout, problem.symbols)}
              for fam in lemma_special_case(2)["families"]]

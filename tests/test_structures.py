@@ -28,6 +28,7 @@ from pseudoalg.structures import (
     require_pc,
 )
 from pseudoalg import cochains, ptensor, zoo
+from pseudoalg.rank2 import Rank2Problem
 
 from conftest import count_calls, pt, random_structure, vir_value
 from oracles import mc_bullet_components
@@ -84,8 +85,9 @@ def test_check_pc_zoo_structures():
 
 # (insert_raw, canonicalize) calls of one check_mc_omega on a fresh zoo
 # structure.  Counts catch what timings hide; the NR bracket visits only the
-# output tuples the supports of Omega reach.
-MC_OMEGA_CALLS = {"modified_r": (40, 61), "reynolds": (37, 56)}
+# output tuples the supports of Omega reach, and pc_residuals builds each
+# distinct composite once.
+MC_OMEGA_CALLS = {"modified_r": (28, 49), "reynolds": (25, 44)}
 
 
 @pytest.mark.parametrize("name", sorted(MC_OMEGA_CALLS))
@@ -95,6 +97,19 @@ def test_check_mc_omega_kernel_counts_are_pinned(name, monkeypatch):
     canonicalizations = count_calls(monkeypatch, "canonicalize", ptensor, cochains)
     assert check_mc_omega(Q)["agrees_with_pc"]
     assert (len(insertions), len(canonicalizations)) == MC_OMEGA_CALLS[name]
+
+
+def test_pc_residuals_build_each_distinct_composite_once(monkeypatch):
+    # at rank (1,1) every index is 0: the 31 PC2..PC7 composites are 19
+    # distinct ones, and PC8's Jacobiator adds 3; a second call builds them
+    # all again, so nothing is kept between calls
+    p = Rank2Problem(2)
+    Q = p.structure(p.gens)
+    insertions = count_calls(monkeypatch, "insert_raw", cochains)
+    first = pc_residuals(Q)
+    assert len(insertions) == 22
+    assert pc_residuals(Q) == first
+    assert len(insertions) == 44
 
 
 def test_pc_residuals_evaluate_no_module_element(monkeypatch):
