@@ -15,10 +15,10 @@ to the argument order.  Each distinct composite is one `cochains.insert_value`
 into a component at basis indices, alike for the skew components pi, theta,
 mu and the mixed ones rho, eta, built once per `pc_residuals` call (at rank 1
 every index is 0, so pi(i, pi(j,k)) and pi(j, pi(i,k)) are one composite);
-one `cochains.lift` places each component in Omega.  The
-printed cycle symbols in PC2/PC3/PC6/PC7 admit a second, literal-contents
-reading (placement array (1, 2, 0)); the NR cross-check (check_mc_omega)
-validates that the aligned reading matches [Omega, Omega].
+one `cochains.lift` places each component in Omega.  The printed cycle
+symbols in PC2/PC3/PC6/PC7 admit a second, literal-contents reading
+(placement array (1, 2, 0)); the NR cross-check (check_mc_omega) validates
+that the aligned reading matches [Omega, Omega].
 
 Normalization (frozen by the equivalence suite):
     jacobiator = -(Omega circle Omega),  [Omega, Omega]_NR = -2 * jacobiator.
