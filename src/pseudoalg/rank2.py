@@ -18,16 +18,20 @@ polynomial scalar over ZZ, and each nonzero coordinate becomes a ring element
 once at the end; a non-integral coefficient would raise `TypeError`, never be
 rounded.  `reconstruct_polynomials` returns these ring elements as they are,
 and the solver runs its case splits on them, sparse polynomials over ZZ, and
-on their fraction field; only each family's values and nonzero factors become
-sympy expressions.  The independent cross-check, `_interpolate_quadratics`
-in `tests/oracles.py`, rebuilds the same polynomials from rational point
-evaluations.  Solution families are tagged against the three classification
-patterns; anything else is reported as "other", never suppressed.
+on their fraction field.  Each solution family keeps its values in that field
+and its nonzero set as ring elements; it is tagged against the three
+classification patterns, and sampled, on them.  Sympy expressions are made
+only where `rank2_search` and `lemma_special_case` write their reports, and
+in the solver's sort key.  The independent cross-check,
+`_interpolate_quadratics` in `tests/oracles.py`, rebuilds the same
+polynomials from rational point evaluations.  Families outside the three
+patterns are reported as "other", never suppressed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import zlib
 from fractions import Fraction
@@ -35,7 +39,7 @@ from fractions import Fraction
 import sympy
 from sympy.polys.densebasic import dmp_from_dict
 from sympy.polys.polyutils import _sort_gens
-from sympy.polys.rings import PolyElement, ring
+from sympy.polys.rings import ring
 
 from .hopf import InputError, LieAlgebra, ResourceError, Sparse, coeff
 from .ptensor import FreeModule, PTElem, canonicalize
@@ -238,10 +242,16 @@ class Rank2Problem:
         return [coords[k].to_ring() for k in sorted(coords, key=repr)]
 
 
-def _distinct_residuals(problem: Rank2Problem) -> list:
-    """The residual polynomials at the generators, deduplicated up to rational
-    scaling (the positive content is divided out, as over QQ), in the order of
-    their keys' repr."""
+def reconstruct_polynomials(problem: Rank2Problem) -> list:
+    """Exact quadratic polynomials of every PC residual coordinate.
+
+    One `pc_residuals` evaluation at the generators of ZZ[unknowns], as
+    `SparseZZ` scalars, gives each coordinate as a polynomial with integer
+    coefficients, the structure constants over Q[d] being integers.  Returned
+    as elements of `problem.ring`, deduplicated up to rational scaling (the
+    positive content is divided out, as over QQ), in the order of their keys'
+    repr.
+    """
     seen = {}
     for p in problem.residual_polynomials(problem.gens):
         prim = p.primitive()[1]
@@ -250,26 +260,25 @@ def _distinct_residuals(problem: Rank2Problem) -> list:
     return list(seen)
 
 
-def reconstruct_polynomials(problem: Rank2Problem) -> list:
-    """Exact quadratic polynomials of every PC residual coordinate.
-
-    One `pc_residuals` evaluation at the generators of ZZ[unknowns], as
-    `SparseZZ` scalars, gives each coordinate as a polynomial with integer
-    coefficients, the structure constants over Q[d] being integers.  Returned
-    as elements of `problem.ring`, deduplicated as `_distinct_residuals`
-    does; the search itself reads `_distinct_residuals`.
-    """
-    return _distinct_residuals(problem)
-
-
 class Family:
-    """One leaf of the case-split tree: a parametrized solution family."""
+    """One leaf of the case-split tree: a parametrized solution family.
 
-    def __init__(self, subs, frees, nonzero):
+    subs maps each substituted unknown to its value in `field`, the solver's
+    fraction field; nonzero holds elements of its ring, nonzero on the family.
+    """
+
+    def __init__(self, subs, frees, nonzero, field):
         self.subs = subs
         self.frees = frees
         self.nonzero = nonzero
+        self.field = field
         self.tag = None
+
+    def value(self, sym):
+        """The value of the unknown sym on the family, in `field`."""
+        if sym in self.subs:
+            return self.subs[sym]
+        return self.field.gens[self.field.symbols.index(sym)]
 
     def __repr__(self):
         return f"Family(tag={self.tag}, subs={self.subs}, nonzero={self.nonzero})"
@@ -374,48 +383,34 @@ def _drop(q, i):
     return q.new({mon: c for mon, c in q.items() if not mon[i]})
 
 
-def _solver_ring(eqs, symbols):
-    """ZZ[gens] in sympy's generator order, and eqs as its elements.
-
-    The gens are the symbols and every generator that occurs in eqs.  An
-    element of another ring is reordered; an expression is converted once,
-    as the numerator of its `together`.
-    """
-    gens = set(symbols)
-    for e in eqs:
-        gens |= ({s for s, d in zip(e.ring.symbols, e.degrees()) if d > 0}
-                 if isinstance(e, PolyElement) else e.free_symbols)
-    R = ring(_sort_gens(gens), sympy.ZZ)[0]
-    return R, [e.set_ring(R) if isinstance(e, PolyElement)
-               else R.from_expr(sympy.numer(sympy.together(e))) for e in eqs]
-
-
 def solve_quadratic_system(eqs, symbols):
     """All solution families of a quadratic system by elimination + case splits.
 
-    eqs are elements of a ring over ZZ, or expressions, which are converted
-    once; symbols are the unknowns.  Strategy: substitute variables with
-    constant-coefficient linear occurrences; reduce factored equations by the
-    branch's nonzero set; when stuck, split on a factor or on a variable
-    (zero / nonzero).  Leaves with no equations left are families; a branch
-    deeper than MAX_SOLVER_DEPTH is reported as an unresolved leaf rather
-    than silently dropped.  This is the elimination and factor splitting of
-    triangular decomposition (Lazard, J. Symb. Comput. 13 (1992); Aubry,
-    Lazard and Moreno Maza, J. Symb. Comput. 28 (1999)).
+    eqs are elements of rings over ZZ; symbols are the unknowns.  Strategy:
+    substitute variables with constant-coefficient linear occurrences; reduce
+    factored equations by the branch's nonzero set; when stuck, split on a
+    factor or on a variable (zero / nonzero).  Leaves with no equations left
+    are families; a branch deeper than MAX_SOLVER_DEPTH is reported as an
+    unresolved leaf rather than silently dropped.  This is the elimination
+    and factor splitting of triangular decomposition (Lazard, J. Symb.
+    Comput. 13 (1992); Aubry, Lazard and Moreno Maza, J. Symb. Comput. 28
+    (1999)).
 
-    The recursion runs on sparse elements of `_solver_ring`.  An elimination
-    x = -e0/c keeps its value in the fraction field; each value of the rule
-    is substituted there, and each equation and nonzero becomes the
-    numerator of its substitution.  A zero split keeps the terms free of the
-    variable.  Expressions are made only at the leaves: `sympy.expand` of
-    each value's expression and the expression of each nonzero.  The branch
-    order and the families are those of the sympy expression route that
-    this replaced (sympy 1.14).  Equations, and the unknowns of the degree
-    scan of the elimination and the variable split, are ordered by
-    `default_sort_key` of their expressions, and `_factor_list(p)` is
-    `sympy.factor_list(p.as_expr())`.  tests/test_rank2.py compares each
-    factor list and substitution numerator of three searches with sympy's
-    expression route, and pins the family text.
+    The recursion runs on sparse elements of one ring ZZ[gens], the gens
+    being the symbols and every generator that occurs in eqs, in sympy's
+    order.  An elimination x = -e0/c keeps its value in the fraction field;
+    each value of the rule is substituted there, and each equation and
+    nonzero becomes the numerator of its substitution.  A zero split keeps
+    the terms free of the variable.  Each `Family` keeps its values in the
+    field and its nonzero set in the ring; the only expressions made here are
+    those of the sort key.  The branch order and the families are those of
+    the sympy expression route that this replaced (sympy 1.14).  Equations,
+    and the unknowns of the degree scan of the elimination and the variable
+    split, are ordered by `default_sort_key` of their expressions, and
+    `_factor_list(p)` is `sympy.factor_list(p.as_expr())`.
+    tests/test_rank2.py compares each factor list and substitution numerator
+    of three searches with sympy's expression route, and pins the family
+    text.
 
     Most equations pass unchanged from a node to its children, so each call
     memoizes the factor list, degree scan and sort key of each equation; the
@@ -424,7 +419,9 @@ def solve_quadratic_system(eqs, symbols):
     MAX_FACTOR_TERMS terms, raises ResourceError: one node's cost grows with
     its sums, which the node count does not bound.
     """
-    R, eqs = _solver_ring(eqs, symbols)
+    gens = set(symbols).union(*({s for s, d in zip(e.ring.symbols, e.degrees()) if d} for e in eqs))
+    R = ring(_sort_gens(gens), sympy.ZZ)[0]
+    eqs = [e.set_ring(R) for e in eqs]
     field = R.to_field()
     unknowns = set(symbols)
     scan_order = sorted((i for i, s in enumerate(R.symbols) if s in unknowns),
@@ -456,17 +453,13 @@ def solve_quadratic_system(eqs, symbols):
 
     sort_key = memo(lambda p: sympy.default_sort_key(p.as_expr()))
 
-    def family(subs, frees, nonzero):
-        return Family({k: sympy.expand(v.as_expr()) for k, v in subs.items()}, frees,
-                      {z.as_expr() for z in nonzero})
-
     def recurse(eqs, subs, nonzero, depth):
         nonlocal nodes
         nodes += 1
         if nodes > MAX_SOLVER_NODES:
             raise ResourceError(f"rank-2 solver visited more than {MAX_SOLVER_NODES} nodes")
         if depth > MAX_SOLVER_DEPTH:
-            unresolved.append(family(subs, None, nonzero))
+            unresolved.append(Family(subs, None, nonzero, field))
             return
         eqs = [e for e in eqs if e]
         if any(e.is_ground for e in eqs):
@@ -482,7 +475,7 @@ def solve_quadratic_system(eqs, symbols):
         eqs = sorted(set(reduced), key=sort_key)
         if not eqs:
             frees = [s for s in symbols if s not in subs]
-            results.append(family(subs, frees, nonzero))
+            results.append(Family(subs, frees, nonzero, field))
             return
         # linear elimination; the coefficient must be certified nonzero
         # (a constant, or a product of branch-nonzero factors)
@@ -522,7 +515,7 @@ def solve_quadratic_system(eqs, symbols):
         # split on a variable appearing nonlinearly (not already split on)
         var = next((i for e in eqs for i, _d in degrees(e) if R.gens[i] not in nonzero), None)
         if var is None:
-            unresolved.append(family(subs, None, nonzero))
+            unresolved.append(Family(subs, None, nonzero, field))
             return
         zero_nz = {_drop(z, var) for z in nonzero}
         if R.zero not in zero_nz:
@@ -537,9 +530,10 @@ def solve_quadratic_system(eqs, symbols):
     return results, unresolved
 
 
-def _sorted_strs(exprs) -> list:
-    """A set of expressions as strings, in an order that no hash seed moves."""
-    return [str(e) for e in sorted(exprs, key=sympy.default_sort_key)]
+def _sorted_strs(polys) -> list:
+    """Ring elements as the strings of their expressions, in an order that no
+    hash seed moves."""
+    return [str(e) for e in sorted((p.as_expr() for p in polys), key=sympy.default_sort_key)]
 
 
 TYPE_I_TAG = "type_i"
@@ -548,22 +542,17 @@ TYPE_III_TAG = "type_iii"
 OTHER_TAG = "other"
 
 
-def _block_exprs(problem: Rank2Problem, family: Family, name: str) -> dict:
-    out = {}
-    for (nm, ij), sym in zip(problem.layout, problem.symbols):
-        if nm != name:
-            continue
-        e = family.subs.get(sym, sym)
-        out[ij] = sympy.expand(e)
-    return out
+def _block(problem: Rank2Problem, family: Family, name: str) -> dict:
+    """The family's values of the unknowns of block name, keyed (i, j)."""
+    return {ij: family.value(sym) for (nm, ij), sym in zip(problem.layout, problem.symbols) if nm == name}
 
 
 def _is_zero_block(block: dict) -> bool:
-    return all(e == 0 for e in block.values())
+    return not any(block.values())
 
 
 def _first_leg_positive(block: dict) -> bool:
-    return any(e != 0 for (i, _j), e in block.items() if i > 0)
+    return any(e for (i, _j), e in block.items() if i > 0)
 
 
 def classify_family(problem: Rank2Problem, family: Family) -> str:
@@ -573,11 +562,13 @@ def classify_family(problem: Rank2Problem, family: Family) -> str:
     type ii:  A = B = D = 0 and C supported on 1 (x) a^(J);
     type iii: D = 0, B proportional to C with nonzero ratio, C supported on
               1 (x) a^(J), and A = b(C - (12)C).
+
+    Every test is an equality of the family's values in its field.
     """
-    A = _block_exprs(problem, family, "A")
-    B = _block_exprs(problem, family, "B")
-    C = _block_exprs(problem, family, "C")
-    D = _block_exprs(problem, family, "D")
+    A = _block(problem, family, "A")
+    B = _block(problem, family, "B")
+    C = _block(problem, family, "C")
+    D = _block(problem, family, "D")
     if _is_zero_block(B) and _is_zero_block(C) and _is_zero_block(D):
         return TYPE_I_TAG
     if (
@@ -588,29 +579,28 @@ def classify_family(problem: Rank2Problem, family: Family) -> str:
     ):
         return TYPE_II_TAG
     if _is_zero_block(D) and not _first_leg_positive(C) and not _is_zero_block(B):
-        # proportionality: all 2x2 minors of the (B, C) coefficient rows vanish
-        keys = sorted(set(B) | set(C))
-        rows = [[B.get(k, sympy.Integer(0)) for k in keys], [C.get(k, sympy.Integer(0)) for k in keys]]
-        for a, b in itertools.combinations(range(len(keys)), 2):
-            minor = sympy.expand(rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a])
-            if minor != 0:
+        # proportionality: all 2x2 minors of the (B, C) coefficient rows
+        # vanish; B and C have the same keys
+        keys = sorted(C)
+        for a, b in itertools.combinations(keys, 2):
+            if B[a] * C[b] - B[b] * C[a]:
                 return OTHER_TAG
         # A must equal b (C - (12)C); with C first-leg-degree 0 this means
         # A_{0j} = b C_{0j} for the skew part (C - (12)C)_{0j} = C_{0j}
-        # find the ratio b on some nonzero C coefficient
+        # find the ratio b on a C coefficient certified nonzero: a nonzero
+        # constant, or a member of the nonzero set
         b_ratio = None
         for k in keys:
-            ck = C.get(k, sympy.Integer(0))
-            bk = B.get(k, sympy.Integer(0))
-            if ck != 0 and (ck.is_number or ck in family.nonzero):
-                b_ratio = sympy.together(bk / ck)
+            ck = C[k]
+            if ck and (ck.numer.is_ground and ck.denom.is_ground
+                       or ck.denom == 1 and ck.numer in family.nonzero):
+                b_ratio = B[k] / ck
                 break
         if b_ratio is None:
             # cannot certify a nonzero ratio symbolically
             return OTHER_TAG
-        for (i, j), a_expr in A.items():
-            expect = sympy.expand(b_ratio * (C.get((i, j), sympy.Integer(0)) - C.get((j, i), sympy.Integer(0))))
-            if sympy.expand(a_expr - expect) != 0:
+        for (i, j), a in A.items():
+            if a != b_ratio * (C[(i, j)] - C[(j, i)]):
                 return OTHER_TAG
         return TYPE_III_TAG
     return OTHER_TAG
@@ -625,7 +615,7 @@ def rank2_search(max_deg: int) -> dict:
     solver meets a 29-term sum, over MAX_FACTOR_TERMS.
     """
     problem = Rank2Problem(max_deg, mu_virasoro=False)
-    families, unresolved = solve_quadratic_system(_distinct_residuals(problem), problem.symbols)
+    families, unresolved = solve_quadratic_system(reconstruct_polynomials(problem), problem.symbols)
     out = []
     for fam in families:
         fam.tag = classify_family(problem, fam)
@@ -633,7 +623,7 @@ def rank2_search(max_deg: int) -> dict:
         out.append(
             {
                 "tag": fam.tag,
-                "subs": {str(k): str(v) for k, v in fam.subs.items()},
+                "subs": {str(k): str(sympy.expand(v.as_expr())) for k, v in fam.subs.items()},
                 "free": [str(s) for s in (fam.frees or [])],
                 "nonzero": _sorted_strs(fam.nonzero),
                 "sample_ok": sample,
@@ -649,39 +639,31 @@ def rank2_search(max_deg: int) -> dict:
     }
 
 
+def _at(p, point):
+    """The ring element p at point, one value per generator of its ring."""
+    return sum(c * math.prod(x**k for x, k in zip(point, mon) if k) for mon, c in p.items())
+
+
 def _sample_instance(problem: Rank2Problem, family: Family) -> bool:
     """Substitute small rationals for the frees and verify check_pc passes.
 
     The sample stream is seeded from a CRC of the substituted names, so the
-    verdict is the same in every process (``hash`` of a str is salted).
-    Each substitution is `xreplace`, which equals `subs` here.  The rule maps
-    the frees, Symbols, to rationals; both routes match a Symbol only as
-    itself and rebuild each node above a match with its class's constructor,
-    so the results evaluate alike, `zoo` from a zero denominator included.
-    No value holds a key of the rule, and a family's values hold no unknown
-    that the family substitutes, so replacing all keys at once, as
-    `xreplace` does, equals `subs` replacing them one after another.
+    verdict is the same in every process (``hash`` of a str is salted).  A
+    draw at which a member of the nonzero set, or the denominator of a
+    value, vanishes is skipped.
     """
     rng = random.Random(zlib.crc32(",".join(sorted(str(s) for s in family.subs)).encode()))
     frees = family.frees or []
+    values = [family.value(sym) for sym in problem.symbols]
     for _ in range(SAMPLE_TRIES):
-        values = {s: sympy.Rational(rng.randint(-3, 3)) for s in frees}
-        if any(sympy.expand(z.xreplace(values)) == 0 for z in family.nonzero):
+        draw = {s: Fraction(rng.randint(-3, 3)) for s in frees}
+        point = [draw.get(s) for s in family.field.symbols]
+        if any(not _at(z, point) for z in family.nonzero):
             continue
-        vec = []
-        bad = False
-        for (name, ij), sym in zip(problem.layout, problem.symbols):
-            e = family.subs.get(sym, sym)
-            val = sympy.together(e.xreplace(values))
-            if not getattr(val, "is_rational", False):
-                bad = True
-                break
-            val = sympy.Rational(val)
-            vec.append(Fraction(int(val.p), int(val.q)))
-        if bad:
-            continue
-        resid = problem.residual_vector(vec)
-        return all(c == 0 for c in resid.values())
+        denoms = [_at(v.denom, point) for v in values]
+        if all(denoms):
+            resid = problem.residual_vector([Fraction(_at(v.numer, point), d) for v, d in zip(values, denoms)])
+            return all(c == 0 for c in resid.values())
     return not frees  # no admissible sample found
 
 
@@ -702,7 +684,7 @@ def lemma_special_case(max_deg: int = 2) -> dict:
     families, unresolved = solve_quadratic_system(polys, c_symbols)
     described = []
     for fam in families:
-        desc = _block_exprs(problem, fam, "C")
+        desc = {ij: sympy.expand(v.as_expr()) for ij, v in _block(problem, fam, "C").items()}
         described.append({"C": {str(k): str(v) for k, v in desc.items()},
                           "free": [str(s) for s in (fam.frees or [])],
                           "nonzero": _sorted_strs(fam.nonzero),

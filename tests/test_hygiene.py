@@ -449,27 +449,76 @@ def test_operator_residual_is_independent_of_the_deformation_side():
     assert "dmap_residual" in route_names(source, "dictionary_check")
 
 
-def subs_calls(source: str) -> list:
-    """Lines that call a `.subs` method."""
+def method_calls(source: str, *names) -> list:
+    """Lines that call a method of one of these names."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "subs"
+        and node.func.attr in names
     )
 
 
 def test_guard_sees_a_subs_call():
-    assert subs_calls("e = x.subs({y: 1})\nf = x.xreplace({y: 1})\n") == [1]
-    assert subs_calls("import sympy\n\nq = sympy.expand(p).subs(y, 0)\n") == [3]
-    assert subs_calls("family.subs.get(y, y)\nsubs = {}\nsubs(1)\n") == []
+    assert method_calls("e = x.subs({y: 1})\nf = x.xreplace({y: 1})\n", "subs") == [1]
+    assert method_calls("e = x.subs({y: 1})\nf = x.xreplace({y: 1})\n", "subs", "xreplace") == [1, 2]
+    assert method_calls("import sympy\n\nq = sympy.expand(p).subs(y, 0)\n", "subs") == [3]
+    assert method_calls("family.subs.get(y, y)\nsubs = {}\nsubs(1)\n", "subs") == []
 
 
-def test_rank2_substitutes_by_xreplace_only():
-    # the solver's docstring argues that each `xreplace` equals `subs`; that
-    # argument covers every substitution only while rank2 calls no `subs`
-    assert subs_calls((PACKAGE_DIR / "rank2.py").read_text(encoding="utf-8")) == []
+def test_rank2_calls_no_subs_or_xreplace():
+    # a family's values are field elements, which the solver's own kernels
+    # substitute; a sympy substitution would bring expressions back
+    source = (PACKAGE_DIR / "rank2.py").read_text(encoding="utf-8")
+    assert method_calls(source, "subs", "xreplace") == []
+
+
+def expression_calls(source: str) -> list:
+    """(line, scope) of each call of `sympy.expand` or an `as_expr` method.
+    The scope is the innermost enclosing def, or for a lambda the name it is
+    assigned to."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)) or not (
+                node.func.attr == "as_expr" or node.func.attr == "expand"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "sympy"):
+            continue
+        scope = node
+        while not isinstance(scope, (ast.FunctionDef, ast.Lambda, ast.Module)):
+            scope = parents[scope]
+        if isinstance(scope, ast.Lambda):
+            while not isinstance(scope, (ast.Assign, ast.Module)):
+                scope = parents[scope]
+            name = ast.unparse(scope.targets[0]) if isinstance(scope, ast.Assign) else "<lambda>"
+        else:
+            name = getattr(scope, "name", "<module>")
+        out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_guard_sees_an_expression_call():
+    src = (
+        "import sympy\n"
+        "def report(p):\n    return str(sympy.expand(p.as_expr()))\n"
+        "def solve(eqs):\n    key = memo(lambda p: p.as_expr())\n"
+        "    def leaf(v):\n        return v.as_expr()\n"
+        "    return sympy.expand(eqs), expand(eqs), f(lambda q: q.as_expr())\n"
+    )
+    assert expression_calls(src) == [
+        (3, "report"), (3, "report"), (5, "key"), (7, "leaf"), (8, "<lambda>"), (8, "solve")]
+
+
+# Where rank2 may build sympy expressions: the report builders, and the
+# solver's sort key, which orders equations by their expressions
+EXPRESSION_SCOPES = {"rank2_search", "lemma_special_case", "_sorted_strs", "sort_key"}
+
+
+def test_rank2_builds_expressions_only_for_its_reports():
+    calls = expression_calls((PACKAGE_DIR / "rank2.py").read_text(encoding="utf-8"))
+    assert calls and [c for c in calls if c[1] not in EXPRESSION_SCOPES] == []
 
 
 def resource_budgets(source: str) -> list:

@@ -2,18 +2,16 @@
 
 import hashlib
 import json
-import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from sympy.polys import polytools
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.polys.rings import PolyElement, PolyRing, ring, sring
 
 from pseudoalg import rank2
 from pseudoalg.cli import main as cli_main
 from pseudoalg.cohomology import ResourceError
-from pseudoalg.hopf import coeff
 from pseudoalg.rank2 import (
     MAX_UNKNOWNS,
     OTHER_TAG,
@@ -42,8 +40,9 @@ def vec(problem, **kw):
 
 def classify_instance(problem: Rank2Problem, assignment) -> str:
     """Tag a single rational instance against the three patterns."""
-    fam = Family({s: sympy.Rational(coeff(v)) for s, v in zip(problem.symbols, assignment)}, [], set())
-    return classify_family(problem, fam)
+    field = problem.ring.to_field()
+    values = {s: field(v.numerator) / v.denominator for s, v in zip(problem.symbols, assignment)}
+    return classify_family(problem, Family(values, [], set(), field))
 
 
 def test_instance_classification():
@@ -53,6 +52,8 @@ def test_instance_classification():
     assert classify_instance(p, vec(p, C_00=1)) == TYPE_II_TAG
     assert classify_instance(p, vec(p, C_01=2)) == TYPE_II_TAG
     assert classify_instance(p, vec(p, C_00=1, B_00=2)) == TYPE_III_TAG
+    # the ratio's C coefficient is certified as a nonzero constant, integral or not
+    assert classify_instance(p, vec(p, C_00=Fraction(1, 2), B_00=1)) == TYPE_III_TAG
     assert classify_instance(p, vec(p, D_01=1)) == OTHER_TAG
     # eta with a nonzero first leg is outside the printed families
     assert classify_instance(p, vec(p, C_10=1)) == OTHER_TAG
@@ -296,6 +297,11 @@ def _residuals_at(polys, rule) -> list:
     return [sympy.cancel(q.xreplace(rule)) for q in polys]
 
 
+def _rule(fam) -> dict:
+    """A family's substitution as expressions."""
+    return {k: v.as_expr() for k, v in fam.subs.items()}
+
+
 def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
     # each family solves the system on its whole open set, not only at its
     # sample point: its substitution, with the frees left free, makes every
@@ -304,11 +310,11 @@ def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
         polys = [q.as_expr() for q in reconstruct_polynomials(Rank2Problem(res["max_deg"]))]
         assert len(families) == len(res["families"])
         for fam in families:
-            assert not any(_residuals_at(polys, fam.subs)), fam
+            assert not any(_residuals_at(polys, _rule(fam))), fam
     # negative control: C_00 moved off the theta-only family leaves a residual
     [theta] = [f for f in families if [str(s) for s in f.frees] == ["D_01", "D_02"]]
     c00 = sympy.Symbol("C_00", rational=True)
-    assert theta.subs[c00] == 0 and any(_residuals_at(polys, {**theta.subs, c00: 1}))
+    assert theta.subs[c00] == 0 and any(_residuals_at(polys, {**_rule(theta), c00: 1}))
     # the lemma's C-only families, with every other unknown 0
     problem = Rank2Problem(2, mu_virasoro=True)
     polys = [q.as_expr() for q in reconstruct_polynomials(problem)]
@@ -320,6 +326,16 @@ def test_families_vanish_on_the_reconstructed_polynomials(search_deg2):
     # negative control: the widest family's leading coefficient C_10 = 1 moved to 2
     c10 = sympy.Symbol("C_10", rational=True)
     assert rules[-1][c10] == 1 and any(_residuals_at(polys, {**rules[-1], c10: 2}))
+
+
+def test_sample_verdicts(search_deg2):
+    # every degree-2 family's sample verifies; the theta-only family with
+    # C_00 = 1 put in is no solution, and its sample fails check_pc
+    assert all(f["sample_ok"] for f in search_deg2[0]["families"])
+    [theta] = [f for f in search_deg2[1] if [str(s) for s in f.frees] == ["D_01", "D_02"]]
+    c00 = sympy.Symbol("C_00", rational=True)
+    moved = Family({**theta.subs, c00: theta.field.one}, theta.frees, theta.nonzero, theta.field)
+    assert rank2._sample_instance(Rank2Problem(2), moved) is False
 
 
 def test_search_degree1_complete_and_verified():
@@ -431,11 +447,12 @@ def test_lemma_family_members_satisfy_pc6():
 
 def test_solver_handles_inconsistent_and_factored_systems():
     x, y = sympy.symbols("x y", rational=True)
-    fams, unres = solve_quadratic_system([x * y, x + y - 1], [x, y])
+    _R, X, Y = ring([x, y], sympy.ZZ)
+    fams, unres = solve_quadratic_system([X * Y, X + Y - 1], [x, y])
     assert not unres
     sols = {tuple(sorted((str(k), str(v)) for k, v in f.subs.items())) for f in fams}
     assert (("x", "0"), ("y", "1")) in sols or (("x", "1"), ("y", "0")) in sols
-    fams2, _ = solve_quadratic_system([x**2 + 1], [x])
+    fams2, _ = solve_quadratic_system([X**2 + 1], [x])
     assert fams2 == []
 
 
@@ -475,7 +492,7 @@ CERTIFICATE_CASES = [
 
 def _ring_elements(exprs):
     """exprs as elements of one ZZ[gens], in sympy's generator order."""
-    return rank2._solver_ring(exprs, [])[1]
+    return sring(exprs, domain=sympy.ZZ)[1]
 
 
 def _numerator_route(q, i, value):
@@ -569,81 +586,40 @@ def test_solver_converts_no_expression_given_ring_input(monkeypatch):
     lemma_special_case(2)
     assert inputs and all(isinstance(e, PolyElement) for e in inputs)
     assert conversions == []
-    # the guard sees a conversion: expression input is converted once, and
-    # sympy's own factoring converts its argument
+    # the guard sees a conversion: sympy's own factoring converts its argument
     x, y = sympy.symbols("x y")
-    assert _conversions(monkeypatch, lambda: solve([x * y], [x, y])) == [x * y]
     assert _conversions(monkeypatch, lambda: sympy.factor_list(x * y + x))
 
 
-def _resolve_subs_route(subs: dict) -> dict:
-    """Substitute a rule into its own values with `Expr.subs` to a fixpoint."""
-    out = dict(subs)
-    for _ in range(len(out) + 1):
-        changed = False
-        for k in list(out):
-            v2 = sympy.expand(out[k].subs(out))
-            if v2 != out[k]:
-                out[k] = v2
-                changed = True
-        if not changed:
-            break
-    return out
+def _substituted_degree(fam) -> int:
+    """The highest degree, in a numerator or denominator of a family value,
+    of an unknown that the family substitutes."""
+    subst = [fam.field.symbols.index(k) for k in fam.subs]
+    return max((p.degrees()[i] for v in fam.subs.values() for p in (v.numer, v.denom) for i in subst),
+               default=0)
 
 
-def test_xreplace_equals_subs_route(monkeypatch):
-    # every substitution in rank2 is structural; sympy's `subs` is the oracle,
-    # and every result must equal it exactly, as an object and as text
-    replaced, families = [], []
+def test_family_values_hold_no_substituted_unknown(monkeypatch, search_deg2):
+    # each family's rule is resolved: no value holds an unknown that the
+    # family substitutes, at degrees 1 and 2 and in the lemma
+    lemma = []
     solve = rank2.solve_quadratic_system
-
-    def logged_xreplace(xreplace):
-        # only rank2's own calls: sympy's internals replace non-symbols too
-        def logged(self, rule, **kw):
-            out = xreplace(self, rule, **kw)
-            if sys._getframe(1).f_globals["__name__"] == rank2.__name__:
-                replaced.append((self, dict(rule), out))
-            return out
-        return logged
 
     def logged_solve(eqs, symbols):
         found, unresolved = solve(eqs, symbols)
-        families.extend(found)
+        lemma.extend(found)
         return found, unresolved
 
     with monkeypatch.context() as m:
-        for cls in (sympy.Basic, sympy.Atom):  # Atom has its own xreplace
-            m.setattr(cls, "xreplace", logged_xreplace(cls.xreplace))
         m.setattr(rank2, "solve_quadratic_system", logged_solve)
-        rank2_search(1)
         lemma_special_case(2)
-    assert replaced and families
-    # what makes one simultaneous replacement equal to subs' one after
-    # another: no rule's value holds a symbol that the rule replaces
-    assert all(not v.free_symbols & rule.keys() for _e, rule, _out in replaced
-               for v in rule.values())
+    families = _search_with_families(1)[1] + search_deg2[1] + lemma
+    assert len(families) == 10 + 24 + 4
+    assert [_substituted_degree(fam) for fam in families] == [0] * len(families)
+    # the check sees an unresolved rule
     x, y = sympy.symbols("x y", rational=True)
-    replaced += [
-        (e, rule, e.xreplace(rule))
-        for e, rule in [
-            (x**3 * y + (x + y) ** 2, {x: y / 2 - 1}),  # inside a Pow
-            (sympy.sqrt(x) + x ** sympy.Rational(-3, 2), {x: y**2}),
-            (y / (x + 1) + 1 / (x * y), {x: y - 1}),  # a rational function's denominator
-            (sympy.together(y / (x**2 - y)), {x: 3}),
-            (1 / x, {x: sympy.Integer(0)}),  # 0 put into a denominator
-            (y / x + x, {x: sympy.Integer(0)}),
-            (y / (x + y), {x: -y}),
-            (x * y + 1, {x: 2, y: sympy.Rational(-1, 3)}),
-        ]
-    ]
-    for e, rule, out in replaced:
-        expect = e.subs(rule)
-        assert out == expect and str(out) == str(expect), (e, rule)
-    # a family's rule is already resolved: substituting it into its own
-    # values to a fixpoint changes nothing
-    for fam in families:
-        again = _resolve_subs_route(fam.subs)
-        assert again == fam.subs and str(again) == str(fam.subs), fam.subs
+    F = ring([x, y], sympy.ZZ)[0].to_field()
+    assert _substituted_degree(Family({x: F.gens[1] + 1, y: F.one / 2}, [], set(), F)) == 1
 
 
 def sums_factored(monkeypatch, run):
@@ -712,12 +688,13 @@ def test_solver_node_budget_exits_3(monkeypatch, capsys):
 def test_solver_node_budget_is_exact(monkeypatch):
     # x*y = 0: the root, one node per factor, one per elimination below it
     x, y = sympy.symbols("x y")
+    _R, X, Y = ring([x, y], sympy.ZZ)
     monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", 5)
-    fams, unres = solve_quadratic_system([x * y], [x, y])
+    fams, unres = solve_quadratic_system([X * Y], [x, y])
     assert len(fams) == 2 and not unres
     monkeypatch.setattr(rank2, "MAX_SOLVER_NODES", 4)
     with pytest.raises(ResourceError):
-        solve_quadratic_system([x * y], [x, y])
+        solve_quadratic_system([X * Y], [x, y])
 
 
 @pytest.mark.parametrize(
